@@ -212,7 +212,8 @@ def criterion_slope_census() -> AcceptanceResult:
                 check_derivative_bounds(spec, y)
                 h = 1e-6 * y
                 fd = (superlevel_measure(spec, y + h) - superlevel_measure(spec, y - h)) / (2.0 * h)
-                rel = abs(-fd - slope_sum(spec, y)) / slope_sum(spec, y)
+                s = slope_sum(spec, y)
+                rel = abs(-fd - s) / s
                 worst_rel = max(worst_rel, rel)
                 if rel > 1e-4:
                     return _result(

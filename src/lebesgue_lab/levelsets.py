@@ -81,22 +81,36 @@ class SlopeBoundCheck:
     ok: bool
 
 
-def _golden_max(fn, a: float, b: float, tol: float = 1e-13):
-    """Golden-section maximum of a unimodal scalar function on [a, b]."""
+def _golden_peaks(l: int, a: np.ndarray, b: np.ndarray, tol: float = 1e-13):
+    """Golden-section maxima of g on the unimodal brackets [a_i, b_i], all at once.
+
+    Every row takes the scalar search's steps and applies its own stopping
+    test b - a > tol, so a row's result does not depend on the other rows:
+    each round evaluates g once per row that is still searching.
+    """
+    a = a.copy()
+    b = b.copy()
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > tol:
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fn(d)
-        else:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fn(c)
+    fc = kernel_values(l, c)
+    fd = kernel_values(l, d)
+    live = np.nonzero(b - a > tol)[0]
+    while len(live):
+        al, bl, cl, dl, fcl, fdl = a[live], b[live], c[live], d[live], fc[live], fd[live]
+        up = fcl < fdl  # the maximum lies right of c: drop [a, c)
+        al = np.where(up, cl, al)
+        bl = np.where(up, bl, dl)
+        cl, dl = (
+            np.where(up, dl, bl - _GOLDEN * (bl - al)),
+            np.where(up, al + _GOLDEN * (bl - al), cl),
+        )
+        f_new = kernel_values(l, np.where(up, dl, cl))
+        fc[live] = np.where(up, fdl, f_new)
+        fd[live] = np.where(up, f_new, fcl)
+        a[live], b[live], c[live], d[live] = al, bl, cl, dl
+        live = live[bl - al > tol]
     x = 0.5 * (a + b)
-    return x, fn(x)
+    return x, kernel_values(l, x)
 
 
 @lru_cache(maxsize=None)
@@ -105,88 +119,125 @@ def bump_profiles(spec: KernelSpec) -> tuple[BumpProfile, ...]:
 
     Arch 0 is the monotone lead-in [0, 1/l] with its maximum 1 at the origin;
     arch m >= 1 peaks strictly inside [m/l, (m+1)/l]; for odd l the final
-    half-arch peaks at the right endpoint 1/2 with height exactly 1/l.
+    half-arch peaks at the right endpoint 1/2 with height exactly 1/l.  The
+    peaks of all full arches come from one vectorized golden-section search.
     """
     l = spec.l
-
-    def g1(x):
-        return float(kernel_values(l, np.array([x]))[0])
-
+    full = np.arange(1, l // 2)
+    peak_x, peak_y = _golden_peaks(l, full / l, (full + 1) / l)
     profiles = [BumpProfile(0, 0.0, 1.0 / l, 0.0, 1.0)]
-    full = l // 2 - 1
-    for m in range(1, full + 1):
-        a, b = m / l, (m + 1) / l
-        px, py = _golden_max(g1, a, b)
-        profiles.append(BumpProfile(m, a, b, px, py))
+    profiles += [
+        BumpProfile(m, m / l, (m + 1) / l, px, py)
+        for m, px, py in zip(full.tolist(), peak_x.tolist(), peak_y.tolist())
+    ]
     if l % 2 == 1:
         m = l // 2
-        profiles.append(BumpProfile(m, m / l, 0.5, 0.5, g1(0.5)))
+        half_y = float(kernel_values(l, np.array([0.5]))[0])
+        profiles.append(BumpProfile(m, m / l, 0.5, 0.5, half_y))
     return tuple(profiles)
+
+
+@lru_cache(maxsize=None)
+def _segments(spec: KernelSpec):
+    """The monotone segments of g on [0, 1/2], left to right.
+
+    Returns read-only parallel arrays (lo, hi, top, increasing, half_arch,
+    arch), one entry per segment: arch 0 falls from 1 at the origin, every
+    full arch rises to its peak and falls again, and an odd length's final
+    half arch rises to g(1/2).  ``top`` is the segment's highest value.
+    """
+    segments = []
+    for prof in bump_profiles(spec):
+        if prof.index == 0:
+            parts = ((0.0, prof.x_hi, False, False),)
+        elif prof.peak_x == prof.x_hi:  # odd-l half arch
+            parts = ((prof.x_lo, prof.x_hi, True, True),)
+        else:
+            parts = ((prof.x_lo, prof.peak_x, True, False), (prof.peak_x, prof.x_hi, False, False))
+        segments += [(a, b, prof.peak_y, rising, half, prof.index) for a, b, rising, half in parts]
+    lo, hi, top, inc, half, arch = zip(*segments)
+    table = (
+        np.array(lo),
+        np.array(hi),
+        np.array(top),
+        np.array(inc, dtype=bool),
+        np.array(half, dtype=bool),
+        np.array(arch, dtype=int),
+    )
+    for column in table:
+        column.setflags(write=False)
+    return table
 
 
 def _segment_table(spec: KernelSpec, ys: np.ndarray):
     """Flat table of monotone segments straddled by each level.
 
     Returns parallel arrays (level_row, lo, hi, increasing, half_arch, arch);
-    one row per (level, segment) pair.  A level's superlevel measure is then
-    sum(decreasing roots) - sum(increasing roots) + 1/2 per half arch, since
-    each descending crossing closes an interval that an ascending crossing
-    (or the left endpoint 0) opened.
+    one row per (level, segment) pair, segment-major.  A level's superlevel
+    measure is then sum(decreasing roots) - sum(increasing roots) + 1/2 per
+    half arch, since each descending crossing closes an interval that an
+    ascending crossing (or the left endpoint 0) opened.
     """
-    rows, los, his, incs, halves, arches = [], [], [], [], [], []
-    for prof in bump_profiles(spec):
-        idx = np.nonzero(ys < prof.peak_y)[0]
-        if len(idx) == 0:
-            continue
-        if prof.index == 0:
-            rows.append(idx)
-            los.append(np.full(len(idx), 0.0))
-            his.append(np.full(len(idx), prof.x_hi))
-            incs.append(np.zeros(len(idx), dtype=bool))
-            halves.append(np.zeros(len(idx), dtype=bool))
-            arches.append(np.zeros(len(idx), dtype=int))
-        elif prof.peak_x == prof.x_hi:  # odd-l half arch
-            rows.append(idx)
-            los.append(np.full(len(idx), prof.x_lo))
-            his.append(np.full(len(idx), prof.x_hi))
-            incs.append(np.ones(len(idx), dtype=bool))
-            halves.append(np.ones(len(idx), dtype=bool))
-            arches.append(np.full(len(idx), prof.index, dtype=int))
-        else:
-            for lo, hi, inc in (
-                (prof.x_lo, prof.peak_x, True),
-                (prof.peak_x, prof.x_hi, False),
-            ):
-                rows.append(idx)
-                los.append(np.full(len(idx), lo))
-                his.append(np.full(len(idx), hi))
-                incs.append(np.full(len(idx), inc, dtype=bool))
-                halves.append(np.zeros(len(idx), dtype=bool))
-                arches.append(np.full(len(idx), prof.index, dtype=int))
-    if not rows:
-        empty = np.empty(0)
-        return (np.empty(0, dtype=int), empty, empty,
-                np.empty(0, dtype=bool), np.empty(0, dtype=bool), np.empty(0, dtype=int))
-    return (
-        np.concatenate(rows),
-        np.concatenate(los),
-        np.concatenate(his),
-        np.concatenate(incs),
-        np.concatenate(halves),
-        np.concatenate(arches),
-    )
+    lo, hi, top, inc, half, arch = _segments(spec)
+    seg, row = np.nonzero(ys[None, :] < top[:, None])
+    return row, lo[seg], hi[seg], inc[seg], half[seg], arch[seg]
 
 
-def _bisect_segments(l: int, y_flat, lo, hi, inc):
-    # 60 halvings take the widest possible bracket below 1e-15
+# hard cap on Newton rounds per root: even pure bisection narrows the widest
+# bracket (1/6) to a few ulps within it
+_MAX_ROUNDS = 60
+# rows solved together; bounds the temporaries of a large batch of levels
+_BLOCK_ROWS = 4096
+
+
+def _newton_segments(l: int, y, lo, hi, inc) -> np.ndarray:
+    """Roots of g(x) = y_i on monotone brackets [lo_i, hi_i] by bracketed Newton.
+
+    This is ``rtsafe`` (Numerical Recipes, section 9.4), row by row.  Each
+    row starts at its bracket's midpoint.  A round evaluates d = g(x) - y,
+    shrinks the bracket by the sign of d, and steps by -d / g'(x), where
+    |g'| comes from ``kernel_slope_values`` and its sign from ``inc``.  A
+    step that leaves the bracket, or is longer than 2 ulps of x and lands on
+    a bracket end, becomes a bisection step.  A row is done when d == 0 (it
+    keeps x) or when its step is at most 2 ulps of x.  Only unfinished rows
+    are evaluated, in blocks of ``_BLOCK_ROWS``, and no row's result depends
+    on another's.
+    """
+    x = np.empty(len(y))
+    for start in range(0, len(y), _BLOCK_ROWS):
+        part = slice(start, start + _BLOCK_ROWS)
+        x[part] = _newton_block(l, y[part], lo[part], hi[part], inc[part])
+    return x
+
+
+def _newton_block(l: int, y, lo, hi, inc) -> np.ndarray:
+    x = 0.5 * (lo + hi)
     lo = lo.copy()
     hi = hi.copy()
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        move_lo = (kernel_values(l, mid) > y_flat) ^ inc
-        lo = np.where(move_lo, mid, lo)
-        hi = np.where(move_lo, hi, mid)
-    return 0.5 * (lo + hi)
+    live = np.arange(len(x))
+    for _ in range(_MAX_ROUNDS):
+        if not len(live):
+            break
+        xl, il = x[live], inc[live]
+        d = kernel_values(l, xl) - y[live]
+        move_lo = (d > 0.0) ^ il
+        lo_l = np.where(move_lo, xl, lo[live])
+        hi_l = np.where(move_lo, hi[live], xl)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xn = xl - np.where(il, d, -d) / np.abs(kernel_slope_values(l, xl))
+        tol = 2.0 * np.spacing(xl)
+        # A step that leaves the bracket, or is not finite, bisects instead.
+        # So does a step longer than tol onto a bracket end: it would revisit
+        # an evaluated point, and where g is flat to rounding it can cycle
+        # between the two ends.
+        on_end = (xn == lo_l) | (xn == hi_l)
+        keep = (xn >= lo_l) & (xn <= hi_l) & ((np.abs(xn - xl) <= tol) | ~on_end)
+        xn = np.where(keep, xn, 0.5 * (lo_l + hi_l))
+        exact = d == 0.0
+        xn = np.where(exact, xl, xn)
+        x[live], lo[live], hi[live] = xn, lo_l, hi_l
+        live = live[~(exact | (np.abs(xn - xl) <= tol))]
+    return x
 
 
 def superlevel_measure_many(spec: KernelSpec, ys) -> np.ndarray:
@@ -198,7 +249,7 @@ def superlevel_measure_many(spec: KernelSpec, ys) -> np.ndarray:
     out = np.zeros(len(ys))
     if len(row) == 0:
         return out
-    roots = _bisect_segments(spec.l, ys[row], lo, hi, inc)
+    roots = _newton_segments(spec.l, ys[row], lo, hi, inc)
     np.add.at(out, row, np.where(inc, -roots, roots))
     np.add.at(out, row[half], 0.5)
     return out
@@ -213,7 +264,8 @@ def level_crossings(spec: KernelSpec, y: float):
     """All solutions of g(x) = y in [0, 1/2], with their arch indices.
 
     Returns (roots, arches, increasing) as parallel arrays in left-to-right
-    segment order; 60 rounds of bisection pin each root well below 1e-13.
+    segment order.  Bracketed Newton (see ``_newton_segments``) pins each
+    root to within a few ulps.
     """
     if not 0.0 < y < 1.0:
         raise DomainError(f"level y = {y} outside (0, 1)")
@@ -221,7 +273,7 @@ def level_crossings(spec: KernelSpec, y: float):
     _, lo, hi, inc, _, arch = _segment_table(spec, ys)
     if len(lo) == 0:
         return np.empty(0), np.empty(0, dtype=int), np.empty(0, dtype=bool)
-    roots = _bisect_segments(spec.l, np.full(len(lo), float(y)), lo, hi, inc)
+    roots = _newton_segments(spec.l, np.full(len(lo), float(y)), lo, hi, inc)
     order = np.argsort(roots, kind="stable")
     return roots[order], arch[order], inc[order]
 
@@ -234,12 +286,48 @@ def default_level_grid(spec: KernelSpec, n: int = 2000) -> np.ndarray:
     return np.unique(np.concatenate([levels, np.array(knots)]))
 
 
+# a Newton step on y0 this short ends the refinement: the error it leaves
+# is of the order of its square, far below the step itself
+_Y0_STEP_TOL = 1e-10
+
+
+def _refine_crossing(spec: KernelSpec, tg: TruncatedGaussian, lo: float, hi: float, neg_lo: bool) -> float:
+    """Root of D(y) = F(y) - G(y) in the scan bracket [lo, hi], by bracketed Newton.
+
+    ``neg_lo`` is the sign of D at ``lo``.  D'(y) = F'(y) + slope_sum(y), with
+    F'(y) = -1 / (pi (l^2 - 1) y F(y)) above y_last and 0 below it, since G'
+    is minus the slope sum.  As in ``_newton_segments``, the bracket shrinks
+    by the sign of D, a step that leaves it becomes a bisection step, and
+    the refinement ends when D == 0 or a step is at most ``_Y0_STEP_TOL``.
+    """
+    c = PI * (spec.l * spec.l - 1)
+    y = 0.5 * (lo + hi)
+    for _ in range(_MAX_ROUNDS):
+        f = gaussian_distribution_function(tg, y)
+        d = f - superlevel_measure(spec, y)
+        if d == 0.0:
+            return y
+        if (d < 0.0) == neg_lo:
+            lo = y
+        else:
+            hi = y
+        slope = (0.0 if y < tg.y_last else -1.0 / (c * y * f)) + slope_sum(spec, y)
+        yn = y - d / slope if slope != 0.0 else math.nan
+        if not lo <= yn <= hi:
+            yn = 0.5 * (lo + hi)
+        if abs(yn - y) <= _Y0_STEP_TOL:
+            return yn
+        y = yn
+    return y
+
+
 def detect_sign_change(spec: KernelSpec, scan: np.ndarray | None = None) -> SignChangeReport:
     """Scan F - G over a level grid and refine its single sign change.
 
     For l >= 6 the difference must cross exactly once, from - to +; any other
     count raises.  For l < 6 the report is returned without assertion, since
-    the comparison is only claimed from 6 on.
+    the comparison is only claimed from 6 on.  The first crossing found by
+    the scan is refined by bracketed Newton (``_refine_crossing``).
     """
     if scan is None:
         scan = default_level_grid(spec)
@@ -266,16 +354,7 @@ def detect_sign_change(spec: KernelSpec, scan: np.ndarray | None = None) -> Sign
         idx_nz = np.nonzero(nz)[0]
         i = idx_nz[flips[0]]
         j = idx_nz[flips[0] + 1]
-        lo, hi = float(scan[i]), float(scan[j])
-        flo = diff[i]
-        while hi - lo > 1e-10:
-            mid = 0.5 * (lo + hi)
-            fm = gaussian_distribution_function(tg, mid) - superlevel_measure(spec, mid)
-            if (fm < 0.0) == (flo < 0.0):
-                lo = mid
-            else:
-                hi = mid
-        y0 = 0.5 * (lo + hi)
+        y0 = _refine_crossing(spec, tg, float(scan[i]), float(scan[j]), diff[i] < 0.0)
 
     y1 = bump_profiles(spec)[1].peak_y if len(bump_profiles(spec)) > 1 else 1.0
     above = scan > y1

@@ -4,13 +4,21 @@ Run with ``pytest -s tests/test_acceptance.py`` to see one pass/fail line per
 criterion; the same battery backs ``lebesgue-lab suite``.
 """
 
+import functools
+
 import pytest
 
 from lebesgue_lab import acceptance
 
 
+@functools.cache
+def _result(criterion):
+    """Each criterion's one run, shared by its own test and the runtime budgets."""
+    return criterion()
+
+
 def _run(criterion):
-    result = criterion()
+    result = _result(criterion)
     status = "PASS" if result.ok else "FAIL"
     print(f"{status}  {result.name}: {result.detail} ({result.seconds:.1f}s)")
     assert result.ok, f"{result.name}: {result.detail}"
@@ -66,5 +74,5 @@ def test_criterion_10_sharpness_witnesses():
     ),
 ])
 def test_runtime_budgets(budget_name, criteria, limit_seconds):
-    total = sum(criterion().seconds for criterion in criteria)
+    total = sum(_result(criterion).seconds for criterion in criteria)
     assert total < limit_seconds, f"{budget_name} took {total:.1f}s"

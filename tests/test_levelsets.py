@@ -2,10 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from lebesgue_lab.errors import DomainError, PreconditionError
-from lebesgue_lab.kernel import KernelSpec, TruncatedGaussian, kernel_values
+from lebesgue_lab.kernel import (
+    KernelSpec,
+    TruncatedGaussian,
+    gaussian_distribution_function,
+    kernel_values,
+)
 from lebesgue_lab.levelsets import (
+    _BLOCK_ROWS,
+    PEAK_EXCLUSION,
+    BumpProfile,
+    _newton_segments,
+    _segment_table,
     bump_profiles,
     check_derivative_bounds,
     detect_sign_change,
@@ -17,6 +29,66 @@ from lebesgue_lab.levelsets import (
 )
 
 PI = math.pi
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_oracle(l, a, b, tol=1e-13):
+    """Scalar golden-section maximum of g on [a, b], one evaluation at a time."""
+
+    def g(x):
+        return float(kernel_values(l, np.array([x]))[0])
+
+    c = b - GOLDEN * (b - a)
+    d = a + GOLDEN * (b - a)
+    fc, fd = g(c), g(d)
+    while b - a > tol:
+        if fc < fd:
+            a, c, fc = c, d, fd
+            d = a + GOLDEN * (b - a)
+            fd = g(d)
+        else:
+            b, d, fd = d, c, fc
+            c = b - GOLDEN * (b - a)
+            fc = g(c)
+    x = 0.5 * (a + b)
+    return x, g(x)
+
+
+def bisection_oracle(l, y, lo, hi, inc):
+    """60 rounds of plain bisection on each monotone bracket."""
+    lo, hi = lo.copy(), hi.copy()
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        move_lo = (kernel_values(l, mid) > y) ^ inc
+        lo = np.where(move_lo, mid, lo)
+        hi = np.where(move_lo, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def brackets(spec, arch, inc):
+    """The monotone bracket of each crossing: up to its arch's peak, or down from it."""
+    profs = bump_profiles(spec)
+    lo = np.array([profs[k].x_lo if up else profs[k].peak_x for k, up in zip(arch, inc)])
+    hi = np.array([profs[k].peak_x if up else profs[k].x_hi for k, up in zip(arch, inc)])
+    return lo, hi
+
+
+open_unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def length_and_level(draw):
+    """A length in 6..501 and a level anywhere, near an arch peak, or near 1 - 1e-6."""
+    l = draw(st.integers(6, 501))
+    kind = draw(st.sampled_from(("anywhere", "near peak", "near top")))
+    if kind == "anywhere":
+        y = draw(open_unit)
+    elif kind == "near peak":
+        peak = draw(st.sampled_from([p.peak_y for p in bump_profiles(KernelSpec(l))[1:]]))
+        y = peak + draw(st.floats(-PEAK_EXCLUSION, PEAK_EXCLUSION))
+    else:
+        y = 1.0 - draw(st.floats(5e-7, 2e-6))
+    return l, y
 
 
 class TestBumpProfiles:
@@ -48,6 +120,19 @@ class TestBumpProfiles:
         # every arch peak sits above 1/(pi (m + 1/2))
         for prof in bump_profiles(KernelSpec(l))[1:]:
             assert prof.peak_y >= 1.0 / (PI * (prof.index + 0.5)) - 1e-12
+
+    @pytest.mark.parametrize("l", range(2, 201))
+    def test_vector_search_equals_scalar_oracle(self, l):
+        # every arch for l <= 30 and at 48 and 101; first, middle and last above
+        profs = bump_profiles(KernelSpec(l))
+        assert profs[0] == BumpProfile(0, 0.0, 1.0 / l, 0.0, 1.0)
+        full = [p for p in profs[1:] if p.peak_x != p.x_hi]
+        assert [p.index for p in full] == list(range(1, l // 2))
+        if l > 30 and l not in (48, 101):
+            full = [full[0], full[len(full) // 2], full[-1]]
+        for p in full:
+            assert (p.x_lo, p.x_hi) == (p.index / l, (p.index + 1) / l)
+            assert (p.peak_x, p.peak_y) == golden_oracle(l, p.x_lo, p.x_hi)
 
     @pytest.mark.parametrize("l", range(6, 31))
     def test_first_peak_below_log_concavity_threshold(self, l):
@@ -90,6 +175,19 @@ class TestMeasureG:
         scalar = np.array([superlevel_measure(spec, y) for y in ys])
         assert np.array_equal(batch, scalar)
 
+    @given(st.integers(6, 501), st.lists(open_unit, min_size=2, max_size=12))
+    def test_batch_equals_scalar_everywhere(self, l, ys):
+        spec = KernelSpec(l)
+        batch = superlevel_measure_many(spec, np.array(ys))
+        assert np.array_equal(batch, [superlevel_measure(spec, y) for y in ys])
+
+    def test_batch_over_several_blocks_equals_scalar(self):
+        spec = KernelSpec(101)
+        ys = np.geomspace(1e-4, 0.99, 200)
+        assert len(_segment_table(spec, ys)[0]) > 2 * _BLOCK_ROWS
+        batch = superlevel_measure_many(spec, ys)
+        assert np.array_equal(batch, [superlevel_measure(spec, y) for y in ys])
+
     @pytest.mark.parametrize("y", [0.0, 1.0, -0.5])
     def test_domain_errors(self, y):
         with pytest.raises(DomainError):
@@ -114,6 +212,34 @@ class TestLevelCrossings:
         y = 0.09
         roots, _, _ = level_crossings(spec, y)
         assert np.all(np.abs(kernel_values(9, roots) - y) < 1e-12)
+
+    @given(length_and_level())
+    def test_roots_inside_brackets_and_as_accurate_as_bisection(self, case):
+        # The oracle ends next to a sign change of the computed g - y.  Newton
+        # stops once its step is at most 2 ulps, so its residual may exceed
+        # the oracle's by what computed g moves over a few ulps of x (slope
+        # and rounding), plus one ulp of y.
+        l, y = case
+        spec = KernelSpec(l)
+        roots, arch, inc = level_crossings(spec, y)
+        lo, hi = brackets(spec, arch, inc)
+        assert np.all((lo <= roots) & (roots <= hi))
+        oracle = bisection_oracle(l, np.full(len(roots), y), lo, hi, inc)
+        residual = np.abs(kernel_values(l, roots) - y)
+        oracle_residual = np.abs(kernel_values(l, oracle) - y)
+        window = roots[:, None] + np.arange(-3, 4) * np.spacing(roots)[:, None]
+        spread = np.ptp(kernel_values(l, window.ravel()).reshape(window.shape), axis=1)
+        assert np.all(residual <= oracle_residual + np.spacing(y) + spread)
+
+    @given(st.integers(6, 501), st.lists(open_unit, min_size=2, max_size=12))
+    def test_batched_roots_equal_scalar_roots(self, l, ys):
+        spec = KernelSpec(l)
+        ys = np.array(ys)
+        row, lo, hi, inc, _, _ = _segment_table(spec, ys)
+        batch = _newton_segments(l, ys[row], lo, hi, inc)
+        for i, y in enumerate(ys):
+            roots, _, _ = level_crossings(spec, y)
+            assert np.array_equal(np.sort(batch[row == i]), roots)
 
 
 class TestSignChange:
@@ -145,6 +271,18 @@ class TestSignChange:
         below = gaussian_distribution_function(tg, report.y0 - delta) - superlevel_measure(spec, report.y0 - delta)
         above = gaussian_distribution_function(tg, report.y0 + delta) - superlevel_measure(spec, report.y0 + delta)
         assert below < 0.0 < above
+
+    @pytest.mark.parametrize("l", [6, 9, 24])
+    def test_refined_level_pins_the_sign_change(self, l):
+        # the scan brackets y0 to about 1e-3; the Newton refinement far closer
+        spec = KernelSpec(l)
+        tg = TruncatedGaussian.from_length(l)
+        y0 = detect_sign_change(spec).y0
+
+        def diff(y):
+            return gaussian_distribution_function(tg, y) - superlevel_measure(spec, y)
+
+        assert diff(y0 - 1e-10) < 0.0 < diff(y0 + 1e-10)
 
     def test_short_scan_rejected(self):
         with pytest.raises(PreconditionError):
