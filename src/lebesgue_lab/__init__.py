@@ -27,7 +27,6 @@ from .errors import (
     VerificationError,
 )
 from .kernel import (
-    EvalPoint,
     KernelSpec,
     TruncatedGaussian,
     check_first_arch_domination,

@@ -3,7 +3,8 @@
 Reports embed the fully resolved run configuration, use round-trip float
 formatting, and are written atomically (temp file + rename).  Exit status is
 0 when every assertion passed, 1 on a verification failure, 2 on usage
-errors.
+errors and on random instances that could not be generated (a generation
+budget ran out or a convolution outgrew its support cap).
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,12 +27,17 @@ from .epi import (
     load_instances,
     random_instance,
 )
-from .errors import DomainError, PreconditionError, VerificationError
-from .kernel import EvalPoint, KernelSpec, TruncatedGaussian, gaussian_values, kernel_values
+from .errors import (
+    ConvolutionOverflowError,
+    DomainError,
+    GenerationError,
+    PreconditionError,
+    VerificationError,
+)
+from .kernel import KernelSpec, TruncatedGaussian, gaussian_values, kernel_values
 from .levelsets import bump_profiles, detect_sign_change
 from .quadrature import (
     QuadratureConfig,
-    asymptotic_comparison,
     ball_integral,
     certify_bound,
     lp_norm,
@@ -119,61 +124,73 @@ def write_report(config: RunConfig, fieldnames, rows, extra_comments=()) -> None
     _atomic_write(config.output_path, "\n".join(lines) + "\n")
 
 
-def _pmap(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _quad_config(args) -> QuadratureConfig:
     return QuadratureConfig(abs_tol=args.abs_tol, rel_tol=args.rel_tol)
 
 
-def _cmd_lebesgue(config: RunConfig, args) -> int:
+def _norm_row(l: int, p: float, cfg: QuadratureConfig) -> dict:
+    r = lp_norm(KernelSpec(l), p, cfg)
+    return {
+        "l": l,
+        "p": p,
+        "value": r.value,
+        "bound": r.bound,
+        "margin": None if r.bound is None else r.bound - r.value,
+        "asymptotic": r.asymptotic,
+        "reference": r.asymptotic,
+        "ratio": r.value / r.asymptotic,
+        "error_estimate": r.abs_error_estimate,
+        "converged": r.converged,
+    }
+
+
+def _certificate_row(l: int, p: float, cfg: QuadratureConfig) -> dict:
+    # certify_bound raises on a failed certificate, which fails the whole command
+    c = certify_bound(KernelSpec(l), p, cfg)
+    return {
+        "l": l,
+        "p": p,
+        "value": c.value,
+        "bound": c.bound,
+        "margin": c.margin,
+        "error_estimate": c.abs_error_estimate,
+    }
+
+
+# command -> (help, row builder, report columns) for the (l, p) grid commands
+_GRID_COMMANDS = {
+    "lebesgue": (
+        "kernel norms over an (l, p) grid",
+        _norm_row,
+        ("l", "p", "value", "bound", "asymptotic", "error_estimate", "converged"),
+    ),
+    "certify": (
+        "certify the norm bound over an (l, p) grid",
+        _certificate_row,
+        ("l", "p", "value", "bound", "margin", "error_estimate"),
+    ),
+    "asymptotic": (
+        "ratios to first-order references",
+        _norm_row,
+        ("l", "p", "value", "reference", "ratio"),
+    ),
+    "sweep": (
+        "norms, bounds, and ratios in one table",
+        _norm_row,
+        ("l", "p", "value", "bound", "margin", "asymptotic", "ratio", "error_estimate"),
+    ),
+}
+
+
+def _cmd_grid(config: RunConfig, args) -> int:
+    _, build_row, columns = _GRID_COMMANDS[config.command]
     cfg = _quad_config(args)
-    tasks = [(l, p) for l in parse_int_range(args.l) for p in parse_float_list(args.p)]
-
-    def work(task):
-        l, p = task
-        r = lp_norm(KernelSpec(l), p, cfg)
-        return {
-            "l": l,
-            "p": p,
-            "value": r.value,
-            "bound": r.bound,
-            "asymptotic": r.asymptotic,
-            "error_estimate": r.abs_error_estimate,
-            "converged": r.converged,
-        }
-
-    rows = _pmap(work, tasks, config.threads)
-    write_report(
-        config,
-        ["l", "p", "value", "bound", "asymptotic", "error_estimate", "converged"],
-        rows,
-    )
-    return 0
-
-
-def _cmd_certify(config: RunConfig, args) -> int:
-    cfg = _quad_config(args)
-    tasks = [(l, p) for l in parse_int_range(args.l) for p in parse_float_list(args.p)]
-
-    def work(task):
-        l, p = task
-        c = certify_bound(KernelSpec(l), p, cfg)
-        return {
-            "l": l,
-            "p": p,
-            "value": c.value,
-            "bound": c.bound,
-            "margin": c.margin,
-            "error_estimate": c.abs_error_estimate,
-        }
-
-    rows = _pmap(work, tasks, config.threads)
-    write_report(config, ["l", "p", "value", "bound", "margin", "error_estimate"], rows)
+    rows = []
+    for l in parse_int_range(args.l):
+        for p in parse_float_list(args.p):
+            row = build_row(l, p, cfg)
+            rows.append({k: row[k] for k in columns})
+    write_report(config, list(columns), rows)
     return 0
 
 
@@ -185,20 +202,6 @@ def _cmd_ball(config: RunConfig, args) -> int:
         bound = (2.0 / p) ** 0.5
         rows.append({"p": p, "value": v, "bound": bound, "margin": bound - v})
     write_report(config, ["p", "value", "bound", "margin"], rows)
-    return 0
-
-
-def _cmd_asymptotic(config: RunConfig, args) -> int:
-    cfg = _quad_config(args)
-    tasks = [(l, p) for l in parse_int_range(args.l) for p in parse_float_list(args.p)]
-
-    def work(task):
-        l, p = task
-        c = asymptotic_comparison(KernelSpec(l), p, cfg)
-        return {"l": l, "p": p, "value": c.value, "reference": c.reference, "ratio": c.ratio}
-
-    rows = _pmap(work, tasks, config.threads)
-    write_report(config, ["l", "p", "value", "reference", "ratio"], rows)
     return 0
 
 
@@ -233,19 +236,25 @@ def _epi_row(report) -> dict:
     }
 
 
+def _random_instances(config: RunConfig, args):
+    """(seed, instance) for the ``--random`` seeds starting at ``--seed``."""
+    for seed in range(config.seed, config.seed + args.random):
+        yield seed, random_instance(
+            seed, n_range=(args.n_min, args.n_max), l_range=(args.lmin, args.lmax)
+        )
+
+
 def _cmd_epi_check(config: RunConfig, args) -> int:
     cfg = _quad_config(args)
 
-    def work(seed):
-        inst = random_instance(seed, n_range=(args.n_min, args.n_max), l_range=(args.lmin, args.lmax))
+    def check(inst):
         return _epi_row(check_epi(inst, cfg=cfg, with_chain=not args.no_chain))
 
-    seeds = range(config.seed, config.seed + args.random)
-    rows = _pmap(work, list(seeds), config.threads)
+    rows = [check(inst) for _, inst in _random_instances(config, args)]
     extra = list(handcrafted_corpus()) if args.corpus else []
     if args.instances:
         extra += list(load_instances(args.instances))
-    rows += [_epi_row(check_epi(inst, cfg=cfg, with_chain=not args.no_chain)) for inst in extra]
+    rows += [check(inst) for inst in extra]
     write_report(
         config,
         ["l_indices", "l_min", "case", "lhs", "rhs_general", "rhs_exact_M",
@@ -256,49 +265,20 @@ def _cmd_epi_check(config: RunConfig, args) -> int:
 
 
 def _cmd_rogozin(config: RunConfig, args) -> int:
-    def work(seed):
-        inst = random_instance(seed, n_range=(args.n_min, args.n_max), l_range=(args.lmin, args.lmax))
+    rows = []
+    for seed, inst in _random_instances(config, args):
         c = check_rogozin(inst)
-        return {
-            "seed": seed,
-            "max_prob": c.max_prob,
-            "max_prob_uniform": c.max_prob_uniform,
-            "gap": c.gap,
-            "ok": c.ok,
-        }
-
-    seeds = range(config.seed, config.seed + args.random)
-    rows = _pmap(work, list(seeds), config.threads)
+        rows.append(
+            {
+                "seed": seed,
+                "max_prob": c.max_prob,
+                "max_prob_uniform": c.max_prob_uniform,
+                "gap": c.gap,
+                "ok": c.ok,
+            }
+        )
     write_report(config, ["seed", "max_prob", "max_prob_uniform", "gap", "ok"], rows)
     return 0 if all(r["ok"] for r in rows) else 1
-
-
-def _cmd_sweep(config: RunConfig, args) -> int:
-    cfg = _quad_config(args)
-    tasks = [(l, p) for l in parse_int_range(args.l) for p in parse_float_list(args.p)]
-
-    def work(task):
-        l, p = task
-        r = lp_norm(KernelSpec(l), p, cfg)
-        row = {
-            "l": l,
-            "p": p,
-            "value": r.value,
-            "bound": r.bound,
-            "margin": None if r.bound is None else r.bound - r.value,
-            "asymptotic": r.asymptotic,
-            "ratio": r.value / r.asymptotic,
-            "error_estimate": r.abs_error_estimate,
-        }
-        return row
-
-    rows = _pmap(work, tasks, config.threads)
-    write_report(
-        config,
-        ["l", "p", "value", "bound", "margin", "asymptotic", "ratio", "error_estimate"],
-        rows,
-    )
-    return 0
 
 
 def _cmd_suite(config: RunConfig, args) -> int:
@@ -332,10 +312,8 @@ def emit_plot_data(spec: KernelSpec, resolution: int, out: str) -> None:
         comments.append(f"# level:y_{prof.index}={prof.peak_y!r}")
     comments.append(f"# level:y_last={tg.y_last!r}")
     lines = comments + ["x,g,f"]
-    for x, g, f in zip(xs, gs, fs):
-        pt_g = EvalPoint(float(x), float(g))
-        pt_f = EvalPoint(float(x), float(f))
-        lines.append(f"{pt_g.x!r},{pt_g.value!r},{pt_f.value!r}")
+    for x, g, f in zip(xs.tolist(), gs.tolist(), fs.tolist()):
+        lines.append(f"{x!r},{g!r},{f!r}")
     _atomic_write(out, "\n".join(lines) + "\n")
 
 
@@ -350,8 +328,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Kernel norm bounds, level-set comparison checks, and the "
         "discrete max-entropy power inequality.",
     )
-    parser.add_argument("--threads", default=None, help="worker count or 'auto' "
-                        f"(default from ${THREADS_ENV})")
+    parser.add_argument("--threads", default=None, help="thread count recorded in the "
+                        f"report, or 'auto' (default from ${THREADS_ENV}); "
+                        "every command runs on one thread")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, out_default="-"):
@@ -362,22 +341,20 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--abs-tol", type=float, default=1e-12)
         p.add_argument("--rel-tol", type=float, default=1e-10)
 
-    p = sub.add_parser("lebesgue", help="kernel norms over an (l, p) grid")
-    p.add_argument("--l", required=True)
-    p.add_argument("--p", required=True)
-    common(p)
+    def random_batch(p):
+        p.add_argument("--random", type=int, default=100)
+        p.add_argument("--lmin", type=int, default=6)
+        p.add_argument("--lmax", type=int, default=30)
+        p.add_argument("--n-min", type=int, default=2)
+        p.add_argument("--n-max", type=int, default=5)
 
-    p = sub.add_parser("certify", help="certify the norm bound over an (l, p) grid")
-    p.add_argument("--l", required=True)
-    p.add_argument("--p", required=True)
-    common(p)
+    for name, (help_text, _, _) in _GRID_COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--l", required=True)
+        p.add_argument("--p", required=True)
+        common(p)
 
     p = sub.add_parser("ball", help="sinc-power integrals with their bound")
-    p.add_argument("--p", required=True)
-    common(p)
-
-    p = sub.add_parser("asymptotic", help="ratios to first-order references")
-    p.add_argument("--l", required=True)
     p.add_argument("--p", required=True)
     common(p)
 
@@ -386,11 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("epi-check", help="entropy power inequality on random instances")
-    p.add_argument("--random", type=int, default=100)
-    p.add_argument("--lmin", type=int, default=6)
-    p.add_argument("--lmax", type=int, default=30)
-    p.add_argument("--n-min", type=int, default=2)
-    p.add_argument("--n-max", type=int, default=5)
+    random_batch(p)
     p.add_argument("--corpus", action="store_true", help="include the handcrafted corpus")
     p.add_argument("--instances", default=None,
                    help="corpus file: JSON array of pmf-object arrays")
@@ -398,16 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("rogozin", help="uniformization comparison on random instances")
-    p.add_argument("--random", type=int, default=100)
-    p.add_argument("--lmin", type=int, default=6)
-    p.add_argument("--lmax", type=int, default=30)
-    p.add_argument("--n-min", type=int, default=2)
-    p.add_argument("--n-max", type=int, default=5)
-    common(p)
-
-    p = sub.add_parser("sweep", help="norms, bounds, and ratios in one table")
-    p.add_argument("--l", required=True)
-    p.add_argument("--p", required=True)
+    random_batch(p)
     common(p)
 
     p = sub.add_parser("suite", help="run the full acceptance battery")
@@ -422,14 +386,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _HANDLERS = {
-    "lebesgue": _cmd_lebesgue,
-    "certify": _cmd_certify,
+    **dict.fromkeys(_GRID_COMMANDS, _cmd_grid),
     "ball": _cmd_ball,
-    "asymptotic": _cmd_asymptotic,
     "np-verify": _cmd_np_verify,
     "epi-check": _cmd_epi_check,
     "rogozin": _cmd_rogozin,
-    "sweep": _cmd_sweep,
     "suite": _cmd_suite,
     "plot-data": _cmd_plot_data,
 }
@@ -462,7 +423,13 @@ def run(args) -> int:
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
-    except (DomainError, PreconditionError, ValueError) as exc:
+    except (
+        DomainError,
+        PreconditionError,
+        ValueError,
+        GenerationError,
+        ConvolutionOverflowError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -71,20 +71,6 @@ class TruncatedGaussian:
         return cls(l=l, x_c=x_c, y_last=y_last)
 
 
-@dataclass(frozen=True)
-class EvalPoint:
-    """A sampled (abscissa, value) pair; both curves stay within [0, 1]."""
-
-    x: float
-    value: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.x <= 0.5:
-            raise DomainError(f"abscissa {self.x} outside [0, 1/2]")
-        if not 0.0 <= self.value <= 1.0 + 1e-12:
-            raise DomainError(f"value {self.value} outside [0, 1]")
-
-
 def _sinc_poly(u2: np.ndarray) -> np.ndarray:
     # sin(u)/u = 1 - u^2/6 + u^4/120 + O(u^6); u^2 <= 1e-3 in all callers
     return 1.0 - u2 / 6.0 + u2 * u2 / 120.0

@@ -35,7 +35,6 @@ class QuadratureConfig:
     abs_tol: float = 1e-12
     rel_tol: float = 1e-10
     max_subdivisions: int = 10_000
-    tail_cutoff_policy: str = "tol_driven"
 
     def __post_init__(self):
         if self.abs_tol < 1e-15:
@@ -44,8 +43,6 @@ class QuadratureConfig:
             raise DomainError(f"rel_tol must be > 0, got {self.rel_tol}")
         if not 1 <= self.max_subdivisions <= 10**6:
             raise DomainError(f"max_subdivisions outside [1, 1e6]: {self.max_subdivisions}")
-        if self.tail_cutoff_policy not in ("fixed", "tol_driven"):
-            raise DomainError(f"unknown tail policy {self.tail_cutoff_policy!r}")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -277,16 +274,14 @@ def _sinc_power_integrand(p: float):
 
 
 def _tail_periods(p: float, cfg: QuadratureConfig) -> int:
-    if cfg.tail_cutoff_policy == "fixed":
-        return 16
     # envelope-driven truncation, capped; the zeta tail makes up the rest
     u_env = max(10.0, (2.0 / ((p - 1.0) * cfg.abs_tol)) ** (1.0 / (p - 1.0)) / PI)
     return min(max(16, math.ceil(u_env / PI)), 2048)
 
 
 @lru_cache(maxsize=4096)
-def _ball_half_cached(p: float, abs_tol: float, rel_tol: float, policy: str) -> float:
-    cfg = QuadratureConfig(abs_tol=abs_tol, rel_tol=rel_tol, tail_cutoff_policy=policy)
+def _ball_half_cached(p: float, abs_tol: float, rel_tol: float) -> float:
+    cfg = QuadratureConfig(abs_tol=abs_tol, rel_tol=rel_tol)
     m = _tail_periods(p, cfg)
     fn = _sinc_power_integrand(p)
     head_pieces = [(k * PI, (k + 1) * PI) for k in range(m)]
@@ -316,7 +311,7 @@ def ball_half(p: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """
     if p <= 1.0:
         raise DomainError(f"sinc-power integral diverges for p <= 1, got {p}")
-    return _ball_half_cached(float(p), cfg.abs_tol, cfg.rel_tol, cfg.tail_cutoff_policy)
+    return _ball_half_cached(float(p), cfg.abs_tol, cfg.rel_tol)
 
 
 # the p = 2 case of the sinc bound is an equality; strictness is only

@@ -127,6 +127,44 @@ class TestBallCommand:
         assert records[1]["value"] == pytest.approx(2.0 / 3.0, abs=1e-9)
 
 
+class TestGridCommands:
+    @pytest.mark.parametrize(
+        "command, header",
+        [
+            ("lebesgue", ["l", "p", "value", "bound", "asymptotic", "error_estimate", "converged"]),
+            ("asymptotic", ["l", "p", "value", "reference", "ratio"]),
+            ("sweep", ["l", "p", "value", "bound", "margin", "asymptotic", "ratio",
+                       "error_estimate"]),
+        ],
+    )
+    def test_header(self, tmp_path, command, header):
+        out = tmp_path / "grid.csv"
+        assert cli.main([command, "--l", "6,7", "--p", "2,3", "--out", str(out)]) == 0
+        _, got, records = read_csv(out)
+        assert got == header
+        assert [(r["l"], r["p"]) for r in records] == [
+            ("6", "2.0"), ("6", "3.0"), ("7", "2.0"), ("7", "3.0")
+        ]
+
+    def test_asymptotic_ratio_matches_library(self, tmp_path):
+        from lebesgue_lab.quadrature import asymptotic_comparison
+
+        out = tmp_path / "asym.json"
+        assert cli.main(["asymptotic", "--l", "50,100", "--p", "1,4", "--out", str(out)]) == 0
+        for r in json.loads(out.read_text())["records"]:
+            c = asymptotic_comparison(KernelSpec(r["l"]), r["p"])
+            assert (r["value"], r["reference"], r["ratio"]) == (c.value, c.reference, c.ratio)
+
+    def test_sweep_and_lebesgue_agree(self, tmp_path):
+        values = []
+        for command in ("sweep", "lebesgue"):
+            out = tmp_path / f"{command}.json"
+            assert cli.main([command, "--l", "2,6,64", "--p", "1,2,70", "--out", str(out)]) == 0
+            values.append([(r["l"], r["p"], r["value"])
+                           for r in json.loads(out.read_text())["records"]])
+        assert values[0] == values[1]
+
+
 class TestSweepCommand:
     def test_thread_count_does_not_change_output(self, tmp_path):
         outs = []
@@ -187,6 +225,25 @@ class TestUsageErrors:
         code = cli.main(["certify", "--l", "10..6", "--p", "2",
                          "--out", str(tmp_path / "x.csv")])
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["epi-check", "rogozin"])
+    def test_generation_failure_is_reported(self, tmp_path, capsys, command):
+        # seed 0 at l in 100..300 exhausts random_pmf's max-adjustment rounds
+        out = tmp_path / "x.json"
+        code = cli.main([command, "--random", "1", "--seed", "0", "--lmin", "100",
+                         "--lmax", "300", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: max adjustment did not settle")
+        assert not out.exists()
+
+    def test_convolution_overflow_is_reported(self, tmp_path, capsys, monkeypatch):
+        from lebesgue_lab import pmf
+
+        monkeypatch.setattr(pmf, "SUPPORT_CAP", 8)
+        out = tmp_path / "x.json"
+        assert cli.main(["rogozin", "--random", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: convolution support")
+        assert not out.exists()
 
 
 class TestThreadsEnvironment:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from lebesgue_lab.errors import DomainError
 from lebesgue_lab.kernel import (
-    EvalPoint,
     KernelSpec,
     TruncatedGaussian,
     check_first_arch_domination,
@@ -185,14 +184,3 @@ class TestFirstArchDomination:
     def test_rejects_tiny_grid(self):
         with pytest.raises(DomainError):
             check_first_arch_domination(KernelSpec(6), 1)
-
-
-class TestEvalPoint:
-    def test_accepts_valid(self):
-        EvalPoint(0.25, 0.7)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(DomainError):
-            EvalPoint(0.25, 1.5)
-        with pytest.raises(DomainError):
-            EvalPoint(0.75, 0.5)

@@ -156,12 +156,6 @@ class TestBallIntegral:
         with pytest.raises(DomainError):
             ball_integral(1.0)
 
-    def test_tail_policies_agree(self):
-        fixed = QuadratureConfig(tail_cutoff_policy="fixed")
-        driven = QuadratureConfig(tail_cutoff_policy="tol_driven")
-        for p in (2.0, 3.0, 7.5):
-            assert ball_integral(p, fixed) == pytest.approx(ball_integral(p, driven), abs=1e-11)
-
 
 class TestAsymptoticComparison:
     def test_parseval_ratio_is_one(self):
@@ -200,7 +194,3 @@ class TestQuadratureConfig:
     def test_rejects_budget_overflow(self):
         with pytest.raises(DomainError):
             QuadratureConfig(max_subdivisions=10**7)
-
-    def test_rejects_unknown_policy(self):
-        with pytest.raises(DomainError):
-            QuadratureConfig(tail_cutoff_policy="everything")
