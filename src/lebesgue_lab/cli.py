@@ -75,10 +75,11 @@ def parse_float_list(text: str) -> list[float]:
 
 
 def _resolve_threads(value: str | None) -> int:
+    """The recorded thread count; ``auto`` is 1, the count every command runs on."""
     if value is None:
         value = os.environ.get(THREADS_ENV, "auto")
     if value == "auto":
-        return os.cpu_count() or 1
+        return 1
     n = int(value)
     if n < 1:
         raise ValueError(f"threads must be >= 1, got {n}")
@@ -329,8 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
         "discrete max-entropy power inequality.",
     )
     parser.add_argument("--threads", default=None, help="thread count recorded in the "
-                        f"report, or 'auto' (default from ${THREADS_ENV}); "
-                        "every command runs on one thread")
+                        f"report, or 'auto' (default from ${THREADS_ENV}), which "
+                        "records 1; every command runs on one thread")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, out_default="-"):

@@ -280,26 +280,42 @@ def check_single_index_epi(l: int, instances) -> SingleIndexEpiReport:
 def _fit_max_into(weights: np.ndarray, target: float, rounds: int = 50) -> np.ndarray:
     """Pin the largest weight to ``target`` and cap the rest below it.
 
-    Water-filling: saturate the current argmax at the target, rescale the
-    remaining mass, and repeat while any free weight pokes above the target.
+    Water-filling in closed form.  Saturating the largest weights one at a
+    time and rescaling the rest never reorders them, so the weights are
+    sorted once (descending, ties to the lower index) and the saturation
+    count k is the least k >= 1 with ``w[k] * (1 - k target) / sum(w[k:])
+    <= target``: the top k weights become ``target`` and the others are
+    rescaled once to the remaining mass, by the same sum and product as one
+    round of the one-at-a-time form (so a single saturation gives its
+    weights bit for bit, and more agree to about 2e-15 relative).  k is
+    capped at ``rounds``, the number of saturations the one-at-a-time form
+    allowed, so the same inputs fail; an infeasible target (k targets exceed
+    the unit mass, or every weight saturates below it) fails too.
     """
     w = np.array(weights, dtype=float)
     w /= w.sum()
-    saturated = np.zeros(len(w), dtype=bool)
-    saturated[int(np.argmax(w))] = True
-    for _ in range(rounds):
-        w[saturated] = target
-        free = ~saturated
-        free_mass = 1.0 - target * np.count_nonzero(saturated)
-        if free_mass < 0.0 or (free_mass > 0.0 and not np.any(free)):
+    n = len(w)
+    order = np.argsort(-w, kind="stable")
+    ws = w[order]
+    # entry k - 1 belongs to k saturated weights: the mass left to the rest
+    # and the factor that rescales the rest to it
+    free_mass = 1.0 - target * np.arange(1, n)
+    scale = free_mass / np.cumsum(ws[::-1])[::-1][1:]
+    settled = np.flatnonzero(ws[1:] * scale <= target)
+    k = int(settled[0]) + 1 if len(settled) else n
+    if k > rounds:
+        raise GenerationError(f"max adjustment did not settle in {rounds} rounds")
+    if k == n:
+        if 1.0 - target * n != 0.0:
             raise GenerationError("target maximum infeasible for this support size")
-        if np.any(free):
-            w[free] *= free_mass / w[free].sum()
-        over = free & (w > target)
-        if not np.any(over):
-            return w
-        saturated[int(np.argmax(np.where(free, w, -np.inf)))] = True
-    raise GenerationError(f"max adjustment did not settle in {rounds} rounds")
+    elif free_mass[k - 1] < 0.0:
+        raise GenerationError("target maximum infeasible for this support size")
+    else:
+        free = np.ones(n, dtype=bool)
+        free[order[:k]] = False
+        w[free] *= free_mass[k - 1] / w[free].sum()
+    w[order[:k]] = target
+    return w
 
 
 def random_pmf(rng: np.random.Generator, l: int) -> Pmf:

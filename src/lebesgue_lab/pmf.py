@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft
 
 from .errors import ConvolutionOverflowError, DomainError
 
@@ -36,9 +36,9 @@ class Pmf:
         w = np.array(self.weights, dtype=float)
         if w.ndim != 1 or len(w) == 0:
             raise DomainError("weights must be a nonempty 1-D sequence")
-        if not np.all(np.isfinite(w)):
+        if not np.isfinite(w).all():
             raise DomainError("weights must be finite")
-        if np.any(w < 0.0):
+        if w.min() < 0.0:
             raise DomainError("weights must be nonnegative")
         if w[0] == 0.0 or w[-1] == 0.0:
             raise DomainError("support must be trimmed: end weights must be positive")
@@ -120,16 +120,26 @@ def _clean_transform_weights(w: np.ndarray) -> np.ndarray:
 
 
 def convolve(a: Pmf, b: Pmf) -> Pmf:
-    """Exact law of the sum of independent variables with laws a and b."""
+    """Exact law of the sum of independent variables with laws a and b.
+
+    Supports whose product is at most DIRECT_LIMIT are summed directly, and
+    so is a point mass, which only shifts the other law.  Larger ones are
+    multiplied as real FFTs of a fast length at least the output support,
+    which are the transforms ``scipy.signal.fftconvolve`` takes, so the
+    weights are bit-identical to it; round-off below zero is clipped and the
+    weights are renormalised.
+    """
     out_len = len(a) + len(b) - 1
     if out_len > SUPPORT_CAP:
         raise ConvolutionOverflowError(
             f"convolution support {out_len} exceeds cap {SUPPORT_CAP}"
         )
-    if len(a) * len(b) <= DIRECT_LIMIT:
+    if len(a) * len(b) <= DIRECT_LIMIT or min(len(a), len(b)) == 1:
         w = np.convolve(a.weights, b.weights)
     else:
-        w = _clean_transform_weights(fftconvolve(a.weights, b.weights))
+        n = fft.next_fast_len(out_len, True)
+        spectrum = fft.rfft(a.weights, n) * fft.rfft(b.weights, n)
+        w = _clean_transform_weights(fft.irfft(spectrum, n)[:out_len])
     start = 0
     end = len(w)
     while w[start] == 0.0:

@@ -260,6 +260,19 @@ class TestThreadsEnvironment:
                          "--out", str(out)]) == 0
         assert json.loads(out.read_text())["config"]["threads"] == 1
 
+    @pytest.mark.parametrize("flag, env", [(None, None), ("auto", None), (None, "auto")])
+    def test_auto_records_one_thread(self, tmp_path, monkeypatch, flag, env):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
+        if env is None:
+            monkeypatch.delenv(cli.THREADS_ENV, raising=False)
+        else:
+            monkeypatch.setenv(cli.THREADS_ENV, env)
+        out = tmp_path / "r.json"
+        argv = (["--threads", flag] if flag else []) + ["lebesgue", "--l", "6..6", "--p", "2",
+                                                        "--out", str(out)]
+        assert cli.main(argv) == 0
+        assert json.loads(out.read_text())["config"]["threads"] == 1
+
 
 class TestSuiteCommand:
     def test_exit_codes_follow_results(self, tmp_path, monkeypatch):

@@ -1,8 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from lebesgue_lab import epi
 from lebesgue_lab.epi import (
     CASE_DOMINANT,
     CASE_HOLDER,
@@ -19,9 +21,10 @@ from lebesgue_lab.epi import (
     load_instances,
     make_instance,
     random_instance,
+    _fit_max_into,
     save_instances,
 )
-from lebesgue_lab.errors import PreconditionError
+from lebesgue_lab.errors import GenerationError, PreconditionError
 from lebesgue_lab.pmf import Pmf, entropy_summary, uniform
 
 PI = math.pi
@@ -247,3 +250,142 @@ class TestEntropyPowerArithmetic:
         assert all(c >= GENERAL_FLOOR for c in general)
         assert all(c >= EXACT_FLOOR for c in exact)
         assert all(c < 0.5 for c in general + exact)
+
+
+def _fit_max_into_loop(weights, target, rounds=50):
+    """Oracle: the one-at-a-time water-filling that ``_fit_max_into`` replaces.
+
+    Saturate the current argmax at the target, rescale the remaining mass,
+    and repeat while any free weight pokes above the target.
+    """
+    w = np.array(weights, dtype=float)
+    w /= w.sum()
+    saturated = np.zeros(len(w), dtype=bool)
+    saturated[int(np.argmax(w))] = True
+    for _ in range(rounds):
+        w[saturated] = target
+        free = ~saturated
+        free_mass = 1.0 - target * np.count_nonzero(saturated)
+        if free_mass < 0.0 or (free_mass > 0.0 and not np.any(free)):
+            raise GenerationError("target maximum infeasible for this support size")
+        if np.any(free):
+            w[free] *= free_mass / w[free].sum()
+        over = free & (w > target)
+        if not np.any(over):
+            return w
+        saturated[int(np.argmax(np.where(free, w, -np.inf)))] = True
+    raise GenerationError(f"max adjustment did not settle in {rounds} rounds")
+
+
+def _exact_fit(weights, target, saturated):
+    """Each free weight times (1 - k target) / (free mass), in exact rationals.
+
+    ``weights`` are normalised as ``_fit_max_into`` normalises them, and the
+    result is rounded once per entry.
+    """
+    w = np.array(weights, dtype=float)
+    w /= w.sum()
+    free = [Fraction(float(v)) for v in w[~saturated]]
+    scale = (1 - int(saturated.sum()) * Fraction(target)) / sum(free)
+    return np.array([float(v * scale) for v in free])
+
+
+def _outcome(fit, raw, target):
+    try:
+        return fit(raw, target)
+    except GenerationError as exc:
+        return str(exc)
+
+
+def _random_draws(count, seed):
+    """(raw, target) as ``random_pmf`` draws them, for l in 6..300."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        l = int(rng.integers(6, 301))
+        size = int(rng.integers(l + 1, 4 * l + 1))
+        lo, hi = max(1.0 / (l + 1), 1.0 / size), 1.0 / l
+        yield rng.random(size) + 0.05, hi - (hi - lo) * float(rng.random())
+
+
+def _shaped_draws():
+    """Tie-heavy inputs and the corpus shapes, over targets across the range."""
+    shapes = [(np.full(40, 1.0), 10), (np.full(60, 1.0), 40), (np.full(7, 1.0), 6)]
+    for l in (8, 10, 13):
+        shapes.append((1.0 + 0.05 * np.sin(np.arange(2 * l) + 1.0), l))
+    for l, size in ((6, 14), (9, 25), (12, 30)):
+        raw = np.full(size, 0.1)
+        raw[0] = raw[-1] = 1.0
+        shapes.append((raw, l))
+    for l, ratio in ((7, 0.7), (11, 0.85), (15, 0.9), (20, 0.95)):
+        raw = ratio ** np.arange(3 * l, dtype=float)
+        shapes += [(raw, l), (raw[::-1], l)]
+    shapes.append((np.r_[np.full(55, 1.0), np.full(100, 0.5)], 52))
+    shapes.append((np.array([1.0, 3.0, 3.0, 3.0, 1.0, 1.0, 1.0]), 4))
+    for raw, l in shapes:
+        lo, hi = 1.0 / (l + 1), 1.0 / l
+        for frac in (0.0, 0.3, 0.5, 0.9, 1.0):
+            yield raw, lo + (hi - lo) * frac
+        # below 1/len(raw) every weight saturates: infeasible, or past the cap
+        yield raw, 0.9 / len(raw)
+        yield raw, 1.0 / len(raw)
+
+
+WATERFILL_DRAWS = list(_random_draws(1500, seed=20240)) + list(_shaped_draws())
+
+
+class TestWaterFilling:
+    def test_matches_the_loop(self):
+        # one saturation is the same arithmetic as the loop's single round;
+        # after k rounds the loop has rounded k rescalings, the closed form one
+        failures = set()
+        one = many = 0
+        for raw, target in WATERFILL_DRAWS:
+            expected = _outcome(_fit_max_into_loop, raw, target)
+            got = _outcome(_fit_max_into, raw, target)
+            if isinstance(expected, str):
+                assert got == expected, (len(raw), target)
+                failures.add(expected)
+                continue
+            assert not isinstance(got, str), (len(raw), target, got)
+            assert got.max() == target
+            if np.count_nonzero(expected == target) == 1:
+                one += 1
+                np.testing.assert_array_equal(got, expected)
+            else:
+                many += 1
+                np.testing.assert_allclose(got, expected, rtol=2e-15, atol=0.0)
+        assert len(failures) == 2 and one > 100 and many > 100
+
+    def test_weights_within_four_ulps_of_exact(self):
+        for raw, target in WATERFILL_DRAWS[::15]:
+            try:
+                got = _fit_max_into(raw, target)
+            except GenerationError:
+                continue
+            saturated = got == target
+            exact = _exact_fit(raw, target, saturated)
+            assert np.all(np.abs(got[~saturated] - exact) <= 4 * np.spacing(exact))
+
+    def test_random_instance_matches_the_loop(self, monkeypatch):
+        def instances(l_range):
+            out = []
+            for seed in range(150):
+                try:
+                    out.append(random_instance(seed, l_range=l_range))
+                except GenerationError as exc:
+                    out.append(str(exc))
+            return out
+
+        for l_range in ((6, 30), (100, 300)):
+            ours = instances(l_range)
+            with monkeypatch.context() as m:
+                m.setattr(epi, "_fit_max_into", _fit_max_into_loop)
+                theirs = instances(l_range)
+            for a, b in zip(ours, theirs):
+                if isinstance(b, str):
+                    assert a == b
+                    continue
+                assert a.l_indices == b.l_indices
+                assert [f.offset for f in a.pmfs] == [f.offset for f in b.pmfs]
+            if l_range == (100, 300):
+                assert any(isinstance(b, str) for b in theirs)

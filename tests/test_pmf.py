@@ -1,6 +1,11 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import lebesgue_lab
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,7 +13,9 @@ from hypothesis import strategies as st
 
 from lebesgue_lab.errors import ConvolutionOverflowError, DomainError
 from lebesgue_lab.pmf import (
+    DIRECT_LIMIT,
     Pmf,
+    _clean_transform_weights,
     convolve,
     convolve_many,
     entropy_summary,
@@ -194,6 +201,39 @@ class TestConvolve:
         assert len(via_fft) == 10_011
         assert np.allclose(via_fft.weights, direct, atol=1e-12)
 
+    @pytest.mark.parametrize("sizes", [(257, 256), (256, 257), (DIRECT_LIMIT // 2 + 1, 2),
+                                       (1200, 1200), (1200, 55), (101, 1100)])
+    def test_transform_matches_fftconvolve_bit_for_bit(self, sizes):
+        assert sizes[0] * sizes[1] > DIRECT_LIMIT
+        rng = np.random.default_rng(sizes[0] * 7919 + sizes[1])
+        self._check_against_fftconvolve(random_pmf(rng, sizes[0]), random_pmf(rng, sizes[1]))
+
+    def test_point_mass_shifts_a_large_support_exactly(self):
+        rng = np.random.default_rng(43)
+        a = random_pmf(rng, DIRECT_LIMIT + 1)
+        for out in (convolve(a, Pmf(4, np.array([1.0]))), convolve(Pmf(4, np.array([1.0])), a)):
+            assert out.offset == a.offset + 4
+            np.testing.assert_array_equal(out.weights, a.weights)
+
+    def test_transform_matches_fftconvolve_on_random_supports(self):
+        rng = np.random.default_rng(41)
+        checked = 0
+        while checked < 40:
+            na, nb = (int(n) for n in rng.integers(100, 1201, size=2))
+            if na * nb > DIRECT_LIMIT:
+                self._check_against_fftconvolve(random_pmf(rng, na), random_pmf(rng, nb))
+                checked += 1
+
+    @staticmethod
+    def _check_against_fftconvolve(a, b):
+        from scipy.signal import fftconvolve  # test-only oracle
+
+        w = _clean_transform_weights(fftconvolve(a.weights, b.weights))
+        start = len(w) - len(np.trim_zeros(w, "f"))
+        got = convolve(a, b)
+        assert got.offset == a.offset + b.offset + start
+        np.testing.assert_array_equal(got.weights, np.trim_zeros(w))
+
     def test_overflow_cap(self):
         rng = np.random.default_rng(31)
         a = random_pmf(rng, 2**23 + 1)
@@ -203,6 +243,18 @@ class TestConvolve:
     def test_convolve_many_needs_input(self):
         with pytest.raises(DomainError):
             convolve_many([])
+
+
+def test_cli_import_leaves_out_scipy_signal():
+    # scipy.signal alone took most of the import time and memory of the CLI
+    src = str(Path(lebesgue_lab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = ("import sys, lebesgue_lab.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.signal')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestSerialization:
