@@ -7,6 +7,7 @@ each other so a failure pinpoints the broken subsystem.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -16,6 +17,7 @@ import numpy as np
 from .epi import (
     EXACT_FLOOR,
     GENERAL_FLOOR,
+    EpiInstance,
     check_epi,
     check_rogozin,
     handcrafted_corpus,
@@ -228,9 +230,10 @@ def criterion_slope_census() -> AcceptanceResult:
     )
 
 
-def _epi_instances():
-    for seed in EPI_SEEDS:
-        yield random_instance(seed, n_range=(2, 5), l_range=(6, 30))
+@functools.cache
+def _epi_instances() -> tuple[EpiInstance, ...]:
+    # both entropy-power criteria check this batch; its weights are read-only
+    return tuple(random_instance(seed, n_range=(2, 5), l_range=(6, 30)) for seed in EPI_SEEDS)
 
 
 def criterion_epi_suite() -> AcceptanceResult:

@@ -76,26 +76,27 @@ def _sinc_poly(u2: np.ndarray) -> np.ndarray:
     return 1.0 - u2 / 6.0 + u2 * u2 / 120.0
 
 
+def _closed_values(l: int, x: np.ndarray) -> np.ndarray:
+    return np.abs(np.sin(PI * np.fmod(l * x, 2.0))) / (l * np.sin(PI * x))
+
+
 def kernel_values(l: int, x: np.ndarray) -> np.ndarray:
     """Vectorized g(x) without domain checks (callers guarantee x in [0, 1/2]).
 
     The numerator argument is reduced modulo the period before the multiply
     by pi, so l*x never feeds a huge argument into sin; near the origin the
-    quotient is formed from truncated sinc series instead of 0/0.
+    quotient is formed from truncated sinc series instead of 0/0.  Without
+    such points the closed form is returned as computed, with no masking.
     """
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
     small = x < _SERIES_CUTOFF
-    if np.any(small):
-        xs = x[small]
-        num = _sinc_poly((l * PI * xs) ** 2)
-        den = _sinc_poly((PI * xs) ** 2)
-        out[small] = num / den
-    if np.any(~small):
-        xb = x[~small]
-        num = np.abs(np.sin(PI * np.fmod(l * xb, 2.0)))
-        den = l * np.sin(PI * xb)
-        out[~small] = num / den
+    if not small.any():
+        return _closed_values(l, x)
+    out = np.empty_like(x)
+    xs = x[small]
+    out[small] = _sinc_poly((l * PI * xs) ** 2) / _sinc_poly((PI * xs) ** 2)
+    big = ~small
+    out[big] = _closed_values(l, x[big])
     return out
 
 
@@ -106,6 +107,12 @@ def eval_kernel(spec: KernelSpec, x: float) -> float:
     return float(kernel_values(spec.l, np.array([x]))[0])
 
 
+def _closed_slopes(l: int, x: np.ndarray) -> np.ndarray:
+    u = PI * np.fmod(l * x, 2.0)
+    s = np.sin(PI * x)
+    return PI * (l * np.cos(u) * s - np.sin(u) * np.cos(PI * x)) / (l * s * s)
+
+
 def kernel_slope_values(l: int, x: np.ndarray) -> np.ndarray:
     """Vectorized derivative of the signed quotient sin(l pi x)/(l sin(pi x)).
 
@@ -114,21 +121,20 @@ def kernel_slope_values(l: int, x: np.ndarray) -> np.ndarray:
         pi * (l cos(l pi x) sin(pi x) - sin(l pi x) cos(pi x)) / (l sin^2(pi x));
 
     below the series cutoff it falls back to h(x) * d/dx log h(x) with the
-    same truncated series as :func:`kernel_values`.
+    same truncated series as :func:`kernel_values`, and, as there, an array
+    with no such point skips the masking.
     """
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
     small = x < _SERIES_CUTOFF
-    if np.any(small):
-        xs = x[small]
-        h = _sinc_poly((l * PI * xs) ** 2) / _sinc_poly((PI * xs) ** 2)
-        dlog = -(PI**2) * (l * l - 1) * xs / 3.0 - (PI**4) * (l**4 - 1) * xs**3 / 45.0
-        out[small] = h * dlog
-    if np.any(~small):
-        xb = x[~small]
-        u = PI * np.fmod(l * xb, 2.0)
-        s = np.sin(PI * xb)
-        out[~small] = PI * (l * np.cos(u) * s - np.sin(u) * np.cos(PI * xb)) / (l * s * s)
+    if not small.any():
+        return _closed_slopes(l, x)
+    out = np.empty_like(x)
+    xs = x[small]
+    h = _sinc_poly((l * PI * xs) ** 2) / _sinc_poly((PI * xs) ** 2)
+    dlog = -(PI**2) * (l * l - 1) * xs / 3.0 - (PI**4) * (l**4 - 1) * xs**3 / 45.0
+    out[small] = h * dlog
+    big = ~small
+    out[big] = _closed_slopes(l, x[big])
     return out
 
 

@@ -89,70 +89,107 @@ def _pair_nodes():
 
 
 def _pair_eval(fn, a: np.ndarray, b: np.ndarray):
-    """Evaluate the 15/31 pair on a batch of intervals; returns (I31, err)."""
+    """Evaluate the 15/31 pair on a batch of intervals; returns (I31, err).
+
+    ``fn`` is called once, on the 15-node abscissae of every interval followed
+    by the 31-node ones; each half of its result is reshaped in place, so the
+    two weight products read contiguous (n, 15) and (n, 31) blocks.
+    """
     x15, w15, x31, w31 = _pair_nodes()
+    n = len(a)
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    f15 = fn((mid[:, None] + half[:, None] * x15).ravel()).reshape(len(a), 15)
-    f31 = fn((mid[:, None] + half[:, None] * x31).ravel()).reshape(len(a), 31)
-    i15 = half * (f15 @ w15)
-    i31 = half * (f31 @ w31)
+    f = fn(np.concatenate([(mid[:, None] + half[:, None] * x).ravel() for x in (x15, x31)]))
+    i15 = half * (f[: 15 * n].reshape(n, 15) @ w15)
+    i31 = half * (f[15 * n :].reshape(n, 31) @ w31)
     return i31, np.abs(i31 - i15)
 
 
 def adaptive_integral(fn, pieces, cfg: QuadratureConfig = DEFAULT_CONFIG):
-    """Integrate a vectorized callable over a list of (a, b) pieces.
+    """Integrate a vectorized callable over (a, b) pieces.
 
-    Returns (value, error_estimate, converged).  The budget is
-    ``cfg.max_subdivisions`` bisections per initial piece.  The final sum
-    runs over intervals sorted by left endpoint so the reduction order does
-    not depend on the refinement history.
+    ``pieces`` is anything ``np.asarray(pieces, float).reshape(-1, 2)``
+    accepts: an (n, 2) array or a list of pairs.  Pieces with b <= a are
+    skipped.  Returns (value, error_estimate, converged).
+
+    All pieces go through one pair evaluation.  If the stop test already
+    holds, that is the answer; otherwise the piece with the largest error
+    estimate is bisected until it holds or the budget of
+    ``cfg.max_subdivisions`` bisections per initial piece is spent.  The
+    value and the error are ``math.fsum`` totals, which are correctly
+    rounded, so they do not depend on the refinement history.
     """
-    pieces = [(float(a), float(b)) for a, b in pieces if b > a]
-    if not pieces:
+    pieces = np.asarray(pieces, dtype=float).reshape(-1, 2)
+    pieces = pieces[pieces[:, 1] > pieces[:, 0]]
+    if not len(pieces):
         return 0.0, 0.0, True
-    a = np.array([p[0] for p in pieces])
-    b = np.array([p[1] for p in pieces])
+    a, b = pieces[:, 0], pieces[:, 1]
     i31, err = _pair_eval(fn, a, b)
-
-    heap = [(-e, lo, hi, v) for e, lo, hi, v in zip(err, a, b, i31)]
-    heapq.heapify(heap)
     total = float(np.sum(i31))
     total_err = float(np.sum(err))
-    budget = cfg.max_subdivisions * len(pieces)
-    splits = 0
-    while total_err > max(cfg.abs_tol, cfg.rel_tol * abs(total)) and splits < budget:
-        neg_e, lo, hi, v = heapq.heappop(heap)
-        m = 0.5 * (lo + hi)
-        ca = np.array([lo, m])
-        cb = np.array([m, hi])
-        ci, ce = _pair_eval(fn, ca, cb)
-        total += float(ci.sum()) - v
-        total_err += float(ce.sum()) + neg_e
-        heapq.heappush(heap, (-float(ce[0]), lo, m, float(ci[0])))
-        heapq.heappush(heap, (-float(ce[1]), m, hi, float(ci[1])))
-        splits += 1
-
-    final = sorted((lo, hi, v, -neg_e) for neg_e, lo, hi, v in heap)
-    value = math.fsum(entry[2] for entry in final)
-    error = math.fsum(entry[3] for entry in final)
+    if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
+        values, errors = i31.tolist(), err.tolist()
+    else:
+        heap = list(zip((-err).tolist(), a.tolist(), b.tolist(), i31.tolist()))
+        heapq.heapify(heap)
+        budget = cfg.max_subdivisions * len(pieces)
+        splits = 0
+        while total_err > max(cfg.abs_tol, cfg.rel_tol * abs(total)) and splits < budget:
+            neg_e, lo, hi, v = heapq.heappop(heap)
+            m = 0.5 * (lo + hi)
+            ci, ce = _pair_eval(fn, np.array([lo, m]), np.array([m, hi]))
+            total += float(ci.sum()) - v
+            total_err += float(ce.sum()) + neg_e
+            heapq.heappush(heap, (-float(ce[0]), lo, m, float(ci[0])))
+            heapq.heappush(heap, (-float(ce[1]), m, hi, float(ci[1])))
+            splits += 1
+        values = [v for _, _, _, v in heap]
+        errors = [-neg_e for neg_e, _, _, _ in heap]
+    value = math.fsum(values)
+    error = math.fsum(errors)
     converged = error <= max(cfg.abs_tol, cfg.rel_tol * abs(value))
     return value, error, converged
 
 
-def bump_partition(l: int) -> list[tuple[float, float]]:
-    """The arches of the kernel: [k/l, (k+1)/l] clipped to [0, 1/2]."""
-    cuts = [k / l for k in range(0, l // 2 + 1)]
+def bump_partition(l: int) -> np.ndarray:
+    """The arches of the kernel, [k/l, (k+1)/l] clipped to [0, 1/2], as an (n, 2) array.
+
+    Row k is arch k; the cuts k/l are correctly rounded quotients, the same
+    floats as the scalar expression ``k / l``.
+    """
+    cuts = np.arange(l // 2 + 1) / l
     if cuts[-1] < 0.5:
-        cuts.append(0.5)
-    return list(zip(cuts[:-1], cuts[1:]))
+        cuts = np.append(cuts, 0.5)
+    return _intervals(cuts)
 
 
-def _arch_peak_cap(l: int, k: int) -> float:
-    """Upper bound for the kernel on arch k (exact 1 on the first arch)."""
-    if k == 0:
-        return 1.0
-    return 1.0 / (l * math.sin(PI * k / l))
+def _intervals(cuts: np.ndarray) -> np.ndarray:
+    """The (n - 1, 2) array of consecutive pairs of n sorted cuts."""
+    return np.column_stack((cuts[:-1], cuts[1:]))
+
+
+def _kept_arches(l: int, p: float, abs_tol: float):
+    """The arch dropping of :func:`integrate_kernel_power`: (kept pieces, charge).
+
+    g is at most cap_k = 1/(l sin(pi k/l)) <= 1/2 on arch k >= 1; arch 0 is
+    always kept.  Each drop test and each charge uses ``math.log`` and
+    ``math.exp``, and the charges are summed in arch order, so the result is
+    that of a scalar loop and does not depend on numpy's vector log and exp.
+    """
+    pieces = bump_partition(l)
+    threshold = math.log(abs_tol) - math.log(l)
+    caps = 1.0 / (l * np.sin(PI * np.arange(1, len(pieces)) / l))
+    # the drop test below: if the arch with the smallest cap is kept, all are
+    if not len(caps) or not p * math.log(caps.min()) < threshold:
+        return pieces, 0.0
+    plog = p * np.fromiter(map(math.log, caps.tolist()), float, len(caps))
+    drop = np.zeros(len(pieces), dtype=bool)
+    drop[1:] = plog < threshold
+    charges = np.fromiter(map(math.exp, plog[drop[1:]].tolist()), float)
+    charges *= pieces[drop, 1] - pieces[drop, 0]
+    # the smallest cap's arch is dropped, so charges is not empty; cumsum adds
+    # them one by one in arch order, as a loop from 0.0 would
+    return pieces[~drop], float(np.cumsum(charges)[-1])
 
 
 def _power_integrand(l: int, p: float):
@@ -185,16 +222,7 @@ def integrate_kernel_power(
     """
     l = spec.l
     if pieces is None:
-        pieces = bump_partition(l)
-        kept, dropped_err = [], 0.0
-        threshold = math.log(cfg.abs_tol) - math.log(l)
-        for k, (a, b) in enumerate(pieces):
-            cap = _arch_peak_cap(l, k)
-            if cap < 1.0 and p * math.log(cap) < threshold:
-                dropped_err += (b - a) * math.exp(p * math.log(cap))
-            else:
-                kept.append((a, b))
-        pieces = kept
+        pieces, dropped_err = _kept_arches(l, p, cfg.abs_tol)
     else:
         dropped_err = 0.0
     value, err, converged = adaptive_integral(_power_integrand(l, p), pieces, cfg)
@@ -284,14 +312,13 @@ def _ball_half_cached(p: float, abs_tol: float, rel_tol: float) -> float:
     cfg = QuadratureConfig(abs_tol=abs_tol, rel_tol=rel_tol)
     m = _tail_periods(p, cfg)
     fn = _sinc_power_integrand(p)
-    head_pieces = [(k * PI, (k + 1) * PI) for k in range(m)]
-    head, head_err, ok1 = adaptive_integral(fn, head_pieces, cfg)
+    head, head_err, ok1 = adaptive_integral(fn, _intervals(np.arange(m + 1) * PI), cfg)
 
     def tail_fn(t):
         t = np.asarray(t, dtype=float)
         return np.sin(t) ** p * PI ** (-p) * hurwitz_zeta(p, m + t / PI)
 
-    quarters = [(k * PI / 4.0, (k + 1) * PI / 4.0) for k in range(4)]
+    quarters = _intervals(np.arange(5) * PI / 4.0)
     tail, tail_err, ok2 = adaptive_integral(tail_fn, quarters, cfg)
     if not (ok1 and ok2):
         raise VerificationError(
@@ -361,10 +388,7 @@ def product_kernel_l1(ls, cfg: QuadratureConfig = DEFAULT_CONFIG):
     analytic.  Returns (value, error_estimate, converged).
     """
     ls = [KernelSpec(l).l for l in ls]
-    cuts = {0.0, 0.5}
-    for l in ls:
-        cuts.update(k / l for k in range(1, l // 2 + 1))
-    cuts = sorted(cuts)
+    cuts = np.unique(np.concatenate([[0.0, 0.5]] + [np.arange(1, l // 2 + 1) / l for l in ls]))
 
     def fn(x):
         out = kernel_values(ls[0], x)
@@ -372,5 +396,5 @@ def product_kernel_l1(ls, cfg: QuadratureConfig = DEFAULT_CONFIG):
             out = out * kernel_values(l, x)
         return out
 
-    value, err, converged = adaptive_integral(fn, list(zip(cuts[:-1], cuts[1:])), cfg)
+    value, err, converged = adaptive_integral(fn, _intervals(cuts), cfg)
     return 2.0 * value, 2.0 * err, converged

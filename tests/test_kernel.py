@@ -15,6 +15,7 @@ from lebesgue_lab.kernel import (
     eval_kernel,
     gaussian_values,
     kernel_slope,
+    kernel_slope_values,
     kernel_values,
 )
 
@@ -25,6 +26,36 @@ X_C_8 = 0.16360439554922646
 Y_LAST_9 = 0.057874524760689216  # 2 / (11 pi)
 X_C_9 = 0.15058361555032753
 F_HALF_8 = 0.08369172460136572  # sqrt(2 log 2 / (63 pi))
+
+
+def _sinc_poly(u2):
+    return 1.0 - u2 / 6.0 + u2 * u2 / 120.0
+
+
+def masked_kernel_values(l, x):
+    """g by series below 1e-8 and by the closed form elsewhere, each on its own mask."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    small = x < 1e-8
+    xs, xb = x[small], x[~small]
+    out[small] = _sinc_poly((l * math.pi * xs) ** 2) / _sinc_poly((math.pi * xs) ** 2)
+    out[~small] = np.abs(np.sin(math.pi * np.fmod(l * xb, 2.0))) / (l * np.sin(math.pi * xb))
+    return out
+
+
+def masked_kernel_slope_values(l, x):
+    """The signed slope, masked the same way."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    small = x < 1e-8
+    xs, xb = x[small], x[~small]
+    h = _sinc_poly((l * math.pi * xs) ** 2) / _sinc_poly((math.pi * xs) ** 2)
+    dlog = -(math.pi**2) * (l * l - 1) * xs / 3.0 - (math.pi**4) * (l**4 - 1) * xs**3 / 45.0
+    out[small] = h * dlog
+    u = math.pi * np.fmod(l * xb, 2.0)
+    s = np.sin(math.pi * xb)
+    out[~small] = math.pi * (l * np.cos(u) * s - np.sin(u) * np.cos(math.pi * xb)) / (l * s * s)
+    return out
 
 
 class TestKernelSpec:
@@ -74,6 +105,21 @@ class TestEvalG:
         expected = math.sin(l * math.pi * hi) / (l * math.sin(math.pi * hi))
         assert vals[1] == pytest.approx(expected, rel=1e-13)
         assert vals[0] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("l", [2, 6, 37, 500, 1000])
+    @pytest.mark.parametrize(
+        "fn,oracle",
+        [(kernel_values, masked_kernel_values), (kernel_slope_values, masked_kernel_slope_values)],
+        ids=["values", "slopes"],
+    )
+    def test_matches_masked_oracle(self, l, fn, oracle):
+        # x = 0, x below the series cutoff and ordinary x, mixed and apart
+        rng = np.random.default_rng(l)
+        tiny = np.array([0.0, 5e-324, 1e-12, 5e-9, np.nextafter(1e-8, 0.0), 1e-8])
+        ordinary = np.concatenate([rng.uniform(1e-8, 0.5, 400), [0.5, 1.0 / l]])
+        mixed = np.concatenate([tiny, ordinary])
+        for x in (mixed, rng.permutation(mixed), ordinary, tiny, ordinary[:1], np.empty(0)):
+            assert fn(l, x).tobytes() == oracle(l, x).tobytes()
 
     def test_slope_matches_finite_difference(self):
         spec = KernelSpec(11)

@@ -4,10 +4,16 @@ import numpy as np
 import pytest
 
 from lebesgue_lab.errors import DomainError, PreconditionError
-from lebesgue_lab.kernel import KernelSpec, kernel_values
+from lebesgue_lab.kernel import PI, KernelSpec, kernel_values
 from lebesgue_lab.quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
+    _kept_arches,
+    _pair_eval,
+    _pair_nodes,
+    _power_integrand,
+    _sinc_power_integrand,
+    adaptive_integral,
     asymptotic_comparison,
     ball_half,
     ball_integral,
@@ -17,6 +23,9 @@ from lebesgue_lab.quadrature import (
     product_kernel_l1,
     norm_bound,
 )
+
+# the benchmark's norm-grid exponents, plus both sides of the log-domain switch at 64
+ARCH_P_GRID = (2.0, 2.5, 3.0, 4.0, 8.0, 16.0, 32.0, 128.0, 64.0, 64.5, 65.0)
 
 
 def simpson_oracle(l: int, p: float, n: int = 1_000_000) -> float:
@@ -194,3 +203,108 @@ class TestQuadratureConfig:
     def test_rejects_budget_overflow(self):
         with pytest.raises(DomainError):
             QuadratureConfig(max_subdivisions=10**7)
+
+
+def scalar_kept_arches(l, p, abs_tol):
+    """Arch dropping as a loop over the arches, one math.log/math.exp per arch."""
+    cuts = [k / l for k in range(0, l // 2 + 1)]
+    if cuts[-1] < 0.5:
+        cuts.append(0.5)
+    kept, dropped_err = [], 0.0
+    threshold = math.log(abs_tol) - math.log(l)
+    for k, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
+        cap = 1.0 if k == 0 else 1.0 / (l * math.sin(PI * k / l))
+        if cap < 1.0 and p * math.log(cap) < threshold:
+            dropped_err += (b - a) * math.exp(p * math.log(cap))
+        else:
+            kept.append((a, b))
+    return kept, dropped_err
+
+
+def two_call_pair_eval(fn, a, b):
+    """The 15/31 pair with one integrand call per rule."""
+    x15, w15, x31, w31 = _pair_nodes()
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    f15 = fn((mid[:, None] + half[:, None] * x15).ravel()).reshape(len(a), 15)
+    f31 = fn((mid[:, None] + half[:, None] * x31).ravel()).reshape(len(a), 31)
+    i15 = half * (f15 @ w15)
+    i31 = half * (f31 @ w31)
+    return i31, np.abs(i31 - i15)
+
+
+def counted(fn):
+    def wrapper(x):
+        wrapper.calls += 1
+        return fn(x)
+
+    wrapper.calls = 0
+    return wrapper
+
+
+class TestArchDropping:
+    @pytest.mark.parametrize("p", ARCH_P_GRID)
+    def test_kept_arches_and_charge_match_scalar_loop(self, p):
+        for l in range(2, 1001):
+            kept, charge = _kept_arches(l, p, DEFAULT_CONFIG.abs_tol)
+            oracle_kept, oracle_charge = scalar_kept_arches(l, p, DEFAULT_CONFIG.abs_tol)
+            assert kept.tolist() == [list(ab) for ab in oracle_kept], (l, p)
+            assert charge == oracle_charge, (l, p)
+
+    @pytest.mark.parametrize("p", ARCH_P_GRID)
+    def test_value_and_error_match_scalar_loop(self, p):
+        for l in range(6, 1001, 37):
+            value, err, ok = integrate_kernel_power(KernelSpec(l), p)
+            kept, charge = scalar_kept_arches(l, p, DEFAULT_CONFIG.abs_tol)
+            o_value, o_err, o_ok = adaptive_integral(_power_integrand(l, p), kept)
+            assert (value, err, ok) == (2.0 * o_value, 2.0 * (o_err + charge), o_ok), (l, p)
+
+
+class TestAdaptiveIntegral:
+    def test_pieces_forms_agree(self):
+        cuts = np.linspace(0.0, 0.5, 14)
+        pairs = list(zip(cuts[:-1], cuts[1:]))
+        fn = _power_integrand(13, 3.0)
+        expected = adaptive_integral(fn, pairs)
+        assert adaptive_integral(fn, np.array(pairs)) == expected
+        assert adaptive_integral(fn, np.array(pairs).ravel()) == expected
+        assert adaptive_integral(fn, [(a, b) for a, b in pairs] + [(0.3, 0.3), (0.4, 0.2)]) == expected
+        assert adaptive_integral(fn, []) == adaptive_integral(fn, np.empty((0, 2))) == (0.0, 0.0, True)
+
+    def test_pieces_forms_agree_when_splitting(self):
+        cfg = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=5)
+        pairs = [(0.0, 1.0), (1.0, 2.5)]
+        assert adaptive_integral(np.sqrt, pairs, cfg) == adaptive_integral(
+            np.sqrt, np.array(pairs), cfg
+        )
+
+    def test_one_call_when_first_pass_converges(self):
+        fn = counted(lambda x: x**5)
+        value, err, ok = adaptive_integral(fn, [(0.0, 1.0), (1.0, 2.0)])
+        assert fn.calls == 1 and ok
+        assert value == pytest.approx(64.0 / 6.0, rel=1e-15)
+
+    def test_budget_exhausted_through_the_heap(self):
+        cfg = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=3)
+        fn = counted(np.sqrt)
+        value, err, ok = adaptive_integral(fn, [(0.0, 1.0), (1.0, 2.0)], cfg)
+        assert not ok
+        assert err > max(cfg.abs_tol, cfg.rel_tol * value)
+        assert fn.calls == 1 + 3 * 2  # the first pass, then every split the budget allows
+        assert value == pytest.approx(2.0**1.5 / 1.5, rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "fn",
+        [_power_integrand(37, 2.5), _power_integrand(9, 100.0), _sinc_power_integrand(3.0)],
+        ids=["power", "log-domain power", "sinc power"],
+    )
+    def test_pair_eval_matches_two_calls(self, fn):
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 7, 300):
+            a = np.sort(rng.uniform(0.0, 0.5, n))
+            b = a + rng.uniform(1e-9, 0.01, n)
+            one = counted(fn)
+            i31, err = _pair_eval(one, a, b)
+            o31, oerr = two_call_pair_eval(fn, a, b)
+            assert one.calls == 1
+            assert i31.tobytes() == o31.tobytes() and err.tobytes() == oerr.tobytes()
