@@ -8,7 +8,6 @@ from .epi import (
     RogozinCheck,
     check_epi,
     check_rogozin,
-    check_single_index_epi,
     handcrafted_corpus,
     holder_bound_chain,
     holder_exponents,

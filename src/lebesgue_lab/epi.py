@@ -91,15 +91,6 @@ class EpiReport:
     asserted: bool
 
 
-@dataclass(frozen=True)
-class SingleIndexEpiReport:
-    l: int
-    count: int
-    min_ratio_general: float
-    min_ratio_exact: float | None
-    ok: bool
-
-
 def make_instance(pmfs, seed: int | None = None) -> EpiInstance:
     pmfs = tuple(pmfs)
     if len(pmfs) < 2:
@@ -231,50 +222,6 @@ def check_epi(
     if asserted and not holds:
         raise VerificationError(f"entropy power inequality failed: {report}")
     return report
-
-
-def check_single_index_epi(l: int, instances) -> SingleIndexEpiReport:
-    """Check the equal-index inequality with constant (pi/6)(l^2-1)/(l+1)^2.
-
-    Every pmf in every instance must sit at the same index l; the sharper
-    (l^2-1)/l^2 constant is additionally checked when all maxima equal 1/l.
-    """
-    if l < 2:
-        raise PreconditionError(f"equal-index check needs l >= 2, got {l}")
-    const_general = (math.pi / 6.0) * (l * l - 1) / ((l + 1) * (l + 1))
-    const_exact = (math.pi / 6.0) * (l * l - 1) / (l * l)
-    min_general = math.inf
-    min_exact = None
-    count = 0
-    for pmfs in instances:
-        pmfs = tuple(pmfs)
-        if len(pmfs) < 2:
-            raise PreconditionError("each instance needs at least two variables")
-        for f in pmfs:
-            if l_index(f) != l:
-                raise PreconditionError(
-                    f"instance mixes indices: found {l_index(f)}, expected {l}"
-                )
-        lhs = entropy_summary(convolve_many(pmfs)).N_inf
-        sum_n = sum(entropy_summary(f).N_inf for f in pmfs)
-        if lhs < const_general * sum_n - EPI_SLACK:
-            raise VerificationError(
-                f"equal-index inequality failed at l={l}: {lhs} < {const_general * sum_n}"
-            )
-        min_general = min(min_general, lhs / (const_general * sum_n))
-        if all(abs(f.max_weight * l - 1.0) <= 1e-12 for f in pmfs):
-            if lhs < const_exact * sum_n - EPI_SLACK:
-                raise VerificationError(
-                    f"exact-index inequality failed at l={l}: {lhs} < {const_exact * sum_n}"
-                )
-            ratio = lhs / (const_exact * sum_n)
-            min_exact = ratio if min_exact is None else min(min_exact, ratio)
-        count += 1
-    if count == 0:
-        raise PreconditionError("no instances supplied")
-    return SingleIndexEpiReport(
-        l=l, count=count, min_ratio_general=min_general, min_ratio_exact=min_exact, ok=True
-    )
 
 
 def _fit_max_into(weights: np.ndarray, target: float, rounds: int = 50) -> np.ndarray:

@@ -9,6 +9,21 @@ converges almost immediately and the error estimate is conservative.
 The sinc-power integral over the real line is split at a moderate multiple of
 pi; the infinite remainder is folded into a single finite integral through the
 Hurwitz zeta function, so no large truncation ever has to be swept.
+
+The exponent p never moves a first-pass node: it only decides how many arches
+are kept, and the dropped ones are a suffix.  So the p-independent parts are
+computed once and kept in bounded ``lru_cache`` node tables:
+
+* ``_arch_logcaps(l)``: the arches of length l and ``math.log`` of their caps;
+* ``_kernel_table(l, k)``: g at the 15/31 abscissae of the first k arches,
+  keyed by the kept-prefix length k, so an exponent that drops arches never
+  evaluates them (tables of more than 4096 arches are not kept);
+* ``_sinc_head(m)``: |sin u / u| at the abscissae of the first m periods of
+  the sinc head (every p <= 3 sweeps m = 2048).
+
+A first pass only raises a table to p; the stop test and split loop are those
+of :func:`adaptive_integral`, and only a bisected piece evaluates its
+integrand again.  Every result is bit-identical to an uncached pass.
 """
 
 from __future__ import annotations
@@ -16,7 +31,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 from scipy.special import zeta as hurwitz_zeta
@@ -88,21 +103,31 @@ def _pair_nodes():
     return x15, w15, x31, w31
 
 
-def _pair_eval(fn, a: np.ndarray, b: np.ndarray):
-    """Evaluate the 15/31 pair on a batch of intervals; returns (I31, err).
-
-    ``fn`` is called once, on the 15-node abscissae of every interval followed
-    by the 31-node ones; each half of its result is reshaped in place, so the
-    two weight products read contiguous (n, 15) and (n, 31) blocks.
-    """
-    x15, w15, x31, w31 = _pair_nodes()
-    n = len(a)
+def _pair_abscissae(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The 15-node abscissae of every interval (a, b), then the 31-node ones."""
+    x15, _, x31, _ = _pair_nodes()
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    f = fn(np.concatenate([(mid[:, None] + half[:, None] * x).ravel() for x in (x15, x31)]))
+    return np.concatenate([(mid[:, None] + half[:, None] * x).ravel() for x in (x15, x31)])
+
+
+def _pair_sums(f: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """(I31, |I31 - I15|) from integrand values ``f`` at ``_pair_abscissae(a, b)``.
+
+    Each half of ``f`` is reshaped in place, so the two weight products read
+    contiguous (n, 15) and (n, 31) blocks.
+    """
+    _, w15, _, w31 = _pair_nodes()
+    n = len(a)
+    half = 0.5 * (b - a)
     i15 = half * (f[: 15 * n].reshape(n, 15) @ w15)
     i31 = half * (f[15 * n :].reshape(n, 31) @ w31)
     return i31, np.abs(i31 - i15)
+
+
+def _pair_eval(fn, a: np.ndarray, b: np.ndarray):
+    """The 15/31 pair on a batch of intervals, with one call of ``fn``."""
+    return _pair_sums(fn(_pair_abscissae(a, b)), a, b)
 
 
 def adaptive_integral(fn, pieces, cfg: QuadratureConfig = DEFAULT_CONFIG):
@@ -124,7 +149,15 @@ def adaptive_integral(fn, pieces, cfg: QuadratureConfig = DEFAULT_CONFIG):
     if not len(pieces):
         return 0.0, 0.0, True
     a, b = pieces[:, 0], pieces[:, 1]
-    i31, err = _pair_eval(fn, a, b)
+    return _refine(fn, a, b, *_pair_eval(fn, a, b), cfg)
+
+
+def _refine(fn, a, b, i31, err, cfg: QuadratureConfig):
+    """The stop test and split loop of :func:`adaptive_integral`.
+
+    Takes the first pass's (I31, error) per piece (a, b); ``fn`` is called
+    only when a piece has to be bisected.
+    """
     total = float(np.sum(i31))
     total_err = float(np.sum(err))
     if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
@@ -132,7 +165,7 @@ def adaptive_integral(fn, pieces, cfg: QuadratureConfig = DEFAULT_CONFIG):
     else:
         heap = list(zip((-err).tolist(), a.tolist(), b.tolist(), i31.tolist()))
         heapq.heapify(heap)
-        budget = cfg.max_subdivisions * len(pieces)
+        budget = cfg.max_subdivisions * len(a)
         splits = 0
         while total_err > max(cfg.abs_tol, cfg.rel_tol * abs(total)) and splits < budget:
             neg_e, lo, hi, v = heapq.heappop(heap)
@@ -168,44 +201,85 @@ def _intervals(cuts: np.ndarray) -> np.ndarray:
     return np.column_stack((cuts[:-1], cuts[1:]))
 
 
+def _read_only(*arrays):
+    """The arrays, made read-only: a cache hands the same arrays to every caller."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@lru_cache(maxsize=64)
+def _arch_logcaps(l: int):
+    """(bump_partition(l), math.log of cap_k for arches k >= 1), read-only.
+
+    g is at most cap_k = 1/(l sin(pi k/l)) <= 1/2 on arch k >= 1, and cap_k
+    falls as k grows.
+    """
+    pieces = bump_partition(l)
+    caps = 1.0 / (l * np.sin(PI * np.arange(1, len(pieces)) / l))
+    return _read_only(pieces, np.fromiter(map(math.log, caps.tolist()), float, len(caps)))
+
+
 def _kept_arches(l: int, p: float, abs_tol: float):
     """The arch dropping of :func:`integrate_kernel_power`: (kept pieces, charge).
 
-    g is at most cap_k = 1/(l sin(pi k/l)) <= 1/2 on arch k >= 1; arch 0 is
-    always kept.  Each drop test and each charge uses ``math.log`` and
-    ``math.exp``, and the charges are summed in arch order, so the result is
-    that of a scalar loop and does not depend on numpy's vector log and exp.
+    An arch k >= 1 is dropped when p*log(cap_k) < log(abs_tol) - log(l);
+    arch 0 is always kept.  The caps fall with k, so the dropped arches are
+    a suffix and the kept ones a prefix of ``bump_partition(l)``.  The logs
+    are ``math.log`` values, each charge is a ``math.exp`` and the charges
+    are summed in arch order, so the result is that of a scalar loop and does
+    not depend on numpy's vector log and exp.
     """
-    pieces = bump_partition(l)
+    pieces, logcaps = _arch_logcaps(l)
     threshold = math.log(abs_tol) - math.log(l)
-    caps = 1.0 / (l * np.sin(PI * np.arange(1, len(pieces)) / l))
-    # the drop test below: if the arch with the smallest cap is kept, all are
-    if not len(caps) or not p * math.log(caps.min()) < threshold:
+    # if the arch with the smallest cap is kept, all are
+    if not len(logcaps) or not p * logcaps[-1] < threshold:
         return pieces, 0.0
-    plog = p * np.fromiter(map(math.log, caps.tolist()), float, len(caps))
-    drop = np.zeros(len(pieces), dtype=bool)
-    drop[1:] = plog < threshold
-    charges = np.fromiter(map(math.exp, plog[drop[1:]].tolist()), float)
-    charges *= pieces[drop, 1] - pieces[drop, 0]
-    # the smallest cap's arch is dropped, so charges is not empty; cumsum adds
-    # them one by one in arch order, as a loop from 0.0 would
-    return pieces[~drop], float(np.cumsum(charges)[-1])
+    plog = p * logcaps
+    drop = plog < threshold
+    k = len(pieces) - int(np.count_nonzero(drop))
+    charges = np.fromiter(map(math.exp, plog[drop].tolist()), float)
+    charges *= pieces[k:, 1] - pieces[k:, 0]
+    # the last arch is dropped, so charges is not empty; cumsum adds them one
+    # by one in arch order, as a loop from 0.0 would
+    return pieces[:k], float(np.cumsum(charges)[-1])
 
 
-def _power_integrand(l: int, p: float):
-    if p > _LOG_DOMAIN_P:
+# a kernel node table of more arches than this (l above about 8192) is
+# evaluated for its call alone, so the cache never holds more than 64 tables
+# of at most 1.5 MB each
+_TABLE_MAX_ARCHES = 4096
 
-        def fn(x):
-            g = kernel_values(l, x)
-            safe = np.where(g > 0.0, g, 1.0)
-            return np.where(g > 0.0, np.exp(p * np.log(safe)), 0.0)
 
-    else:
+@lru_cache(maxsize=64)
+def _kernel_table(l: int, k: int) -> np.ndarray:
+    """g at the 15/31 pair abscissae of the first k arches of bump_partition(l)."""
+    kept = bump_partition(l)[:k]
+    return _read_only(kernel_values(l, _pair_abscissae(kept[:, 0], kept[:, 1])))[0]
 
-        def fn(x):
-            return kernel_values(l, x) ** p
+
+def _powered(values: np.ndarray, p: float, log_domain: bool) -> np.ndarray:
+    """values ** p, or in the log domain exp(p log values) with 0 where values is 0."""
+    if not log_domain:
+        return values**p
+    safe = np.where(values > 0.0, values, 1.0)
+    return np.where(values > 0.0, np.exp(p * np.log(safe)), 0.0)
+
+
+def _power_integrand(base, p: float, log_domain: bool):
+    """The integrand x -> _powered(base(x), p, log_domain)."""
+
+    def fn(x):
+        return _powered(base(x), p, log_domain)
 
     return fn
+
+
+def _tabled_power_integral(base, table, pieces, p: float, log_domain: bool, cfg):
+    """adaptive_integral of base(x) ** p over ``pieces``, given base at their pair abscissae."""
+    a, b = pieces[:, 0], pieces[:, 1]
+    fn = _power_integrand(base, p, log_domain)
+    return _refine(fn, a, b, *_pair_sums(_powered(table, p, log_domain), a, b), cfg)
 
 
 def integrate_kernel_power(
@@ -218,14 +292,21 @@ def integrate_kernel_power(
 
     Arches whose peak cap satisfies p*log(cap) < log(abs_tol) - log(l) cannot
     matter at the requested tolerance; they are skipped and their width*cap^p
-    bound is charged to the error estimate instead.
+    bound is charged to the error estimate instead.  On the default partition
+    the first pass raises the cached node table of the kept arches to p;
+    only a bisected piece evaluates g again.
     """
     l = spec.l
-    if pieces is None:
-        pieces, dropped_err = _kept_arches(l, p, cfg.abs_tol)
-    else:
-        dropped_err = 0.0
-    value, err, converged = adaptive_integral(_power_integrand(l, p), pieces, cfg)
+    base = partial(kernel_values, l)
+    log_domain = p > _LOG_DOMAIN_P
+    if pieces is not None:
+        fn = _power_integrand(base, p, log_domain)
+        value, err, converged = adaptive_integral(fn, pieces, cfg)
+        return 2.0 * value, 2.0 * err, converged
+    kept, dropped_err = _kept_arches(l, p, cfg.abs_tol)
+    k = len(kept)
+    table = (_kernel_table if k <= _TABLE_MAX_ARCHES else _kernel_table.__wrapped__)(l, k)
+    value, err, converged = _tabled_power_integral(base, table, kept, p, log_domain, cfg)
     return 2.0 * value, 2.0 * (err + dropped_err), converged
 
 
@@ -247,7 +328,7 @@ def lp_norm(
     reference: (2/pi) * integral_0^inf |sin u / u|^p du / l for p > 1 and
     4 log(l) / (pi^2 l) for p = 1.
     """
-    if p < 1.0:
+    if not p >= 1.0:
         raise DomainError(f"exponent p must be >= 1, got {p}")
     value, err, converged = integrate_kernel_power(spec, p, cfg)
     bound = norm_bound(spec.l, p) if (p >= 2.0 and spec.l >= 6) else None
@@ -271,6 +352,7 @@ def certify_bound(
         raise PreconditionError(f"certification requires l >= 6, got {spec.l}")
     if p < 2.0:
         raise PreconditionError(f"certification requires p >= 2, got {p}")
+    # a NaN exponent passes the test above; lp_norm rejects it with DomainError
     r = lp_norm(spec, p, cfg, include_asymptotic=False)
     bound = norm_bound(spec.l, p)
     passed = r.converged and (r.value + r.abs_error_estimate < bound)
@@ -291,14 +373,17 @@ def certify_bound(
     return cert
 
 
-def _sinc_power_integrand(p: float):
-    def fn(u):
-        u = np.asarray(u, dtype=float)
-        s = np.where(u != 0.0, np.abs(np.sin(u) / np.where(u != 0.0, u, 1.0)), 1.0)
-        safe = np.where(s > 0.0, s, 1.0)
-        return np.where(s > 0.0, np.exp(p * np.log(safe)), 0.0)
+def _sinc_modulus(u: np.ndarray) -> np.ndarray:
+    """|sin u / u|, with 1 at u = 0."""
+    u = np.asarray(u, dtype=float)
+    return np.where(u != 0.0, np.abs(np.sin(u) / np.where(u != 0.0, u, 1.0)), 1.0)
 
-    return fn
+
+@lru_cache(maxsize=8)
+def _sinc_head(m: int):
+    """(the periods [j pi, (j+1) pi] for j < m, |sin u / u| at their pair abscissae)."""
+    head = _intervals(np.arange(m + 1) * PI)
+    return _read_only(head, _sinc_modulus(_pair_abscissae(head[:, 0], head[:, 1])))
 
 
 def _tail_periods(p: float, cfg: QuadratureConfig) -> int:
@@ -311,8 +396,8 @@ def _tail_periods(p: float, cfg: QuadratureConfig) -> int:
 def _ball_half_cached(p: float, abs_tol: float, rel_tol: float) -> float:
     cfg = QuadratureConfig(abs_tol=abs_tol, rel_tol=rel_tol)
     m = _tail_periods(p, cfg)
-    fn = _sinc_power_integrand(p)
-    head, head_err, ok1 = adaptive_integral(fn, _intervals(np.arange(m + 1) * PI), cfg)
+    periods, table = _sinc_head(m)
+    head, head_err, ok1 = _tabled_power_integral(_sinc_modulus, table, periods, p, True, cfg)
 
     def tail_fn(t):
         t = np.asarray(t, dtype=float)
@@ -336,7 +421,7 @@ def ball_half(p: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
 
         integral_{m pi}^infty = integral_0^pi sin^p(t) pi^{-p} zeta(p, m + t/pi) dt.
     """
-    if p <= 1.0:
+    if not p > 1.0:
         raise DomainError(f"sinc-power integral diverges for p <= 1, got {p}")
     return _ball_half_cached(float(p), cfg.abs_tol, cfg.rel_tol)
 
@@ -348,7 +433,7 @@ _BALL_EQUALITY_WINDOW = 1e-6
 
 def ball_integral(p: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """integral_R |sin(pi x)/(pi x)|^p dx, checked against sqrt(2/p) for p >= 2."""
-    if p <= 1.0:
+    if not p > 1.0:
         raise DomainError(f"integral diverges for p <= 1, got {p}")
     value = (2.0 / PI) * ball_half(p, cfg)
     if p >= 2.0:
@@ -381,6 +466,11 @@ def asymptotic_comparison(
     )
 
 
+def _product_cuts(ls) -> np.ndarray:
+    """0, 1/2 and every zero k/l in (0, 1/2] of each factor, sorted, without repeats."""
+    return np.array(sorted({0.0, 0.5, *(k / l for l in ls for k in range(1, l // 2 + 1))}))
+
+
 def product_kernel_l1(ls, cfg: QuadratureConfig = DEFAULT_CONFIG):
     """integral over one period of the product of kernel moduli.
 
@@ -388,7 +478,7 @@ def product_kernel_l1(ls, cfg: QuadratureConfig = DEFAULT_CONFIG):
     analytic.  Returns (value, error_estimate, converged).
     """
     ls = [KernelSpec(l).l for l in ls]
-    cuts = np.unique(np.concatenate([[0.0, 0.5]] + [np.arange(1, l // 2 + 1) / l for l in ls]))
+    cuts = _product_cuts(ls)
 
     def fn(x):
         out = kernel_values(ls[0], x)

@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +11,6 @@ from lebesgue_lab.epi import (
     GENERAL_FLOOR,
     check_epi,
     check_rogozin,
-    check_single_index_epi,
     handcrafted_corpus,
     holder_bound_chain,
     holder_exponents,
@@ -26,8 +24,6 @@ from lebesgue_lab.epi import (
 )
 from lebesgue_lab.errors import GenerationError, PreconditionError
 from lebesgue_lab.pmf import Pmf, entropy_summary, uniform
-
-PI = math.pi
 
 
 class TestHolderExponents:
@@ -126,32 +122,6 @@ class TestCheckEpi:
     def test_instance_needs_two_variables(self):
         with pytest.raises(PreconditionError):
             make_instance([uniform(6)])
-
-
-class TestSingleIndexEpi:
-    def test_pair_of_coins_against_pi_constant(self):
-        # two uniform laws on {1, 2}: the sum is triangular with maximum 1/2,
-        # so the entropy power is 4 and the exact-index threshold is exactly pi
-        report = check_single_index_epi(2, [[uniform(2), uniform(2)]])
-        assert report.ok
-        rhs_exact = (PI / 6.0) * (3.0 / 4.0) * 8.0
-        assert rhs_exact == pytest.approx(PI, rel=1e-15)
-        assert report.min_ratio_exact == pytest.approx(4.0 / rhs_exact, rel=1e-12)
-        rhs_general = (PI / 6.0) * (1.0 / 3.0) * 8.0
-        assert report.min_ratio_general == pytest.approx(4.0 / rhs_general, rel=1e-12)
-
-    def test_three_uniform_six(self):
-        report = check_single_index_epi(6, [[uniform(6)] * 3])
-        assert report.ok and report.min_ratio_general >= 1.0
-        assert report.min_ratio_exact is not None
-
-    def test_mixed_indices_rejected(self):
-        with pytest.raises(PreconditionError):
-            check_single_index_epi(6, [[uniform(6), uniform(7)]])
-
-    def test_empty_batch_rejected(self):
-        with pytest.raises(PreconditionError):
-            check_single_index_epi(6, [])
 
 
 class TestRandomInstance:

@@ -1,18 +1,22 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from scipy.special import zeta as hurwitz_zeta
 
+from lebesgue_lab import quadrature
 from lebesgue_lab.errors import DomainError, PreconditionError
 from lebesgue_lab.kernel import PI, KernelSpec, kernel_values
 from lebesgue_lab.quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
+    _intervals,
     _kept_arches,
     _pair_eval,
     _pair_nodes,
-    _power_integrand,
-    _sinc_power_integrand,
+    _product_cuts,
+    _tail_periods,
     adaptive_integral,
     asymptotic_comparison,
     ball_half,
@@ -26,6 +30,58 @@ from lebesgue_lab.quadrature import (
 
 # the benchmark's norm-grid exponents, plus both sides of the log-domain switch at 64
 ARCH_P_GRID = (2.0, 2.5, 3.0, 4.0, 8.0, 16.0, 32.0, 128.0, 64.0, 64.5, 65.0)
+# ARCH_P_GRID plus an exponent next to 2 and one off the integers; 2.5 splits
+NORM_P_GRID = ARCH_P_GRID + (2.0001, 7.3)
+NAN = float("nan")
+
+
+def uncached_power_integrand(l, p):
+    """g^p evaluated from x on every call, as exp(p log g) above p = 64."""
+    if p > 64.0:
+
+        def fn(x):
+            g = kernel_values(l, x)
+            safe = np.where(g > 0.0, g, 1.0)
+            return np.where(g > 0.0, np.exp(p * np.log(safe)), 0.0)
+
+    else:
+
+        def fn(x):
+            return kernel_values(l, x) ** p
+
+    return fn
+
+
+def uncached_sinc_integrand(p):
+    """|sin u / u|^p evaluated from u on every call, always as exp(p log s)."""
+
+    def fn(u):
+        u = np.asarray(u, dtype=float)
+        s = np.where(u != 0.0, np.abs(np.sin(u) / np.where(u != 0.0, u, 1.0)), 1.0)
+        safe = np.where(s > 0.0, s, 1.0)
+        return np.where(s > 0.0, np.exp(p * np.log(safe)), 0.0)
+
+    return fn
+
+
+def uncached_ball_half(p, cfg=DEFAULT_CONFIG):
+    """The sinc-power half-line integral with the head evaluated from u."""
+    m = _tail_periods(p, cfg)
+    periods = _intervals(np.arange(m + 1) * PI)
+    head, _, ok1 = adaptive_integral(uncached_sinc_integrand(p), periods, cfg)
+
+    def tail_fn(t):
+        return np.sin(t) ** p * PI ** (-p) * hurwitz_zeta(p, m + t / PI)
+
+    tail, _, ok2 = adaptive_integral(tail_fn, _intervals(np.arange(5) * PI / 4.0), cfg)
+    assert ok1 and ok2
+    return head + tail
+
+
+def clear_caches():
+    for obj in vars(quadrature).values():
+        if isinstance(obj, functools._lru_cache_wrapper):
+            obj.cache_clear()
 
 
 def simpson_oracle(l: int, p: float, n: int = 1_000_000) -> float:
@@ -64,6 +120,10 @@ class TestLpNorm:
     def test_rejects_p_below_one(self):
         with pytest.raises(DomainError):
             lp_norm(KernelSpec(6), 0.5)
+
+    def test_rejects_nan_exponent(self):
+        with pytest.raises(DomainError):
+            lp_norm(KernelSpec(10), NAN)
 
     def test_deterministic_bit_for_bit(self):
         a = lp_norm(KernelSpec(23), 3.5)
@@ -116,6 +176,10 @@ class TestCertifyBound:
         with pytest.raises(PreconditionError):
             certify_bound(KernelSpec(8), 1.5)
 
+    def test_nan_exponent_rejected(self):
+        with pytest.raises(DomainError):
+            certify_bound(KernelSpec(10), NAN)
+
     @pytest.mark.parametrize("l", [6, 12, 33, 64])
     @pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0, 6.0, 8.0, 16.0, 32.0])
     def test_bound_sits_below_asymptotic_envelope(self, l, p):
@@ -165,6 +229,24 @@ class TestBallIntegral:
         with pytest.raises(DomainError):
             ball_integral(1.0)
 
+    @pytest.mark.parametrize("fn", [ball_half, ball_integral])
+    def test_rejects_nan_exponent(self, fn):
+        with pytest.raises(DomainError):
+            fn(NAN)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 2.0001, 2.5, 3.0])
+    def test_shared_head_matches_uncached_head(self, p):
+        # every p <= 3 sweeps the same 2048 periods, so their head values are shared
+        assert _tail_periods(p, DEFAULT_CONFIG) == 2048
+        clear_caches()
+        ball_half(3.0)
+        assert ball_half(p).hex() == uncached_ball_half(p).hex()
+
+    def test_cached_heads_match_uncached_heads_over_p(self):
+        clear_caches()
+        for p in np.linspace(1.05, 130.0, 200).tolist():
+            assert ball_half(p).hex() == uncached_ball_half(p).hex(), p
+
 
 class TestAsymptoticComparison:
     def test_parseval_ratio_is_one(self):
@@ -193,6 +275,15 @@ class TestProductKernel:
         value, _, ok = product_kernel_l1([6, 8])
         single, _, _ = product_kernel_l1([6])
         assert ok and 0.0 < value < single
+
+    def test_cuts_match_unique_of_concatenated_zeros(self):
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            ls = rng.integers(6, 31, size=rng.integers(1, 6)).tolist()
+            zeros = [np.arange(1, l // 2 + 1) / l for l in ls]
+            oracle = np.unique(np.concatenate([[0.0, 0.5]] + zeros))
+            cuts = _product_cuts(ls)
+            assert cuts.dtype == oracle.dtype and cuts.tobytes() == oracle.tobytes(), ls
 
 
 class TestQuadratureConfig:
@@ -251,20 +342,67 @@ class TestArchDropping:
             assert kept.tolist() == [list(ab) for ab in oracle_kept], (l, p)
             assert charge == oracle_charge, (l, p)
 
-    @pytest.mark.parametrize("p", ARCH_P_GRID)
+    @pytest.mark.parametrize("p", NORM_P_GRID)
     def test_value_and_error_match_scalar_loop(self, p):
-        for l in range(6, 1001, 37):
-            value, err, ok = integrate_kernel_power(KernelSpec(l), p)
-            kept, charge = scalar_kept_arches(l, p, DEFAULT_CONFIG.abs_tol)
-            o_value, o_err, o_ok = adaptive_integral(_power_integrand(l, p), kept)
-            assert (value, err, ok) == (2.0 * o_value, 2.0 * (o_err + charge), o_ok), (l, p)
+        # the cached node tables against g evaluated from x for every integral
+        for l in sorted({*range(6, 201), *range(6, 1001, 37)}):
+            assert integrate_kernel_power(KernelSpec(l), p) == uncached_kernel_power(l, p), (l, p)
+
+
+def uncached_kernel_power(l, p, cfg=DEFAULT_CONFIG):
+    """integrate_kernel_power from the scalar arch loop and an uncached integrand."""
+    kept, charge = scalar_kept_arches(l, p, cfg.abs_tol)
+    value, err, ok = adaptive_integral(uncached_power_integrand(l, p), kept, cfg)
+    return 2.0 * value, 2.0 * (err + charge), ok
+
+
+class TestNodeTables:
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            QuadratureConfig(max_subdivisions=1),
+            QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=1),
+        ],
+        ids=["default-tol", "tight-tol"],
+    )
+    def test_budget_limited_matches_uncached(self, cfg):
+        results = []
+        for l in (6, 7, 13, 64, 301):
+            for p in NORM_P_GRID:
+                got = integrate_kernel_power(KernelSpec(l), p, cfg)
+                assert got == uncached_kernel_power(l, p, cfg), (l, p)
+                results.append(got[2])
+        if cfg.rel_tol == 1e-15:
+            assert not all(results)  # the budget runs out somewhere
+
+    @pytest.mark.parametrize("l", [6, 11, 64, 300, 1000])
+    def test_call_order_does_not_matter(self, l):
+        spec = KernelSpec(l)
+        clear_caches()
+        forward = [lp_norm(spec, p) for p in (128.0, 2.0)]
+        clear_caches()
+        backward = [lp_norm(spec, p) for p in (2.0, 128.0)][::-1]
+        cold = []
+        for p in (128.0, 2.0):
+            clear_caches()
+            cold.append(lp_norm(spec, p))
+        assert forward == backward == cold
+
+    def test_tables_are_read_only(self):
+        clear_caches()
+        integrate_kernel_power(KernelSpec(9), 2.0)
+        kept, _ = _kept_arches(9, 2.0, DEFAULT_CONFIG.abs_tol)
+        table = quadrature._kernel_table(9, len(kept))
+        for array in (kept, table, *quadrature._sinc_head(16)):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
 
 
 class TestAdaptiveIntegral:
     def test_pieces_forms_agree(self):
         cuts = np.linspace(0.0, 0.5, 14)
         pairs = list(zip(cuts[:-1], cuts[1:]))
-        fn = _power_integrand(13, 3.0)
+        fn = uncached_power_integrand(13, 3.0)
         expected = adaptive_integral(fn, pairs)
         assert adaptive_integral(fn, np.array(pairs)) == expected
         assert adaptive_integral(fn, np.array(pairs).ravel()) == expected
@@ -295,7 +433,11 @@ class TestAdaptiveIntegral:
 
     @pytest.mark.parametrize(
         "fn",
-        [_power_integrand(37, 2.5), _power_integrand(9, 100.0), _sinc_power_integrand(3.0)],
+        [
+            uncached_power_integrand(37, 2.5),
+            uncached_power_integrand(9, 100.0),
+            uncached_sinc_integrand(3.0),
+        ],
         ids=["power", "log-domain power", "sinc power"],
     )
     def test_pair_eval_matches_two_calls(self, fn):
