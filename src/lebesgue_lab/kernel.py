@@ -80,6 +80,16 @@ def _closed_values(l: int, x: np.ndarray) -> np.ndarray:
     return np.abs(np.sin(PI * np.fmod(l * x, 2.0))) / (l * np.sin(PI * x))
 
 
+def _series_values(l: int, xs: np.ndarray) -> np.ndarray:
+    return _sinc_poly((l * PI * xs) ** 2) / _sinc_poly((PI * xs) ** 2)
+
+
+def _series_slopes(l: int, xs: np.ndarray, h: np.ndarray) -> np.ndarray:
+    # h(x) * d/dx log h(x), given h = _series_values(l, xs)
+    dlog = -(PI**2) * (l * l - 1) * xs / 3.0 - (PI**4) * (l**4 - 1) * xs**3 / 45.0
+    return h * dlog
+
+
 def kernel_values(l: int, x: np.ndarray) -> np.ndarray:
     """Vectorized g(x) without domain checks (callers guarantee x in [0, 1/2]).
 
@@ -93,8 +103,7 @@ def kernel_values(l: int, x: np.ndarray) -> np.ndarray:
     if not small.any():
         return _closed_values(l, x)
     out = np.empty_like(x)
-    xs = x[small]
-    out[small] = _sinc_poly((l * PI * xs) ** 2) / _sinc_poly((PI * xs) ** 2)
+    out[small] = _series_values(l, x[small])
     big = ~small
     out[big] = _closed_values(l, x[big])
     return out
@@ -107,35 +116,50 @@ def eval_kernel(spec: KernelSpec, x: float) -> float:
     return float(kernel_values(spec.l, np.array([x]))[0])
 
 
-def _closed_slopes(l: int, x: np.ndarray) -> np.ndarray:
+def _closed_values_and_slopes(l: int, x: np.ndarray):
     u = PI * np.fmod(l * x, 2.0)
+    sin_u = np.sin(u)
     s = np.sin(PI * x)
-    return PI * (l * np.cos(u) * s - np.sin(u) * np.cos(PI * x)) / (l * s * s)
+    values = np.abs(sin_u) / (l * s)
+    slopes = PI * (l * np.cos(u) * s - sin_u * np.cos(PI * x)) / (l * s * s)
+    return values, slopes
+
+
+def kernel_values_and_slopes(l: int, x: np.ndarray):
+    """g(x) and the signed slope of sin(l pi x)/(l sin(pi x)), in one pass.
+
+    Returns (values, slopes), bit-identical to :func:`kernel_values` and
+    :func:`kernel_slope_values`, but u = pi fmod(l x, 2), sin u and
+    sin(pi x) are computed once for both.  Away from the origin the slope is
+    the quotient rule expression
+
+        pi * (l cos(l pi x) sin(pi x) - sin(l pi x) cos(pi x)) / (l sin^2(pi x));
+
+    below the series cutoff both halves come from the truncated series of
+    :func:`kernel_values`, the slope as h(x) * d/dx log h(x).  An array with
+    no such point skips the masking.
+    """
+    x = np.asarray(x, dtype=float)
+    small = x < _SERIES_CUTOFF
+    if not small.any():
+        return _closed_values_and_slopes(l, x)
+    values = np.empty_like(x)
+    slopes = np.empty_like(x)
+    xs = x[small]
+    h = _series_values(l, xs)
+    values[small] = h
+    slopes[small] = _series_slopes(l, xs, h)
+    big = ~small
+    values[big], slopes[big] = _closed_values_and_slopes(l, x[big])
+    return values, slopes
 
 
 def kernel_slope_values(l: int, x: np.ndarray) -> np.ndarray:
     """Vectorized derivative of the signed quotient sin(l pi x)/(l sin(pi x)).
 
-    Away from the origin this is the quotient rule expression
-
-        pi * (l cos(l pi x) sin(pi x) - sin(l pi x) cos(pi x)) / (l sin^2(pi x));
-
-    below the series cutoff it falls back to h(x) * d/dx log h(x) with the
-    same truncated series as :func:`kernel_values`, and, as there, an array
-    with no such point skips the masking.
+    The slope half of :func:`kernel_values_and_slopes`.
     """
-    x = np.asarray(x, dtype=float)
-    small = x < _SERIES_CUTOFF
-    if not small.any():
-        return _closed_slopes(l, x)
-    out = np.empty_like(x)
-    xs = x[small]
-    h = _sinc_poly((l * PI * xs) ** 2) / _sinc_poly((PI * xs) ** 2)
-    dlog = -(PI**2) * (l * l - 1) * xs / 3.0 - (PI**4) * (l**4 - 1) * xs**3 / 45.0
-    out[small] = h * dlog
-    big = ~small
-    out[big] = _closed_slopes(l, x[big])
-    return out
+    return kernel_values_and_slopes(l, x)[1]
 
 
 def kernel_slope(spec: KernelSpec, x: float) -> float:

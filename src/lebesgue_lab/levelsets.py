@@ -7,12 +7,18 @@ For a level y in (0, 1) the kernel's distribution function
 is assembled arch by arch: the first arch is monotone decreasing (one
 crossing), every full arch contributes an interval around its peak (two
 crossings), and for odd lengths the final half-arch rising to g(1/2) = 1/l
-contributes at most one more crossing.  With F the truncated Gaussian's
-distribution function (closed form, see kernel.py), the module locates the
-single level y0 where F - G changes sign from - to +, evaluates the
-comparison functional (integral f^p - integral g^p) / (p y0^p) whose
-monotonicity in p transfers the p = 2 comparison upward, and validates the
-closed-form slope bounds that make the sign change unique.
+contributes at most one more crossing.  Each crossing is found by bracketed
+Newton on its monotone segment, started from the arch inverted with its
+denominator frozen (or, on the flat top of arch 0, from the osculating
+Gaussian with its x^4 correction), so a root takes about three rounds;
+each round evaluates g and g' together from one set of sines
+(``kernel.kernel_values_and_slopes``).
+With F the truncated Gaussian's distribution function (closed form, see
+kernel.py), the module locates the single level y0 where F - G changes sign
+from - to +, evaluates the comparison functional
+(integral f^p - integral g^p) / (p y0^p) whose monotonicity in p transfers
+the p = 2 comparison upward, and validates the closed-form slope bounds that
+make the sign change unique.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from .kernel import (
     gaussian_distribution_function,
     kernel_slope_values,
     kernel_values,
+    kernel_values_and_slopes,
 )
 from .quadrature import (
     DEFAULT_CONFIG,
@@ -188,30 +195,69 @@ def _segment_table(spec: KernelSpec, ys: np.ndarray):
 _MAX_ROUNDS = 60
 # rows solved together; bounds the temporaries of a large batch of levels
 _BLOCK_ROWS = 4096
+# fixed-point steps of the inverted-arch start estimate
+_START_STEPS = 2
+# the start estimate reads levels below this as this: below about 1e-17 the
+# estimate is an arch end to the last ulp anyway, and y l sin(pi x) then
+# cannot underflow
+_START_LEVEL_FLOOR = 1e-300
 
 
-def _newton_segments(l: int, y, lo, hi, inc) -> np.ndarray:
+def _newton_start(l: int, y, lo, hi, inc, arch) -> np.ndarray:
+    """Start point of each Newton row: the arch inverted with its denominator frozen.
+
+    On arch k the numerator is sin(theta) with l pi x = k pi + theta, so
+    g(x) = y reads sin(theta) = y l sin(pi x).  From the bracket midpoint,
+    each of ``_START_STEPS`` fixed-point steps sets
+    a = asin(min(1, y l sin(pi x))) / pi and then x = (k + a) / l on a
+    rising segment, (k + 1 - a) / l on a falling one.  Arch 0 falls from 1
+    and is treated the same way below its mid-height 1/(l sin(pi/(2l))),
+    where theta passes pi/2.  Above it, where g is flat and the sine form
+    loses its digits, the start inverts the osculating Gaussian
+    exp(-pi^2 (l^2 - 1) x^2 / 6) together with the next term of log g,
+    -pi^4 (l^4 - 1) x^4 / 180, which takes about 0.8 rounds more off the
+    flat top.  Every estimate is clipped into its bracket, and each row's
+    start depends on that row alone.
+    """
+    x = 0.5 * (lo + hi)
+    yl = np.maximum(y, _START_LEVEL_FLOOR) * l
+    for _ in range(_START_STEPS):
+        a = np.arcsin(np.minimum(1.0, yl * np.sin(PI * x))) / PI
+        x = np.where(inc, arch + a, arch + 1.0 - a) / l
+    top = (arch == 0) & (y > 1.0 / (l * math.sin(PI / (2 * l))))
+    if top.any():
+        # -log g(x) = c2 x^2 + c4 x^4 + O(x^6), solved for x^2 without cancellation
+        c2 = PI**2 * (l * l - 1) / 6.0
+        c4 = PI**4 * (l**4 - 1) / 180.0
+        log_y = -np.log(y[top])
+        x[top] = np.sqrt(2.0 * log_y / (c2 + np.sqrt(c2 * c2 + 4.0 * c4 * log_y)))
+    return np.clip(x, lo, hi)
+
+
+def _newton_segments(l: int, y, lo, hi, inc, arch) -> np.ndarray:
     """Roots of g(x) = y_i on monotone brackets [lo_i, hi_i] by bracketed Newton.
 
     This is ``rtsafe`` (Numerical Recipes, section 9.4), row by row.  Each
-    row starts at its bracket's midpoint.  A round evaluates d = g(x) - y,
-    shrinks the bracket by the sign of d, and steps by -d / g'(x), where
-    |g'| comes from ``kernel_slope_values`` and its sign from ``inc``.  A
-    step that leaves the bracket, or is longer than 2 ulps of x and lands on
-    a bracket end, becomes a bisection step.  A row is done when d == 0 (it
-    keeps x) or when its step is at most 2 ulps of x.  Only unfinished rows
-    are evaluated, in blocks of ``_BLOCK_ROWS``, and no row's result depends
-    on another's.
+    row starts at the inverted-arch estimate of ``_newton_start``, which
+    needs the row's arch index ``arch``.  A round evaluates g and its slope
+    together (``kernel_values_and_slopes``, one pass over the sines), sets
+    d = g(x) - y, shrinks the bracket by the sign of d, and steps by
+    -d / g'(x), with the sign of g' taken from ``inc``.  A step that leaves
+    the bracket, or is longer than 2 ulps of x and lands on a bracket end,
+    becomes a bisection step.  A row is done when d == 0 (it keeps x) or
+    when its step is at most 2 ulps of x.  Only unfinished rows are
+    evaluated, in blocks of ``_BLOCK_ROWS``, and no row's result depends on
+    another's.
     """
     x = np.empty(len(y))
     for start in range(0, len(y), _BLOCK_ROWS):
         part = slice(start, start + _BLOCK_ROWS)
-        x[part] = _newton_block(l, y[part], lo[part], hi[part], inc[part])
+        x[part] = _newton_block(l, y[part], lo[part], hi[part], inc[part], arch[part])
     return x
 
 
-def _newton_block(l: int, y, lo, hi, inc) -> np.ndarray:
-    x = 0.5 * (lo + hi)
+def _newton_block(l: int, y, lo, hi, inc, arch) -> np.ndarray:
+    x = _newton_start(l, y, lo, hi, inc, arch)
     lo = lo.copy()
     hi = hi.copy()
     live = np.arange(len(x))
@@ -219,12 +265,13 @@ def _newton_block(l: int, y, lo, hi, inc) -> np.ndarray:
         if not len(live):
             break
         xl, il = x[live], inc[live]
-        d = kernel_values(l, xl) - y[live]
+        g, slope = kernel_values_and_slopes(l, xl)
+        d = g - y[live]
         move_lo = (d > 0.0) ^ il
         lo_l = np.where(move_lo, xl, lo[live])
         hi_l = np.where(move_lo, hi[live], xl)
         with np.errstate(divide="ignore", invalid="ignore"):
-            xn = xl - np.where(il, d, -d) / np.abs(kernel_slope_values(l, xl))
+            xn = xl - np.where(il, d, -d) / np.abs(slope)
         tol = 2.0 * np.spacing(xl)
         # A step that leaves the bracket, or is not finite, bisects instead.
         # So does a step longer than tol onto a bracket end: it would revisit
@@ -240,19 +287,37 @@ def _newton_block(l: int, y, lo, hi, inc) -> np.ndarray:
     return x
 
 
-def superlevel_measure_many(spec: KernelSpec, ys) -> np.ndarray:
-    """Vectorized measure of {x in [0, 1/2] : g(x) > y} for a batch of levels."""
-    ys = np.asarray(ys, dtype=float)
-    if np.any((ys <= 0.0) | (ys >= 1.0)):
+def _check_levels(ys: np.ndarray) -> None:
+    # written so that NaN fails too
+    if not np.all((ys > 0.0) & (ys < 1.0)):
         raise DomainError("levels must lie in (0, 1)")
-    row, lo, hi, inc, half, _ = _segment_table(spec, ys)
-    out = np.zeros(len(ys))
-    if len(row) == 0:
-        return out
-    roots = _newton_segments(spec.l, ys[row], lo, hi, inc)
+
+
+def _solve_levels(spec: KernelSpec, ys: np.ndarray):
+    """Every crossing of the levels ys, segment-major as in ``_segment_table``.
+
+    Returns (row, roots, increasing, half_arch, arch), one entry per
+    (level, segment) pair.
+    """
+    row, lo, hi, inc, half, arch = _segment_table(spec, ys)
+    roots = _newton_segments(spec.l, ys[row], lo, hi, inc, arch)
+    return row, roots, inc, half, arch
+
+
+def _measures(n: int, row, roots, inc, half) -> np.ndarray:
+    # each descending root closes an interval that an ascending root (or 0) opened
+    out = np.zeros(n)
     np.add.at(out, row, np.where(inc, -roots, roots))
     np.add.at(out, row[half], 0.5)
     return out
+
+
+def superlevel_measure_many(spec: KernelSpec, ys) -> np.ndarray:
+    """Vectorized measure of {x in [0, 1/2] : g(x) > y} for a batch of levels."""
+    ys = np.asarray(ys, dtype=float)
+    _check_levels(ys)
+    row, roots, inc, half, _ = _solve_levels(spec, ys)
+    return _measures(len(ys), row, roots, inc, half)
 
 
 def superlevel_measure(spec: KernelSpec, y: float) -> float:
@@ -267,15 +332,24 @@ def level_crossings(spec: KernelSpec, y: float):
     segment order.  Bracketed Newton (see ``_newton_segments``) pins each
     root to within a few ulps.
     """
-    if not 0.0 < y < 1.0:
-        raise DomainError(f"level y = {y} outside (0, 1)")
     ys = np.array([float(y)])
-    _, lo, hi, inc, _, arch = _segment_table(spec, ys)
-    if len(lo) == 0:
-        return np.empty(0), np.empty(0, dtype=int), np.empty(0, dtype=bool)
-    roots = _newton_segments(spec.l, np.full(len(lo), float(y)), lo, hi, inc)
+    _check_levels(ys)
+    _, roots, inc, _, arch = _solve_levels(spec, ys)
     order = np.argsort(roots, kind="stable")
     return roots[order], arch[order], inc[order]
+
+
+def _measure_and_slope_sum(spec: KernelSpec, y: float) -> tuple[float, float]:
+    """(superlevel_measure(spec, y), slope_sum(spec, y)) from one solve of the level.
+
+    The measure sums the roots in segment order and the slope sum runs over
+    the stably sorted roots, exactly as the two public functions do, so both
+    are bit-identical to theirs.
+    """
+    ys = np.array([float(y)])
+    row, roots, inc, half, _ = _solve_levels(spec, ys)
+    measure = float(_measures(1, row, roots, inc, half)[0])
+    return measure, _inverse_slope_sum(spec.l, np.sort(roots, kind="stable"))
 
 
 def default_level_grid(spec: KernelSpec, n: int = 2000) -> np.ndarray:
@@ -296,22 +370,25 @@ def _refine_crossing(spec: KernelSpec, tg: TruncatedGaussian, lo: float, hi: flo
 
     ``neg_lo`` is the sign of D at ``lo``.  D'(y) = F'(y) + slope_sum(y), with
     F'(y) = -1 / (pi (l^2 - 1) y F(y)) above y_last and 0 below it, since G'
-    is minus the slope sum.  As in ``_newton_segments``, the bracket shrinks
-    by the sign of D, a step that leaves it becomes a bisection step, and
-    the refinement ends when D == 0 or a step is at most ``_Y0_STEP_TOL``.
+    is minus the slope sum; each round solves the level once for both G and
+    the slope sum (``_measure_and_slope_sum``).  As in ``_newton_segments``,
+    the bracket shrinks by the sign of D, a step that leaves it becomes a
+    bisection step, and the refinement ends when D == 0 or a step is at most
+    ``_Y0_STEP_TOL``.
     """
     c = PI * (spec.l * spec.l - 1)
     y = 0.5 * (lo + hi)
     for _ in range(_MAX_ROUNDS):
         f = gaussian_distribution_function(tg, y)
-        d = f - superlevel_measure(spec, y)
+        measure, g_slope = _measure_and_slope_sum(spec, y)
+        d = f - measure
         if d == 0.0:
             return y
         if (d < 0.0) == neg_lo:
             lo = y
         else:
             hi = y
-        slope = (0.0 if y < tg.y_last else -1.0 / (c * y * f)) + slope_sum(spec, y)
+        slope = (0.0 if y < tg.y_last else -1.0 / (c * y * f)) + g_slope
         yn = y - d / slope if slope != 0.0 else math.nan
         if not lo <= yn <= hi:
             yn = 0.5 * (lo + hi)
@@ -378,7 +455,7 @@ def comparison_functional(
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> float:
     """(2 int_0^{x_c} f^p - int |D_l|^p) / (p y0^p); nondecreasing in p."""
-    if p < 2.0:
+    if not p >= 2.0:
         raise PreconditionError(f"comparison functional needs p >= 2, got {p}")
     if not 0.0 < y0 < 1.0:
         raise DomainError(f"crossing level y0 = {y0} outside (0, 1)")
@@ -410,8 +487,11 @@ def arch_slope_cap(l: int, k: int) -> float:
 def slope_sum(spec: KernelSpec, y: float) -> float:
     """Sum of 1/|g'| over all crossings of the level y (equals |G'(y)|)."""
     roots, _, _ = level_crossings(spec, y)
-    slopes = np.abs(kernel_slope_values(spec.l, roots))
-    return float(np.sum(1.0 / slopes))
+    return _inverse_slope_sum(spec.l, roots)
+
+
+def _inverse_slope_sum(l: int, roots: np.ndarray) -> float:
+    return float(np.sum(1.0 / np.abs(kernel_slope_values(l, roots))))
 
 
 def check_derivative_bounds(spec: KernelSpec, y: float) -> SlopeBoundCheck:

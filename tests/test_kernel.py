@@ -17,6 +17,7 @@ from lebesgue_lab.kernel import (
     kernel_slope,
     kernel_slope_values,
     kernel_values,
+    kernel_values_and_slopes,
 )
 
 # high-precision evaluations of the closed forms (40-digit arithmetic)
@@ -120,6 +121,19 @@ class TestEvalG:
         mixed = np.concatenate([tiny, ordinary])
         for x in (mixed, rng.permutation(mixed), ordinary, tiny, ordinary[:1], np.empty(0)):
             assert fn(l, x).tobytes() == oracle(l, x).tobytes()
+
+    @pytest.mark.parametrize("l", [2, 6, 37, 500, 1000])
+    def test_fused_evaluator_equals_separate_functions(self, l):
+        # x = 0, subnormal, below the series cutoff and ordinary x, mixed and apart
+        rng = np.random.default_rng(l + 1)
+        tiny = np.array([0.0, 5e-324, 2.0e-310, 1e-12, 5e-9, np.nextafter(1e-8, 0.0), 1e-8])
+        ordinary = np.concatenate([rng.uniform(1e-8, 0.5, 400), [0.5, 1.0 / l]])
+        mixed = np.concatenate([tiny, ordinary])
+        for x in (mixed, rng.permutation(mixed), ordinary, tiny, tiny[:1], ordinary[:1], np.empty(0)):
+            values, slopes = kernel_values_and_slopes(l, x)
+            assert values.tobytes() == kernel_values(l, x).tobytes()
+            assert slopes.tobytes() == kernel_slope_values(l, x).tobytes()
+            assert slopes.tobytes() == masked_kernel_slope_values(l, x).tobytes()
 
     def test_slope_matches_finite_difference(self):
         spec = KernelSpec(11)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lebesgue_lab import levelsets
 from lebesgue_lab.errors import DomainError, PreconditionError
 from lebesgue_lab.kernel import (
     KernelSpec,
@@ -16,7 +17,9 @@ from lebesgue_lab.levelsets import (
     _BLOCK_ROWS,
     PEAK_EXCLUSION,
     BumpProfile,
+    _measure_and_slope_sum,
     _newton_segments,
+    _newton_start,
     _segment_table,
     bump_profiles,
     check_derivative_bounds,
@@ -25,6 +28,7 @@ from lebesgue_lab.levelsets import (
     superlevel_measure,
     superlevel_measure_many,
     comparison_functional,
+    default_level_grid,
     slope_sum,
 )
 
@@ -89,6 +93,38 @@ def length_and_level(draw):
     else:
         y = 1.0 - draw(st.floats(5e-7, 2e-6))
     return l, y
+
+
+@st.composite
+def length_and_any_level(draw):
+    """A length in 6..501 and a level of every kind the start estimate must survive."""
+    l = draw(st.integers(6, 501))
+    kind = draw(st.sampled_from(("anywhere", "subnormal", "near peak", "arch-0 switch", "near one")))
+    if kind == "anywhere":
+        y = draw(open_unit)
+    elif kind == "subnormal":
+        y = draw(st.floats(5e-324, 2.2250738585072014e-308, allow_subnormal=True))
+    elif kind == "near peak":
+        peak = draw(st.sampled_from([p.peak_y for p in bump_profiles(KernelSpec(l))[1:]]))
+        y = peak + draw(st.floats(-PEAK_EXCLUSION, PEAK_EXCLUSION))
+    elif kind == "arch-0 switch":
+        y = 1.0 / (l * math.sin(PI / (2 * l))) + draw(st.floats(-1e-12, 1e-12))
+    else:
+        y = 1.0 - draw(st.floats(2.0**-53, 1e-5))
+    return l, y
+
+
+def count_newton_points(monkeypatch):
+    """Route Newton's fused kernel calls through a counter of evaluated points."""
+    counted = [0]
+    fused = levelsets.kernel_values_and_slopes
+
+    def counting(l, x):
+        counted[0] += np.size(x)
+        return fused(l, x)
+
+    monkeypatch.setattr(levelsets, "kernel_values_and_slopes", counting)
+    return counted
 
 
 class TestBumpProfiles:
@@ -188,10 +224,18 @@ class TestMeasureG:
         batch = superlevel_measure_many(spec, ys)
         assert np.array_equal(batch, [superlevel_measure(spec, y) for y in ys])
 
-    @pytest.mark.parametrize("y", [0.0, 1.0, -0.5])
+    @pytest.mark.parametrize("y", [0.0, 1.0, -0.5, math.nan])
     def test_domain_errors(self, y):
         with pytest.raises(DomainError):
             superlevel_measure(KernelSpec(8), y)
+
+    @given(st.integers(6, 60), st.lists(open_unit, min_size=1, max_size=8))
+    def test_one_solve_gives_measure_and_slope_sum(self, l, ys):
+        spec = KernelSpec(l)
+        for y in ys:
+            fused = _measure_and_slope_sum(spec, y)
+            separate = (superlevel_measure(spec, y), slope_sum(spec, y))
+            assert [v.hex() for v in fused] == [v.hex() for v in separate]
 
 
 class TestLevelCrossings:
@@ -235,11 +279,48 @@ class TestLevelCrossings:
     def test_batched_roots_equal_scalar_roots(self, l, ys):
         spec = KernelSpec(l)
         ys = np.array(ys)
-        row, lo, hi, inc, _, _ = _segment_table(spec, ys)
-        batch = _newton_segments(l, ys[row], lo, hi, inc)
+        row, lo, hi, inc, _, arch = _segment_table(spec, ys)
+        batch = _newton_segments(l, ys[row], lo, hi, inc, arch)
         for i, y in enumerate(ys):
             roots, _, _ = level_crossings(spec, y)
             assert np.array_equal(np.sort(batch[row == i]), roots)
+
+
+class TestNewtonStart:
+    @given(length_and_any_level())
+    def test_start_is_finite_inside_its_bracket_and_raises_nothing(self, case):
+        l, y = case
+        spec = KernelSpec(l)
+        ys = np.array([y])
+        row, lo, hi, inc, _, arch = _segment_table(spec, ys)
+        with np.errstate(all="raise"):
+            x = _newton_start(l, ys[row], lo, hi, inc, arch)
+        assert np.all(np.isfinite(x))
+        assert np.all((lo <= x) & (x <= hi))
+
+    @pytest.mark.parametrize("l", [6, 27, 48])
+    def test_rounds_per_row_over_the_default_grid(self, l, monkeypatch):
+        # a midpoint start took about 6 rounds per row here
+        spec = KernelSpec(l)
+        ys = default_level_grid(spec)
+        rows = len(_segment_table(spec, ys)[0])
+        counted = count_newton_points(monkeypatch)
+        superlevel_measure_many(spec, ys)
+        assert counted[0] / rows <= 3.5
+
+    def test_rounds_per_row_on_the_flat_top_of_arch_0(self, monkeypatch):
+        # A midpoint start took about 19 rounds per row here, following noise.
+        # About one row in ten still bisects the noise window for 20-29
+        # rounds, so the mean needs a large sample to be stable.
+        rng = np.random.default_rng(20)
+        cases = [(int(rng.integers(6, 502)), 1.0 - 10.0 ** rng.uniform(-9, -5)) for _ in range(1000)]
+        counted = count_newton_points(monkeypatch)
+        rows = 0
+        for l, y in cases:
+            rows += len(_segment_table(KernelSpec(l), np.array([y]))[0])
+            superlevel_measure(KernelSpec(l), y)
+        assert rows == len(cases)
+        assert counted[0] / rows <= 6.0
 
 
 class TestSignChange:
@@ -284,6 +365,12 @@ class TestSignChange:
 
         assert diff(y0 - 1e-10) < 0.0 < diff(y0 + 1e-10)
 
+    def test_nan_in_scan_rejected(self):
+        scan = default_level_grid(KernelSpec(8))
+        scan[100] = math.nan
+        with pytest.raises(DomainError):
+            detect_sign_change(KernelSpec(8), scan)
+
     def test_short_scan_rejected(self):
         with pytest.raises(PreconditionError):
             detect_sign_change(KernelSpec(8), np.geomspace(1e-3, 0.9, 100))
@@ -308,6 +395,10 @@ class TestPhi:
     def test_rejects_small_exponent(self):
         with pytest.raises(PreconditionError):
             comparison_functional(KernelSpec(8), 1.5, 0.2)
+
+    def test_rejects_nan_exponent(self):
+        with pytest.raises(PreconditionError):
+            comparison_functional(KernelSpec(8), math.nan, 0.5)
 
 
 class TestSlopeBounds:
