@@ -43,9 +43,6 @@ from .quadrature import (
     lp_norm,
 )
 
-THREADS_ENV = "LEBESGUE_LAB_THREADS"
-
-
 @dataclass(frozen=True)
 class RunConfig:
     command: str
@@ -53,7 +50,6 @@ class RunConfig:
     output_path: str
     format: str
     seed: int
-    threads: int
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -72,18 +68,6 @@ def parse_int_range(text: str) -> list[int]:
 
 def parse_float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok]
-
-
-def _resolve_threads(value: str | None) -> int:
-    """The recorded thread count; ``auto`` is 1, the count every command runs on."""
-    if value is None:
-        value = os.environ.get(THREADS_ENV, "auto")
-    if value == "auto":
-        return 1
-    n = int(value)
-    if n < 1:
-        raise ValueError(f"threads must be >= 1, got {n}")
-    return n
 
 
 def _fmt(v) -> str:
@@ -329,9 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Kernel norm bounds, level-set comparison checks, and the "
         "discrete max-entropy power inequality.",
     )
-    parser.add_argument("--threads", default=None, help="thread count recorded in the "
-                        f"report, or 'auto' (default from ${THREADS_ENV}), which "
-                        "records 1; every command runs on one thread")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, out_default="-"):
@@ -409,7 +390,7 @@ def run(args) -> int:
     params = {
         k: v
         for k, v in vars(args).items()
-        if k not in ("command", "out", "format", "seed", "threads") and v is not None
+        if k not in ("command", "out", "format", "seed") and v is not None
     }
     config = RunConfig(
         command=args.command,
@@ -417,7 +398,6 @@ def run(args) -> int:
         output_path=args.out,
         format=_infer_format(args.out, args.format),
         seed=getattr(args, "seed", 0),
-        threads=_resolve_threads(args.threads),
     )
     try:
         return _HANDLERS[args.command](config, args)

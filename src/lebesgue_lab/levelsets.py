@@ -329,27 +329,26 @@ def level_crossings(spec: KernelSpec, y: float):
     """All solutions of g(x) = y in [0, 1/2], with their arch indices.
 
     Returns (roots, arches, increasing) as parallel arrays in left-to-right
-    segment order.  Bracketed Newton (see ``_newton_segments``) pins each
-    root to within a few ulps.
+    segment order; each root lies in its own segment, so the roots ascend.
+    Bracketed Newton (see ``_newton_segments``) pins each root to within a
+    few ulps.
     """
     ys = np.array([float(y)])
     _check_levels(ys)
     _, roots, inc, _, arch = _solve_levels(spec, ys)
-    order = np.argsort(roots, kind="stable")
-    return roots[order], arch[order], inc[order]
+    return roots, arch, inc
 
 
 def _measure_and_slope_sum(spec: KernelSpec, y: float) -> tuple[float, float]:
     """(superlevel_measure(spec, y), slope_sum(spec, y)) from one solve of the level.
 
-    The measure sums the roots in segment order and the slope sum runs over
-    the stably sorted roots, exactly as the two public functions do, so both
-    are bit-identical to theirs.
+    Both sum over the roots in segment order, exactly as the two public
+    functions do, so both are bit-identical to theirs.
     """
     ys = np.array([float(y)])
     row, roots, inc, half, _ = _solve_levels(spec, ys)
     measure = float(_measures(1, row, roots, inc, half)[0])
-    return measure, _inverse_slope_sum(spec.l, np.sort(roots, kind="stable"))
+    return measure, _inverse_slope_sum(spec.l, roots)
 
 
 def default_level_grid(spec: KernelSpec, n: int = 2000) -> np.ndarray:

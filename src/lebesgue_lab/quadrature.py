@@ -24,6 +24,9 @@ computed once and kept in bounded ``lru_cache`` node tables:
 A first pass only raises a table to p; the stop test and split loop are those
 of :func:`adaptive_integral`, and only a bisected piece evaluates its
 integrand again.  Every result is bit-identical to an uncached pass.
+
+Every power is the plain ``values ** p``, at every p: libm ``pow`` is within
+an ulp, and a power that underflows is simply 0.
 """
 
 from __future__ import annotations
@@ -38,9 +41,6 @@ from scipy.special import zeta as hurwitz_zeta
 
 from .errors import DomainError, PreconditionError, VerificationError
 from .kernel import PI, KernelSpec, kernel_values
-
-# powers above this are evaluated as exp(p log g) and negligible arches dropped
-_LOG_DOMAIN_P = 64.0
 
 
 @dataclass(frozen=True)
@@ -258,55 +258,30 @@ def _kernel_table(l: int, k: int) -> np.ndarray:
     return _read_only(kernel_values(l, _pair_abscissae(kept[:, 0], kept[:, 1])))[0]
 
 
-def _powered(values: np.ndarray, p: float, log_domain: bool) -> np.ndarray:
-    """values ** p, or in the log domain exp(p log values) with 0 where values is 0."""
-    if not log_domain:
-        return values**p
-    safe = np.where(values > 0.0, values, 1.0)
-    return np.where(values > 0.0, np.exp(p * np.log(safe)), 0.0)
-
-
-def _power_integrand(base, p: float, log_domain: bool):
-    """The integrand x -> _powered(base(x), p, log_domain)."""
-
-    def fn(x):
-        return _powered(base(x), p, log_domain)
-
-    return fn
-
-
-def _tabled_power_integral(base, table, pieces, p: float, log_domain: bool, cfg):
+def _tabled_power_integral(base, table, pieces, p: float, cfg):
     """adaptive_integral of base(x) ** p over ``pieces``, given base at their pair abscissae."""
     a, b = pieces[:, 0], pieces[:, 1]
-    fn = _power_integrand(base, p, log_domain)
-    return _refine(fn, a, b, *_pair_sums(_powered(table, p, log_domain), a, b), cfg)
+
+    def fn(x):
+        return base(x) ** p
+
+    return _refine(fn, a, b, *_pair_sums(table**p, a, b), cfg)
 
 
-def integrate_kernel_power(
-    spec: KernelSpec,
-    p: float,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-    pieces=None,
-):
-    """2 * integral of g^p over [0, 1/2] on a given partition.
+def integrate_kernel_power(spec: KernelSpec, p: float, cfg: QuadratureConfig = DEFAULT_CONFIG):
+    """2 * integral of g^p over [0, 1/2], on the arches of ``bump_partition(l)``.
 
     Arches whose peak cap satisfies p*log(cap) < log(abs_tol) - log(l) cannot
     matter at the requested tolerance; they are skipped and their width*cap^p
-    bound is charged to the error estimate instead.  On the default partition
-    the first pass raises the cached node table of the kept arches to p;
-    only a bisected piece evaluates g again.
+    bound is charged to the error estimate instead.  The first pass raises
+    the cached node table of the kept arches to p; only a bisected piece
+    evaluates g again.
     """
     l = spec.l
-    base = partial(kernel_values, l)
-    log_domain = p > _LOG_DOMAIN_P
-    if pieces is not None:
-        fn = _power_integrand(base, p, log_domain)
-        value, err, converged = adaptive_integral(fn, pieces, cfg)
-        return 2.0 * value, 2.0 * err, converged
     kept, dropped_err = _kept_arches(l, p, cfg.abs_tol)
     k = len(kept)
     table = (_kernel_table if k <= _TABLE_MAX_ARCHES else _kernel_table.__wrapped__)(l, k)
-    value, err, converged = _tabled_power_integral(base, table, kept, p, log_domain, cfg)
+    value, err, converged = _tabled_power_integral(partial(kernel_values, l), table, kept, p, cfg)
     return 2.0 * value, 2.0 * (err + dropped_err), converged
 
 
@@ -388,16 +363,19 @@ def _sinc_head(m: int):
 
 def _tail_periods(p: float, cfg: QuadratureConfig) -> int:
     # envelope-driven truncation, capped; the zeta tail makes up the rest
-    u_env = max(10.0, (2.0 / ((p - 1.0) * cfg.abs_tol)) ** (1.0 / (p - 1.0)) / PI)
+    scale = 2.0 / ((p - 1.0) * cfg.abs_tol)
+    # the cap is tested on logs: for p near 1 the power below overflows long before it
+    if math.log(scale) / (p - 1.0) > math.log(2048.0 * PI * PI):
+        return 2048
+    u_env = max(10.0, scale ** (1.0 / (p - 1.0)) / PI)
     return min(max(16, math.ceil(u_env / PI)), 2048)
 
 
 @lru_cache(maxsize=4096)
-def _ball_half_cached(p: float, abs_tol: float, rel_tol: float) -> float:
-    cfg = QuadratureConfig(abs_tol=abs_tol, rel_tol=rel_tol)
+def _ball_half_cached(p: float, cfg: QuadratureConfig) -> float:
     m = _tail_periods(p, cfg)
     periods, table = _sinc_head(m)
-    head, head_err, ok1 = _tabled_power_integral(_sinc_modulus, table, periods, p, True, cfg)
+    head, head_err, ok1 = _tabled_power_integral(_sinc_modulus, table, periods, p, cfg)
 
     def tail_fn(t):
         t = np.asarray(t, dtype=float)
@@ -423,7 +401,7 @@ def ball_half(p: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """
     if not p > 1.0:
         raise DomainError(f"sinc-power integral diverges for p <= 1, got {p}")
-    return _ball_half_cached(float(p), cfg.abs_tol, cfg.rel_tol)
+    return _ball_half_cached(float(p), cfg)
 
 
 # the p = 2 case of the sinc bound is an equality; strictness is only

@@ -126,6 +126,18 @@ class TestBallCommand:
         assert records[0]["value"] == pytest.approx(1.0, abs=1e-9)
         assert records[1]["value"] == pytest.approx(2.0 / 3.0, abs=1e-9)
 
+    def test_exponent_near_one(self, tmp_path):
+        out = tmp_path / "ball.json"
+        assert cli.main(["ball", "--p", "1.01", "--out", str(out)]) == 0
+        (record,) = json.loads(out.read_text())["records"]
+        assert math.isfinite(record["value"]) and record["value"] > 1.0
+
+    def test_norm_asymptotic_near_one(self, tmp_path):
+        out = tmp_path / "norm.json"
+        assert cli.main(["lebesgue", "--l", "10", "--p", "1.01", "--out", str(out)]) == 0
+        (record,) = json.loads(out.read_text())["records"]
+        assert math.isfinite(record["asymptotic"])
+
 
 class TestGridCommands:
     @pytest.mark.parametrize(
@@ -163,28 +175,6 @@ class TestGridCommands:
             values.append([(r["l"], r["p"], r["value"])
                            for r in json.loads(out.read_text())["records"]])
         assert values[0] == values[1]
-
-
-class TestSweepCommand:
-    def test_thread_count_does_not_change_output(self, tmp_path):
-        outs = []
-        for threads, name in ((1, "a.csv"), (4, "b.csv")):
-            out = tmp_path / name
-            code = cli.main(
-                ["--threads", str(threads), "sweep", "--l", "6..12", "--p", "2,3",
-                 "--out", str(out)]
-            )
-            assert code == 0
-            outs.append(out.read_text())
-        # the run config embeds the thread count and path; data must not differ
-        def normalize(text):
-            return [
-                line
-                for line in text.splitlines()
-                if not line.startswith(("# threads=", "# output_path="))
-            ]
-
-        assert normalize(outs[0]) == normalize(outs[1])
 
 
 class TestPlotData:
@@ -246,34 +236,6 @@ class TestUsageErrors:
         assert not out.exists()
 
 
-class TestThreadsEnvironment:
-    def test_env_variable_sets_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.THREADS_ENV, "3")
-        out = tmp_path / "r.json"
-        assert cli.main(["lebesgue", "--l", "6..6", "--p", "2", "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["config"]["threads"] == 3
-
-    def test_flag_overrides_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.THREADS_ENV, "3")
-        out = tmp_path / "r.json"
-        assert cli.main(["--threads", "1", "lebesgue", "--l", "6..6", "--p", "2",
-                         "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["config"]["threads"] == 1
-
-    @pytest.mark.parametrize("flag, env", [(None, None), ("auto", None), (None, "auto")])
-    def test_auto_records_one_thread(self, tmp_path, monkeypatch, flag, env):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8)
-        if env is None:
-            monkeypatch.delenv(cli.THREADS_ENV, raising=False)
-        else:
-            monkeypatch.setenv(cli.THREADS_ENV, env)
-        out = tmp_path / "r.json"
-        argv = (["--threads", flag] if flag else []) + ["lebesgue", "--l", "6..6", "--p", "2",
-                                                        "--out", str(out)]
-        assert cli.main(argv) == 0
-        assert json.loads(out.read_text())["config"]["threads"] == 1
-
-
 class TestSuiteCommand:
     def test_exit_codes_follow_results(self, tmp_path, monkeypatch):
         from lebesgue_lab import acceptance
@@ -299,7 +261,7 @@ class TestReportHygiene:
         out = tmp_path / "r.json"
         assert cli.main(["lebesgue", "--l", "6..6", "--p", "2", "--out", str(out)]) == 0
         config = json.loads(out.read_text())["config"]
-        assert set(config) >= {"command", "parameters", "output_path", "format", "seed", "threads"}
+        assert set(config) >= {"command", "parameters", "output_path", "format", "seed"}
 
     def test_csv_parses_with_stdlib_reader(self, tmp_path):
         out = tmp_path / "r.csv"

@@ -1,5 +1,6 @@
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from lebesgue_lab.quadrature import (
     norm_bound,
 )
 
-# the benchmark's norm-grid exponents, plus both sides of the log-domain switch at 64
+# the benchmark's norm-grid exponents, plus 64, 64.5 and 65 around the old exp-log switch
 ARCH_P_GRID = (2.0, 2.5, 3.0, 4.0, 8.0, 16.0, 32.0, 128.0, 64.0, 64.5, 65.0)
 # ARCH_P_GRID plus an exponent next to 2 and one off the integers; 2.5 splits
 NORM_P_GRID = ARCH_P_GRID + (2.0001, 7.3)
@@ -36,30 +37,20 @@ NAN = float("nan")
 
 
 def uncached_power_integrand(l, p):
-    """g^p evaluated from x on every call, as exp(p log g) above p = 64."""
-    if p > 64.0:
+    """g^p evaluated from x on every call."""
 
-        def fn(x):
-            g = kernel_values(l, x)
-            safe = np.where(g > 0.0, g, 1.0)
-            return np.where(g > 0.0, np.exp(p * np.log(safe)), 0.0)
-
-    else:
-
-        def fn(x):
-            return kernel_values(l, x) ** p
+    def fn(x):
+        return kernel_values(l, x) ** p
 
     return fn
 
 
 def uncached_sinc_integrand(p):
-    """|sin u / u|^p evaluated from u on every call, always as exp(p log s)."""
+    """|sin u / u|^p evaluated from u on every call."""
 
     def fn(u):
         u = np.asarray(u, dtype=float)
-        s = np.where(u != 0.0, np.abs(np.sin(u) / np.where(u != 0.0, u, 1.0)), 1.0)
-        safe = np.where(s > 0.0, s, 1.0)
-        return np.where(s > 0.0, np.exp(p * np.log(safe)), 0.0)
+        return np.where(u != 0.0, np.abs(np.sin(u) / np.where(u != 0.0, u, 1.0)), 1.0) ** p
 
     return fn
 
@@ -76,6 +67,12 @@ def uncached_ball_half(p, cfg=DEFAULT_CONFIG):
     tail, _, ok2 = adaptive_integral(tail_fn, _intervals(np.arange(5) * PI / 4.0), cfg)
     assert ok1 and ok2
     return head + tail
+
+
+def envelope_tail_periods(p, cfg):
+    """The head's period count as the envelope formula gives it, power first and cap last."""
+    u_env = max(10.0, (2.0 / ((p - 1.0) * cfg.abs_tol)) ** (1.0 / (p - 1.0)) / PI)
+    return min(max(16, math.ceil(u_env / PI)), 2048)
 
 
 def clear_caches():
@@ -133,14 +130,11 @@ class TestLpNorm:
 
     @pytest.mark.parametrize("l,p", [(6, 2.0), (9, 3.0), (9, 2.0)])
     def test_partition_invariance(self, l, p):
-        spec = KernelSpec(l)
-        default_val, _, _ = integrate_kernel_power(spec, p)
+        default_val, _, _ = integrate_kernel_power(KernelSpec(l), p)
         cuts = np.linspace(0.0, 0.5, 4 * l + 1)
-        uniform_val, _, ok = integrate_kernel_power(
-            spec, p, pieces=list(zip(cuts[:-1], cuts[1:]))
-        )
+        uniform_half, _, ok = adaptive_integral(uncached_power_integrand(l, p), _intervals(cuts))
         assert ok
-        assert abs(default_val - uniform_val) <= 1e-10
+        assert abs(default_val - 2.0 * uniform_half) <= 1e-10
 
     def test_large_power_survives_underflow(self):
         r = lp_norm(KernelSpec(30), 120.0, include_asymptotic=False)
@@ -246,6 +240,57 @@ class TestBallIntegral:
         clear_caches()
         for p in np.linspace(1.05, 130.0, 200).tolist():
             assert ball_half(p).hex() == uncached_ball_half(p).hex(), p
+
+    def test_finite_and_falling_near_one(self):
+        # the envelope formula overflows here; the head stops at the cap of 2048 periods
+        ps = (1.001, 1.01, 1.03)
+        values = [ball_half(p) for p in ps]
+        assert all(math.isfinite(v) for v in values)
+        assert values[0] > values[1] > values[2]
+        # the integral grows like 2/(pi (p - 1)) as p falls to 1
+        for p, v in zip(ps, values):
+            assert 2.0 / PI < (p - 1.0) * v < 0.7
+
+    @pytest.mark.parametrize("abs_tol", [1e-15, 1e-12, 1e-6])
+    def test_tail_periods_match_envelope_formula(self, abs_tol):
+        cfg = QuadratureConfig(abs_tol=abs_tol)
+        counts = set()
+        for p in np.linspace(1.05, 130.0, 5000).tolist():
+            try:
+                expected = envelope_tail_periods(p, cfg)
+            except OverflowError:
+                expected = 2048
+            assert _tail_periods(p, cfg) == expected, p
+            counts.add(expected)
+        assert min(counts) == 16 and max(counts) == 2048  # both ends of the clamp are crossed
+
+    def test_caller_budget_reaches_refinement(self, monkeypatch):
+        budgets = []
+
+        def spy(fn, a, b, i31, err, cfg):
+            budgets.append(cfg.max_subdivisions)
+            return refine(fn, a, b, i31, err, cfg)
+
+        refine = quadrature._refine
+        monkeypatch.setattr(quadrature, "_refine", spy)
+        clear_caches()
+        ball_half(3.0, QuadratureConfig(max_subdivisions=1))
+        assert budgets and set(budgets) == {1}
+
+
+class TestAcrossSixtyFour:
+    # both sides of 64, where powers once switched to exp(p log g), and far past
+    # it, where every arch but the first is dropped
+    @pytest.mark.parametrize("l", [6, 64, 1000])
+    def test_converges_falls_and_stays_below_bound(self, l):
+        ps = (63.9, 64.0, 64.1, 65.0, 128.0, 500.0, 1e4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = [lp_norm(KernelSpec(l), p) for p in ps]
+        assert all(r.converged for r in results)
+        values = [r.value for r in results]
+        assert all(a >= b for a, b in zip(values, values[1:]))
+        assert all(r.value + r.abs_error_estimate < norm_bound(l, r.p) for r in results)
 
 
 class TestAsymptoticComparison:
@@ -438,6 +483,7 @@ class TestAdaptiveIntegral:
             uncached_power_integrand(9, 100.0),
             uncached_sinc_integrand(3.0),
         ],
+        # p = 100 lies past the old exp(p log g) switch at 64, hence its id
         ids=["power", "log-domain power", "sinc power"],
     )
     def test_pair_eval_matches_two_calls(self, fn):
