@@ -177,7 +177,7 @@ def gaussian_values(l: int, x: np.ndarray) -> np.ndarray:
 
 def eval_gaussian(tg: TruncatedGaussian, x: float) -> float:
     """Truncated Gaussian: the exponential on [0, x_c], zero beyond."""
-    if x < 0.0:
+    if not x >= 0.0:
         raise DomainError(f"x = {x} must be >= 0")
     if x > tg.x_c:
         return 0.0

@@ -25,6 +25,16 @@ A first pass only raises a table to p; the stop test and split loop are those
 of :func:`adaptive_integral`, and only a bisected piece evaluates its
 integrand again.  Every result is bit-identical to an uncached pass.
 
+The split loop is the globally adaptive one of QUADPACK: pop the piece with
+the largest error, bisect it, push its halves.  Its integrand calls come in
+rounds.  One call evaluates both halves of every piece the loop is certain to
+bisect before it can stop (each such piece and those after it in heap order
+carry more error than the tolerance allows), and the loop then applies the
+bisections one at a time in its own heap order.  So every value, error and
+flag is that of one call per bisection, bit for bit, and no half is
+evaluated that the loop does not use unless the subdivision budget runs out
+first.
+
 Every power is the plain ``values ** p``, at every p: libm ``pow`` is within
 an ulp, and a power that underflows is simply 0.
 """
@@ -52,10 +62,10 @@ class QuadratureConfig:
     max_subdivisions: int = 10_000
 
     def __post_init__(self):
-        if self.abs_tol < 1e-15:
-            raise DomainError(f"abs_tol must be >= 1e-15, got {self.abs_tol}")
-        if self.rel_tol <= 0.0:
-            raise DomainError(f"rel_tol must be > 0, got {self.rel_tol}")
+        if not (self.abs_tol >= 1e-15 and math.isfinite(self.abs_tol)):
+            raise DomainError(f"abs_tol must be finite and >= 1e-15, got {self.abs_tol}")
+        if not (self.rel_tol > 0.0 and math.isfinite(self.rel_tol)):
+            raise DomainError(f"rel_tol must be finite and > 0, got {self.rel_tol}")
         if not 1 <= self.max_subdivisions <= 10**6:
             raise DomainError(f"max_subdivisions outside [1, 1e6]: {self.max_subdivisions}")
 
@@ -104,24 +114,32 @@ def _pair_nodes():
 
 
 def _pair_abscissae(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The 15-node abscissae of every interval (a, b), then the 31-node ones."""
+    """The 15-node abscissae of every interval (a, b), then the 31-node ones.
+
+    ``a`` and ``b`` may have any shape; each half lists the intervals in
+    their C order, with the node index last.
+    """
     x15, _, x31, _ = _pair_nodes()
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    return np.concatenate([(mid[:, None] + half[:, None] * x).ravel() for x in (x15, x31)])
+    return np.concatenate([(mid[..., None] + half[..., None] * x).ravel() for x in (x15, x31)])
 
 
 def _pair_sums(f: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """(I31, |I31 - I15|) from integrand values ``f`` at ``_pair_abscissae(a, b)``.
+    """(I31, |I31 - I15|), shaped like ``a``, from values ``f`` at ``_pair_abscissae(a, b)``.
 
-    Each half of ``f`` is reshaped in place, so the two weight products read
-    contiguous (n, 15) and (n, 31) blocks.
+    Each half of ``f`` is reshaped in place to ``a.shape + (15,)`` and
+    ``a.shape + (31,)``, so the two weight products read contiguous blocks.
+    The shape decides the BLAS calls: an (n, m) block is one matrix-vector
+    product, a stacked (k, 2, m) block is k products of (2, m).  Rows of the
+    two can differ in their last bits, so the two halves of a bisected piece
+    are always one (2, m) product, however many pieces are bisected with it.
     """
     _, w15, _, w31 = _pair_nodes()
-    n = len(a)
+    n = a.size
     half = 0.5 * (b - a)
-    i15 = half * (f[: 15 * n].reshape(n, 15) @ w15)
-    i31 = half * (f[15 * n :].reshape(n, 31) @ w31)
+    i15 = half * (f[: 15 * n].reshape(*a.shape, 15) @ w15)
+    i31 = half * (f[15 * n :].reshape(*a.shape, 31) @ w31)
     return i31, np.abs(i31 - i15)
 
 
@@ -141,8 +159,10 @@ def adaptive_integral(fn, pieces, cfg: QuadratureConfig = DEFAULT_CONFIG):
     holds, that is the answer; otherwise the piece with the largest error
     estimate is bisected until it holds or the budget of
     ``cfg.max_subdivisions`` bisections per initial piece is spent.  The
-    value and the error are ``math.fsum`` totals, which are correctly
-    rounded, so they do not depend on the refinement history.
+    bisections are evaluated in rounds, one call of ``fn`` each, and applied
+    in that order (see :func:`_refine`).  The value and the error are
+    ``math.fsum`` totals, which are correctly rounded, so they do not depend
+    on the refinement history.
     """
     pieces = np.asarray(pieces, dtype=float).reshape(-1, 2)
     pieces = pieces[pieces[:, 1] > pieces[:, 0]]
@@ -155,8 +175,15 @@ def adaptive_integral(fn, pieces, cfg: QuadratureConfig = DEFAULT_CONFIG):
 def _refine(fn, a, b, i31, err, cfg: QuadratureConfig):
     """The stop test and split loop of :func:`adaptive_integral`.
 
-    Takes the first pass's (I31, error) per piece (a, b); ``fn`` is called
-    only when a piece has to be bisected.
+    Takes the first pass's (I31, error) per piece (a, b).  The loop pops the
+    piece with the largest error, bisects it and pushes its halves, one piece
+    at a time, until the stop test holds or the budget is spent.  ``fn`` is
+    called in rounds: when the loop pops a piece whose halves are not yet
+    evaluated, :func:`_bisection_round` evaluates the halves of every piece
+    the loop is certain to bisect next, with one call.  The loop itself is
+    unchanged, so every value, error and flag is that of one call per
+    bisection, bit for bit.  A round evaluates a piece that the loop never
+    bisects only when the budget runs out before the loop reaches it.
     """
     total = float(np.sum(i31))
     total_err = float(np.sum(err))
@@ -167,14 +194,17 @@ def _refine(fn, a, b, i31, err, cfg: QuadratureConfig):
         heapq.heapify(heap)
         budget = cfg.max_subdivisions * len(a)
         splits = 0
-        while total_err > max(cfg.abs_tol, cfg.rel_tol * abs(total)) and splits < budget:
+        halves = {}
+        while total_err > (tol := max(cfg.abs_tol, cfg.rel_tol * abs(total))) and splits < budget:
+            if heap[0][1:3] not in halves:
+                halves.update(_bisection_round(fn, heap, halves, total_err - tol, budget - splits))
             neg_e, lo, hi, v = heapq.heappop(heap)
             m = 0.5 * (lo + hi)
-            ci, ce = _pair_eval(fn, np.array([lo, m]), np.array([m, hi]))
-            total += float(ci.sum()) - v
-            total_err += float(ce.sum()) + neg_e
-            heapq.heappush(heap, (-float(ce[0]), lo, m, float(ci[0])))
-            heapq.heappush(heap, (-float(ce[1]), m, hi, float(ci[1])))
+            ci_sum, ce_sum, (c0, c1), (e0, e1) = halves.pop((lo, hi))
+            total += ci_sum - v
+            total_err += ce_sum + neg_e
+            heapq.heappush(heap, (-e0, lo, m, c0))
+            heapq.heappush(heap, (-e1, m, hi, c1))
             splits += 1
         values = [v for _, _, _, v in heap]
         errors = [-neg_e for neg_e, _, _, _ in heap]
@@ -182,6 +212,46 @@ def _refine(fn, a, b, i31, err, cfg: QuadratureConfig):
     error = math.fsum(errors)
     converged = error <= max(cfg.abs_tol, cfg.rel_tol * abs(value))
     return value, error, converged
+
+
+def _bisection_round(fn, heap, halves, excess: float, room: int):
+    """The halves of the pieces that :func:`_refine` must bisect next, from one call of ``fn``.
+
+    Walks ``heap`` in pop order and takes pieces while the summed error of
+    those already taken is below ``excess``, by which the total error exceeds
+    the tolerance, and while fewer than ``room`` (the remaining budget) are
+    taken.  A taken piece and the pieces after it in pop order carry more
+    error than the tolerance allows, so in exact arithmetic the loop cannot
+    stop before it bisects that piece.  Pieces already in ``halves`` count
+    but are not evaluated again.  Returns ((lo, hi), (I31 sum, error sum, I31 of the halves,
+    their errors)) pairs; each sum is its own pair's, as one bisection's
+    ``.sum()`` would give it.
+    """
+    taken = []
+    summed = 0.0
+    for neg_e, lo, hi, _ in _pop_order(heap):
+        if not (room and summed < excess):
+            break
+        if (lo, hi) not in halves:
+            taken.append((lo, hi))
+        summed -= neg_e
+        room -= 1
+    # row j is (lo, mid, hi) of piece j: its halves are the (k, 2) views below
+    cuts = np.array([(lo, 0.5 * (lo + hi), hi) for lo, hi in taken])
+    ci, ce = _pair_eval(fn, cuts[:, :2], cuts[:, 1:])
+    sums = zip(ci.sum(axis=1).tolist(), ce.sum(axis=1).tolist(), ci.tolist(), ce.tolist())
+    return zip(taken, sums)
+
+
+def _pop_order(heap):
+    """The entries of ``heap`` in the order heappop would return them, lazily."""
+    frontier = [(heap[0], 0)]
+    while frontier:
+        entry, i = heapq.heappop(frontier)
+        yield entry
+        for child in (2 * i + 1, 2 * i + 2):
+            if child < len(heap):
+                heapq.heappush(frontier, (heap[child], child))
 
 
 def bump_partition(l: int) -> np.ndarray:

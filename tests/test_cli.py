@@ -216,6 +216,15 @@ class TestUsageErrors:
                          "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("option", ["--abs-tol", "--rel-tol"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_tolerance_is_usage_error(self, tmp_path, capsys, option, value):
+        out = tmp_path / "x.json"
+        code = cli.main(["certify", "--l", "6", "--p", "2", option, value, "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {option[2:].replace('-', '_')} must be")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["epi-check", "rogozin"])
     def test_generation_failure_is_reported(self, tmp_path, capsys, command):
         # seed 0 at l in 100..300 exhausts random_pmf's max-adjustment rounds

@@ -176,6 +176,10 @@ class TestTruncatedGaussian:
         with pytest.raises(DomainError):
             eval_gaussian(TruncatedGaussian.from_length(8), -1e-9)
 
+    def test_nan_abscissa_rejected(self):
+        with pytest.raises(DomainError):
+            eval_gaussian(TruncatedGaussian.from_length(8), float("nan"))
+
     @given(st.integers(min_value=2, max_value=300), st.floats(min_value=0.0, max_value=1.0))
     def test_bounded_by_one(self, l, x):
         assert 0.0 <= eval_gaussian(TruncatedGaussian.from_length(l), x) <= 1.0

@@ -1,4 +1,5 @@
 import functools
+import heapq
 import math
 import warnings
 
@@ -7,8 +8,10 @@ import pytest
 from scipy.special import zeta as hurwitz_zeta
 
 from lebesgue_lab import quadrature
+from lebesgue_lab.epi import CASE_HOLDER, holder_exponents, random_instance
 from lebesgue_lab.errors import DomainError, PreconditionError
 from lebesgue_lab.kernel import PI, KernelSpec, kernel_values
+from lebesgue_lab.levelsets import comparison_functional
 from lebesgue_lab.quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
@@ -336,6 +339,12 @@ class TestQuadratureConfig:
         with pytest.raises(DomainError):
             QuadratureConfig(abs_tol=1e-16)
 
+    @pytest.mark.parametrize("field", ["abs_tol", "rel_tol"])
+    @pytest.mark.parametrize("value", [NAN, math.inf, 0.0, -1.0])
+    def test_rejects_non_finite_or_non_positive_tolerance(self, field, value):
+        with pytest.raises(DomainError):
+            QuadratureConfig(**{field: value})
+
     def test_rejects_budget_overflow(self):
         with pytest.raises(DomainError):
             QuadratureConfig(max_subdivisions=10**7)
@@ -372,9 +381,11 @@ def two_call_pair_eval(fn, a, b):
 def counted(fn):
     def wrapper(x):
         wrapper.calls += 1
+        wrapper.points += np.size(x)
         return fn(x)
 
     wrapper.calls = 0
+    wrapper.points = 0
     return wrapper
 
 
@@ -467,6 +478,18 @@ class TestAdaptiveIntegral:
         assert fn.calls == 1 and ok
         assert value == pytest.approx(64.0 / 6.0, rel=1e-15)
 
+    def test_independent_singular_pieces_bisect_in_rounds(self):
+        # sqrt(x - k) on each [k, k+1]: four pieces that need splitting at once
+        cfg = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=3)
+        fn = counted(lambda x: np.sqrt(x - np.floor(x)))
+        pieces = [(k, k + 1.0) for k in range(4)]
+        value, err, ok = adaptive_integral(fn, pieces, cfg)
+        budget = 3 * len(pieces)
+        assert not ok
+        assert fn.points == 46 * len(pieces) + 92 * budget  # the first pass, then every split
+        assert fn.calls < 1 + budget
+        assert value == pytest.approx(4.0 / 1.5, rel=1e-6)
+
     def test_budget_exhausted_through_the_heap(self):
         cfg = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=3)
         fn = counted(np.sqrt)
@@ -496,3 +519,147 @@ class TestAdaptiveIntegral:
             o31, oerr = two_call_pair_eval(fn, a, b)
             assert one.calls == 1
             assert i31.tobytes() == o31.tobytes() and err.tobytes() == oerr.tobytes()
+
+
+def serial_refine(fn, a, b, i31, err, cfg):
+    """The split loop of ``_refine`` with one call of ``fn`` per bisection.
+
+    Returns (value, error, converged, splits).
+    """
+    total = float(np.sum(i31))
+    total_err = float(np.sum(err))
+    splits = 0
+    if total_err <= max(cfg.abs_tol, cfg.rel_tol * abs(total)):
+        values, errors = i31.tolist(), err.tolist()
+    else:
+        heap = list(zip((-err).tolist(), a.tolist(), b.tolist(), i31.tolist()))
+        heapq.heapify(heap)
+        budget = cfg.max_subdivisions * len(a)
+        while total_err > max(cfg.abs_tol, cfg.rel_tol * abs(total)) and splits < budget:
+            neg_e, lo, hi, v = heapq.heappop(heap)
+            m = 0.5 * (lo + hi)
+            ci, ce = _pair_eval(fn, np.array([lo, m]), np.array([m, hi]))
+            total += float(ci.sum()) - v
+            total_err += float(ce.sum()) + neg_e
+            heapq.heappush(heap, (-float(ce[0]), lo, m, float(ci[0])))
+            heapq.heappush(heap, (-float(ce[1]), m, hi, float(ci[1])))
+            splits += 1
+        values = [v for _, _, _, v in heap]
+        errors = [-neg_e for neg_e, _, _, _ in heap]
+    value = math.fsum(values)
+    error = math.fsum(errors)
+    return value, error, error <= max(cfg.abs_tol, cfg.rel_tol * abs(value)), splits
+
+
+def hexed(result):
+    value, error, converged = result
+    return value.hex(), error.hex(), converged
+
+
+@pytest.fixture
+def serial_oracle(monkeypatch):
+    """Check every ``_refine`` call against :func:`serial_refine` on the same first pass.
+
+    Value, error and flag must agree in ``float.hex``.  The integrand points
+    must be equal too whenever the serial loop stopped on its tolerance, so
+    no round evaluates a piece that is never bisected; when the budget runs
+    out first, the loop may never reach a piece that a round evaluated.
+    Returns the list of (round calls, serial calls) per checked refinement.
+    """
+    refine = quadrature._refine
+    checked = []
+
+    def spy(fn, a, b, i31, err, cfg):
+        rounds, serial = counted(fn), counted(fn)
+        got = refine(rounds, a, b, i31, err, cfg)
+        *want, splits = serial_refine(serial, a, b, i31, err, cfg)
+        assert hexed(got) == hexed(want)
+        if splits < cfg.max_subdivisions * len(a):
+            assert rounds.points == serial.points
+        assert rounds.calls <= serial.calls
+        checked.append((rounds.calls, serial.calls))
+        return got
+
+    monkeypatch.setattr(quadrature, "_refine", spy)
+    return checked
+
+
+def random_tuples(seed, count):
+    rng = np.random.default_rng(seed)
+    return [rng.integers(6, 31, size=rng.integers(2, 6)).tolist() for _ in range(count)]
+
+
+class TestRefinementRounds:
+    @pytest.mark.parametrize("p", NORM_P_GRID)
+    def test_kernel_powers_match_serial_loop(self, serial_oracle, p):
+        for l in sorted({*range(6, 201), *range(6, 1001, 37)}):
+            integrate_kernel_power(KernelSpec(l), p)
+        if p == 2.5:
+            assert sum(serial for _, serial in serial_oracle) > 2 * sum(r for r, _ in serial_oracle)
+
+    def test_chain_exponents_match_serial_loop(self, serial_oracle):
+        for seed in range(300):
+            instance = random_instance(seed)
+            if instance.case == CASE_HOLDER:
+                for l, p in zip(instance.l_indices, holder_exponents(instance.l_indices)):
+                    integrate_kernel_power(KernelSpec(l), p)
+        assert len(serial_oracle) > 300
+
+    def test_product_kernel_matches_serial_loop(self, serial_oracle):
+        for ls in random_tuples(29, 200):
+            product_kernel_l1(ls)
+        assert len(serial_oracle) == 200
+
+    @pytest.mark.parametrize("p", [1.001, 1.01, 1.03, 1.5, 2.5, 130.0])
+    def test_sinc_power_matches_serial_loop(self, serial_oracle, p):
+        clear_caches()
+        ball_half(p)
+        assert len(serial_oracle) == 2  # the head and the zeta tail
+
+    def test_comparison_functional_matches_serial_loop(self, serial_oracle):
+        for l in (6, 9, 40):
+            for p in (2.0, 2.5, 7.3):
+                comparison_functional(KernelSpec(l), p, 0.3)
+        assert len(serial_oracle) == 18
+
+    @pytest.mark.parametrize("max_subdivisions", [1, 3])
+    @pytest.mark.parametrize("tol", [None, 1e-15], ids=["default-tol", "tight-tol"])
+    def test_budget_limited_match_serial_loop(self, serial_oracle, max_subdivisions, tol):
+        tols = {} if tol is None else {"abs_tol": tol, "rel_tol": tol}
+        cfg = QuadratureConfig(max_subdivisions=max_subdivisions, **tols)
+        converged = []
+        for l in (6, 7, 13, 64, 301):
+            for p in NORM_P_GRID:
+                converged.append(integrate_kernel_power(KernelSpec(l), p, cfg)[2])
+        for ls in random_tuples(31, 20):
+            converged.append(product_kernel_l1(ls, cfg)[2])
+        if tol is not None:
+            assert not all(converged)  # the budget runs out somewhere
+
+    def test_sinc_power_near_one_makes_few_calls(self, monkeypatch):
+        calls = []
+
+        def spy(fn, a, b):
+            calls.append(len(a))
+            return pair_eval(fn, a, b)
+
+        pair_eval = quadrature._pair_eval
+        monkeypatch.setattr(quadrature, "_pair_eval", spy)
+        clear_caches()
+        ball_half(1.01)
+        # one call per round: about 18,000 when every bisection was its own call
+        assert len(calls) <= 64
+
+
+class TestStackedPairProducts:
+    @pytest.mark.parametrize("m", [15, 31])
+    def test_stacked_product_equals_one_product_per_pair(self, m):
+        # _pair_sums evaluates the halves of k pieces as (k, 2, m) @ w; that is
+        # k products of (2, m), byte for byte, where a flat (2k, m) @ w need not be
+        w = {15: _pair_nodes()[1], 31: _pair_nodes()[3]}[m]
+        rng = np.random.default_rng(m)
+        for k in range(1, 301):
+            f = rng.uniform(0.0, 1.0, 2 * k * m + 7)[7:]  # an offset view, as in _pair_sums
+            stacked = f.reshape(k, 2, m) @ w
+            pairs = np.stack([f[2 * m * j : 2 * m * (j + 1)].reshape(2, m) @ w for j in range(k)])
+            assert stacked.tobytes() == pairs.tobytes(), k
