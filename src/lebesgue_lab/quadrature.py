@@ -18,8 +18,8 @@ computed once and kept in bounded ``lru_cache`` node tables:
 * ``_kernel_table(l, k)``: g at the 15/31 abscissae of the first k arches,
   keyed by the kept-prefix length k, so an exponent that drops arches never
   evaluates them (tables of more than 4096 arches are not kept);
-* ``_sinc_head(m)``: |sin u / u| at the abscissae of the first m periods of
-  the sinc head (every p <= 3 sweeps m = 2048).
+* ``_sinc_head()``: |sin u / u| at the abscissae of the sinc head, the
+  first 16 periods, one table for every p.
 
 A first pass only raises a table to p; the stop test and split loop are those
 of :func:`adaptive_integral`, and only a bisected piece evaluates its
@@ -373,8 +373,8 @@ def lp_norm(
     reference: (2/pi) * integral_0^inf |sin u / u|^p du / l for p > 1 and
     4 log(l) / (pi^2 l) for p = 1.
     """
-    if not p >= 1.0:
-        raise DomainError(f"exponent p must be >= 1, got {p}")
+    if not (p >= 1.0 and math.isfinite(p)):
+        raise DomainError(f"exponent p must be finite and >= 1, got {p}")
     value, err, converged = integrate_kernel_power(spec, p, cfg)
     bound = norm_bound(spec.l, p) if (p >= 2.0 and spec.l >= 6) else None
     asymptotic = asymptotic_reference(spec.l, p, cfg) if include_asymptotic else None
@@ -397,7 +397,7 @@ def certify_bound(
         raise PreconditionError(f"certification requires l >= 6, got {spec.l}")
     if p < 2.0:
         raise PreconditionError(f"certification requires p >= 2, got {p}")
-    # a NaN exponent passes the test above; lp_norm rejects it with DomainError
+    # a NaN or infinite exponent passes the test above; lp_norm rejects it with DomainError
     r = lp_norm(spec, p, cfg, include_asymptotic=False)
     bound = norm_bound(spec.l, p)
     passed = r.converged and (r.value + r.abs_error_estimate < bound)
@@ -424,32 +424,25 @@ def _sinc_modulus(u: np.ndarray) -> np.ndarray:
     return np.where(u != 0.0, np.abs(np.sin(u) / np.where(u != 0.0, u, 1.0)), 1.0)
 
 
-@lru_cache(maxsize=8)
-def _sinc_head(m: int):
-    """(the periods [j pi, (j+1) pi] for j < m, |sin u / u| at their pair abscissae)."""
-    head = _intervals(np.arange(m + 1) * PI)
+# the sinc head spans this many periods; the zeta tail folds in all the rest
+_HEAD_PERIODS = 16
+
+
+@lru_cache(maxsize=None)
+def _sinc_head():
+    """(the first _HEAD_PERIODS periods [j pi, (j+1) pi], |sin u / u| at their pair abscissae)."""
+    head = _intervals(np.arange(_HEAD_PERIODS + 1) * PI)
     return _read_only(head, _sinc_modulus(_pair_abscissae(head[:, 0], head[:, 1])))
-
-
-def _tail_periods(p: float, cfg: QuadratureConfig) -> int:
-    # envelope-driven truncation, capped; the zeta tail makes up the rest
-    scale = 2.0 / ((p - 1.0) * cfg.abs_tol)
-    # the cap is tested on logs: for p near 1 the power below overflows long before it
-    if math.log(scale) / (p - 1.0) > math.log(2048.0 * PI * PI):
-        return 2048
-    u_env = max(10.0, scale ** (1.0 / (p - 1.0)) / PI)
-    return min(max(16, math.ceil(u_env / PI)), 2048)
 
 
 @lru_cache(maxsize=4096)
 def _ball_half_cached(p: float, cfg: QuadratureConfig) -> float:
-    m = _tail_periods(p, cfg)
-    periods, table = _sinc_head(m)
+    periods, table = _sinc_head()
     head, head_err, ok1 = _tabled_power_integral(_sinc_modulus, table, periods, p, cfg)
 
     def tail_fn(t):
         t = np.asarray(t, dtype=float)
-        return np.sin(t) ** p * PI ** (-p) * hurwitz_zeta(p, m + t / PI)
+        return np.sin(t) ** p * PI ** (-p) * hurwitz_zeta(p, _HEAD_PERIODS + t / PI)
 
     quarters = _intervals(np.arange(5) * PI / 4.0)
     tail, tail_err, ok2 = adaptive_integral(tail_fn, quarters, cfg)
@@ -464,13 +457,13 @@ def _ball_half_cached(p: float, cfg: QuadratureConfig) -> float:
 def ball_half(p: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """integral_0^infty |sin u / u|^p du for p > 1.
 
-    Computed as a finite sweep over whole periods plus the exact remainder
-    sum folded through the Hurwitz zeta function:
+    Computed as a sweep over the first m = 16 periods plus the exact
+    remainder sum folded through the Hurwitz zeta function:
 
         integral_{m pi}^infty = integral_0^pi sin^p(t) pi^{-p} zeta(p, m + t/pi) dt.
     """
-    if not p > 1.0:
-        raise DomainError(f"sinc-power integral diverges for p <= 1, got {p}")
+    if not (p > 1.0 and math.isfinite(p)):
+        raise DomainError(f"sinc-power integral needs a finite p > 1, got {p}")
     return _ball_half_cached(float(p), cfg)
 
 
@@ -481,8 +474,8 @@ _BALL_EQUALITY_WINDOW = 1e-6
 
 def ball_integral(p: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """integral_R |sin(pi x)/(pi x)|^p dx, checked against sqrt(2/p) for p >= 2."""
-    if not p > 1.0:
-        raise DomainError(f"integral diverges for p <= 1, got {p}")
+    if not (p > 1.0 and math.isfinite(p)):
+        raise DomainError(f"integral needs a finite p > 1, got {p}")
     value = (2.0 / PI) * ball_half(p, cfg)
     if p >= 2.0:
         bound = math.sqrt(2.0 / p)

@@ -225,6 +225,19 @@ class TestUsageErrors:
         assert capsys.readouterr().err.startswith(f"error: {option[2:].replace('-', '_')} must be")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["certify", "--l", "10"], ["sweep", "--l", "10"], ["ball"]],
+        ids=["certify", "sweep", "ball"],
+    )
+    def test_infinite_exponent_is_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.json"
+        assert cli.main([*argv, "--p", "inf", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        # the library's DomainError, not a bare "math domain error" from math.sqrt
+        assert err.startswith("error: ") and "finite" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["epi-check", "rogozin"])
     def test_generation_failure_is_reported(self, tmp_path, capsys, command):
         # seed 0 at l in 100..300 exhausts random_pmf's max-adjustment rounds

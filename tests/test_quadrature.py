@@ -3,6 +3,7 @@ import heapq
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import zeta as hurwitz_zeta
@@ -20,7 +21,6 @@ from lebesgue_lab.quadrature import (
     _pair_eval,
     _pair_nodes,
     _product_cuts,
-    _tail_periods,
     adaptive_integral,
     asymptotic_comparison,
     ball_half,
@@ -37,6 +37,9 @@ ARCH_P_GRID = (2.0, 2.5, 3.0, 4.0, 8.0, 16.0, 32.0, 128.0, 64.0, 64.5, 65.0)
 # ARCH_P_GRID plus an exponent next to 2 and one off the integers; 2.5 splits
 NORM_P_GRID = ARCH_P_GRID + (2.0001, 7.3)
 NAN = float("nan")
+INF = float("inf")
+# the sinc head spans this many periods; the zeta tail carries the rest
+HEAD_PERIODS = 16
 
 
 def uncached_power_integrand(l, p):
@@ -59,23 +62,31 @@ def uncached_sinc_integrand(p):
 
 
 def uncached_ball_half(p, cfg=DEFAULT_CONFIG):
-    """The sinc-power half-line integral with the head evaluated from u."""
-    m = _tail_periods(p, cfg)
-    periods = _intervals(np.arange(m + 1) * PI)
+    """The sinc-power half-line integral with the 16-period head evaluated from u."""
+    periods = _intervals(np.arange(HEAD_PERIODS + 1) * PI)
     head, _, ok1 = adaptive_integral(uncached_sinc_integrand(p), periods, cfg)
 
     def tail_fn(t):
-        return np.sin(t) ** p * PI ** (-p) * hurwitz_zeta(p, m + t / PI)
+        return np.sin(t) ** p * PI ** (-p) * hurwitz_zeta(p, HEAD_PERIODS + t / PI)
 
     tail, _, ok2 = adaptive_integral(tail_fn, _intervals(np.arange(5) * PI / 4.0), cfg)
     assert ok1 and ok2
     return head + tail
 
 
-def envelope_tail_periods(p, cfg):
-    """The head's period count as the envelope formula gives it, power first and cap last."""
-    u_env = max(10.0, (2.0 / ((p - 1.0) * cfg.abs_tol)) ** (1.0 / (p - 1.0)) / PI)
-    return min(max(16, math.ceil(u_env / PI)), 2048)
+def mpmath_ball_half(p):
+    """The sinc-power half-line integral at 30 digits: quad per head period plus the zeta tail."""
+    with mpmath.workdps(30):
+        p, pi = mpmath.mpf(p), mpmath.pi
+        head = mpmath.fsum(
+            mpmath.quad(lambda u: abs(mpmath.sin(u) / u) ** p, [j * pi, (j + 1) * pi])
+            for j in range(HEAD_PERIODS)
+        )
+        tail = mpmath.quad(
+            lambda t: mpmath.sin(t) ** p * pi ** (-p) * mpmath.zeta(p, HEAD_PERIODS + t / pi),
+            [0, pi],
+        )
+        return float(head + tail)
 
 
 def clear_caches():
@@ -124,6 +135,11 @@ class TestLpNorm:
     def test_rejects_nan_exponent(self):
         with pytest.raises(DomainError):
             lp_norm(KernelSpec(10), NAN)
+
+    @pytest.mark.parametrize("p", [INF, -INF])
+    def test_rejects_infinite_exponent(self, p):
+        with pytest.raises(DomainError):
+            lp_norm(KernelSpec(10), p)
 
     def test_deterministic_bit_for_bit(self):
         a = lp_norm(KernelSpec(23), 3.5)
@@ -176,6 +192,11 @@ class TestCertifyBound:
     def test_nan_exponent_rejected(self):
         with pytest.raises(DomainError):
             certify_bound(KernelSpec(10), NAN)
+
+    def test_infinite_exponent_rejected(self):
+        # inf passes the p >= 2 precondition; lp_norm rejects it
+        with pytest.raises(DomainError):
+            certify_bound(KernelSpec(10), INF)
 
     @pytest.mark.parametrize("l", [6, 12, 33, 64])
     @pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0, 6.0, 8.0, 16.0, 32.0])
@@ -231,13 +252,62 @@ class TestBallIntegral:
         with pytest.raises(DomainError):
             fn(NAN)
 
+    @pytest.mark.parametrize("fn", [ball_half, ball_integral])
+    def test_rejects_infinite_exponent(self, fn):
+        with pytest.raises(DomainError):
+            fn(INF)
+
     @pytest.mark.parametrize("p", [1.5, 2.0, 2.0001, 2.5, 3.0])
     def test_shared_head_matches_uncached_head(self, p):
-        # every p <= 3 sweeps the same 2048 periods, so their head values are shared
-        assert _tail_periods(p, DEFAULT_CONFIG) == 2048
+        # every p raises the same 16-period head table, here first built for p = 3
         clear_caches()
         ball_half(3.0)
         assert ball_half(p).hex() == uncached_ball_half(p).hex()
+
+    @pytest.mark.parametrize(
+        "p, expected",
+        [
+            (7.3, "0x1.92d7917877954p-1"),
+            (8.0, "0x1.81873cd21aae9p-1"),
+            (16.0, "0x1.133ef68e791d8p-1"),
+            (64.0, "0x1.1535fb13d1c99p-2"),
+            (130.0, "0x1.85790a3d728f3p-3"),
+        ],
+    )
+    def test_pinned_where_the_head_was_already_sixteen_periods(self, p, expected):
+        # bits from the envelope-sized head, which was 16 periods for every
+        # p >= 6.27 at default tolerances as well
+        clear_caches()
+        assert ball_half(p).hex() == expected
+
+    @pytest.mark.parametrize(
+        "p, exact",
+        [(2.0, PI / 2.0), (4.0, PI / 3.0), (6.0, 11.0 * PI / 40.0), (8.0, 151.0 * PI / 630.0)],
+    )
+    def test_exact_even_exponents(self, p, exact):
+        assert ball_half(p) == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("p", [1.01, 1.5, 2.5])
+    def test_against_mpmath(self, p):
+        assert ball_half(p) == pytest.approx(mpmath_ball_half(p), rel=1e-10, abs=0.0)
+
+    def test_head_table_built_once(self, monkeypatch):
+        periods = _intervals(np.arange(HEAD_PERIODS + 1) * PI)
+        head_nodes = quadrature._pair_abscissae(periods[:, 0], periods[:, 1])
+        builds = []
+
+        def spy(u):
+            builds.append(np.array_equal(u, head_nodes))
+            return sinc_modulus(u)
+
+        sinc_modulus = quadrature._sinc_modulus
+        monkeypatch.setattr(quadrature, "_sinc_modulus", spy)
+        clear_caches()
+        for p in (1.01, 2.0, 2.5, 7.3, 130.0):
+            ball_half(p)
+        ball_half(3.0, QuadratureConfig(abs_tol=1e-14))
+        assert builds.count(True) == 1
+        assert quadrature._sinc_head.cache_info().misses == 1
 
     def test_cached_heads_match_uncached_heads_over_p(self):
         clear_caches()
@@ -245,7 +315,7 @@ class TestBallIntegral:
             assert ball_half(p).hex() == uncached_ball_half(p).hex(), p
 
     def test_finite_and_falling_near_one(self):
-        # the envelope formula overflows here; the head stops at the cap of 2048 periods
+        # nearly all of the integral lies past the 16-period head, in the zeta tail
         ps = (1.001, 1.01, 1.03)
         values = [ball_half(p) for p in ps]
         assert all(math.isfinite(v) for v in values)
@@ -253,19 +323,6 @@ class TestBallIntegral:
         # the integral grows like 2/(pi (p - 1)) as p falls to 1
         for p, v in zip(ps, values):
             assert 2.0 / PI < (p - 1.0) * v < 0.7
-
-    @pytest.mark.parametrize("abs_tol", [1e-15, 1e-12, 1e-6])
-    def test_tail_periods_match_envelope_formula(self, abs_tol):
-        cfg = QuadratureConfig(abs_tol=abs_tol)
-        counts = set()
-        for p in np.linspace(1.05, 130.0, 5000).tolist():
-            try:
-                expected = envelope_tail_periods(p, cfg)
-            except OverflowError:
-                expected = 2048
-            assert _tail_periods(p, cfg) == expected, p
-            counts.add(expected)
-        assert min(counts) == 16 and max(counts) == 2048  # both ends of the clamp are crossed
 
     def test_caller_budget_reaches_refinement(self, monkeypatch):
         budgets = []
@@ -449,7 +506,7 @@ class TestNodeTables:
         integrate_kernel_power(KernelSpec(9), 2.0)
         kept, _ = _kept_arches(9, 2.0, DEFAULT_CONFIG.abs_tol)
         table = quadrature._kernel_table(9, len(kept))
-        for array in (kept, table, *quadrature._sinc_head(16)):
+        for array in (kept, table, *quadrature._sinc_head()):
             with pytest.raises(ValueError):
                 array[0] = 0.0
 
@@ -647,7 +704,7 @@ class TestRefinementRounds:
         monkeypatch.setattr(quadrature, "_pair_eval", spy)
         clear_caches()
         ball_half(1.01)
-        # one call per round: about 18,000 when every bisection was its own call
+        # one call per round, not one per bisection (159 of them here)
         assert len(calls) <= 64
 
 
