@@ -45,7 +45,8 @@ from .levelsets import (
     superlevel_measure,
     superlevel_measure_many,
 )
-from .pmf import EntropySummary, Pmf, convolve, convolve_many, entropy_summary, l_index, uniform
+from .pmf import EntropySummary, Pmf, convolve, convolve_many, entropy_summary, l_index
+from .pmf import uniform, uniform_counts
 from .quadrature import (
     AsymptoticComparison,
     BoundCertificate,

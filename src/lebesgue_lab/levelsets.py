@@ -464,8 +464,9 @@ def comparison_functional(
     def f_pow(x):
         return np.exp(-p * PI * l2m1 * np.asarray(x, dtype=float) ** 2 / 2.0)
 
-    f_int, _, ok_f = adaptive_integral(f_pow, np.array([0.0, tg.x_c]), cfg)
+    # integrate_kernel_power rejects an infinite p before any quadrature runs
     g_int, _, ok_g = integrate_kernel_power(spec, p, cfg)
+    f_int, _, ok_f = adaptive_integral(f_pow, np.array([0.0, tg.x_c]), cfg)
     if not (ok_f and ok_g):
         raise VerificationError(f"comparison functional quadrature did not converge at p={p}")
     return (2.0 * f_int - g_int) / (p * y0**p)

@@ -10,7 +10,6 @@ float accuracy.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -62,13 +61,6 @@ class Pmf:
     def from_json_dict(cls, d: dict) -> "Pmf":
         return cls(offset=d["offset"], weights=np.asarray(d["weights"], dtype=float))
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json(cls, s: str) -> "Pmf":
-        return cls.from_json_dict(json.loads(s))
-
 
 @dataclass(frozen=True)
 class EntropySummary:
@@ -79,11 +71,36 @@ class EntropySummary:
     N_inf: float
 
 
-def uniform(l: int) -> Pmf:
-    """Uniform law on {1, ..., l}."""
+def _support_size(l) -> int:
     if isinstance(l, bool) or int(l) != l or l < 1:
         raise DomainError(f"uniform support size must be a positive integer, got {l!r}")
-    return Pmf(offset=1, weights=np.full(int(l), 1.0 / int(l)))
+    return int(l)
+
+
+def uniform(l: int) -> Pmf:
+    """Uniform law on {1, ..., l}."""
+    l = _support_size(l)
+    return Pmf(offset=1, weights=np.full(l, 1.0 / l))
+
+
+def uniform_counts(ls) -> np.ndarray:
+    """Integer counts of the convolution of the uniform laws on {1, ..., l_i}.
+
+    Entry k counts the tuples with j_i in {1, ..., l_i} and sum j_i = n + k.
+    The other j_i fix the last, so no count, nor a partial sum of one,
+    exceeds prod(ls) / max(ls): below 2^63 that is exact int64 arithmetic,
+    above it the same convolutions run on Python integers.  The counts sum
+    to prod(ls), which may wrap in int64 although every count is exact.
+    """
+    ls = [_support_size(l) for l in ls]
+    if not ls:
+        raise DomainError("need at least one support size")
+    dtype = np.int64 if math.prod(ls) // max(ls) < 2**63 else object
+    ones = np.ones(max(ls), dtype)
+    counts = ones[:1]
+    for l in ls:
+        counts = np.convolve(counts, ones[:l])
+    return counts
 
 
 def entropy_summary(f: Pmf) -> EntropySummary:

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lebesgue_lab import epi
+from lebesgue_lab import epi, pmf
 from lebesgue_lab.epi import (
     CASE_DOMINANT,
     CASE_HOLDER,
@@ -23,7 +23,7 @@ from lebesgue_lab.epi import (
     save_instances,
 )
 from lebesgue_lab.errors import GenerationError, PreconditionError
-from lebesgue_lab.pmf import Pmf, entropy_summary, uniform
+from lebesgue_lab.pmf import Pmf, convolve_many, entropy_summary, uniform
 
 
 class TestHolderExponents:
@@ -62,6 +62,22 @@ class TestHolderChain:
     def test_small_index_rejected(self):
         with pytest.raises(PreconditionError):
             holder_bound_chain((5, 5))
+
+    def test_uniform_maximum_matches_float_convolution(self):
+        for ls in ((6, 6), (6, 8, 10), (7, 7, 7, 7), (30, 29, 28, 27, 26), (6, 7)):
+            if max(ls) ** 2 > 0.5 * sum(l * l for l in ls):
+                continue
+            m0 = holder_bound_chain(ls).members[0]
+            assert m0 == pytest.approx(convolve_many([uniform(l) for l in ls]).max_weight ** 2, rel=1e-14)
+
+    def test_chain_convolves_no_laws(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the chain convolved laws")
+
+        monkeypatch.setattr(epi, "convolve_many", forbidden)
+        monkeypatch.setattr(pmf, "convolve", forbidden)
+        assert holder_bound_chain((6, 8, 10)).ok
+        assert holder_bound_chain((40, 40, 40)).ok
 
     def test_exponent_sum_is_one(self):
         for ls in ((6, 6), (7, 9, 11), (6, 8, 10, 12)):

@@ -405,6 +405,10 @@ class TestPhi:
         with pytest.raises(PreconditionError):
             comparison_functional(KernelSpec(8), math.nan, 0.5)
 
+    def test_rejects_infinite_exponent(self):
+        with pytest.raises(DomainError):
+            comparison_functional(KernelSpec(10), math.inf, 0.3)
+
 
 class TestSlopeBounds:
     def test_mid_band_census_even(self):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -22,6 +23,7 @@ from lebesgue_lab.pmf import (
     l_index,
     l_index_from_max,
     uniform,
+    uniform_counts,
 )
 
 
@@ -73,6 +75,44 @@ class TestUniform:
     def test_rejects_nonpositive_size(self):
         with pytest.raises(DomainError):
             uniform(0)
+
+
+def python_counts(ls):
+    """Counts of the uniform convolution by Python-integer window sums."""
+    counts = [1]
+    for l in ls:
+        prefix = [0, *itertools.accumulate(counts + [0] * (l - 1))]
+        counts = [prefix[k + 1] - prefix[max(k + 1 - l, 0)] for k in range(len(counts) + l - 1)]
+    return counts
+
+
+class TestUniformCounts:
+    @pytest.mark.parametrize("ls", [(1,), (1, 1), (2,), (6, 6), (3, 7, 2), (6, 8, 10, 12, 14)])
+    def test_small_tuples(self, ls):
+        counts = uniform_counts(ls)
+        assert counts.tolist() == python_counts(ls)
+        law = convolve_many([uniform(l) for l in ls])
+        assert np.allclose(counts / math.prod(ls), law.weights, rtol=1e-14, atol=0.0)
+
+    def test_int64_while_exact(self):
+        ls = list(range(97, 107))  # prod > 2^63 > prod / max
+        counts = uniform_counts(ls)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == python_counts(ls)
+        assert sum(counts.tolist()) == math.prod(ls)
+
+    def test_python_integers_beyond_int64(self):
+        ls = (129,) * 11  # prod / max = 129^10 > 2^63
+        counts = uniform_counts(ls)
+        assert counts.dtype == object
+        assert counts.tolist() == python_counts(ls)
+        assert sum(counts.tolist()) == 129**11
+        assert max(counts.tolist()) > 2**63
+
+    @pytest.mark.parametrize("bad", [(6, 0), (6, 2.5), (True,), (-3,), ()])
+    def test_rejects_bad_sizes(self, bad):
+        with pytest.raises(DomainError):
+            uniform_counts(bad)
 
 
 class TestEntropySummary:
@@ -261,11 +301,11 @@ class TestSerialization:
     def test_round_trip_is_exact(self):
         rng = np.random.default_rng(37)
         f = random_pmf(rng, 25)
-        g = Pmf.from_json(f.to_json())
+        g = Pmf.from_json_dict(json.loads(json.dumps(f.to_json_dict())))
         assert g.offset == f.offset
         assert np.array_equal(g.weights, f.weights)
 
     def test_json_shape(self):
-        d = json.loads(uniform(3).to_json())
+        d = json.loads(json.dumps(uniform(3).to_json_dict()))
         assert set(d) == {"offset", "weights"}
         assert d["offset"] == 1 and len(d["weights"]) == 3

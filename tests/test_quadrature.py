@@ -13,6 +13,7 @@ from lebesgue_lab.epi import CASE_HOLDER, holder_exponents, random_instance
 from lebesgue_lab.errors import DomainError, PreconditionError
 from lebesgue_lab.kernel import PI, KernelSpec, kernel_values
 from lebesgue_lab.levelsets import comparison_functional
+from lebesgue_lab.pmf import uniform_counts
 from lebesgue_lab.quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
@@ -140,6 +141,11 @@ class TestLpNorm:
     def test_rejects_infinite_exponent(self, p):
         with pytest.raises(DomainError):
             lp_norm(KernelSpec(10), p)
+
+    @pytest.mark.parametrize("p", [INF, NAN, 0.5])
+    def test_kernel_power_rejects_bad_exponent(self, p):
+        with pytest.raises(DomainError):
+            integrate_kernel_power(KernelSpec(10), p)
 
     def test_deterministic_bit_for_bit(self):
         a = lp_norm(KernelSpec(23), 3.5)
@@ -369,17 +375,110 @@ class TestAsymptoticComparison:
         assert 0.8 <= ratios[-1] <= 1.6
 
 
+def kernel_product_integrand(ls):
+    """The product of g_l over l in ls, evaluated from x on every call."""
+
+    def fn(x):
+        out = kernel_values(ls[0], x)
+        for l in ls[1:]:
+            out = out * kernel_values(l, x)
+        return out
+
+    return fn
+
+
+def quadrature_product_l1(ls, cfg=DEFAULT_CONFIG):
+    """The one-period product integral by adaptive quadrature between the factors' zeros."""
+    value, err, converged = adaptive_integral(
+        kernel_product_integrand(ls), _intervals(_product_cuts(ls)), cfg
+    )
+    return 2.0 * value, 2.0 * err, converged
+
+
+def chain_tuples(seed, count):
+    """Index tuples that the Hoelder chain accepts: l in 6..30, 2 to 5 factors, none dominant."""
+    rng = np.random.default_rng(seed)
+    tuples = []
+    while len(tuples) < count:
+        ls = rng.integers(6, 31, size=rng.integers(2, 6)).tolist()
+        if max(ls) ** 2 <= 0.5 * sum(l * l for l in ls):
+            tuples.append(ls)
+    return tuples
+
+
+def mpmath_product_l1(ls):
+    """The one-period product integral at 30 digits, split at every zero k/l."""
+    with mpmath.workdps(30):
+        def fn(x):
+            return mpmath.fprod(
+                abs(mpmath.sin(l * mpmath.pi * x)) / (l * mpmath.sin(mpmath.pi * x)) for l in ls
+            )
+
+        cuts = {mpmath.mpf(k) / l for l in ls for k in range(1, l // 2 + 1)}
+        return 2 * mpmath.quad(fn, sorted(cuts | {mpmath.mpf(0), mpmath.mpf(1) / 2}))
+
+
 class TestProductKernel:
     def test_single_factor_matches_l1_norm(self):
-        value, _, ok = product_kernel_l1([8])
-        assert ok
+        value, bound = product_kernel_l1([8])
         r = lp_norm(KernelSpec(8), 1.0, include_asymptotic=False)
         assert value == pytest.approx(r.value, abs=1e-11)
+        assert 0.0 < bound < 1e-13
 
     def test_product_below_min_factor(self):
-        value, _, ok = product_kernel_l1([6, 8])
-        single, _, _ = product_kernel_l1([6])
-        assert ok and 0.0 < value < single
+        value, _ = product_kernel_l1([6, 8])
+        single, _ = product_kernel_l1([6])
+        assert 0.0 < value < single
+
+    def test_matches_quadrature_on_chain_tuples(self):
+        worst = 0.0
+        for ls in chain_tuples(41, 1500):
+            value, bound = product_kernel_l1(ls)
+            oracle, _, ok = quadrature_product_l1(ls)
+            assert ok and bound < 1e-11 * value, ls
+            worst = max(worst, abs(value - oracle) / oracle)
+        assert worst < 1e-13
+
+    @pytest.mark.parametrize("ls", [(6,), (6, 7), (9, 11, 13), (6, 8, 10, 12, 14)])
+    def test_rounding_bound_holds_against_mpmath(self, ls):
+        value, bound = product_kernel_l1(ls)
+        exact = mpmath_product_l1(ls)
+        assert abs(mpmath.mpf(value) - exact) <= bound
+        assert abs(mpmath.mpf(value) - exact) <= 1e-15 * exact
+
+    def test_product_beyond_int64(self):
+        # prod(ls) exceeds 2^63 but prod(ls) / max(ls) does not: the counts
+        # are int64 and exact, while their int64 sum wraps
+        ls = list(range(97, 107))
+        counts = uniform_counts(ls)
+        assert counts.dtype == np.int64
+        assert sum(counts.tolist()) == math.prod(ls) > 2**63
+        value, bound = product_kernel_l1(ls, counts)
+        oracle, _, ok = quadrature_product_l1(ls)
+        assert ok and abs(value - oracle) <= 1e-13 * oracle
+        assert bound < 1e-10 * value
+
+    def test_given_counts_are_used_as_computed(self):
+        for ls in chain_tuples(43, 20):
+            assert product_kernel_l1(ls, uniform_counts(ls)) == product_kernel_l1(ls)
+
+    def test_row_blocks_do_not_change_the_value(self, monkeypatch):
+        tuples = chain_tuples(47, 50) + [list(range(97, 107))]
+        whole = [product_kernel_l1(ls) for ls in tuples]
+        monkeypatch.setattr(quadrature, "_TRIG_BLOCK", 64)
+        for ls, (value, bound) in zip(tuples, whole):
+            blocked = product_kernel_l1(ls)
+            assert blocked[0] == pytest.approx(value, rel=1e-15, abs=0.0)
+            assert blocked[1] == pytest.approx(bound, rel=1e-15, abs=0.0)
+
+    def test_no_quadrature(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("product_kernel_l1 ran quadrature")
+
+        for name in ("adaptive_integral", "_refine", "_pair_eval", "kernel_values"):
+            monkeypatch.setattr(quadrature, name, forbidden)
+        for ls in chain_tuples(53, 20):
+            product_kernel_l1(ls)
 
     def test_cuts_match_unique_of_concatenated_zeros(self):
         rng = np.random.default_rng(17)
@@ -389,6 +488,23 @@ class TestProductKernel:
             oracle = np.unique(np.concatenate([[0.0, 0.5]] + zeros))
             cuts = _product_cuts(ls)
             assert cuts.dtype == oracle.dtype and cuts.tobytes() == oracle.tobytes(), ls
+
+
+class TestEvenPowerOracles:
+    @pytest.mark.parametrize("p", [4, 6, 8, 10])
+    def test_even_power_equals_central_count(self, p):
+        # for even p the integral of D_l^p over a period is the constant term
+        # of D_l^p, the central count of p uniform laws on {1..l}
+        for l in [*range(6, 41), 64, 129]:
+            counts = uniform_counts((l,) * p)
+            exact = int(counts[len(counts) // 2]) / l**p
+            value = lp_norm(KernelSpec(l), float(p), include_asymptotic=False).value
+            assert abs(value - exact) <= max(DEFAULT_CONFIG.abs_tol, DEFAULT_CONFIG.rel_tol * exact)
+
+    def test_fourth_power_closed_form(self):
+        for l in (6, 7, 64, 129):
+            counts = uniform_counts((l,) * 4)
+            assert int(counts[len(counts) // 2]) == l * (2 * l * l + 1) // 3
 
 
 class TestQuadratureConfig:
@@ -663,8 +779,9 @@ class TestRefinementRounds:
         assert len(serial_oracle) > 300
 
     def test_product_kernel_matches_serial_loop(self, serial_oracle):
+        # the kernel-product integrand keeps multi-factor refinement covered
         for ls in random_tuples(29, 200):
-            product_kernel_l1(ls)
+            quadrature_product_l1(ls)
         assert len(serial_oracle) == 200
 
     @pytest.mark.parametrize("p", [1.001, 1.01, 1.03, 1.5, 2.5, 130.0])
@@ -689,7 +806,7 @@ class TestRefinementRounds:
             for p in NORM_P_GRID:
                 converged.append(integrate_kernel_power(KernelSpec(l), p, cfg)[2])
         for ls in random_tuples(31, 20):
-            converged.append(product_kernel_l1(ls, cfg)[2])
+            converged.append(quadrature_product_l1(ls, cfg)[2])
         if tol is not None:
             assert not all(converged)  # the budget runs out somewhere
 
