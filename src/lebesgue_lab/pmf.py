@@ -6,6 +6,10 @@ entropy H = -log M, and the entropy power N = M^(-2).  Convolution of
 independent summands is exact: direct summation for small supports,
 transform-based beyond a size threshold, with both paths agreeing to
 float accuracy.
+
+Only the transform path needs scipy: :func:`convolve` imports ``scipy.fft``
+on its first product of supports above ``DIRECT_LIMIT``, so the module and
+every direct convolution run on numpy alone.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft
 
 from .errors import ConvolutionOverflowError, DomainError
 
@@ -154,6 +157,8 @@ def convolve(a: Pmf, b: Pmf) -> Pmf:
     if len(a) * len(b) <= DIRECT_LIMIT or min(len(a), len(b)) == 1:
         w = np.convolve(a.weights, b.weights)
     else:
+        from scipy import fft  # deferred: only wide supports need it
+
         n = fft.next_fast_len(out_len, True)
         spectrum = fft.rfft(a.weights, n) * fft.rfft(b.weights, n)
         w = _clean_transform_weights(fft.irfft(spectrum, n)[:out_len])

@@ -8,7 +8,10 @@ converges almost immediately and the error estimate is conservative.
 
 The sinc-power integral over the real line is split at a moderate multiple of
 pi; the infinite remainder is folded into a single finite integral through the
-Hurwitz zeta function, so no large truncation ever has to be swept.
+Hurwitz zeta function, so no large truncation ever has to be swept.  That
+zeta, ``scipy.special.zeta``, is the only use of scipy here: it is imported
+on the first uncached sinc-power integral, so kernel powers, certificates
+and the product-kernel closed form run on numpy alone.
 
 The exponent p never moves a first-pass node: it only decides how many arches
 are kept, and the dropped ones are a suffix.  So the p-independent parts are
@@ -51,7 +54,6 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
-from scipy.special import zeta as hurwitz_zeta
 
 from .errors import DomainError, PreconditionError, VerificationError
 from .kernel import PI, KernelSpec, kernel_values
@@ -295,15 +297,20 @@ def _arch_logcaps(l: int):
     return _read_only(pieces, np.fromiter(map(math.log, caps.tolist()), float, len(caps)))
 
 
+# math.exp is exactly 0.0 below this (the smallest subnormal is exp(-744.4))
+_EXP_ZERO_BELOW = -746.0
+
+
 def _kept_arches(l: int, p: float, abs_tol: float):
     """The arch dropping of :func:`integrate_kernel_power`: (kept pieces, charge).
 
     An arch k >= 1 is dropped when p*log(cap_k) < log(abs_tol) - log(l);
     arch 0 is always kept.  The caps fall with k, so the dropped arches are
     a suffix and the kept ones a prefix of ``bump_partition(l)``.  The logs
-    are ``math.log`` values, each charge is a ``math.exp`` and the charges
-    are summed in arch order, so the result is that of a scalar loop and does
-    not depend on numpy's vector log and exp.
+    are ``math.log`` values, each charge is a ``math.exp`` (not taken where
+    it underflows to 0.0) and the charges are summed in arch order, so the
+    result is that of a scalar loop and does not depend on numpy's vector
+    log and exp.
     """
     pieces, logcaps = _arch_logcaps(l)
     threshold = math.log(abs_tol) - math.log(l)
@@ -311,12 +318,17 @@ def _kept_arches(l: int, p: float, abs_tol: float):
     if not len(logcaps) or not p * logcaps[-1] < threshold:
         return pieces, 0.0
     plog = p * logcaps
-    drop = plog < threshold
-    k = len(pieces) - int(np.count_nonzero(drop))
-    charges = np.fromiter(map(math.exp, plog[drop].tolist()), float)
-    charges *= pieces[k:, 1] - pieces[k:, 0]
-    # the last arch is dropped, so charges is not empty; cumsum adds them one
-    # by one in arch order, as a loop from 0.0 would
+    k = len(pieces) - int(np.count_nonzero(plog < threshold))
+    # arch k + j is charged exp(plog[k - 1 + j]) times its width; exp is
+    # exactly 0.0 below _EXP_ZERO_BELOW and adding 0.0 leaves a sum as it is,
+    # so the charges stop at the first arch below it (the caps fall with k)
+    plog = plog[k - 1:]
+    n = int(np.count_nonzero(plog >= _EXP_ZERO_BELOW))
+    if not n:
+        return pieces[:k], 0.0
+    charges = np.fromiter(map(math.exp, plog[:n].tolist()), float, n)
+    charges *= pieces[k : k + n, 1] - pieces[k : k + n, 0]
+    # cumsum adds the charges one by one in arch order, as a loop from 0.0 would
     return pieces[:k], float(np.cumsum(charges)[-1])
 
 
@@ -442,6 +454,8 @@ def _sinc_head():
 
 @lru_cache(maxsize=4096)
 def _ball_half_cached(p: float, cfg: QuadratureConfig) -> float:
+    from scipy.special import zeta as hurwitz_zeta  # deferred: only the sinc tail needs it
+
     periods, table = _sinc_head()
     head, head_err, ok1 = _tabled_power_integral(_sinc_modulus, table, periods, p, cfg)
 

@@ -297,6 +297,73 @@ def test_cli_import_leaves_out_scipy_signal():
     assert out.stdout.strip() == "[]"
 
 
+def fresh_python(code, block_scipy=False):
+    """stdout of ``code`` run in a new interpreter on this package's source tree.
+
+    With ``block_scipy`` every scipy import in it fails, as if scipy were
+    not installed.
+    """
+    src = str(Path(lebesgue_lab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    if block_scipy:
+        code = "import sys; sys.modules['scipy'] = None\n" + code
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    return out.stdout
+
+
+# an expression, for the code given to fresh_python, naming every scipy module loaded
+LOADED_SCIPY = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+class TestDeferredScipy:
+    """scipy is imported by the FFT convolution and the sinc-power tail only."""
+
+    def test_package_import_loads_no_scipy(self):
+        code = f"import sys, lebesgue_lab, lebesgue_lab.cli; print({LOADED_SCIPY})"
+        assert fresh_python(code).strip() == "[]"
+
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--l", "6..12", "--p", "2,2.5,128"],
+        ["np-verify", "--l", "6,7"],
+        ["epi-check", "--random", "5"],
+        ["rogozin", "--random", "5"],
+    ], ids=lambda argv: argv[0])
+    def test_command_runs_without_scipy(self, argv, tmp_path):
+        argv = argv + ["--out", str(tmp_path / "report.json")]
+        code = f"from lebesgue_lab import cli\nprint(cli.main({argv!r}))"
+        assert fresh_python(code, block_scipy=True).strip() == "0"
+
+    def test_sweep_in_fresh_interpreter_matches_in_process(self, tmp_path):
+        from lebesgue_lab import cli
+
+        argv = ["sweep", "--l", "6", "--p", "2.5", "--out"]
+        fresh, here = tmp_path / "fresh.json", tmp_path / "here.json"
+        code = (f"import sys\nfrom lebesgue_lab import cli\ncli.main({argv + [str(fresh)]!r})\n"
+                f"print({LOADED_SCIPY})")
+        assert "scipy.special" in fresh_python(code)  # the asymptotic column took the zeta tail
+        assert cli.main(argv + [str(here)]) == 0
+        records = [json.loads(path.read_text())["records"] for path in (fresh, here)]
+        assert records[0] == records[1]
+
+    def test_fft_convolve_in_fresh_interpreter_matches_in_process(self):
+        rng = np.random.default_rng(47)
+        a, b = random_pmf(rng, 300), random_pmf(rng, 300)
+        assert len(a) * len(b) > DIRECT_LIMIT  # the transform side
+        laws = json.dumps([a.to_json_dict(), b.to_json_dict()])
+        code = (
+            "import json, sys\n"
+            "from lebesgue_lab.pmf import Pmf, convolve\n"
+            f"a, b = map(Pmf.from_json_dict, json.loads({laws!r}))\n"
+            f"before = {LOADED_SCIPY}\n"
+            "print(json.dumps([before, convolve(a, b).to_json_dict()]))\n"
+        )
+        before, got = json.loads(fresh_python(code))
+        assert before == []
+        assert got == convolve(a, b).to_json_dict()
+
+
 class TestSerialization:
     def test_round_trip_is_exact(self):
         rng = np.random.default_rng(37)

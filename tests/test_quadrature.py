@@ -539,6 +539,20 @@ def scalar_kept_arches(l, p, abs_tol):
     return kept, dropped_err
 
 
+def every_exp_kept_arches(l, p, abs_tol):
+    """_kept_arches with one math.exp for every dropped arch, underflowed or not."""
+    pieces, logcaps = quadrature._arch_logcaps(l)
+    threshold = math.log(abs_tol) - math.log(l)
+    if not len(logcaps) or not p * logcaps[-1] < threshold:
+        return pieces, 0.0
+    plog = p * logcaps
+    drop = plog < threshold
+    k = len(pieces) - int(np.count_nonzero(drop))
+    charges = np.fromiter(map(math.exp, plog[drop].tolist()), float)
+    charges *= pieces[k:, 1] - pieces[k:, 0]
+    return pieces[:k], float(np.cumsum(charges)[-1])
+
+
 def two_call_pair_eval(fn, a, b):
     """The 15/31 pair with one integrand call per rule."""
     x15, w15, x31, w31 = _pair_nodes()
@@ -570,6 +584,16 @@ class TestArchDropping:
             oracle_kept, oracle_charge = scalar_kept_arches(l, p, DEFAULT_CONFIG.abs_tol)
             assert kept.tolist() == [list(ab) for ab in oracle_kept], (l, p)
             assert charge == oracle_charge, (l, p)
+
+    def test_underflowed_charges_are_skipped_exactly(self):
+        # exp is 0.0 below -746: leaving those arches out of the sum changes nothing;
+        # near p = 650 the first dropped arches sit just above it
+        for l in sorted({*range(6, 401), *range(401, 5001, 23)}):
+            for p in (8.0, 16.0, 64.0, 128.0, 500.0, 650.0, 651.0, 1000.0, 5000.0):
+                kept, charge = _kept_arches(l, p, DEFAULT_CONFIG.abs_tol)
+                oracle = every_exp_kept_arches(l, p, DEFAULT_CONFIG.abs_tol)
+                assert np.array_equal(kept, oracle[0]), (l, p)
+                assert charge == oracle[1], (l, p)
 
     @pytest.mark.parametrize("p", NORM_P_GRID)
     def test_value_and_error_match_scalar_loop(self, p):
