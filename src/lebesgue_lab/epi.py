@@ -133,11 +133,14 @@ def holder_bound_chain(ls, cfg: QuadratureConfig = DEFAULT_CONFIG) -> HolderChai
     m0 = (int(counts.max()) / math.prod(ls)) ** 2
     m1 = product_kernel_l1(ls, counts)[0] ** 2
     m2 = m3 = 1.0
+    norms = {}  # equal indices share their exponent, so each is integrated once
     for l, p in zip(ls, ps):
-        r = lp_norm(KernelSpec(l), p, cfg, include_asymptotic=False)
-        if not r.converged:
-            raise VerificationError(f"norm quadrature did not converge at l={l}, p={p}")
-        m2 *= r.value ** (2.0 / p)
+        if l not in norms:
+            r = lp_norm(KernelSpec(l), p, cfg, include_asymptotic=False)
+            if not r.converged:
+                raise VerificationError(f"norm quadrature did not converge at l={l}, p={p}")
+            norms[l] = r.value
+        m2 *= norms[l] ** (2.0 / p)
         m3 *= (2.0 / (p * (l * l - 1))) ** (1.0 / p)
     lmin = min(ls)
     m4 = 2.0 * lmin * lmin / ((lmin * lmin - 1) * sum(l * l for l in ls))
@@ -225,40 +228,45 @@ def _fit_max_into(weights: np.ndarray, target: float, rounds: int = 50) -> np.nd
     """Pin the largest weight to ``target`` and cap the rest below it.
 
     Water-filling in closed form.  Saturating the largest weights one at a
-    time and rescaling the rest never reorders them, so the weights are
-    sorted once (descending, ties to the lower index) and the saturation
-    count k is the least k >= 1 with ``w[k] * (1 - k target) / sum(w[k:])
-    <= target``: the top k weights become ``target`` and the others are
-    rescaled once to the remaining mass, by the same sum and product as one
-    round of the one-at-a-time form (so a single saturation gives its
-    weights bit for bit, and more agree to about 2e-15 relative).  k is
-    capped at ``rounds``, the number of saturations the one-at-a-time form
-    allowed, so the same inputs fail; an infeasible target (k targets exceed
-    the unit mass, or every weight saturates below it) fails too.
+    time and rescaling the rest never reorders them, so with the values
+    sorted once the saturation count k is the least k >= 1 with
+    ``w[k] * (1 - k target) / sum(w[k:]) <= target`` (w descending, its
+    tail sums accumulated from the smallest value up): the top k weights
+    become ``target`` and the others are rescaled once to the remaining
+    mass, by the same sum and product as one round of the one-at-a-time
+    form (so a single saturation gives its weights bit for bit, and more
+    agree to about 2e-15 relative).  Only k <= ``rounds`` is tried, the
+    number of saturations the one-at-a-time form allowed, so the same
+    inputs fail; an infeasible target (k targets exceed the unit mass, or
+    every weight saturates below it) fails too.  The saturated weights are
+    the k largest, ties to the lower index.
     """
     w = np.array(weights, dtype=float)
     w /= w.sum()
     n = len(w)
-    order = np.argsort(-w, kind="stable")
-    ws = w[order]
-    # entry k - 1 belongs to k saturated weights: the mass left to the rest
-    # and the factor that rescales the rest to it
-    free_mass = 1.0 - target * np.arange(1, n)
-    scale = free_mass / np.cumsum(ws[::-1])[::-1][1:]
-    settled = np.flatnonzero(ws[1:] * scale <= target)
-    k = int(settled[0]) + 1 if len(settled) else n
+    ascending = np.sort(w)
+    m = min(rounds, n - 1)
+    # entry k - 1 belongs to k saturated weights: the largest free weight
+    # and the mass of the free weights
+    top = ascending[-2 : -m - 2 : -1].tolist()
+    tails = np.cumsum(ascending)[-2 : -m - 2 : -1].tolist()
+    k = n
+    for j in range(m):
+        if top[j] * ((1.0 - target * (j + 1)) / tails[j]) <= target:
+            k = j + 1
+            break
     if k > rounds:
         raise GenerationError(f"max adjustment did not settle in {rounds} rounds")
-    if k == n:
-        if 1.0 - target * n != 0.0:
-            raise GenerationError("target maximum infeasible for this support size")
-    elif free_mass[k - 1] < 0.0:
+    free_mass = 1.0 - target * k
+    if free_mass < 0.0 or (k == n and free_mass != 0.0):
         raise GenerationError("target maximum infeasible for this support size")
-    else:
-        free = np.ones(n, dtype=bool)
-        free[order[:k]] = False
-        w[free] *= free_mass[k - 1] / w[free].sum()
-    w[order[:k]] = target
+    cut = ascending[n - k]
+    saturated = w > cut
+    saturated[np.flatnonzero(w == cut)[: k - np.count_nonzero(saturated)]] = True
+    if k < n:
+        free = ~saturated
+        w[free] *= free_mass / w[free].sum()
+    w[saturated] = target
     return w
 
 

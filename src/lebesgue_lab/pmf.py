@@ -4,12 +4,10 @@ A :class:`Pmf` is an offset plus a finite weight vector with trimmed support.
 The quantities of interest are the maximum probability M, the max-order
 entropy H = -log M, and the entropy power N = M^(-2).  Convolution of
 independent summands is exact: direct summation for small supports,
-transform-based beyond a size threshold, with both paths agreeing to
-float accuracy.
+one product of real FFTs beyond a size threshold, with both paths
+agreeing to float accuracy.
 
-Only the transform path needs scipy: :func:`convolve` imports ``scipy.fft``
-on its first product of supports above ``DIRECT_LIMIT``, so the module and
-every direct convolution run on numpy alone.
+Both paths run on numpy alone: the transform is ``numpy.fft``.
 """
 
 from __future__ import annotations
@@ -139,43 +137,80 @@ def _clean_transform_weights(w: np.ndarray) -> np.ndarray:
     return w / w.sum()
 
 
+def _next_fast_len(n: int) -> int:
+    """The least 2^a 3^b 5^c >= n, a length that real FFTs transform fast.
+
+    Equal to ``scipy.fft.next_fast_len(n, real=True)``, the length that
+    ``scipy.signal.fftconvolve`` pads to.
+    """
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least power of two that lifts p35 to n or beyond
+            best = min(best, p35 << ((n - 1) // p35).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def convolve(a: Pmf, b: Pmf) -> Pmf:
     """Exact law of the sum of independent variables with laws a and b.
 
-    Supports whose product is at most DIRECT_LIMIT are summed directly, and
-    so is a point mass, which only shifts the other law.  Larger ones are
-    multiplied as real FFTs of a fast length at least the output support,
-    which are the transforms ``scipy.signal.fftconvolve`` takes, so the
-    weights are bit-identical to it; round-off below zero is clipped and the
-    weights are renormalised.
+    The two-factor case of :func:`convolve_many`.  A pair whose supports
+    multiply to more than DIRECT_LIMIT takes the real FFTs of a 5-smooth
+    length at least the output support, the transforms
+    ``scipy.signal.fftconvolve`` takes, so its weights are bit-identical to
+    it up to the clipping and renormalisation.
     """
-    out_len = len(a) + len(b) - 1
+    return convolve_many((a, b))
+
+
+def convolve_many(pmfs) -> Pmf:
+    """Exact law of the sum of independent variables with the given laws.
+
+    A point mass only shifts the sum, so it moves the offset and is not
+    multiplied in (its weight is taken as exactly 1).  The other factors are
+    summed directly with ``np.convolve``, in order, while the product of the
+    running support and the next factor's is at most DIRECT_LIMIT; all the
+    rest go through one transform: the product of their real FFTs at one
+    5-smooth length, one inverse, round-off below zero clipped and the
+    weights renormalised once.  The result is validated once, and a total
+    support above SUPPORT_CAP is refused before any work.
+
+    Sums that stay direct, and pairs, are bit-identical to folding
+    :func:`convolve` over the laws as earlier versions did.  A sum with
+    three or more factors that reaches the transform is not: the fold
+    rounded, clipped and renormalised one transform per step, and went back
+    to direct summation for a short factor after the first transform, where
+    this takes a single product of spectra.  The two agree to a few ulps.
+    """
+    pmfs = list(pmfs)
+    if not pmfs:
+        raise DomainError("need at least one pmf")
+    out_len = sum(len(f) - 1 for f in pmfs) + 1
     if out_len > SUPPORT_CAP:
         raise ConvolutionOverflowError(
             f"convolution support {out_len} exceeds cap {SUPPORT_CAP}"
         )
-    if len(a) * len(b) <= DIRECT_LIMIT or min(len(a), len(b)) == 1:
-        w = np.convolve(a.weights, b.weights)
-    else:
-        from scipy import fft  # deferred: only wide supports need it
-
-        n = fft.next_fast_len(out_len, True)
-        spectrum = fft.rfft(a.weights, n) * fft.rfft(b.weights, n)
-        w = _clean_transform_weights(fft.irfft(spectrum, n)[:out_len])
+    factors = [f.weights for f in pmfs if len(f) > 1]
+    w = factors[0] if factors else np.ones(1)
+    i = 1
+    while i < len(factors) and len(w) * len(factors[i]) <= DIRECT_LIMIT:
+        w = np.convolve(w, factors[i])
+        i += 1
+    if i < len(factors):
+        n = _next_fast_len(out_len)
+        spectrum = np.fft.rfft(w, n)
+        for f in factors[i:]:
+            spectrum *= np.fft.rfft(f, n)
+        w = _clean_transform_weights(np.fft.irfft(spectrum, n)[:out_len])
     start = 0
     end = len(w)
     while w[start] == 0.0:
         start += 1
     while w[end - 1] == 0.0:
         end -= 1
-    return Pmf(offset=a.offset + b.offset + start, weights=w[start:end])
-
-
-def convolve_many(pmfs) -> Pmf:
-    pmfs = list(pmfs)
-    if not pmfs:
-        raise DomainError("need at least one pmf")
-    acc = pmfs[0]
-    for f in pmfs[1:]:
-        acc = convolve(acc, f)
-    return acc
+    offset = sum(f.offset for f in pmfs) + start
+    return Pmf(offset=offset, weights=w[start:end])

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lebesgue_lab import epi, pmf
 from lebesgue_lab.epi import (
@@ -24,6 +26,7 @@ from lebesgue_lab.epi import (
 )
 from lebesgue_lab.errors import GenerationError, PreconditionError
 from lebesgue_lab.pmf import Pmf, convolve_many, entropy_summary, uniform
+from lebesgue_lab.quadrature import KernelSpec, lp_norm
 
 
 class TestHolderExponents:
@@ -78,6 +81,24 @@ class TestHolderChain:
         monkeypatch.setattr(pmf, "convolve", forbidden)
         assert holder_bound_chain((6, 8, 10)).ok
         assert holder_bound_chain((40, 40, 40)).ok
+
+    def test_one_norm_per_distinct_index(self, monkeypatch):
+        calls = []
+
+        def counted(spec, p, *args, **kwargs):
+            calls.append((spec.l, p))
+            return lp_norm(spec, p, *args, **kwargs)
+
+        monkeypatch.setattr(epi, "lp_norm", counted)
+        ls = (8, 8, 10)
+        chain = holder_bound_chain(ls)
+        ps = holder_exponents(ls)
+        assert calls == [(8, ps[0]), (10, ps[2])]
+        # the Hoelder product multiplies one factor per variable, in order
+        m2 = 1.0
+        for l, p in zip(ls, ps):
+            m2 *= lp_norm(KernelSpec(l), p, include_asymptotic=False).value ** (2.0 / p)
+        assert chain.members[2] == m2
 
     def test_exponent_sum_is_one(self):
         for ls in ((6, 6), (7, 9, 11), (6, 8, 10, 12)):
@@ -263,6 +284,35 @@ def _fit_max_into_loop(weights, target, rounds=50):
     raise GenerationError(f"max adjustment did not settle in {rounds} rounds")
 
 
+def _fit_max_into_argsort(weights, target, rounds=50):
+    """Oracle: the closed form from a stable argsort that ``_fit_max_into`` replaces.
+
+    It sorts indices rather than values and tests every saturation count.
+    """
+    w = np.array(weights, dtype=float)
+    w /= w.sum()
+    n = len(w)
+    order = np.argsort(-w, kind="stable")
+    ws = w[order]
+    free_mass = 1.0 - target * np.arange(1, n)
+    scale = free_mass / np.cumsum(ws[::-1])[::-1][1:]
+    settled = np.flatnonzero(ws[1:] * scale <= target)
+    k = int(settled[0]) + 1 if len(settled) else n
+    if k > rounds:
+        raise GenerationError(f"max adjustment did not settle in {rounds} rounds")
+    if k == n:
+        if 1.0 - target * n != 0.0:
+            raise GenerationError("target maximum infeasible for this support size")
+    elif free_mass[k - 1] < 0.0:
+        raise GenerationError("target maximum infeasible for this support size")
+    else:
+        free = np.ones(n, dtype=bool)
+        free[order[:k]] = False
+        w[free] *= free_mass[k - 1] / w[free].sum()
+    w[order[:k]] = target
+    return w
+
+
 def _exact_fit(weights, target, saturated):
     """Each free weight times (1 - k target) / (free mass), in exact rationals.
 
@@ -281,6 +331,27 @@ def _outcome(fit, raw, target):
         return fit(raw, target)
     except GenerationError as exc:
         return str(exc)
+
+
+@st.composite
+def waterfill_inputs(draw):
+    """(raw weights, target): random or tied weights, n = 2..1200.
+
+    The target is drawn from an index interval (1/(l+1), 1/l], or is exactly
+    1/n (every weight saturates, feasibly), or lies below 1/n (infeasible).
+    """
+    n = draw(st.integers(min_value=2, max_value=1200))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    levels = draw(st.sampled_from([0, 1, 2, 3, 7]))
+    raw = rng.random(n) + 0.05 if levels == 0 else rng.integers(1, levels + 1, n).astype(float)
+    kind = draw(st.sampled_from(["index", "index", "one_over_n", "below"]))
+    if kind == "one_over_n":
+        return raw, 1.0 / n
+    if kind == "below":
+        return raw, draw(st.floats(min_value=0.5, max_value=0.999)) / n
+    l = draw(st.integers(min_value=1, max_value=n))
+    lo, hi = 1.0 / (l + 1), 1.0 / l
+    return raw, hi - (hi - lo) * draw(st.floats(min_value=0.0, max_value=1.0))
 
 
 def _random_draws(count, seed):
@@ -341,6 +412,37 @@ class TestWaterFilling:
                 many += 1
                 np.testing.assert_allclose(got, expected, rtol=2e-15, atol=0.0)
         assert len(failures) == 2 and one > 100 and many > 100
+
+    @settings(max_examples=300, deadline=None)
+    @given(waterfill_inputs())
+    @example((np.full(40, 1.0), 1.0 / 40))  # all saturate, feasibly
+    @example((np.full(30, 1.0), 0.9 / 30))  # all saturate below the mass
+    @example((np.full(60, 1.0), 1.0 / 60))  # all would saturate, past the cap
+    @example((np.r_[np.full(55, 1.0), np.full(100, 0.5)], 1.0 / 52))  # 52 tied saturate
+    @example((np.r_[np.full(50, 1.0), np.full(100, 0.5)], 1.0 / 120))  # 50: at the cap
+    @example((np.r_[np.full(51, 1.0), np.full(100, 0.5)], 1.0 / 120))  # 51: past it
+    @example((np.array([1.0, 3.0, 3.0, 3.0, 1.0, 1.0, 1.0]), 0.25))  # ties split at the cut
+    def test_matches_the_argsort_form_bit_for_bit(self, case):
+        self._check_against_argsort(*case)
+
+    def test_argsort_form_on_the_shared_draws(self):
+        outcomes = set()
+        for raw, target in WATERFILL_DRAWS:
+            got = self._check_against_argsort(raw, target)
+            outcomes.add(got if isinstance(got, str) else np.count_nonzero(got == target) > 1)
+        assert len(outcomes) == 4  # both failures, one and several saturations
+
+    @staticmethod
+    def _check_against_argsort(raw, target):
+        """The outcome of ``_fit_max_into``, checked hex-equal to the argsort form's."""
+        expected = _outcome(_fit_max_into_argsort, raw, target)
+        got = _outcome(_fit_max_into, raw, target)
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            assert not isinstance(got, str), got
+            assert got.tobytes() == expected.tobytes()
+        return got
 
     def test_weights_within_four_ulps_of_exact(self):
         for raw, target in WATERFILL_DRAWS[::15]:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -15,8 +16,10 @@ from hypothesis import strategies as st
 from lebesgue_lab.errors import ConvolutionOverflowError, DomainError
 from lebesgue_lab.pmf import (
     DIRECT_LIMIT,
+    SUPPORT_CAP,
     Pmf,
     _clean_transform_weights,
+    _next_fast_len,
     convolve,
     convolve_many,
     entropy_summary,
@@ -285,6 +288,90 @@ class TestConvolve:
             convolve_many([])
 
 
+def dense(f, lo, hi):
+    """The weights of ``f`` on the integers lo..hi-1, zero off its support."""
+    out = np.zeros(hi - lo)
+    out[f.offset - lo : f.offset - lo + len(f)] = f.weights
+    return out
+
+
+class TestConvolveMany:
+    """Sums of several laws: direct steps, then one product of transforms."""
+
+    # the transform's error on a sum of uniform laws, in units of eps times
+    # the largest weight; measured up to 3.7 on these tuples
+    UNIFORM_BOUND = 8
+    # weights of the n-fold transform and of the pairwise fold differ by at
+    # most this many ulps of the largest weight; measured up to 9 on random laws
+    FOLD_ULPS = 16
+
+    @pytest.mark.parametrize("ls", [(300, 299, 250), (257, 256, 255, 254), (1000, 70, 3),
+                                    (300,) * 5, (600, 400, 300, 200, 100, 50, 7)])
+    def test_uniform_sums_match_exact_counts(self, ls):
+        assert ls[0] * ls[1] > DIRECT_LIMIT  # the first step already transforms
+        law = convolve_many([uniform(l) for l in ls])
+        exact = uniform_counts(ls) / math.prod(ls)
+        assert law.offset == len(ls) and len(law) == len(exact)
+        err = np.abs(law.weights - exact).max()
+        assert err <= self.UNIFORM_BOUND * np.finfo(float).eps * exact.max()
+
+    def test_matches_the_pairwise_fold(self):
+        rng = np.random.default_rng(53)
+        transformed = 0
+        for _ in range(60):
+            laws = [random_pmf(rng, int(n)) for n in rng.integers(2, 700, size=rng.integers(3, 7))]
+            many = convolve_many(laws)
+            fold = functools.reduce(convolve, laws)
+            # clipping at the round-off floor may trim the two supports differently
+            lo = min(many.offset, fold.offset)
+            hi = max(many.offset + len(many), fold.offset + len(fold))
+            diff = np.abs(dense(many, lo, hi) - dense(fold, lo, hi)).max()
+            assert diff <= self.FOLD_ULPS * np.spacing(fold.max_weight)
+            transformed += len(laws[0]) * len(laws[1]) > DIRECT_LIMIT
+        assert transformed > 10
+
+    def test_direct_sums_equal_the_fold_bit_for_bit(self):
+        rng = np.random.default_rng(59)
+        for _ in range(20):
+            laws = [random_pmf(rng, int(n)) for n in rng.integers(1, 40, size=rng.integers(2, 6))]
+            many, fold = convolve_many(laws), functools.reduce(convolve, laws)
+            assert many.offset == fold.offset
+            np.testing.assert_array_equal(many.weights, fold.weights)
+
+    def test_point_mass_after_the_switch_shifts_exactly(self):
+        rng = np.random.default_rng(61)
+        a, b, c = random_pmf(rng, 300), random_pmf(rng, 280), random_pmf(rng, 90)
+        assert len(a) * len(b) > DIRECT_LIMIT
+        plain = convolve_many([a, b, c])
+        for where in range(4):
+            laws = [a, b, c]
+            laws.insert(where, Pmf(-7, np.array([1.0])))
+            shifted = convolve_many(laws)
+            assert shifted.offset == plain.offset - 7
+            np.testing.assert_array_equal(shifted.weights, plain.weights)
+
+    def test_point_masses_alone(self):
+        got = convolve_many([Pmf(3, np.array([1.0])), Pmf(-5, np.array([1.0]))])
+        assert got.offset == -2 and got.weights.tolist() == [1.0]
+
+    def test_total_support_over_cap_raises(self):
+        # each factor adds 2^16 to the support: all but the last fit under
+        # the cap, so only the n-fold total exceeds it
+        a = uniform(2**16 + 1)
+        count = SUPPORT_CAP // 2**16
+        assert (count - 1) * 2**16 + 1 <= SUPPORT_CAP < count * 2**16 + 1
+        with pytest.raises(ConvolutionOverflowError):
+            convolve_many([a] * count)
+
+    def test_next_fast_len_matches_scipy(self):
+        from scipy.fft import next_fast_len  # test-only oracle
+
+        assert all(_next_fast_len(n) == next_fast_len(n, True) for n in range(1, 20_001))
+        rng = np.random.default_rng(67)
+        assert all(_next_fast_len(int(n)) == next_fast_len(int(n), True)
+                   for n in rng.integers(20_001, 2**24 + 1, size=2000))
+
+
 def test_cli_import_leaves_out_scipy_signal():
     # scipy.signal alone took most of the import time and memory of the CLI
     src = str(Path(lebesgue_lab.__file__).resolve().parent.parent)
@@ -318,7 +405,7 @@ LOADED_SCIPY = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
 
 class TestDeferredScipy:
-    """scipy is imported by the FFT convolution and the sinc-power tail only."""
+    """scipy is imported by the sinc-power tail only; convolution runs on numpy."""
 
     def test_package_import_loads_no_scipy(self):
         code = f"import sys, lebesgue_lab, lebesgue_lab.cli; print({LOADED_SCIPY})"
@@ -349,19 +436,35 @@ class TestDeferredScipy:
 
     def test_fft_convolve_in_fresh_interpreter_matches_in_process(self):
         rng = np.random.default_rng(47)
-        a, b = random_pmf(rng, 300), random_pmf(rng, 300)
+        a, b, c = random_pmf(rng, 300), random_pmf(rng, 300), random_pmf(rng, 250)
         assert len(a) * len(b) > DIRECT_LIMIT  # the transform side
-        laws = json.dumps([a.to_json_dict(), b.to_json_dict()])
+        laws = json.dumps([f.to_json_dict() for f in (a, b, c)])
         code = (
             "import json, sys\n"
-            "from lebesgue_lab.pmf import Pmf, convolve\n"
-            f"a, b = map(Pmf.from_json_dict, json.loads({laws!r}))\n"
+            "from lebesgue_lab.pmf import Pmf, convolve, convolve_many\n"
+            f"a, b, c = map(Pmf.from_json_dict, json.loads({laws!r}))\n"
             f"before = {LOADED_SCIPY}\n"
-            "print(json.dumps([before, convolve(a, b).to_json_dict()]))\n"
+            "pair, many = convolve(a, b), convolve_many([a, b, c])\n"
+            f"print(json.dumps([before, {LOADED_SCIPY}, pair.to_json_dict(), many.to_json_dict()]))\n"
         )
-        before, got = json.loads(fresh_python(code))
-        assert before == []
-        assert got == convolve(a, b).to_json_dict()
+        before, after, pair, many = json.loads(fresh_python(code))
+        assert before == after == []
+        assert pair == convolve(a, b).to_json_dict()
+        assert many == convolve_many([a, b, c]).to_json_dict()
+
+    def test_transform_runs_without_scipy(self):
+        ls = (300, 299, 250)
+        code = (
+            "import json\n"
+            "from lebesgue_lab.pmf import convolve_many, uniform\n"
+            f"law = convolve_many([uniform(l) for l in {ls!r}])\n"
+            "print(json.dumps(law.to_json_dict()))\n"
+        )
+        got = json.loads(fresh_python(code, block_scipy=True))
+        assert got == convolve_many([uniform(l) for l in ls]).to_json_dict()
+        exact = uniform_counts(ls) / math.prod(ls)
+        bound = TestConvolveMany.UNIFORM_BOUND * np.finfo(float).eps * exact.max()
+        assert np.abs(np.asarray(got["weights"]) - exact).max() <= bound
 
 
 class TestSerialization:
