@@ -37,6 +37,7 @@ from .errors import (
 from .kernel import KernelSpec, TruncatedGaussian, gaussian_values, kernel_values
 from .levelsets import bump_profiles, detect_sign_change
 from .quadrature import (
+    DEFAULT_CONFIG,
     QuadratureConfig,
     ball_integral,
     certify_bound,
@@ -315,16 +316,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_default="-"):
-        p.add_argument("--out", default=out_default, help="output path ('-' for stdout)")
+    def report(p):
+        p.add_argument("--out", default="-", help="output path ('-' for stdout)")
         p.add_argument("--format", choices=("json", "csv"), default=None,
                        help="default: by file extension, else json")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--abs-tol", type=float, default=1e-12)
-        p.add_argument("--rel-tol", type=float, default=1e-10)
+
+    def tolerances(p):
+        p.add_argument("--abs-tol", type=float, default=DEFAULT_CONFIG.abs_tol)
+        p.add_argument("--rel-tol", type=float, default=DEFAULT_CONFIG.rel_tol)
 
     def random_batch(p):
         p.add_argument("--random", type=int, default=100)
+        p.add_argument("--seed", type=int, default=0, help="seed of the first instance")
         p.add_argument("--lmin", type=int, default=6)
         p.add_argument("--lmax", type=int, default=30)
         p.add_argument("--n-min", type=int, default=2)
@@ -334,15 +337,17 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--l", required=True)
         p.add_argument("--p", required=True)
-        common(p)
+        report(p)
+        tolerances(p)
 
     p = sub.add_parser("ball", help="sinc-power integrals with their bound")
     p.add_argument("--p", required=True)
-    common(p)
+    report(p)
+    tolerances(p)
 
     p = sub.add_parser("np-verify", help="sign-change reports per kernel length")
     p.add_argument("--l", required=True)
-    common(p)
+    report(p)
 
     p = sub.add_parser("epi-check", help="entropy power inequality on random instances")
     random_batch(p)
@@ -350,19 +355,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instances", default=None,
                    help="corpus file: JSON array of pmf-object arrays")
     p.add_argument("--no-chain", action="store_true", help="skip the bound chain")
-    common(p)
+    report(p)
+    tolerances(p)
 
     p = sub.add_parser("rogozin", help="uniformization comparison on random instances")
     random_batch(p)
-    common(p)
+    report(p)
 
     p = sub.add_parser("suite", help="run the full acceptance battery")
-    common(p)
+    report(p)
 
     p = sub.add_parser("plot-data", help="sample g and f plus level lines to CSV")
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--resolution", type=int, default=2000)
-    common(p, out_default="plot.csv")
+    p.add_argument("--out", default="plot.csv", help="CSV output path ('-' for stdout)")
 
     return parser
 
@@ -396,7 +402,7 @@ def run(args) -> int:
         command=args.command,
         parameters=params,
         output_path=args.out,
-        format=_infer_format(args.out, args.format),
+        format=_infer_format(args.out, getattr(args, "format", None)),
         seed=getattr(args, "seed", 0),
     )
     try:

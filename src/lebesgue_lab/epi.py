@@ -33,7 +33,7 @@ from .quadrature import (
     DEFAULT_CONFIG,
     KernelSpec,
     QuadratureConfig,
-    lp_norm,
+    integrate_kernel_power,
     product_kernel_l1,
 )
 
@@ -47,6 +47,8 @@ ROGOZIN_SLACK = 1e-12
 
 GENERAL_FLOOR = 5.0 / 14.0
 EXACT_FLOOR = 35.0 / 72.0
+
+_MAX_SATURATIONS = 50  # water-filling's cap: the rounds of its one-at-a-time form
 
 
 @dataclass(frozen=True)
@@ -136,10 +138,10 @@ def holder_bound_chain(ls, cfg: QuadratureConfig = DEFAULT_CONFIG) -> HolderChai
     norms = {}  # equal indices share their exponent, so each is integrated once
     for l, p in zip(ls, ps):
         if l not in norms:
-            r = lp_norm(KernelSpec(l), p, cfg, include_asymptotic=False)
-            if not r.converged:
+            value, _, converged = integrate_kernel_power(KernelSpec(l), p, cfg)
+            if not converged:
                 raise VerificationError(f"norm quadrature did not converge at l={l}, p={p}")
-            norms[l] = r.value
+            norms[l] = value
         m2 *= norms[l] ** (2.0 / p)
         m3 *= (2.0 / (p * (l * l - 1))) ** (1.0 / p)
     lmin = min(ls)
@@ -224,7 +226,7 @@ def check_epi(
     return report
 
 
-def _fit_max_into(weights: np.ndarray, target: float, rounds: int = 50) -> np.ndarray:
+def _fit_max_into(weights: np.ndarray, target: float) -> np.ndarray:
     """Pin the largest weight to ``target`` and cap the rest below it.
 
     Water-filling in closed form.  Saturating the largest weights one at a
@@ -235,17 +237,17 @@ def _fit_max_into(weights: np.ndarray, target: float, rounds: int = 50) -> np.nd
     become ``target`` and the others are rescaled once to the remaining
     mass, by the same sum and product as one round of the one-at-a-time
     form (so a single saturation gives its weights bit for bit, and more
-    agree to about 2e-15 relative).  Only k <= ``rounds`` is tried, the
-    number of saturations the one-at-a-time form allowed, so the same
-    inputs fail; an infeasible target (k targets exceed the unit mass, or
-    every weight saturates below it) fails too.  The saturated weights are
-    the k largest, ties to the lower index.
+    agree to about 2e-15 relative).  Only k <= ``_MAX_SATURATIONS`` is
+    tried, the number of saturations the one-at-a-time form allowed, so
+    the same inputs fail; an infeasible target (k targets exceed the unit
+    mass, or every weight saturates below it) fails too.  The saturated
+    weights are the k largest, ties to the lower index.
     """
     w = np.array(weights, dtype=float)
     w /= w.sum()
     n = len(w)
     ascending = np.sort(w)
-    m = min(rounds, n - 1)
+    m = min(_MAX_SATURATIONS, n - 1)
     # entry k - 1 belongs to k saturated weights: the largest free weight
     # and the mass of the free weights
     top = ascending[-2 : -m - 2 : -1].tolist()
@@ -255,8 +257,8 @@ def _fit_max_into(weights: np.ndarray, target: float, rounds: int = 50) -> np.nd
         if top[j] * ((1.0 - target * (j + 1)) / tails[j]) <= target:
             k = j + 1
             break
-    if k > rounds:
-        raise GenerationError(f"max adjustment did not settle in {rounds} rounds")
+    if k > _MAX_SATURATIONS:
+        raise GenerationError(f"max adjustment did not settle in {_MAX_SATURATIONS} rounds")
     free_mass = 1.0 - target * k
     if free_mass < 0.0 or (k == n and free_mass != 0.0):
         raise GenerationError("target maximum infeasible for this support size")

@@ -39,14 +39,11 @@ from .kernel import (
     kernel_values,
     kernel_values_and_slopes,
 )
-from .quadrature import (
-    DEFAULT_CONFIG,
-    QuadratureConfig,
-    adaptive_integral,
-    integrate_kernel_power,
-)
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_kernel_power
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_PEAK_BRACKET_TOL = 1e-13  # a golden-section search stops at this bracket width
+_SCAN_LEVELS = 2000  # log-spaced levels of default_level_grid, before peaks and floor
 
 # levels this close to an arch peak are excluded from slope checks (the
 # derivative of G is undefined exactly at the peaks)
@@ -88,12 +85,12 @@ class SlopeBoundCheck:
     ok: bool
 
 
-def _golden_peaks(l: int, a: np.ndarray, b: np.ndarray, tol: float = 1e-13):
+def _golden_peaks(l: int, a: np.ndarray, b: np.ndarray):
     """Golden-section maxima of g on the unimodal brackets [a_i, b_i], all at once.
 
     Every row takes the scalar search's steps and applies its own stopping
-    test b - a > tol, so a row's result does not depend on the other rows:
-    each round evaluates g once per row that is still searching.
+    test b - a > _PEAK_BRACKET_TOL, so a row's result does not depend on the
+    other rows: each round evaluates g once per row that is still searching.
     """
     a = a.copy()
     b = b.copy()
@@ -101,7 +98,7 @@ def _golden_peaks(l: int, a: np.ndarray, b: np.ndarray, tol: float = 1e-13):
     d = a + _GOLDEN * (b - a)
     fc = kernel_values(l, c)
     fd = kernel_values(l, d)
-    live = np.nonzero(b - a > tol)[0]
+    live = np.nonzero(b - a > _PEAK_BRACKET_TOL)[0]
     while len(live):
         al, bl, cl, dl, fcl, fdl = a[live], b[live], c[live], d[live], fc[live], fd[live]
         up = fcl < fdl  # the maximum lies right of c: drop [a, c)
@@ -115,7 +112,7 @@ def _golden_peaks(l: int, a: np.ndarray, b: np.ndarray, tol: float = 1e-13):
         fc[live] = np.where(up, fdl, f_new)
         fd[live] = np.where(up, f_new, fcl)
         a[live], b[live], c[live], d[live] = al, bl, cl, dl
-        live = live[bl - al > tol]
+        live = live[bl - al > _PEAK_BRACKET_TOL]
     x = 0.5 * (a + b)
     return x, kernel_values(l, x)
 
@@ -351,9 +348,9 @@ def _measure_and_slope_sum(spec: KernelSpec, y: float) -> tuple[float, float]:
     return measure, _inverse_slope_sum(spec.l, roots)
 
 
-def default_level_grid(spec: KernelSpec, n: int = 2000) -> np.ndarray:
+def default_level_grid(spec: KernelSpec) -> np.ndarray:
     """Log-spaced levels augmented with every arch peak and the floor level."""
-    levels = np.geomspace(1e-4, 1.0 - 1e-6, n)
+    levels = np.geomspace(1e-4, 1.0 - 1e-6, _SCAN_LEVELS)
     knots = [p.peak_y for p in bump_profiles(spec) if p.index >= 1]
     knots.append(TruncatedGaussian.from_length(spec.l).y_last)
     return np.unique(np.concatenate([levels, np.array(knots)]))
@@ -453,35 +450,23 @@ def comparison_functional(
     y0: float,
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> float:
-    """(2 int_0^{x_c} f^p - int |D_l|^p) / (p y0^p); nondecreasing in p."""
+    """(2 int_0^{x_c} f^p - int |D_l|^p) / (p y0^p); nondecreasing in p.
+
+    f^p = exp(-a x^2) with a = p pi (l^2 - 1) / 2, so its integral over
+    [0, x_c] is sqrt(pi / a) erf(x_c sqrt(a)) / 2 in closed form.
+    """
     if not p >= 2.0:
         raise PreconditionError(f"comparison functional needs p >= 2, got {p}")
     if not 0.0 < y0 < 1.0:
         raise DomainError(f"crossing level y0 = {y0} outside (0, 1)")
-    tg = TruncatedGaussian.from_length(spec.l)
-    l2m1 = spec.l * spec.l - 1
-
-    def f_pow(x):
-        return np.exp(-p * PI * l2m1 * np.asarray(x, dtype=float) ** 2 / 2.0)
-
     # integrate_kernel_power rejects an infinite p before any quadrature runs
     g_int, _, ok_g = integrate_kernel_power(spec, p, cfg)
-    f_int, _, ok_f = adaptive_integral(f_pow, np.array([0.0, tg.x_c]), cfg)
-    if not (ok_f and ok_g):
+    if not ok_g:
         raise VerificationError(f"comparison functional quadrature did not converge at p={p}")
+    x_c = TruncatedGaussian.from_length(spec.l).x_c
+    a = p * PI * (spec.l * spec.l - 1) / 2.0
+    f_int = 0.5 * math.sqrt(PI / a) * math.erf(x_c * math.sqrt(a))
     return (2.0 * f_int - g_int) / (p * y0**p)
-
-
-def first_arch_slope_cap(l: int) -> float:
-    """Slope bound on the first arch: (l pi / 2) ((pi/l)/sin(pi/l))^2 <= 2l."""
-    return (l * PI / 2.0) * ((PI / l) / math.sin(PI / l)) ** 2
-
-
-def arch_slope_cap(l: int, k: int) -> float:
-    """Slope bound l pi^2 / (4k) for crossings inside arch k >= 1."""
-    if k < 1:
-        raise DomainError("arch index must be >= 1")
-    return l * PI**2 / (4.0 * k)
 
 
 def slope_sum(spec: KernelSpec, y: float) -> float:
@@ -526,14 +511,13 @@ def check_derivative_bounds(spec: KernelSpec, y: float) -> SlopeBoundCheck:
         )
 
     slopes = np.abs(kernel_slope_values(l, roots))
-    worst = -math.inf
+    # |g'| is at most (l pi / 2) ((pi/l)/sin(pi/l))^2 <= 2l on the first arch
+    # and l pi^2 / (4k) inside arch k >= 1 (np.maximum only spares arch 0 a 1/0)
+    first_cap = (l * PI / 2.0) * ((PI / l) / math.sin(PI / l)) ** 2
+    caps = np.where(arch == 0, first_cap, l * PI**2 / (4.0 * np.maximum(arch, 1)))
+    worst = float(np.max(slopes - caps))
     slack = 1e-9
-    ok = True
-    for k, s in zip(arch, slopes):
-        cap = first_arch_slope_cap(l) if k == 0 else arch_slope_cap(l, int(k))
-        worst = max(worst, s - cap)
-        if s > cap + slack:
-            ok = False
+    ok = not np.any(slopes > caps + slack)
     inv_sum = float(np.sum(1.0 / slopes))
     lower = 1.0 / (2.0 * l) + 4.0 * band * band / (l * PI**2)
     if inv_sum < lower - slack:

@@ -88,7 +88,7 @@ class LpNormResult:
     p: float
     value: float
     bound: float | None
-    asymptotic: float | None
+    asymptotic: float
     abs_error_estimate: float
     converged: bool
 
@@ -379,28 +379,23 @@ def norm_bound(l: int, p: float) -> float:
     return math.sqrt(2.0 / (p * (l * l - 1)))
 
 
-def lp_norm(
-    spec: KernelSpec,
-    p: float,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-    include_asymptotic: bool = True,
-) -> LpNormResult:
+def lp_norm(spec: KernelSpec, p: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> LpNormResult:
     """Integral of |D_l|^p over one period, with bound and asymptotic anchors.
 
     The bound field is populated when the certified inequality applies
     (p >= 2 and l >= 6).  The asymptotic field carries the first-order
     reference: (2/pi) * integral_0^inf |sin u / u|^p du / l for p > 1 and
-    4 log(l) / (pi^2 l) for p = 1.
+    4 log(l) / (pi^2 l) for p = 1.  A caller that wants the value alone
+    calls :func:`integrate_kernel_power`.
     """
     value, err, converged = integrate_kernel_power(spec, p, cfg)
     bound = norm_bound(spec.l, p) if (p >= 2.0 and spec.l >= 6) else None
-    asymptotic = asymptotic_reference(spec.l, p, cfg) if include_asymptotic else None
     return LpNormResult(
         l=spec.l,
         p=float(p),
         value=value,
         bound=bound,
-        asymptotic=asymptotic,
+        asymptotic=asymptotic_reference(spec.l, p, cfg),
         abs_error_estimate=err,
         converged=converged,
     )
@@ -415,22 +410,22 @@ def certify_bound(
     if p < 2.0:
         raise PreconditionError(f"certification requires p >= 2, got {p}")
     # a NaN or infinite exponent passes the test above; integrate_kernel_power rejects it
-    r = lp_norm(spec, p, cfg, include_asymptotic=False)
+    value, err, converged = integrate_kernel_power(spec, p, cfg)
     bound = norm_bound(spec.l, p)
-    passed = r.converged and (r.value + r.abs_error_estimate < bound)
+    passed = converged and (value + err < bound)
     cert = BoundCertificate(
         l=spec.l,
         p=float(p),
-        value=r.value,
+        value=value,
         bound=bound,
-        margin=bound - r.value,
-        abs_error_estimate=r.abs_error_estimate,
+        margin=bound - value,
+        abs_error_estimate=err,
         passed=passed,
     )
     if not passed:
         raise VerificationError(
             f"norm bound failed at l={spec.l}, p={p}: "
-            f"value={r.value!r} + err={r.abs_error_estimate!r} !< bound={bound!r}"
+            f"value={value!r} + err={err!r} !< bound={bound!r}"
         )
     return cert
 
@@ -520,7 +515,7 @@ def asymptotic_comparison(
     spec: KernelSpec, p: float, cfg: QuadratureConfig = DEFAULT_CONFIG
 ) -> AsymptoticComparison:
     """Ratio of the computed norm to its first-order asymptotic reference."""
-    r = lp_norm(spec, p, cfg, include_asymptotic=True)
+    r = lp_norm(spec, p, cfg)
     return AsymptoticComparison(
         l=spec.l, p=float(p), value=r.value, reference=r.asymptotic, ratio=r.value / r.asymptotic
     )

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -203,6 +204,58 @@ class TestPlotData:
     def test_emit_plot_data_direct(self, tmp_path):
         with pytest.raises(PreconditionError):
             cli.emit_plot_data(KernelSpec(8), 10, str(tmp_path / "x.csv"))
+
+
+# every subcommand's settable values (argparse dests), exactly those its handler reads
+_GRID_DESTS = {"l", "p", "out", "format", "abs_tol", "rel_tol"}
+_BATCH_DESTS = {"random", "seed", "lmin", "lmax", "n_min", "n_max", "out", "format"}
+COMMAND_DESTS = {
+    **dict.fromkeys(("lebesgue", "certify", "asymptotic", "sweep"), _GRID_DESTS),
+    "ball": {"p", "out", "format", "abs_tol", "rel_tol"},
+    "np-verify": {"l", "out", "format"},
+    "epi-check": _BATCH_DESTS | {"corpus", "instances", "no_chain", "abs_tol", "rel_tol"},
+    "rogozin": _BATCH_DESTS,
+    "suite": {"out", "format"},
+    "plot-data": {"l", "resolution", "out"},
+}
+
+# (command with its required flags, a flag its handler never read)
+DROPPED_FLAGS = [
+    *((cmd, "--l 6 --p 2", "--seed") for cmd in ("lebesgue", "certify", "asymptotic", "sweep")),
+    ("ball", "--p 2", "--seed"),
+    *(("np-verify", "--l 6", flag) for flag in ("--seed", "--abs-tol", "--rel-tol")),
+    *(("rogozin", "--random 1", flag) for flag in ("--abs-tol", "--rel-tol")),
+    *(("suite", "", flag) for flag in ("--seed", "--abs-tol", "--rel-tol")),
+    *(("plot-data", "--l 8", flag) for flag in ("--format", "--seed", "--abs-tol", "--rel-tol")),
+]
+
+
+class TestFlagSets:
+    def test_each_command_takes_only_the_flags_it_reads(self):
+        parser = cli.build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        got = {
+            name: {a.dest for a in p._actions if a.dest != "help"}
+            for name, p in sub.choices.items()
+        }
+        assert got == COMMAND_DESTS
+        assert sum(map(len, got.values())) == 58
+
+    @pytest.mark.parametrize(
+        "command, required, flag", DROPPED_FLAGS, ids=[f"{c}{f}" for c, _, f in DROPPED_FLAGS]
+    )
+    def test_dropped_flag_is_usage_error(self, tmp_path, command, required, flag):
+        value = "json" if flag == "--format" else "1"
+        argv = [command, *required.split(), flag, value, "--out", str(tmp_path / "x.json")]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert not (tmp_path / "x.json").exists()
+
+    def test_parameters_list_only_read_settings(self, tmp_path):
+        out = tmp_path / "np.json"
+        assert cli.main(["np-verify", "--l", "6..7", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["parameters"] == {"l": "6..7"}
 
 
 class TestUsageErrors:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -397,6 +398,18 @@ class TestPhi:
         values = [comparison_functional(spec, p, y0) for p in (2.0, 3.0, 4.0, 6.0, 8.0, 12.0)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("l, p", [(6, 2.0), (9, 3.5), (40, 8.0), (199, 128.0)])
+    def test_gaussian_power_integral_against_mpmath(self, monkeypatch, l, p):
+        # with the kernel term zeroed the functional is 2 int_0^{x_c} f^p / (p y0^p)
+        monkeypatch.setattr(levelsets, "integrate_kernel_power", lambda *args: (0.0, 0.0, True))
+        y0 = 0.5
+        f_int = comparison_functional(KernelSpec(l), p, y0) * p * y0**p / 2.0
+        x_c = TruncatedGaussian.from_length(l).x_c
+        with mpmath.workdps(40):
+            a = p * mpmath.mpf(PI) * (l * l - 1) / 2
+            exact = mpmath.quad(lambda x: mpmath.exp(-a * x * x), [0, 1 / mpmath.sqrt(a), x_c])
+        assert abs(f_int - exact) <= 1e-14 * exact
+
     def test_rejects_small_exponent(self):
         with pytest.raises(PreconditionError):
             comparison_functional(KernelSpec(8), 1.5, 0.2)
@@ -435,6 +448,31 @@ class TestSlopeBounds:
         check = check_derivative_bounds(spec, y)
         assert check.band == 4
         assert check.root_count == 2 * 4  # final half arch carries a single root
+
+    @pytest.mark.parametrize("l", [6, 7, 16, 41, 120])
+    def test_slope_caps_match_scalar_loop(self, l):
+        """The vector slope caps against the per-root loop they replace, bit for bit."""
+        spec = KernelSpec(l)
+        profs = bump_profiles(spec)
+        edges = [max(p.peak_y, TruncatedGaussian.from_length(l).y_last) for p in profs[1:]]
+        for top, bottom in zip(edges, edges[1:]):
+            if top - bottom < 1e-6:
+                continue
+            for frac in (0.1, 0.5, 0.9):
+                y = bottom + frac * (top - bottom)
+                roots, arch, _ = level_crossings(spec, y)
+                slopes = np.abs(levelsets.kernel_slope_values(l, roots))
+                worst, ok = -math.inf, True
+                for k, s in zip(arch.tolist(), slopes.tolist()):
+                    if k == 0:
+                        cap = (l * PI / 2.0) * ((PI / l) / math.sin(PI / l)) ** 2
+                    else:
+                        cap = l * PI**2 / (4.0 * k)
+                    worst = max(worst, s - cap)
+                    ok = ok and not s > cap + 1e-9
+                check = check_derivative_bounds(spec, y)
+                assert check.worst_bound_margin.hex() == worst.hex()
+                assert check.ok is ok
 
     def test_exclusion_window(self):
         spec = KernelSpec(8)

@@ -24,6 +24,7 @@ from lebesgue_lab.quadrature import (
     _product_cuts,
     adaptive_integral,
     asymptotic_comparison,
+    asymptotic_reference,
     ball_half,
     ball_integral,
     certify_bound,
@@ -107,19 +108,19 @@ def simpson_oracle(l: int, p: float, n: int = 1_000_000) -> float:
 class TestLpNorm:
     @pytest.mark.parametrize("l", [2, 3, 5, 6, 10, 17, 64, 128])
     def test_parseval_identity(self, l):
-        r = lp_norm(KernelSpec(l), 2.0, include_asymptotic=False)
-        assert abs(r.value - 1.0 / l) <= 1e-9
-        assert r.converged
-        assert r.abs_error_estimate <= DEFAULT_CONFIG.abs_tol
+        value, err, converged = integrate_kernel_power(KernelSpec(l), 2.0)
+        assert abs(value - 1.0 / l) <= 1e-9
+        assert converged
+        assert err <= DEFAULT_CONFIG.abs_tol
 
     def test_fourth_power_against_simpson_oracle(self):
-        r = lp_norm(KernelSpec(6), 4.0, include_asymptotic=False)
-        assert abs(r.value - simpson_oracle(6, 4.0)) <= 1e-10
-        assert 0.0 < r.value < math.sqrt(2.0 / (4.0 * 35.0))
+        value, _, _ = integrate_kernel_power(KernelSpec(6), 4.0)
+        assert abs(value - simpson_oracle(6, 4.0)) <= 1e-10
+        assert 0.0 < value < math.sqrt(2.0 / (4.0 * 35.0))
 
     def test_monotone_decreasing_in_p(self):
         for l in (6, 11):
-            values = [lp_norm(KernelSpec(l), p, include_asymptotic=False).value
+            values = [integrate_kernel_power(KernelSpec(l), p)[0]
                       for p in (1.0, 2.0, 3.0, 4.0, 8.0, 16.0)]
             assert all(a > b for a, b in zip(values, values[1:]))
 
@@ -127,7 +128,7 @@ class TestLpNorm:
         assert lp_norm(KernelSpec(6), 2.0).bound == norm_bound(6, 2.0)
         assert lp_norm(KernelSpec(5), 2.0).bound is None
         assert lp_norm(KernelSpec(6), 1.5).bound is None
-        assert lp_norm(KernelSpec(6), 2.0, include_asymptotic=False).asymptotic is None
+        assert lp_norm(KernelSpec(6), 2.0).asymptotic == asymptotic_reference(6, 2.0)
 
     def test_rejects_p_below_one(self):
         with pytest.raises(DomainError):
@@ -162,15 +163,15 @@ class TestLpNorm:
         assert abs(default_val - 2.0 * uniform_half) <= 1e-10
 
     def test_large_power_survives_underflow(self):
-        r = lp_norm(KernelSpec(30), 120.0, include_asymptotic=False)
-        assert r.converged and 0.0 < r.value < norm_bound(30, 120.0)
+        value, _, converged = integrate_kernel_power(KernelSpec(30), 120.0)
+        assert converged and 0.0 < value < norm_bound(30, 120.0)
 
     def test_subdivision_budget_flags_nonconvergence(self):
         cfg = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=1)
-        r = lp_norm(KernelSpec(6), 2.5, cfg, include_asymptotic=False)
+        _, err, converged = integrate_kernel_power(KernelSpec(6), 2.5, cfg)
         # budget of one split per arch cannot certify 1e-15; flag must be honest
-        assert r.abs_error_estimate >= 0.0
-        assert isinstance(r.converged, bool)
+        assert err >= 0.0
+        assert isinstance(converged, bool)
 
 
 class TestCertifyBound:
@@ -421,8 +422,7 @@ def mpmath_product_l1(ls):
 class TestProductKernel:
     def test_single_factor_matches_l1_norm(self):
         value, bound = product_kernel_l1([8])
-        r = lp_norm(KernelSpec(8), 1.0, include_asymptotic=False)
-        assert value == pytest.approx(r.value, abs=1e-11)
+        assert value == pytest.approx(integrate_kernel_power(KernelSpec(8), 1.0)[0], abs=1e-11)
         assert 0.0 < bound < 1e-13
 
     def test_product_below_min_factor(self):
@@ -498,7 +498,7 @@ class TestEvenPowerOracles:
         for l in [*range(6, 41), 64, 129]:
             counts = uniform_counts((l,) * p)
             exact = int(counts[len(counts) // 2]) / l**p
-            value = lp_norm(KernelSpec(l), float(p), include_asymptotic=False).value
+            value = integrate_kernel_power(KernelSpec(l), float(p))[0]
             assert abs(value - exact) <= max(DEFAULT_CONFIG.abs_tol, DEFAULT_CONFIG.rel_tol * exact)
 
     def test_fourth_power_closed_form(self):
@@ -818,7 +818,8 @@ class TestRefinementRounds:
         for l in (6, 9, 40):
             for p in (2.0, 2.5, 7.3):
                 comparison_functional(KernelSpec(l), p, 0.3)
-        assert len(serial_oracle) == 18
+        # one kernel-power refinement each; the Gaussian power is in closed form
+        assert len(serial_oracle) == 9
 
     @pytest.mark.parametrize("max_subdivisions", [1, 3])
     @pytest.mark.parametrize("tol", [None, 1e-15], ids=["default-tol", "tight-tol"])
