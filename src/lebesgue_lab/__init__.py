@@ -48,11 +48,9 @@ from .levelsets import (
 from .pmf import EntropySummary, Pmf, convolve, convolve_many, entropy_summary, l_index
 from .pmf import uniform, uniform_counts
 from .quadrature import (
-    AsymptoticComparison,
     BoundCertificate,
     LpNormResult,
     QuadratureConfig,
-    asymptotic_comparison,
     ball_half,
     ball_integral,
     certify_bound,

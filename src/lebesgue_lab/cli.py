@@ -121,10 +121,10 @@ def _norm_row(l: int, p: float, cfg: QuadratureConfig) -> dict:
         "p": p,
         "value": r.value,
         "bound": r.bound,
-        "margin": None if r.bound is None else r.bound - r.value,
+        "margin": r.margin,
         "asymptotic": r.asymptotic,
         "reference": r.asymptotic,
-        "ratio": r.value / r.asymptotic,
+        "ratio": r.ratio,
         "error_estimate": r.abs_error_estimate,
         "converged": r.converged,
     }
@@ -268,12 +268,12 @@ def _cmd_rogozin(config: RunConfig, args) -> int:
 
 
 def _cmd_suite(config: RunConfig, args) -> int:
-    results = acceptance.run_all(printer=lambda line: print(line, flush=True))
+    # progress goes to stderr, so that the report alone goes to stdout for --out -
+    results = acceptance.run_all(printer=lambda line: print(line, file=sys.stderr, flush=True))
     rows = [
         {"name": r.name, "ok": r.ok, "detail": r.detail, "seconds": r.seconds} for r in results
     ]
-    if config.output_path != "-":
-        write_report(config, ["name", "ok", "detail", "seconds"], rows)
+    write_report(config, ["name", "ok", "detail", "seconds"], rows)
     return 0 if all(r.ok for r in results) else 1
 
 
@@ -289,7 +289,7 @@ def emit_plot_data(spec: KernelSpec, resolution: int, out: str) -> None:
     tg = TruncatedGaussian.from_length(spec.l)
     xs = np.linspace(0.0, 0.5, resolution)
     gs = kernel_values(spec.l, xs)
-    fs = np.where(xs <= tg.x_c, gaussian_values(spec.l, xs), 0.0)
+    fs = gaussian_values(tg, xs)
     comments = [
         f"# l={spec.l}",
         f"# x_c={tg.x_c!r}",

@@ -34,6 +34,7 @@ from .quadrature import (
     KernelSpec,
     QuadratureConfig,
     integrate_kernel_power,
+    norm_bound,
     product_kernel_l1,
 )
 
@@ -118,6 +119,11 @@ def holder_exponents(ls) -> tuple[float, ...]:
     return ps
 
 
+def _uniform_max(ls, counts) -> float:
+    """Maximum of the uniform convolution: max N_m / prod(ls), correctly rounded."""
+    return int(counts.max()) / math.prod(ls)
+
+
 def holder_bound_chain(ls, cfg: QuadratureConfig = DEFAULT_CONFIG) -> HolderChain:
     """Evaluate every member of the product bound chain and check the ordering.
 
@@ -132,7 +138,7 @@ def holder_bound_chain(ls, cfg: QuadratureConfig = DEFAULT_CONFIG) -> HolderChai
     ps = holder_exponents(ls)
 
     counts = uniform_counts(ls)
-    m0 = (int(counts.max()) / math.prod(ls)) ** 2
+    m0 = _uniform_max(ls, counts) ** 2
     m1 = product_kernel_l1(ls, counts)[0] ** 2
     m2 = m3 = 1.0
     norms = {}  # equal indices share their exponent, so each is integrated once
@@ -143,7 +149,7 @@ def holder_bound_chain(ls, cfg: QuadratureConfig = DEFAULT_CONFIG) -> HolderChai
                 raise VerificationError(f"norm quadrature did not converge at l={l}, p={p}")
             norms[l] = value
         m2 *= norms[l] ** (2.0 / p)
-        m3 *= (2.0 / (p * (l * l - 1))) ** (1.0 / p)
+        m3 *= norm_bound(l, p) ** (2.0 / p)
     lmin = min(ls)
     m4 = 2.0 * lmin * lmin / ((lmin * lmin - 1) * sum(l * l for l in ls))
 
@@ -163,9 +169,12 @@ def holder_bound_chain(ls, cfg: QuadratureConfig = DEFAULT_CONFIG) -> HolderChai
 
 
 def check_rogozin(instance: EpiInstance) -> RogozinCheck:
-    """Exact check that uniformizing the summands raises the convolution max."""
+    """Check that uniformizing the summands raises the convolution max.
+
+    The uniform side is the chain's first member, exact to the last bit.
+    """
     m_actual = convolve_many(instance.pmfs).max_weight
-    m_uniform = convolve_many([uniform(l) for l in instance.l_indices]).max_weight
+    m_uniform = _uniform_max(instance.l_indices, uniform_counts(instance.l_indices))
     ok = m_actual <= m_uniform + ROGOZIN_SLACK
     check = RogozinCheck(
         max_prob=m_actual, max_prob_uniform=m_uniform, gap=m_uniform - m_actual, ok=ok
@@ -320,7 +329,16 @@ def load_instances(path: str) -> tuple[EpiInstance, ...]:
     if not isinstance(data, list) or not data:
         raise PreconditionError(f"corpus file {path} must hold a nonempty JSON array")
     if isinstance(data[0], dict):  # one instance, flat
-        return (instance_from_json_obj(data),)
+        data = [data]
+    for entry in data:
+        if not isinstance(entry, list) or not all(
+            isinstance(d, dict) and type(d.get("offset")) is int and isinstance(d.get("weights"), list)
+            for d in entry
+        ):
+            raise PreconditionError(
+                f"corpus file {path}: an instance is not an array of objects "
+                "with an integer offset and an array of weights"
+            )
     return tuple(instance_from_json_obj(entry) for entry in data)
 
 

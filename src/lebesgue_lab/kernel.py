@@ -169,33 +169,37 @@ def kernel_slope(spec: KernelSpec, x: float) -> float:
     return float(kernel_slope_values(spec.l, np.array([x]))[0])
 
 
-def gaussian_values(l: int, x: np.ndarray) -> np.ndarray:
-    """Vectorized untruncated exp(-pi (l^2-1) x^2 / 2)."""
+def gaussian_values(tg: TruncatedGaussian, x: np.ndarray) -> np.ndarray:
+    """Vectorized truncated Gaussian: the exponential on [0, x_c], zero beyond."""
     x = np.asarray(x, dtype=float)
-    return np.exp(-PI * (l * l - 1) * x * x / 2.0)
+    return np.where(x <= tg.x_c, np.exp(-PI * (tg.l * tg.l - 1) * x * x / 2.0), 0.0)
 
 
 def eval_gaussian(tg: TruncatedGaussian, x: float) -> float:
-    """Truncated Gaussian: the exponential on [0, x_c], zero beyond."""
+    """f(x) at one abscissa x >= 0; see :func:`gaussian_values`."""
     if not x >= 0.0:
         raise DomainError(f"x = {x} must be >= 0")
-    if x > tg.x_c:
-        return 0.0
-    return math.exp(-PI * (tg.l * tg.l - 1) * x * x / 2.0)
+    return float(gaussian_values(tg, np.array([x]))[0])
 
 
-def gaussian_distribution_function(tg: TruncatedGaussian, y: float) -> float:
+def _check_levels(ys: np.ndarray) -> None:
+    # written so that NaN fails too
+    if not np.all((ys > 0.0) & (ys < 1.0)):
+        raise DomainError("levels must lie in (0, 1)")
+
+
+def gaussian_distribution_function(tg: TruncatedGaussian, y):
     """Distribution function of the truncated Gaussian, in closed form.
 
     F(y) is the measure of {x : f(x) > y}: constant x_c below the truncation
     level, then sqrt(2 log(1/y) / (pi (l^2-1))) up to 1.  Monotone
-    nonincreasing, with F(y) -> 0 as y -> 1.
+    nonincreasing, with F(y) -> 0 as y -> 1.  ``y`` is a level or an array
+    of levels; a float or an array of the same shape comes back.
     """
-    if not 0.0 < y < 1.0:
-        raise DomainError(f"level y = {y} outside (0, 1)")
-    if y < tg.y_last:
-        return tg.x_c
-    return math.sqrt(2.0 * math.log(1.0 / y) / (PI * (tg.l * tg.l - 1)))
+    ys = np.asarray(y, dtype=float)
+    _check_levels(ys)
+    f = np.where(ys < tg.y_last, tg.x_c, np.sqrt(2.0 * np.log(1.0 / ys) / (PI * (tg.l * tg.l - 1))))
+    return float(f) if f.ndim == 0 else f
 
 
 @dataclass(frozen=True)
@@ -226,7 +230,8 @@ def check_first_arch_domination(spec: KernelSpec, grid_size: int) -> GaussianDom
         raise DomainError(f"grid_size must be >= 2, got {grid_size}")
     l = spec.l
     xs = np.arange(1, grid_size + 1, dtype=float) / (grid_size * l)
-    diff = kernel_values(l, xs) - gaussian_values(l, xs)
+    # x <= 1/l < x_c on the whole grid, so no point is cut off
+    diff = kernel_values(l, xs) - gaussian_values(TruncatedGaussian.from_length(l), xs)
     i = int(np.argmax(diff))
     max_diff = float(diff[i])
     violations = int(np.count_nonzero(diff >= STRICT_SLACK))

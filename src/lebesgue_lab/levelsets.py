@@ -34,6 +34,7 @@ from .kernel import (
     PI,
     KernelSpec,
     TruncatedGaussian,
+    _check_levels,
     gaussian_distribution_function,
     kernel_slope_values,
     kernel_values,
@@ -284,12 +285,6 @@ def _newton_block(l: int, y, lo, hi, inc, arch) -> np.ndarray:
     return x
 
 
-def _check_levels(ys: np.ndarray) -> None:
-    # written so that NaN fails too
-    if not np.all((ys > 0.0) & (ys < 1.0)):
-        raise DomainError("levels must lie in (0, 1)")
-
-
 def _solve_levels(spec: KernelSpec, ys: np.ndarray):
     """Every crossing of the levels ys, segment-major as in ``_segment_table``.
 
@@ -337,15 +332,18 @@ def level_crossings(spec: KernelSpec, y: float):
 
 
 def _measure_and_slope_sum(spec: KernelSpec, y: float) -> tuple[float, float]:
-    """(superlevel_measure(spec, y), slope_sum(spec, y)) from one solve of the level.
-
-    Both sum over the roots in segment order, exactly as the two public
-    functions do, so both are bit-identical to theirs.
-    """
+    """(superlevel_measure(spec, y), slope_sum(spec, y)) from one solve of the level."""
     ys = np.array([float(y)])
+    _check_levels(ys)
     row, roots, inc, half, _ = _solve_levels(spec, ys)
     measure = float(_measures(1, row, roots, inc, half)[0])
-    return measure, _inverse_slope_sum(spec.l, roots)
+    return measure, _slopes_and_inverse_sum(spec.l, roots)[1]
+
+
+def _slopes_and_inverse_sum(l: int, roots: np.ndarray):
+    """(|g'| at each root, sum of 1/|g'|): the slope sum |G'(y)| at a level."""
+    slopes = np.abs(kernel_slope_values(l, roots))
+    return slopes, float(np.sum(1.0 / slopes))
 
 
 def default_level_grid(spec: KernelSpec) -> np.ndarray:
@@ -410,11 +408,7 @@ def detect_sign_change(spec: KernelSpec, scan: np.ndarray | None = None) -> Sign
             raise PreconditionError(f"scan needs >= 1000 levels, got {len(scan)}")
         scan = np.unique(scan)
     tg = TruncatedGaussian.from_length(spec.l)
-    l2m1 = spec.l * spec.l - 1
-    f_vals = np.where(
-        scan < tg.y_last, tg.x_c, np.sqrt(2.0 * np.log(1.0 / scan) / (PI * l2m1))
-    )
-    diff = f_vals - superlevel_measure_many(spec, scan)
+    diff = gaussian_distribution_function(tg, scan) - superlevel_measure_many(spec, scan)
 
     sign = np.sign(diff)
     nz = sign != 0
@@ -471,12 +465,7 @@ def comparison_functional(
 
 def slope_sum(spec: KernelSpec, y: float) -> float:
     """Sum of 1/|g'| over all crossings of the level y (equals |G'(y)|)."""
-    roots, _, _ = level_crossings(spec, y)
-    return _inverse_slope_sum(spec.l, roots)
-
-
-def _inverse_slope_sum(l: int, roots: np.ndarray) -> float:
-    return float(np.sum(1.0 / np.abs(kernel_slope_values(l, roots))))
+    return _measure_and_slope_sum(spec, y)[1]
 
 
 def check_derivative_bounds(spec: KernelSpec, y: float) -> SlopeBoundCheck:
@@ -510,7 +499,7 @@ def check_derivative_bounds(spec: KernelSpec, y: float) -> SlopeBoundCheck:
             f"root census mismatch at l={l}, y={y}: found {len(roots)}, expected {expected}"
         )
 
-    slopes = np.abs(kernel_slope_values(l, roots))
+    slopes, inv_sum = _slopes_and_inverse_sum(l, roots)
     # |g'| is at most (l pi / 2) ((pi/l)/sin(pi/l))^2 <= 2l on the first arch
     # and l pi^2 / (4k) inside arch k >= 1 (np.maximum only spares arch 0 a 1/0)
     first_cap = (l * PI / 2.0) * ((PI / l) / math.sin(PI / l)) ** 2
@@ -518,7 +507,6 @@ def check_derivative_bounds(spec: KernelSpec, y: float) -> SlopeBoundCheck:
     worst = float(np.max(slopes - caps))
     slack = 1e-9
     ok = not np.any(slopes > caps + slack)
-    inv_sum = float(np.sum(1.0 / slopes))
     lower = 1.0 / (2.0 * l) + 4.0 * band * band / (l * PI**2)
     if inv_sum < lower - slack:
         ok = False

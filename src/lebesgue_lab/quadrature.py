@@ -91,6 +91,8 @@ class LpNormResult:
     asymptotic: float
     abs_error_estimate: float
     converged: bool
+    margin: float | None  # bound - value, where the bound applies
+    ratio: float  # value / asymptotic
 
 
 @dataclass(frozen=True)
@@ -102,15 +104,6 @@ class BoundCertificate:
     margin: float
     abs_error_estimate: float
     passed: bool
-
-
-@dataclass(frozen=True)
-class AsymptoticComparison:
-    l: int
-    p: float
-    value: float
-    reference: float
-    ratio: float
 
 
 @lru_cache(maxsize=None)
@@ -390,14 +383,17 @@ def lp_norm(spec: KernelSpec, p: float, cfg: QuadratureConfig = DEFAULT_CONFIG) 
     """
     value, err, converged = integrate_kernel_power(spec, p, cfg)
     bound = norm_bound(spec.l, p) if (p >= 2.0 and spec.l >= 6) else None
+    asymptotic = asymptotic_reference(spec.l, p, cfg)
     return LpNormResult(
         l=spec.l,
         p=float(p),
         value=value,
         bound=bound,
-        asymptotic=asymptotic_reference(spec.l, p, cfg),
+        asymptotic=asymptotic,
         abs_error_estimate=err,
         converged=converged,
+        margin=None if bound is None else bound - value,
+        ratio=value / asymptotic,
     )
 
 
@@ -509,16 +505,6 @@ def asymptotic_reference(l: int, p: float, cfg: QuadratureConfig = DEFAULT_CONFI
     if p == 1.0:
         return 4.0 * math.log(l) / (PI**2 * l)
     return (2.0 / PI) * ball_half(p, cfg) / l
-
-
-def asymptotic_comparison(
-    spec: KernelSpec, p: float, cfg: QuadratureConfig = DEFAULT_CONFIG
-) -> AsymptoticComparison:
-    """Ratio of the computed norm to its first-order asymptotic reference."""
-    r = lp_norm(spec, p, cfg)
-    return AsymptoticComparison(
-        l=spec.l, p=float(p), value=r.value, reference=r.asymptotic, ratio=r.value / r.asymptotic
-    )
 
 
 def _product_cuts(ls) -> np.ndarray:

@@ -160,13 +160,13 @@ class TestGridCommands:
         ]
 
     def test_asymptotic_ratio_matches_library(self, tmp_path):
-        from lebesgue_lab.quadrature import asymptotic_comparison
+        from lebesgue_lab.quadrature import lp_norm
 
         out = tmp_path / "asym.json"
         assert cli.main(["asymptotic", "--l", "50,100", "--p", "1,4", "--out", str(out)]) == 0
         for r in json.loads(out.read_text())["records"]:
-            c = asymptotic_comparison(KernelSpec(r["l"]), r["p"])
-            assert (r["value"], r["reference"], r["ratio"]) == (c.value, c.reference, c.ratio)
+            c = lp_norm(KernelSpec(r["l"]), r["p"])
+            assert (r["value"], r["reference"], r["ratio"]) == (c.value, c.asymptotic, c.ratio)
 
     def test_sweep_and_lebesgue_agree(self, tmp_path):
         values = []
@@ -301,6 +301,19 @@ class TestUsageErrors:
         assert capsys.readouterr().err.startswith("error: max adjustment did not settle")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "corpus", ['[[{"offset": 0}]]', "[5]"], ids=["no-weights", "not-an-instance"]
+    )
+    def test_malformed_corpus_is_usage_error(self, tmp_path, capsys, corpus):
+        path = tmp_path / "f.json"
+        path.write_text(corpus)
+        out = tmp_path / "x.json"
+        code = cli.main(["epi-check", "--random", "0", "--instances", str(path),
+                         "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: corpus file")
+        assert not out.exists()
+
     def test_convolution_overflow_is_reported(self, tmp_path, capsys, monkeypatch):
         from lebesgue_lab import pmf
 
@@ -329,6 +342,31 @@ class TestSuiteCommand:
 
         monkeypatch.setattr(acceptance, "CRITERIA", (passing, failing))
         assert cli.main(["suite", "--out", str(tmp_path / "bad.json")]) == 1
+
+    @pytest.fixture
+    def one_criterion(self, monkeypatch):
+        from lebesgue_lab import acceptance
+        from lebesgue_lab.acceptance import AcceptanceResult
+
+        def stub():
+            return AcceptanceResult("stub", True, "ok", 0.0)
+
+        monkeypatch.setattr(acceptance, "CRITERIA", (stub,))
+
+    def test_progress_counts_the_criteria(self, one_criterion):
+        from lebesgue_lab import acceptance
+
+        lines = []
+        acceptance.run_all(printer=lines.append)
+        assert lines == ["[ 1/1] PASS  stub: ok (0.0s)"]
+
+    def test_report_goes_to_stdout_and_progress_to_stderr(self, capsys, one_criterion):
+        assert cli.main(["suite", "--format", "csv"]) == 0
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
+        assert lines[0] == "# command=suite"
+        assert lines[-2:] == ["name,ok,detail,seconds", "stub,True,ok,0.0"]
+        assert err == "[ 1/1] PASS  stub: ok (0.0s)\n"
 
 
 class TestReportHygiene:

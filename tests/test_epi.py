@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -120,6 +121,17 @@ class TestRogozin:
 
     def test_seeded_random_instance(self):
         assert check_rogozin(random_instance(42)).ok
+
+    @pytest.mark.parametrize(
+        "ls",
+        # (129,) * 11 has prod / max >= 2^63: the Python-integer counts
+        [(6, 7, 9), (300, 299, 250), (129,) * 11],
+        ids=["small", "transform", "python-int"],
+    )
+    def test_uniform_side_is_the_exact_quotient(self, ls):
+        check = check_rogozin(make_instance([uniform(l) for l in ls]))
+        exact = Fraction(int(pmf.uniform_counts(ls).max()), math.prod(ls))
+        assert check.max_prob_uniform == float(exact)
 
 
 class TestCheckEpi:

@@ -184,6 +184,17 @@ class TestTruncatedGaussian:
     def test_bounded_by_one(self, l, x):
         assert 0.0 <= eval_gaussian(TruncatedGaussian.from_length(l), x) <= 1.0
 
+    @pytest.mark.parametrize("l", [2, 6, 7, 64, 1000])
+    def test_batch_truncates_after_cutoff(self, l):
+        tg = TruncatedGaussian.from_length(l)
+        xs = np.array([0.0, 0.5 * tg.x_c, tg.x_c, np.nextafter(tg.x_c, 1.0), 2.0 * tg.x_c])
+        fs = gaussian_values(tg, xs)
+        exact = [math.exp(-math.pi * (l * l - 1) * x * x / 2.0) for x in xs[:3]]
+        assert fs[:3].tolist() == pytest.approx(exact, rel=1e-15) and fs[2] > 0.0
+        assert np.array_equal(fs[3:], [0.0, 0.0])
+        # the scalar form is the one-point case of the batch
+        assert [eval_gaussian(tg, x) for x in xs.tolist()] == fs.tolist()
+
 
 class TestClosedFormF:
     def test_mid_level_value(self):
@@ -203,6 +214,22 @@ class TestClosedFormF:
     def test_domain_errors(self, y):
         with pytest.raises(DomainError):
             gaussian_distribution_function(TruncatedGaussian.from_length(8), y)
+
+    @pytest.mark.parametrize("l", [6, 9, 48])
+    def test_array_matches_scalar_calls(self, l):
+        tg = TruncatedGaussian.from_length(l)
+        ys = np.concatenate([np.geomspace(1e-6, 1 - 1e-9, 500), [tg.y_last]])
+        batch = gaussian_distribution_function(tg, ys)
+        assert batch.shape == ys.shape
+        assert [v.hex() for v in batch.tolist()] == [
+            gaussian_distribution_function(tg, y).hex() for y in ys.tolist()
+        ]
+
+    @pytest.mark.parametrize("bad", [math.nan, 0.0, 1.0, -0.2])
+    def test_one_bad_level_in_an_array_raises(self, bad):
+        ys = np.array([0.1, bad, 0.5])
+        with pytest.raises(DomainError):
+            gaussian_distribution_function(TruncatedGaussian.from_length(8), ys)
 
     def test_monotone_nonincreasing(self):
         tg = TruncatedGaussian.from_length(9)
@@ -236,7 +263,7 @@ class TestFirstArchDomination:
         assert report.max_diff < 0.0
         # right endpoint: the kernel vanishes while the gaussian does not
         assert eval_kernel(KernelSpec(2), 0.5) <= 1e-14
-        assert gaussian_values(2, np.array([0.5]))[0] == pytest.approx(
+        assert gaussian_values(TruncatedGaussian.from_length(2), np.array([0.5]))[0] == pytest.approx(
             math.exp(-3 * math.pi / 8), rel=1e-15
         )
 

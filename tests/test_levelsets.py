@@ -12,6 +12,7 @@ from lebesgue_lab.kernel import (
     KernelSpec,
     TruncatedGaussian,
     gaussian_distribution_function,
+    kernel_slope_values,
     kernel_values,
 )
 from lebesgue_lab.levelsets import (
@@ -235,8 +236,12 @@ class TestMeasureG:
         spec = KernelSpec(l)
         for y in ys:
             fused = _measure_and_slope_sum(spec, y)
-            separate = (superlevel_measure(spec, y), slope_sum(spec, y))
+            # the slope sum computed on its own, from level_crossings' roots
+            roots = level_crossings(spec, y)[0]
+            inverse_sum = float(np.sum(1.0 / np.abs(kernel_slope_values(l, roots))))
+            separate = (superlevel_measure(spec, y), inverse_sum)
             assert [v.hex() for v in fused] == [v.hex() for v in separate]
+            assert slope_sum(spec, y) == fused[1]
 
 
 class TestLevelCrossings:

@@ -23,7 +23,6 @@ from lebesgue_lab.quadrature import (
     _pair_nodes,
     _product_cuts,
     adaptive_integral,
-    asymptotic_comparison,
     asymptotic_reference,
     ball_half,
     ball_integral,
@@ -129,6 +128,12 @@ class TestLpNorm:
         assert lp_norm(KernelSpec(5), 2.0).bound is None
         assert lp_norm(KernelSpec(6), 1.5).bound is None
         assert lp_norm(KernelSpec(6), 2.0).asymptotic == asymptotic_reference(6, 2.0)
+
+    @pytest.mark.parametrize("l, p", [(6, 2.0), (64, 8.0), (5, 2.0), (6, 1.5)])
+    def test_margin_and_ratio(self, l, p):
+        r = lp_norm(KernelSpec(l), p)
+        assert r.margin == (None if r.bound is None else r.bound - r.value)
+        assert r.ratio == r.value / r.asymptotic
 
     def test_rejects_p_below_one(self):
         with pytest.raises(DomainError):
@@ -362,16 +367,16 @@ class TestAcrossSixtyFour:
 
 class TestAsymptoticComparison:
     def test_parseval_ratio_is_one(self):
-        c = asymptotic_comparison(KernelSpec(1000), 2.0)
+        c = lp_norm(KernelSpec(1000), 2.0)
         assert c.ratio == pytest.approx(1.0, abs=1e-9)
 
     def test_fourth_power_deviation_shrinks(self):
-        devs = [abs(asymptotic_comparison(KernelSpec(l), 4.0).ratio - 1.0)
+        devs = [abs(lp_norm(KernelSpec(l), 4.0).ratio - 1.0)
                 for l in (50, 100, 200, 400)]
         assert all(a > b for a, b in zip(devs, devs[1:]))
 
     def test_l1_ratio_band_and_trend(self):
-        ratios = [asymptotic_comparison(KernelSpec(l), 1.0).ratio for l in (100, 400, 1000)]
+        ratios = [lp_norm(KernelSpec(l), 1.0).ratio for l in (100, 400, 1000)]
         assert all(a > b for a, b in zip(ratios, ratios[1:]))
         assert 0.8 <= ratios[-1] <= 1.6
 
