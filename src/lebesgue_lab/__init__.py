@@ -7,6 +7,7 @@ from .epi import (
     HolderChain,
     RogozinCheck,
     check_epi,
+    check_epis,
     check_rogozin,
     handcrafted_corpus,
     holder_bound_chain,
@@ -16,6 +17,7 @@ from .epi import (
     load_instances,
     make_instance,
     random_instance,
+    random_instances,
     save_instances,
 )
 from .errors import (

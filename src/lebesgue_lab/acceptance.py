@@ -18,11 +18,11 @@ from .epi import (
     EXACT_FLOOR,
     GENERAL_FLOOR,
     EpiInstance,
-    check_epi,
+    check_epis,
     check_rogozin,
     handcrafted_corpus,
     make_instance,
-    random_instance,
+    random_instances,
 )
 from .errors import VerificationError
 from .kernel import KernelSpec, check_first_arch_domination
@@ -42,6 +42,7 @@ from .quadrature import (
     certify_bound,
     integrate_kernel_power,
     lp_norm,
+    sinc_power_bound,
 )
 
 CERT_L_RANGE = range(6, 65)
@@ -105,8 +106,8 @@ def criterion_ball_integral() -> AcceptanceResult:
         margins = []
         for p in (2.5, 3.0, 4.0, 8.0, 16.0):
             v = ball_integral(p)
-            margins.append(math.sqrt(2.0 / p) - v)
-            checks.append(v < math.sqrt(2.0 / p))
+            margins.append(sinc_power_bound(p) - v)
+            checks.append(v < sinc_power_bound(p))
     except VerificationError as exc:
         return _result("sinc-power integral", t0, False, str(exc))
     ok = all(checks)
@@ -233,20 +234,16 @@ def criterion_slope_census() -> AcceptanceResult:
 @functools.cache
 def _epi_instances() -> tuple[EpiInstance, ...]:
     # both entropy-power criteria check this batch; its weights are read-only
-    return tuple(random_instance(seed, n_range=(2, 5), l_range=(6, 30)) for seed in EPI_SEEDS)
+    return tuple(random_instances(EPI_SEEDS, n_range=(2, 5), l_range=(6, 30)))
 
 
 def criterion_epi_suite() -> AcceptanceResult:
     """Entropy power inequality over the random batch, corpus, and floors."""
     t0 = time.perf_counter()
-    n_exact = 0
     try:
-        for inst in _epi_instances():
-            report = check_epi(inst, cfg=BATCH_CFG)
-            if report.rhs_exact_M is not None:
-                n_exact += 1
-        for inst in handcrafted_corpus():
-            check_epi(inst, cfg=BATCH_CFG)
+        reports = check_epis(_epi_instances(), cfg=BATCH_CFG)
+        n_exact = sum(report.rhs_exact_M is not None for report in reports)
+        check_epis(handcrafted_corpus(), cfg=BATCH_CFG)
     except VerificationError as exc:
         return _result("entropy power suite", t0, False, str(exc))
     floors_ok = (

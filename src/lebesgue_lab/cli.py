@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -21,11 +22,11 @@ import numpy as np
 
 from . import acceptance
 from .epi import (
-    check_epi,
+    check_epis,
     check_rogozin,
     handcrafted_corpus,
     load_instances,
-    random_instance,
+    random_instances,
 )
 from .errors import (
     ConvolutionOverflowError,
@@ -42,6 +43,7 @@ from .quadrature import (
     ball_integral,
     certify_bound,
     lp_norm,
+    sinc_power_bound,
 )
 
 @dataclass(frozen=True)
@@ -185,7 +187,7 @@ def _cmd_ball(config: RunConfig, args) -> int:
     rows = []
     for p in parse_float_list(args.p):
         v = ball_integral(p, cfg)
-        bound = (2.0 / p) ** 0.5
+        bound = sinc_power_bound(p)
         rows.append({"p": p, "value": v, "bound": bound, "margin": bound - v})
     write_report(config, ["p", "value", "bound", "margin"], rows)
     return 0
@@ -223,24 +225,24 @@ def _epi_row(report) -> dict:
 
 
 def _random_instances(config: RunConfig, args):
-    """(seed, instance) for the ``--random`` seeds starting at ``--seed``."""
-    for seed in range(config.seed, config.seed + args.random):
-        yield seed, random_instance(
-            seed, n_range=(args.n_min, args.n_max), l_range=(args.lmin, args.lmax)
-        )
+    """(seed, instance) for the ``--random`` seeds starting at ``--seed``, generated in blocks."""
+    seeds = range(config.seed, config.seed + args.random)
+    instances = random_instances(seeds, n_range=(args.n_min, args.n_max), l_range=(args.lmin, args.lmax))
+    return zip(seeds, instances)
+
+
+def _extra_instances(args):
+    """The handcrafted corpus and the ``--instances`` file, read once the random ones are checked."""
+    if args.corpus:
+        yield from handcrafted_corpus()
+    if args.instances:
+        yield from load_instances(args.instances)
 
 
 def _cmd_epi_check(config: RunConfig, args) -> int:
-    cfg = _quad_config(args)
-
-    def check(inst):
-        return _epi_row(check_epi(inst, cfg=cfg, with_chain=not args.no_chain))
-
-    rows = [check(inst) for _, inst in _random_instances(config, args)]
-    extra = list(handcrafted_corpus()) if args.corpus else []
-    if args.instances:
-        extra += list(load_instances(args.instances))
-    rows += [check(inst) for inst in extra]
+    instances = itertools.chain((inst for _, inst in _random_instances(config, args)), _extra_instances(args))
+    reports = check_epis(instances, cfg=_quad_config(args), with_chain=not args.no_chain)
+    rows = [_epi_row(r) for r in reports]
     write_report(
         config,
         ["l_indices", "l_min", "case", "lhs", "rhs_general", "rhs_exact_M",

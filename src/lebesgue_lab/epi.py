@@ -17,23 +17,48 @@ being verified is:
 Together these yield N(sum X_i) >= 1/2 * (l_min - 1)/(l_min + 1) * sum N(X_i)
 for l_min >= 6 (floor 5/14), improving to 1/2 * (l_min^2 - 1)/l_min^2 (floor
 35/72) when every M(X_i) equals 1/l_i exactly.
+
+Batches run as a few array passes rather than one instance at a time, in
+blocks of ``_BLOCK`` instances so their work arrays stay bounded:
+
+  * :func:`random_instances` draws each seed's laws from its own generator
+    and generates the t-th law of every seed of a block at once (water-
+    filling, Pmf's checks, the index), so a seed stops at its first law that
+    fails; :func:`random_instance` is its batch of one;
+  * :func:`check_epis` integrates the kernel norms of all chains of a block
+    with one :func:`integrate_kernel_powers` call per distinct index, then
+    checks the instances in order; :func:`check_epi` and
+    :func:`holder_bound_chain` are batches of one.
+
+Every value is bit-identical to generating and checking one instance at a
+time, and the first instance that fails raises the error it raises alone.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GenerationError, PreconditionError, VerificationError
-from .pmf import Pmf, convolve_many, entropy_summary, l_index, uniform, uniform_counts
+from .errors import DomainError, GenerationError, PreconditionError, VerificationError
+from .pmf import (
+    Pmf,
+    convolve_many,
+    entropy_summary,
+    l_index,
+    l_indices_from_max,
+    uniform,
+    uniform_counts,
+    weight_problems,
+)
 from .quadrature import (
     DEFAULT_CONFIG,
     KernelSpec,
     QuadratureConfig,
-    integrate_kernel_power,
+    integrate_kernel_powers,
     norm_bound,
     product_kernel_l1,
 )
@@ -50,6 +75,10 @@ GENERAL_FLOOR = 5.0 / 14.0
 EXACT_FLOOR = 35.0 / 72.0
 
 _MAX_SATURATIONS = 50  # water-filling's cap: the rounds of its one-at-a-time form
+
+# instances are generated and checked in blocks of this many, so the padded
+# work arrays of a large batch stay bounded
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -97,9 +126,13 @@ class EpiReport:
 
 def make_instance(pmfs, seed: int | None = None) -> EpiInstance:
     pmfs = tuple(pmfs)
+    return _classified(pmfs, tuple(l_index(f) for f in pmfs), seed)
+
+
+def _classified(pmfs: tuple, ls: tuple, seed: int | None) -> EpiInstance:
+    """The instance of laws ``pmfs`` at indices ``ls``, with its case."""
     if len(pmfs) < 2:
         raise PreconditionError("an instance needs at least two variables")
-    ls = tuple(l_index(f) for f in pmfs)
     sum_sq = sum(l * l for l in ls)
     case = CASE_HOLDER if max(ls) ** 2 / sum_sq <= 0.5 else CASE_DOMINANT
     return EpiInstance(
@@ -130,25 +163,45 @@ def holder_bound_chain(ls, cfg: QuadratureConfig = DEFAULT_CONFIG) -> HolderChai
     Members, in order: the squared maximum of the uniform convolution, the
     squared one-period integral of the kernel product, the Hoelder product of
     norms, the product of certified bounds, and the closed form.  Each must
-    be <= the next within 1e-9 relative.
+    be <= the next within 1e-9 relative.  The chain of a batch of one:
+    :func:`check_epis` evaluates the chains of a whole batch with one
+    :func:`integrate_kernel_powers` call per distinct index.
     """
     ls = tuple(int(l) for l in ls)
     if min(ls) < 6:
         raise PreconditionError(f"chain requires every index >= 6, got {ls}")
     ps = holder_exponents(ls)
+    return _chain(ls, ps, _kernel_norms([(ls, ps)], cfg))
 
+
+def _kernel_norms(chains, cfg: QuadratureConfig) -> dict:
+    """{(l, p): (norm, converged)} for the (ls, ps) of every chain.
+
+    Each distinct (l, p) is integrated once, and each distinct l with one
+    :func:`integrate_kernel_powers` call over all of its exponents.
+    """
+    wanted = {}  # l -> its exponents, in first-seen order, without repeats
+    for ls, ps in chains:
+        for l, p in zip(ls, ps):
+            wanted.setdefault(l, {})[p] = None
+    norms = {}
+    for l, exps in wanted.items():
+        for p, (value, _, converged) in zip(exps, integrate_kernel_powers(KernelSpec(l), exps, cfg)):
+            norms[l, p] = value, converged
+    return norms
+
+
+def _chain(ls: tuple, ps: tuple, norms: dict) -> HolderChain:
+    """The bound chain of indices ``ls`` at exponents ``ps``, its norms read from ``norms``."""
     counts = uniform_counts(ls)
     m0 = _uniform_max(ls, counts) ** 2
     m1 = product_kernel_l1(ls, counts)[0] ** 2
     m2 = m3 = 1.0
-    norms = {}  # equal indices share their exponent, so each is integrated once
     for l, p in zip(ls, ps):
-        if l not in norms:
-            value, _, converged = integrate_kernel_power(KernelSpec(l), p, cfg)
-            if not converged:
-                raise VerificationError(f"norm quadrature did not converge at l={l}, p={p}")
-            norms[l] = value
-        m2 *= norms[l] ** (2.0 / p)
+        value, converged = norms[l, p]
+        if not converged:
+            raise VerificationError(f"norm quadrature did not converge at l={l}, p={p}")
+        m2 *= value ** (2.0 / p)
         m3 *= norm_bound(l, p) ** (2.0 / p)
     lmin = min(ls)
     m4 = 2.0 * lmin * lmin / ((lmin * lmin - 1) * sum(l * l for l in ls))
@@ -196,47 +249,110 @@ def check_epi(
     cfg: QuadratureConfig = DEFAULT_CONFIG,
     with_chain: bool = True,
 ) -> EpiReport:
-    """Check the entropy power inequality on one instance.
+    """Check the entropy power inequality on one instance: :func:`check_epis` of one."""
+    return check_epis([instance], cfg, with_chain)[0]
+
+
+def check_epis(
+    instances,
+    cfg: QuadratureConfig = DEFAULT_CONFIG,
+    with_chain: bool = True,
+) -> list[EpiReport]:
+    """Check the entropy power inequality on each instance, in order.
 
     With l_min >= 6 a violation raises; below that the inequality is not
     claimed and the report is returned without assertion.  In the split case
     the full bound chain is evaluated as well (disable via ``with_chain``
     when only the inequality itself is wanted).
+
+    ``instances`` is read in blocks of ``_BLOCK``; the kernel norms of a
+    block's chains are integrated up front, one
+    :func:`integrate_kernel_powers` call per distinct index, and the
+    instances are then checked one by one.  The first instance that fails
+    raises, with the error a check of it alone raises; an error raised by
+    ``instances`` itself is raised after the instances before it are
+    checked.
     """
-    s = convolve_many(instance.pmfs)
-    lhs = entropy_summary(s).N_inf
-    sum_n = sum(entropy_summary(f).N_inf for f in instance.pmfs)
-    lmin = instance.l_min
-    rhs_general = 0.5 * (lmin - 1) / (lmin + 1) * sum_n
-    rhs_exact = 0.5 * (lmin * lmin - 1) / (lmin * lmin) * sum_n if _all_exact_index(instance) else None
+    reports = []
+    items = iter(instances)
+    while True:
+        block, error = [], None
+        try:
+            for instance in items:
+                block.append(instance)
+                if len(block) == _BLOCK:
+                    break
+        except Exception as exc:  # raised once the instances before it are checked
+            error = exc
+        reports += _check_block(block, cfg, with_chain)
+        if error is not None:
+            raise error
+        if len(block) < _BLOCK:
+            return reports
 
-    holds = lhs >= rhs_general - EPI_SLACK
-    if rhs_exact is not None:
-        holds = holds and lhs >= rhs_exact - EPI_SLACK
 
-    asserted = lmin >= 6
-    if asserted and instance.case == CASE_HOLDER and with_chain:
-        holder_bound_chain(instance.l_indices, cfg)
+def _check_block(instances: list, cfg: QuadratureConfig, with_chain: bool) -> list[EpiReport]:
+    """:func:`check_epis` on one block: the chains' kernel norms first, then each instance in order."""
+    # (indices, exponents) of each instance whose chain is checked, else None
+    chains = [
+        (inst.l_indices, holder_exponents(inst.l_indices))
+        if with_chain and inst.l_min >= 6 and inst.case == CASE_HOLDER
+        else None
+        for inst in instances
+    ]
+    norms = _kernel_norms([c for c in chains if c is not None], cfg)
+    reports = []
+    for instance, chain in zip(instances, chains):
+        s = convolve_many(instance.pmfs)
+        lhs = entropy_summary(s).N_inf
+        sum_n = sum(entropy_summary(f).N_inf for f in instance.pmfs)
+        lmin = instance.l_min
+        rhs_general = 0.5 * (lmin - 1) / (lmin + 1) * sum_n
+        rhs_exact = 0.5 * (lmin * lmin - 1) / (lmin * lmin) * sum_n if _all_exact_index(instance) else None
 
-    report = EpiReport(
-        l_indices=instance.l_indices,
-        l_min=lmin,
-        case=instance.case,
-        lhs=lhs,
-        rhs_general=rhs_general,
-        rhs_exact_M=rhs_exact,
-        floor_general=GENERAL_FLOOR * sum_n,
-        floor_exact=EXACT_FLOOR * sum_n,
-        holds=holds,
-        asserted=asserted,
-    )
-    if asserted and not holds:
-        raise VerificationError(f"entropy power inequality failed: {report}")
-    return report
+        holds = lhs >= rhs_general - EPI_SLACK
+        if rhs_exact is not None:
+            holds = holds and lhs >= rhs_exact - EPI_SLACK
+
+        asserted = lmin >= 6
+        if chain is not None:
+            _chain(*chain, norms)
+
+        report = EpiReport(
+            l_indices=instance.l_indices,
+            l_min=lmin,
+            case=instance.case,
+            lhs=lhs,
+            rhs_general=rhs_general,
+            rhs_exact_M=rhs_exact,
+            floor_general=GENERAL_FLOOR * sum_n,
+            floor_exact=EXACT_FLOOR * sum_n,
+            holds=holds,
+            asserted=asserted,
+        )
+        if asserted and not holds:
+            raise VerificationError(f"entropy power inequality failed: {report}")
+        reports.append(report)
+    return reports
 
 
 def _fit_max_into(weights: np.ndarray, target: float) -> np.ndarray:
-    """Pin the largest weight to ``target`` and cap the rest below it.
+    """Pin the largest weight to ``target`` and cap the rest below it: :func:`_water_fill` of one."""
+    w = np.asarray(weights, dtype=float)
+    rows = np.zeros((1, len(w) + 1))
+    rows[0, : len(w)] = w
+    (problem,) = _water_fill(rows, [len(w)], [target])
+    if problem is not None:
+        raise GenerationError(problem)
+    return rows[0, : len(w)]
+
+
+def _water_fill(rows: np.ndarray, sizes: list, targets: list) -> list:
+    """Normalise each row's weights, pin the largest to its target and cap the rest below it.
+
+    Row i holds its weights in its first ``sizes[i]`` entries and zeros
+    after them, and every row has at least one zero.  The rows are filled
+    in place; returns per row None or why it failed.
 
     Water-filling in closed form.  Saturating the largest weights one at a
     time and rescaling the rest never reorders them, so with the values
@@ -251,60 +367,187 @@ def _fit_max_into(weights: np.ndarray, target: float) -> np.ndarray:
     the same inputs fail; an infeasible target (k targets exceed the unit
     mass, or every weight saturates below it) fails too.  The saturated
     weights are the k largest, ties to the lower index.
+
+    The passes over the weights (sorting, the running sums, the comparison
+    with the cut, the rescaling) run on all rows at once.  The zeros after a
+    row's weights sort first and add exactly 0.0 to its running sums, so in
+    every row the (j + 1)-th largest value and the tail sum through it sit
+    at column j from the end.  The decision per row reads a few of those
+    values, so it runs on Python floats.  The sums that normalise a row and
+    rescale its free weights are ``ndarray.sum`` of that row's own values,
+    taken row by row: numpy sums pairwise, in an order fixed by the count of
+    values, so a padded row would not sum as its weights alone.
     """
-    w = np.array(weights, dtype=float)
-    w /= w.sum()
-    n = len(w)
-    ascending = np.sort(w)
-    m = min(_MAX_SATURATIONS, n - 1)
-    # entry k - 1 belongs to k saturated weights: the largest free weight
-    # and the mass of the free weights
-    top = ascending[-2 : -m - 2 : -1].tolist()
-    tails = np.cumsum(ascending)[-2 : -m - 2 : -1].tolist()
-    k = n
-    for j in range(m):
-        if top[j] * ((1.0 - target * (j + 1)) / tails[j]) <= target:
-            k = j + 1
-            break
-    if k > _MAX_SATURATIONS:
-        raise GenerationError(f"max adjustment did not settle in {_MAX_SATURATIONS} rounds")
-    free_mass = 1.0 - target * k
-    if free_mass < 0.0 or (k == n and free_mass != 0.0):
-        raise GenerationError("target maximum infeasible for this support size")
-    cut = ascending[n - k]
-    saturated = w > cut
-    saturated[np.flatnonzero(w == cut)[: k - np.count_nonzero(saturated)]] = True
-    if k < n:
-        free = ~saturated
-        w[free] *= free_mass / w[free].sum()
-    w[saturated] = target
-    return w
+    width = rows.shape[1]
+    for row, n in zip(rows, sizes):
+        row /= np.add.reduce(row[:n])  # ndarray.sum of the row's own weights; its zeros stay 0
+    ascending = np.sort(rows, axis=1)
+    m = min(_MAX_SATURATIONS, width - 1)
+    # entry j of a row's tops is its (j + 1)-th largest value; entry j - 1
+    # of its tails is the sum of all but its j largest
+    tops = ascending[:, : -m - 2 : -1].tolist()
+    tails = np.cumsum(ascending, axis=1)[:, -2 : -m - 2 : -1].tolist()
+    # per row: the cut (a failed row saturates nothing), the count of
+    # saturated weights, and the factor of the free ones
+    cuts, counts, scales, problems, split = [], [], [], [], []
+    for i, (top, tail, target, n) in enumerate(zip(tops, tails, targets, sizes)):
+        k = n
+        for j in range(1, min(m, n - 1) + 1):
+            if top[j] * ((1.0 - target * j) / tail[j - 1]) <= target:
+                k = j
+                break
+        free_mass = 1.0 - target * k
+        if k > _MAX_SATURATIONS:
+            problems.append(f"max adjustment did not settle in {_MAX_SATURATIONS} rounds")
+        elif free_mass < 0.0 or (k == n and free_mass != 0.0):
+            problems.append("target maximum infeasible for this support size")
+        else:
+            problems.append(None)
+            # the cut, the k-th largest value, saturates with every value
+            # above it, and so do its ties unless one is not among the k largest
+            cuts.append(top[k - 1])
+            counts.append(k)
+            scales.append(free_mass)
+            if k < n and top[k] == top[k - 1]:
+                split.append(i)
+            continue
+        cuts.append(math.inf)
+        counts.append(0)
+        scales.append(1.0)
+    if not any(counts):  # every row failed
+        return problems
+    saturated = rows >= np.array(cuts)[:, None]
+    for i in split:  # only as many ties as saturations are left, the first ones
+        above, tied = rows[i] > cuts[i], rows[i] == cuts[i]
+        saturated[i] = above | (tied & (np.cumsum(tied) <= counts[i] - np.count_nonzero(above)))
+    # every row's free weights, in index order, one row after the other
+    free = rows[(np.arange(width) < np.array(sizes)[:, None]) ^ saturated]
+    start = 0
+    for i, (n, k) in enumerate(zip(sizes, counts)):
+        if k < n:
+            scales[i] /= np.add.reduce(free[start : start + n - k])
+            start += n - k
+    rows *= np.array(scales)[:, None]
+    np.copyto(rows, np.array(targets)[:, None], where=saturated)
+    return problems
 
 
-def random_pmf(rng: np.random.Generator, l: int) -> Pmf:
-    """One random law at index l: support in [l, 4l], max pinned into range."""
-    size = int(rng.integers(l, 4 * l + 1))
-    if size == l:
-        # the only feasible maximum is 1/l itself, i.e. the uniform law
-        w = np.full(size, 1.0 / size)
-    else:
-        lo = max(1.0 / (l + 1), 1.0 / size)
-        hi = 1.0 / l
-        target = hi - (hi - lo) * float(rng.random())
-        w = _fit_max_into(rng.random(size) + 0.05, target)
-    f = Pmf(offset=int(rng.integers(-5, 6)), weights=w)
-    if l_index(f) != l:
-        raise GenerationError(f"generated law landed at index {l_index(f)}, wanted {l}")
-    return f
+def random_instances(seeds, n_range=(2, 5), l_range=(6, 30)):
+    """Deterministic random instances, one per seed, in the order of ``seeds``.
+
+    A generator: iterating it gives ``random_instance(seed, n_range,
+    l_range)`` for each seed in turn.  A seed whose instance cannot be
+    generated raises there, with the error ``random_instance`` raises, after
+    the instances of the seeds before it.  The seeds are taken in blocks of
+    ``_BLOCK`` (see :func:`_instance_block`).  Indices start at 1.
+    """
+    if l_range[0] < 1:
+        raise DomainError(f"index range must start at 1 or above, got {tuple(l_range)}")
+    seeds = iter(seeds)
+    while block := list(itertools.islice(seeds, _BLOCK)):
+        for outcome in _instance_block(block, n_range, l_range):
+            if isinstance(outcome, Exception):
+                raise outcome
+            yield outcome
 
 
 def random_instance(seed: int, n_range=(2, 5), l_range=(6, 30)) -> EpiInstance:
-    """Deterministic random instance: n variables with indices in l_range."""
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(n_range[0], n_range[1] + 1))
-    ls = [int(rng.integers(l_range[0], l_range[1] + 1)) for _ in range(n)]
-    pmfs = tuple(random_pmf(rng, l) for l in ls)
-    return make_instance(pmfs, seed=seed)
+    """Deterministic random instance: n variables with indices in l_range.
+
+    Seeded by ``seed`` alone, in the order :func:`_instance_block` draws.
+    """
+    return next(random_instances([seed], n_range, l_range))
+
+
+def _instance_block(seeds: list, n_range, l_range) -> list:
+    """The instance of each seed of a block, or the error it raises.
+
+    Each seed draws from its own generator: n, the n indices, then for each
+    law its support size in [l, 4l], and unless that is l (the uniform law,
+    the only one whose maximum can be 1/l) its maximum target in range and
+    its raw weights, then its offset.  The laws go in waves, the t-th law of
+    every seed at once (:func:`_wave`), so a seed stops at its first law
+    that fails, as one law at a time does.
+    """
+    rngs, lss = [], []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(n_range[0], n_range[1] + 1))
+        rngs.append(rng)
+        lss.append([int(rng.integers(l_range[0], l_range[1] + 1)) for _ in range(n)])
+    laws = [[] for _ in seeds]
+    outcomes = [None] * len(seeds)  # a seed's error, once one of its laws fails
+    alive, t = list(range(len(seeds))), 0
+    while alive := [i for i in alive if outcomes[i] is None and t < len(lss[i])]:
+        for i, law in zip(alive, _wave([rngs[i] for i in alive], [lss[i][t] for i in alive])):
+            if isinstance(law, Pmf):
+                laws[i].append(law)
+            else:
+                outcomes[i] = law
+        t += 1
+    for i, seed in enumerate(seeds):
+        if outcomes[i] is None:
+            try:
+                outcomes[i] = _classified(tuple(laws[i]), tuple(lss[i]), seed)
+            except PreconditionError as exc:
+                outcomes[i] = exc
+    return outcomes
+
+
+def _wave(rngs: list, ls: list) -> list:
+    """One law per generator, at index ls[i]: each a Pmf, or the error it fails with.
+
+    Each law's weights are drawn by its generator straight into a
+    zero-padded row.  Then, over all the rows at once: water-filling
+    (:func:`_water_fill`), Pmf's checks
+    (:func:`~lebesgue_lab.pmf.weight_problems`) and the index of each law
+    (:func:`~lebesgue_lab.pmf.l_indices_from_max`), checked against the
+    index it was drawn at.
+    """
+    sizes = [int(rng.integers(l, 4 * l + 1)) for rng, l in zip(rngs, ls)]
+    rows = np.zeros((len(ls), max(sizes) + 1))
+    targets, offsets, fit = [], [], []
+    for i, (rng, l, size) in enumerate(zip(rngs, ls, sizes)):
+        row = rows[i, :size]
+        if size == l:
+            targets.append(1.0 / size)
+            row[:] = targets[-1]
+        else:
+            lo = max(1.0 / (l + 1), 1.0 / size)
+            hi = 1.0 / l
+            targets.append(hi - (hi - lo) * float(rng.random()))
+            np.add(rng.random(out=row), 0.05, out=row)
+            fit.append(i)
+        offsets.append(int(rng.integers(-5, 6)))
+    outcomes = [None] * len(ls)
+    if len(fit) == len(ls):
+        fit_problems = _water_fill(rows, sizes, targets)
+    elif fit:
+        filled = rows[fit]
+        fit_problems = _water_fill(filled, [sizes[i] for i in fit], [targets[i] for i in fit])
+        rows[fit] = filled
+    for i, problem in zip(fit, fit_problems if fit else ()):
+        if problem is not None:
+            outcomes[i] = GenerationError(problem)
+    checked = [i for i, outcome in enumerate(outcomes) if outcome is None]
+    if len(checked) == len(ls):
+        verdicts = weight_problems(rows, sizes)
+    else:
+        verdicts = weight_problems(rows[checked], [sizes[i] for i in checked]) if checked else ()
+    for i, problem in zip(checked, verdicts):
+        if problem is not None:
+            outcomes[i] = DomainError(problem)
+    checked = [i for i, outcome in enumerate(outcomes) if outcome is None]
+    if checked:
+        maxima = rows.max(axis=1).tolist()
+        for i, index in zip(checked, l_indices_from_max([maxima[i] for i in checked])):
+            if index != ls[i]:
+                outcomes[i] = GenerationError(f"generated law landed at index {index}, wanted {ls[i]}")
+    rows.setflags(write=False)  # law i is a read-only slice of row i
+    return [
+        Pmf._checked(offsets[i], rows[i, : sizes[i]]) if outcome is None else outcome
+        for i, outcome in enumerate(outcomes)
+    ]
 
 
 def instance_to_json_obj(instance: EpiInstance) -> list[dict]:
@@ -324,8 +567,11 @@ def save_instances(path: str, instances) -> None:
 
 def load_instances(path: str) -> tuple[EpiInstance, ...]:
     """Read a corpus file; a bare array of pmf objects is a single instance."""
-    with open(path) as fh:
-        data = json.load(fh)
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise PreconditionError(f"corpus file {path} cannot be read: {exc.strerror}") from exc
     if not isinstance(data, list) or not data:
         raise PreconditionError(f"corpus file {path} must hold a nonempty JSON array")
     if isinstance(data[0], dict):  # one instance, flat

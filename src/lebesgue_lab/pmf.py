@@ -8,6 +8,10 @@ one product of real FFTs beyond a size threshold, with both paths
 agreeing to float accuracy.
 
 Both paths run on numpy alone: the transform is ``numpy.fft``.
+
+:func:`weight_problems` runs Pmf's checks on many laws at once, each a row
+of a zero-padded array, and :func:`l_indices_from_max` their indices; a
+:class:`Pmf` checks its own weights with the same function.
 """
 
 from __future__ import annotations
@@ -36,17 +40,20 @@ class Pmf:
         w = np.array(self.weights, dtype=float)
         if w.ndim != 1 or len(w) == 0:
             raise DomainError("weights must be a nonempty 1-D sequence")
-        if not np.isfinite(w).all():
-            raise DomainError("weights must be finite")
-        if w.min() < 0.0:
-            raise DomainError("weights must be nonnegative")
-        if w[0] == 0.0 or w[-1] == 0.0:
-            raise DomainError("support must be trimmed: end weights must be positive")
-        if abs(float(w.sum()) - 1.0) > MASS_TOL:
-            raise DomainError(f"weights sum to {w.sum()!r}, not 1")
+        (problem,) = weight_problems(w[None, :], [len(w)])
+        if problem is not None:
+            raise DomainError(problem)
         w.setflags(write=False)
         object.__setattr__(self, "offset", int(self.offset))
         object.__setattr__(self, "weights", w)
+
+    @classmethod
+    def _checked(cls, offset: int, weights: np.ndarray) -> "Pmf":
+        """A law whose read-only 1-D weights already passed :func:`weight_problems`."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "offset", int(offset))
+        object.__setattr__(f, "weights", weights)
+        return f
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -61,6 +68,36 @@ class Pmf:
     @classmethod
     def from_json_dict(cls, d: dict) -> "Pmf":
         return cls(offset=d["offset"], weights=np.asarray(d["weights"], dtype=float))
+
+
+def weight_problems(rows: np.ndarray, sizes) -> list:
+    """Why each row's weights are not a law, or None: :class:`Pmf`'s checks, a batch at once.
+
+    Row i holds its weights in its first ``sizes[i]`` (>= 1) entries and
+    zeros after them.  The checks, in Pmf's order: finite, nonnegative,
+    trimmed (positive end weights), and a sum within MASS_TOL of 1, the sum
+    ``ndarray.sum`` gives.  Finiteness and sign are tested on all rows at
+    once and looked at row by row only when one fails; the sum is taken
+    row by row, since numpy sums pairwise in an order fixed by the count of
+    values, so a padded row would not sum as its weights alone.
+    """
+    if rows.min() >= 0.0 and rows.max() < math.inf:  # a NaN fails both
+        finite = negative = None
+    else:
+        finite = np.isfinite(rows).all(axis=1).tolist()
+        negative = (rows.min(axis=1) < 0.0).tolist()
+    problems = []
+    for i, (row, n) in enumerate(zip(rows, sizes)):
+        if finite is not None and not finite[i]:
+            problems.append("weights must be finite")
+        elif negative is not None and negative[i]:
+            problems.append("weights must be nonnegative")
+        elif row[0] == 0.0 or row[n - 1] == 0.0:
+            problems.append("support must be trimmed: end weights must be positive")
+        else:
+            total = np.add.reduce(row[:n])
+            problems.append(f"weights sum to {total!r}, not 1" if abs(total - 1.0) > MASS_TOL else None)
+    return problems
 
 
 @dataclass(frozen=True)
@@ -84,6 +121,12 @@ def uniform(l: int) -> Pmf:
     return Pmf(offset=1, weights=np.full(l, 1.0 / l))
 
 
+# a factor of a uniform convolution whose support times the running one
+# exceeds this is added by window sums of one running sum, O(n + l), rather
+# than by np.convolve, O(n l), which is faster below it
+_WINDOW_SUM_ABOVE = 2**13
+
+
 def uniform_counts(ls) -> np.ndarray:
     """Integer counts of the convolution of the uniform laws on {1, ..., l_i}.
 
@@ -92,6 +135,8 @@ def uniform_counts(ls) -> np.ndarray:
     exceeds prod(ls) / max(ls): below 2^63 that is exact int64 arithmetic,
     above it the same convolutions run on Python integers.  The counts sum
     to prod(ls), which may wrap in int64 although every count is exact.
+    Each factor is a convolution with l ones: ``np.convolve`` for short
+    supports, window sums of a running sum beyond ``_WINDOW_SUM_ABOVE``.
     """
     ls = [_support_size(l) for l in ls]
     if not ls:
@@ -100,7 +145,17 @@ def uniform_counts(ls) -> np.ndarray:
     ones = np.ones(max(ls), dtype)
     counts = ones[:1]
     for l in ls:
-        counts = np.convolve(counts, ones[:l])
+        n = len(counts)
+        if n * l <= _WINDOW_SUM_ABOVE:
+            counts = np.convolve(counts, ones[:l])
+            continue
+        # entry i is the sum of counts[i - l + 1 .. i]: a difference of two
+        # running sums, exact in int64 even where the running sums wrap
+        run = np.empty(n + l, dtype)
+        run[0] = 0
+        np.cumsum(counts, out=run[1 : n + 1])
+        run[n + 1 :] = run[n]
+        counts = run[1:] - np.concatenate((np.zeros(l - 1, dtype), run[:n]))
     return counts
 
 
@@ -110,18 +165,25 @@ def entropy_summary(f: Pmf) -> EntropySummary:
 
 
 def l_index_from_max(m: float) -> int:
-    """The unique integer l with m in (1/(l+1), 1/l].
+    """The unique integer l with m in (1/(l+1), 1/l]: :func:`l_indices_from_max` of one."""
+    return l_indices_from_max([m])[0]
+
+
+def l_indices_from_max(ms) -> list[int]:
+    """The unique integer l with m in (1/(l+1), 1/l], for each max probability m.
 
     Computed as floor(1/m) with an exactness guard so that m stored as a
-    rounded 1/l still maps to l.
+    rounded 1/l still maps to l.  The first m outside (0, 1] raises.  Each
+    index takes a few float operations, so they run on Python floats.
     """
-    if not 0.0 < m <= 1.0:
-        raise DomainError(f"max probability {m} outside (0, 1]")
-    inv = 1.0 / m
-    k = round(inv)
-    if k >= 1 and abs(inv - k) < 1e-12 and m * k <= 1.0:
-        return int(k)
-    return int(math.floor(inv))
+    out = []
+    for m in ms:
+        if not 0.0 < m <= 1.0:
+            raise DomainError(f"max probability {m} outside (0, 1]")
+        inv = 1.0 / m
+        k = round(inv)
+        out.append(int(k) if k >= 1 and abs(inv - k) < 1e-12 and m * k <= 1.0 else int(math.floor(inv)))
+    return out
 
 
 def l_index(f: Pmf) -> int:

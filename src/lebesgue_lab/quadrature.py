@@ -28,15 +28,22 @@ A first pass only raises a table to p; the stop test and split loop are those
 of :func:`adaptive_integral`, and only a bisected piece evaluates its
 integrand again.  Every result is bit-identical to an uncached pass.
 
-The split loop is the globally adaptive one of QUADPACK: pop the piece with
-the largest error, bisect it, push its halves.  Its integrand calls come in
-rounds.  One call evaluates both halves of every piece the loop is certain to
-bisect before it can stop (each such piece and those after it in heap order
-carry more error than the tolerance allows), and the loop then applies the
+The split loop (:func:`_refine`) is the globally adaptive one of QUADPACK:
+pop the piece with the largest error, bisect it, push its halves.  It is a
+generator of rounds: it yields the pieces it is certain to bisect before it
+can stop (each such piece and those after it in heap order carry more error
+than the tolerance allows), is sent their halves, and then applies the
 bisections one at a time in its own heap order.  So every value, error and
-flag is that of one call per bisection, bit for bit, and no half is
+flag is that of one evaluation per bisection, bit for bit, and no half is
 evaluated that the loop does not use unless the subdivision budget runs out
-first.
+first.  :func:`_run` evaluates the rounds of one integrand, one call each.
+
+:func:`integrate_kernel_powers` integrates g^p at many exponents of one
+length at once: one node table at the longest kept prefix of arches serves
+every p, and the split loops of all exponents run in lockstep, each round
+evaluating g once at the union of the halves they ask for.  Each result is
+float.hex-identical to the exponent's integral on its own, which
+:func:`integrate_kernel_power` is: the batch of one.
 
 Every power is the plain ``values ** p``, at every p: libm ``pow`` is within
 an ulp, and a power that underflows is simply 0.
@@ -51,7 +58,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -169,21 +176,43 @@ def adaptive_integral(fn, pieces, cfg: QuadratureConfig = DEFAULT_CONFIG):
     if not len(pieces):
         return 0.0, 0.0, True
     a, b = pieces[:, 0], pieces[:, 1]
-    return _refine(fn, a, b, *_pair_eval(fn, a, b), cfg)
+    return _run(fn, _refine(a, b, *_pair_eval(fn, a, b), cfg))
 
 
-def _refine(fn, a, b, i31, err, cfg: QuadratureConfig):
-    """The stop test and split loop of :func:`adaptive_integral`.
+def _run(fn, loop):
+    """Drive one :func:`_refine` loop to its result, each round with one call of ``fn``."""
+    try:
+        taken = next(loop)
+        while True:
+            cuts = _cuts(taken)
+            taken = loop.send(_pair_eval(fn, cuts[:, :2], cuts[:, 1:]))
+    except StopIteration as done:
+        return done.value
+
+
+def _cuts(taken) -> np.ndarray:
+    """Row j is (lo, mid, hi) of piece j: its halves are the (k, 2) views ``[:, :2]`` and ``[:, 1:]``."""
+    return np.array([(lo, 0.5 * (lo + hi), hi) for lo, hi in taken])
+
+
+def _refine(a, b, i31, err, cfg: QuadratureConfig):
+    """The stop test and split loop of :func:`adaptive_integral`, as a generator of rounds.
 
     Takes the first pass's (I31, error) per piece (a, b).  The loop pops the
     piece with the largest error, bisects it and pushes its halves, one piece
-    at a time, until the stop test holds or the budget is spent.  ``fn`` is
-    called in rounds: when the loop pops a piece whose halves are not yet
-    evaluated, :func:`_bisection_round` evaluates the halves of every piece
-    the loop is certain to bisect next, with one call.  The loop itself is
-    unchanged, so every value, error and flag is that of one call per
-    bisection, bit for bit.  A round evaluates a piece that the loop never
-    bisects only when the budget runs out before the loop reaches it.
+    at a time, until the stop test holds or the budget is spent.  When it
+    pops a piece whose halves are not yet evaluated, it yields the (lo, hi)
+    pieces that :func:`_round_pieces` finds it certain to bisect next and is
+    sent their halves' (I31, error) as two (k, 2) arrays, row j the lower
+    and upper half of piece j, as ``_pair_eval`` on the halves of
+    :func:`_cuts` gives them.  It returns (value, error, converged).
+
+    The loop applies the bisections in its own order, so every value, error
+    and flag is that of one evaluation per bisection, bit for bit, whoever
+    evaluates the rounds (:func:`_run` for one integrand,
+    :func:`_power_rounds` for many kernel powers at once).  A round holds a
+    piece that the loop never bisects only when the budget runs out before
+    the loop reaches it.
     """
     total = float(np.sum(i31))
     total_err = float(np.sum(err))
@@ -197,7 +226,11 @@ def _refine(fn, a, b, i31, err, cfg: QuadratureConfig):
         halves = {}
         while total_err > (tol := max(cfg.abs_tol, cfg.rel_tol * abs(total))) and splits < budget:
             if heap[0][1:3] not in halves:
-                halves.update(_bisection_round(fn, heap, halves, total_err - tol, budget - splits))
+                taken = _round_pieces(heap, halves, total_err - tol, budget - splits)
+                ci, ce = yield taken
+                # each sum is its own pair's, as one bisection's .sum() would give it
+                sums = zip(ci.sum(axis=1).tolist(), ce.sum(axis=1).tolist(), ci.tolist(), ce.tolist())
+                halves.update(zip(taken, sums))
             neg_e, lo, hi, v = heapq.heappop(heap)
             m = 0.5 * (lo + hi)
             ci_sum, ce_sum, (c0, c1), (e0, e1) = halves.pop((lo, hi))
@@ -214,8 +247,8 @@ def _refine(fn, a, b, i31, err, cfg: QuadratureConfig):
     return value, error, converged
 
 
-def _bisection_round(fn, heap, halves, excess: float, room: int):
-    """The halves of the pieces that :func:`_refine` must bisect next, from one call of ``fn``.
+def _round_pieces(heap, halves, excess: float, room: int) -> list:
+    """The (lo, hi) pieces that :func:`_refine` must bisect next and has not evaluated.
 
     Walks ``heap`` in pop order and takes pieces while the summed error of
     those already taken is below ``excess``, by which the total error exceeds
@@ -223,9 +256,7 @@ def _bisection_round(fn, heap, halves, excess: float, room: int):
     taken.  A taken piece and the pieces after it in pop order carry more
     error than the tolerance allows, so in exact arithmetic the loop cannot
     stop before it bisects that piece.  Pieces already in ``halves`` count
-    but are not evaluated again.  Returns ((lo, hi), (I31 sum, error sum, I31 of the halves,
-    their errors)) pairs; each sum is its own pair's, as one bisection's
-    ``.sum()`` would give it.
+    but are not taken again.
     """
     taken = []
     summed = 0.0
@@ -236,11 +267,7 @@ def _bisection_round(fn, heap, halves, excess: float, room: int):
             taken.append((lo, hi))
         summed -= neg_e
         room -= 1
-    # row j is (lo, mid, hi) of piece j: its halves are the (k, 2) views below
-    cuts = np.array([(lo, 0.5 * (lo + hi), hi) for lo, hi in taken])
-    ci, ce = _pair_eval(fn, cuts[:, :2], cuts[:, 1:])
-    sums = zip(ci.sum(axis=1).tolist(), ce.sum(axis=1).tolist(), ci.tolist(), ce.tolist())
-    return zip(taken, sums)
+    return taken
 
 
 def _pop_order(heap):
@@ -338,33 +365,125 @@ def _kernel_table(l: int, k: int) -> np.ndarray:
     return _read_only(kernel_values(l, _pair_abscissae(kept[:, 0], kept[:, 1])))[0]
 
 
-def _tabled_power_integral(base, table, pieces, p: float, cfg):
-    """adaptive_integral of base(x) ** p over ``pieces``, given base at their pair abscissae."""
-    a, b = pieces[:, 0], pieces[:, 1]
-
-    def fn(x):
-        return base(x) ** p
-
-    return _refine(fn, a, b, *_pair_sums(table**p, a, b), cfg)
-
-
-def integrate_kernel_power(spec: KernelSpec, p: float, cfg: QuadratureConfig = DEFAULT_CONFIG):
-    """2 * integral of g^p over [0, 1/2], on the arches of ``bump_partition(l)``.
+def integrate_kernel_powers(spec: KernelSpec, ps, cfg: QuadratureConfig = DEFAULT_CONFIG) -> list:
+    """2 * integral of g^p over [0, 1/2] at every exponent of ``ps``, one triple each.
 
     Arches whose peak cap satisfies p*log(cap) < log(abs_tol) - log(l) cannot
     matter at the requested tolerance; they are skipped and their width*cap^p
-    bound is charged to the error estimate instead.  The first pass raises
-    the cached node table of the kept arches to p; only a bisected piece
-    evaluates g again.  p must be finite and >= 1.
+    bound is charged to the error estimate instead.  Each p must be finite
+    and >= 1.
+
+    The exponents share their work.  One node table of g, at the longest
+    kept prefix of arches, serves every p: each p raises the nodes of its
+    own kept arches, a slice of the table, to p, and the exponents that
+    keep as many arches share one stacked product for their pair sums.  The
+    split loops of all exponents then run in lockstep
+    (:func:`_power_rounds`): a round evaluates g once, at the union of the
+    halves the loops ask for.
+    Returns a list of (value, error, converged), one per exponent, in the
+    order of ``ps``; each is float.hex-identical to a call of
+    :func:`integrate_kernel_power` with that exponent alone.
     """
-    if not (p >= 1.0 and math.isfinite(p)):
-        raise DomainError(f"exponent p must be finite and >= 1, got {p}")
+    ps = list(ps)
+    for p in ps:
+        if not (p >= 1.0 and math.isfinite(p)):
+            raise DomainError(f"exponent p must be finite and >= 1, got {p}")
+    if not ps:
+        return []
     l = spec.l
-    kept, dropped_err = _kept_arches(l, p, cfg.abs_tol)
-    k = len(kept)
-    table = (_kernel_table if k <= _TABLE_MAX_ARCHES else _kernel_table.__wrapped__)(l, k)
-    value, err, converged = _tabled_power_integral(partial(kernel_values, l), table, kept, p, cfg)
-    return 2.0 * value, 2.0 * (err + dropped_err), converged
+    kept = [_kept_arches(l, p, cfg.abs_tol) for p in ps]
+    width = max(len(pieces) for pieces, _ in kept)
+    table = (_kernel_table if width <= _TABLE_MAX_ARCHES else _kernel_table.__wrapped__)(l, width)
+    # the exponents that keep k arches share one first pass: each raises the
+    # nodes of the first k arches (the table lists the 15-node values of its
+    # arches, then the 31-node ones) to its own p, and the stacked pair sums
+    # of each are those of that exponent alone
+    by_count = {}
+    for i, (pieces, _) in enumerate(kept):
+        by_count.setdefault(len(pieces), []).append(i)
+    loops = [None] * len(ps)
+    for k, group in by_count.items():
+        nodes = table if k == width else np.concatenate((table[: 15 * k], table[15 * width : 15 * width + 31 * k]))
+        a, b = kept[group[0]][0][:, 0], kept[group[0]][0][:, 1]
+        raised = [nodes ** ps[i] for i in group]
+        if len(group) == 1:  # its nodes are already in pair order
+            loops[group[0]] = _refine(a, b, *_pair_sums(raised[0], a, b), cfg)
+            continue
+        shape = (len(group), k)
+        i31, err = _pair_sums(
+            np.concatenate([r[: 15 * k] for r in raised] + [r[15 * k :] for r in raised]),
+            np.broadcast_to(a, shape),
+            np.broadcast_to(b, shape),
+        )
+        for row, i in enumerate(group):
+            loops[i] = _refine(a, b, i31[row], err[row], cfg)
+    return [
+        (2.0 * value, 2.0 * (err + charge), converged)
+        for (value, err, converged), (_, charge) in zip(_power_rounds(l, ps, loops), kept)
+    ]
+
+
+def _power_rounds(l: int, ps, loops) -> list:
+    """Run the :func:`_refine` loops of g^ps[i] in lockstep to their results.
+
+    Each round gathers the pieces every unfinished loop asks for and
+    evaluates g once, at the pair abscissae of the halves of their union
+    (pieces that several loops bisect are evaluated once).  Each loop's
+    pieces are raised to its own p by a scalar power, as in a round of that
+    loop alone, and the pair sums of all loops are one stacked product, in
+    which each piece's two halves are one (2, m) product, again as alone.
+    """
+    results = [None] * len(loops)
+    asks = {}
+
+    def advance(i, sent):
+        try:
+            asks[i] = loops[i].send(sent)
+        except StopIteration as done:
+            results[i] = done.value
+
+    for i in range(len(loops)):
+        advance(i, None)
+    while asks:
+        current, asks = asks, {}
+        if len(current) == 1:  # one loop asks for its pieces in order, each once
+            ((i, taken),) = current.items()
+            cuts = _cuts(taken)
+            f = kernel_values(l, _pair_abscissae(cuts[:, :2], cuts[:, 1:])) ** ps[i]
+        else:
+            index = {}
+            rows = np.array([index.setdefault(piece, len(index)) for taken in current.values() for piece in taken])
+            cuts = _cuts(index)
+            g = kernel_values(l, _pair_abscissae(cuts[:, :2], cuts[:, 1:]))
+            n = len(cuts)
+            f15, f31 = g[: 30 * n].reshape(n, 2, 15)[rows], g[30 * n :].reshape(n, 2, 31)[rows]
+            start = 0
+            for i, taken in current.items():
+                stop = start + len(taken)
+                # each loop's values raised by its own scalar exponent: numpy
+                # raises a power whose exponent varies along the array
+                # differently (at p = 2, say)
+                for block in (f15[start:stop], f31[start:stop]):
+                    np.power(block, ps[i], out=block)
+                start = stop
+            f = np.concatenate((f15.ravel(), f31.ravel()))
+            cuts = cuts[rows]
+        ci, ce = _pair_sums(f, cuts[:, :2], cuts[:, 1:])
+        start = 0
+        for i, taken in current.items():
+            stop = start + len(taken)
+            advance(i, (ci[start:stop], ce[start:stop]))
+            start = stop
+    return results
+
+
+def integrate_kernel_power(spec: KernelSpec, p: float, cfg: QuadratureConfig = DEFAULT_CONFIG):
+    """2 * integral of g^p over [0, 1/2]: :func:`integrate_kernel_powers` at one exponent.
+
+    The first pass raises the cached node table of the kept arches to p;
+    only a bisected piece evaluates g again.  p must be finite and >= 1.
+    """
+    return integrate_kernel_powers(spec, [p], cfg)[0]
 
 
 def norm_bound(l: int, p: float) -> float:
@@ -448,7 +567,12 @@ def _ball_half_cached(p: float, cfg: QuadratureConfig) -> float:
     from scipy.special import zeta as hurwitz_zeta  # deferred: only the sinc tail needs it
 
     periods, table = _sinc_head()
-    head, head_err, ok1 = _tabled_power_integral(_sinc_modulus, table, periods, p, cfg)
+    a, b = periods[:, 0], periods[:, 1]
+
+    def head_fn(u):
+        return _sinc_modulus(u) ** p
+
+    head, head_err, ok1 = _run(head_fn, _refine(a, b, *_pair_sums(table**p, a, b), cfg))
 
     def tail_fn(t):
         t = np.asarray(t, dtype=float)
@@ -482,13 +606,18 @@ def ball_half(p: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
 _BALL_EQUALITY_WINDOW = 1e-6
 
 
+def sinc_power_bound(p: float) -> float:
+    """sqrt(2/p), the bound on integral_R |sin(pi x)/(pi x)|^p dx for p >= 2."""
+    return math.sqrt(2.0 / p)
+
+
 def ball_integral(p: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """integral_R |sin(pi x)/(pi x)|^p dx, checked against sqrt(2/p) for p >= 2."""
+    """integral_R |sin(pi x)/(pi x)|^p dx, checked against :func:`sinc_power_bound` for p >= 2."""
     if not (p > 1.0 and math.isfinite(p)):
         raise DomainError(f"integral needs a finite p > 1, got {p}")
     value = (2.0 / PI) * ball_half(p, cfg)
     if p >= 2.0:
-        bound = math.sqrt(2.0 / p)
+        bound = sinc_power_bound(p)
         if p < 2.0 + _BALL_EQUALITY_WINDOW:
             ok = value <= bound + 1e-9
         else:
@@ -516,6 +645,18 @@ def _product_cuts(ls) -> np.ndarray:
 _TRIG_BLOCK = 1 << 16
 
 
+def _quotients(counts: np.ndarray, prod: int) -> np.ndarray:
+    """Each count over ``prod``, correctly rounded as Python's int / int rounds it.
+
+    Below 2^53 both are exact doubles (no count exceeds prod), so one IEEE
+    division per count rounds the same quotient; beyond it the Python
+    integers are divided one by one.
+    """
+    if prod < 2**53:
+        return counts / float(prod)
+    return np.array([n / prod for n in counts.tolist()])
+
+
 def product_kernel_l1(ls, counts=None):
     """Integral over one period of the product of kernel moduli, in closed form.
 
@@ -540,7 +681,7 @@ def product_kernel_l1(ls, counts=None):
     # entry k of counts is N_m at m = 2k - top
     q0 = 0.0 if top % 2 else int(counts[top // 2]) / prod
     ms = np.arange(2 - top % 2, top + 1, 2)
-    q = np.array([n / prod for n in counts[top // 2 + 1 :].tolist()])
+    q = _quotients(counts[top // 2 + 1 :], prod)
     freq = PI * ms
     cuts = _product_cuts(ls)
     mid, half = 0.5 * (cuts[1:] + cuts[:-1]), 0.5 * (cuts[1:] - cuts[:-1])

@@ -8,6 +8,7 @@ import pytest
 from lebesgue_lab import cli
 from lebesgue_lab.errors import PreconditionError
 from lebesgue_lab.kernel import KernelSpec
+from lebesgue_lab.quadrature import sinc_power_bound
 
 
 def read_csv(path):
@@ -126,6 +127,17 @@ class TestBallCommand:
         records = json.loads(out.read_text())["records"]
         assert records[0]["value"] == pytest.approx(1.0, abs=1e-9)
         assert records[1]["value"] == pytest.approx(2.0 / 3.0, abs=1e-9)
+
+    def test_bound_is_the_checked_bound(self, tmp_path):
+        # at this p, (2/p) ** 0.5 and sqrt(2/p) differ in the last bit: the
+        # report's bound is the one ball_integral checked the value against
+        p = 9.869423122754817
+        assert (2.0 / p) ** 0.5 != math.sqrt(2.0 / p)
+        out = tmp_path / "ball.json"
+        assert cli.main(["ball", "--p", repr(p), "--out", str(out)]) == 0
+        (record,) = json.loads(out.read_text())["records"]
+        assert record["bound"] == sinc_power_bound(p) == math.sqrt(2.0 / p)
+        assert record["margin"] == record["bound"] - record["value"] > 0.0
 
     def test_exponent_near_one(self, tmp_path):
         out = tmp_path / "ball.json"
@@ -313,6 +325,24 @@ class TestUsageErrors:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: corpus file")
         assert not out.exists()
+
+    def test_missing_corpus_file_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        code = cli.main(["epi-check", "--random", "0", "--instances", str(tmp_path / "nope.json"),
+                         "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: corpus file")
+        assert not out.exists()
+
+    def test_generation_failure_surfaces_at_its_seed(self, tmp_path, capsys):
+        # at l in 100..300 seed 4 can be generated and seed 5 cannot
+        out = tmp_path / "x.json"
+        assert cli.main(["rogozin", "--random", "1", "--seed", "4", "--lmin", "100", "--lmax", "300",
+                         "--out", str(out)]) == 0
+        code = cli.main(["rogozin", "--random", "2", "--seed", "4", "--lmin", "100", "--lmax", "300",
+                         "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: max adjustment did not settle in 50 rounds\n"
 
     def test_convolution_overflow_is_reported(self, tmp_path, capsys, monkeypatch):
         from lebesgue_lab import pmf

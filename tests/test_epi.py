@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -13,6 +15,7 @@ from lebesgue_lab.epi import (
     EXACT_FLOOR,
     GENERAL_FLOOR,
     check_epi,
+    check_epis,
     check_rogozin,
     handcrafted_corpus,
     holder_bound_chain,
@@ -22,12 +25,13 @@ from lebesgue_lab.epi import (
     load_instances,
     make_instance,
     random_instance,
+    random_instances,
     _fit_max_into,
     save_instances,
 )
-from lebesgue_lab.errors import GenerationError, PreconditionError
-from lebesgue_lab.pmf import Pmf, convolve_many, entropy_summary, uniform
-from lebesgue_lab.quadrature import KernelSpec, integrate_kernel_power
+from lebesgue_lab.errors import DomainError, GenerationError, PreconditionError, VerificationError
+from lebesgue_lab.pmf import Pmf, convolve_many, entropy_summary, l_index, uniform
+from lebesgue_lab.quadrature import KernelSpec, integrate_kernel_power, integrate_kernel_powers
 
 
 class TestHolderExponents:
@@ -86,15 +90,15 @@ class TestHolderChain:
     def test_one_norm_per_distinct_index(self, monkeypatch):
         calls = []
 
-        def counted(spec, p, *args, **kwargs):
-            calls.append((spec.l, p))
-            return integrate_kernel_power(spec, p, *args, **kwargs)
+        def counted(spec, ps, *args, **kwargs):
+            calls.append((spec.l, list(ps)))
+            return integrate_kernel_powers(spec, ps, *args, **kwargs)
 
-        monkeypatch.setattr(epi, "integrate_kernel_power", counted)
+        monkeypatch.setattr(epi, "integrate_kernel_powers", counted)
         ls = (8, 8, 10)
         chain = holder_bound_chain(ls)
         ps = holder_exponents(ls)
-        assert calls == [(8, ps[0]), (10, ps[2])]
+        assert calls == [(8, [ps[0]]), (10, [ps[2]])]
         # the Hoelder product multiplies one factor per variable, in order
         m2 = 1.0
         for l, p in zip(ls, ps):
@@ -466,21 +470,19 @@ class TestWaterFilling:
             exact = _exact_fit(raw, target, saturated)
             assert np.all(np.abs(got[~saturated] - exact) <= 4 * np.spacing(exact))
 
-    def test_random_instance_matches_the_loop(self, monkeypatch):
-        def instances(l_range):
+    def test_random_instance_matches_the_loop(self):
+        def instances(generate, l_range):
             out = []
             for seed in range(150):
                 try:
-                    out.append(random_instance(seed, l_range=l_range))
+                    out.append(generate(seed, l_range=l_range))
                 except GenerationError as exc:
                     out.append(str(exc))
             return out
 
         for l_range in ((6, 30), (100, 300)):
-            ours = instances(l_range)
-            with monkeypatch.context() as m:
-                m.setattr(epi, "_fit_max_into", _fit_max_into_loop)
-                theirs = instances(l_range)
+            ours = instances(random_instance, l_range)
+            theirs = instances(functools.partial(scalar_random_instance, fit=_fit_max_into_loop), l_range)
             for a, b in zip(ours, theirs):
                 if isinstance(b, str):
                     assert a == b
@@ -489,3 +491,147 @@ class TestWaterFilling:
                 assert [f.offset for f in a.pmfs] == [f.offset for f in b.pmfs]
             if l_range == (100, 300):
                 assert any(isinstance(b, str) for b in theirs)
+
+
+def scalar_random_pmf(rng, l, fit=_fit_max_into_argsort):
+    """Oracle: one random law at index l, drawn and fitted on its own.
+
+    The law-at-a-time generation that :func:`random_instances` batches; its
+    default fit, the argsort closed form, is the water-filling of earlier
+    versions bit for bit (``TestWaterFilling``).
+    """
+    size = int(rng.integers(l, 4 * l + 1))
+    if size == l:
+        w = np.full(size, 1.0 / size)
+    else:
+        lo = max(1.0 / (l + 1), 1.0 / size)
+        hi = 1.0 / l
+        target = hi - (hi - lo) * float(rng.random())
+        w = fit(rng.random(size) + 0.05, target)
+    f = Pmf(offset=int(rng.integers(-5, 6)), weights=w)
+    if l_index(f) != l:
+        raise GenerationError(f"generated law landed at index {l_index(f)}, wanted {l}")
+    return f
+
+
+def scalar_random_instance(seed, n_range=(2, 5), l_range=(6, 30), fit=_fit_max_into_argsort):
+    """Oracle: ``random_instance`` one law at a time, stopping at the first that fails."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(n_range[0], n_range[1] + 1))
+    ls = [int(rng.integers(l_range[0], l_range[1] + 1)) for _ in range(n)]
+    return make_instance([scalar_random_pmf(rng, l, fit) for l in ls], seed=seed)
+
+
+def _laws(instance):
+    return instance.l_indices, [(f.offset, f.weights.tobytes()) for f in instance.pmfs]
+
+
+def _outcome_of(generate, *args, **kwargs):
+    try:
+        return _laws(generate(*args, **kwargs))
+    except GenerationError as exc:
+        return str(exc)
+
+
+class TestBatchGeneration:
+    def test_matches_the_scalar_oracle_on_the_suite_seeds(self):
+        # the acceptance batch, seeds 0..9999 at l in 6..30: weights and offsets bit for bit
+        from lebesgue_lab.acceptance import EPI_SEEDS, _epi_instances
+
+        batch = _epi_instances()
+        assert len(batch) == len(EPI_SEEDS) == 10_000
+        for seed, instance in zip(EPI_SEEDS, batch):
+            assert instance.seed == seed
+            assert _laws(instance) == _laws(scalar_random_instance(seed)), seed
+
+    def test_wide_failures_match_the_scalar_oracle(self):
+        # at l in 100..300 most seeds fail: the same seeds, with the same messages
+        seeds = range(400)
+        expected = [_outcome_of(scalar_random_instance, s, l_range=(100, 300)) for s in seeds]
+        got = [_outcome_of(random_instance, s, l_range=(100, 300)) for s in seeds]
+        assert got == expected
+        assert 100 < sum(isinstance(e, str) for e in expected) < 400
+
+    def test_a_block_raises_at_the_first_failing_seed(self):
+        expected = [_outcome_of(scalar_random_instance, s, l_range=(100, 300)) for s in range(60)]
+        failing = [s for s, e in enumerate(expected) if isinstance(e, str)]
+        start = 0
+        for stop in failing[:5]:
+            batch = random_instances(range(start, 60), l_range=(100, 300))
+            for s in range(start, stop):
+                assert _laws(next(batch)) == expected[s]
+            with pytest.raises(GenerationError) as exc:
+                next(batch)
+            assert str(exc.value) == expected[stop]
+            start = stop + 1
+
+    def test_blocks_split_nowhere_visible(self, monkeypatch):
+        seeds = list(range(40))
+        whole = [_laws(i) for i in random_instances(seeds)]
+        monkeypatch.setattr(epi, "_BLOCK", 7)
+        assert [_laws(i) for i in random_instances(seeds)] == whole
+        assert [_laws(random_instance(s)) for s in seeds] == whole
+
+    def test_index_range_starts_at_one(self):
+        with pytest.raises(DomainError):
+            random_instance(0, l_range=(0, 3))
+        assert next(random_instances([], l_range=(6, 30)), None) is None
+
+    def test_two_variables_needed_at_that_seed(self):
+        # n_range (1, 2): the seeds that draw one variable fail, the others generate
+        outcomes = []
+        for seed in range(20):
+            try:
+                outcomes.append(len(random_instance(seed, n_range=(1, 2)).pmfs))
+            except PreconditionError:
+                outcomes.append(1)
+        assert set(outcomes) == {1, 2}
+
+
+class TestCheckEpis:
+    def test_batch_reports_match_one_at_a_time(self):
+        instances = [*random_instances(range(300)), *handcrafted_corpus()]
+        assert check_epis(instances) == [check_epi(inst) for inst in instances]
+        assert check_epis(instances, with_chain=False) == [
+            check_epi(inst, with_chain=False) for inst in instances
+        ]
+
+    def test_blocks_do_not_change_the_reports(self, monkeypatch):
+        instances = list(random_instances(range(50)))
+        whole = check_epis(instances)
+        monkeypatch.setattr(epi, "_BLOCK", 8)
+        assert check_epis(instances) == whole
+
+    def test_one_kernel_call_per_distinct_index(self, monkeypatch):
+        calls = []
+
+        def counted(spec, ps, *args, **kwargs):
+            calls.append(spec.l)
+            return integrate_kernel_powers(spec, ps, *args, **kwargs)
+
+        monkeypatch.setattr(epi, "integrate_kernel_powers", counted)
+        instances = list(random_instances(range(40)))
+        check_epis(instances)
+        chained = {l for inst in instances if inst.case == CASE_HOLDER for l in inst.l_indices}
+        assert sorted(calls) == sorted(chained)
+
+    def test_first_failing_instance_raises_its_own_error(self, monkeypatch):
+        instances = [make_instance([uniform(4), uniform(5)]), *random_instances(range(5))]
+        monkeypatch.setattr(epi, "EPI_SLACK", -1e300)  # every asserted inequality fails
+        with pytest.raises(VerificationError) as alone:
+            check_epi(instances[1])
+        with pytest.raises(VerificationError) as batch:
+            check_epis(instances)
+        assert str(batch.value) == str(alone.value)
+
+    def test_an_error_from_the_instances_comes_after_the_ones_before_it(self, monkeypatch):
+        def instances():
+            yield from random_instances(range(3))
+            raise GenerationError("no fourth instance")
+
+        with pytest.raises(GenerationError, match="no fourth"):
+            check_epis(instances())
+        # an instance before it that fails raises first
+        monkeypatch.setattr(epi, "EPI_SLACK", -1e300)
+        with pytest.raises(VerificationError):
+            check_epis(instances())

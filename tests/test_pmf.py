@@ -25,8 +25,10 @@ from lebesgue_lab.pmf import (
     entropy_summary,
     l_index,
     l_index_from_max,
+    l_indices_from_max,
     uniform,
     uniform_counts,
+    weight_problems,
 )
 
 
@@ -57,6 +59,31 @@ class TestPmfValidation:
         f = uniform(4)
         with pytest.raises(ValueError):
             f.weights[0] = 0.9
+
+    def test_batch_checks_are_the_checks_of_one(self):
+        laws = [
+            [0.5, 0.5],
+            [0.5, -0.1, 0.6],
+            [0.5, 0.4],
+            [0.0, 0.5, 0.5],
+            [0.5, 0.5, 0.0],
+            [np.nan, 1.0],
+            [np.inf, -np.inf],
+            [0.25, 0.0, 0.75],
+            [1.0],
+        ]
+        rows = np.zeros((len(laws), 4))
+        for row, w in zip(rows, laws):
+            row[: len(w)] = w
+        got = weight_problems(rows, [len(w) for w in laws])
+        for w, problem in zip(laws, got):
+            try:
+                Pmf(0, np.array(w))
+                assert problem is None, w
+            except DomainError as exc:
+                assert str(exc) == problem, w
+        assert got[0] is None and got[-1] is None and got[-2] is None
+        assert weight_problems(rows[:1], [2]) == [None]
 
 
 class TestUniform:
@@ -112,6 +139,20 @@ class TestUniformCounts:
         assert sum(counts.tolist()) == 129**11
         assert max(counts.tolist()) > 2**63
 
+    @pytest.mark.parametrize(
+        "ls",
+        # past the switch to window sums: int64 running sums that wrap, and Python integers
+        [(300, 299, 250), (1000, 1000, 3), (500, 2), (97, 98, 99, 100, 101, 102, 103, 104, 105, 106), (129,) * 11],
+    )
+    def test_window_sums_match_convolution(self, ls):
+        dtype = np.int64 if math.prod(ls) // max(ls) < 2**63 else object
+        folded = np.ones(1, dtype)
+        for l in ls:
+            folded = np.convolve(folded, np.ones(l, dtype))
+        counts = uniform_counts(ls)
+        assert counts.dtype == folded.dtype
+        assert counts.tolist() == folded.tolist()
+
     @pytest.mark.parametrize("bad", [(6, 0), (6, 2.5), (True,), (-3,), ()])
     def test_rejects_bad_sizes(self, bad):
         with pytest.raises(DomainError):
@@ -158,6 +199,12 @@ class TestLIndex:
     def test_rejects_out_of_range(self):
         with pytest.raises(DomainError):
             l_index_from_max(0.0)
+
+    def test_batch_is_the_index_of_each(self):
+        ms = [1.0, 0.5, 1.0 / 6.0, 0.15, 1.0 / 6.0 + 1e-13, 1.0 / 299.0, 0.004]
+        assert l_indices_from_max(ms) == [l_index_from_max(m) for m in ms] == [1, 2, 6, 6, 5, 299, 250]
+        with pytest.raises(DomainError, match="1.5"):
+            l_indices_from_max([0.5, 1.5, 0.0])
 
 
 class TestConvolve:

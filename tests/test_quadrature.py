@@ -6,6 +6,8 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import zeta as hurwitz_zeta
 
 from lebesgue_lab import quadrature
@@ -21,13 +23,16 @@ from lebesgue_lab.quadrature import (
     _kept_arches,
     _pair_eval,
     _pair_nodes,
+    _pair_sums,
     _product_cuts,
+    _quotients,
     adaptive_integral,
     asymptotic_reference,
     ball_half,
     ball_integral,
     certify_bound,
     integrate_kernel_power,
+    integrate_kernel_powers,
     lp_norm,
     product_kernel_l1,
     norm_bound,
@@ -339,9 +344,9 @@ class TestBallIntegral:
     def test_caller_budget_reaches_refinement(self, monkeypatch):
         budgets = []
 
-        def spy(fn, a, b, i31, err, cfg):
+        def spy(a, b, i31, err, cfg):
             budgets.append(cfg.max_subdivisions)
-            return refine(fn, a, b, i31, err, cfg)
+            return refine(a, b, i31, err, cfg)
 
         refine = quadrature._refine
         monkeypatch.setattr(quadrature, "_refine", spy)
@@ -723,10 +728,11 @@ class TestAdaptiveIntegral:
             assert i31.tobytes() == o31.tobytes() and err.tobytes() == oerr.tobytes()
 
 
-def serial_refine(fn, a, b, i31, err, cfg):
-    """The split loop of ``_refine`` with one call of ``fn`` per bisection.
+def serial_refine(halves, a, b, i31, err, cfg):
+    """The split loop of ``_refine`` with one evaluation per bisection.
 
-    Returns (value, error, converged, splits).
+    ``halves(lo, hi)`` gives the (I31, error) of the two halves of a piece,
+    each a (2,) array.  Returns (value, error, converged, splits).
     """
     total = float(np.sum(i31))
     total_err = float(np.sum(err))
@@ -740,7 +746,7 @@ def serial_refine(fn, a, b, i31, err, cfg):
         while total_err > max(cfg.abs_tol, cfg.rel_tol * abs(total)) and splits < budget:
             neg_e, lo, hi, v = heapq.heappop(heap)
             m = 0.5 * (lo + hi)
-            ci, ce = _pair_eval(fn, np.array([lo, m]), np.array([m, hi]))
+            ci, ce = halves(lo, hi)
             total += float(ci.sum()) - v
             total_err += float(ce.sum()) + neg_e
             heapq.heappush(heap, (-float(ce[0]), lo, m, float(ci[0])))
@@ -753,6 +759,16 @@ def serial_refine(fn, a, b, i31, err, cfg):
     return value, error, error <= max(cfg.abs_tol, cfg.rel_tol * abs(value)), splits
 
 
+def fresh_halves(fn):
+    """The halves of a piece from a call of ``fn`` of their own."""
+
+    def halves(lo, hi):
+        m = 0.5 * (lo + hi)
+        return _pair_eval(fn, np.array([lo, m]), np.array([m, hi]))
+
+    return halves
+
+
 def hexed(result):
     value, error, converged = result
     return value.hex(), error.hex(), converged
@@ -760,26 +776,46 @@ def hexed(result):
 
 @pytest.fixture
 def serial_oracle(monkeypatch):
-    """Check every ``_refine`` call against :func:`serial_refine` on the same first pass.
+    """Check every ``_refine`` loop against :func:`serial_refine` on the same first pass.
 
-    Value, error and flag must agree in ``float.hex``.  The integrand points
-    must be equal too whenever the serial loop stopped on its tolerance, so
-    no round evaluates a piece that is never bisected; when the budget runs
-    out first, the loop may never reach a piece that a round evaluated.
-    Returns the list of (round calls, serial calls) per checked refinement.
+    Whoever evaluates a loop's rounds (one integrand, or the lockstep rounds
+    of many kernel powers), the serial loop reads each bisection's halves
+    from what the rounds evaluated, one bisection at a time.  Value, error
+    and flag must agree in ``float.hex``, and a bisection whose halves no
+    round evaluated fails the check.  Whenever the serial loop stopped on
+    its tolerance, every evaluated piece must be one it bisected, so no
+    round evaluates a piece that is never bisected; when the budget runs out
+    first, the loop may never reach a piece that a round evaluated.
+    Returns the list of (rounds, bisections) per checked loop.
     """
     refine = quadrature._refine
     checked = []
 
-    def spy(fn, a, b, i31, err, cfg):
-        rounds, serial = counted(fn), counted(fn)
-        got = refine(rounds, a, b, i31, err, cfg)
-        *want, splits = serial_refine(serial, a, b, i31, err, cfg)
+    def spy(a, b, i31, err, cfg):
+        evaluated = {}
+        loop = refine(a, b, i31, err, cfg)
+        rounds = 0
+        try:
+            taken = next(loop)
+            while True:
+                ci, ce = yield taken
+                rounds += 1
+                evaluated.update((piece, (ci[j].copy(), ce[j].copy())) for j, piece in enumerate(taken))
+                taken = loop.send((ci, ce))
+        except StopIteration as done:
+            got = done.value
+        bisected = set()
+
+        def halves(lo, hi):
+            bisected.add((lo, hi))
+            return evaluated[lo, hi]
+
+        *want, splits = serial_refine(halves, a, b, i31, err, cfg)
         assert hexed(got) == hexed(want)
         if splits < cfg.max_subdivisions * len(a):
-            assert rounds.points == serial.points
-        assert rounds.calls <= serial.calls
-        checked.append((rounds.calls, serial.calls))
+            assert bisected == set(evaluated)
+        assert rounds <= splits
+        checked.append((rounds, splits))
         return got
 
     monkeypatch.setattr(quadrature, "_refine", spy)
@@ -857,6 +893,19 @@ class TestRefinementRounds:
 
 class TestStackedPairProducts:
     @pytest.mark.parametrize("m", [15, 31])
+    def test_stacked_exponents_equal_one_product_each(self, m):
+        # the exponents that keep k arches share a (P, k, m) @ w product in the
+        # first pass; that is P products of (k, m), byte for byte
+        w = {15: _pair_nodes()[1], 31: _pair_nodes()[3]}[m]
+        rng = np.random.default_rng(m + 1)
+        for count in (1, 2, 3, 7, 20):
+            for k in range(1, 40):
+                f = rng.uniform(0.0, 1.0, (count, k * m))
+                stacked = f.reshape(count, k, m) @ w
+                each = np.stack([f[i].copy().reshape(k, m) @ w for i in range(count)])
+                assert stacked.tobytes() == each.tobytes(), (count, k)
+
+    @pytest.mark.parametrize("m", [15, 31])
     def test_stacked_product_equals_one_product_per_pair(self, m):
         # _pair_sums evaluates the halves of k pieces as (k, 2, m) @ w; that is
         # k products of (2, m), byte for byte, where a flat (2k, m) @ w need not be
@@ -867,3 +916,96 @@ class TestStackedPairProducts:
             stacked = f.reshape(k, 2, m) @ w
             pairs = np.stack([f[2 * m * j : 2 * m * (j + 1)].reshape(2, m) @ w for j in range(k)])
             assert stacked.tobytes() == pairs.tobytes(), k
+
+
+def per_p_kernel_power(l, p, cfg=DEFAULT_CONFIG):
+    """Oracle: ``integrate_kernel_power`` as it was before the exponents shared their work.
+
+    The arches that exponent keeps, a node table of those arches alone
+    raised to p, and the split loop with a fresh integrand call per
+    bisection.
+    """
+    kept, charge = _kept_arches(l, p, cfg.abs_tol)
+    a, b = kept[:, 0], kept[:, 1]
+    table = quadrature._kernel_table.__wrapped__(l, len(kept))
+    halves = fresh_halves(uncached_power_integrand(l, p))
+    value, err, converged, _ = serial_refine(halves, a, b, *_pair_sums(table**p, a, b), cfg)
+    return 2.0 * value, 2.0 * (err + charge), converged
+
+
+# NORM_P_GRID with exponents 1 and 1.5 and a repeat; from p = 32 on some
+# arches are dropped at l >= 64, and at 300 and 1000 most of them are
+POWERS_P_GRID = NORM_P_GRID + (1.0, 1.5, 300.0, 1000.0, 2.5)
+
+
+class TestKernelPowers:
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            DEFAULT_CONFIG,
+            QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15),
+            QuadratureConfig(max_subdivisions=1),
+            QuadratureConfig(max_subdivisions=3),
+            QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=1),
+            QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=3),
+        ],
+        ids=["default", "tight", "default-budget-1", "default-budget-3", "tight-budget-1", "tight-budget-3"],
+    )
+    def test_each_exponent_matches_its_own_path(self, cfg):
+        for l in (6, 7, 13, 30, 64, 301):
+            clear_caches()
+            got = integrate_kernel_powers(KernelSpec(l), POWERS_P_GRID, cfg)
+            assert len(got) == len(POWERS_P_GRID)
+            for p, result in zip(POWERS_P_GRID, got):
+                assert hexed(result) == hexed(per_p_kernel_power(l, p, cfg)), (l, p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        l=st.integers(min_value=2, max_value=400),
+        ps=st.lists(st.floats(min_value=1.0, max_value=400.0), min_size=1, max_size=6),
+    )
+    def test_random_exponent_sets(self, l, ps):
+        got = integrate_kernel_powers(KernelSpec(l), ps)
+        assert [hexed(r) for r in got] == [hexed(per_p_kernel_power(l, p)) for p in ps]
+
+    def test_one_exponent_is_the_scalar_call(self):
+        for l, p in ((6, 2.0), (64, 2.5), (301, 128.0)):
+            assert integrate_kernel_power(KernelSpec(l), p) == integrate_kernel_powers(KernelSpec(l), [p])[0]
+
+    def test_one_table_and_one_kernel_call_per_round(self, monkeypatch):
+        tables, calls = [], []
+        table, values = quadrature._kernel_table, quadrature.kernel_values
+        monkeypatch.setattr(quadrature, "_kernel_table", lambda l, k: tables.append((l, k)) or table(l, k))
+        monkeypatch.setattr(quadrature, "kernel_values", lambda l, x: calls.append(l) or values(l, x))
+        ps = [2.5, 3.1, 7.3, 40.0]
+        cfg = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15)
+        integrate_kernel_powers(KernelSpec(64), ps, cfg)
+        rounds = len(calls)
+        assert tables == [(64, len(_kept_arches(64, 2.5, cfg.abs_tol)[0]))]
+        calls.clear()
+        for p in ps:
+            integrate_kernel_power(KernelSpec(64), p, cfg)
+        assert 0 < rounds < len(calls)
+
+    def test_no_exponents(self):
+        assert integrate_kernel_powers(KernelSpec(9), []) == []
+
+    @pytest.mark.parametrize("bad", [0.5, NAN, INF])
+    def test_a_bad_exponent_raises(self, bad):
+        with pytest.raises(DomainError):
+            integrate_kernel_powers(KernelSpec(9), [2.0, bad])
+
+
+class TestQuotients:
+    @pytest.mark.parametrize(
+        "ls",
+        # prod just below 2^53, just above it, and (129,) * 11, whose counts are Python integers
+        [(6, 8, 10), (39,) * 10, (40,) * 10, (129,) * 11],
+        ids=["small", "below-2^53", "above-2^53", "python-int"],
+    )
+    def test_quotients_are_the_integer_quotients(self, ls):
+        counts = uniform_counts(ls)
+        prod = math.prod(ls)
+        assert (prod < 2**53) == (ls[0] < 40)
+        got = _quotients(counts, prod)
+        assert [v.hex() for v in got.tolist()] == [(n / prod).hex() for n in counts.tolist()]
