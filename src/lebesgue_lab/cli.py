@@ -97,18 +97,22 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def write_report(config: RunConfig, fieldnames, rows, extra_comments=()) -> None:
-    """Emit rows as JSON or CSV with the resolved config embedded."""
+def write_report(config: RunConfig, columns, records) -> None:
+    """Emit each record's ``columns`` as JSON or CSV with the resolved config embedded.
+
+    A record is a result dataclass, whose columns are its attributes, or a
+    dict, whose columns are its keys.
+    """
+    rows = [{k: r[k] if isinstance(r, dict) else getattr(r, k) for k in columns} for r in records]
     if config.format == "json":
         payload = {"config": config.as_dict(), "records": rows}
         _atomic_write(config.output_path, json.dumps(payload, indent=2) + "\n")
         return
     lines = [f"# {k}={_fmt(v)}" for k, v in sorted(config.as_dict().items()) if k != "parameters"]
     lines += [f"# param:{k}={_fmt(v)}" for k, v in sorted(config.parameters.items())]
-    lines += list(extra_comments)
-    lines.append(",".join(fieldnames))
+    lines.append(",".join(columns))
     for row in rows:
-        lines.append(",".join(_fmt(row[k]) for k in fieldnames))
+        lines.append(",".join(_fmt(row[k]) for k in columns))
     _atomic_write(config.output_path, "\n".join(lines) + "\n")
 
 
@@ -116,69 +120,38 @@ def _quad_config(args) -> QuadratureConfig:
     return QuadratureConfig(abs_tol=args.abs_tol, rel_tol=args.rel_tol)
 
 
-def _norm_row(l: int, p: float, cfg: QuadratureConfig) -> dict:
-    r = lp_norm(KernelSpec(l), p, cfg)
-    return {
-        "l": l,
-        "p": p,
-        "value": r.value,
-        "bound": r.bound,
-        "margin": r.margin,
-        "asymptotic": r.asymptotic,
-        "reference": r.asymptotic,
-        "ratio": r.ratio,
-        "error_estimate": r.abs_error_estimate,
-        "converged": r.converged,
-    }
-
-
-def _certificate_row(l: int, p: float, cfg: QuadratureConfig) -> dict:
-    # certify_bound raises on a failed certificate, which fails the whole command
-    c = certify_bound(KernelSpec(l), p, cfg)
-    return {
-        "l": l,
-        "p": p,
-        "value": c.value,
-        "bound": c.bound,
-        "margin": c.margin,
-        "error_estimate": c.abs_error_estimate,
-    }
-
-
-# command -> (help, row builder, report columns) for the (l, p) grid commands
+# command -> (help, record function of (spec, p, cfg), report columns) for the
+# (l, p) grid commands; certify_bound raises on a failed certificate, which
+# fails the whole command
 _GRID_COMMANDS = {
     "lebesgue": (
         "kernel norms over an (l, p) grid",
-        _norm_row,
+        lp_norm,
         ("l", "p", "value", "bound", "asymptotic", "error_estimate", "converged"),
     ),
     "certify": (
         "certify the norm bound over an (l, p) grid",
-        _certificate_row,
+        certify_bound,
         ("l", "p", "value", "bound", "margin", "error_estimate"),
     ),
     "asymptotic": (
         "ratios to first-order references",
-        _norm_row,
-        ("l", "p", "value", "reference", "ratio"),
+        lp_norm,
+        ("l", "p", "value", "asymptotic", "ratio"),
     ),
     "sweep": (
         "norms, bounds, and ratios in one table",
-        _norm_row,
+        lp_norm,
         ("l", "p", "value", "bound", "margin", "asymptotic", "ratio", "error_estimate"),
     ),
 }
 
 
 def _cmd_grid(config: RunConfig, args) -> int:
-    _, build_row, columns = _GRID_COMMANDS[config.command]
+    _, record, columns = _GRID_COMMANDS[config.command]
     cfg = _quad_config(args)
-    rows = []
-    for l in parse_int_range(args.l):
-        for p in parse_float_list(args.p):
-            row = build_row(l, p, cfg)
-            rows.append({k: row[k] for k in columns})
-    write_report(config, list(columns), rows)
+    ls, ps = parse_int_range(args.l), parse_float_list(args.p)
+    write_report(config, columns, [record(KernelSpec(l), p, cfg) for l in ls for p in ps])
     return 0
 
 
@@ -189,46 +162,20 @@ def _cmd_ball(config: RunConfig, args) -> int:
         v = ball_integral(p, cfg)
         bound = sinc_power_bound(p)
         rows.append({"p": p, "value": v, "bound": bound, "margin": bound - v})
-    write_report(config, ["p", "value", "bound", "margin"], rows)
+    write_report(config, ("p", "value", "bound", "margin"), rows)
     return 0
 
 
 def _cmd_np_verify(config: RunConfig, args) -> int:
-    rows = []
-    for l in parse_int_range(args.l):
-        r = detect_sign_change(KernelSpec(l))
-        rows.append(
-            {
-                "l": r.l,
-                "y0": r.y0,
-                "crossings": r.crossings,
-                "F0_lt_G0": r.F0_lt_G0,
-                "G_lt_F_above_y1": r.G_lt_F_above_y1,
-            }
-        )
-    write_report(config, ["l", "y0", "crossings", "F0_lt_G0", "G_lt_F_above_y1"], rows)
+    reports = [detect_sign_change(KernelSpec(l)) for l in parse_int_range(args.l)]
+    write_report(config, ("l", "y0", "crossings", "F0_lt_G0", "G_lt_F_above_y1"), reports)
     return 0
 
 
-def _epi_row(report) -> dict:
-    return {
-        "l_indices": list(report.l_indices),
-        "l_min": report.l_min,
-        "case": report.case,
-        "lhs": report.lhs,
-        "rhs_general": report.rhs_general,
-        "rhs_exact_M": report.rhs_exact_M,
-        "floor_general": report.floor_general,
-        "floor_exact": report.floor_exact,
-        "holds": report.holds,
-    }
-
-
 def _random_instances(config: RunConfig, args):
-    """(seed, instance) for the ``--random`` seeds starting at ``--seed``, generated in blocks."""
+    """The ``--random`` instances from seed ``--seed`` on, generated in blocks."""
     seeds = range(config.seed, config.seed + args.random)
-    instances = random_instances(seeds, n_range=(args.n_min, args.n_max), l_range=(args.lmin, args.lmax))
-    return zip(seeds, instances)
+    return random_instances(seeds, n_range=(args.n_min, args.n_max), l_range=(args.lmin, args.lmax))
 
 
 def _extra_instances(args):
@@ -240,42 +187,27 @@ def _extra_instances(args):
 
 
 def _cmd_epi_check(config: RunConfig, args) -> int:
-    instances = itertools.chain((inst for _, inst in _random_instances(config, args)), _extra_instances(args))
+    instances = itertools.chain(_random_instances(config, args), _extra_instances(args))
     reports = check_epis(instances, cfg=_quad_config(args), with_chain=not args.no_chain)
-    rows = [_epi_row(r) for r in reports]
     write_report(
         config,
-        ["l_indices", "l_min", "case", "lhs", "rhs_general", "rhs_exact_M",
-         "floor_general", "floor_exact", "holds"],
-        rows,
+        ("l_indices", "l_min", "case", "lhs", "rhs_general", "rhs_exact_M",
+         "floor_general", "floor_exact", "holds"),
+        reports,
     )
-    return 0 if all(r["holds"] for r in rows) else 1
+    return 0 if all(r.holds for r in reports) else 1
 
 
 def _cmd_rogozin(config: RunConfig, args) -> int:
-    rows = []
-    for seed, inst in _random_instances(config, args):
-        c = check_rogozin(inst)
-        rows.append(
-            {
-                "seed": seed,
-                "max_prob": c.max_prob,
-                "max_prob_uniform": c.max_prob_uniform,
-                "gap": c.gap,
-                "ok": c.ok,
-            }
-        )
-    write_report(config, ["seed", "max_prob", "max_prob_uniform", "gap", "ok"], rows)
+    rows = [{"seed": inst.seed, **vars(check_rogozin(inst))} for inst in _random_instances(config, args)]
+    write_report(config, ("seed", "max_prob", "max_prob_uniform", "gap", "ok"), rows)
     return 0 if all(r["ok"] for r in rows) else 1
 
 
 def _cmd_suite(config: RunConfig, args) -> int:
     # progress goes to stderr, so that the report alone goes to stdout for --out -
     results = acceptance.run_all(printer=lambda line: print(line, file=sys.stderr, flush=True))
-    rows = [
-        {"name": r.name, "ok": r.ok, "detail": r.detail, "seconds": r.seconds} for r in results
-    ]
-    write_report(config, ["name", "ok", "detail", "seconds"], rows)
+    write_report(config, ("name", "ok", "detail", "seconds"), results)
     return 0 if all(r.ok for r in results) else 1
 
 

@@ -9,6 +9,7 @@ import functools
 import pytest
 
 from lebesgue_lab import acceptance
+from lebesgue_lab.errors import VerificationError
 
 
 @functools.cache
@@ -76,3 +77,31 @@ def test_criterion_10_sharpness_witnesses():
 def test_runtime_budgets(budget_name, criteria, limit_seconds):
     total = sum(_result(criterion).seconds for criterion in criteria)
     assert total < limit_seconds, f"{budget_name} took {total:.1f}s"
+
+
+# each criterion with a library function it calls
+CRITERION_DEPENDENCIES = [
+    (acceptance.criterion_bound_certification, "certify_bound"),
+    (acceptance.criterion_parseval, "integrate_kernel_power"),
+    (acceptance.criterion_ball_integral, "ball_integral"),
+    (acceptance.criterion_asymptotics, "lp_norm"),
+    (acceptance.criterion_sign_change, "detect_sign_change"),
+    (acceptance.criterion_first_arch_domination, "check_first_arch_domination"),
+    (acceptance.criterion_slope_census, "check_derivative_bounds"),
+    (acceptance.criterion_epi_suite, "check_epis"),
+    (acceptance.criterion_rogozin_suite, "check_rogozin"),
+    (acceptance.criterion_sharpness, "entropy_summary"),
+]
+
+
+@pytest.mark.parametrize(
+    "criterion, dependency", CRITERION_DEPENDENCIES, ids=[c.__name__ for c, _ in CRITERION_DEPENDENCIES]
+)
+def test_verification_error_fails_the_criterion(monkeypatch, criterion, dependency):
+    def broken(*args, **kwargs):
+        raise VerificationError(f"{dependency} failed")
+
+    monkeypatch.setattr(acceptance, dependency, broken)
+    result = criterion()
+    assert (result.ok, result.detail) == (False, f"{dependency} failed")
+    assert result.seconds >= 0.0

@@ -6,9 +6,11 @@ import math
 import pytest
 
 from lebesgue_lab import cli
+from lebesgue_lab.epi import check_epis, check_rogozin, handcrafted_corpus, random_instance
 from lebesgue_lab.errors import PreconditionError
 from lebesgue_lab.kernel import KernelSpec
-from lebesgue_lab.quadrature import sinc_power_bound
+from lebesgue_lab.levelsets import detect_sign_change
+from lebesgue_lab.quadrature import certify_bound, lp_norm, sinc_power_bound
 
 
 def read_csv(path):
@@ -152,12 +154,41 @@ class TestBallCommand:
         assert math.isfinite(record["asymptotic"])
 
 
+def _grid(record):
+    return lambda: [(record(KernelSpec(l), p),) for l in (6, 7) for p in (2.0, 3.0)]
+
+
+def _rogozin_records():
+    instances = [random_instance(seed) for seed in range(5, 25)]
+    return [(inst, check_rogozin(inst)) for inst in instances]
+
+
+def _epi_records():
+    return [(r,) for r in check_epis([*(random_instance(s) for s in range(3, 33)), *handcrafted_corpus()])]
+
+
+def _sign_change_records():
+    return [(detect_sign_change(KernelSpec(l)),) for l in (6, 7, 8)]
+
+
+# command -> (its arguments, the library objects each report row reads its columns from)
+RECORD_CASES = {
+    "lebesgue": (["--l", "6,7", "--p", "2,3"], _grid(lp_norm)),
+    "certify": (["--l", "6,7", "--p", "2,3"], _grid(certify_bound)),
+    "asymptotic": (["--l", "6,7", "--p", "2,3"], _grid(lp_norm)),
+    "sweep": (["--l", "6,7", "--p", "2,3"], _grid(lp_norm)),
+    "np-verify": (["--l", "6..8"], _sign_change_records),
+    "epi-check": (["--random", "30", "--seed", "3", "--corpus"], _epi_records),
+    "rogozin": (["--random", "20", "--seed", "5"], _rogozin_records),
+}
+
+
 class TestGridCommands:
     @pytest.mark.parametrize(
         "command, header",
         [
             ("lebesgue", ["l", "p", "value", "bound", "asymptotic", "error_estimate", "converged"]),
-            ("asymptotic", ["l", "p", "value", "reference", "ratio"]),
+            ("asymptotic", ["l", "p", "value", "asymptotic", "ratio"]),
             ("sweep", ["l", "p", "value", "bound", "margin", "asymptotic", "ratio",
                        "error_estimate"]),
         ],
@@ -178,7 +209,22 @@ class TestGridCommands:
         assert cli.main(["asymptotic", "--l", "50,100", "--p", "1,4", "--out", str(out)]) == 0
         for r in json.loads(out.read_text())["records"]:
             c = lp_norm(KernelSpec(r["l"]), r["p"])
-            assert (r["value"], r["reference"], r["ratio"]) == (c.value, c.asymptotic, c.ratio)
+            assert (r["value"], r["asymptotic"], r["ratio"]) == (c.value, c.asymptotic, c.ratio)
+
+    @pytest.mark.parametrize("command", RECORD_CASES)
+    def test_columns_are_the_record_fields(self, tmp_path, command):
+        argv, library_records = RECORD_CASES[command]
+        out = tmp_path / "report.json"
+        assert cli.main([command, *argv, "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())["records"]
+        expected = library_records()
+        assert len(rows) == len(expected) > 0
+        for row, sources in zip(rows, expected):
+            for column, value in row.items():
+                owner = next((s for s in sources if hasattr(s, column)), None)
+                assert owner is not None, f"column {column!r} is no record field"
+                want = getattr(owner, column)
+                assert value == (list(want) if isinstance(want, tuple) else want), column
 
     def test_sweep_and_lebesgue_agree(self, tmp_path):
         values = []
@@ -301,6 +347,18 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         # the library's DomainError, not a bare "math domain error" from math.sqrt
         assert err.startswith("error: ") and "finite" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["certify", "--l", "6", "--p", "1e8"], ["ball", "--p", "1e7"]],
+        ids=["certify", "ball"],
+    )
+    def test_exponent_above_the_cap_is_usage_error(self, tmp_path, capsys, argv):
+        # both reported a collapsed value (6.4e-151, 5.3e-18) and exited 0
+        out = tmp_path / "x.json"
+        assert cli.main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["epi-check", "rogozin"])

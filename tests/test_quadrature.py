@@ -18,6 +18,7 @@ from lebesgue_lab.levelsets import comparison_functional
 from lebesgue_lab.pmf import uniform_counts
 from lebesgue_lab.quadrature import (
     DEFAULT_CONFIG,
+    MAX_EXPONENT,
     QuadratureConfig,
     _intervals,
     _kept_arches,
@@ -162,7 +163,7 @@ class TestLpNorm:
         a = lp_norm(KernelSpec(23), 3.5)
         b = lp_norm(KernelSpec(23), 3.5)
         assert a.value == b.value
-        assert a.abs_error_estimate == b.abs_error_estimate
+        assert a.error_estimate == b.error_estimate
 
     @pytest.mark.parametrize("l,p", [(6, 2.0), (9, 3.0), (9, 2.0)])
     def test_partition_invariance(self, l, p):
@@ -223,7 +224,7 @@ class TestCertifyBound:
         rhs = math.sqrt(2.0 / p) / l * (1.0 + 1.0 / (2.0 * (l * l - 1)))
         assert lhs < rhs
         cert = certify_bound(KernelSpec(l), p)
-        assert cert.value + cert.abs_error_estimate < lhs
+        assert cert.value + cert.error_estimate < lhs
 
 
 def sinc_grid_oracle(p: float, span: float = 2000.0, n: int = 4_000_000):
@@ -367,7 +368,51 @@ class TestAcrossSixtyFour:
         assert all(r.converged for r in results)
         values = [r.value for r in results]
         assert all(a >= b for a, b in zip(values, values[1:]))
-        assert all(r.value + r.abs_error_estimate < norm_bound(l, r.p) for r in results)
+        assert all(r.value + r.error_estimate < norm_bound(l, r.p) for r in results)
+
+
+def laplace_kernel_power(l, p):
+    """The Laplace limit sqrt(6/(pi p (l^2-1))) of integral g^p, with its 1/p term.
+
+    On arch 0, log g = -zeta(2) (l^2-1) x^2 - zeta(4) (l^4-1) x^4 / 2 - ...;
+    the next term is O(1/p^2), below 1e-10 relative at p = 1e5.
+    """
+    z2, z4 = math.pi**2 / 6.0, math.pi**4 / 90.0
+    c = 3.0 * z4 * (l * l + 1) / (8.0 * z2 * z2 * (l * l - 1))
+    return math.sqrt(6.0 / (math.pi * p * (l * l - 1))) * (1.0 - c / p)
+
+
+class TestExponentRange:
+    # above the cap the first pass can miss the arch-0 peak and return a
+    # collapsed value flagged as converged (l = 6, p = 1e8: 6.4e-151, not 2.3e-5)
+    @pytest.mark.parametrize("l", [6, 64, 1000, 10**4])
+    @pytest.mark.parametrize(
+        "cfg", [DEFAULT_CONFIG, QuadratureConfig(abs_tol=1e-9, rel_tol=1e-8)], ids=["default", "batch"]
+    )
+    def test_largest_exponent_is_within_tolerance(self, l, cfg):
+        value, _, converged = integrate_kernel_power(KernelSpec(l), MAX_EXPONENT, cfg)
+        exact = laplace_kernel_power(l, MAX_EXPONENT)
+        assert converged and abs(value - exact) <= max(cfg.abs_tol, cfg.rel_tol * exact)
+
+    def test_largest_sinc_exponent_is_within_tolerance(self):
+        exact = 0.5 * math.sqrt(6.0 * math.pi / MAX_EXPONENT) * (1.0 - 0.15 / MAX_EXPONENT)
+        assert abs(ball_half(MAX_EXPONENT) - exact) <= DEFAULT_CONFIG.rel_tol * exact
+
+    @pytest.mark.parametrize(
+        "fn",
+        [
+            lambda p: integrate_kernel_powers(KernelSpec(6), [2.0, p]),
+            lambda p: lp_norm(KernelSpec(6), p),
+            lambda p: certify_bound(KernelSpec(6), p),
+            ball_half,
+            ball_integral,
+        ],
+        ids=["integrate_kernel_powers", "lp_norm", "certify_bound", "ball_half", "ball_integral"],
+    )
+    @pytest.mark.parametrize("p", [math.nextafter(MAX_EXPONENT, INF), 1e7, 1e8])
+    def test_rejects_exponent_above_the_cap(self, fn, p):
+        with pytest.raises(DomainError, match="finite"):
+            fn(p)
 
 
 class TestAsymptoticComparison:
