@@ -56,7 +56,9 @@ from .quadrature import (
     ball_half,
     ball_integral,
     certify_bound,
+    certify_bounds,
     lp_norm,
+    lp_norms,
     norm_bound,
     product_kernel_l1,
 )

@@ -43,7 +43,15 @@ length at once: one node table at the longest kept prefix of arches serves
 every p, and the split loops of all exponents run in lockstep, each round
 evaluating g once at the union of the halves they ask for.  Each result is
 float.hex-identical to the exponent's integral on its own, which
-:func:`integrate_kernel_power` is: the batch of one.
+:func:`integrate_kernel_power` is: the batch of one.  :func:`lp_norms` and
+:func:`certify_bounds` build their records from one such call per length,
+and :func:`lp_norm` and :func:`certify_bound` are their batches of one; the
+grid commands and the certification and asymptotics criteria call them once
+per length.  A batch raises the error of its first failing exponent, as a
+loop over its exponents would.  With one full-width node table per length,
+``_kernel_table`` keeps the tables of 16 lengths, enough for one grid
+command's lengths to serve the next command over the same lengths, while
+its memory stays that of the per-exponent tables it replaced.
 
 Every power is the plain ``values ** p``, at every p: libm ``pow`` is within
 an ulp, and a power that underflows is simply 0.
@@ -90,9 +98,12 @@ DEFAULT_CONFIG = QuadratureConfig()
 # sqrt(6/(pi p (l^2-1))) with its 1/p term, g^p at l in {6, 64, 1000, 10^4}
 # stays within its tolerance through p = 1e5, at the default tolerances and
 # at abs_tol 1e-9 / rel_tol 1e-8; the first miss is 3% at p = 3.2e5 (l = 10^4,
-# the looser tolerances).  From about p = 2e6 the first pass no longer sees
-# the arch-0 peak: both Gauss estimates are near 0, and a value collapsed by
-# orders of magnitude passes as converged.  The sinc power collapses alike.
+# the looser tolerances).  So the range is verified for l <= 10^4 only: at
+# l = 10^5, 1e-9 / 1e-8, p = 1.905e4 comes out 2.6% low and is flagged
+# converged, because the 15/31 estimate is not a bound.  From about p = 2e6
+# the first pass no longer sees the arch-0 peak: both Gauss estimates are
+# near 0, and a value collapsed by orders of magnitude passes as converged.
+# The sinc power collapses alike.
 MAX_EXPONENT = 1e5
 
 
@@ -362,16 +373,23 @@ def _kept_arches(l: int, p: float, abs_tol: float):
 
 
 # a kernel node table of more arches than this (l above about 8192) is
-# evaluated for its call alone, so the cache never holds more than 64 tables
+# evaluated for its call alone, so the cache never holds more than 16 tables
 # of at most 1.5 MB each
 _TABLE_MAX_ARCHES = 4096
 
 
-@lru_cache(maxsize=64)
+# one table per length, at the widest prefix its exponents keep (see the module docstring)
+@lru_cache(maxsize=16)
 def _kernel_table(l: int, k: int) -> np.ndarray:
     """g at the 15/31 pair abscissae of the first k arches of bump_partition(l)."""
     kept = bump_partition(l)[:k]
     return _read_only(kernel_values(l, _pair_abscissae(kept[:, 0], kept[:, 1])))[0]
+
+
+def _check_exponent(p: float) -> None:
+    """Raise DomainError unless the kernel power p lies in [1, MAX_EXPONENT]."""
+    if not 1.0 <= p <= MAX_EXPONENT:
+        raise DomainError(f"exponent p must be finite and in [1, {MAX_EXPONENT:g}], got {p}")
 
 
 def integrate_kernel_powers(spec: KernelSpec, ps, cfg: QuadratureConfig = DEFAULT_CONFIG) -> list:
@@ -395,8 +413,7 @@ def integrate_kernel_powers(spec: KernelSpec, ps, cfg: QuadratureConfig = DEFAUL
     """
     ps = list(ps)
     for p in ps:
-        if not 1.0 <= p <= MAX_EXPONENT:
-            raise DomainError(f"exponent p must be finite and in [1, {MAX_EXPONENT:g}], got {p}")
+        _check_exponent(p)
     if not ps:
         return []
     l = spec.l
@@ -500,58 +517,100 @@ def norm_bound(l: int, p: float) -> float:
     return math.sqrt(2.0 / (p * (l * l - 1)))
 
 
-def lp_norm(spec: KernelSpec, p: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> LpNormResult:
-    """Integral of |D_l|^p over one period, with bound and asymptotic anchors.
+def _valid_prefix(ps: list, check) -> tuple:
+    """(the exponents before the first one ``check`` rejects, that one's error or None).
+
+    A batch integrates the prefix, builds and checks its records in order,
+    and then raises the error: so the first failing exponent decides the
+    error, as in a loop of scalar calls.
+    """
+    for i, p in enumerate(ps):
+        try:
+            check(p)
+        except (DomainError, PreconditionError) as exc:
+            return ps[:i], exc
+    return ps, None
+
+
+def lp_norms(spec: KernelSpec, ps, cfg: QuadratureConfig = DEFAULT_CONFIG) -> list:
+    """Integral of |D_l|^p over one period at every exponent of ``ps``, one record each.
 
     The bound field is populated when the certified inequality applies
     (p >= 2 and l >= 6).  The asymptotic field carries the first-order
     reference: (2/pi) * integral_0^inf |sin u / u|^p du / l for p > 1 and
-    4 log(l) / (pi^2 l) for p = 1.  A caller that wants the value alone
-    calls :func:`integrate_kernel_power`.
+    4 log(l) / (pi^2 l) for p = 1.  The values come from one
+    :func:`integrate_kernel_powers` call; a caller that wants them alone
+    calls that.
     """
-    value, err, converged = integrate_kernel_power(spec, p, cfg)
-    bound = norm_bound(spec.l, p) if (p >= 2.0 and spec.l >= 6) else None
-    asymptotic = asymptotic_reference(spec.l, p, cfg)
-    return LpNormResult(
-        l=spec.l,
-        p=float(p),
-        value=value,
-        bound=bound,
-        asymptotic=asymptotic,
-        error_estimate=err,
-        converged=converged,
-        margin=None if bound is None else bound - value,
-        ratio=value / asymptotic,
-    )
+    ps, error = _valid_prefix(list(ps), _check_exponent)
+    norms = []
+    for p, (value, err, converged) in zip(ps, integrate_kernel_powers(spec, ps, cfg)):
+        bound = norm_bound(spec.l, p) if (p >= 2.0 and spec.l >= 6) else None
+        asymptotic = asymptotic_reference(spec.l, p, cfg)
+        norms.append(LpNormResult(
+            l=spec.l,
+            p=float(p),
+            value=value,
+            bound=bound,
+            asymptotic=asymptotic,
+            error_estimate=err,
+            converged=converged,
+            margin=None if bound is None else bound - value,
+            ratio=value / asymptotic,
+        ))
+    if error is not None:
+        raise error
+    return norms
+
+
+def lp_norm(spec: KernelSpec, p: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> LpNormResult:
+    """:func:`lp_norms` at one exponent."""
+    return lp_norms(spec, [p], cfg)[0]
+
+
+def _check_certifiable(l: int, p: float) -> None:
+    if l < 6:
+        raise PreconditionError(f"certification requires l >= 6, got {l}")
+    if p < 2.0:
+        raise PreconditionError(f"certification requires p >= 2, got {p}")
+    # a NaN or too large exponent passes the test above
+    _check_exponent(p)
+
+
+def certify_bounds(spec: KernelSpec, ps, cfg: QuadratureConfig = DEFAULT_CONFIG) -> list:
+    """Certify value + error < sqrt(2/(p(l^2-1))) at every exponent of ``ps``; raises on any failure.
+
+    One :func:`integrate_kernel_powers` call; the first exponent that is
+    out of range or fails its certificate raises.
+    """
+    ps, error = _valid_prefix(list(ps), lambda p: _check_certifiable(spec.l, p))
+    certs = []
+    for p, (value, err, converged) in zip(ps, integrate_kernel_powers(spec, ps, cfg)):
+        bound = norm_bound(spec.l, p)
+        if not (converged and value + err < bound):
+            raise VerificationError(
+                f"norm bound failed at l={spec.l}, p={p}: "
+                f"value={value!r} + err={err!r} !< bound={bound!r}"
+            )
+        certs.append(BoundCertificate(
+            l=spec.l,
+            p=float(p),
+            value=value,
+            bound=bound,
+            margin=bound - value,
+            error_estimate=err,
+            passed=True,
+        ))
+    if error is not None:
+        raise error
+    return certs
 
 
 def certify_bound(
     spec: KernelSpec, p: float, cfg: QuadratureConfig = DEFAULT_CONFIG
 ) -> BoundCertificate:
-    """Certify value + error < sqrt(2/(p(l^2-1))); raises on any failure."""
-    if spec.l < 6:
-        raise PreconditionError(f"certification requires l >= 6, got {spec.l}")
-    if p < 2.0:
-        raise PreconditionError(f"certification requires p >= 2, got {p}")
-    # a NaN or too large exponent passes the test above; integrate_kernel_power rejects it
-    value, err, converged = integrate_kernel_power(spec, p, cfg)
-    bound = norm_bound(spec.l, p)
-    passed = converged and (value + err < bound)
-    cert = BoundCertificate(
-        l=spec.l,
-        p=float(p),
-        value=value,
-        bound=bound,
-        margin=bound - value,
-        error_estimate=err,
-        passed=passed,
-    )
-    if not passed:
-        raise VerificationError(
-            f"norm bound failed at l={spec.l}, p={p}: "
-            f"value={value!r} + err={err!r} !< bound={bound!r}"
-        )
-    return cert
+    """:func:`certify_bounds` at one exponent."""
+    return certify_bounds(spec, [p], cfg)[0]
 
 
 def _sinc_modulus(u: np.ndarray) -> np.ndarray:

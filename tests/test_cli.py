@@ -5,12 +5,12 @@ import math
 
 import pytest
 
-from lebesgue_lab import cli
+from lebesgue_lab import cli, quadrature
 from lebesgue_lab.epi import check_epis, check_rogozin, handcrafted_corpus, random_instance
 from lebesgue_lab.errors import PreconditionError
 from lebesgue_lab.kernel import KernelSpec
 from lebesgue_lab.levelsets import detect_sign_change
-from lebesgue_lab.quadrature import certify_bound, lp_norm, sinc_power_bound
+from lebesgue_lab.quadrature import certify_bound, integrate_kernel_powers, lp_norm, sinc_power_bound
 
 
 def read_csv(path):
@@ -226,6 +226,29 @@ class TestGridCommands:
                 want = getattr(owner, column)
                 assert value == (list(want) if isinstance(want, tuple) else want), column
 
+    @pytest.mark.parametrize("command", ["lebesgue", "certify", "asymptotic", "sweep"])
+    def test_one_kernel_power_call_per_length(self, tmp_path, monkeypatch, command):
+        calls = []
+
+        def counted(spec, ps, *args, **kwargs):
+            calls.append((spec.l, list(ps)))
+            return integrate_kernel_powers(spec, ps, *args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "integrate_kernel_powers", counted)
+        out = tmp_path / "grid.json"
+        assert cli.main([command, "--l", "6,7,64", "--p", "2,3,8", "--out", str(out)]) == 0
+        assert calls == [(l, [2.0, 3.0, 8.0]) for l in (6, 7, 64)]
+
+    def test_sweep_reuses_the_certify_tables(self, tmp_path):
+        for cache in (quadrature._kernel_table, quadrature._arch_logcaps):
+            cache.cache_clear()
+        grid = ["--l", "6..13", "--p", "2,2.5,8,128"]
+        assert cli.main(["certify", *grid, "--out", str(tmp_path / "c.json")]) == 0
+        tables = quadrature._kernel_table.cache_info()
+        assert tables.misses == 8  # one table per length
+        assert cli.main(["sweep", *grid, "--out", str(tmp_path / "s.json")]) == 0
+        assert quadrature._kernel_table.cache_info().misses == tables.misses
+
     def test_sweep_and_lebesgue_agree(self, tmp_path):
         values = []
         for command in ("sweep", "lebesgue"):
@@ -359,6 +382,12 @@ class TestUsageErrors:
         out = tmp_path / "x.json"
         assert cli.main([*argv, "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_first_failing_exponent_decides_the_error(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert cli.main(["certify", "--l", "6", "--p", "2,1.5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: certification requires p >= 2, got 1.5\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["epi-check", "rogozin"])

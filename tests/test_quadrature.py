@@ -12,7 +12,7 @@ from scipy.special import zeta as hurwitz_zeta
 
 from lebesgue_lab import quadrature
 from lebesgue_lab.epi import CASE_HOLDER, holder_exponents, random_instance
-from lebesgue_lab.errors import DomainError, PreconditionError
+from lebesgue_lab.errors import DomainError, PreconditionError, VerificationError
 from lebesgue_lab.kernel import PI, KernelSpec, kernel_values
 from lebesgue_lab.levelsets import comparison_functional
 from lebesgue_lab.pmf import uniform_counts
@@ -32,9 +32,11 @@ from lebesgue_lab.quadrature import (
     ball_half,
     ball_integral,
     certify_bound,
+    certify_bounds,
     integrate_kernel_power,
     integrate_kernel_powers,
     lp_norm,
+    lp_norms,
     product_kernel_l1,
     norm_bound,
 )
@@ -1054,3 +1056,96 @@ class TestQuotients:
         assert (prod < 2**53) == (ls[0] < 40)
         got = _quotients(counts, prod)
         assert [v.hex() for v in got.tolist()] == [(n / prod).hex() for n in counts.tolist()]
+
+
+def hexed_record(record):
+    """A result record's fields, each float as float.hex."""
+    return [v.hex() if isinstance(v, float) else v for v in vars(record).values()]
+
+
+def outcome(call):
+    """The hexed records ``call`` returns, or the type and message of what it raises."""
+    try:
+        return [hexed_record(r) for r in call()]
+    except (DomainError, PreconditionError, VerificationError) as exc:
+        return type(exc), str(exc)
+
+
+# NORM_P_GRID with p near 1, a far exponent and repeats of 2.0001 and 7.3, unsorted
+BATCH_P_GRID = NORM_P_GRID + (1.0, 1.01, 2.0001, 7.3, 300.0)
+TIGHT_BUDGET_1 = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=1)
+
+
+class TestNormBatches:
+    @pytest.mark.parametrize(
+        "batch, scalar", [(lp_norms, lp_norm), (certify_bounds, certify_bound)], ids=["lp_norms", "certify_bounds"]
+    )
+    @pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, TIGHT_BUDGET_1], ids=["default", "tight-budget-1"])
+    @pytest.mark.parametrize("l", [6, 7, 13, 64, 301, 1000])
+    def test_batch_is_scalar_calls(self, l, cfg, batch, scalar):
+        spec = KernelSpec(l)
+        singles = [outcome(lambda: [scalar(spec, p, cfg)]) for p in BATCH_P_GRID]
+        passing = [(p, single[0]) for p, single in zip(BATCH_P_GRID, singles) if isinstance(single, list)]
+        assert outcome(lambda: batch(spec, [p for p, _ in passing], cfg)) == [r for _, r in passing]
+        # the whole grid raises what the first failing exponent raises alone:
+        # p < 2 for certify_bounds, and at the tight budget a failed
+        # certificate or a sinc reference that does not converge
+        first_error = next((single for single in singles if isinstance(single, tuple)), None)
+        assert outcome(lambda: batch(spec, BATCH_P_GRID, cfg)) == (first_error or [r for _, r in passing])
+        if batch is lp_norms:
+            # at the tight budget the references of 1.01, 2.5 and 2.0001 (twice) fail
+            assert len(passing) == len(BATCH_P_GRID) - (4 if cfg is TIGHT_BUDGET_1 else 0)
+        else:
+            assert first_error[0] is (PreconditionError if cfg is DEFAULT_CONFIG else VerificationError)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        l=st.integers(min_value=2, max_value=400),
+        ps=st.lists(
+            st.one_of(st.floats(min_value=1.0, max_value=400.0), st.sampled_from([0.5, NAN, 1e8])),
+            max_size=6,
+        ),
+        tight=st.booleans(),
+    )
+    def test_random_batches_are_scalar_calls(self, l, ps, tight):
+        spec, cfg = KernelSpec(l), TIGHT_BUDGET_1 if tight else DEFAULT_CONFIG
+        assert outcome(lambda: lp_norms(spec, ps, cfg)) == outcome(lambda: [lp_norm(spec, p, cfg) for p in ps])
+        assert outcome(lambda: certify_bounds(spec, ps, cfg)) == outcome(
+            lambda: [certify_bound(spec, p, cfg) for p in ps]
+        )
+
+    def test_no_exponents(self):
+        assert lp_norms(KernelSpec(9), []) == []
+        # no exponent, so no certificate asks for l >= 6
+        assert certify_bounds(KernelSpec(5), []) == []
+
+    def test_failed_certificate_before_a_bad_exponent(self):
+        # checking every exponent first would raise DomainError for 1e8
+        with pytest.raises(VerificationError, match=r"at l=6, p=2\.5:"):
+            certify_bounds(KernelSpec(6), [2.5, 1e8], TIGHT_BUDGET_1)
+
+    def test_first_exponent_below_two_raises(self):
+        with pytest.raises(PreconditionError, match="got 1.5$"):
+            certify_bounds(KernelSpec(6), [2.0, 1.5, NAN])
+
+    def test_failed_reference_before_a_bad_exponent(self):
+        with pytest.raises(VerificationError, match="sinc-power integral did not converge at p=2.5"):
+            lp_norms(KernelSpec(6), [2.5, 1e8], TIGHT_BUDGET_1)
+
+    def test_nan_exponent_raises(self):
+        with pytest.raises(DomainError):
+            lp_norms(KernelSpec(6), [2.0, NAN])
+
+    def test_one_kernel_power_call_per_batch(self, monkeypatch):
+        calls = []
+
+        def counted(spec, ps, *args, **kwargs):
+            calls.append((spec.l, list(ps)))
+            return integrate_kernel_powers(spec, ps, *args, **kwargs)
+
+        monkeypatch.setattr(quadrature, "integrate_kernel_powers", counted)
+        lp_norms(KernelSpec(64), [2.0, 8.0, 1.0])
+        with pytest.raises(PreconditionError):
+            certify_bounds(KernelSpec(64), [2.0, 8.0, 3.0, 1.5])
+        # the certificates before the first exponent below 2 are integrated, in one call
+        assert calls == [(64, [2.0, 8.0, 1.0]), (64, [2.0, 8.0, 3.0])]
