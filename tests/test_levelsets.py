@@ -17,11 +17,13 @@ from lebesgue_lab.kernel import (
 )
 from lebesgue_lab.levelsets import (
     _BLOCK_ROWS,
+    _COVER_MARGIN,
     PEAK_EXCLUSION,
     BumpProfile,
     _measure_and_slope_sum,
     _newton_segments,
     _newton_start,
+    _scan_signs,
     _segment_table,
     bump_profiles,
     check_derivative_bounds,
@@ -334,7 +336,88 @@ class TestNewtonStart:
         assert counted[0] / rows <= 6.0
 
 
+def scan_oracle_signs(spec, scan):
+    """sign(F - G) with G solved at every level of the scan."""
+    tg = TruncatedGaussian.from_length(spec.l)
+    return np.sign(gaussian_distribution_function(tg, scan) - superlevel_measure_many(spec, scan))
+
+
+def spy_solved_levels(monkeypatch):
+    """Record every level passed to ``superlevel_measure_many``."""
+    solved = []
+    measure = levelsets.superlevel_measure_many
+
+    def spying(spec, ys):
+        solved.extend(np.asarray(ys, dtype=float).tolist())
+        return measure(spec, ys)
+
+    monkeypatch.setattr(levelsets, "superlevel_measure_many", spying)
+    return solved
+
+
+@st.composite
+def length_and_custom_scan(draw):
+    """A length in 6..200 and a sorted scan of >= 1,000 random levels.
+
+    The levels mix uniform, log-uniform and near-1 draws; the refined
+    crossing level y0 and every arch peak are inserted.
+    """
+    l = draw(st.integers(6, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1000, 1500))
+    kind = rng.integers(0, 3, n)
+    levels = np.where(
+        kind == 0,
+        rng.uniform(1e-6, 1.0, n),
+        np.where(kind == 1, 10.0 ** rng.uniform(-12.0, 0.0, n), 1.0 - 10.0 ** rng.uniform(-9.0, -1.0, n)),
+    )
+    spec = KernelSpec(l)
+    knots = [detect_sign_change(spec).y0] + [p.peak_y for p in bump_profiles(spec)[1:]]
+    return l, np.unique(np.concatenate([levels, knots]))
+
+
 class TestSignChange:
+    @pytest.mark.parametrize("l", [*range(6, 130), 200, 301, 1000])
+    def test_cover_signs_equal_the_full_scan_on_the_default_grid(self, l):
+        spec = KernelSpec(l)
+        scan = default_level_grid(spec)
+        signs = _scan_signs(spec, TruncatedGaussian.from_length(l), scan)
+        assert np.array_equal(signs, scan_oracle_signs(spec, scan))
+
+    @pytest.mark.parametrize("l", range(6, 17))
+    def test_cover_signs_equal_the_full_scan_on_the_criterion_grid(self, l):
+        spec = KernelSpec(l)
+        scan = np.geomspace(1e-4, 1.0 - 1e-6, 1000)
+        signs = _scan_signs(spec, TruncatedGaussian.from_length(l), scan)
+        assert np.array_equal(signs, scan_oracle_signs(spec, scan))
+
+    @given(length_and_custom_scan())
+    def test_cover_signs_equal_the_full_scan_on_random_scans(self, case):
+        l, scan = case
+        spec = KernelSpec(l)
+        signs = _scan_signs(spec, TruncatedGaussian.from_length(l), scan)
+        assert np.array_equal(signs, scan_oracle_signs(spec, scan))
+
+    @pytest.mark.parametrize("l", [6, 48, 1000])
+    def test_default_grid_solves_few_levels(self, l, monkeypatch):
+        # the full scan solved all 2,003-2,500 levels of these grids
+        solved = spy_solved_levels(monkeypatch)
+        detect_sign_change(KernelSpec(l))
+        assert 0 < len(solved) <= 150
+
+    @pytest.mark.parametrize("l", [6, 7, 48])
+    def test_level_at_y0_is_solved_and_signed_by_its_difference(self, l, monkeypatch):
+        spec = KernelSpec(l)
+        tg = TruncatedGaussian.from_length(l)
+        y0 = detect_sign_change(spec).y0
+        diff = gaussian_distribution_function(tg, y0) - superlevel_measure(spec, y0)
+        assert abs(diff) < _COVER_MARGIN  # no interval around y0 can be proven
+        scan = np.unique(np.append(default_level_grid(spec), y0))
+        solved = spy_solved_levels(monkeypatch)
+        signs = _scan_signs(spec, tg, scan)
+        assert y0 in solved
+        assert signs[np.searchsorted(scan, y0)] == np.sign(diff)
+
     @pytest.mark.parametrize("l", [6, 8])
     def test_single_crossing(self, l):
         report = detect_sign_change(KernelSpec(l))
