@@ -56,8 +56,11 @@ from .quadrature import (
     ball_half,
     ball_integral,
     certify_bound,
+    certify_bound_grid,
     certify_bounds,
+    integrate_kernel_power_grid,
     lp_norm,
+    lp_norm_grid,
     lp_norms,
     norm_bound,
     product_kernel_l1,

@@ -41,9 +41,9 @@ from .pmf import convolve, entropy_summary, uniform
 from .quadrature import (
     QuadratureConfig,
     ball_integral,
-    certify_bounds,
-    integrate_kernel_power,
-    lp_norms,
+    certify_bound_grid,
+    integrate_kernel_power_grid,
+    lp_norm_grid,
     sinc_power_bound,
 )
 
@@ -91,14 +91,16 @@ def _criterion(name: str):
 @_criterion("bound certification")
 def criterion_bound_certification():
     """Norm + error below sqrt(2/(p(l^2-1))) across the whole (l, p) grid."""
-    margins = [c.margin for l in CERT_L_RANGE for c in certify_bounds(KernelSpec(l), CERT_P_GRID)]
+    margins = [c.margin for c in certify_bound_grid([(l, p) for l in CERT_L_RANGE for p in CERT_P_GRID])]
     return True, f"{len(margins)}/{len(margins)} pass, min margin {min(margins):.3e}"
 
 
 @_criterion("parseval identity")
 def criterion_parseval():
     """|norm(l, 2) - 1/l| <= 1e-9 for l = 2..128."""
-    worst = max(abs(integrate_kernel_power(KernelSpec(l), 2.0)[0] - 1.0 / l) for l in range(2, 129))
+    ls = range(2, 129)
+    norms = integrate_kernel_power_grid([(l, 2.0) for l in ls])
+    worst = max(abs(value - 1.0 / l) for l, (value, _, _) in zip(ls, norms))
     return worst <= 1e-9, f"max |norm - 1/l| = {worst:.3e}"
 
 
@@ -122,11 +124,11 @@ def criterion_ball_integral():
 @_criterion("asymptotic coincidence")
 def criterion_asymptotics():
     """Ratios to the first-order references converge the right way."""
-    # one batch per length: the ratios at p = 1, 2, 4, and at p = 1 alone for l = 1000
-    ratios = {
-        l: [r.ratio for r in lp_norms(KernelSpec(l), (1.0, 2.0, 4.0) if l < 1000 else (1.0,))]
-        for l in (50, 100, 200, 400, 1000)
-    }
+    # one batch: the ratios at p = 1, 2, 4 per length, and at p = 1 alone for l = 1000
+    ratios = {}
+    grid = [(l, p) for l in (50, 100, 200, 400, 1000) for p in ((1.0, 2.0, 4.0) if l < 1000 else (1.0,))]
+    for r in lp_norm_grid(grid):
+        ratios.setdefault(r.l, []).append(r.ratio)
     ok = True
     notes = []
     for column, p in ((1, 2.0), (2, 4.0)):

@@ -41,8 +41,8 @@ from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
     ball_integral,
-    certify_bounds,
-    lp_norms,
+    certify_bound_grid,
+    lp_norm_grid,
     sinc_power_bound,
 )
 
@@ -120,29 +120,29 @@ def _quad_config(args) -> QuadratureConfig:
     return QuadratureConfig(abs_tol=args.abs_tol, rel_tol=args.rel_tol)
 
 
-# command -> (help, record function of (spec, ps, cfg), report columns) for the
-# (l, p) grid commands; a record function returns one record per exponent of
-# one length, and certify_bounds raises on a failed certificate, which fails
-# the whole command
+# command -> (help, record function of ((l, p) pairs, cfg), report columns) for
+# the (l, p) grid commands; a record function returns one record per pair, and
+# certify_bound_grid raises on a failed certificate, which fails the whole
+# command
 _GRID_COMMANDS = {
     "lebesgue": (
         "kernel norms over an (l, p) grid",
-        lp_norms,
+        lp_norm_grid,
         ("l", "p", "value", "bound", "asymptotic", "error_estimate", "converged"),
     ),
     "certify": (
         "certify the norm bound over an (l, p) grid",
-        certify_bounds,
+        certify_bound_grid,
         ("l", "p", "value", "bound", "margin", "error_estimate"),
     ),
     "asymptotic": (
         "ratios to first-order references",
-        lp_norms,
+        lp_norm_grid,
         ("l", "p", "value", "asymptotic", "ratio"),
     ),
     "sweep": (
         "norms, bounds, and ratios in one table",
-        lp_norms,
+        lp_norm_grid,
         ("l", "p", "value", "bound", "margin", "asymptotic", "ratio", "error_estimate"),
     ),
 }
@@ -152,8 +152,8 @@ def _cmd_grid(config: RunConfig, args) -> int:
     _, record, columns = _GRID_COMMANDS[config.command]
     cfg = _quad_config(args)
     ls, ps = parse_int_range(args.l), parse_float_list(args.p)
-    # one call per length; without exponents no length is read, as in a loop over (l, p)
-    write_report(config, columns, [r for l in ls if ps for r in record(KernelSpec(l), ps, cfg)])
+    # one call for the whole grid; without exponents no length is read, as in a loop over (l, p)
+    write_report(config, columns, record([(l, p) for l in ls for p in ps], cfg))
     return 0
 
 

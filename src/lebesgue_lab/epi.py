@@ -26,9 +26,9 @@ blocks of ``_BLOCK`` instances so their work arrays stay bounded:
     filling, Pmf's checks, the index), so a seed stops at its first law that
     fails; :func:`random_instance` is its batch of one;
   * :func:`check_epis` integrates the kernel norms of all chains of a block
-    with one :func:`integrate_kernel_powers` call per distinct index, then
-    checks the instances in order; :func:`check_epi` and
-    :func:`holder_bound_chain` are batches of one.
+    with one :func:`integrate_kernel_power_grid` call over every distinct
+    (index, exponent) pair, then checks the instances in order;
+    :func:`check_epi` and :func:`holder_bound_chain` are batches of one.
 
 Every value is bit-identical to generating and checking one instance at a
 time, and the first instance that fails raises the error it raises alone.
@@ -56,9 +56,9 @@ from .pmf import (
 )
 from .quadrature import (
     DEFAULT_CONFIG,
-    KernelSpec,
+    MAX_EXPONENT,
     QuadratureConfig,
-    integrate_kernel_powers,
+    integrate_kernel_power_grid,
     norm_bound,
     product_kernel_l1,
 )
@@ -164,8 +164,8 @@ def holder_bound_chain(ls, cfg: QuadratureConfig = DEFAULT_CONFIG) -> HolderChai
     squared one-period integral of the kernel product, the Hoelder product of
     norms, the product of certified bounds, and the closed form.  Each must
     be <= the next within 1e-9 relative.  The chain of a batch of one:
-    :func:`check_epis` evaluates the chains of a whole batch with one
-    :func:`integrate_kernel_powers` call per distinct index.
+    :func:`check_epis` evaluates the chains of a whole block with one
+    :func:`integrate_kernel_power_grid` call.
     """
     ls = tuple(int(l) for l in ls)
     if min(ls) < 6:
@@ -177,18 +177,12 @@ def holder_bound_chain(ls, cfg: QuadratureConfig = DEFAULT_CONFIG) -> HolderChai
 def _kernel_norms(chains, cfg: QuadratureConfig) -> dict:
     """{(l, p): (norm, converged)} for the (ls, ps) of every chain.
 
-    Each distinct (l, p) is integrated once, and each distinct l with one
-    :func:`integrate_kernel_powers` call over all of its exponents.
+    Each distinct (l, p) is integrated once, all of them in one
+    :func:`integrate_kernel_power_grid` call.
     """
-    wanted = {}  # l -> its exponents, in first-seen order, without repeats
-    for ls, ps in chains:
-        for l, p in zip(ls, ps):
-            wanted.setdefault(l, {})[p] = None
-    norms = {}
-    for l, exps in wanted.items():
-        for p, (value, _, converged) in zip(exps, integrate_kernel_powers(KernelSpec(l), exps, cfg)):
-            norms[l, p] = value, converged
-    return norms
+    pairs = list(dict.fromkeys((l, p) for ls, ps in chains for l, p in zip(ls, ps)))
+    norms = integrate_kernel_power_grid(pairs, cfg)
+    return {pair: (value, converged) for pair, (value, _, converged) in zip(pairs, norms)}
 
 
 def _chain(ls: tuple, ps: tuple, norms: dict) -> HolderChain:
@@ -266,12 +260,13 @@ def check_epis(
     when only the inequality itself is wanted).
 
     ``instances`` is read in blocks of ``_BLOCK``; the kernel norms of a
-    block's chains are integrated up front, one
-    :func:`integrate_kernel_powers` call per distinct index, and the
-    instances are then checked one by one.  The first instance that fails
-    raises, with the error a check of it alone raises; an error raised by
-    ``instances`` itself is raised after the instances before it are
-    checked.
+    block's chains are integrated up front, in one
+    :func:`integrate_kernel_power_grid` call, and the instances are then
+    checked one by one.  The first instance that fails raises, with the
+    error a check of it alone raises: a chain with an exponent above
+    ``MAX_EXPONENT`` raises its DomainError once the instances before it
+    are checked, and an error raised by ``instances`` itself is raised
+    after the instances before it are checked.
     """
     reports = []
     items = iter(instances)
@@ -300,9 +295,11 @@ def _check_block(instances: list, cfg: QuadratureConfig, with_chain: bool) -> li
         else None
         for inst in instances
     ]
-    norms = _kernel_norms([c for c in chains if c is not None], cfg)
+    # a chain with an exponent above the cap raises once the instances before it are checked
+    stop = next((i for i, c in enumerate(chains) if c and max(c[1]) > MAX_EXPONENT), None)
+    norms = _kernel_norms([c for c in chains[:stop] if c is not None], cfg)
     reports = []
-    for instance, chain in zip(instances, chains):
+    for instance, chain in zip(instances[:stop], chains):
         s = convolve_many(instance.pmfs)
         lhs = entropy_summary(s).N_inf
         sum_n = sum(entropy_summary(f).N_inf for f in instance.pmfs)
@@ -333,6 +330,8 @@ def _check_block(instances: list, cfg: QuadratureConfig, with_chain: bool) -> li
         if asserted and not holds:
             raise VerificationError(f"entropy power inequality failed: {report}")
         reports.append(report)
+    if stop is not None:
+        _kernel_norms([chains[stop]], cfg)  # raises that exponent's DomainError
     return reports
 
 

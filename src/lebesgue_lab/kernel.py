@@ -97,15 +97,18 @@ def kernel_values(l: int, x: np.ndarray) -> np.ndarray:
     by pi, so l*x never feeds a huge argument into sin; near the origin the
     quotient is formed from truncated sinc series instead of 0/0.  Without
     such points the closed form is returned as computed, with no masking.
+    ``l`` is one length or an array of lengths shaped like ``x``, one per
+    point; each value is the one its length alone gives.
     """
     x = np.asarray(x, dtype=float)
     small = x < _SERIES_CUTOFF
     if not small.any():
         return _closed_values(l, x)
     out = np.empty_like(x)
-    out[small] = _series_values(l, x[small])
+    ls = np.broadcast_to(l, x.shape)
+    out[small] = _series_values(ls[small], x[small])
     big = ~small
-    out[big] = _closed_values(l, x[big])
+    out[big] = _closed_values(ls[big], x[big])
     return out
 
 

@@ -15,9 +15,12 @@ and the product-kernel closed form run on numpy alone.
 
 The exponent p never moves a first-pass node: it only decides how many arches
 are kept, and the dropped ones are a suffix.  So the p-independent parts are
-computed once and kept in bounded ``lru_cache`` node tables:
+computed once and kept in bounded ``lru_cache`` tables, as is each
+exponent's arch dropping:
 
 * ``_arch_logcaps(l)``: the arches of length l and ``math.log`` of their caps;
+* ``_kept_arches(l, p, abs_tol)``: the arches g^p keeps and the error charged
+  for the others;
 * ``_kernel_table(l, k)``: g at the 15/31 abscissae of the first k arches,
   keyed by the kept-prefix length k, so an exponent that drops arches never
   evaluates them (tables of more than 4096 arches are not kept);
@@ -38,20 +41,19 @@ flag is that of one evaluation per bisection, bit for bit, and no half is
 evaluated that the loop does not use unless the subdivision budget runs out
 first.  :func:`_run` evaluates the rounds of one integrand, one call each.
 
-:func:`integrate_kernel_powers` integrates g^p at many exponents of one
-length at once: one node table at the longest kept prefix of arches serves
-every p, and the split loops of all exponents run in lockstep, each round
-evaluating g once at the union of the halves they ask for.  Each result is
-float.hex-identical to the exponent's integral on its own, which
-:func:`integrate_kernel_power` is: the batch of one.  :func:`lp_norms` and
-:func:`certify_bounds` build their records from one such call per length,
-and :func:`lp_norm` and :func:`certify_bound` are their batches of one; the
-grid commands and the certification and asymptotics criteria call them once
-per length.  A batch raises the error of its first failing exponent, as a
-loop over its exponents would.  With one full-width node table per length,
+:func:`integrate_kernel_power_grid` is the one engine for g^p, over (l, p)
+pairs of any lengths: per length, one node table at the longest kept prefix
+serves every p and an array stop test finishes the exponents that converge
+on their first pass; the split loops of all lengths then run in lockstep,
+each round evaluating g once, with the length of each point, at the union
+of the halves they ask for.  A batch runs in chunks of lengths whose pairs
+keep at most ``_CHUNK_ARCHES`` arches in all, and raises the error of its
+first failing pair, as a loop over its pairs would; each result is
+float.hex-identical to the pair's integral on its own.  The forms at one length or one pair, and
+the records of :func:`lp_norm_grid` and :func:`certify_bound_grid`, are
+wrappers of it.  With one full-width node table per length,
 ``_kernel_table`` keeps the tables of 16 lengths, enough for one grid
-command's lengths to serve the next command over the same lengths, while
-its memory stays that of the per-exponent tables it replaced.
+command's lengths to serve the next command over the same lengths.
 
 Every power is the plain ``values ** p``, at every p: libm ``pow`` is within
 an ulp, and a power that underflows is simply 0.
@@ -212,7 +214,8 @@ def _run(fn, loop):
 
 def _cuts(taken) -> np.ndarray:
     """Row j is (lo, mid, hi) of piece j: its halves are the (k, 2) views ``[:, :2]`` and ``[:, 1:]``."""
-    return np.array([(lo, 0.5 * (lo + hi), hi) for lo, hi in taken])
+    lo, hi = np.asarray(taken, dtype=float).reshape(-1, 2).T
+    return np.column_stack((lo, 0.5 * (lo + hi), hi))
 
 
 def _refine(a, b, i31, err, cfg: QuadratureConfig):
@@ -261,10 +264,14 @@ def _refine(a, b, i31, err, cfg: QuadratureConfig):
             splits += 1
         values = [v for _, _, _, v in heap]
         errors = [-neg_e for neg_e, _, _, _ in heap]
+    return _totals(values, errors, cfg)
+
+
+def _totals(values: list, errors: list, cfg: QuadratureConfig):
+    """(value, error, converged) of the pieces' values and errors, as ``math.fsum`` totals."""
     value = math.fsum(values)
     error = math.fsum(errors)
-    converged = error <= max(cfg.abs_tol, cfg.rel_tol * abs(value))
-    return value, error, converged
+    return value, error, error <= max(cfg.abs_tol, cfg.rel_tol * abs(value))
 
 
 def _round_pieces(heap, halves, excess: float, room: int) -> list:
@@ -341,6 +348,9 @@ def _arch_logcaps(l: int):
 _EXP_ZERO_BELOW = -746.0
 
 
+# one grid command after another over the same grid asks for the same
+# exponents, and each charged arch costs a math.exp
+@lru_cache(maxsize=256)
 def _kept_arches(l: int, p: float, abs_tol: float):
     """The arch dropping of :func:`integrate_kernel_power`: (kept pieces, charge).
 
@@ -392,75 +402,88 @@ def _check_exponent(p: float) -> None:
         raise DomainError(f"exponent p must be finite and in [1, {MAX_EXPONENT:g}], got {p}")
 
 
-def integrate_kernel_powers(spec: KernelSpec, ps, cfg: QuadratureConfig = DEFAULT_CONFIG) -> list:
-    """2 * integral of g^p over [0, 1/2] at every exponent of ``ps``, one triple each.
+# a batch runs in chunks of lengths whose pairs keep at most this many arches
+# in all (a length over it runs alone), so the first passes, split loops and
+# round arrays alive at once stay bounded
+_CHUNK_ARCHES = 2048
+
+
+def integrate_kernel_power_grid(pairs, cfg: QuadratureConfig = DEFAULT_CONFIG) -> list:
+    """2 * integral of g^p over [0, 1/2] at every (l, p) of ``pairs``, one triple each.
 
     Arches whose peak cap satisfies p*log(cap) < log(abs_tol) - log(l) cannot
     matter at the requested tolerance; they are skipped and their width*cap^p
-    bound is charged to the error estimate instead.  Each p must lie in
-    [1, MAX_EXPONENT].
+    bound is charged to the error estimate instead.  Each l must be a kernel
+    length and each p must lie in [1, MAX_EXPONENT]; the first pair that is
+    not raises before any work.
 
-    The exponents share their work.  One node table of g, at the longest
-    kept prefix of arches, serves every p: each p raises the nodes of its
-    own kept arches, a slice of the table, to p, and the exponents that
-    keep as many arches share one stacked product for their pair sums.  The
-    split loops of all exponents then run in lockstep
-    (:func:`_power_rounds`): a round evaluates g once, at the union of the
-    halves the loops ask for.
-    Returns a list of (value, error, converged), one per exponent, in the
-    order of ``ps``; each is float.hex-identical to a call of
-    :func:`integrate_kernel_power` with that exponent alone.
+    The pairs share their work.  Each length has one node table of g, at
+    the longest prefix of arches its exponents keep; each p raises a slice
+    of it to p.  The exponents of a length that keep as many arches share
+    one stacked product for their pair sums and one array stop test, so an
+    exponent that converges on its first pass starts no split loop.  The
+    split loops of a chunk of lengths then run in lockstep
+    (:func:`_power_rounds`).  Returns (value, error, converged) per pair, in
+    order, each float.hex-identical to that pair integrated alone.
     """
-    ps = list(ps)
-    for p in ps:
+    pairs = [(KernelSpec(l).l, p) for l, p in pairs]
+    for _, p in pairs:
         _check_exponent(p)
-    if not ps:
-        return []
-    l = spec.l
-    kept = [_kept_arches(l, p, cfg.abs_tol) for p in ps]
-    width = max(len(pieces) for pieces, _ in kept)
-    table = (_kernel_table if width <= _TABLE_MAX_ARCHES else _kernel_table.__wrapped__)(l, width)
-    # the exponents that keep k arches share one first pass: each raises the
-    # nodes of the first k arches (the table lists the 15-node values of its
-    # arches, then the 31-node ones) to its own p, and the stacked pair sums
-    # of each are those of that exponent alone
-    by_count = {}
-    for i, (pieces, _) in enumerate(kept):
-        by_count.setdefault(len(pieces), []).append(i)
-    loops = [None] * len(ps)
-    for k, group in by_count.items():
-        nodes = table if k == width else np.concatenate((table[: 15 * k], table[15 * width : 15 * width + 31 * k]))
-        a, b = kept[group[0]][0][:, 0], kept[group[0]][0][:, 1]
-        raised = [nodes ** ps[i] for i in group]
-        if len(group) == 1:  # its nodes are already in pair order
-            loops[group[0]] = _refine(a, b, *_pair_sums(raised[0], a, b), cfg)
-            continue
-        shape = (len(group), k)
-        i31, err = _pair_sums(
-            np.concatenate([r[: 15 * k] for r in raised] + [r[15 * k :] for r in raised]),
-            np.broadcast_to(a, shape),
-            np.broadcast_to(b, shape),
-        )
-        for row, i in enumerate(group):
-            loops[i] = _refine(a, b, i31[row], err[row], cfg)
-    return [
-        (2.0 * value, 2.0 * (err + charge), converged)
-        for (value, err, converged), (_, charge) in zip(_power_rounds(l, ps, loops), kept)
-    ]
+    by_length = {}
+    for i, (l, _) in enumerate(pairs):
+        by_length.setdefault(l, []).append(i)
+    results, charges, loops, arches = {}, [0.0] * len(pairs), {}, 0
+    for l, group in by_length.items():
+        kept = [_kept_arches(l, pairs[i][1], cfg.abs_tol) for i in group]
+        width, weight = max(len(pieces) for pieces, _ in kept), sum(len(pieces) for pieces, _ in kept)
+        if arches and arches + weight > _CHUNK_ARCHES:
+            results.update(_power_rounds(pairs, loops))
+            loops, arches = {}, 0
+        arches += weight
+        table = (_kernel_table if width <= _TABLE_MAX_ARCHES else _kernel_table.__wrapped__)(l, width)
+        by_count = {}
+        for i, (pieces, charge) in zip(group, kept):
+            by_count.setdefault(len(pieces), []).append(i)
+            charges[i] = charge
+        # the exponents that keep k arches share one first pass: row j of each
+        # half holds the nodes of the first k arches (the table lists the
+        # 15-node values of its arches, then the 31-node ones) raised to the
+        # p of exponent ks[j], and the stacked pair sums and row totals of
+        # each are those of that exponent alone
+        for k, ks in by_count.items():
+            n = len(ks)
+            f = np.empty(46 * k * n)
+            f15, f31 = f[: 15 * k * n].reshape(n, -1), f[15 * k * n :].reshape(n, -1)
+            for j, i in enumerate(ks):
+                np.power(table[: 15 * k], pairs[i][1], out=f15[j])
+                np.power(table[15 * width : 15 * width + 31 * k], pairs[i][1], out=f31[j])
+            pieces = _arch_logcaps(l)[0][:k]
+            a, b = pieces[:, 0], pieces[:, 1]
+            i31, err = _pair_sums(f, np.repeat(a[None], n, axis=0), np.repeat(b[None], n, axis=0))
+            # the stop test of _refine on every row at once
+            done = err.sum(axis=1) <= np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(i31.sum(axis=1)))
+            for row, (i, first_pass) in enumerate(zip(ks, done.tolist())):
+                if first_pass:
+                    results[i] = _totals(i31[row].tolist(), err[row].tolist(), cfg)
+                else:
+                    loops[i] = _refine(a, b, i31[row], err[row], cfg)
+    results.update(_power_rounds(pairs, loops))
+    return [(2.0 * v, 2.0 * (e + charges[i]), ok) for i, (v, e, ok) in sorted(results.items())]
 
 
-def _power_rounds(l: int, ps, loops) -> list:
-    """Run the :func:`_refine` loops of g^ps[i] in lockstep to their results.
+def _power_rounds(pairs: list, loops: dict) -> dict:
+    """Run the :func:`_refine` loops ``{i: loop}`` of g^p at ``pairs[i]`` in lockstep: {i: result}.
 
     Each round gathers the pieces every unfinished loop asks for and
-    evaluates g once, at the pair abscissae of the halves of their union
-    (pieces that several loops bisect are evaluated once).  Each loop's
-    pieces are raised to its own p by a scalar power, as in a round of that
-    loop alone, and the pair sums of all loops are one stacked product, in
-    which each piece's two halves are one (2, m) product, again as alone.
+    evaluates g once, with one :func:`kernel_values` call given the length
+    of each point, at the pair abscissae of the halves of their union
+    (pieces that several loops of one length bisect are evaluated once).
+    Each loop's pieces are raised to its own p by a scalar power, as in a
+    round of that loop alone, and the pair sums of all loops are one
+    stacked product, in which each piece's two halves are one (2, m)
+    product, again as alone.
     """
-    results = [None] * len(loops)
-    asks = {}
+    results, asks = {}, {}
 
     def advance(i, sent):
         try:
@@ -468,39 +491,37 @@ def _power_rounds(l: int, ps, loops) -> list:
         except StopIteration as done:
             results[i] = done.value
 
-    for i in range(len(loops)):
+    for i in loops:
         advance(i, None)
     while asks:
         current, asks = asks, {}
-        if len(current) == 1:  # one loop asks for its pieces in order, each once
-            ((i, taken),) = current.items()
-            cuts = _cuts(taken)
-            f = kernel_values(l, _pair_abscissae(cuts[:, :2], cuts[:, 1:])) ** ps[i]
-        else:
-            index = {}
-            rows = np.array([index.setdefault(piece, len(index)) for taken in current.values() for piece in taken])
-            cuts = _cuts(index)
-            g = kernel_values(l, _pair_abscissae(cuts[:, :2], cuts[:, 1:]))
-            n = len(cuts)
-            f15, f31 = g[: 30 * n].reshape(n, 2, 15)[rows], g[30 * n :].reshape(n, 2, 31)[rows]
-            start = 0
-            for i, taken in current.items():
-                stop = start + len(taken)
-                # each loop's values raised by its own scalar exponent: numpy
-                # raises a power whose exponent varies along the array
-                # differently (at p = 2, say)
-                for block in (f15[start:stop], f31[start:stop]):
-                    np.power(block, ps[i], out=block)
-                start = stop
-            f = np.concatenate((f15.ravel(), f31.ravel()))
-            cuts = cuts[rows]
-        ci, ce = _pair_sums(f, cuts[:, :2], cuts[:, 1:])
-        start = 0
-        for i, taken in current.items():
-            stop = start + len(taken)
+        index = {}
+        rows = np.array([
+            index.setdefault((pairs[i][0], *piece), len(index)) for i, taken in current.items() for piece in taken
+        ])
+        keys = np.array(list(index))
+        cuts, n = _cuts(keys[:, 1:]), len(keys)
+        # the length of each abscissa: its piece's, for the 2 * 15 nodes then the 2 * 31
+        lengths = np.concatenate((np.repeat(keys[:, 0], 30), np.repeat(keys[:, 0], 62)))
+        g = kernel_values(lengths, _pair_abscissae(cuts[:, :2], cuts[:, 1:]))
+        f15, f31 = g[: 30 * n].reshape(n, 2, 15)[rows], g[30 * n :].reshape(n, 2, 31)[rows]
+        bounds = np.cumsum([0] + [len(taken) for taken in current.values()]).tolist()
+        for i, start, stop in zip(current, bounds, bounds[1:]):
+            # each loop's values raised by its own scalar exponent: numpy
+            # raises a power whose exponent varies along the array
+            # differently (at p = 2, say)
+            for block in (f15[start:stop], f31[start:stop]):
+                np.power(block, pairs[i][1], out=block)
+        cuts = cuts[rows]
+        ci, ce = _pair_sums(np.concatenate((f15.ravel(), f31.ravel())), cuts[:, :2], cuts[:, 1:])
+        for i, start, stop in zip(current, bounds, bounds[1:]):
             advance(i, (ci[start:stop], ce[start:stop]))
-            start = stop
     return results
+
+
+def integrate_kernel_powers(spec: KernelSpec, ps, cfg: QuadratureConfig = DEFAULT_CONFIG) -> list:
+    """:func:`integrate_kernel_power_grid` at every exponent of ``ps`` at one length."""
+    return integrate_kernel_power_grid([(spec.l, p) for p in ps], cfg)
 
 
 def integrate_kernel_power(spec: KernelSpec, p: float, cfg: QuadratureConfig = DEFAULT_CONFIG):
@@ -517,38 +538,41 @@ def norm_bound(l: int, p: float) -> float:
     return math.sqrt(2.0 / (p * (l * l - 1)))
 
 
-def _valid_prefix(ps: list, check) -> tuple:
-    """(the exponents before the first one ``check`` rejects, that one's error or None).
+def _valid_prefix(pairs, check) -> tuple:
+    """(the (l, p) pairs before the first bad one, its error or None): a bad l, or ``check(l, p)`` raises.
 
     A batch integrates the prefix, builds and checks its records in order,
-    and then raises the error: so the first failing exponent decides the
-    error, as in a loop of scalar calls.
+    and then raises the error: so the first failing pair decides the error,
+    as in a loop of scalar calls.
     """
-    for i, p in enumerate(ps):
+    valid = []
+    for l, p in pairs:
         try:
-            check(p)
+            l = KernelSpec(l).l
+            check(l, p)
         except (DomainError, PreconditionError) as exc:
-            return ps[:i], exc
-    return ps, None
+            return valid, exc
+        valid.append((l, p))
+    return valid, None
 
 
-def lp_norms(spec: KernelSpec, ps, cfg: QuadratureConfig = DEFAULT_CONFIG) -> list:
-    """Integral of |D_l|^p over one period at every exponent of ``ps``, one record each.
+def lp_norm_grid(pairs, cfg: QuadratureConfig = DEFAULT_CONFIG) -> list:
+    """Integral of |D_l|^p over one period at every (l, p) of ``pairs``, one record each.
 
     The bound field is populated when the certified inequality applies
     (p >= 2 and l >= 6).  The asymptotic field carries the first-order
     reference: (2/pi) * integral_0^inf |sin u / u|^p du / l for p > 1 and
     4 log(l) / (pi^2 l) for p = 1.  The values come from one
-    :func:`integrate_kernel_powers` call; a caller that wants them alone
+    :func:`integrate_kernel_power_grid` call; a caller that wants them alone
     calls that.
     """
-    ps, error = _valid_prefix(list(ps), _check_exponent)
+    pairs, error = _valid_prefix(pairs, lambda l, p: _check_exponent(p))
     norms = []
-    for p, (value, err, converged) in zip(ps, integrate_kernel_powers(spec, ps, cfg)):
-        bound = norm_bound(spec.l, p) if (p >= 2.0 and spec.l >= 6) else None
-        asymptotic = asymptotic_reference(spec.l, p, cfg)
+    for (l, p), (value, err, converged) in zip(pairs, integrate_kernel_power_grid(pairs, cfg)):
+        bound = norm_bound(l, p) if (p >= 2.0 and l >= 6) else None
+        asymptotic = asymptotic_reference(l, p, cfg)
         norms.append(LpNormResult(
-            l=spec.l,
+            l=l,
             p=float(p),
             value=value,
             bound=bound,
@@ -561,6 +585,11 @@ def lp_norms(spec: KernelSpec, ps, cfg: QuadratureConfig = DEFAULT_CONFIG) -> li
     if error is not None:
         raise error
     return norms
+
+
+def lp_norms(spec: KernelSpec, ps, cfg: QuadratureConfig = DEFAULT_CONFIG) -> list:
+    """:func:`lp_norm_grid` at every exponent of ``ps`` at one length."""
+    return lp_norm_grid([(spec.l, p) for p in ps], cfg)
 
 
 def lp_norm(spec: KernelSpec, p: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> LpNormResult:
@@ -577,23 +606,23 @@ def _check_certifiable(l: int, p: float) -> None:
     _check_exponent(p)
 
 
-def certify_bounds(spec: KernelSpec, ps, cfg: QuadratureConfig = DEFAULT_CONFIG) -> list:
-    """Certify value + error < sqrt(2/(p(l^2-1))) at every exponent of ``ps``; raises on any failure.
+def certify_bound_grid(pairs, cfg: QuadratureConfig = DEFAULT_CONFIG) -> list:
+    """Certify value + error < sqrt(2/(p(l^2-1))) at every (l, p) of ``pairs``; raises on any failure.
 
-    One :func:`integrate_kernel_powers` call; the first exponent that is
+    One :func:`integrate_kernel_power_grid` call; the first pair that is
     out of range or fails its certificate raises.
     """
-    ps, error = _valid_prefix(list(ps), lambda p: _check_certifiable(spec.l, p))
+    pairs, error = _valid_prefix(pairs, _check_certifiable)
     certs = []
-    for p, (value, err, converged) in zip(ps, integrate_kernel_powers(spec, ps, cfg)):
-        bound = norm_bound(spec.l, p)
+    for (l, p), (value, err, converged) in zip(pairs, integrate_kernel_power_grid(pairs, cfg)):
+        bound = norm_bound(l, p)
         if not (converged and value + err < bound):
             raise VerificationError(
-                f"norm bound failed at l={spec.l}, p={p}: "
+                f"norm bound failed at l={l}, p={p}: "
                 f"value={value!r} + err={err!r} !< bound={bound!r}"
             )
         certs.append(BoundCertificate(
-            l=spec.l,
+            l=l,
             p=float(p),
             value=value,
             bound=bound,
@@ -604,6 +633,11 @@ def certify_bounds(spec: KernelSpec, ps, cfg: QuadratureConfig = DEFAULT_CONFIG)
     if error is not None:
         raise error
     return certs
+
+
+def certify_bounds(spec: KernelSpec, ps, cfg: QuadratureConfig = DEFAULT_CONFIG) -> list:
+    """:func:`certify_bound_grid` at every exponent of ``ps`` at one length."""
+    return certify_bound_grid([(spec.l, p) for p in ps], cfg)
 
 
 def certify_bound(

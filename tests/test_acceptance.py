@@ -81,10 +81,10 @@ def test_runtime_budgets(budget_name, criteria, limit_seconds):
 
 # each criterion with a library function it calls
 CRITERION_DEPENDENCIES = [
-    (acceptance.criterion_bound_certification, "certify_bounds"),
-    (acceptance.criterion_parseval, "integrate_kernel_power"),
+    (acceptance.criterion_bound_certification, "certify_bound_grid"),
+    (acceptance.criterion_parseval, "integrate_kernel_power_grid"),
     (acceptance.criterion_ball_integral, "ball_integral"),
-    (acceptance.criterion_asymptotics, "lp_norms"),
+    (acceptance.criterion_asymptotics, "lp_norm_grid"),
     (acceptance.criterion_sign_change, "detect_sign_change"),
     (acceptance.criterion_first_arch_domination, "check_first_arch_domination"),
     (acceptance.criterion_slope_census, "check_derivative_bounds"),

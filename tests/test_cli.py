@@ -10,7 +10,7 @@ from lebesgue_lab.epi import check_epis, check_rogozin, handcrafted_corpus, rand
 from lebesgue_lab.errors import PreconditionError
 from lebesgue_lab.kernel import KernelSpec
 from lebesgue_lab.levelsets import detect_sign_change
-from lebesgue_lab.quadrature import certify_bound, integrate_kernel_powers, lp_norm, sinc_power_bound
+from lebesgue_lab.quadrature import certify_bound, integrate_kernel_power_grid, lp_norm, sinc_power_bound
 
 
 def read_csv(path):
@@ -228,16 +228,28 @@ class TestGridCommands:
 
     @pytest.mark.parametrize("command", ["lebesgue", "certify", "asymptotic", "sweep"])
     def test_one_kernel_power_call_per_length(self, tmp_path, monkeypatch, command):
+        # every length of the grid goes into one engine call, (l, p) in report order
         calls = []
 
-        def counted(spec, ps, *args, **kwargs):
-            calls.append((spec.l, list(ps)))
-            return integrate_kernel_powers(spec, ps, *args, **kwargs)
+        def counted(pairs, *args, **kwargs):
+            calls.append(list(pairs))
+            return integrate_kernel_power_grid(pairs, *args, **kwargs)
 
-        monkeypatch.setattr(quadrature, "integrate_kernel_powers", counted)
+        monkeypatch.setattr(quadrature, "integrate_kernel_power_grid", counted)
         out = tmp_path / "grid.json"
         assert cli.main([command, "--l", "6,7,64", "--p", "2,3,8", "--out", str(out)]) == 0
-        assert calls == [(l, [2.0, 3.0, 8.0]) for l in (6, 7, 64)]
+        assert calls == [[(l, p) for l in (6, 7, 64) for p in (2.0, 3.0, 8.0)]]
+
+    @pytest.mark.parametrize("command", ["certify", "sweep"])
+    def test_grid_is_one_command_per_length(self, tmp_path, command):
+        # the lengths share their split rounds; every record is the one-length command's
+        def records(lengths, p):
+            out = tmp_path / f"{command}-{lengths}.json"
+            assert cli.main([command, "--l", lengths, "--p", p, "--out", str(out)]) == 0
+            return json.loads(out.read_text())["records"]
+
+        p = "2,3,128"
+        assert records("6,7,9000", p) == [r for l in ("6", "7", "9000") for r in records(l, p)]
 
     def test_sweep_reuses_the_certify_tables(self, tmp_path):
         for cache in (quadrature._kernel_table, quadrature._arch_logcaps):
@@ -388,6 +400,18 @@ class TestUsageErrors:
         out = tmp_path / "x.json"
         assert cli.main(["certify", "--l", "6", "--p", "2,1.5", "--out", str(out)]) == 2
         assert capsys.readouterr().err == "error: certification requires p >= 2, got 1.5\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "lengths, message",
+        [("6,1", "kernel length must be >= 2, got 1"), ("6,5", "certification requires l >= 6, got 5")],
+        ids=["below-two", "below-six"],
+    )
+    def test_first_failing_length_decides_the_error(self, tmp_path, capsys, lengths, message):
+        # the grid is one engine call, but a later length fails as in a loop over lengths
+        out = tmp_path / "x.json"
+        assert cli.main(["certify", "--l", lengths, "--p", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["epi-check", "rogozin"])

@@ -31,7 +31,12 @@ from lebesgue_lab.epi import (
 )
 from lebesgue_lab.errors import DomainError, GenerationError, PreconditionError, VerificationError
 from lebesgue_lab.pmf import Pmf, convolve_many, entropy_summary, l_index, uniform
-from lebesgue_lab.quadrature import KernelSpec, integrate_kernel_power, integrate_kernel_powers
+from lebesgue_lab.quadrature import (
+    KernelSpec,
+    QuadratureConfig,
+    integrate_kernel_power,
+    integrate_kernel_power_grid,
+)
 
 
 class TestHolderExponents:
@@ -88,17 +93,18 @@ class TestHolderChain:
         assert holder_bound_chain((40, 40, 40)).ok
 
     def test_one_norm_per_distinct_index(self, monkeypatch):
+        # one engine call, each distinct (l, p) once
         calls = []
 
-        def counted(spec, ps, *args, **kwargs):
-            calls.append((spec.l, list(ps)))
-            return integrate_kernel_powers(spec, ps, *args, **kwargs)
+        def counted(pairs, *args, **kwargs):
+            calls.append(list(pairs))
+            return integrate_kernel_power_grid(pairs, *args, **kwargs)
 
-        monkeypatch.setattr(epi, "integrate_kernel_powers", counted)
+        monkeypatch.setattr(epi, "integrate_kernel_power_grid", counted)
         ls = (8, 8, 10)
         chain = holder_bound_chain(ls)
         ps = holder_exponents(ls)
-        assert calls == [(8, [ps[0]]), (10, [ps[2]])]
+        assert calls == [[(8, ps[0]), (10, ps[2])]]
         # the Hoelder product multiplies one factor per variable, in order
         m2 = 1.0
         for l, p in zip(ls, ps):
@@ -603,17 +609,27 @@ class TestCheckEpis:
         assert check_epis(instances) == whole
 
     def test_one_kernel_call_per_distinct_index(self, monkeypatch):
+        # one engine call per block, each distinct (l, p) of its chains once
         calls = []
 
-        def counted(spec, ps, *args, **kwargs):
-            calls.append(spec.l)
-            return integrate_kernel_powers(spec, ps, *args, **kwargs)
+        def counted(pairs, *args, **kwargs):
+            calls.append(list(pairs))
+            return integrate_kernel_power_grid(pairs, *args, **kwargs)
 
-        monkeypatch.setattr(epi, "integrate_kernel_powers", counted)
+        monkeypatch.setattr(epi, "integrate_kernel_power_grid", counted)
         instances = list(random_instances(range(40)))
         check_epis(instances)
-        chained = {l for inst in instances if inst.case == CASE_HOLDER for l in inst.l_indices}
-        assert sorted(calls) == sorted(chained)
+        chained = [
+            pair
+            for inst in instances
+            if inst.case == CASE_HOLDER
+            for pair in zip(inst.l_indices, holder_exponents(inst.l_indices))
+        ]
+        assert calls == [list(dict.fromkeys(chained))]
+        calls.clear()
+        monkeypatch.setattr(epi, "_BLOCK", 16)
+        check_epis(instances)
+        assert len(calls) == 3  # blocks of 16, 16 and 8
 
     def test_first_failing_instance_raises_its_own_error(self, monkeypatch):
         instances = [make_instance([uniform(4), uniform(5)]), *random_instances(range(5))]
@@ -622,6 +638,22 @@ class TestCheckEpis:
             check_epi(instances[1])
         with pytest.raises(VerificationError) as batch:
             check_epis(instances)
+        assert str(batch.value) == str(alone.value)
+
+    def test_an_exponent_above_the_cap_comes_after_the_instances_before_it(self):
+        tight = QuadratureConfig(1e-15, 1e-15, 1)
+        failing = make_instance([uniform(6), uniform(7), uniform(8)])
+        # its exponent at l = 6 is 500001, above MAX_EXPONENT
+        capped = make_instance([uniform(6), uniform(3000), uniform(3000)])
+        with pytest.raises(VerificationError, match="did not converge at l=6") as alone:
+            check_epi(failing, tight)
+        with pytest.raises(VerificationError) as batch:
+            check_epis([failing, capped], tight)
+        assert str(batch.value) == str(alone.value)
+        with pytest.raises(DomainError, match="got 500001") as alone:
+            check_epi(capped)
+        with pytest.raises(DomainError) as batch:
+            check_epis([make_instance([uniform(6), uniform(7)]), capped, failing])
         assert str(batch.value) == str(alone.value)
 
     def test_an_error_from_the_instances_comes_after_the_ones_before_it(self, monkeypatch):

@@ -70,6 +70,16 @@ class TestKernelSpec:
 
 
 class TestEvalG:
+    def test_a_length_per_point_is_each_length_alone(self):
+        # both branches: the series below the cutoff and the closed form above it
+        rng = np.random.default_rng(3)
+        x = np.concatenate(([0.0, 5e-324, 1e-9, 1e-8, 0.5], rng.uniform(0.0, 2e-8, 50), rng.uniform(0.0, 0.5, 200)))
+        ls = rng.choice([2, 6, 7, 64, 1000, 10**4], size=x.size)
+        got = kernel_values(ls, x)
+        want = [kernel_values(int(l), np.array([xi]))[0] for l, xi in zip(ls, x)]
+        assert [v.hex() for v in got.tolist()] == [float(v).hex() for v in want]
+        assert kernel_values(ls.astype(float), x).tobytes() == got.tobytes()
+
     def test_value_at_origin_is_one(self):
         assert eval_kernel(KernelSpec(8), 0.0) == 1.0
 

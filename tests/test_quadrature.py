@@ -20,6 +20,7 @@ from lebesgue_lab.quadrature import (
     DEFAULT_CONFIG,
     MAX_EXPONENT,
     QuadratureConfig,
+    _TABLE_MAX_ARCHES,
     _intervals,
     _kept_arches,
     _pair_eval,
@@ -32,10 +33,13 @@ from lebesgue_lab.quadrature import (
     ball_half,
     ball_integral,
     certify_bound,
+    certify_bound_grid,
     certify_bounds,
     integrate_kernel_power,
+    integrate_kernel_power_grid,
     integrate_kernel_powers,
     lp_norm,
+    lp_norm_grid,
     lp_norms,
     product_kernel_l1,
     norm_bound,
@@ -883,7 +887,8 @@ class TestRefinementRounds:
             assert sum(serial for _, serial in serial_oracle) > 2 * sum(r for r, _ in serial_oracle)
 
     def test_chain_exponents_match_serial_loop(self, serial_oracle):
-        for seed in range(300):
+        # about a third of the chain exponents refine past their first pass
+        for seed in range(400):
             instance = random_instance(seed)
             if instance.case == CASE_HOLDER:
                 for l, p in zip(instance.l_indices, holder_exponents(instance.l_indices)):
@@ -906,8 +911,10 @@ class TestRefinementRounds:
         for l in (6, 9, 40):
             for p in (2.0, 2.5, 7.3):
                 comparison_functional(KernelSpec(l), p, 0.3)
-        # one kernel-power refinement each; the Gaussian power is in closed form
-        assert len(serial_oracle) == 9
+        # one kernel-power refinement per length at p = 2.5; p = 2 and 7.3
+        # converge on their first pass, which starts no split loop, and the
+        # Gaussian power is in closed form
+        assert len(serial_oracle) == 3
 
     @pytest.mark.parametrize("max_subdivisions", [1, 3])
     @pytest.mark.parametrize("tol", [None, 1e-15], ids=["default-tol", "tight-tol"])
@@ -1043,6 +1050,133 @@ class TestKernelPowers:
             integrate_kernel_powers(KernelSpec(9), [2.0, bad])
 
 
+# mixed, repeated and unsorted lengths, among them 2..5 and 64, at exponents
+# that keep every arch, and at 300 and 1000, which drop most of them
+GRID_PAIRS = [
+    (l, p)
+    for l in (64, 2, 7, 3, 301, 4, 5, 64, 6, 13)
+    for p in (2.0, 1.0, 7.3, 2.5, 300.0, 128.0, 1000.0, 2.5)
+]
+TIGHT_BUDGET_1 = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=1)
+
+
+class TestKernelPowerGrid:
+    @pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, TIGHT_BUDGET_1], ids=["default", "tight-budget-1"])
+    def test_each_pair_matches_its_own_path(self, cfg):
+        clear_caches()
+        got = integrate_kernel_power_grid(GRID_PAIRS, cfg)
+        assert [hexed(r) for r in got] == [hexed(per_p_kernel_power(l, p, cfg)) for l, p in GRID_PAIRS]
+        # and each is the one-length call's
+        assert got == [r for l, p in GRID_PAIRS for r in integrate_kernel_powers(KernelSpec(l), [p], cfg)]
+
+    @pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, TIGHT_BUDGET_1], ids=["default", "tight-budget-1"])
+    def test_uncached_table_next_to_cached_ones(self, cfg):
+        # a length above 2 * _TABLE_MAX_ARCHES has a node table of its own call
+        big = 2 * _TABLE_MAX_ARCHES + 1
+        pairs = [(6, 2.5), (big, 2.0), (64, 3.0), (big, 128.0), (6, 2.0)]
+        clear_caches()
+        got = integrate_kernel_power_grid(pairs, cfg)
+        assert quadrature._kernel_table.cache_info().currsize == 2  # l = 6 and 64
+        assert [hexed(r) for r in got] == [hexed(per_p_kernel_power(l, p, cfg)) for l, p in pairs]
+
+    @pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, TIGHT_BUDGET_1], ids=["default", "tight-budget-1"])
+    def test_series_branch_with_a_length_array(self, monkeypatch, cfg):
+        seen = []
+
+        def spy(l, x):
+            if np.ndim(l):
+                seen.append(np.unique(l[np.asarray(x) < 1e-8]).tolist())
+            return values(l, x)
+
+        values = quadrature.kernel_values
+        monkeypatch.setattr(quadrature, "kernel_values", spy)
+        pairs = [(10**4, 1e5), (6, 1e5), (6, 2.5), (6, 1000.0)]
+        got = integrate_kernel_power_grid(pairs, cfg)
+        monkeypatch.undo()
+        if cfg is DEFAULT_CONFIG:
+            # arch 0 of l = 10^4 at p = 1e5 is bisected below the series cutoff
+            # in rounds that evaluate l = 6 as well
+            assert [10000.0] in seen
+        assert [hexed(r) for r in got] == [hexed(per_p_kernel_power(l, p, cfg)) for l, p in pairs]
+
+    def test_chunks_do_not_change_the_results(self, monkeypatch):
+        whole = integrate_kernel_power_grid(GRID_PAIRS)
+        for arches in (1, 40, 10**6):
+            monkeypatch.setattr(quadrature, "_CHUNK_ARCHES", arches)
+            assert integrate_kernel_power_grid(GRID_PAIRS) == whole
+
+    def test_chunks_bound_the_lengths_in_flight(self, monkeypatch):
+        rounds = []
+
+        def spy(pairs, loops):
+            rounds.append({pairs[i][0] for i in loops})
+            return power_rounds(pairs, loops)
+
+        power_rounds = quadrature._power_rounds
+        monkeypatch.setattr(quadrature, "_power_rounds", spy)
+        monkeypatch.setattr(quadrature, "_CHUNK_ARCHES", 700)
+        cfg = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15)
+        # every arch is kept at p = 2.5: 151, 501, 1001 and 4 of them; a
+        # length over the bound runs alone
+        integrate_kernel_power_grid([(301, 2.5), (1000, 2.5), (2001, 2.5), (6, 2.5)], cfg)
+        assert rounds == [{301, 1000}, {2001}, {6}]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(st.integers(min_value=2, max_value=400), st.floats(min_value=1.0, max_value=400.0)),
+            max_size=8,
+        ),
+        tight=st.booleans(),
+    )
+    def test_random_pairs(self, pairs, tight):
+        cfg = TIGHT_BUDGET_1 if tight else DEFAULT_CONFIG
+        got = integrate_kernel_power_grid(pairs, cfg)
+        assert [hexed(r) for r in got] == [hexed(per_p_kernel_power(l, p, cfg)) for l, p in pairs]
+
+    def test_empty_batches(self):
+        assert integrate_kernel_power_grid([]) == []
+        assert lp_norm_grid([]) == []
+        assert certify_bound_grid([]) == []
+
+    @pytest.mark.parametrize("bad", [(1, 2.0), (6, 0.5), (6.5, 2.0), (6, NAN)])
+    def test_a_bad_pair_raises_before_any_work(self, monkeypatch, bad):
+        monkeypatch.setattr(quadrature, "_kernel_table", None)  # no table is read
+        with pytest.raises(DomainError):
+            integrate_kernel_power_grid([(6, 2.0), bad])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(
+                st.one_of(st.integers(min_value=2, max_value=300), st.sampled_from([1, 5])),
+                st.one_of(st.floats(min_value=1.0, max_value=400.0), st.sampled_from([0.5, NAN, 1e8])),
+            ),
+            max_size=6,
+        ),
+        tight=st.booleans(),
+    )
+    def test_grid_records_are_scalar_calls(self, pairs, tight):
+        cfg = TIGHT_BUDGET_1 if tight else DEFAULT_CONFIG
+
+        def loop(scalar):
+            return lambda: [scalar(KernelSpec(l), p, cfg) for l, p in pairs]
+
+        assert outcome(lambda: lp_norm_grid(pairs, cfg)) == outcome(loop(lp_norm))
+        assert outcome(lambda: certify_bound_grid(pairs, cfg)) == outcome(loop(certify_bound))
+
+    def test_failure_at_an_earlier_length_before_a_bad_length(self):
+        # a failed certificate at l = 6 wins over l = 5 and l = 1 after it
+        with pytest.raises(VerificationError, match=r"at l=6, p=2\.5:"):
+            certify_bound_grid([(7, 2.0), (6, 2.5), (5, 2.0)], TIGHT_BUDGET_1)
+        with pytest.raises(VerificationError, match=r"at l=6, p=2\.5:"):
+            certify_bound_grid([(6, 2.5), (1, 2.0)], TIGHT_BUDGET_1)
+        with pytest.raises(VerificationError, match="sinc-power integral did not converge at p=2.5"):
+            lp_norm_grid([(6, 2.5), (1, 2.0)], TIGHT_BUDGET_1)
+        with pytest.raises(DomainError, match="got 1$"):
+            lp_norm_grid([(6, 2.0), (1, 2.0)])
+
+
 class TestQuotients:
     @pytest.mark.parametrize(
         "ls",
@@ -1073,7 +1207,6 @@ def outcome(call):
 
 # NORM_P_GRID with p near 1, a far exponent and repeats of 2.0001 and 7.3, unsorted
 BATCH_P_GRID = NORM_P_GRID + (1.0, 1.01, 2.0001, 7.3, 300.0)
-TIGHT_BUDGET_1 = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=1)
 
 
 class TestNormBatches:
@@ -1139,13 +1272,18 @@ class TestNormBatches:
     def test_one_kernel_power_call_per_batch(self, monkeypatch):
         calls = []
 
-        def counted(spec, ps, *args, **kwargs):
-            calls.append((spec.l, list(ps)))
-            return integrate_kernel_powers(spec, ps, *args, **kwargs)
+        def counted(pairs, *args, **kwargs):
+            calls.append(list(pairs))
+            return integrate_kernel_power_grid(pairs, *args, **kwargs)
 
-        monkeypatch.setattr(quadrature, "integrate_kernel_powers", counted)
+        monkeypatch.setattr(quadrature, "integrate_kernel_power_grid", counted)
         lp_norms(KernelSpec(64), [2.0, 8.0, 1.0])
         with pytest.raises(PreconditionError):
             certify_bounds(KernelSpec(64), [2.0, 8.0, 3.0, 1.5])
         # the certificates before the first exponent below 2 are integrated, in one call
-        assert calls == [(64, [2.0, 8.0, 1.0]), (64, [2.0, 8.0, 3.0])]
+        assert calls == [[(64, 2.0), (64, 8.0), (64, 1.0)], [(64, 2.0), (64, 8.0), (64, 3.0)]]
+        calls.clear()
+        with pytest.raises(PreconditionError):
+            certify_bound_grid([(6, 2.0), (64, 8.0), (5, 3.0), (7, 2.0)])
+        # across lengths too: one call for the pairs before the first invalid one
+        assert calls == [[(6, 2.0), (64, 8.0)]]
