@@ -41,6 +41,7 @@ from .levelsets import (
     SignChangeReport,
     bump_profiles,
     check_derivative_bounds,
+    check_derivative_bounds_many,
     comparison_functional,
     detect_sign_change,
     slope_sum,
@@ -57,11 +58,9 @@ from .quadrature import (
     ball_integral,
     certify_bound,
     certify_bound_grid,
-    certify_bounds,
     integrate_kernel_power_grid,
     lp_norm,
     lp_norm_grid,
-    lp_norms,
     norm_bound,
     product_kernel_l1,
 )

@@ -12,7 +12,9 @@ Newton on its monotone segment, started from the arch inverted with its
 denominator frozen (or, on the flat top of arch 0, from the osculating
 Gaussian with its x^4 correction), so a root takes about three rounds;
 each round evaluates g and g' together from one set of sines
-(``kernel.kernel_values_and_slopes``).
+(``kernel.kernel_values_and_slopes``).  Every per-level quantity comes
+from one solve of a batch of levels (``_solve_levels``); the single-level
+forms are batches of one, bit-identical to the level in any batch.
 With F the truncated Gaussian's distribution function (closed form, see
 kernel.py), the module locates the single level y0 where F - G changes sign
 from - to +.  It signs F - G on a scan of levels without solving most of
@@ -186,13 +188,14 @@ def _segment_table(spec: KernelSpec, ys: np.ndarray):
     """Flat table of monotone segments straddled by each level.
 
     Returns parallel arrays (level_row, lo, hi, increasing, half_arch, arch);
-    one row per (level, segment) pair, segment-major.  A level's superlevel
+    one row per (level, segment) pair, level-major: level 0's segments, then
+    level 1's, and so on, each level's left to right.  A level's superlevel
     measure is then sum(decreasing roots) - sum(increasing roots) + 1/2 per
     half arch, since each descending crossing closes an interval that an
     ascending crossing (or the left endpoint 0) opened.
     """
     lo, hi, top, inc, half, arch = _segments(spec)
-    seg, row = np.nonzero(ys[None, :] < top[:, None])
+    row, seg = np.nonzero(ys[:, None] < top[None, :])
     return row, lo[seg], hi[seg], inc[seg], half[seg], arch[seg]
 
 
@@ -296,14 +299,16 @@ def _newton_block(l: int, y, lo, hi, inc, arch) -> np.ndarray:
 
 
 def _solve_levels(spec: KernelSpec, ys: np.ndarray):
-    """Every crossing of the levels ys, segment-major as in ``_segment_table``.
+    """Check the levels ys and solve every crossing of all of them at once.
 
-    Returns (row, roots, increasing, half_arch, arch), one entry per
-    (level, segment) pair.
+    The one solve of the module.  Returns (row, roots, arch, increasing,
+    half_arch), one entry per (level, segment) pair, grouped by level as in
+    ``_segment_table``, so each level's roots ascend.  Every Newton row
+    iterates on its own, so a level's roots do not depend on the others.
     """
+    _check_levels(ys)
     row, lo, hi, inc, half, arch = _segment_table(spec, ys)
-    roots = _newton_segments(spec.l, ys[row], lo, hi, inc, arch)
-    return row, roots, inc, half, arch
+    return row, _newton_segments(spec.l, ys[row], lo, hi, inc, arch), arch, inc, half
 
 
 def _measures(n: int, row, roots, inc, half) -> np.ndarray:
@@ -314,11 +319,15 @@ def _measures(n: int, row, roots, inc, half) -> np.ndarray:
     return out
 
 
+def _slope_sum(l: int, roots: np.ndarray) -> float:
+    """Sum of 1/|g'| over one level's roots, in segment order: the slope sum |G'(y)|."""
+    return float(np.sum(1.0 / np.abs(kernel_slope_values(l, roots))))
+
+
 def superlevel_measure_many(spec: KernelSpec, ys) -> np.ndarray:
     """Vectorized measure of {x in [0, 1/2] : g(x) > y} for a batch of levels."""
     ys = np.asarray(ys, dtype=float)
-    _check_levels(ys)
-    row, roots, inc, half, _ = _solve_levels(spec, ys)
+    row, roots, _, inc, half = _solve_levels(spec, ys)
     return _measures(len(ys), row, roots, inc, half)
 
 
@@ -335,25 +344,13 @@ def level_crossings(spec: KernelSpec, y: float):
     Bracketed Newton (see ``_newton_segments``) pins each root to within a
     few ulps.
     """
-    ys = np.array([float(y)])
-    _check_levels(ys)
-    _, roots, inc, _, arch = _solve_levels(spec, ys)
+    _, roots, arch, inc, _ = _solve_levels(spec, np.array([float(y)]))
     return roots, arch, inc
 
 
-def _measure_and_slope_sum(spec: KernelSpec, y: float) -> tuple[float, float]:
-    """(superlevel_measure(spec, y), slope_sum(spec, y)) from one solve of the level."""
-    ys = np.array([float(y)])
-    _check_levels(ys)
-    row, roots, inc, half, _ = _solve_levels(spec, ys)
-    measure = float(_measures(1, row, roots, inc, half)[0])
-    return measure, _slopes_and_inverse_sum(spec.l, roots)[1]
-
-
-def _slopes_and_inverse_sum(l: int, roots: np.ndarray):
-    """(|g'| at each root, sum of 1/|g'|): the slope sum |G'(y)| at a level."""
-    slopes = np.abs(kernel_slope_values(l, roots))
-    return slopes, float(np.sum(1.0 / slopes))
+def slope_sum(spec: KernelSpec, y: float) -> float:
+    """Sum of 1/|g'| over all crossings of the level y (equals |G'(y)|)."""
+    return _slope_sum(spec.l, level_crossings(spec, y)[0])
 
 
 def default_level_grid(spec: KernelSpec) -> np.ndarray:
@@ -374,8 +371,8 @@ def _refine_crossing(spec: KernelSpec, tg: TruncatedGaussian, lo: float, hi: flo
 
     ``neg_lo`` is the sign of D at ``lo``.  D'(y) = F'(y) + slope_sum(y), with
     F'(y) = -1 / (pi (l^2 - 1) y F(y)) above y_last and 0 below it, since G'
-    is minus the slope sum; each round solves the level once for both G and
-    the slope sum (``_measure_and_slope_sum``).  As in ``_newton_segments``,
+    is minus the slope sum; each round solves the level once, as a batch of
+    one, for both G and the slope sum.  As in ``_newton_segments``,
     the bracket shrinks by the sign of D, a step that leaves it becomes a
     bisection step, and the refinement ends when D == 0 or a step is at most
     ``_Y0_STEP_TOL``.
@@ -384,15 +381,15 @@ def _refine_crossing(spec: KernelSpec, tg: TruncatedGaussian, lo: float, hi: flo
     y = 0.5 * (lo + hi)
     for _ in range(_MAX_ROUNDS):
         f = gaussian_distribution_function(tg, y)
-        measure, g_slope = _measure_and_slope_sum(spec, y)
-        d = f - measure
+        row, roots, _, inc, half = _solve_levels(spec, np.array([y]))
+        d = f - float(_measures(1, row, roots, inc, half)[0])
         if d == 0.0:
             return y
         if (d < 0.0) == neg_lo:
             lo = y
         else:
             hi = y
-        slope = (0.0 if y < tg.y_last else -1.0 / (c * y * f)) + g_slope
+        slope = (0.0 if y < tg.y_last else -1.0 / (c * y * f)) + _slope_sum(spec.l, roots)
         yn = y - d / slope if slope != 0.0 else math.nan
         if not lo <= yn <= hi:
             yn = 0.5 * (lo + hi)
@@ -520,64 +517,76 @@ def comparison_functional(
     return (2.0 * f_int - g_int) / (p * y0**p)
 
 
-def slope_sum(spec: KernelSpec, y: float) -> float:
-    """Sum of 1/|g'| over all crossings of the level y (equals |G'(y)|)."""
-    return _measure_and_slope_sum(spec, y)[1]
+def check_derivative_bounds_many(spec: KernelSpec, ys) -> list[SlopeBoundCheck]:
+    """Validate the root census and slope bounds at every level of ys, below y_1.
 
-
-def check_derivative_bounds(spec: KernelSpec, y: float) -> SlopeBoundCheck:
-    """Validate the root census and slope bounds at a level below y_1.
-
-    The level must lie strictly between the Gaussian floor and the first arch
-    peak, away from every peak by the exclusion window.  For a level in the
-    band below arch m's peak, the census is one root on the first arch and
-    two per full arch up to m (one on a final half-arch), and the inverse
-    slopes must sum to at least 1/(2l) + 4 m^2 / (l pi^2).
+    Each level must lie strictly between the Gaussian floor and the first
+    arch peak, away from every peak by the exclusion window.  For a level in
+    the band below arch m's peak, the census is one root on the first arch
+    and two per full arch up to m (one on a final half-arch), and the inverse
+    slopes must sum to at least 1/(2l) + 4 m^2 / (l pi^2).  The levels before
+    the first one out of range are solved in one batch and checked in order;
+    then that level raises, so the first failing level decides the error, as
+    in a loop of single checks.
     """
     l = spec.l
+    ys = np.asarray(ys, dtype=float)
+    if not len(ys):
+        return []
     if l < 6:
         raise PreconditionError(f"slope checks require l >= 6, got {l}")
     profiles = bump_profiles(spec)
     tg = TruncatedGaussian.from_length(l)
     y1 = profiles[1].peak_y
-    if not tg.y_last < y < y1:
-        raise PreconditionError(f"level {y} outside ({tg.y_last}, {y1})")
-    for prof in profiles[1:]:
-        if abs(y - prof.peak_y) < PEAK_EXCLUSION:
-            raise PreconditionError(f"level {y} within exclusion window of an arch peak")
+    levels = ys.tolist()
 
-    band = max(p.index for p in profiles[1:] if p.peak_y > y)
-    half_arch = l % 2 == 1 and band == l // 2
-    expected = 1 + 2 * band - (1 if half_arch else 0)
+    def inside(y):  # NaN is outside too
+        return tg.y_last < y < y1 and all(abs(y - p.peak_y) >= PEAK_EXCLUSION for p in profiles[1:])
 
-    roots, arch, _ = level_crossings(spec, y)
-    if len(roots) != expected:
-        raise VerificationError(
-            f"root census mismatch at l={l}, y={y}: found {len(roots)}, expected {expected}"
-        )
-
-    slopes, inv_sum = _slopes_and_inverse_sum(l, roots)
+    n = next((i for i, y in enumerate(levels) if not inside(y)), len(ys))
+    row, roots, arch, _, _ = _solve_levels(spec, ys[:n])
+    # each level's crossings, from bounds[i] to bounds[i + 1]; every level has one on arch 0
+    bounds = np.searchsorted(row, np.arange(n + 1)).tolist()
+    slopes = np.abs(kernel_slope_values(l, roots))
     # |g'| is at most (l pi / 2) ((pi/l)/sin(pi/l))^2 <= 2l on the first arch
     # and l pi^2 / (4k) inside arch k >= 1 (np.maximum only spares arch 0 a 1/0)
     first_cap = (l * PI / 2.0) * ((PI / l) / math.sin(PI / l)) ** 2
     caps = np.where(arch == 0, first_cap, l * PI**2 / (4.0 * np.maximum(arch, 1)))
-    worst = float(np.max(slopes - caps))
     slack = 1e-9
-    ok = not np.any(slopes > caps + slack)
-    lower = 1.0 / (2.0 * l) + 4.0 * band * band / (l * PI**2)
-    if inv_sum < lower - slack:
-        ok = False
-    check = SlopeBoundCheck(
-        l=l,
-        y=float(y),
-        band=band,
-        root_count=len(roots),
-        expected_roots=expected,
-        sum_inverse_slope=inv_sum,
-        sum_lower_bound=lower,
-        worst_bound_margin=worst,
-        ok=ok,
-    )
-    if not ok:
-        raise VerificationError(f"slope bound failed: {check}")
-    return check
+    worst = np.maximum.reduceat(slopes - caps, bounds[:-1]).tolist()
+    over = np.logical_or.reduceat(slopes > caps + slack, bounds[:-1]).tolist()
+    checks = []
+    for y, start, stop, margin, over_cap in zip(levels, bounds, bounds[1:], worst, over):
+        m = max(p.index for p in profiles[1:] if p.peak_y > y)
+        want = 1 + 2 * m - (l % 2 == 1 and m == l // 2)  # a final half arch has one root
+        if stop - start != want:
+            raise VerificationError(
+                f"root census mismatch at l={l}, y={y}: found {stop - start}, expected {want}"
+            )
+        # each level's inverse slopes summed on their own, in segment order
+        inv_sum = float(np.sum(1.0 / slopes[start:stop]))
+        lower = 1.0 / (2.0 * l) + 4.0 * m * m / (l * PI**2)
+        check = SlopeBoundCheck(
+            l=l,
+            y=y,
+            band=m,
+            root_count=want,
+            expected_roots=want,
+            sum_inverse_slope=inv_sum,
+            sum_lower_bound=lower,
+            worst_bound_margin=margin,
+            ok=not (over_cap or inv_sum < lower - slack),
+        )
+        if not check.ok:
+            raise VerificationError(f"slope bound failed: {check}")
+        checks.append(check)
+    if n < len(ys):
+        if not tg.y_last < levels[n] < y1:
+            raise PreconditionError(f"level {levels[n]} outside ({tg.y_last}, {y1})")
+        raise PreconditionError(f"level {levels[n]} within exclusion window of an arch peak")
+    return checks
+
+
+def check_derivative_bounds(spec: KernelSpec, y: float) -> SlopeBoundCheck:
+    """:func:`check_derivative_bounds_many` at one level."""
+    return check_derivative_bounds_many(spec, [y])[0]

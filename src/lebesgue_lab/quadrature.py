@@ -49,11 +49,13 @@ each round evaluating g once, with the length of each point, at the union
 of the halves they ask for.  A batch runs in chunks of lengths whose pairs
 keep at most ``_CHUNK_ARCHES`` arches in all, and raises the error of its
 first failing pair, as a loop over its pairs would; each result is
-float.hex-identical to the pair's integral on its own.  The forms at one length or one pair, and
-the records of :func:`lp_norm_grid` and :func:`certify_bound_grid`, are
-wrappers of it.  With one full-width node table per length,
-``_kernel_table`` keeps the tables of 16 lengths, enough for one grid
-command's lengths to serve the next command over the same lengths.
+float.hex-identical to the pair's integral on its own.  The records of
+:func:`lp_norm_grid` and :func:`certify_bound_grid` are built on it, and
+the forms at one pair (:func:`integrate_kernel_power`, :func:`lp_norm`,
+:func:`certify_bound`) are grid calls of one pair.  With one full-width
+node table per length, ``_kernel_table`` keeps the tables of 16 lengths,
+enough for one grid command's lengths to serve the next command over the
+same lengths.
 
 Every power is the plain ``values ** p``, at every p: libm ``pow`` is within
 an ulp, and a power that underflows is simply 0.
@@ -519,18 +521,13 @@ def _power_rounds(pairs: list, loops: dict) -> dict:
     return results
 
 
-def integrate_kernel_powers(spec: KernelSpec, ps, cfg: QuadratureConfig = DEFAULT_CONFIG) -> list:
-    """:func:`integrate_kernel_power_grid` at every exponent of ``ps`` at one length."""
-    return integrate_kernel_power_grid([(spec.l, p) for p in ps], cfg)
-
-
 def integrate_kernel_power(spec: KernelSpec, p: float, cfg: QuadratureConfig = DEFAULT_CONFIG):
-    """2 * integral of g^p over [0, 1/2]: :func:`integrate_kernel_powers` at one exponent.
+    """2 * integral of g^p over [0, 1/2]: :func:`integrate_kernel_power_grid` at one pair.
 
     The first pass raises the cached node table of the kept arches to p;
     only a bisected piece evaluates g again.  p must lie in [1, MAX_EXPONENT].
     """
-    return integrate_kernel_powers(spec, [p], cfg)[0]
+    return integrate_kernel_power_grid([(spec.l, p)], cfg)[0]
 
 
 def norm_bound(l: int, p: float) -> float:
@@ -587,14 +584,9 @@ def lp_norm_grid(pairs, cfg: QuadratureConfig = DEFAULT_CONFIG) -> list:
     return norms
 
 
-def lp_norms(spec: KernelSpec, ps, cfg: QuadratureConfig = DEFAULT_CONFIG) -> list:
-    """:func:`lp_norm_grid` at every exponent of ``ps`` at one length."""
-    return lp_norm_grid([(spec.l, p) for p in ps], cfg)
-
-
 def lp_norm(spec: KernelSpec, p: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> LpNormResult:
-    """:func:`lp_norms` at one exponent."""
-    return lp_norms(spec, [p], cfg)[0]
+    """:func:`lp_norm_grid` at one pair."""
+    return lp_norm_grid([(spec.l, p)], cfg)[0]
 
 
 def _check_certifiable(l: int, p: float) -> None:
@@ -635,16 +627,11 @@ def certify_bound_grid(pairs, cfg: QuadratureConfig = DEFAULT_CONFIG) -> list:
     return certs
 
 
-def certify_bounds(spec: KernelSpec, ps, cfg: QuadratureConfig = DEFAULT_CONFIG) -> list:
-    """:func:`certify_bound_grid` at every exponent of ``ps`` at one length."""
-    return certify_bound_grid([(spec.l, p) for p in ps], cfg)
-
-
 def certify_bound(
     spec: KernelSpec, p: float, cfg: QuadratureConfig = DEFAULT_CONFIG
 ) -> BoundCertificate:
-    """:func:`certify_bounds` at one exponent."""
-    return certify_bounds(spec, [p], cfg)[0]
+    """:func:`certify_bound_grid` at one pair."""
+    return certify_bound_grid([(spec.l, p)], cfg)[0]
 
 
 def _sinc_modulus(u: np.ndarray) -> np.ndarray:

@@ -87,7 +87,7 @@ CRITERION_DEPENDENCIES = [
     (acceptance.criterion_asymptotics, "lp_norm_grid"),
     (acceptance.criterion_sign_change, "detect_sign_change"),
     (acceptance.criterion_first_arch_domination, "check_first_arch_domination"),
-    (acceptance.criterion_slope_census, "check_derivative_bounds"),
+    (acceptance.criterion_slope_census, "check_derivative_bounds_many"),
     (acceptance.criterion_epi_suite, "check_epis"),
     (acceptance.criterion_rogozin_suite, "check_rogozin"),
     (acceptance.criterion_sharpness, "entropy_summary"),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath
@@ -7,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lebesgue_lab import levelsets
-from lebesgue_lab.errors import DomainError, PreconditionError
+from lebesgue_lab.errors import DomainError, PreconditionError, VerificationError
 from lebesgue_lab.kernel import (
     KernelSpec,
     TruncatedGaussian,
@@ -20,13 +21,16 @@ from lebesgue_lab.levelsets import (
     _COVER_MARGIN,
     PEAK_EXCLUSION,
     BumpProfile,
-    _measure_and_slope_sum,
+    _measures,
     _newton_segments,
     _newton_start,
     _scan_signs,
     _segment_table,
+    _slope_sum,
+    _solve_levels,
     bump_profiles,
     check_derivative_bounds,
+    check_derivative_bounds_many,
     detect_sign_change,
     level_crossings,
     superlevel_measure,
@@ -236,11 +240,15 @@ class TestMeasureG:
     @given(st.integers(6, 60), st.lists(open_unit, min_size=1, max_size=8))
     def test_one_solve_gives_measure_and_slope_sum(self, l, ys):
         spec = KernelSpec(l)
-        for y in ys:
-            fused = _measure_and_slope_sum(spec, y)
+        row, roots, _, inc, half = _solve_levels(spec, np.array(ys))
+        # the crossings come grouped by level
+        assert np.all(np.diff(row) >= 0)
+        measures = _measures(len(ys), row, roots, inc, half)
+        for i, y in enumerate(ys):
+            fused = (float(measures[i]), _slope_sum(l, roots[row == i]))
             # the slope sum computed on its own, from level_crossings' roots
-            roots = level_crossings(spec, y)[0]
-            inverse_sum = float(np.sum(1.0 / np.abs(kernel_slope_values(l, roots))))
+            alone = level_crossings(spec, y)[0]
+            inverse_sum = float(np.sum(1.0 / np.abs(kernel_slope_values(l, alone))))
             separate = (superlevel_measure(spec, y), inverse_sum)
             assert [v.hex() for v in fused] == [v.hex() for v in separate]
             assert slope_sum(spec, y) == fused[1]
@@ -586,3 +594,121 @@ class TestSlopeBounds:
             h = 1e-6 * y
             fd = -(superlevel_measure(spec, y + h) - superlevel_measure(spec, y - h)) / (2.0 * h)
             assert fd == pytest.approx(slope_sum(spec, y), rel=1e-4)
+
+
+# the slope-census lengths, with odd lengths whose last band lies below a half arch
+CENSUS_LENGTHS = (6, 7, 8, 9, 12, 48, 301)
+
+
+def band_edges(spec):
+    """(bottom, top) of every peak-to-peak band above the Gaussian floor, the last on the floor."""
+    tg = TruncatedGaussian.from_length(spec.l)
+    edges = [max(p.peak_y, tg.y_last) for p in bump_profiles(spec)[1:]] + [tg.y_last]
+    return [(bottom, top) for top, bottom in zip(edges, edges[1:]) if top - bottom > 10 * PEAK_EXCLUSION]
+
+
+def census_oracle(spec, y):
+    """The fields of the slope census at one level, computed one level at a time."""
+    l = spec.l
+    band = max(p.index for p in bump_profiles(spec)[1:] if p.peak_y > y)
+    expected = 1 + 2 * band - (1 if l % 2 == 1 and band == l // 2 else 0)
+    roots, arch, _ = level_crossings(spec, y)
+    slopes = np.abs(kernel_slope_values(l, roots))
+    inv_sum = float(np.sum(1.0 / slopes))
+    first_cap = (l * PI / 2.0) * ((PI / l) / math.sin(PI / l)) ** 2
+    caps = np.where(arch == 0, first_cap, l * PI**2 / (4.0 * np.maximum(arch, 1)))
+    lower = 1.0 / (2.0 * l) + 4.0 * band * band / (l * PI**2)
+    ok = not np.any(slopes > caps + 1e-9) and not inv_sum < lower - 1e-9
+    return (l, y, band, len(roots), expected, inv_sum, lower, float(np.max(slopes - caps)), ok)
+
+
+def hexed_fields(fields):
+    return [(type(v), v.hex() if isinstance(v, float) else v) for v in fields]
+
+
+@st.composite
+def length_and_band_levels(draw):
+    """A census length and 1..12 levels, each inside one of its bands, clear of the peaks."""
+    l = draw(st.sampled_from(CENSUS_LENGTHS))
+    bands = band_edges(KernelSpec(l))
+    picks = draw(st.lists(st.sampled_from(bands), min_size=1, max_size=12))
+    margin = 2 * PEAK_EXCLUSION
+    return l, [draw(st.floats(bottom + margin, top - margin)) for bottom, top in picks]
+
+
+class TestSlopeBoundBatch:
+    @pytest.mark.parametrize("l", CENSUS_LENGTHS)
+    def test_every_band_matches_the_scalar_census(self, l):
+        spec = KernelSpec(l)
+        ys = [bottom + (top - bottom) * f for bottom, top in band_edges(spec) for f in (0.02, 0.5, 0.98)]
+        checks = check_derivative_bounds_many(spec, ys)
+        assert [c.band for c in checks[-3:]] == [(l - 1) // 2] * 3
+        if l % 2 == 1:  # the last band lies below the half arch: one root there
+            assert [c.expected_roots for c in checks[-3:]] == [l - 1] * 3
+        for y, check in zip(ys, checks):
+            assert hexed_fields(dataclasses.astuple(check)) == hexed_fields(census_oracle(spec, y))
+            assert check == check_derivative_bounds(spec, y)
+
+    @given(length_and_band_levels())
+    def test_random_batches_match_the_scalar_census(self, case):
+        l, ys = case
+        spec = KernelSpec(l)
+        checks = check_derivative_bounds_many(spec, np.array(ys))
+        assert [hexed_fields(dataclasses.astuple(c)) for c in checks] == [
+            hexed_fields(census_oracle(spec, y)) for y in ys
+        ]
+
+    def test_empty_batch(self):
+        assert check_derivative_bounds_many(KernelSpec(8), []) == []
+
+    def mid_band(self, spec):
+        bottom, top = band_edges(spec)[0]
+        return 0.5 * (bottom + top)
+
+    def spy_checked_levels(self, monkeypatch):
+        solved = []
+        solve = levelsets._solve_levels
+
+        def spying(spec, ys):
+            solved.append(np.asarray(ys).tolist())
+            return solve(spec, ys)
+
+        monkeypatch.setattr(levelsets, "_solve_levels", spying)
+        return solved
+
+    def test_first_out_of_range_level_raises_its_own_error(self, monkeypatch):
+        spec = KernelSpec(8)
+        y = self.mid_band(spec)
+        solved = self.spy_checked_levels(monkeypatch)
+        with pytest.raises(PreconditionError, match=r"^level 0\.5 outside \("):
+            check_derivative_bounds_many(spec, [y, 0.5, y])
+        # the level before it is solved and checked, in one batch; no level after it
+        assert solved == [[y]]
+
+    def test_level_in_an_exclusion_window_raises_its_own_error(self, monkeypatch):
+        spec = KernelSpec(9)
+        y = self.mid_band(spec)
+        peak = bump_profiles(spec)[2].peak_y
+        solved = self.spy_checked_levels(monkeypatch)
+        with pytest.raises(PreconditionError, match="within exclusion window"):
+            check_derivative_bounds_many(spec, [y, y, peak + 0.5 * PEAK_EXCLUSION, 0.5])
+        assert solved == [[y, y]]
+
+    @pytest.mark.parametrize("bad", [math.nan, 0.0, 1.0, -1.0])
+    def test_levels_outside_the_band_range(self, bad):
+        spec = KernelSpec(6)
+        with pytest.raises(PreconditionError, match="outside"):
+            check_derivative_bounds_many(spec, [self.mid_band(spec), bad])
+
+    def test_failed_check_before_an_invalid_level(self, monkeypatch):
+        # slopes far above their caps fail the first level, which raises
+        # before the second level's PreconditionError
+        slope_values = levelsets.kernel_slope_values
+        monkeypatch.setattr(levelsets, "kernel_slope_values", lambda l, x: 1e6 * slope_values(l, x))
+        spec = KernelSpec(8)
+        with pytest.raises(VerificationError, match="slope bound failed"):
+            check_derivative_bounds_many(spec, [self.mid_band(spec), 0.5])
+
+    def test_small_length_rejected(self):
+        with pytest.raises(PreconditionError, match="l >= 6"):
+            check_derivative_bounds_many(KernelSpec(5), [0.2, 0.3])

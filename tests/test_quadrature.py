@@ -34,13 +34,10 @@ from lebesgue_lab.quadrature import (
     ball_integral,
     certify_bound,
     certify_bound_grid,
-    certify_bounds,
     integrate_kernel_power,
     integrate_kernel_power_grid,
-    integrate_kernel_powers,
     lp_norm,
     lp_norm_grid,
-    lp_norms,
     product_kernel_l1,
     norm_bound,
 )
@@ -407,7 +404,7 @@ class TestExponentRange:
     @pytest.mark.parametrize(
         "fn",
         [
-            lambda p: integrate_kernel_powers(KernelSpec(6), [2.0, p]),
+            lambda p: integrate_kernel_power_grid([(6, 2.0), (6, p)]),
             lambda p: lp_norm(KernelSpec(6), p),
             lambda p: certify_bound(KernelSpec(6), p),
             ball_half,
@@ -1008,7 +1005,7 @@ class TestKernelPowers:
     def test_each_exponent_matches_its_own_path(self, cfg):
         for l in (6, 7, 13, 30, 64, 301):
             clear_caches()
-            got = integrate_kernel_powers(KernelSpec(l), POWERS_P_GRID, cfg)
+            got = integrate_kernel_power_grid([(l, p) for p in POWERS_P_GRID], cfg)
             assert len(got) == len(POWERS_P_GRID)
             for p, result in zip(POWERS_P_GRID, got):
                 assert hexed(result) == hexed(per_p_kernel_power(l, p, cfg)), (l, p)
@@ -1019,12 +1016,12 @@ class TestKernelPowers:
         ps=st.lists(st.floats(min_value=1.0, max_value=400.0), min_size=1, max_size=6),
     )
     def test_random_exponent_sets(self, l, ps):
-        got = integrate_kernel_powers(KernelSpec(l), ps)
+        got = integrate_kernel_power_grid([(l, p) for p in ps])
         assert [hexed(r) for r in got] == [hexed(per_p_kernel_power(l, p)) for p in ps]
 
     def test_one_exponent_is_the_scalar_call(self):
         for l, p in ((6, 2.0), (64, 2.5), (301, 128.0)):
-            assert integrate_kernel_power(KernelSpec(l), p) == integrate_kernel_powers(KernelSpec(l), [p])[0]
+            assert integrate_kernel_power(KernelSpec(l), p) == integrate_kernel_power_grid([(l, p)])[0]
 
     def test_one_table_and_one_kernel_call_per_round(self, monkeypatch):
         tables, calls = [], []
@@ -1033,7 +1030,7 @@ class TestKernelPowers:
         monkeypatch.setattr(quadrature, "kernel_values", lambda l, x: calls.append(l) or values(l, x))
         ps = [2.5, 3.1, 7.3, 40.0]
         cfg = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15)
-        integrate_kernel_powers(KernelSpec(64), ps, cfg)
+        integrate_kernel_power_grid([(64, p) for p in ps], cfg)
         rounds = len(calls)
         assert tables == [(64, len(_kept_arches(64, 2.5, cfg.abs_tol)[0]))]
         calls.clear()
@@ -1042,12 +1039,12 @@ class TestKernelPowers:
         assert 0 < rounds < len(calls)
 
     def test_no_exponents(self):
-        assert integrate_kernel_powers(KernelSpec(9), []) == []
+        assert integrate_kernel_power_grid([]) == []
 
     @pytest.mark.parametrize("bad", [0.5, NAN, INF])
     def test_a_bad_exponent_raises(self, bad):
         with pytest.raises(DomainError):
-            integrate_kernel_powers(KernelSpec(9), [2.0, bad])
+            integrate_kernel_power_grid([(9, 2.0), (9, bad)])
 
 
 # mixed, repeated and unsorted lengths, among them 2..5 and 64, at exponents
@@ -1067,7 +1064,7 @@ class TestKernelPowerGrid:
         got = integrate_kernel_power_grid(GRID_PAIRS, cfg)
         assert [hexed(r) for r in got] == [hexed(per_p_kernel_power(l, p, cfg)) for l, p in GRID_PAIRS]
         # and each is the one-length call's
-        assert got == [r for l, p in GRID_PAIRS for r in integrate_kernel_powers(KernelSpec(l), [p], cfg)]
+        assert got == [r for l, p in GRID_PAIRS for r in integrate_kernel_power_grid([(l, p)], cfg)]
 
     @pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, TIGHT_BUDGET_1], ids=["default", "tight-budget-1"])
     def test_uncached_table_next_to_cached_ones(self, cfg):
@@ -1211,7 +1208,9 @@ BATCH_P_GRID = NORM_P_GRID + (1.0, 1.01, 2.0001, 7.3, 300.0)
 
 class TestNormBatches:
     @pytest.mark.parametrize(
-        "batch, scalar", [(lp_norms, lp_norm), (certify_bounds, certify_bound)], ids=["lp_norms", "certify_bounds"]
+        "batch, scalar",
+        [(lp_norm_grid, lp_norm), (certify_bound_grid, certify_bound)],
+        ids=["lp_norms", "certify_bounds"],
     )
     @pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, TIGHT_BUDGET_1], ids=["default", "tight-budget-1"])
     @pytest.mark.parametrize("l", [6, 7, 13, 64, 301, 1000])
@@ -1219,13 +1218,14 @@ class TestNormBatches:
         spec = KernelSpec(l)
         singles = [outcome(lambda: [scalar(spec, p, cfg)]) for p in BATCH_P_GRID]
         passing = [(p, single[0]) for p, single in zip(BATCH_P_GRID, singles) if isinstance(single, list)]
-        assert outcome(lambda: batch(spec, [p for p, _ in passing], cfg)) == [r for _, r in passing]
+        assert outcome(lambda: batch([(l, p) for p, _ in passing], cfg)) == [r for _, r in passing]
         # the whole grid raises what the first failing exponent raises alone:
-        # p < 2 for certify_bounds, and at the tight budget a failed
+        # p < 2 for certify_bound_grid, and at the tight budget a failed
         # certificate or a sinc reference that does not converge
         first_error = next((single for single in singles if isinstance(single, tuple)), None)
-        assert outcome(lambda: batch(spec, BATCH_P_GRID, cfg)) == (first_error or [r for _, r in passing])
-        if batch is lp_norms:
+        grid = [(l, p) for p in BATCH_P_GRID]
+        assert outcome(lambda: batch(grid, cfg)) == (first_error or [r for _, r in passing])
+        if batch is lp_norm_grid:
             # at the tight budget the references of 1.01, 2.5 and 2.0001 (twice) fail
             assert len(passing) == len(BATCH_P_GRID) - (4 if cfg is TIGHT_BUDGET_1 else 0)
         else:
@@ -1242,32 +1242,32 @@ class TestNormBatches:
     )
     def test_random_batches_are_scalar_calls(self, l, ps, tight):
         spec, cfg = KernelSpec(l), TIGHT_BUDGET_1 if tight else DEFAULT_CONFIG
-        assert outcome(lambda: lp_norms(spec, ps, cfg)) == outcome(lambda: [lp_norm(spec, p, cfg) for p in ps])
-        assert outcome(lambda: certify_bounds(spec, ps, cfg)) == outcome(
+        pairs = [(l, p) for p in ps]
+        assert outcome(lambda: lp_norm_grid(pairs, cfg)) == outcome(lambda: [lp_norm(spec, p, cfg) for p in ps])
+        assert outcome(lambda: certify_bound_grid(pairs, cfg)) == outcome(
             lambda: [certify_bound(spec, p, cfg) for p in ps]
         )
 
     def test_no_exponents(self):
-        assert lp_norms(KernelSpec(9), []) == []
-        # no exponent, so no certificate asks for l >= 6
-        assert certify_bounds(KernelSpec(5), []) == []
+        assert lp_norm_grid([]) == []
+        assert certify_bound_grid([]) == []
 
     def test_failed_certificate_before_a_bad_exponent(self):
         # checking every exponent first would raise DomainError for 1e8
         with pytest.raises(VerificationError, match=r"at l=6, p=2\.5:"):
-            certify_bounds(KernelSpec(6), [2.5, 1e8], TIGHT_BUDGET_1)
+            certify_bound_grid([(6, 2.5), (6, 1e8)], TIGHT_BUDGET_1)
 
     def test_first_exponent_below_two_raises(self):
         with pytest.raises(PreconditionError, match="got 1.5$"):
-            certify_bounds(KernelSpec(6), [2.0, 1.5, NAN])
+            certify_bound_grid([(6, 2.0), (6, 1.5), (6, NAN)])
 
     def test_failed_reference_before_a_bad_exponent(self):
         with pytest.raises(VerificationError, match="sinc-power integral did not converge at p=2.5"):
-            lp_norms(KernelSpec(6), [2.5, 1e8], TIGHT_BUDGET_1)
+            lp_norm_grid([(6, 2.5), (6, 1e8)], TIGHT_BUDGET_1)
 
     def test_nan_exponent_raises(self):
         with pytest.raises(DomainError):
-            lp_norms(KernelSpec(6), [2.0, NAN])
+            lp_norm_grid([(6, 2.0), (6, NAN)])
 
     def test_one_kernel_power_call_per_batch(self, monkeypatch):
         calls = []
@@ -1277,9 +1277,9 @@ class TestNormBatches:
             return integrate_kernel_power_grid(pairs, *args, **kwargs)
 
         monkeypatch.setattr(quadrature, "integrate_kernel_power_grid", counted)
-        lp_norms(KernelSpec(64), [2.0, 8.0, 1.0])
+        lp_norm_grid([(64, 2.0), (64, 8.0), (64, 1.0)])
         with pytest.raises(PreconditionError):
-            certify_bounds(KernelSpec(64), [2.0, 8.0, 3.0, 1.5])
+            certify_bound_grid([(64, 2.0), (64, 8.0), (64, 3.0), (64, 1.5)])
         # the certificates before the first exponent below 2 are integrated, in one call
         assert calls == [[(64, 2.0), (64, 8.0), (64, 1.0)], [(64, 2.0), (64, 8.0), (64, 3.0)]]
         calls.clear()
