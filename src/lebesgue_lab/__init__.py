@@ -44,6 +44,7 @@ from .levelsets import (
     check_derivative_bounds_many,
     comparison_functional,
     detect_sign_change,
+    detect_sign_changes,
     slope_sum,
     superlevel_measure,
     superlevel_measure_many,

@@ -34,7 +34,7 @@ from .levelsets import (
     bump_profiles,
     check_derivative_bounds_many,
     comparison_functional,
-    detect_sign_change,
+    detect_sign_changes,
     superlevel_measure_many,
 )
 from .pmf import convolve, entropy_summary, uniform
@@ -152,10 +152,8 @@ def criterion_asymptotics():
 @_criterion("sign change and monotone functional")
 def criterion_sign_change():
     """One sign change per length, and a monotone comparison functional."""
-    y0s = {}
-    for l in range(6, 17):
-        scan = np.geomspace(1e-4, 1.0 - 1e-6, 1000)
-        y0s[l] = detect_sign_change(KernelSpec(l), scan).y0
+    scan = np.geomspace(1e-4, 1.0 - 1e-6, 1000)
+    y0s = {r.l: r.y0 for r in detect_sign_changes([KernelSpec(l) for l in range(6, 17)], scan)}
     for l in range(6, 13):
         spec = KernelSpec(l)
         values = [comparison_functional(spec, p, y0s[l]) for p in FUNCTIONAL_P_GRID]

@@ -36,7 +36,7 @@ from .errors import (
     VerificationError,
 )
 from .kernel import KernelSpec, TruncatedGaussian, gaussian_values, kernel_values
-from .levelsets import bump_profiles, detect_sign_change
+from .levelsets import bump_profiles, detect_sign_changes
 from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
@@ -169,7 +169,7 @@ def _cmd_ball(config: RunConfig, args) -> int:
 
 
 def _cmd_np_verify(config: RunConfig, args) -> int:
-    reports = [detect_sign_change(KernelSpec(l)) for l in parse_int_range(args.l)]
+    reports = detect_sign_changes([KernelSpec(l) for l in parse_int_range(args.l)])
     write_report(config, ("l", "y0", "crossings", "F0_lt_G0", "G_lt_F_above_y1"), reports)
     return 0
 

@@ -84,9 +84,24 @@ def _series_values(l: int, xs: np.ndarray) -> np.ndarray:
     return _sinc_poly((l * PI * xs) ** 2) / _sinc_poly((PI * xs) ** 2)
 
 
-def _series_slopes(l: int, xs: np.ndarray, h: np.ndarray) -> np.ndarray:
+def _per_length(l, constant):
+    """``constant(l)`` for one length, or for an array of lengths spread to its entries.
+
+    ``constant`` sees each distinct length once, as a Python int (lengths
+    may come as floats), so an entry gets exactly the float its length alone
+    gives, and l**4 cannot overflow int64 as it would above l = 55,108.
+    """
+    if not isinstance(l, np.ndarray):
+        return constant(int(l))
+    lengths = np.unique(l)
+    return np.array([constant(int(k)) for k in lengths.tolist()])[np.searchsorted(lengths, l)]
+
+
+def _series_slopes(l, xs: np.ndarray, h: np.ndarray) -> np.ndarray:
     # h(x) * d/dx log h(x), given h = _series_values(l, xs)
-    dlog = -(PI**2) * (l * l - 1) * xs / 3.0 - (PI**4) * (l**4 - 1) * xs**3 / 45.0
+    c1 = _per_length(l, lambda k: -(PI**2) * (k * k - 1))
+    c3 = _per_length(l, lambda k: (PI**4) * (k**4 - 1))
+    dlog = c1 * xs / 3.0 - c3 * xs**3 / 45.0
     return h * dlog
 
 
@@ -140,7 +155,8 @@ def kernel_values_and_slopes(l: int, x: np.ndarray):
 
     below the series cutoff both halves come from the truncated series of
     :func:`kernel_values`, the slope as h(x) * d/dx log h(x).  An array with
-    no such point skips the masking.
+    no such point skips the masking.  As in :func:`kernel_values`, ``l`` is
+    one length or an array of lengths shaped like ``x``.
     """
     x = np.asarray(x, dtype=float)
     small = x < _SERIES_CUTOFF
@@ -148,12 +164,13 @@ def kernel_values_and_slopes(l: int, x: np.ndarray):
         return _closed_values_and_slopes(l, x)
     values = np.empty_like(x)
     slopes = np.empty_like(x)
+    ls = np.broadcast_to(l, x.shape)
     xs = x[small]
-    h = _series_values(l, xs)
+    h = _series_values(ls[small], xs)
     values[small] = h
-    slopes[small] = _series_slopes(l, xs, h)
+    slopes[small] = _series_slopes(ls[small], xs, h)
     big = ~small
-    values[big], slopes[big] = _closed_values_and_slopes(l, x[big])
+    values[big], slopes[big] = _closed_values_and_slopes(ls[big], x[big])
     return values, slopes
 
 

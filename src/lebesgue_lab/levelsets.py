@@ -13,18 +13,22 @@ denominator frozen (or, on the flat top of arch 0, from the osculating
 Gaussian with its x^4 correction), so a root takes about three rounds;
 each round evaluates g and g' together from one set of sines
 (``kernel.kernel_values_and_slopes``).  Every per-level quantity comes
-from one solve of a batch of levels (``_solve_levels``); the single-level
-forms are batches of one, bit-identical to the level in any batch.
+from one solve of a batch of levels (``_solve_levels``), whose levels may
+have different lengths; the single-level forms are batches of one, and a
+level's roots are bit-identical in any batch.
 With F the truncated Gaussian's distribution function (closed form, see
 kernel.py), the module locates the single level y0 where F - G changes sign
 from - to +.  It signs F - G on a scan of levels without solving most of
 them: F and G both decrease, so F(a) < G(b) proves F < G on all of [a, b]
-and F(b) > G(a) proves F > G there.  A bisecting cover of the scan applies
-these tests with a margin of 1e-9, far above the rounding of a computed G,
-and solves about 70 levels of a default grid of 2,000+.  A solved level is
-signed by its computed difference, and a level inside a proven interval
-gets the sign its solve would give; a level with |F - G| inside the margin
-is never inside a proven interval, so it is solved.  The module also
+and F(b) > G(a) proves F > G there.  A cover of the scan applies these
+tests with a margin of 1e-9, far above the rounding of a computed G, and
+splits each interval it cannot sign into up to 16 parts: it solves about
+140 levels of a default grid of 2,000+ in 4 rounds at l <= 300.  The
+lengths of one call are covered in lockstep, each round one solve for all
+of them.  A solved level is signed by its computed difference, and a
+level inside a proven interval gets the sign its solve would give; a
+level with |F - G| inside the margin is never inside a proven interval,
+so it is solved.  The module also
 evaluates the comparison functional
 (integral f^p - integral g^p) / (p y0^p) whose monotonicity in p transfers
 the p = 2 comparison upward, and validates the closed-form slope bounds that
@@ -45,6 +49,7 @@ from .kernel import (
     KernelSpec,
     TruncatedGaussian,
     _check_levels,
+    _per_length,
     gaussian_distribution_function,
     kernel_slope_values,
     kernel_values,
@@ -153,8 +158,8 @@ def bump_profiles(spec: KernelSpec) -> tuple[BumpProfile, ...]:
 
 
 @lru_cache(maxsize=None)
-def _segments(spec: KernelSpec):
-    """The monotone segments of g on [0, 1/2], left to right.
+def _segments(l: int):
+    """The monotone segments of g on [0, 1/2] at length l, left to right.
 
     Returns read-only parallel arrays (lo, hi, top, increasing, half_arch,
     arch), one entry per segment: arch 0 falls from 1 at the origin, every
@@ -162,7 +167,7 @@ def _segments(spec: KernelSpec):
     half arch rises to g(1/2).  ``top`` is the segment's highest value.
     """
     segments = []
-    for prof in bump_profiles(spec):
+    for prof in bump_profiles(KernelSpec(l)):
         if prof.index == 0:
             parts = ((0.0, prof.x_hi, False, False),)
         elif prof.peak_x == prof.x_hi:  # odd-l half arch
@@ -184,17 +189,35 @@ def _segments(spec: KernelSpec):
     return table
 
 
-def _segment_table(spec: KernelSpec, ys: np.ndarray):
+def _rows(l, index):
+    """The entries ``index`` of an array of row lengths; one length for all rows as is."""
+    return l[index] if isinstance(l, np.ndarray) else l
+
+
+def _one_length(ls: np.ndarray):
+    """``ls`` as one int when its lengths are all equal, so the solve builds no per-row arrays."""
+    return int(ls[0]) if (ls == ls[0]).all() else ls
+
+
+def _segment_table(l, ys: np.ndarray):
     """Flat table of monotone segments straddled by each level.
 
-    Returns parallel arrays (level_row, lo, hi, increasing, half_arch, arch);
-    one row per (level, segment) pair, level-major: level 0's segments, then
-    level 1's, and so on, each level's left to right.  A level's superlevel
+    ``l`` is one length, or an array of lengths with one per level.  Returns
+    parallel arrays (level_row, lo, hi, increasing, half_arch, arch); one row
+    per (level, segment) pair, level-major: level 0's segments, then level
+    1's, and so on, each level's left to right.  A level's superlevel
     measure is then sum(decreasing roots) - sum(increasing roots) + 1/2 per
     half arch, since each descending crossing closes an interval that an
     ascending crossing (or the left endpoint 0) opened.
     """
-    lo, hi, top, inc, half, arch = _segments(spec)
+    if isinstance(l, np.ndarray):
+        # one run of equal lengths at a time keeps the rows level-major
+        starts = np.flatnonzero(np.diff(l, prepend=-1)).tolist()
+        runs = [_segment_table(int(l[a]), ys[a:b]) for a, b in zip(starts, [*starts[1:], len(ys)])]
+        columns = zip(*runs)
+        row = np.concatenate([run_row + a for a, run_row in zip(starts, next(columns))])
+        return (row, *map(np.concatenate, columns))
+    lo, hi, top, inc, half, arch = _segments(l)
     row, seg = np.nonzero(ys[:, None] < top[None, :])
     return row, lo[seg], hi[seg], inc[seg], half[seg], arch[seg]
 
@@ -212,7 +235,7 @@ _START_STEPS = 2
 _START_LEVEL_FLOOR = 1e-300
 
 
-def _newton_start(l: int, y, lo, hi, inc, arch) -> np.ndarray:
+def _newton_start(l, y, lo, hi, inc, arch) -> np.ndarray:
     """Start point of each Newton row: the arch inverted with its denominator frozen.
 
     On arch k the numerator is sin(theta) with l pi x = k pi + theta, so
@@ -226,24 +249,25 @@ def _newton_start(l: int, y, lo, hi, inc, arch) -> np.ndarray:
     exp(-pi^2 (l^2 - 1) x^2 / 6) together with the next term of log g,
     -pi^4 (l^4 - 1) x^4 / 180, which takes about 0.8 rounds more off the
     flat top.  Every estimate is clipped into its bracket, and each row's
-    start depends on that row alone.
+    start depends on that row alone.  ``l`` is one length or one per row;
+    each per-length constant is the float that length alone gives.
     """
     x = 0.5 * (lo + hi)
     yl = np.maximum(y, _START_LEVEL_FLOOR) * l
     for _ in range(_START_STEPS):
         a = np.arcsin(np.minimum(1.0, yl * np.sin(PI * x))) / PI
         x = np.where(inc, arch + a, arch + 1.0 - a) / l
-    top = (arch == 0) & (y > 1.0 / (l * math.sin(PI / (2 * l))))
+    top = (arch == 0) & (y > _per_length(l, lambda k: 1.0 / (k * math.sin(PI / (2 * k)))))
     if top.any():
         # -log g(x) = c2 x^2 + c4 x^4 + O(x^6), solved for x^2 without cancellation
-        c2 = PI**2 * (l * l - 1) / 6.0
-        c4 = PI**4 * (l**4 - 1) / 180.0
+        c2 = _per_length(_rows(l, top), lambda k: PI**2 * (k * k - 1) / 6.0)
+        c4 = _per_length(_rows(l, top), lambda k: PI**4 * (k**4 - 1) / 180.0)
         log_y = -np.log(y[top])
         x[top] = np.sqrt(2.0 * log_y / (c2 + np.sqrt(c2 * c2 + 4.0 * c4 * log_y)))
     return np.clip(x, lo, hi)
 
 
-def _newton_segments(l: int, y, lo, hi, inc, arch) -> np.ndarray:
+def _newton_segments(l, y, lo, hi, inc, arch) -> np.ndarray:
     """Roots of g(x) = y_i on monotone brackets [lo_i, hi_i] by bracketed Newton.
 
     This is ``rtsafe`` (Numerical Recipes, section 9.4), row by row.  Each
@@ -256,17 +280,19 @@ def _newton_segments(l: int, y, lo, hi, inc, arch) -> np.ndarray:
     becomes a bisection step.  A row is done when d == 0 (it keeps x) or
     when its step is at most 2 ulps of x.  Only unfinished rows are
     evaluated, in blocks of ``_BLOCK_ROWS``, and no row's result depends on
-    another's.
+    another's: ``l`` is one length or one per row, and rows of any lengths
+    share a block.
     """
     x = np.empty(len(y))
     for start in range(0, len(y), _BLOCK_ROWS):
         part = slice(start, start + _BLOCK_ROWS)
-        x[part] = _newton_block(l, y[part], lo[part], hi[part], inc[part], arch[part])
+        x[part] = _newton_block(_rows(l, part), y[part], lo[part], hi[part], inc[part], arch[part])
     return x
 
 
-def _newton_block(l: int, y, lo, hi, inc, arch) -> np.ndarray:
+def _newton_block(l, y, lo, hi, inc, arch) -> np.ndarray:
     x = _newton_start(l, y, lo, hi, inc, arch)
+    per_row = isinstance(l, np.ndarray)
     lo = lo.copy()
     hi = hi.copy()
     # the sign of g' on each row's segment; multiplying d by +-1.0 is exact
@@ -277,7 +303,7 @@ def _newton_block(l: int, y, lo, hi, inc, arch) -> np.ndarray:
             if not len(live):
                 break
             xl, il = x[live], inc[live]
-            g, slope = kernel_values_and_slopes(l, xl)
+            g, slope = kernel_values_and_slopes(l[live] if per_row else l, xl)
             d = g - y[live]
             move_lo = (d > 0.0) ^ il
             lo_l = np.where(move_lo, xl, lo[live])
@@ -298,17 +324,21 @@ def _newton_block(l: int, y, lo, hi, inc, arch) -> np.ndarray:
     return x
 
 
-def _solve_levels(spec: KernelSpec, ys: np.ndarray):
+def _solve_levels(l, ys: np.ndarray):
     """Check the levels ys and solve every crossing of all of them at once.
 
-    The one solve of the module.  Returns (row, roots, arch, increasing,
+    The one solve of the module.  ``l`` is one length, or an array of
+    lengths with one per level.  Returns (row, roots, arch, increasing,
     half_arch), one entry per (level, segment) pair, grouped by level as in
     ``_segment_table``, so each level's roots ascend.  Every Newton row
-    iterates on its own, so a level's roots do not depend on the others.
+    iterates on its own, so a level's roots do not depend on the others,
+    nor on their lengths.
     """
     _check_levels(ys)
-    row, lo, hi, inc, half, arch = _segment_table(spec, ys)
-    return row, _newton_segments(spec.l, ys[row], lo, hi, inc, arch), arch, inc, half
+    row, lo, hi, inc, half, arch = _segment_table(l, ys)
+    # float row lengths (exact) spare every Newton round its int-to-float casts
+    row_l = l[row].astype(float) if isinstance(l, np.ndarray) else l
+    return row, _newton_segments(row_l, ys[row], lo, hi, inc, arch), arch, inc, half
 
 
 def _measures(n: int, row, roots, inc, half) -> np.ndarray:
@@ -327,7 +357,7 @@ def _slope_sum(l: int, roots: np.ndarray) -> float:
 def superlevel_measure_many(spec: KernelSpec, ys) -> np.ndarray:
     """Vectorized measure of {x in [0, 1/2] : g(x) > y} for a batch of levels."""
     ys = np.asarray(ys, dtype=float)
-    row, roots, _, inc, half = _solve_levels(spec, ys)
+    row, roots, _, inc, half = _solve_levels(spec.l, ys)
     return _measures(len(ys), row, roots, inc, half)
 
 
@@ -344,7 +374,7 @@ def level_crossings(spec: KernelSpec, y: float):
     Bracketed Newton (see ``_newton_segments``) pins each root to within a
     few ulps.
     """
-    _, roots, arch, inc, _ = _solve_levels(spec, np.array([float(y)]))
+    _, roots, arch, inc, _ = _solve_levels(spec.l, np.array([float(y)]))
     return roots, arch, inc
 
 
@@ -366,36 +396,50 @@ def default_level_grid(spec: KernelSpec) -> np.ndarray:
 _Y0_STEP_TOL = 1e-10
 
 
-def _refine_crossing(spec: KernelSpec, tg: TruncatedGaussian, lo: float, hi: float, neg_lo: bool) -> float:
-    """Root of D(y) = F(y) - G(y) in the scan bracket [lo, hi], by bracketed Newton.
+def _refine_crossings(tgs: list[TruncatedGaussian], brackets: list[tuple[float, float, bool]]) -> list[float]:
+    """Root of D(y) = F(y) - G(y) in each scan bracket (lo, hi, neg_lo), by bracketed Newton.
 
     ``neg_lo`` is the sign of D at ``lo``.  D'(y) = F'(y) + slope_sum(y), with
     F'(y) = -1 / (pi (l^2 - 1) y F(y)) above y_last and 0 below it, since G'
-    is minus the slope sum; each round solves the level once, as a batch of
-    one, for both G and the slope sum.  As in ``_newton_segments``,
-    the bracket shrinks by the sign of D, a step that leaves it becomes a
-    bisection step, and the refinement ends when D == 0 or a step is at most
-    ``_Y0_STEP_TOL``.
+    is minus the slope sum.  The brackets are refined in lockstep: each round
+    solves the current level of every unfinished bracket once, for both G
+    and the slope sum, and then steps each on its own.  As in
+    ``_newton_segments``, a bracket shrinks by the sign of D, a step that
+    leaves it becomes a bisection step, and its refinement ends when D == 0
+    or a step is at most ``_Y0_STEP_TOL``.
     """
-    c = PI * (spec.l * spec.l - 1)
-    y = 0.5 * (lo + hi)
+    lo, hi = [b[0] for b in brackets], [b[1] for b in brackets]
+    y = [0.5 * (a + b) for a, b in zip(lo, hi)]
+    live = list(range(len(tgs)))
     for _ in range(_MAX_ROUNDS):
-        f = gaussian_distribution_function(tg, y)
-        row, roots, _, inc, half = _solve_levels(spec, np.array([y]))
-        d = f - float(_measures(1, row, roots, inc, half)[0])
-        if d == 0.0:
-            return y
-        if (d < 0.0) == neg_lo:
-            lo = y
-        else:
-            hi = y
-        slope = (0.0 if y < tg.y_last else -1.0 / (c * y * f)) + _slope_sum(spec.l, roots)
-        yn = y - d / slope if slope != 0.0 else math.nan
-        if not lo <= yn <= hi:
-            yn = 0.5 * (lo + hi)
-        if abs(yn - y) <= _Y0_STEP_TOL:
-            return yn
-        y = yn
+        if not live:
+            break
+        ls = _one_length(np.array([tgs[k].l for k in live]))
+        row, roots, _, inc, half = _solve_levels(ls, np.array([y[k] for k in live]))
+        measures = _measures(len(live), row, roots, inc, half).tolist()
+        inverse_slopes = 1.0 / np.abs(kernel_slope_values(_rows(ls, row), roots))
+        bounds = np.searchsorted(row, np.arange(len(live) + 1)).tolist()
+        unfinished = []
+        for k, g, start, stop in zip(live, measures, bounds, bounds[1:]):
+            tg, yk = tgs[k], y[k]
+            f = gaussian_distribution_function(tg, yk)
+            d = f - g
+            if d == 0.0:
+                continue
+            if (d < 0.0) == brackets[k][2]:
+                lo[k] = yk
+            else:
+                hi[k] = yk
+            # the level's inverse slopes summed on their own, as in _slope_sum
+            slope_sum_k = float(np.sum(inverse_slopes[start:stop]))
+            slope = (0.0 if yk < tg.y_last else -1.0 / (PI * (tg.l * tg.l - 1) * yk * f)) + slope_sum_k
+            yn = yk - d / slope if slope != 0.0 else math.nan
+            if not lo[k] <= yn <= hi[k]:
+                yn = 0.5 * (lo[k] + hi[k])
+            y[k] = yn
+            if abs(yn - yk) > _Y0_STEP_TOL:
+                unfinished.append(k)
+        live = unfinished
     return y
 
 
@@ -406,90 +450,156 @@ def _refine_crossing(spec: KernelSpec, tg: TruncatedGaussian, lo: float, hi: flo
 # smallest |F - G| at a default-grid level for l = 6..48 (3.8e-7; 1.8e-8 at
 # l = 1000), so on those grids only the levels near y0 need solving.
 _COVER_MARGIN = 1e-9
+# a cover round splits an open interval into at most this many parts
+_COVER_PARTS = 16
+# lengths run in lockstep while their one-interval splits add at most this
+# many Newton rows in all, which bounds a round's rows and its memory
+_LOCKSTEP_ROWS = 8 * _BLOCK_ROWS
 
 
-def _scan_signs(spec: KernelSpec, tg: TruncatedGaussian, scan: np.ndarray) -> np.ndarray:
-    """sign(F - G) at every level of the ascending scan, by a monotone interval cover.
+def _cover_parts(l: int) -> int:
+    # fewer parts where the new levels' rows would overflow one Newton block
+    return min(_COVER_PARTS, max(2, _BLOCK_ROWS // len(_segments(l)[0])))
+
+
+def _lockstep_groups(specs: list[KernelSpec]) -> list[list[KernelSpec]]:
+    """Consecutive runs of specs whose splits add at most ``_LOCKSTEP_ROWS`` rows.
+
+    A length adds ``_cover_parts(l)`` new levels of l - 1 segments each when
+    the cover splits one of its intervals; a length over the bound runs alone.
+    """
+    groups, rows = [], _LOCKSTEP_ROWS
+    for spec in specs:
+        add = _cover_parts(spec.l) * len(_segments(spec.l)[0])
+        if rows + add > _LOCKSTEP_ROWS:
+            groups.append([])
+            rows = 0
+        groups[-1].append(spec)
+        rows += add
+    return groups
+
+
+def _scan_signs(tgs: list[TruncatedGaussian], scans: list[np.ndarray]) -> list[np.ndarray]:
+    """sign(F - G) at every level of each ascending scan, by a monotone interval cover.
 
     F and G both decrease in y, so on levels a < b, F(a) < G(b) bounds F - G
-    below 0 on all of [a, b], and F(b) > G(a) bounds it above 0.  The cover
-    starts from the whole scan as one interval of indices [i, j]; each round
-    solves G at every interval end not yet solved (one
-    ``superlevel_measure_many`` call for all of them), signs an interval -1
-    when F[i] < G[j] - margin or +1 when F[j] > G[i] + margin, and bisects
-    every other interval that still has an interior level.  A solved level
-    is signed by its computed difference, np.sign(F - G); only the levels
-    strictly inside a proven interval take the proved sign.
+    below 0 on all of [a, b], and F(b) > G(a) bounds it above 0.  The scans,
+    one per length ``tgs[k].l``, are covered in lockstep as one flat index
+    space in which each scan is a contiguous block.  The cover starts from
+    each whole scan as one interval of indices [i, j]; each round solves G
+    at every interval end not yet solved (one solve for all scans), signs an
+    interval -1 when F[i] < G[j] - margin or +1 when F[j] > G[i] + margin,
+    and splits every other interval that still has an interior level into
+    up to ``_cover_parts(l)`` parts.  A solved level is signed by its
+    computed difference, np.sign(F - G); only the levels strictly inside a
+    proven interval take the proved sign.
     """
-    f = gaussian_distribution_function(tg, scan)
-    g = np.empty(len(scan))
-    solved = np.zeros(len(scan), dtype=bool)
-    sign = np.zeros(len(scan))
-    lo = np.array([0])
-    hi = np.array([len(scan) - 1])
+    sizes = [len(scan) for scan in scans]
+    first = np.cumsum([0, *sizes[:-1]])
+    ls = np.array([tg.l for tg in tgs])
+    parts = np.array([_cover_parts(tg.l) for tg in tgs])
+
+    def per_scan(values, index):
+        # each flat index's entry of a per-scan array; with one scan, its entry alone
+        return int(values[0]) if len(scans) == 1 else values[np.searchsorted(first, index, side="right") - 1]
+
+    levels = np.concatenate(scans)
+    f = np.concatenate([gaussian_distribution_function(tg, scan) for tg, scan in zip(tgs, scans)])
+    g = np.empty(len(levels))
+    solved = np.zeros(len(levels), dtype=bool)
+    proofs = []  # (lo, hi, F < G) of the intervals proven in each round
+    lo, hi = first, first + np.array(sizes) - 1
     while len(lo):
         ends = np.union1d(lo, hi)
         new = ends[~solved[ends]]
-        g[new] = superlevel_measure_many(spec, scan[new])
+        row, roots, _, inc, half = _solve_levels(per_scan(ls, new), levels[new])
+        g[new] = _measures(len(new), row, roots, inc, half)
         solved[new] = True
         neg = f[lo] < g[hi] - _COVER_MARGIN
         proven = neg | (f[hi] > g[lo] + _COVER_MARGIN)
-        for i, j, below in zip(lo[proven], hi[proven], neg[proven]):
-            sign[i + 1 : j] = -1.0 if below else 1.0
+        proofs.append((lo[proven], hi[proven], neg[proven]))
         split = ~proven & (hi - lo > 1)
-        lo, hi = lo[split], hi[split]
-        mid = (lo + hi) // 2
-        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
-    sign[solved] = np.sign(f[solved] - g[solved])
-    return sign
+        lo, width = lo[split, None], (hi - lo)[split, None]
+        # part t of k spans [lo + width t // k, lo + width (t + 1) // k]; k <= width keeps it open
+        k = np.minimum(per_scan(parts, lo), width)
+        t = np.arange(_COVER_PARTS + 1)
+        edges = lo + width * t // k
+        part = t[:-1] < k
+        lo, hi = edges[:, :-1][part], edges[:, 1:][part]
+    # +-1 where a proven interval's interior starts, undone where it ends; no
+    # two proven intervals share a start or an end, so no mark is lost
+    lo, hi, below = map(np.concatenate, zip(*proofs))
+    sign = np.where(below, -1.0, 1.0)
+    marks = np.zeros(len(levels) + 1)
+    marks[lo + 1] += sign
+    marks[hi] -= sign
+    signs = np.cumsum(marks[:-1])
+    signs[solved] = np.sign(f[solved] - g[solved])
+    return np.split(signs, first[1:])
+
+
+def detect_sign_changes(specs, scan: np.ndarray | None = None) -> list[SignChangeReport]:
+    """Sign F - G over a level grid and refine its single sign change, for every length.
+
+    The sign at every scan level comes from the monotone interval cover of
+    ``_scan_signs``: the default grid of 2,000+ levels needs 4 rounds and
+    130-145 level solves per length at l <= 300 (7 rounds and 80 solves at
+    l = 1000), and every level gets the sign that solving it would give
+    (see ``_COVER_MARGIN``).  ``scan`` replaces each length's default grid;
+    it needs at least 1,000 distinct levels.  For l >= 6 the difference
+    must cross exactly once, from - to +; any other count raises.  For
+    l < 6 the report is returned without assertion, since the comparison
+    is only claimed from 6 on.  The first crossing found by the scan is
+    refined by bracketed Newton (``_refine_crossings``).  The lengths run
+    in lockstep groups (``_lockstep_groups``), a group's cover and its
+    refinement each one solve per round, and the first failing length
+    raises, as in a loop of single calls.
+    """
+    if scan is not None:
+        scan = np.unique(np.asarray(scan, dtype=float))
+        if len(scan) < 1000:
+            raise PreconditionError(f"scan needs >= 1000 distinct levels, got {len(scan)}")
+    return [report for group in _lockstep_groups(list(specs)) for report in _sign_changes(group, scan)]
+
+
+def _sign_changes(specs: list[KernelSpec], scan: np.ndarray | None) -> list[SignChangeReport]:
+    """The reports of :func:`detect_sign_changes` for one lockstep group."""
+    tgs = [TruncatedGaussian.from_length(spec.l) for spec in specs]
+    scans = [default_level_grid(spec) if scan is None else scan for spec in specs]
+    signs = _scan_signs(tgs, scans)
+    crossings, brackets = [], {}
+    for k, (levels, sign) in enumerate(zip(scans, signs)):
+        nz = np.nonzero(sign)[0]
+        compact = sign[nz]
+        flips = np.nonzero(compact[:-1] * compact[1:] < 0)[0]
+        crossings.append(len(flips))
+        if len(flips):
+            i, j = nz[flips[0]], nz[flips[0] + 1]
+            brackets[k] = (float(levels[i]), float(levels[j]), sign[i] < 0.0)
+    y0s = dict(zip(brackets, _refine_crossings([tgs[k] for k in brackets], list(brackets.values()))))
+
+    reports = []
+    for k, (spec, tg, levels, sign) in enumerate(zip(specs, tgs, scans, signs)):
+        profiles = bump_profiles(spec)
+        y1 = profiles[1].peak_y if len(profiles) > 1 else 1.0
+        above = levels > y1
+        g_lt_f_above = bool(np.all(sign[above] > 0.0)) if np.any(above) else True
+        report = SignChangeReport(
+            l=spec.l,
+            y0=y0s.get(k, math.nan),
+            crossings=crossings[k],
+            F0_lt_G0=tg.x_c < 0.5,
+            G_lt_F_above_y1=g_lt_f_above,
+        )
+        if spec.l >= 6 and (report.crossings != 1 or not report.F0_lt_G0 or not g_lt_f_above):
+            raise VerificationError(f"sign-change pattern violated: {report}")
+        reports.append(report)
+    return reports
 
 
 def detect_sign_change(spec: KernelSpec, scan: np.ndarray | None = None) -> SignChangeReport:
-    """Sign F - G over a level grid and refine its single sign change.
-
-    The sign at every scan level comes from the monotone interval cover of
-    ``_scan_signs``: the default grid of 2,000+ levels needs about 70 level
-    solves at l = 6..1000, and every level gets the sign that solving it
-    would give (see ``_COVER_MARGIN``).  For l >= 6 the difference must
-    cross exactly once, from - to +; any other count raises.  For l < 6 the
-    report is returned without assertion, since the comparison is only
-    claimed from 6 on.  The first crossing found by the scan is refined by
-    bracketed Newton (``_refine_crossing``).
-    """
-    if scan is None:
-        scan = default_level_grid(spec)
-    else:
-        scan = np.asarray(scan, dtype=float)
-        if len(scan) < 1000:
-            raise PreconditionError(f"scan needs >= 1000 levels, got {len(scan)}")
-        scan = np.unique(scan)
-    tg = TruncatedGaussian.from_length(spec.l)
-    sign = _scan_signs(spec, tg, scan)
-    nz = sign != 0
-    compact = sign[nz]
-    flips = np.nonzero(compact[:-1] * compact[1:] < 0)[0]
-    crossings = len(flips)
-
-    y0 = math.nan
-    if crossings >= 1:
-        idx_nz = np.nonzero(nz)[0]
-        i = idx_nz[flips[0]]
-        j = idx_nz[flips[0] + 1]
-        y0 = _refine_crossing(spec, tg, float(scan[i]), float(scan[j]), sign[i] < 0.0)
-
-    y1 = bump_profiles(spec)[1].peak_y if len(bump_profiles(spec)) > 1 else 1.0
-    above = scan > y1
-    g_lt_f_above = bool(np.all(sign[above] > 0.0)) if np.any(above) else True
-    report = SignChangeReport(
-        l=spec.l,
-        y0=y0,
-        crossings=crossings,
-        F0_lt_G0=tg.x_c < 0.5,
-        G_lt_F_above_y1=g_lt_f_above,
-    )
-    if spec.l >= 6 and (crossings != 1 or not report.F0_lt_G0 or not g_lt_f_above):
-        raise VerificationError(f"sign-change pattern violated: {report}")
-    return report
+    """:func:`detect_sign_changes` for one length."""
+    return detect_sign_changes([spec], scan)[0]
 
 
 def comparison_functional(
@@ -544,7 +654,7 @@ def check_derivative_bounds_many(spec: KernelSpec, ys) -> list[SlopeBoundCheck]:
         return tg.y_last < y < y1 and all(abs(y - p.peak_y) >= PEAK_EXCLUSION for p in profiles[1:])
 
     n = next((i for i, y in enumerate(levels) if not inside(y)), len(ys))
-    row, roots, arch, _, _ = _solve_levels(spec, ys[:n])
+    row, roots, arch, _, _ = _solve_levels(l, ys[:n])
     # each level's crossings, from bounds[i] to bounds[i + 1]; every level has one on arch 0
     bounds = np.searchsorted(row, np.arange(n + 1)).tolist()
     slopes = np.abs(kernel_slope_values(l, roots))

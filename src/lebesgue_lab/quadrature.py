@@ -348,6 +348,15 @@ def _arch_logcaps(l: int):
 
 # math.exp is exactly 0.0 below this (the smallest subnormal is exp(-744.4))
 _EXP_ZERO_BELOW = -746.0
+# A charge whose log is this far below the first charge's is at most 2^-55
+# of it (arch widths are equal up to rounding, a final half arch narrower),
+# under half an ulp of any sum that holds the first charge, rounding of exp
+# and of the product included; 54 ln 2 would leave no room for that rounding
+# when the first charge sits just below a power of two.  The bound is
+# relative, so it is used only when the first charge's log is above
+# _NORMAL_CHARGE_LOG, far from the subnormals, whose rounding is absolute.
+_NEGLIGIBLE_CHARGE_LOG = 55.0 * math.log(2.0)
+_NORMAL_CHARGE_LOG = -600.0
 
 
 # one grid command after another over the same grid asks for the same
@@ -360,9 +369,9 @@ def _kept_arches(l: int, p: float, abs_tol: float):
     arch 0 is always kept.  The caps fall with k, so the dropped arches are
     a suffix and the kept ones a prefix of ``bump_partition(l)``.  The logs
     are ``math.log`` values, each charge is a ``math.exp`` (not taken where
-    it underflows to 0.0) and the charges are summed in arch order, so the
-    result is that of a scalar loop and does not depend on numpy's vector
-    log and exp.
+    it underflows to 0.0, nor where it cannot move the sum) and the charges
+    are summed in arch order, so the result is that of a scalar loop over
+    every arch and does not depend on numpy's vector log and exp.
     """
     pieces, logcaps = _arch_logcaps(l)
     threshold = math.log(abs_tol) - math.log(l)
@@ -371,11 +380,14 @@ def _kept_arches(l: int, p: float, abs_tol: float):
         return pieces, 0.0
     plog = p * logcaps
     k = len(pieces) - int(np.count_nonzero(plog < threshold))
-    # arch k + j is charged exp(plog[k - 1 + j]) times its width; exp is
-    # exactly 0.0 below _EXP_ZERO_BELOW and adding 0.0 leaves a sum as it is,
-    # so the charges stop at the first arch below it (the caps fall with k)
+    # arch k + j is charged exp(plog[k - 1 + j]) times its width.  The sum
+    # starts at the first, largest charge, and adding a charge under half an
+    # ulp of it leaves it as it is: so do exp's 0.0 below _EXP_ZERO_BELOW and
+    # every charge _NEGLIGIBLE_CHARGE_LOG below a normal first one.  The caps
+    # fall with k, so the charges stop at the first arch below the cut
     plog = plog[k - 1:]
-    n = int(np.count_nonzero(plog >= _EXP_ZERO_BELOW))
+    cut = plog[0] - _NEGLIGIBLE_CHARGE_LOG if plog[0] > _NORMAL_CHARGE_LOG else _EXP_ZERO_BELOW
+    n = int(np.count_nonzero(plog >= cut))
     if not n:
         return pieces[:k], 0.0
     charges = np.fromiter(map(math.exp, plog[:n].tolist()), float, n)

@@ -85,7 +85,7 @@ CRITERION_DEPENDENCIES = [
     (acceptance.criterion_parseval, "integrate_kernel_power_grid"),
     (acceptance.criterion_ball_integral, "ball_integral"),
     (acceptance.criterion_asymptotics, "lp_norm_grid"),
-    (acceptance.criterion_sign_change, "detect_sign_change"),
+    (acceptance.criterion_sign_change, "detect_sign_changes"),
     (acceptance.criterion_first_arch_domination, "check_first_arch_domination"),
     (acceptance.criterion_slope_census, "check_derivative_bounds_many"),
     (acceptance.criterion_epi_suite, "check_epis"),

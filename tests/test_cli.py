@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import json
 import math
 
@@ -71,6 +72,18 @@ class TestSignChangeCommand:
         assert payload["config"]["command"] == "np-verify"
         assert [r["crossings"] for r in payload["records"]] == [1, 1, 1]
         assert all(r["F0_lt_G0"] for r in payload["records"])
+
+    def test_invalid_length_is_usage_error_before_any_work(self, tmp_path, capsys):
+        out = tmp_path / "np.json"
+        assert cli.main(["np-verify", "--l", "6,1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: kernel length must be >= 2, got 1\n"
+        assert not out.exists()
+
+    def test_length_below_six_is_reported_without_assertion(self, tmp_path):
+        out = tmp_path / "np.json"
+        assert cli.main(["np-verify", "--l", "6,5", "--out", str(out)]) == 0
+        records = json.loads(out.read_text())["records"]
+        assert records == [dataclasses.asdict(detect_sign_change(KernelSpec(l))) for l in (6, 5)]
 
 
 class TestEpiCommands:

@@ -80,6 +80,25 @@ class TestEvalG:
         assert [v.hex() for v in got.tolist()] == [float(v).hex() for v in want]
         assert kernel_values(ls.astype(float), x).tobytes() == got.tobytes()
 
+    def test_values_and_slopes_with_a_length_per_point_are_each_length_alone(self):
+        # lengths past l = 55,108, where l**4 overflows int64; x from 0 through
+        # the series cutoff to 1/2
+        rng = np.random.default_rng(4)
+        cutoff = 1e-8
+        tiny = [0.0, 5e-324, 2.0e-310, 1e-12, 5e-9, np.nextafter(cutoff, 0.0), cutoff, np.nextafter(cutoff, 1.0)]
+        x = np.concatenate((tiny, rng.uniform(0.0, 2 * cutoff, 60), rng.uniform(0.0, 0.5, 300), [0.5]))
+        ls = rng.choice([2, 3, 6, 7, 64, 1000, 10**4, 55_108, 55_109, 99_999, 10**5], size=x.size)
+        values, slopes = kernel_values_and_slopes(ls, x)
+        for l in np.unique(ls).tolist():
+            at = ls == l
+            alone_values, alone_slopes = kernel_values_and_slopes(l, x[at])
+            assert values[at].tobytes() == alone_values.tobytes(), l
+            assert slopes[at].tobytes() == alone_slopes.tobytes(), l
+            # the one-length call against an oracle in Python-int arithmetic
+            assert alone_values.tobytes() == masked_kernel_values(l, x[at]).tobytes(), l
+            assert alone_slopes.tobytes() == masked_kernel_slope_values(l, x[at]).tobytes(), l
+        assert kernel_slope_values(ls, x).tobytes() == slopes.tobytes()
+
     def test_value_at_origin_is_one(self):
         assert eval_kernel(KernelSpec(8), 0.0) == 1.0
 

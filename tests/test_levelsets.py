@@ -4,7 +4,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lebesgue_lab import levelsets
@@ -32,6 +32,7 @@ from lebesgue_lab.levelsets import (
     check_derivative_bounds,
     check_derivative_bounds_many,
     detect_sign_change,
+    detect_sign_changes,
     level_crossings,
     superlevel_measure,
     superlevel_measure_many,
@@ -228,7 +229,7 @@ class TestMeasureG:
     def test_batch_over_several_blocks_equals_scalar(self):
         spec = KernelSpec(101)
         ys = np.geomspace(1e-4, 0.99, 200)
-        assert len(_segment_table(spec, ys)[0]) > 2 * _BLOCK_ROWS
+        assert len(_segment_table(101, ys)[0]) > 2 * _BLOCK_ROWS
         batch = superlevel_measure_many(spec, ys)
         assert np.array_equal(batch, [superlevel_measure(spec, y) for y in ys])
 
@@ -240,7 +241,7 @@ class TestMeasureG:
     @given(st.integers(6, 60), st.lists(open_unit, min_size=1, max_size=8))
     def test_one_solve_gives_measure_and_slope_sum(self, l, ys):
         spec = KernelSpec(l)
-        row, roots, _, inc, half = _solve_levels(spec, np.array(ys))
+        row, roots, _, inc, half = _solve_levels(l, np.array(ys))
         # the crossings come grouped by level
         assert np.all(np.diff(row) >= 0)
         measures = _measures(len(ys), row, roots, inc, half)
@@ -300,11 +301,27 @@ class TestLevelCrossings:
     def test_batched_roots_equal_scalar_roots(self, l, ys):
         spec = KernelSpec(l)
         ys = np.array(ys)
-        row, lo, hi, inc, _, arch = _segment_table(spec, ys)
+        row, lo, hi, inc, _, arch = _segment_table(l, ys)
         batch = _newton_segments(l, ys[row], lo, hi, inc, arch)
         for i, y in enumerate(ys):
             roots, _, _ = level_crossings(spec, y)
             assert np.array_equal(batch[row == i], roots)
+
+
+class TestRowLengths:
+    @given(st.lists(length_and_any_level(), min_size=1, max_size=6))
+    def test_a_length_per_level_is_each_level_alone(self, cases):
+        # unsorted and repeated lengths; levels near peaks, near 1, subnormal
+        ls = np.array([l for l, _ in cases])
+        ys = np.array([y for _, y in cases])
+        row, roots, arch, inc, half = _solve_levels(ls, ys)
+        assert np.all(np.diff(row) >= 0)
+        for i, (l, y) in enumerate(cases):
+            alone = _solve_levels(l, np.array([y]))
+            at = row == i
+            assert roots[at].tobytes() == alone[1].tobytes(), (l, y)
+            for got, want in zip((arch, inc, half), alone[2:]):
+                assert np.array_equal(got[at], want), (l, y)
 
 
 class TestNewtonStart:
@@ -313,7 +330,7 @@ class TestNewtonStart:
         l, y = case
         spec = KernelSpec(l)
         ys = np.array([y])
-        row, lo, hi, inc, _, arch = _segment_table(spec, ys)
+        row, lo, hi, inc, _, arch = _segment_table(l, ys)
         with np.errstate(all="raise"):
             x = _newton_start(l, ys[row], lo, hi, inc, arch)
         assert np.all(np.isfinite(x))
@@ -324,7 +341,7 @@ class TestNewtonStart:
         # a midpoint start took about 6 rounds per row here
         spec = KernelSpec(l)
         ys = default_level_grid(spec)
-        rows = len(_segment_table(spec, ys)[0])
+        rows = len(_segment_table(l, ys)[0])
         counted = count_newton_points(monkeypatch)
         superlevel_measure_many(spec, ys)
         assert counted[0] / rows <= 3.5
@@ -338,7 +355,7 @@ class TestNewtonStart:
         counted = count_newton_points(monkeypatch)
         rows = 0
         for l, y in cases:
-            rows += len(_segment_table(KernelSpec(l), np.array([y]))[0])
+            rows += len(_segment_table(l, np.array([y]))[0])
             superlevel_measure(KernelSpec(l), y)
         assert rows == len(cases)
         assert counted[0] / rows <= 6.0
@@ -351,15 +368,15 @@ def scan_oracle_signs(spec, scan):
 
 
 def spy_solved_levels(monkeypatch):
-    """Record every level passed to ``superlevel_measure_many``."""
+    """Record every level passed to ``_solve_levels``, the module's one solve."""
     solved = []
-    measure = levelsets.superlevel_measure_many
+    solve = levelsets._solve_levels
 
-    def spying(spec, ys):
+    def spying(l, ys):
         solved.extend(np.asarray(ys, dtype=float).tolist())
-        return measure(spec, ys)
+        return solve(l, ys)
 
-    monkeypatch.setattr(levelsets, "superlevel_measure_many", spying)
+    monkeypatch.setattr(levelsets, "_solve_levels", spying)
     return solved
 
 
@@ -389,21 +406,21 @@ class TestSignChange:
     def test_cover_signs_equal_the_full_scan_on_the_default_grid(self, l):
         spec = KernelSpec(l)
         scan = default_level_grid(spec)
-        signs = _scan_signs(spec, TruncatedGaussian.from_length(l), scan)
+        signs = _scan_signs([TruncatedGaussian.from_length(l)], [scan])[0]
         assert np.array_equal(signs, scan_oracle_signs(spec, scan))
 
     @pytest.mark.parametrize("l", range(6, 17))
     def test_cover_signs_equal_the_full_scan_on_the_criterion_grid(self, l):
         spec = KernelSpec(l)
         scan = np.geomspace(1e-4, 1.0 - 1e-6, 1000)
-        signs = _scan_signs(spec, TruncatedGaussian.from_length(l), scan)
+        signs = _scan_signs([TruncatedGaussian.from_length(l)], [scan])[0]
         assert np.array_equal(signs, scan_oracle_signs(spec, scan))
 
     @given(length_and_custom_scan())
     def test_cover_signs_equal_the_full_scan_on_random_scans(self, case):
         l, scan = case
         spec = KernelSpec(l)
-        signs = _scan_signs(spec, TruncatedGaussian.from_length(l), scan)
+        signs = _scan_signs([TruncatedGaussian.from_length(l)], [scan])[0]
         assert np.array_equal(signs, scan_oracle_signs(spec, scan))
 
     @pytest.mark.parametrize("l", [6, 48, 1000])
@@ -422,7 +439,7 @@ class TestSignChange:
         assert abs(diff) < _COVER_MARGIN  # no interval around y0 can be proven
         scan = np.unique(np.append(default_level_grid(spec), y0))
         solved = spy_solved_levels(monkeypatch)
-        signs = _scan_signs(spec, tg, scan)
+        signs = _scan_signs([tg], [scan])[0]
         assert y0 in solved
         assert signs[np.searchsorted(scan, y0)] == np.sign(diff)
 
@@ -480,6 +497,105 @@ class TestSignChange:
     def test_small_length_reports_without_asserting(self):
         report = detect_sign_change(KernelSpec(4))
         assert report.l == 4  # no exception even if the pattern differs
+
+    def test_scan_of_few_distinct_levels_rejected(self):
+        # 1,000 levels, but only 10 distinct: too coarse to sign F - G
+        scan = np.tile(np.geomspace(1e-3, 0.9, 10), 100)
+        with pytest.raises(PreconditionError, match="1000 distinct levels, got 10$"):
+            detect_sign_change(KernelSpec(8), scan)
+
+    def test_scan_of_one_repeated_level_rejected(self):
+        with pytest.raises(PreconditionError, match="got 1$"):
+            detect_sign_change(KernelSpec(8), np.full(1000, 0.2))
+
+    @pytest.mark.parametrize("l", [6, 48])
+    def test_cover_takes_few_rounds(self, l, monkeypatch):
+        # bisecting the default grid took 11-12 rounds, one solve each
+        calls = count_solves(monkeypatch)
+        _scan_signs([TruncatedGaussian.from_length(l)], [default_level_grid(KernelSpec(l))])
+        assert 0 < calls[0] <= 4
+
+    def test_lengths_in_lockstep_share_their_rounds(self, monkeypatch):
+        ls = range(6, 49)
+        tgs = [TruncatedGaussian.from_length(l) for l in ls]
+        scans = [default_level_grid(KernelSpec(l)) for l in ls]
+        calls = count_solves(monkeypatch)
+        together = _scan_signs(tgs, scans)
+        # one solve per round for all 43 lengths: the rounds of the slowest length
+        assert 0 < calls[0] <= 4
+        for l, signs, scan in zip(ls, together, scans):
+            assert np.array_equal(signs, scan_oracle_signs(KernelSpec(l), scan)), l
+
+
+def count_solves(monkeypatch):
+    """Count the calls of ``_solve_levels``, the module's one solve."""
+    calls = [0]
+    solve = levelsets._solve_levels
+
+    def counting(l, ys):
+        calls[0] += 1
+        return solve(l, ys)
+
+    monkeypatch.setattr(levelsets, "_solve_levels", counting)
+    return calls
+
+
+def outcome(call):
+    """A call's reports with every float in hex, or the type and message of its error."""
+    try:
+        reports = call()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return [[v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(r)] for r in reports]
+
+
+class TestSignChangeBatch:
+    @settings(max_examples=15)
+    @given(
+        st.lists(st.integers(2, 300), min_size=1, max_size=4),
+        st.sampled_from(("default", "criterion", "random")),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_batch_equals_a_loop_of_single_calls(self, ls, scan_kind, seed):
+        # random, repeated and unsorted lengths; a random scan may miss the
+        # crossing, and then both raise the same error
+        scan = {
+            "default": None,
+            "criterion": np.geomspace(1e-4, 1.0 - 1e-6, 1000),
+            "random": np.random.default_rng(seed).uniform(1e-6, 1.0, 1000),
+        }[scan_kind]
+        specs = [KernelSpec(l) for l in ls]
+        batch = outcome(lambda: detect_sign_changes(specs, scan))
+        alone = outcome(lambda: [detect_sign_change(spec, scan) for spec in specs])
+        assert batch == alone
+
+    def test_first_failing_length_decides_the_error(self):
+        # a scan without levels below 0.3 shows no crossing for l >= 6
+        scan = np.linspace(0.3, 0.99, 1000)
+        specs = [KernelSpec(l) for l in (4, 9, 7)]
+        with pytest.raises(VerificationError, match=r"l=9,"):
+            detect_sign_changes(specs, scan)
+
+    def test_empty_batch(self):
+        assert detect_sign_changes([]) == []
+        # a scan is checked whatever the lengths
+        with pytest.raises(PreconditionError):
+            detect_sign_changes([], np.geomspace(1e-3, 0.9, 10))
+
+    def test_lockstep_groups_bound_the_rows_of_a_round(self):
+        specs = [KernelSpec(l) for l in (*range(6, 49), 20_000, 301, 302, *range(1000, 1020))]
+        groups = levelsets._lockstep_groups(specs)
+        assert [spec for group in groups for spec in group] == specs
+        assert groups[0] == specs[:43]  # the lengths of np-verify --l 6..48 run together
+        assert groups[1] == [KernelSpec(20_000)]  # over the bound: alone
+        assert len(groups) > 3
+        for group in groups:
+            rows = sum(levelsets._cover_parts(s.l) * (s.l - 1) for s in group)
+            assert rows <= levelsets._LOCKSTEP_ROWS or len(group) == 1
+
+    def test_single_call_is_a_batch_of_one(self):
+        spec = KernelSpec(12)
+        assert detect_sign_changes([spec]) == [detect_sign_change(spec)]
 
 
 class TestPhi:

@@ -1,6 +1,7 @@
 import functools
 import heapq
 import math
+import types
 import warnings
 
 import mpmath
@@ -652,6 +653,24 @@ class TestArchDropping:
                 oracle = every_exp_kept_arches(l, p, DEFAULT_CONFIG.abs_tol)
                 assert np.array_equal(kept, oracle[0]), (l, p)
                 assert charge == oracle[1], (l, p)
+
+    def test_charges_stop_where_they_cannot_move_the_sum(self, monkeypatch):
+        # a loop charging every dropped arch, at lengths to 10^4 and exponents
+        # whose first charge sits near the subnormals (p ~ 950-1050)
+        for l in (7, 64, 301, 1000, 4099, 10_000):
+            for p in (2.5, 8.0, 16.0, 32.0, 128.0, 650.0, 951.0, 1000.0, 1049.0):
+                for abs_tol in (DEFAULT_CONFIG.abs_tol, 1e-15, 1e-6):
+                    kept, charge = _kept_arches.__wrapped__(l, p, abs_tol)
+                    oracle_kept, oracle_charge = scalar_kept_arches(l, p, abs_tol)
+                    assert kept.tolist() == [list(ab) for ab in oracle_kept], (l, p, abs_tol)
+                    assert charge.hex() == oracle_charge.hex(), (l, p, abs_tol)
+        # and they do stop: at l = 1000, p = 32 one arch is kept, and of the
+        # 499 dropped ones only the first 3 are charged (a loop charges all)
+        exps = []
+        counting = types.SimpleNamespace(log=math.log, exp=lambda v: exps.append(v) or math.exp(v))
+        monkeypatch.setattr(quadrature, "math", counting)
+        kept, _ = _kept_arches.__wrapped__(1000, 32.0, DEFAULT_CONFIG.abs_tol)
+        assert (len(kept), len(exps), len(quadrature.bump_partition(1000))) == (1, 3, 500)
 
     @pytest.mark.parametrize("p", NORM_P_GRID)
     def test_value_and_error_match_scalar_loop(self, p):
