@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import math
 import os
 import sys
 import tempfile
@@ -101,12 +102,20 @@ def write_report(config: RunConfig, columns, records) -> None:
     """Emit each record's ``columns`` as JSON or CSV with the resolved config embedded.
 
     A record is a result dataclass, whose columns are its attributes, or a
-    dict, whose columns are its keys.
+    dict, whose columns are its keys.  JSON writes a non-finite column as
+    null, since RFC 8259 has no NaN or infinity; CSV writes ``nan``.
     """
     rows = [{k: r[k] if isinstance(r, dict) else getattr(r, k) for k in columns} for r in records]
     if config.format == "json":
         payload = {"config": config.as_dict(), "records": rows}
-        _atomic_write(config.output_path, json.dumps(payload, indent=2) + "\n")
+        try:  # only a report with a non-finite column pays for a second pass
+            text = json.dumps(payload, indent=2, allow_nan=False)
+        except ValueError:
+            payload["records"] = [
+                {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in r.items()} for r in rows
+            ]
+            text = json.dumps(payload, indent=2, allow_nan=False)
+        _atomic_write(config.output_path, text + "\n")
         return
     lines = [f"# {k}={_fmt(v)}" for k, v in sorted(config.as_dict().items()) if k != "parameters"]
     lines += [f"# param:{k}={_fmt(v)}" for k, v in sorted(config.parameters.items())]

@@ -87,9 +87,10 @@ def _series_values(l: int, xs: np.ndarray) -> np.ndarray:
 def _per_length(l, constant):
     """``constant(l)`` for one length, or for an array of lengths spread to its entries.
 
-    ``constant`` sees each distinct length once, as a Python int (lengths
-    may come as floats), so an entry gets exactly the float its length alone
-    gives, and l**4 cannot overflow int64 as it would above l = 55,108.
+    Only the series slopes use it.  ``constant`` sees each distinct length
+    once, as a Python int (lengths may come as floats), so an entry gets
+    exactly the float its length alone gives, and l**4 cannot overflow
+    int64 as it would above l = 55,108.
     """
     if not isinstance(l, np.ndarray):
         return constant(int(l))

@@ -13,8 +13,8 @@ denominator frozen (or, on the flat top of arch 0, from the osculating
 Gaussian with its x^4 correction), so a root takes about three rounds;
 each round evaluates g and g' together from one set of sines
 (``kernel.kernel_values_and_slopes``).  Every per-level quantity comes
-from one solve of a batch of levels (``_solve_levels``), whose levels may
-have different lengths; the single-level forms are batches of one, and a
+from one solve of a batch of levels (``_solve_levels``), each level reading
+its length's row of one padded table of segments (``_stack``), and a
 level's roots are bit-identical in any batch.
 With F the truncated Gaussian's distribution function (closed form, see
 kernel.py), the module locates the single level y0 where F - G changes sign
@@ -49,7 +49,6 @@ from .kernel import (
     KernelSpec,
     TruncatedGaussian,
     _check_levels,
-    _per_length,
     gaussian_distribution_function,
     kernel_slope_values,
     kernel_values,
@@ -157,15 +156,26 @@ def bump_profiles(spec: KernelSpec) -> tuple[BumpProfile, ...]:
     return tuple(profiles)
 
 
-@lru_cache(maxsize=None)
-def _segments(l: int):
+# The fields of a segment table, one float row each (flags 1.0 or 0.0): bracket,
+# highest value, rising, half arch, arch index, length, ``_newton_start``'s constants.
+_FIELDS = 10
+_LO, _HI, _TOP, _INC, _HALF, _ARCH, _L, _FLAT_TOP, _C2, _C4 = range(_FIELDS)
+
+
+@lru_cache(maxsize=16)  # a lockstep group stacks its tables once (``_stack``)
+def _segments(l: int) -> np.ndarray:
     """The monotone segments of g on [0, 1/2] at length l, left to right.
 
-    Returns read-only parallel arrays (lo, hi, top, increasing, half_arch,
-    arch), one entry per segment: arch 0 falls from 1 at the origin, every
-    full arch rises to its peak and falls again, and an odd length's final
-    half arch rises to g(1/2).  ``top`` is the segment's highest value.
+    Returns the table of l alone, the read-only stack of a group of one
+    length, indexed (field, 0, segment): arch 0 falls from 1, every full
+    arch rises to its peak and falls again, and an odd length's final half
+    arch rises to g(1/2).  The constants are Python scalars, so a row gets
+    the float its length alone gives.
     """
+    flat_top = 1.0 / (l * math.sin(PI / (2 * l)))
+    c2 = PI**2 * (l * l - 1) / 6.0
+    c4 = PI**4 * (l**4 - 1) / 180.0
+    constants = (l, flat_top, c2, c4)
     segments = []
     for prof in bump_profiles(KernelSpec(l)):
         if prof.index == 0:
@@ -174,52 +184,21 @@ def _segments(l: int):
             parts = ((prof.x_lo, prof.x_hi, True, True),)
         else:
             parts = ((prof.x_lo, prof.peak_x, True, False), (prof.peak_x, prof.x_hi, False, False))
-        segments += [(a, b, prof.peak_y, rising, half, prof.index) for a, b, rising, half in parts]
-    lo, hi, top, inc, half, arch = zip(*segments)
-    table = (
-        np.array(lo),
-        np.array(hi),
-        np.array(top),
-        np.array(inc, dtype=bool),
-        np.array(half, dtype=bool),
-        np.array(arch, dtype=int),
-    )
-    for column in table:
-        column.setflags(write=False)
+        segments += [(a, b, prof.peak_y, rising, half, prof.index, *constants) for a, b, rising, half in parts]
+    table = np.array(segments, dtype=float).T.copy()[:, None, :]
+    table.setflags(write=False)
     return table
 
 
-def _rows(l, index):
-    """The entries ``index`` of an array of row lengths; one length for all rows as is."""
-    return l[index] if isinstance(l, np.ndarray) else l
-
-
-def _one_length(ls: np.ndarray):
-    """``ls`` as one int when its lengths are all equal, so the solve builds no per-row arrays."""
-    return int(ls[0]) if (ls == ls[0]).all() else ls
-
-
-def _segment_table(l, ys: np.ndarray):
-    """Flat table of monotone segments straddled by each level.
-
-    ``l`` is one length, or an array of lengths with one per level.  Returns
-    parallel arrays (level_row, lo, hi, increasing, half_arch, arch); one row
-    per (level, segment) pair, level-major: level 0's segments, then level
-    1's, and so on, each level's left to right.  A level's superlevel
-    measure is then sum(decreasing roots) - sum(increasing roots) + 1/2 per
-    half arch, since each descending crossing closes an interval that an
-    ascending crossing (or the left endpoint 0) opened.
-    """
-    if isinstance(l, np.ndarray):
-        # one run of equal lengths at a time keeps the rows level-major
-        starts = np.flatnonzero(np.diff(l, prepend=-1)).tolist()
-        runs = [_segment_table(int(l[a]), ys[a:b]) for a, b in zip(starts, [*starts[1:], len(ys)])]
-        columns = zip(*runs)
-        row = np.concatenate([run_row + a for a, run_row in zip(starts, next(columns))])
-        return (row, *map(np.concatenate, columns))
-    lo, hi, top, inc, half, arch = _segments(l)
-    row, seg = np.nonzero(ys[:, None] < top[None, :])
-    return row, lo[seg], hi[seg], inc[seg], half[seg], arch[seg]
+def _stack(ls) -> np.ndarray:
+    """The tables of the lengths ``ls`` as rows of one, padded with top = -inf, which no level straddles."""
+    segments = [_segments(l) for l in ls]
+    width = max(seg.shape[2] for seg in segments)
+    table = np.zeros((_FIELDS, len(segments), width))
+    table[_TOP] = -math.inf
+    for k, seg in enumerate(segments):
+        table[:, k, : seg.shape[2]] = seg[:, 0]
+    return table
 
 
 # hard cap on Newton rounds per root: even pure bisection narrows the widest
@@ -227,6 +206,7 @@ def _segment_table(l, ys: np.ndarray):
 _MAX_ROUNDS = 60
 # rows solved together; bounds the temporaries of a large batch of levels
 _BLOCK_ROWS = 4096
+_STRADDLE_CELLS = 8 * _BLOCK_ROWS  # tops gathered per pass of the straddle test; bounds its memory
 # fixed-point steps of the inverted-arch start estimate
 _START_STEPS = 2
 # the start estimate reads levels below this as this: below about 1e-17 the
@@ -235,7 +215,7 @@ _START_STEPS = 2
 _START_LEVEL_FLOOR = 1e-300
 
 
-def _newton_start(l, y, lo, hi, inc, arch) -> np.ndarray:
+def _newton_start(y, seg) -> np.ndarray:
     """Start point of each Newton row: the arch inverted with its denominator frozen.
 
     On arch k the numerator is sin(theta) with l pi x = k pi + theta, so
@@ -249,52 +229,49 @@ def _newton_start(l, y, lo, hi, inc, arch) -> np.ndarray:
     exp(-pi^2 (l^2 - 1) x^2 / 6) together with the next term of log g,
     -pi^4 (l^4 - 1) x^4 / 180, which takes about 0.8 rounds more off the
     flat top.  Every estimate is clipped into its bracket, and each row's
-    start depends on that row alone.  ``l`` is one length or one per row;
-    each per-length constant is the float that length alone gives.
+    start depends on that row alone.
     """
+    lo, hi, inc, arch, l = seg[_LO], seg[_HI], seg[_INC], seg[_ARCH], seg[_L]
     x = 0.5 * (lo + hi)
     yl = np.maximum(y, _START_LEVEL_FLOOR) * l
     for _ in range(_START_STEPS):
         a = np.arcsin(np.minimum(1.0, yl * np.sin(PI * x))) / PI
         x = np.where(inc, arch + a, arch + 1.0 - a) / l
-    top = (arch == 0) & (y > _per_length(l, lambda k: 1.0 / (k * math.sin(PI / (2 * k)))))
+    top = (arch == 0) & (y > seg[_FLAT_TOP])
     if top.any():
         # -log g(x) = c2 x^2 + c4 x^4 + O(x^6), solved for x^2 without cancellation
-        c2 = _per_length(_rows(l, top), lambda k: PI**2 * (k * k - 1) / 6.0)
-        c4 = _per_length(_rows(l, top), lambda k: PI**4 * (k**4 - 1) / 180.0)
+        c2, c4 = seg[_C2, top], seg[_C4, top]
         log_y = -np.log(y[top])
         x[top] = np.sqrt(2.0 * log_y / (c2 + np.sqrt(c2 * c2 + 4.0 * c4 * log_y)))
     return np.clip(x, lo, hi)
 
 
-def _newton_segments(l, y, lo, hi, inc, arch) -> np.ndarray:
-    """Roots of g(x) = y_i on monotone brackets [lo_i, hi_i] by bracketed Newton.
+def _newton_segments(y, segments, flat) -> np.ndarray:
+    """Roots of g(x) = y_i on monotone brackets [lo, hi] of segments[:, flat_i].
 
     This is ``rtsafe`` (Numerical Recipes, section 9.4), row by row.  Each
-    row starts at the inverted-arch estimate of ``_newton_start``, which
-    needs the row's arch index ``arch``.  A round evaluates g and its slope
-    together (``kernel_values_and_slopes``, one pass over the sines), sets
-    d = g(x) - y, shrinks the bracket by the sign of d, and steps by
-    -d / g'(x), with the sign of g' taken from ``inc``.  A step that leaves
-    the bracket, or is longer than 2 ulps of x and lands on a bracket end,
-    becomes a bisection step.  A row is done when d == 0 (it keeps x) or
-    when its step is at most 2 ulps of x.  Only unfinished rows are
-    evaluated, in blocks of ``_BLOCK_ROWS``, and no row's result depends on
-    another's: ``l`` is one length or one per row, and rows of any lengths
-    share a block.
+    row starts at the inverted-arch estimate of ``_newton_start``.  A round
+    evaluates g and its slope together (``kernel_values_and_slopes``, one
+    pass over the sines), sets d = g(x) - y, shrinks the bracket by the sign
+    of d, and steps by -d / g'(x), with the sign of g' taken from ``inc``.
+    A step that leaves the bracket, or is longer than 2 ulps of x and lands
+    on a bracket end, becomes a bisection step.  A row is done when d == 0
+    (it keeps x) or when its step is at most 2 ulps of x.  Only unfinished
+    rows are evaluated, in blocks of ``_BLOCK_ROWS`` gathered one at a time,
+    and no row's result depends on another's, whatever its length.
     """
     x = np.empty(len(y))
     for start in range(0, len(y), _BLOCK_ROWS):
         part = slice(start, start + _BLOCK_ROWS)
-        x[part] = _newton_block(_rows(l, part), y[part], lo[part], hi[part], inc[part], arch[part])
+        x[part] = _newton_block(y[part], segments.take(flat[part], axis=1))
     return x
 
 
-def _newton_block(l, y, lo, hi, inc, arch) -> np.ndarray:
-    x = _newton_start(l, y, lo, hi, inc, arch)
-    per_row = isinstance(l, np.ndarray)
-    lo = lo.copy()
-    hi = hi.copy()
+def _newton_block(y, seg) -> np.ndarray:
+    x = _newton_start(y, seg)
+    # the block's own gathered brackets shrink in place
+    lo, hi, l = seg[_LO], seg[_HI], seg[_L]
+    inc = seg[_INC] == 1.0
     # the sign of g' on each row's segment; multiplying d by +-1.0 is exact
     step_sign = np.where(inc, 1.0, -1.0)
     live = np.arange(len(x))
@@ -303,7 +280,7 @@ def _newton_block(l, y, lo, hi, inc, arch) -> np.ndarray:
             if not len(live):
                 break
             xl, il = x[live], inc[live]
-            g, slope = kernel_values_and_slopes(l[live] if per_row else l, xl)
+            g, slope = kernel_values_and_slopes(l[live], xl)
             d = g - y[live]
             move_lo = (d > 0.0) ^ il
             lo_l = np.where(move_lo, xl, lo[live])
@@ -324,41 +301,56 @@ def _newton_block(l, y, lo, hi, inc, arch) -> np.ndarray:
     return x
 
 
-def _solve_levels(l, ys: np.ndarray):
+def _solve_levels(table: np.ndarray, which: np.ndarray, ys: np.ndarray):
     """Check the levels ys and solve every crossing of all of them at once.
 
-    The one solve of the module.  ``l`` is one length, or an array of
-    lengths with one per level.  Returns (row, roots, arch, increasing,
-    half_arch), one entry per (level, segment) pair, grouped by level as in
-    ``_segment_table``, so each level's roots ascend.  Every Newton row
-    iterates on its own, so a level's roots do not depend on the others,
-    nor on their lengths.
+    The one solve of the module.  Level i has the length of row ``which[i]``
+    of ``table`` (``_stack``); one straddle test, on about
+    ``_STRADDLE_CELLS`` tops at a time, finds the segments it crosses.
+    Returns (row, roots, segments): one entry per (level, segment) pair,
+    level-major and each level's left to right, so its roots ascend, with
+    the fields of the segment.  A level's superlevel measure is then
+    sum(decreasing roots) - sum(increasing roots) + 1/2 per half arch.  Every
+    Newton row iterates on its own, so a level's roots depend neither on the
+    others nor on their lengths.
     """
     _check_levels(ys)
-    row, lo, hi, inc, half, arch = _segment_table(l, ys)
-    # float row lengths (exact) spare every Newton round its int-to-float casts
-    row_l = l[row].astype(float) if isinstance(l, np.ndarray) else l
-    return row, _newton_segments(row_l, ys[row], lo, hi, inc, arch), arch, inc, half
+    top = table[_TOP]
+    straddled = np.empty((len(ys), top.shape[1]), dtype=bool)
+    step = 1 + _STRADDLE_CELLS // (1 + top.shape[1])
+    for start in range(0, len(ys), step):
+        part = slice(start, start + step)
+        np.less(ys[part, None], top.take(which[part], axis=0), out=straddled[part])
+    row, flat = np.nonzero(straddled)
+    flat += which[row] * top.shape[1]
+    segments = table.reshape(len(table), -1)
+    return row, _newton_segments(ys[row], segments, flat), segments.take(flat, axis=1)
 
 
-def _measures(n: int, row, roots, inc, half) -> np.ndarray:
+def _measures(n: int, row, roots, seg) -> np.ndarray:
     # each descending root closes an interval that an ascending root (or 0) opened
     out = np.zeros(n)
-    np.add.at(out, row, np.where(inc, -roots, roots))
-    np.add.at(out, row[half], 0.5)
+    np.add.at(out, row, np.where(seg[_INC], -roots, roots))
+    np.add.at(out, row[seg[_HALF] == 1.0], 0.5)
     return out
 
 
-def _slope_sum(l: int, roots: np.ndarray) -> float:
-    """Sum of 1/|g'| over one level's roots, in segment order: the slope sum |G'(y)|."""
-    return float(np.sum(1.0 / np.abs(kernel_slope_values(l, roots))))
+def _slope_sums(n: int, row: np.ndarray, slopes: np.ndarray):
+    """Level i's crossings, bounds[i] to bounds[i + 1], and its slope sum |G'(y)|.
+
+    The sum of 1/|g'| is each level's own sum, which goes pairwise from 8
+    roots on: ``np.add.reduceat`` adds in sequence and would move bits.
+    """
+    bounds = row.searchsorted(np.arange(n + 1)).tolist()
+    inverse = 1.0 / slopes
+    return bounds, [float(inverse[a:b].sum()) for a, b in zip(bounds, bounds[1:])]
 
 
 def superlevel_measure_many(spec: KernelSpec, ys) -> np.ndarray:
     """Vectorized measure of {x in [0, 1/2] : g(x) > y} for a batch of levels."""
     ys = np.asarray(ys, dtype=float)
-    row, roots, _, inc, half = _solve_levels(spec.l, ys)
-    return _measures(len(ys), row, roots, inc, half)
+    row, roots, seg = _solve_levels(_segments(spec.l), np.zeros(len(ys), dtype=np.intp), ys)
+    return _measures(len(ys), row, roots, seg)
 
 
 def superlevel_measure(spec: KernelSpec, y: float) -> float:
@@ -374,13 +366,14 @@ def level_crossings(spec: KernelSpec, y: float):
     Bracketed Newton (see ``_newton_segments``) pins each root to within a
     few ulps.
     """
-    _, roots, arch, inc, _ = _solve_levels(spec.l, np.array([float(y)]))
-    return roots, arch, inc
+    _, roots, seg = _solve_levels(_segments(spec.l), np.zeros(1, dtype=np.intp), np.array([float(y)]))
+    return roots, seg[_ARCH].astype(int), seg[_INC] == 1.0
 
 
 def slope_sum(spec: KernelSpec, y: float) -> float:
     """Sum of 1/|g'| over all crossings of the level y (equals |G'(y)|)."""
-    return _slope_sum(spec.l, level_crossings(spec, y)[0])
+    row, roots, _ = _solve_levels(_segments(spec.l), np.zeros(1, dtype=np.intp), np.array([float(y)]))
+    return _slope_sums(1, row, np.abs(kernel_slope_values(spec.l, roots)))[1][0]
 
 
 def default_level_grid(spec: KernelSpec) -> np.ndarray:
@@ -396,10 +389,11 @@ def default_level_grid(spec: KernelSpec) -> np.ndarray:
 _Y0_STEP_TOL = 1e-10
 
 
-def _refine_crossings(tgs: list[TruncatedGaussian], brackets: list[tuple[float, float, bool]]) -> list[float]:
-    """Root of D(y) = F(y) - G(y) in each scan bracket (lo, hi, neg_lo), by bracketed Newton.
+def _refine_crossings(table: np.ndarray, tgs: list[TruncatedGaussian], brackets: dict) -> dict:
+    """Root of D(y) = F(y) - G(y) in each scan bracket {k: (lo, hi, neg_lo)}, by bracketed Newton.
 
-    ``neg_lo`` is the sign of D at ``lo``.  D'(y) = F'(y) + slope_sum(y), with
+    Bracket k is at length row k of ``table``, its root comes back under k,
+    and ``neg_lo`` is the sign of D at ``lo``.  D'(y) = F'(y) + slope_sum(y), with
     F'(y) = -1 / (pi (l^2 - 1) y F(y)) above y_last and 0 below it, since G'
     is minus the slope sum.  The brackets are refined in lockstep: each round
     solves the current level of every unfinished bracket once, for both G
@@ -408,19 +402,17 @@ def _refine_crossings(tgs: list[TruncatedGaussian], brackets: list[tuple[float, 
     leaves it becomes a bisection step, and its refinement ends when D == 0
     or a step is at most ``_Y0_STEP_TOL``.
     """
-    lo, hi = [b[0] for b in brackets], [b[1] for b in brackets]
-    y = [0.5 * (a + b) for a, b in zip(lo, hi)]
-    live = list(range(len(tgs)))
+    lo, hi = {k: b[0] for k, b in brackets.items()}, {k: b[1] for k, b in brackets.items()}
+    y = {k: 0.5 * (lo[k] + hi[k]) for k in brackets}
+    live = list(brackets)
     for _ in range(_MAX_ROUNDS):
         if not live:
             break
-        ls = _one_length(np.array([tgs[k].l for k in live]))
-        row, roots, _, inc, half = _solve_levels(ls, np.array([y[k] for k in live]))
-        measures = _measures(len(live), row, roots, inc, half).tolist()
-        inverse_slopes = 1.0 / np.abs(kernel_slope_values(_rows(ls, row), roots))
-        bounds = np.searchsorted(row, np.arange(len(live) + 1)).tolist()
+        row, roots, seg = _solve_levels(table, np.array(live), np.array([y[k] for k in live]))
+        measures = _measures(len(live), row, roots, seg).tolist()
+        _, slope_sums = _slope_sums(len(live), row, np.abs(kernel_slope_values(seg[_L], roots)))
         unfinished = []
-        for k, g, start, stop in zip(live, measures, bounds, bounds[1:]):
+        for k, g, slope_sum_k in zip(live, measures, slope_sums):
             tg, yk = tgs[k], y[k]
             f = gaussian_distribution_function(tg, yk)
             d = f - g
@@ -430,8 +422,6 @@ def _refine_crossings(tgs: list[TruncatedGaussian], brackets: list[tuple[float, 
                 lo[k] = yk
             else:
                 hi[k] = yk
-            # the level's inverse slopes summed on their own, as in _slope_sum
-            slope_sum_k = float(np.sum(inverse_slopes[start:stop]))
             slope = (0.0 if yk < tg.y_last else -1.0 / (PI * (tg.l * tg.l - 1) * yk * f)) + slope_sum_k
             yn = yk - d / slope if slope != 0.0 else math.nan
             if not lo[k] <= yn <= hi[k]:
@@ -458,8 +448,9 @@ _LOCKSTEP_ROWS = 8 * _BLOCK_ROWS
 
 
 def _cover_parts(l: int) -> int:
-    # fewer parts where the new levels' rows would overflow one Newton block
-    return min(_COVER_PARTS, max(2, _BLOCK_ROWS // len(_segments(l)[0])))
+    # fewer parts where the new levels' rows (one per segment, l - 1 of
+    # them) would overflow one Newton block
+    return min(_COVER_PARTS, max(2, _BLOCK_ROWS // (l - 1)))
 
 
 def _lockstep_groups(specs: list[KernelSpec]) -> list[list[KernelSpec]]:
@@ -470,7 +461,7 @@ def _lockstep_groups(specs: list[KernelSpec]) -> list[list[KernelSpec]]:
     """
     groups, rows = [], _LOCKSTEP_ROWS
     for spec in specs:
-        add = _cover_parts(spec.l) * len(_segments(spec.l)[0])
+        add = _cover_parts(spec.l) * (spec.l - 1)
         if rows + add > _LOCKSTEP_ROWS:
             groups.append([])
             rows = 0
@@ -479,29 +470,29 @@ def _lockstep_groups(specs: list[KernelSpec]) -> list[list[KernelSpec]]:
     return groups
 
 
-def _scan_signs(tgs: list[TruncatedGaussian], scans: list[np.ndarray]) -> list[np.ndarray]:
+def _scan_signs(table: np.ndarray, tgs: list[TruncatedGaussian], scans: list[np.ndarray]) -> list[np.ndarray]:
     """sign(F - G) at every level of each ascending scan, by a monotone interval cover.
 
     F and G both decrease in y, so on levels a < b, F(a) < G(b) bounds F - G
     below 0 on all of [a, b], and F(b) > G(a) bounds it above 0.  The scans,
-    one per length ``tgs[k].l``, are covered in lockstep as one flat index
-    space in which each scan is a contiguous block.  The cover starts from
-    each whole scan as one interval of indices [i, j]; each round solves G
-    at every interval end not yet solved (one solve for all scans), signs an
-    interval -1 when F[i] < G[j] - margin or +1 when F[j] > G[i] + margin,
-    and splits every other interval that still has an interior level into
-    up to ``_cover_parts(l)`` parts.  A solved level is signed by its
-    computed difference, np.sign(F - G); only the levels strictly inside a
-    proven interval take the proved sign.
+    one per length ``tgs[k].l`` with its segments in row k of ``table``, are
+    covered in lockstep as one flat index space in which each scan is a
+    contiguous block.  The cover starts from each whole scan as one interval
+    of indices [i, j]; each round solves G at every interval end not yet
+    solved (one solve for all scans), signs an interval -1 when
+    F[i] < G[j] - margin or +1 when F[j] > G[i] + margin, and splits every
+    other interval that still has an interior level into up to
+    ``_cover_parts(l)`` parts.  A solved level is signed by its computed
+    difference, np.sign(F - G); only the levels strictly inside a proven
+    interval take the proved sign.
     """
     sizes = [len(scan) for scan in scans]
     first = np.cumsum([0, *sizes[:-1]])
-    ls = np.array([tg.l for tg in tgs])
     parts = np.array([_cover_parts(tg.l) for tg in tgs])
 
-    def per_scan(values, index):
-        # each flat index's entry of a per-scan array; with one scan, its entry alone
-        return int(values[0]) if len(scans) == 1 else values[np.searchsorted(first, index, side="right") - 1]
+    def scan_of(index):
+        # the scan that each flat index lies in
+        return np.searchsorted(first, index, side="right") - 1
 
     levels = np.concatenate(scans)
     f = np.concatenate([gaussian_distribution_function(tg, scan) for tg, scan in zip(tgs, scans)])
@@ -512,8 +503,7 @@ def _scan_signs(tgs: list[TruncatedGaussian], scans: list[np.ndarray]) -> list[n
     while len(lo):
         ends = np.union1d(lo, hi)
         new = ends[~solved[ends]]
-        row, roots, _, inc, half = _solve_levels(per_scan(ls, new), levels[new])
-        g[new] = _measures(len(new), row, roots, inc, half)
+        g[new] = _measures(len(new), *_solve_levels(table, scan_of(new), levels[new]))
         solved[new] = True
         neg = f[lo] < g[hi] - _COVER_MARGIN
         proven = neg | (f[hi] > g[lo] + _COVER_MARGIN)
@@ -521,7 +511,7 @@ def _scan_signs(tgs: list[TruncatedGaussian], scans: list[np.ndarray]) -> list[n
         split = ~proven & (hi - lo > 1)
         lo, width = lo[split, None], (hi - lo)[split, None]
         # part t of k spans [lo + width t // k, lo + width (t + 1) // k]; k <= width keeps it open
-        k = np.minimum(per_scan(parts, lo), width)
+        k = np.minimum(parts[scan_of(lo)], width)
         t = np.arange(_COVER_PARTS + 1)
         edges = lo + width * t // k
         part = t[:-1] < k
@@ -566,7 +556,8 @@ def _sign_changes(specs: list[KernelSpec], scan: np.ndarray | None) -> list[Sign
     """The reports of :func:`detect_sign_changes` for one lockstep group."""
     tgs = [TruncatedGaussian.from_length(spec.l) for spec in specs]
     scans = [default_level_grid(spec) if scan is None else scan for spec in specs]
-    signs = _scan_signs(tgs, scans)
+    table = _stack([spec.l for spec in specs])
+    signs = _scan_signs(table, tgs, scans)
     crossings, brackets = [], {}
     for k, (levels, sign) in enumerate(zip(scans, signs)):
         nz = np.nonzero(sign)[0]
@@ -576,7 +567,7 @@ def _sign_changes(specs: list[KernelSpec], scan: np.ndarray | None) -> list[Sign
         if len(flips):
             i, j = nz[flips[0]], nz[flips[0] + 1]
             brackets[k] = (float(levels[i]), float(levels[j]), sign[i] < 0.0)
-    y0s = dict(zip(brackets, _refine_crossings([tgs[k] for k in brackets], list(brackets.values()))))
+    y0s = _refine_crossings(table, tgs, brackets)
 
     reports = []
     for k, (spec, tg, levels, sign) in enumerate(zip(specs, tgs, scans, signs)):
@@ -654,27 +645,25 @@ def check_derivative_bounds_many(spec: KernelSpec, ys) -> list[SlopeBoundCheck]:
         return tg.y_last < y < y1 and all(abs(y - p.peak_y) >= PEAK_EXCLUSION for p in profiles[1:])
 
     n = next((i for i, y in enumerate(levels) if not inside(y)), len(ys))
-    row, roots, arch, _, _ = _solve_levels(l, ys[:n])
-    # each level's crossings, from bounds[i] to bounds[i + 1]; every level has one on arch 0
-    bounds = np.searchsorted(row, np.arange(n + 1)).tolist()
+    row, roots, seg = _solve_levels(_segments(l), np.zeros(n, dtype=np.intp), ys[:n])
     slopes = np.abs(kernel_slope_values(l, roots))
+    # each level's crossings, from bounds[i] to bounds[i + 1]; every level has one on arch 0
+    bounds, inv_sums = _slope_sums(n, row, slopes)
     # |g'| is at most (l pi / 2) ((pi/l)/sin(pi/l))^2 <= 2l on the first arch
     # and l pi^2 / (4k) inside arch k >= 1 (np.maximum only spares arch 0 a 1/0)
     first_cap = (l * PI / 2.0) * ((PI / l) / math.sin(PI / l)) ** 2
-    caps = np.where(arch == 0, first_cap, l * PI**2 / (4.0 * np.maximum(arch, 1)))
+    caps = np.where(seg[_ARCH] == 0, first_cap, l * PI**2 / (4.0 * np.maximum(seg[_ARCH], 1)))
     slack = 1e-9
     worst = np.maximum.reduceat(slopes - caps, bounds[:-1]).tolist()
     over = np.logical_or.reduceat(slopes > caps + slack, bounds[:-1]).tolist()
     checks = []
-    for y, start, stop, margin, over_cap in zip(levels, bounds, bounds[1:], worst, over):
+    for y, start, stop, inv_sum, margin, over_cap in zip(levels, bounds, bounds[1:], inv_sums, worst, over):
         m = max(p.index for p in profiles[1:] if p.peak_y > y)
         want = 1 + 2 * m - (l % 2 == 1 and m == l // 2)  # a final half arch has one root
         if stop - start != want:
             raise VerificationError(
                 f"root census mismatch at l={l}, y={y}: found {stop - start}, expected {want}"
             )
-        # each level's inverse slopes summed on their own, in segment order
-        inv_sum = float(np.sum(1.0 / slopes[start:stop]))
         lower = 1.0 / (2.0 * l) + 4.0 * m * m / (l * PI**2)
         check = SlopeBoundCheck(
             l=l,

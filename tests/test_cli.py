@@ -85,6 +85,24 @@ class TestSignChangeCommand:
         records = json.loads(out.read_text())["records"]
         assert records == [dataclasses.asdict(detect_sign_change(KernelSpec(l))) for l in (6, 5)]
 
+    def test_length_without_crossing_writes_strict_json(self, tmp_path):
+        # l = 2 has no crossing and a y0 of NaN, which RFC 8259 JSON cannot hold
+        out = tmp_path / "np.json"
+        assert cli.main(["np-verify", "--l", "2..7", "--out", str(out)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        records = json.loads(out.read_text(), parse_constant=reject)["records"]
+        assert records[0] == {"l": 2, "y0": None, "crossings": 0, "F0_lt_G0": False, "G_lt_F_above_y1": True}
+        assert [r["y0"] for r in records[1:]] == [detect_sign_change(KernelSpec(l)).y0 for l in range(3, 8)]
+
+    def test_csv_keeps_nan(self, tmp_path):
+        out = tmp_path / "np.csv"
+        assert cli.main(["np-verify", "--l", "2,6", "--out", str(out)]) == 0
+        _, _, records = read_csv(out)
+        assert records[0]["y0"] == "nan" and float(records[1]["y0"]) == detect_sign_change(KernelSpec(6)).y0
+
 
 class TestEpiCommands:
     def test_epi_check(self, tmp_path):

@@ -17,17 +17,24 @@ from lebesgue_lab.kernel import (
     kernel_values,
 )
 from lebesgue_lab.levelsets import (
+    _ARCH,
     _BLOCK_ROWS,
     _COVER_MARGIN,
+    _FIELDS,
+    _HALF,
+    _HI,
+    _INC,
+    _LO,
+    _TOP,
     PEAK_EXCLUSION,
     BumpProfile,
     _measures,
-    _newton_segments,
     _newton_start,
     _scan_signs,
-    _segment_table,
-    _slope_sum,
+    _segments,
+    _slope_sums,
     _solve_levels,
+    _stack,
     bump_profiles,
     check_derivative_bounds,
     check_derivative_bounds_many,
@@ -121,6 +128,16 @@ def length_and_any_level(draw):
     else:
         y = 1.0 - draw(st.floats(2.0**-53, 1e-5))
     return l, y
+
+
+def solve_length(l, ys):
+    """``_solve_levels`` of the levels ys, all at length l: a group of one length."""
+    return _solve_levels(_segments(l), np.zeros(len(ys), dtype=np.intp), ys)
+
+
+def straddled_rows(l, ys):
+    """The count of (level, segment) rows that the levels ys make at length l."""
+    return len(solve_length(l, ys)[0])
 
 
 def count_newton_points(monkeypatch):
@@ -229,7 +246,7 @@ class TestMeasureG:
     def test_batch_over_several_blocks_equals_scalar(self):
         spec = KernelSpec(101)
         ys = np.geomspace(1e-4, 0.99, 200)
-        assert len(_segment_table(101, ys)[0]) > 2 * _BLOCK_ROWS
+        assert straddled_rows(101, ys) > 2 * _BLOCK_ROWS
         batch = superlevel_measure_many(spec, ys)
         assert np.array_equal(batch, [superlevel_measure(spec, y) for y in ys])
 
@@ -241,12 +258,13 @@ class TestMeasureG:
     @given(st.integers(6, 60), st.lists(open_unit, min_size=1, max_size=8))
     def test_one_solve_gives_measure_and_slope_sum(self, l, ys):
         spec = KernelSpec(l)
-        row, roots, _, inc, half = _solve_levels(l, np.array(ys))
+        row, roots, seg = solve_length(l, np.array(ys))
         # the crossings come grouped by level
         assert np.all(np.diff(row) >= 0)
-        measures = _measures(len(ys), row, roots, inc, half)
+        measures = _measures(len(ys), row, roots, seg)
+        _, slope_sums = _slope_sums(len(ys), row, np.abs(kernel_slope_values(l, roots)))
         for i, y in enumerate(ys):
-            fused = (float(measures[i]), _slope_sum(l, roots[row == i]))
+            fused = (float(measures[i]), slope_sums[i])
             # the slope sum computed on its own, from level_crossings' roots
             alone = level_crossings(spec, y)[0]
             inverse_sum = float(np.sum(1.0 / np.abs(kernel_slope_values(l, alone))))
@@ -301,27 +319,52 @@ class TestLevelCrossings:
     def test_batched_roots_equal_scalar_roots(self, l, ys):
         spec = KernelSpec(l)
         ys = np.array(ys)
-        row, lo, hi, inc, _, arch = _segment_table(l, ys)
-        batch = _newton_segments(l, ys[row], lo, hi, inc, arch)
+        row, batch, _ = solve_length(l, ys)
         for i, y in enumerate(ys):
             roots, _, _ = level_crossings(spec, y)
             assert np.array_equal(batch[row == i], roots)
+
+
+def assert_each_level_alone(ls, which, ys):
+    """One solve of levels with lengths ls[which[i]] equals every level solved alone, in hex."""
+    row, roots, seg = _solve_levels(_stack(ls), np.array(which), np.array(ys))
+    assert np.all(np.diff(row) >= 0)
+    for i, (k, y) in enumerate(zip(which, ys)):
+        _, alone, alone_seg = solve_length(ls[k], np.array([y]))
+        at = row == i
+        assert [r.hex() for r in roots[at].tolist()] == [r.hex() for r in alone.tolist()], (ls[k], y)
+        for field in (_ARCH, _INC, _HALF):
+            assert np.array_equal(seg[field, at], alone_seg[field]), (ls[k], y)
 
 
 class TestRowLengths:
     @given(st.lists(length_and_any_level(), min_size=1, max_size=6))
     def test_a_length_per_level_is_each_level_alone(self, cases):
         # unsorted and repeated lengths; levels near peaks, near 1, subnormal
-        ls = np.array([l for l, _ in cases])
-        ys = np.array([y for _, y in cases])
-        row, roots, arch, inc, half = _solve_levels(ls, ys)
-        assert np.all(np.diff(row) >= 0)
-        for i, (l, y) in enumerate(cases):
-            alone = _solve_levels(l, np.array([y]))
-            at = row == i
-            assert roots[at].tobytes() == alone[1].tobytes(), (l, y)
-            for got, want in zip((arch, inc, half), alone[2:]):
-                assert np.array_equal(got[at], want), (l, y)
+        assert_each_level_alone([l for l, _ in cases], range(len(cases)), [y for _, y in cases])
+
+    def test_short_tables_padded_beside_wide_ones(self):
+        # one and two segments (l = 2, 3) and a few (4, 5) in the table of 301
+        # and 1000: every level of a short length has padding to its right
+        ls = [2, 301, 3, 4, 1000, 5]
+        rng = np.random.default_rng(23)
+        which = rng.integers(0, len(ls), 120).tolist()
+        ys = np.concatenate(
+            [rng.uniform(1e-6, 1.0, 40), 10.0 ** rng.uniform(-12, 0, 40), 1.0 - 10.0 ** rng.uniform(-9, -1, 40)]
+        )
+        table = _stack(ls)
+        assert table.shape == (_FIELDS, len(ls), 999)
+        assert np.all(table[_TOP, 0, 1:] == -math.inf) and np.all(table[_TOP, 2, 2:] == -math.inf)
+        assert_each_level_alone(ls, which, ys.tolist())
+
+    @pytest.mark.parametrize("l", [2, 3, 7, 48])
+    def test_a_single_length_is_its_own_table(self, l):
+        assert np.array_equal(_stack([l]), _segments(l))
+        assert _segments(l).shape == (_FIELDS, 1, l - 1)
+
+    def test_empty_solves(self):
+        row, roots, seg = _solve_levels(_stack([6, 9]), np.zeros(0, dtype=np.intp), np.zeros(0))
+        assert len(row) == len(roots) == seg.shape[1] == 0
 
 
 class TestNewtonStart:
@@ -330,18 +373,18 @@ class TestNewtonStart:
         l, y = case
         spec = KernelSpec(l)
         ys = np.array([y])
-        row, lo, hi, inc, _, arch = _segment_table(l, ys)
+        row, _, seg = solve_length(l, ys)
         with np.errstate(all="raise"):
-            x = _newton_start(l, ys[row], lo, hi, inc, arch)
+            x = _newton_start(ys[row], seg)
         assert np.all(np.isfinite(x))
-        assert np.all((lo <= x) & (x <= hi))
+        assert np.all((seg[_LO] <= x) & (x <= seg[_HI]))
 
     @pytest.mark.parametrize("l", [6, 27, 48])
     def test_rounds_per_row_over_the_default_grid(self, l, monkeypatch):
         # a midpoint start took about 6 rounds per row here
         spec = KernelSpec(l)
         ys = default_level_grid(spec)
-        rows = len(_segment_table(l, ys)[0])
+        rows = straddled_rows(l, ys)
         counted = count_newton_points(monkeypatch)
         superlevel_measure_many(spec, ys)
         assert counted[0] / rows <= 3.5
@@ -352,10 +395,9 @@ class TestNewtonStart:
         # rounds, so the mean needs a large sample to be stable.
         rng = np.random.default_rng(20)
         cases = [(int(rng.integers(6, 502)), 1.0 - 10.0 ** rng.uniform(-9, -5)) for _ in range(1000)]
+        rows = sum(straddled_rows(l, np.array([y])) for l, y in cases)
         counted = count_newton_points(monkeypatch)
-        rows = 0
         for l, y in cases:
-            rows += len(_segment_table(l, np.array([y]))[0])
             superlevel_measure(KernelSpec(l), y)
         assert rows == len(cases)
         assert counted[0] / rows <= 6.0
@@ -372,9 +414,9 @@ def spy_solved_levels(monkeypatch):
     solved = []
     solve = levelsets._solve_levels
 
-    def spying(l, ys):
+    def spying(table, which, ys):
         solved.extend(np.asarray(ys, dtype=float).tolist())
-        return solve(l, ys)
+        return solve(table, which, ys)
 
     monkeypatch.setattr(levelsets, "_solve_levels", spying)
     return solved
@@ -406,21 +448,21 @@ class TestSignChange:
     def test_cover_signs_equal_the_full_scan_on_the_default_grid(self, l):
         spec = KernelSpec(l)
         scan = default_level_grid(spec)
-        signs = _scan_signs([TruncatedGaussian.from_length(l)], [scan])[0]
+        signs = _scan_signs(_stack([l]), [TruncatedGaussian.from_length(l)], [scan])[0]
         assert np.array_equal(signs, scan_oracle_signs(spec, scan))
 
     @pytest.mark.parametrize("l", range(6, 17))
     def test_cover_signs_equal_the_full_scan_on_the_criterion_grid(self, l):
         spec = KernelSpec(l)
         scan = np.geomspace(1e-4, 1.0 - 1e-6, 1000)
-        signs = _scan_signs([TruncatedGaussian.from_length(l)], [scan])[0]
+        signs = _scan_signs(_stack([l]), [TruncatedGaussian.from_length(l)], [scan])[0]
         assert np.array_equal(signs, scan_oracle_signs(spec, scan))
 
     @given(length_and_custom_scan())
     def test_cover_signs_equal_the_full_scan_on_random_scans(self, case):
         l, scan = case
         spec = KernelSpec(l)
-        signs = _scan_signs([TruncatedGaussian.from_length(l)], [scan])[0]
+        signs = _scan_signs(_stack([l]), [TruncatedGaussian.from_length(l)], [scan])[0]
         assert np.array_equal(signs, scan_oracle_signs(spec, scan))
 
     @pytest.mark.parametrize("l", [6, 48, 1000])
@@ -439,7 +481,7 @@ class TestSignChange:
         assert abs(diff) < _COVER_MARGIN  # no interval around y0 can be proven
         scan = np.unique(np.append(default_level_grid(spec), y0))
         solved = spy_solved_levels(monkeypatch)
-        signs = _scan_signs([tg], [scan])[0]
+        signs = _scan_signs(_stack([l]), [tg], [scan])[0]
         assert y0 in solved
         assert signs[np.searchsorted(scan, y0)] == np.sign(diff)
 
@@ -512,7 +554,7 @@ class TestSignChange:
     def test_cover_takes_few_rounds(self, l, monkeypatch):
         # bisecting the default grid took 11-12 rounds, one solve each
         calls = count_solves(monkeypatch)
-        _scan_signs([TruncatedGaussian.from_length(l)], [default_level_grid(KernelSpec(l))])
+        _scan_signs(_stack([l]), [TruncatedGaussian.from_length(l)], [default_level_grid(KernelSpec(l))])
         assert 0 < calls[0] <= 4
 
     def test_lengths_in_lockstep_share_their_rounds(self, monkeypatch):
@@ -520,7 +562,7 @@ class TestSignChange:
         tgs = [TruncatedGaussian.from_length(l) for l in ls]
         scans = [default_level_grid(KernelSpec(l)) for l in ls]
         calls = count_solves(monkeypatch)
-        together = _scan_signs(tgs, scans)
+        together = _scan_signs(_stack(ls), tgs, scans)
         # one solve per round for all 43 lengths: the rounds of the slowest length
         assert 0 < calls[0] <= 4
         for l, signs, scan in zip(ls, together, scans):
@@ -532,9 +574,9 @@ def count_solves(monkeypatch):
     calls = [0]
     solve = levelsets._solve_levels
 
-    def counting(l, ys):
+    def counting(table, which, ys):
         calls[0] += 1
-        return solve(l, ys)
+        return solve(table, which, ys)
 
     monkeypatch.setattr(levelsets, "_solve_levels", counting)
     return calls
@@ -785,9 +827,9 @@ class TestSlopeBoundBatch:
         solved = []
         solve = levelsets._solve_levels
 
-        def spying(spec, ys):
+        def spying(table, which, ys):
             solved.append(np.asarray(ys).tolist())
-            return solve(spec, ys)
+            return solve(table, which, ys)
 
         monkeypatch.setattr(levelsets, "_solve_levels", spying)
         return solved
