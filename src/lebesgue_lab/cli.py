@@ -10,7 +10,9 @@ budget ran out or a convolution outgrew its support cap).
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import itertools
 import json
 import math
@@ -117,12 +119,13 @@ def write_report(config: RunConfig, columns, records) -> None:
             text = json.dumps(payload, indent=2, allow_nan=False)
         _atomic_write(config.output_path, text + "\n")
         return
-    lines = [f"# {k}={_fmt(v)}" for k, v in sorted(config.as_dict().items()) if k != "parameters"]
-    lines += [f"# param:{k}={_fmt(v)}" for k, v in sorted(config.parameters.items())]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(row[k]) for k in columns))
-    _atomic_write(config.output_path, "\n".join(lines) + "\n")
+    out = io.StringIO()
+    out.writelines(f"# {k}={_fmt(v)}\n" for k, v in sorted(config.as_dict().items()) if k != "parameters")
+    out.writelines(f"# param:{k}={_fmt(v)}\n" for k, v in sorted(config.parameters.items()))
+    writer = csv.writer(out, lineterminator="\n")  # quotes only a cell with a comma, a quote or a line break
+    writer.writerow(columns)
+    writer.writerows([_fmt(row[k]) for k in columns] for row in rows)
+    _atomic_write(config.output_path, out.getvalue())
 
 
 def _quad_config(args) -> QuadratureConfig:

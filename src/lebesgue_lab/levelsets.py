@@ -7,37 +7,38 @@ For a level y in (0, 1) the kernel's distribution function
 is assembled arch by arch: the first arch is monotone decreasing (one
 crossing), every full arch contributes an interval around its peak (two
 crossings), and for odd lengths the final half-arch rising to g(1/2) = 1/l
-contributes at most one more crossing.  Each crossing is found by bracketed
-Newton on its monotone segment, started from the arch inverted with its
-denominator frozen (or, on the flat top of arch 0, from the osculating
-Gaussian with its x^4 correction), so a root takes about three rounds;
-each round evaluates g and g' together from one set of sines
-(``kernel.kernel_values_and_slopes``).  Every per-level quantity comes
+contributes at most one more crossing.  One cached table per length
+(``_segments``) holds the arches' bounds, their peaks and the monotone
+segments between them; ``bump_profiles`` is an uncached view of it.  Each
+crossing is found by bracketed Newton on its monotone segment, started from
+the arch inverted with its denominator frozen (or, on the flat top of arch
+0, from the osculating Gaussian with its x^4 correction), so a root takes
+about three rounds; each round evaluates g and g' together from one set of
+sines (``kernel.kernel_values_and_slopes``).  Every per-level quantity comes
 from one solve of a batch of levels (``_solve_levels``), each level reading
-its length's row of one padded table of segments (``_stack``), and a
-level's roots are bit-identical in any batch.
-With F the truncated Gaussian's distribution function (closed form, see
-kernel.py), the module locates the single level y0 where F - G changes sign
-from - to +.  It signs F - G on a scan of levels without solving most of
-them: F and G both decrease, so F(a) < G(b) proves F < G on all of [a, b]
-and F(b) > G(a) proves F > G there.  A cover of the scan applies these
-tests with a margin of 1e-9, far above the rounding of a computed G, and
-splits each interval it cannot sign into up to 16 parts: it solves about
-140 levels of a default grid of 2,000+ in 4 rounds at l <= 300.  The
-lengths of one call are covered in lockstep, each round one solve for all
-of them.  A solved level is signed by its computed difference, and a
-level inside a proven interval gets the sign its solve would give; a
-level with |F - G| inside the margin is never inside a proven interval,
-so it is solved.  The module also
-evaluates the comparison functional
-(integral f^p - integral g^p) / (p y0^p) whose monotonicity in p transfers
-the p = 2 comparison upward, and validates the closed-form slope bounds that
-make the sign change unique.
+its length's row of one padded stack of those tables (``_stack``), and a
+level's roots are bit-identical in any batch.  With F the truncated
+Gaussian's distribution function (closed form, see kernel.py), the module
+locates the single level y0 where F - G changes sign from - to +.  It signs
+F - G on a scan of levels without solving most of them: F and G both
+decrease, so F(a) < G(b) proves F < G on all of [a, b] and F(b) > G(a)
+proves F > G there.  A cover of the scan applies these tests with a margin
+of 1e-9, far above the rounding of a computed G, and splits each interval it
+cannot sign into up to 16 parts: it solves about 140 levels of a default
+grid of 2,000+ in 4 rounds at l <= 300.  The lengths of one call are covered
+in lockstep, each round one solve for all of them.  A solved level is signed
+by its computed difference, and a level inside a proven interval gets the
+sign its solve would give; a level with |F - G| inside the margin is never
+inside a proven interval, so it is solved.  The module also evaluates the
+comparison functional (integral f^p - integral g^p) / (p y0^p) whose
+monotonicity in p transfers the p = 2 comparison upward, and validates the
+closed-form slope bounds that make the sign change unique.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -54,11 +55,11 @@ from .kernel import (
     kernel_values,
     kernel_values_and_slopes,
 )
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_kernel_power
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, bump_partition, integrate_kernel_power
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _PEAK_BRACKET_TOL = 1e-13  # a golden-section search stops at this bracket width
-_SCAN_LEVELS = 2000  # log-spaced levels of default_level_grid, before peaks and floor
+_LOG_LEVELS = np.geomspace(1e-4, 1.0 - 1e-6, 2000)  # default_level_grid's, before the tops and floor
 
 # levels this close to an arch peak are excluded from slope checks (the
 # derivative of G is undefined exactly at the peaks)
@@ -132,30 +133,6 @@ def _golden_peaks(l: int, a: np.ndarray, b: np.ndarray):
     return x, kernel_values(l, x)
 
 
-@lru_cache(maxsize=None)
-def bump_profiles(spec: KernelSpec) -> tuple[BumpProfile, ...]:
-    """All arches of the kernel on [0, 1/2] with located peaks.
-
-    Arch 0 is the monotone lead-in [0, 1/l] with its maximum 1 at the origin;
-    arch m >= 1 peaks strictly inside [m/l, (m+1)/l]; for odd l the final
-    half-arch peaks at the right endpoint 1/2 with height exactly 1/l.  The
-    peaks of all full arches come from one vectorized golden-section search.
-    """
-    l = spec.l
-    full = np.arange(1, l // 2)
-    peak_x, peak_y = _golden_peaks(l, full / l, (full + 1) / l)
-    profiles = [BumpProfile(0, 0.0, 1.0 / l, 0.0, 1.0)]
-    profiles += [
-        BumpProfile(m, m / l, (m + 1) / l, px, py)
-        for m, px, py in zip(full.tolist(), peak_x.tolist(), peak_y.tolist())
-    ]
-    if l % 2 == 1:
-        m = l // 2
-        half_y = float(kernel_values(l, np.array([0.5]))[0])
-        profiles.append(BumpProfile(m, m / l, 0.5, 0.5, half_y))
-    return tuple(profiles)
-
-
 # The fields of a segment table, one float row each (flags 1.0 or 0.0): bracket,
 # highest value, rising, half arch, arch index, length, ``_newton_start``'s constants.
 _FIELDS = 10
@@ -164,30 +141,44 @@ _LO, _HI, _TOP, _INC, _HALF, _ARCH, _L, _FLAT_TOP, _C2, _C4 = range(_FIELDS)
 
 @lru_cache(maxsize=16)  # a lockstep group stacks its tables once (``_stack``)
 def _segments(l: int) -> np.ndarray:
-    """The monotone segments of g on [0, 1/2] at length l, left to right.
+    """The monotone segments of g on [0, 1/2] at length l, left to right: the one record of its arches.
 
     Returns the table of l alone, the read-only stack of a group of one
     length, indexed (field, 0, segment): arch 0 falls from 1, every full
-    arch rises to its peak and falls again, and an odd length's final half
-    arch rises to g(1/2).  The constants are Python scalars, so a row gets
-    the float its length alone gives.
+    arch of ``bump_partition(l)`` rises to its peak (one vectorized
+    golden-section search finds them all) and falls again, and an odd
+    length's final half arch rises to g(1/2).  The constants are Python
+    scalars, so a row gets the float its length alone gives.
     """
+    arches = bump_partition(l)
+    peak_x, peak_y = _golden_peaks(l, *arches[1 : l // 2].T)
     flat_top = 1.0 / (l * math.sin(PI / (2 * l)))
     c2 = PI**2 * (l * l - 1) / 6.0
     c4 = PI**4 * (l**4 - 1) / 180.0
-    constants = (l, flat_top, c2, c4)
-    segments = []
-    for prof in bump_profiles(KernelSpec(l)):
-        if prof.index == 0:
-            parts = ((0.0, prof.x_hi, False, False),)
-        elif prof.peak_x == prof.x_hi:  # odd-l half arch
-            parts = ((prof.x_lo, prof.x_hi, True, True),)
-        else:
-            parts = ((prof.x_lo, prof.peak_x, True, False), (prof.peak_x, prof.x_hi, False, False))
-        segments += [(a, b, prof.peak_y, rising, half, prof.index, *constants) for a, b, rising, half in parts]
-    table = np.array(segments, dtype=float).T.copy()[:, None, :]
+    # (lo, hi, top, rising, half arch, arch index) of each segment
+    segments = [(0.0, arches[0, 1], 1.0, False, False, 0)]
+    for m, px, py in zip(range(1, l // 2), peak_x.tolist(), peak_y.tolist()):
+        segments += [(arches[m, 0], px, py, True, False, m), (px, arches[m, 1], py, False, False, m)]
+    if l % 2 == 1:
+        segments.append((*arches[-1], kernel_values(l, arches[-1, 1:])[0], True, True, l // 2))
+    table = np.array([seg + (l, flat_top, c2, c4) for seg in segments], dtype=float).T.copy()[:, None, :]
     table.setflags(write=False)
     return table
+
+
+def bump_profiles(spec: KernelSpec) -> tuple[BumpProfile, ...]:
+    """All arches of the kernel on [0, 1/2] with located peaks, read from ``_segments``.
+
+    Arch 0 is the monotone lead-in [0, 1/l] with its maximum 1 at the origin;
+    arch m >= 1 peaks strictly inside [m/l, (m+1)/l]; for odd l the final
+    half-arch peaks at the right endpoint 1/2 with height exactly 1/l.  Each
+    arch m >= 1 has one rising segment, which ends at its peak.  Uncached.
+    """
+    seg = _segments(spec.l)[:, 0]
+    rising = seg[:, seg[_INC] == 1.0]
+    peaks = [(0.0, 1.0), *zip(rising[_HI].tolist(), rising[_TOP].tolist())]
+    bounds = bump_partition(spec.l).tolist()
+    return tuple(BumpProfile(m, lo, hi, *peak) for m, ((lo, hi), peak) in enumerate(zip(bounds, peaks)))
 
 
 def _stack(ls) -> np.ndarray:
@@ -376,12 +367,14 @@ def slope_sum(spec: KernelSpec, y: float) -> float:
     return _slope_sums(1, row, np.abs(kernel_slope_values(spec.l, roots)))[1][0]
 
 
+def _level_grid(tg: TruncatedGaussian, tops: np.ndarray) -> np.ndarray:
+    # the log-spaced levels, the segment tops of arches 1 on and the floor level
+    return np.unique(np.concatenate([_LOG_LEVELS, tops, [tg.y_last]]))
+
+
 def default_level_grid(spec: KernelSpec) -> np.ndarray:
     """Log-spaced levels augmented with every arch peak and the floor level."""
-    levels = np.geomspace(1e-4, 1.0 - 1e-6, _SCAN_LEVELS)
-    knots = [p.peak_y for p in bump_profiles(spec) if p.index >= 1]
-    knots.append(TruncatedGaussian.from_length(spec.l).y_last)
-    return np.unique(np.concatenate([levels, np.array(knots)]))
+    return _level_grid(TruncatedGaussian.from_length(spec.l), _segments(spec.l)[_TOP, 0, 1:])
 
 
 # a Newton step on y0 this short ends the refinement: the error it leaves
@@ -555,8 +548,9 @@ def detect_sign_changes(specs, scan: np.ndarray | None = None) -> list[SignChang
 def _sign_changes(specs: list[KernelSpec], scan: np.ndarray | None) -> list[SignChangeReport]:
     """The reports of :func:`detect_sign_changes` for one lockstep group."""
     tgs = [TruncatedGaussian.from_length(spec.l) for spec in specs]
-    scans = [default_level_grid(spec) if scan is None else scan for spec in specs]
     table = _stack([spec.l for spec in specs])
+    tops = [row[1:][np.isfinite(row[1:])] for row in table[_TOP]]  # of arches 1 on, unpadded
+    scans = [_level_grid(tg, t) if scan is None else scan for tg, t in zip(tgs, tops)]
     signs = _scan_signs(table, tgs, scans)
     crossings, brackets = [], {}
     for k, (levels, sign) in enumerate(zip(scans, signs)):
@@ -571,8 +565,7 @@ def _sign_changes(specs: list[KernelSpec], scan: np.ndarray | None) -> list[Sign
 
     reports = []
     for k, (spec, tg, levels, sign) in enumerate(zip(specs, tgs, scans, signs)):
-        profiles = bump_profiles(spec)
-        y1 = profiles[1].peak_y if len(profiles) > 1 else 1.0
+        y1 = tops[k][0] if len(tops[k]) else 1.0
         above = levels > y1
         g_lt_f_above = bool(np.all(sign[above] > 0.0)) if np.any(above) else True
         report = SignChangeReport(
@@ -608,14 +601,17 @@ def comparison_functional(
         raise PreconditionError(f"comparison functional needs p >= 2, got {p}")
     if not 0.0 < y0 < 1.0:
         raise DomainError(f"crossing level y0 = {y0} outside (0, 1)")
-    # integrate_kernel_power rejects an infinite p before any quadrature runs
+    y0_p = y0**p  # an infinite p makes it 0.0 too
+    if y0_p < sys.float_info.min:  # a subnormal divisor loses digits, and 0.0 cannot divide
+        limit = math.log(sys.float_info.min) / math.log(y0)
+        raise DomainError(f"y0**p underflows the smallest normal float at y0 = {y0}: p must be <= {limit}, got {p}")
     g_int, _, ok_g = integrate_kernel_power(spec, p, cfg)
     if not ok_g:
         raise VerificationError(f"comparison functional quadrature did not converge at p={p}")
     x_c = TruncatedGaussian.from_length(spec.l).x_c
     a = p * PI * (spec.l * spec.l - 1) / 2.0
     f_int = 0.5 * math.sqrt(PI / a) * math.erf(x_c * math.sqrt(a))
-    return (2.0 * f_int - g_int) / (p * y0**p)
+    return (2.0 * f_int - g_int) / (p * y0_p)
 
 
 def check_derivative_bounds_many(spec: KernelSpec, ys) -> list[SlopeBoundCheck]:
@@ -636,15 +632,17 @@ def check_derivative_bounds_many(spec: KernelSpec, ys) -> list[SlopeBoundCheck]:
         return []
     if l < 6:
         raise PreconditionError(f"slope checks require l >= 6, got {l}")
-    profiles = bump_profiles(spec)
+    # the rising segments' tops: the peaks of arches 1, 2, ..., falling with the arch
+    peaks = _segments(l)[_TOP, 0, 1::2].tolist()
     tg = TruncatedGaussian.from_length(l)
-    y1 = profiles[1].peak_y
+    y1 = peaks[0]
     levels = ys.tolist()
 
     def inside(y):  # NaN is outside too
-        return tg.y_last < y < y1 and all(abs(y - p.peak_y) >= PEAK_EXCLUSION for p in profiles[1:])
+        return tg.y_last < y < y1 and all(abs(y - p) >= PEAK_EXCLUSION for p in peaks)
 
     n = next((i for i, y in enumerate(levels) if not inside(y)), len(ys))
+    bands = np.searchsorted(np.negative(peaks), -ys[:n]).tolist()  # band m: arches 1..m peak above
     row, roots, seg = _solve_levels(_segments(l), np.zeros(n, dtype=np.intp), ys[:n])
     slopes = np.abs(kernel_slope_values(l, roots))
     # each level's crossings, from bounds[i] to bounds[i + 1]; every level has one on arch 0
@@ -657,8 +655,7 @@ def check_derivative_bounds_many(spec: KernelSpec, ys) -> list[SlopeBoundCheck]:
     worst = np.maximum.reduceat(slopes - caps, bounds[:-1]).tolist()
     over = np.logical_or.reduceat(slopes > caps + slack, bounds[:-1]).tolist()
     checks = []
-    for y, start, stop, inv_sum, margin, over_cap in zip(levels, bounds, bounds[1:], inv_sums, worst, over):
-        m = max(p.index for p in profiles[1:] if p.peak_y > y)
+    for y, m, start, stop, inv_sum, margin, over_cap in zip(levels, bands, bounds, bounds[1:], inv_sums, worst, over):
         want = 1 + 2 * m - (l % 2 == 1 and m == l // 2)  # a final half arch has one root
         if stop - start != want:
             raise VerificationError(

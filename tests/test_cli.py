@@ -15,16 +15,13 @@ from lebesgue_lab.quadrature import certify_bound, integrate_kernel_power_grid, 
 
 
 def read_csv(path):
-    comments, rows = [], []
-    with open(path) as fh:
-        for line in fh:
-            if line.startswith("#"):
-                comments.append(line.strip())
-            else:
-                rows.append(line.strip())
-    header = rows[0].split(",")
-    records = [dict(zip(header, r.split(","))) for r in rows[1:]]
-    return comments, header, records
+    """(comment lines, header, records) of a CSV report, whose every row has one cell per column."""
+    with open(path, newline="") as fh:
+        lines = fh.read().splitlines()
+    comments = [line for line in lines if line.startswith("#")]
+    header, *rows = csv.reader(line for line in lines if not line.startswith("#"))
+    assert all(len(row) == len(header) for row in rows)
+    return comments, header, [dict(zip(header, row)) for row in rows]
 
 
 class TestParsers:
@@ -524,6 +521,19 @@ class TestSuiteCommand:
             return AcceptanceResult("stub", True, "ok", 0.0)
 
         monkeypatch.setattr(acceptance, "CRITERIA", (stub,))
+
+    def test_csv_quotes_a_detail_with_commas(self, tmp_path, monkeypatch):
+        from lebesgue_lab import acceptance
+        from lebesgue_lab.acceptance import AcceptanceResult
+
+        detail = "|I(2)-1|=1.1e-16, |I(4)-2/3|=2.2e-16, min strict margin 0.05"
+        monkeypatch.setattr(acceptance, "CRITERIA", (lambda: AcceptanceResult("sinc", True, detail, 0.5),))
+        out = tmp_path / "s.csv"
+        assert cli.main(["suite", "--out", str(out)]) == 0
+        _, header, records = read_csv(out)
+        assert header == ["name", "ok", "detail", "seconds"]
+        assert records == [{"name": "sinc", "ok": "True", "detail": detail, "seconds": "0.5"}]
+        assert out.read_text().splitlines()[-2:] == ["name,ok,detail,seconds", f'sinc,True,"{detail}",0.5']
 
     def test_progress_counts_the_criteria(self, one_criterion):
         from lebesgue_lab import acceptance

@@ -639,6 +639,15 @@ class TestSignChangeBatch:
         spec = KernelSpec(12)
         assert detect_sign_changes([spec]) == [detect_sign_change(spec)]
 
+    def test_one_golden_search_per_length(self, monkeypatch):
+        # 43 lengths in one lockstep group, more than the segment tables the cache holds
+        searched = []
+        search = levelsets._golden_peaks
+        monkeypatch.setattr(levelsets, "_golden_peaks", lambda l, a, b: searched.append(l) or search(l, a, b))
+        levelsets._segments.cache_clear()
+        detect_sign_changes([KernelSpec(l) for l in range(6, 49)])
+        assert sorted(searched) == list(range(6, 49))
+
 
 class TestPhi:
     def test_nonnegative_at_base_exponent(self):
@@ -675,6 +684,14 @@ class TestPhi:
     def test_rejects_infinite_exponent(self):
         with pytest.raises(DomainError):
             comparison_functional(KernelSpec(10), math.inf, 0.3)
+
+    def test_rejects_an_exponent_whose_y0_power_underflows(self):
+        # at l = 6, y0**p falls below the smallest normal float from p = 483.015 on
+        spec = KernelSpec(6)
+        y0 = detect_sign_change(spec).y0
+        assert math.isfinite(comparison_functional(spec, 483.0, y0))
+        with pytest.raises(DomainError, match=r"smallest normal float .* p must be <= 483\.01"):
+            comparison_functional(spec, 484.0, y0)
 
 
 class TestSlopeBounds:
