@@ -118,7 +118,7 @@ def kernel_values(l: int, x: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     small = x < _SERIES_CUTOFF
-    if not small.any():
+    if not np.count_nonzero(small):
         return _closed_values(l, x)
     out = np.empty_like(x)
     ls = np.broadcast_to(l, x.shape)
@@ -138,9 +138,11 @@ def eval_kernel(spec: KernelSpec, x: float) -> float:
 def _closed_values_and_slopes(l: int, x: np.ndarray):
     u = PI * np.fmod(l * x, 2.0)
     sin_u = np.sin(u)
-    s = np.sin(PI * x)
-    values = np.abs(sin_u) / (l * s)
-    slopes = PI * (l * np.cos(u) * s - sin_u * np.cos(PI * x)) / (l * s * s)
+    pi_x = PI * x
+    s = np.sin(pi_x)
+    l_sin = l * s
+    values = np.abs(sin_u) / l_sin
+    slopes = PI * (l * np.cos(u) * s - sin_u * np.cos(pi_x)) / (l_sin * s)
     return values, slopes
 
 
@@ -161,7 +163,7 @@ def kernel_values_and_slopes(l: int, x: np.ndarray):
     """
     x = np.asarray(x, dtype=float)
     small = x < _SERIES_CUTOFF
-    if not small.any():
+    if not np.count_nonzero(small):
         return _closed_values_and_slopes(l, x)
     values = np.empty_like(x)
     slopes = np.empty_like(x)
@@ -205,7 +207,7 @@ def eval_gaussian(tg: TruncatedGaussian, x: float) -> float:
 
 def _check_levels(ys: np.ndarray) -> None:
     # written so that NaN fails too
-    if not np.all((ys > 0.0) & (ys < 1.0)):
+    if np.count_nonzero((ys > 0.0) & (ys < 1.0)) < ys.size:
         raise DomainError("levels must lie in (0, 1)")
 
 

@@ -13,8 +13,9 @@ segments between them; ``bump_profiles`` is an uncached view of it.  Each
 crossing is found by bracketed Newton on its monotone segment, started from
 the arch inverted with its denominator frozen (or, on the flat top of arch
 0, from the osculating Gaussian with its x^4 correction), so a root takes
-about three rounds; each round evaluates g and g' together from one set of
-sines (``kernel.kernel_values_and_slopes``).  Every per-level quantity comes
+3-4 rounds (3.8 on average, and a level's block of roots 4-6, on the
+benchmark's census levels); each round evaluates g and g' together from one
+set of sines (``kernel.kernel_values_and_slopes``).  Every per-level quantity comes
 from one solve of a batch of levels (``_solve_levels``), each level reading
 its length's row of one padded stack of those tables (``_stack``), and a
 level's roots are bit-identical in any batch.  With F the truncated
@@ -107,30 +108,33 @@ def _golden_peaks(l: int, a: np.ndarray, b: np.ndarray):
     Every row takes the scalar search's steps and applies its own stopping
     test b - a > _PEAK_BRACKET_TOL, so a row's result does not depend on the
     other rows: each round evaluates g once per row that is still searching.
+    A round works on those rows' own arrays, compacted only on a round where
+    some row stops (the rows of one length mostly stop together).
     """
-    a = a.copy()
-    b = b.copy()
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc = kernel_values(l, c)
     fd = kernel_values(l, d)
-    live = np.nonzero(b - a > _PEAK_BRACKET_TOL)[0]
-    while len(live):
-        al, bl, cl, dl, fcl, fdl = a[live], b[live], c[live], d[live], fc[live], fd[live]
-        up = fcl < fdl  # the maximum lies right of c: drop [a, c)
-        al = np.where(up, cl, al)
-        bl = np.where(up, bl, dl)
-        cl, dl = (
-            np.where(up, dl, bl - _GOLDEN * (bl - al)),
-            np.where(up, al + _GOLDEN * (bl - al), cl),
-        )
-        f_new = kernel_values(l, np.where(up, dl, cl))
-        fc[live] = np.where(up, fdl, f_new)
-        fd[live] = np.where(up, f_new, fcl)
-        a[live], b[live], c[live], d[live] = al, bl, cl, dl
-        live = live[bl - al > _PEAK_BRACKET_TOL]
-    x = 0.5 * (a + b)
-    return x, kernel_values(l, x)
+    x = np.empty(len(a))
+    rows = np.arange(len(a))
+    going = b - a > _PEAK_BRACKET_TOL
+    while True:
+        left = np.count_nonzero(going)
+        if left < len(rows):
+            x[rows] = 0.5 * (a + b)
+            rows, a, b, c, d, fc, fd = (v[going] for v in (rows, a, b, c, d, fc, fd))
+        if not left:
+            return x, kernel_values(l, x)
+        up = fc < fd  # the maximum lies right of c: drop [a, c)
+        a = np.where(up, c, a)
+        b = np.where(up, b, d)
+        w = b - a
+        gw = _GOLDEN * w
+        probe = np.where(up, a + gw, b - gw)
+        c, d = np.where(up, d, probe), np.where(up, probe, c)
+        f_probe = kernel_values(l, probe)
+        fc, fd = np.where(up, fd, f_probe), np.where(up, f_probe, fc)
+        going = w > _PEAK_BRACKET_TOL
 
 
 # The fields of a segment table, one float row each (flags 1.0 or 0.0): bracket,
@@ -229,12 +233,12 @@ def _newton_start(y, seg) -> np.ndarray:
         a = np.arcsin(np.minimum(1.0, yl * np.sin(PI * x))) / PI
         x = np.where(inc, arch + a, arch + 1.0 - a) / l
     top = (arch == 0) & (y > seg[_FLAT_TOP])
-    if top.any():
+    if np.count_nonzero(top):
         # -log g(x) = c2 x^2 + c4 x^4 + O(x^6), solved for x^2 without cancellation
         c2, c4 = seg[_C2, top], seg[_C4, top]
         log_y = -np.log(y[top])
         x[top] = np.sqrt(2.0 * log_y / (c2 + np.sqrt(c2 * c2 + 4.0 * c4 * log_y)))
-    return np.clip(x, lo, hi)
+    return np.minimum(np.maximum(x, lo), hi)
 
 
 def _newton_segments(y, segments, flat) -> np.ndarray:
@@ -259,37 +263,40 @@ def _newton_segments(y, segments, flat) -> np.ndarray:
 
 
 def _newton_block(y, seg) -> np.ndarray:
+    """The rounds of ``_newton_segments`` on one block; its rows are compacted only when some row finishes."""
     x = _newton_start(y, seg)
     # the block's own gathered brackets shrink in place
     lo, hi, l = seg[_LO], seg[_HI], seg[_L]
-    inc = seg[_INC] == 1.0
     # the sign of g' on each row's segment; multiplying d by +-1.0 is exact
-    step_sign = np.where(inc, 1.0, -1.0)
-    live = np.arange(len(x))
+    step_sign = np.where(seg[_INC] == 1.0, 1.0, -1.0)
+    out = np.empty(len(x))
+    rows = np.arange(len(x))
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_MAX_ROUNDS):
-            if not len(live):
-                break
-            xl, il = x[live], inc[live]
-            g, slope = kernel_values_and_slopes(l[live], xl)
-            d = g - y[live]
-            move_lo = (d > 0.0) ^ il
-            lo_l = np.where(move_lo, xl, lo[live])
-            hi_l = np.where(move_lo, hi[live], xl)
-            xn = xl - step_sign[live] * d / np.abs(slope)
-            tol = 2.0 * np.spacing(xl)
+            g, slope = kernel_values_and_slopes(l, x)
+            sd = step_sign * (g - y)
+            # x replaces the bracket end on its side of the root (lo where d == 0, which finishes the row)
+            np.copyto(lo, x, where=sd <= 0.0)
+            np.copyto(hi, x, where=sd > 0.0)
+            newton = x - sd / np.abs(slope)
+            tol = 2.0 * np.spacing(x)
             # A step that leaves the bracket, or is not finite, bisects instead.
             # So does a step longer than tol onto a bracket end: it would revisit
             # an evaluated point, and where g is flat to rounding it can cycle
             # between the two ends.
-            on_end = (xn == lo_l) | (xn == hi_l)
-            keep = (xn >= lo_l) & (xn <= hi_l) & ((np.abs(xn - xl) <= tol) | ~on_end)
-            xn = np.where(keep, xn, 0.5 * (lo_l + hi_l))
-            exact = d == 0.0
-            xn = np.where(exact, xl, xn)
-            x[live], lo[live], hi[live] = xn, lo_l, hi_l
-            live = live[~(exact | (np.abs(xn - xl) <= tol))]
-    return x
+            keep = (lo < newton) & (newton < hi)
+            np.copyto(keep, (lo <= newton) & (newton <= hi), where=np.abs(newton - x) <= tol)
+            xn = 0.5 * (lo + hi)
+            np.copyto(xn, newton, where=keep)
+            np.copyto(xn, x, where=sd == 0.0)
+            x, going = xn, np.abs(xn - x) > tol
+            if np.count_nonzero(going) < len(rows):
+                out[rows] = x
+                rows, x, y, lo, hi, l, step_sign = (v[going] for v in (rows, x, y, lo, hi, l, step_sign))
+                if not len(rows):
+                    return out
+    out[rows] = x
+    return out
 
 
 def _solve_levels(table: np.ndarray, which: np.ndarray, ys: np.ndarray):
@@ -633,16 +640,17 @@ def check_derivative_bounds_many(spec: KernelSpec, ys) -> list[SlopeBoundCheck]:
     if l < 6:
         raise PreconditionError(f"slope checks require l >= 6, got {l}")
     # the rising segments' tops: the peaks of arches 1, 2, ..., falling with the arch
-    peaks = _segments(l)[_TOP, 0, 1::2].tolist()
+    tops = _segments(l)[_TOP, 0, 1::2]
+    peaks = [*tops.tolist(), -math.inf]
     tg = TruncatedGaussian.from_length(l)
     y1 = peaks[0]
     levels = ys.tolist()
+    bands = np.searchsorted(np.negative(tops), -ys).tolist()  # band m: arches 1..m peak above
 
-    def inside(y):  # NaN is outside too
-        return tg.y_last < y < y1 and all(abs(y - p) >= PEAK_EXCLUSION for p in peaks)
+    def inside(y, m):  # |y - p| grows away from the band's ends, peaks[m - 1] > y >= peaks[m]; NaN fails
+        return tg.y_last < y < y1 and min(abs(y - peaks[m - 1]), abs(y - peaks[m])) >= PEAK_EXCLUSION
 
-    n = next((i for i, y in enumerate(levels) if not inside(y)), len(ys))
-    bands = np.searchsorted(np.negative(peaks), -ys[:n]).tolist()  # band m: arches 1..m peak above
+    n = next((i for i, (y, m) in enumerate(zip(levels, bands)) if not inside(y, m)), len(ys))
     row, roots, seg = _solve_levels(_segments(l), np.zeros(n, dtype=np.intp), ys[:n])
     slopes = np.abs(kernel_slope_values(l, roots))
     # each level's crossings, from bounds[i] to bounds[i + 1]; every level has one on arch 0

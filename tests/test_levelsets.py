@@ -15,20 +15,31 @@ from lebesgue_lab.kernel import (
     gaussian_distribution_function,
     kernel_slope_values,
     kernel_values,
+    kernel_values_and_slopes,
 )
 from lebesgue_lab.levelsets import (
     _ARCH,
     _BLOCK_ROWS,
+    _C2,
+    _C4,
     _COVER_MARGIN,
     _FIELDS,
+    _FLAT_TOP,
     _HALF,
     _HI,
     _INC,
+    _L,
     _LO,
+    _MAX_ROUNDS,
+    _PEAK_BRACKET_TOL,
+    _START_LEVEL_FLOOR,
+    _START_STEPS,
     _TOP,
     PEAK_EXCLUSION,
     BumpProfile,
+    _golden_peaks,
     _measures,
+    _newton_block,
     _newton_start,
     _scan_signs,
     _segments,
@@ -153,6 +164,81 @@ def count_newton_points(monkeypatch):
     return counted
 
 
+def newton_start_oracle(y, seg):
+    """``_newton_start`` as it was written with ``np.clip`` and ``.any()``."""
+    lo, hi, inc, arch, l = seg[_LO], seg[_HI], seg[_INC], seg[_ARCH], seg[_L]
+    x = 0.5 * (lo + hi)
+    yl = np.maximum(y, _START_LEVEL_FLOOR) * l
+    for _ in range(_START_STEPS):
+        a = np.arcsin(np.minimum(1.0, yl * np.sin(PI * x))) / PI
+        x = np.where(inc, arch + a, arch + 1.0 - a) / l
+    top = (arch == 0) & (y > seg[_FLAT_TOP])
+    if top.any():
+        c2, c4 = seg[_C2, top], seg[_C4, top]
+        log_y = -np.log(y[top])
+        x[top] = np.sqrt(2.0 * log_y / (c2 + np.sqrt(c2 * c2 + 4.0 * c4 * log_y)))
+    return np.clip(x, lo, hi)
+
+
+def newton_block_oracle(y, seg):
+    """``_newton_block`` as it was written with every round gathering and scattering its live rows."""
+    x = newton_start_oracle(y, seg)
+    lo, hi, l = seg[_LO], seg[_HI], seg[_L]
+    inc = seg[_INC] == 1.0
+    step_sign = np.where(inc, 1.0, -1.0)
+    live = np.arange(len(x))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_MAX_ROUNDS):
+            if not len(live):
+                break
+            xl, il = x[live], inc[live]
+            g, slope = kernel_values_and_slopes(l[live], xl)
+            d = g - y[live]
+            move_lo = (d > 0.0) ^ il
+            lo_l = np.where(move_lo, xl, lo[live])
+            hi_l = np.where(move_lo, hi[live], xl)
+            xn = xl - step_sign[live] * d / np.abs(slope)
+            tol = 2.0 * np.spacing(xl)
+            on_end = (xn == lo_l) | (xn == hi_l)
+            keep = (xn >= lo_l) & (xn <= hi_l) & ((np.abs(xn - xl) <= tol) | ~on_end)
+            xn = np.where(keep, xn, 0.5 * (lo_l + hi_l))
+            exact = d == 0.0
+            xn = np.where(exact, xl, xn)
+            x[live], lo[live], hi[live] = xn, lo_l, hi_l
+            live = live[~(exact | (np.abs(xn - xl) <= tol))]
+    return x
+
+
+def block_rows(cases):
+    """The rows (levels, segments) that the (length, level) pairs make, as one Newton block."""
+    ls = sorted({l for l, _ in cases})
+    ys = np.array([y for _, y in cases])
+    row, _, seg = _solve_levels(_stack(ls), np.array([ls.index(l) for l, _ in cases]), ys)
+    return ys[row], seg
+
+
+def assert_block_equals_oracle(y, seg):
+    roots = _newton_block(y, seg.copy())
+    assert [r.hex() for r in roots.tolist()] == [r.hex() for r in newton_block_oracle(y, seg.copy()).tolist()]
+
+
+@st.composite
+def length_and_block_level(draw):
+    """A length in 2..3000 and a level on the flat top, near a peak, near 1e-300 or anywhere."""
+    l = draw(st.integers(2, 3000))
+    kind = draw(st.sampled_from(("anywhere", "flat top", "near peak", "tiny")))
+    tops = _segments(l)[_TOP, 0, 1:]
+    if kind == "flat top":
+        y = 1.0 - 10.0 ** draw(st.floats(-9, -5))
+    elif kind == "near peak" and len(tops):
+        y = float(draw(st.sampled_from(tops.tolist()))) + draw(st.floats(-1e-9, 1e-9))
+    elif kind == "tiny":
+        y = _START_LEVEL_FLOOR * draw(st.floats(0.5, 2.0))
+    else:
+        y = draw(open_unit)
+    return l, y
+
+
 class TestBumpProfiles:
     @pytest.mark.parametrize("l", [6, 7, 8, 9, 12, 15])
     def test_peak_between_edge_values(self, l):
@@ -195,6 +281,24 @@ class TestBumpProfiles:
         for p in full:
             assert (p.x_lo, p.x_hi) == (p.index / l, (p.index + 1) / l)
             assert (p.peak_x, p.peak_y) == golden_oracle(l, p.x_lo, p.x_hi)
+
+    @pytest.mark.parametrize("l", [9, 40, 301])
+    def test_brackets_of_mixed_widths_stop_in_their_own_rounds(self, l, monkeypatch):
+        # one bracket per arch, from its whole width down to below the stopping
+        # width, some around the peak and some beside it
+        profs = bump_profiles(KernelSpec(l))[1 : l // 2]
+        widths = [1.0 / l, 1e-3 / l, 1e-7, 3e-11, 2e-13, 0.5 * _PEAK_BRACKET_TOL]
+        a = np.array([p.peak_x - 0.3 * widths[p.index % 6] for p in profs])
+        a[1::3] = [p.peak_x for p in profs[1::3]]
+        b = a + [widths[p.index % 6] for p in profs]
+        sizes = []
+        values = levelsets.kernel_values
+        monkeypatch.setattr(levelsets, "kernel_values", lambda l, x: sizes.append(np.size(x)) or values(l, x))
+        x, y = _golden_peaks(l, a, b)
+        assert len(set(sizes)) >= min(len(profs), 5)  # rows left the search in several rounds
+        for i in range(len(profs)):
+            want = golden_oracle(l, float(a[i]), float(b[i]))
+            assert (x[i].hex(), y[i].hex()) == (want[0].hex(), want[1].hex())
 
     @pytest.mark.parametrize("l", range(6, 31))
     def test_first_peak_below_log_concavity_threshold(self, l):
@@ -401,6 +505,26 @@ class TestNewtonStart:
             superlevel_measure(KernelSpec(l), y)
         assert rows == len(cases)
         assert counted[0] / rows <= 6.0
+
+
+class TestNewtonRounds:
+    @given(st.lists(length_and_block_level(), min_size=1, max_size=8))
+    def test_rounds_give_the_roots_of_the_gathering_rounds(self, cases):
+        assert_block_equals_oracle(*block_rows(cases))
+
+    def test_rows_finishing_in_different_rounds(self, monkeypatch):
+        # flat-top rows bisect their noise window for many rounds, the others
+        # finish in 3-4, so the block compacts several times
+        rng = np.random.default_rng(25)
+        cases = [(int(l), 1.0 - 10.0 ** rng.uniform(-9, -5)) for l in rng.integers(6, 502, 40)]
+        cases += [(int(l), float(y)) for l, y in zip(rng.integers(2, 3001, 20), rng.uniform(0.0, 1.0, 20))]
+        cases += [(3000, 1e-300), (2, 0.9), (7, 1.0 / (7 * math.sin(PI / 14)))]
+        rows = block_rows(cases)
+        sizes = []
+        fused = levelsets.kernel_values_and_slopes
+        monkeypatch.setattr(levelsets, "kernel_values_and_slopes", lambda l, x: sizes.append(len(x)) or fused(l, x))
+        assert_block_equals_oracle(*rows)
+        assert len(set(sizes)) >= 5 and sizes == sorted(sizes, reverse=True)
 
 
 def scan_oracle_signs(spec, scan):
@@ -887,3 +1011,57 @@ class TestSlopeBoundBatch:
     def test_small_length_rejected(self):
         with pytest.raises(PreconditionError, match="l >= 6"):
             check_derivative_bounds_many(KernelSpec(5), [0.2, 0.3])
+
+    @pytest.mark.parametrize("l", [8, 9, 301])
+    def test_exclusion_windows_match_a_loop_over_every_peak(self, l, monkeypatch):
+        spec = KernelSpec(l)
+        peaks = [p.peak_y for p in bump_profiles(spec)[1:]]
+        y_last = TruncatedGaussian.from_length(l).y_last
+
+        def oracle(y):
+            # the error of a level, from a test of every peak; None inside
+            if not y_last < y < peaks[0]:
+                return f"level {y} outside ({y_last}, {peaks[0]})"
+            if not all(abs(y - p) >= PEAK_EXCLUSION for p in peaks):
+                return f"level {y} within exclusion window of an arch peak"
+            return None
+
+        # No float lies exactly PEAK_EXCLUSION from a peak (|y - p| is exact
+        # here), so each window edge falls between neighbouring floats: the
+        # three nearest to the edge get both verdicts wherever it is in range.
+        edges = {
+            (p, side): [float(np.nextafter(e, -1.0)), e, float(np.nextafter(e, 2.0))]
+            for p in peaks
+            for side, e in ((-1, p - PEAK_EXCLUSION), (1, p + PEAK_EXCLUSION))
+        }
+        for (p, side), near in edges.items():
+            if y_last < min(near) and max(near) < peaks[0]:
+                assert {oracle(y) is None for y in near} == {True, False}, (p, side)
+        # inside every window, next to its edges, between windows and out of range
+        levels = [p + k * PEAK_EXCLUSION for p in peaks for k in (-3.0, -0.5, 0.0, 0.5, 3.0)]
+        levels += [y for near in edges.values() for y in near]
+        levels += [math.nan, y_last, peaks[0], 0.5 * (y_last + peaks[-1]), 1.0, 0.0]
+
+        class Solved(Exception):
+            pass
+
+        solve = levelsets._solve_levels
+
+        def solving(table, which, ys):
+            if len(ys):
+                raise Solved(np.asarray(ys).tolist())
+            return solve(table, which, ys)
+
+        monkeypatch.setattr(levelsets, "_solve_levels", solving)
+        for y in levels:
+            with pytest.raises((Solved, PreconditionError)) as caught:
+                check_derivative_bounds_many(spec, [float(y)])
+            error = oracle(float(y))
+            want = (Solved, str([float(y)])) if error is None else (PreconditionError, error)
+            assert (caught.type, str(caught.value)) == want
+        # in one batch the levels before the first rejected one are solved together
+        monkeypatch.setattr(levelsets, "_solve_levels", solve)
+        first = next(i for i, y in enumerate(levels) if oracle(float(y)))
+        with pytest.raises(PreconditionError) as caught:
+            check_derivative_bounds_many(spec, levels)
+        assert str(caught.value) == oracle(float(levels[first]))
