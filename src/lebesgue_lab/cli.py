@@ -1,9 +1,13 @@
 """Command-line front end: sweeps, verification suites, and report files.
 
-Reports embed the fully resolved run configuration, use round-trip float
-formatting, and are written atomically (temp file + rename).  Exit status is
-0 when every assertion passed, 1 on a verification failure, 2 on usage
-errors and on random instances that could not be generated (a generation
+Every command is one row of ``_COMMANDS`` (help, handler, flag groups); a
+call that names its command builds that command's parser alone, with the
+usage texts of the full parser.  Reports embed the fully resolved run
+configuration, use round-trip float formatting, and are written atomically
+(temp file + rename); a JSON report is one compact line.  Exit status is 0
+when every assertion passed, 1 on a verification failure, 2 on usage errors,
+on a report that cannot be written (its directory is checked before any
+work) and on random instances that could not be generated (a generation
 budget ran out or a convolution outgrew its support cap).
 """
 
@@ -12,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import itertools
 import json
@@ -111,12 +116,12 @@ def write_report(config: RunConfig, columns, records) -> None:
     if config.format == "json":
         payload = {"config": config.as_dict(), "records": rows}
         try:  # only a report with a non-finite column pays for a second pass
-            text = json.dumps(payload, indent=2, allow_nan=False)
+            text = json.dumps(payload, allow_nan=False)
         except ValueError:
             payload["records"] = [
                 {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in r.items()} for r in rows
             ]
-            text = json.dumps(payload, indent=2, allow_nan=False)
+            text = json.dumps(payload, allow_nan=False)
         _atomic_write(config.output_path, text + "\n")
         return
     out = io.StringIO()
@@ -132,36 +137,8 @@ def _quad_config(args) -> QuadratureConfig:
     return QuadratureConfig(abs_tol=args.abs_tol, rel_tol=args.rel_tol)
 
 
-# command -> (help, record function of ((l, p) pairs, cfg), report columns) for
-# the (l, p) grid commands; a record function returns one record per pair, and
-# certify_bound_grid raises on a failed certificate, which fails the whole
-# command
-_GRID_COMMANDS = {
-    "lebesgue": (
-        "kernel norms over an (l, p) grid",
-        lp_norm_grid,
-        ("l", "p", "value", "bound", "asymptotic", "error_estimate", "converged"),
-    ),
-    "certify": (
-        "certify the norm bound over an (l, p) grid",
-        certify_bound_grid,
-        ("l", "p", "value", "bound", "margin", "error_estimate"),
-    ),
-    "asymptotic": (
-        "ratios to first-order references",
-        lp_norm_grid,
-        ("l", "p", "value", "asymptotic", "ratio"),
-    ),
-    "sweep": (
-        "norms, bounds, and ratios in one table",
-        lp_norm_grid,
-        ("l", "p", "value", "bound", "margin", "asymptotic", "ratio", "error_estimate"),
-    ),
-}
-
-
-def _cmd_grid(config: RunConfig, args) -> int:
-    _, record, columns = _GRID_COMMANDS[config.command]
+def _cmd_grid(record, columns, config: RunConfig, args) -> int:
+    """An (l, p) grid command: ``record`` maps ((l, p) pairs, cfg) to one record per pair."""
     cfg = _quad_config(args)
     ls, ps = parse_int_range(args.l), parse_float_list(args.p)
     # one call for the whole grid; without exponents no length is read, as in a loop over (l, p)
@@ -256,80 +233,89 @@ def _cmd_plot_data(config: RunConfig, args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+# flag groups: (flag, add_argument keywords) pairs, added in order
+_LENGTHS = (("--l", dict(required=True)),)
+_EXPONENTS = (("--p", dict(required=True)),)
+_REPORT = (
+    ("--out", dict(default="-", help="output path ('-' for stdout)")),
+    ("--format", dict(choices=("json", "csv"), default=None, help="default: by file extension, else json")),
+)
+_TOLERANCES = (
+    ("--abs-tol", dict(type=float, default=DEFAULT_CONFIG.abs_tol)),
+    ("--rel-tol", dict(type=float, default=DEFAULT_CONFIG.rel_tol)),
+)
+_BATCH = (
+    ("--random", dict(type=int, default=100)),
+    ("--seed", dict(type=int, default=0, help="seed of the first instance")),
+    ("--lmin", dict(type=int, default=6)),
+    ("--lmax", dict(type=int, default=30)),
+    ("--n-min", dict(type=int, default=2)),
+    ("--n-max", dict(type=int, default=5)),
+)
+_CORPUS = (
+    ("--corpus", dict(action="store_true", help="include the handcrafted corpus")),
+    ("--instances", dict(default=None, help="corpus file: JSON array of pmf-object arrays")),
+    ("--no-chain", dict(action="store_true", help="skip the bound chain")),
+)
+_PLOT = (
+    ("--l", dict(type=int, required=True)),
+    ("--resolution", dict(type=int, default=2000)),
+    ("--out", dict(default="plot.csv", help="CSV output path ('-' for stdout)")),
+)
+_GRID = (_LENGTHS, _EXPONENTS, _REPORT, _TOLERANCES)
+
+# command -> (help, handler of (config, args), flag groups), in the order of the
+# help listing; certify_bound_grid raises on a failed certificate, which fails
+# the whole command
+_COMMANDS = {
+    "lebesgue": (
+        "kernel norms over an (l, p) grid",
+        functools.partial(_cmd_grid, lp_norm_grid,
+                          ("l", "p", "value", "bound", "asymptotic", "error_estimate", "converged")),
+        _GRID,
+    ),
+    "certify": (
+        "certify the norm bound over an (l, p) grid",
+        functools.partial(_cmd_grid, certify_bound_grid, ("l", "p", "value", "bound", "margin", "error_estimate")),
+        _GRID,
+    ),
+    "asymptotic": (
+        "ratios to first-order references",
+        functools.partial(_cmd_grid, lp_norm_grid, ("l", "p", "value", "asymptotic", "ratio")),
+        _GRID,
+    ),
+    "sweep": (
+        "norms, bounds, and ratios in one table",
+        functools.partial(_cmd_grid, lp_norm_grid,
+                          ("l", "p", "value", "bound", "margin", "asymptotic", "ratio", "error_estimate")),
+        _GRID,
+    ),
+    "ball": ("sinc-power integrals with their bound", _cmd_ball, (_EXPONENTS, _REPORT, _TOLERANCES)),
+    "np-verify": ("sign-change reports per kernel length", _cmd_np_verify, (_LENGTHS, _REPORT)),
+    "epi-check": ("entropy power inequality on random instances", _cmd_epi_check,
+                  (_BATCH, _CORPUS, _REPORT, _TOLERANCES)),
+    "rogozin": ("uniformization comparison on random instances", _cmd_rogozin, (_BATCH, _REPORT)),
+    "suite": ("run the full acceptance battery", _cmd_suite, (_REPORT,)),
+    "plot-data": ("sample g and f plus level lines to CSV", _cmd_plot_data, (_PLOT,)),
+}
+
+
+def build_parser(commands=None) -> argparse.ArgumentParser:
+    """The parser of the named ``commands`` (default: all), with every usage text of the full parser."""
     parser = argparse.ArgumentParser(
         prog="lebesgue-lab",
         description="Kernel norm bounds, level-set comparison checks, and the "
         "discrete max-entropy power inequality.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def report(p):
-        p.add_argument("--out", default="-", help="output path ('-' for stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default=None,
-                       help="default: by file extension, else json")
-
-    def tolerances(p):
-        p.add_argument("--abs-tol", type=float, default=DEFAULT_CONFIG.abs_tol)
-        p.add_argument("--rel-tol", type=float, default=DEFAULT_CONFIG.rel_tol)
-
-    def random_batch(p):
-        p.add_argument("--random", type=int, default=100)
-        p.add_argument("--seed", type=int, default=0, help="seed of the first instance")
-        p.add_argument("--lmin", type=int, default=6)
-        p.add_argument("--lmax", type=int, default=30)
-        p.add_argument("--n-min", type=int, default=2)
-        p.add_argument("--n-max", type=int, default=5)
-
-    for name, (help_text, _, _) in _GRID_COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--l", required=True)
-        p.add_argument("--p", required=True)
-        report(p)
-        tolerances(p)
-
-    p = sub.add_parser("ball", help="sinc-power integrals with their bound")
-    p.add_argument("--p", required=True)
-    report(p)
-    tolerances(p)
-
-    p = sub.add_parser("np-verify", help="sign-change reports per kernel length")
-    p.add_argument("--l", required=True)
-    report(p)
-
-    p = sub.add_parser("epi-check", help="entropy power inequality on random instances")
-    random_batch(p)
-    p.add_argument("--corpus", action="store_true", help="include the handcrafted corpus")
-    p.add_argument("--instances", default=None,
-                   help="corpus file: JSON array of pmf-object arrays")
-    p.add_argument("--no-chain", action="store_true", help="skip the bound chain")
-    report(p)
-    tolerances(p)
-
-    p = sub.add_parser("rogozin", help="uniformization comparison on random instances")
-    random_batch(p)
-    report(p)
-
-    p = sub.add_parser("suite", help="run the full acceptance battery")
-    report(p)
-
-    p = sub.add_parser("plot-data", help="sample g and f plus level lines to CSV")
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--resolution", type=int, default=2000)
-    p.add_argument("--out", default="plot.csv", help="CSV output path ('-' for stdout)")
-
+    # a partial parser names every command in its usage line, as the full one does
+    metavar = None if commands is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_text, _, groups) in _COMMANDS.items():
+        if commands is None or name in commands:
+            p = sub.add_parser(name, help=help_text)
+            for flag, kwargs in itertools.chain(*groups):
+                p.add_argument(flag, **kwargs)
     return parser
-
-
-_HANDLERS = {
-    **dict.fromkeys(_GRID_COMMANDS, _cmd_grid),
-    "ball": _cmd_ball,
-    "np-verify": _cmd_np_verify,
-    "epi-check": _cmd_epi_check,
-    "rogozin": _cmd_rogozin,
-    "suite": _cmd_suite,
-    "plot-data": _cmd_plot_data,
-}
 
 
 def _infer_format(out: str, explicit: str | None) -> str:
@@ -354,7 +340,9 @@ def run(args) -> int:
         seed=getattr(args, "seed", 0),
     )
     try:
-        return _HANDLERS[args.command](config, args)
+        if args.out != "-" and not os.path.isdir(os.path.dirname(os.path.abspath(args.out))):
+            raise PreconditionError(f"output directory of {args.out!r} does not exist")
+        return _COMMANDS[args.command][1](config, args)
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
@@ -364,13 +352,16 @@ def run(args) -> int:
         ValueError,
         GenerationError,
         ConvolutionOverflowError,
+        OSError,  # the report could not be written
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    words = sys.argv[1:] if argv is None else argv
+    # a call that names its command builds that command's parser alone
+    args = build_parser([words[0]] if words and words[0] in _COMMANDS else None).parse_args(words)
     code = run(args)
     if argv is None:
         sys.exit(code)

@@ -564,3 +564,165 @@ class TestReportHygiene:
         with open(out) as fh:
             data = [row for row in csv.reader(fh) if not row[0].startswith("#")]
         assert data[0][0] == "l" and len(data) == 4
+
+
+# the CLI smoke run of the CI workflow
+SMOKE_ARGVS = [
+    "certify --l 6..64 --p 2,2.5,8,128 --out c.json",
+    "sweep --l 6..64 --p 2,2.5,8,128 --out s64.json",
+    "sweep --l 6,300,1000 --p 2,3,128 --out s.csv",
+    "np-verify --l 6..48 --out np.json",
+    "np-verify --l 2..7 --out np-short.json",
+    "ball --p 1.01,2,4,130 --out b.json",
+    "asymptotic --l 6,300 --p 1,2,70,128 --out a.json",
+    "epi-check --random 40 --seed 0 --corpus --out e.json",
+    "rogozin --random 40 --seed 0 --out r.json",
+    "sweep --l 6,64 --p 1.01,1.5,2.5 --out s1.json",
+    "epi-check --random 20 --seed 7 --lmin 31 --lmax 60 --out e2.json",
+    "plot-data --l 8 --out p8.csv",
+    "lebesgue --l 6,7,64 --p 1,2,3 --out l.json",
+    "suite --out suite.json",
+]
+PARSE_ARGVS = [
+    *(argv.split() for argv in SMOKE_ARGVS),
+    *([command, *required.split(), flag, "json" if flag == "--format" else "1"]
+      for command, required, flag in DROPPED_FLAGS),
+    ["certify", "--l", "6"],  # --p is missing
+    ["certify", "--l", "6", "--p", "2", "extra"],  # the top-level parser reports the extra word
+    *([command, "-h"] for command in COMMAND_DESTS),
+    ["--help"],
+    [],
+    ["no-such-command", "--l", "6"],
+]
+
+
+def parse_outcome(parse, argv, capsys):
+    """(the Namespace, or the SystemExit code; stdout; stderr) of one parse."""
+    try:
+        outcome = parse(argv)
+    except SystemExit as exc:
+        outcome = exc.code
+    return (outcome, *capsys.readouterr())
+
+
+class TestCommandParser:
+    @pytest.mark.parametrize("argv", PARSE_ARGVS, ids=[" ".join(argv) or "no-command" for argv in PARSE_ARGVS])
+    def test_main_parses_as_the_full_parser(self, argv, capsys, monkeypatch):
+        parsed = []
+        monkeypatch.setattr(cli, "run", lambda args: parsed.append(args) or 0)
+
+        def through_main(argv):
+            assert cli.main(argv) == 0
+            return parsed[0]
+
+        assert parse_outcome(through_main, argv, capsys) == parse_outcome(cli.build_parser().parse_args, argv, capsys)
+
+    def test_a_call_builds_the_parser_of_its_command_alone(self, tmp_path, monkeypatch):
+        built = []
+        build = cli.build_parser
+
+        def spy(commands=None):
+            built.append(build(commands))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        for _ in range(2):  # and builds it again on the next call
+            assert cli.main(["np-verify", "--l", "6", "--out", str(tmp_path / "np.json")]) == 0
+        assert len(built) == 2 and built[0] is not built[1]
+        for parser in built:
+            (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+            assert list(sub.choices) == ["np-verify"]
+
+
+def hexed(obj):
+    """obj with every float replaced by its float.hex, so that equality is bit equality."""
+    if isinstance(obj, float):
+        return obj.hex()
+    if isinstance(obj, list):
+        return [hexed(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: hexed(v) for k, v in obj.items()}
+    return obj
+
+
+def indented_report(config, columns, records):
+    """A JSON report as written with ``indent=2`` and non-finite values as null."""
+    rows = [{k: r[k] if isinstance(r, dict) else getattr(r, k) for k in columns} for r in records]
+    rows = [{k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in r.items()} for r in rows]
+    return json.dumps({"config": config.as_dict(), "records": rows}, indent=2, allow_nan=False) + "\n"
+
+
+# every command that writes JSON, with arguments
+JSON_REPORTS = [
+    "lebesgue --l 6,7,64 --p 1,2,3",
+    "certify --l 6..9 --p 2,2.5,8,128",
+    "asymptotic --l 6,300 --p 1,2,70,128",
+    "sweep --l 6..64 --p 2,2.5,8,128",
+    "ball --p 1.01,2,4,130",
+    "np-verify --l 2",  # y0 is NaN: null
+    "np-verify --l 2..7",
+    "epi-check --random 10 --seed 0 --corpus",
+    "epi-check --random 0",  # no records
+    "rogozin --random 10 --seed 0",
+    "suite",
+]
+
+
+class TestCompactReports:
+    @pytest.mark.parametrize("argv", JSON_REPORTS)
+    def test_report_is_the_indented_report_on_one_line(self, argv, tmp_path, monkeypatch):
+        from lebesgue_lab import acceptance
+        from lebesgue_lab.acceptance import AcceptanceResult
+
+        # suite runs one criterion whose name and detail hold commas and quotes
+        detail = 'margin 0.05, "strict", min |I(2)-1|=1.1e-16'
+        monkeypatch.setattr(acceptance, "CRITERIA", (lambda: AcceptanceResult("sinc, \"p\"", True, detail, 0.25),))
+        oracle = []
+        write = cli.write_report
+
+        def spy(config, columns, records):
+            records = list(records)
+            oracle.append(indented_report(config, columns, records))
+            write(config, columns, records)
+
+        monkeypatch.setattr(cli, "write_report", spy)
+        out = tmp_path / "report.json"
+        assert cli.main([*argv.split(), "--out", str(out)]) == 0
+        text = out.read_text()
+        assert text.count("\n") == 1 and text.endswith("\n")
+        assert hexed(json.loads(text)) == hexed(json.loads(oracle[0]))
+        assert len(text) < len(oracle[0])
+        if argv.startswith("np-verify --l 2"):
+            assert json.loads(text)["records"][0]["y0"] is None
+        if argv == "suite":
+            assert json.loads(text)["records"][0]["detail"] == detail
+
+
+def must_not_run(config, args):
+    raise AssertionError("the command ran")
+
+
+def stub_report(config, args):
+    cli.write_report(config, ("x",), [{"x": 1.0}])
+    return 0
+
+
+class TestUnwritableReport:
+    def test_missing_output_directory_is_usage_error_before_any_work(self, tmp_path, capsys, monkeypatch):
+        help_text, _, groups = cli._COMMANDS["certify"]
+        monkeypatch.setitem(cli._COMMANDS, "certify", (help_text, must_not_run, groups))
+        out = tmp_path / "missing" / "x.json"
+        assert cli.main(["certify", "--l", "6", "--p", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: output directory of {str(out)!r} does not exist\n"
+        assert list(tmp_path.rglob("*")) == []
+
+    def test_failed_write_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # the directory exists, but the report path is a directory, which os.replace cannot overwrite
+        help_text, _, groups = cli._COMMANDS["certify"]
+        monkeypatch.setitem(cli._COMMANDS, "certify", (help_text, stub_report, groups))
+        out = tmp_path / "taken"
+        out.mkdir()
+        assert cli.main(["certify", "--l", "6", "--p", "2", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.rglob("*")) == [out]
