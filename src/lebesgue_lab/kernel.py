@@ -13,6 +13,19 @@ cut off at the level ``y_last`` where the exponential first drops below the
 floor 2/(pi (l+1)) (even ``l``) or 2/(pi (l+2)) (odd ``l``).  The module also
 provides the closed-form distribution function of ``f`` and a grid check of
 the pointwise domination g < f on the first arch (0, 1/l].
+
+Lemma (arch 0): g(x) <= exp(-pi^2 (l^2 - 1) x^2 / 6) < f(x) for 0 < |x| < 1/l
+and every l >= 2.  With sinc(z) = sin(pi z)/(pi z), g(x) = sinc(l x)/sinc(x),
+and for |z| < 1 the product sinc(z) = prod_n (1 - z^2/n^2) gives
+
+    log sinc(z) = -sum_{j>=1} zeta(2j) z^(2j) / j,
+
+so log g(x) = -sum_{j>=1} zeta(2j) (l^(2j) - 1) x^(2j) / j.  Every term is
+negative, and the first alone is -pi^2 (l^2 - 1) x^2 / 6, since
+zeta(2) = pi^2/6; that is the first inequality.  The second holds because
+pi^2/6 > pi/2.  Above the peak y_1 of arch 1, the superlevel set of g lies in
+arch 0, so G(y) < F(y) there when y_1 > y_last (levelsets.py uses this).
+The grid check confirms the floating-point evaluation, not the lemma.
 """
 
 from __future__ import annotations

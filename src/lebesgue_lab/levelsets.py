@@ -20,20 +20,22 @@ from one solve of a batch of levels (``_solve_levels``), each level reading
 its length's row of one padded stack of those tables (``_stack``), and a
 level's roots are bit-identical in any batch.  With F the truncated
 Gaussian's distribution function (closed form, see kernel.py), the module
-locates the single level y0 where F - G changes sign from - to +.  It signs
-F - G on a scan of levels without solving most of them: F and G both
-decrease, so F(a) < G(b) proves F < G on all of [a, b] and F(b) > G(a)
-proves F > G there.  A cover of the scan applies these tests with a margin
-of 1e-9, far above the rounding of a computed G, and splits each interval it
-cannot sign into up to 16 parts: it solves about 140 levels of a default
-grid of 2,000+ in 4 rounds at l <= 300.  The lengths of one call are covered
-in lockstep, each round one solve for all of them.  A solved level is signed
-by its computed difference, and a level inside a proven interval gets the
-sign its solve would give; a level with |F - G| inside the margin is never
-inside a proven interval, so it is solved.  The module also evaluates the
-comparison functional (integral f^p - integral g^p) / (p y0^p) whose
-monotonicity in p transfers the p = 2 comparison upward, and validates the
-closed-form slope bounds that make the sign change unique.
+proves that D = F - G changes sign exactly once, from - to +, at a level y0.
+D' = F' + s, where s = -G' is the sum of 1/|g'| over the crossings.  Below
+y_last F is constant, so D increases.  Band m >= 1 runs from
+a_m = max(y_(m+1), y_last) up to the peak y_m of arch m, below e^(-1/2),
+where |F'| falls as y rises; so D increases on the band if a bound on s there
+beats |F'(a_m)|.  Bands m >= 3 take the slope census's caps,
+s >= 1/(2l) + 4 m^2 / (l pi^2).  Bands 1 and 2 take one Lipschitz enclosure
+each, from their crossings u_i and v_i at the two ends:
+s >= sum_i 2 / (|g'(u_i)| + |g'(v_i)| + (v_i - u_i) L), where
+L = pi^2 (l^2 - 1) / 3 is a Lipschitz constant of |g'|.  Above y_1 the
+superlevel set lies in arch 0, where g < f (kernel.py's lemma), so D > 0.
+The smallest ratio of bound to |F'| is the report's margin.  l < 6 is not
+asserted, and the comparisons are floats, not yet outward-rounded.  The
+module also evaluates the comparison functional
+(integral f^p - integral g^p) / (p y0^p), whose monotonicity in p transfers
+the p = 2 comparison upward, and validates the slope census.
 """
 
 from __future__ import annotations
@@ -60,7 +62,6 @@ from .quadrature import DEFAULT_CONFIG, QuadratureConfig, bump_partition, integr
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _PEAK_BRACKET_TOL = 1e-13  # a golden-section search stops at this bracket width
-_LOG_LEVELS = np.geomspace(1e-4, 1.0 - 1e-6, 2000)  # default_level_grid's, before the tops and floor
 
 # levels this close to an arch peak are excluded from slope checks (the
 # derivative of G is undefined exactly at the peaks)
@@ -85,6 +86,7 @@ class SignChangeReport:
     crossings: int
     F0_lt_G0: bool
     G_lt_F_above_y1: bool
+    margin: float  # smallest ratio of a band's slope-sum bound to |F'|; > 1 proves D increases
 
 
 @dataclass(frozen=True)
@@ -374,14 +376,27 @@ def slope_sum(spec: KernelSpec, y: float) -> float:
     return _slope_sums(1, row, np.abs(kernel_slope_values(spec.l, roots)))[1][0]
 
 
-def _level_grid(tg: TruncatedGaussian, tops: np.ndarray) -> np.ndarray:
-    # the log-spaced levels, the segment tops of arches 1 on and the floor level
-    return np.unique(np.concatenate([_LOG_LEVELS, tops, [tg.y_last]]))
+def _gaussian_slope(l: int, y, f):
+    """|F'(y)| = 1 / (pi (l^2 - 1) y F(y)) at levels y >= y_last, given f = F(y)."""
+    return 1.0 / (PI * (l * l - 1) * y * f)
 
 
-def default_level_grid(spec: KernelSpec) -> np.ndarray:
-    """Log-spaced levels augmented with every arch peak and the floor level."""
-    return _level_grid(TruncatedGaussian.from_length(spec.l), _segments(spec.l)[_TOP, 0, 1:])
+def _census_slope_sum(l: int, m):
+    """The slope census's lower bound on |G'| in band m, from caps on |g'| at its crossings.
+
+    |g'| <= 2l on arch 0 (l >= 6), and <= (pi l / 2k)(1 + 1/2k) <= l pi^2 / (4k)
+    on arch k >= 1, where sin(pi x) >= 2k/l.
+    """
+    return 1.0 / (2.0 * l) + 4.0 * m * m / (l * PI**2)
+
+
+def _slope_lipschitz(l: int) -> float:
+    """pi^2 (l^2 - 1) / 3, a Lipschitz constant of |g'| = |h'| on [0, 1/2].
+
+    h = (1/l) sum_{j<l} cos(pi (l - 1 - 2j) x), so |h''| is at most
+    (pi^2 / l) sum_j (l - 1 - 2j)^2, this constant, with equality at x = 0.
+    """
+    return PI**2 * (l * l - 1) / 3.0
 
 
 # a Newton step on y0 this short ends the refinement: the error it leaves
@@ -390,11 +405,11 @@ _Y0_STEP_TOL = 1e-10
 
 
 def _refine_crossings(table: np.ndarray, tgs: list[TruncatedGaussian], brackets: dict) -> dict:
-    """Root of D(y) = F(y) - G(y) in each scan bracket {k: (lo, hi, neg_lo)}, by bracketed Newton.
+    """Root of D(y) = F(y) - G(y) in each bracket {k: (lo, hi, neg_lo)}, by bracketed Newton.
 
     Bracket k is at length row k of ``table``, its root comes back under k,
     and ``neg_lo`` is the sign of D at ``lo``.  D'(y) = F'(y) + slope_sum(y), with
-    F'(y) = -1 / (pi (l^2 - 1) y F(y)) above y_last and 0 below it, since G'
+    F' from ``_gaussian_slope`` above y_last and 0 below it, since G'
     is minus the slope sum.  The brackets are refined in lockstep: each round
     solves the current level of every unfinished bracket once, for both G
     and the slope sum, and then steps each on its own.  As in
@@ -422,7 +437,7 @@ def _refine_crossings(table: np.ndarray, tgs: list[TruncatedGaussian], brackets:
                 lo[k] = yk
             else:
                 hi[k] = yk
-            slope = (0.0 if yk < tg.y_last else -1.0 / (PI * (tg.l * tg.l - 1) * yk * f)) + slope_sum_k
+            slope = (0.0 if yk < tg.y_last else -_gaussian_slope(tg.l, yk, f)) + slope_sum_k
             yn = yk - d / slope if slope != 0.0 else math.nan
             if not lo[k] <= yn <= hi[k]:
                 yn = 0.5 * (lo[k] + hi[k])
@@ -433,35 +448,20 @@ def _refine_crossings(table: np.ndarray, tgs: list[TruncatedGaussian], brackets:
     return y
 
 
-# An interval of scan levels is signed without solving its interior only when
-# its end test clears this margin.  The margin is far above the rounding of a
-# computed G (about 1e-15, up to about 1e-12 at l ~ 10^4), so an interior
-# level gets the sign that solving it would give.  It is far below the
-# smallest |F - G| at a default-grid level for l = 6..48 (3.8e-7; 1.8e-8 at
-# l = 1000), so on those grids only the levels near y0 need solving.
-_COVER_MARGIN = 1e-9
-# a cover round splits an open interval into at most this many parts
-_COVER_PARTS = 16
-# lengths run in lockstep while their one-interval splits add at most this
-# many Newton rows in all, which bounds a round's rows and its memory
+# lengths run in lockstep while their band-end solves add at most this many
+# Newton rows in all, which bounds a solve's rows and its memory
 _LOCKSTEP_ROWS = 8 * _BLOCK_ROWS
 
 
-def _cover_parts(l: int) -> int:
-    # fewer parts where the new levels' rows (one per segment, l - 1 of
-    # them) would overflow one Newton block
-    return min(_COVER_PARTS, max(2, _BLOCK_ROWS // (l - 1)))
-
-
 def _lockstep_groups(specs: list[KernelSpec]) -> list[list[KernelSpec]]:
-    """Consecutive runs of specs whose splits add at most ``_LOCKSTEP_ROWS`` rows.
+    """Consecutive runs of specs whose band-end solves add at most ``_LOCKSTEP_ROWS`` rows.
 
-    A length adds ``_cover_parts(l)`` new levels of l - 1 segments each when
-    the cover splits one of its intervals; a length over the bound runs alone.
+    A length solves at most 4 band-end levels of at most l - 1 segments
+    each; a length over the bound runs alone.
     """
     groups, rows = [], _LOCKSTEP_ROWS
     for spec in specs:
-        add = _cover_parts(spec.l) * (spec.l - 1)
+        add = 4 * (spec.l - 1)
         if rows + add > _LOCKSTEP_ROWS:
             groups.append([])
             rows = 0
@@ -470,127 +470,85 @@ def _lockstep_groups(specs: list[KernelSpec]) -> list[list[KernelSpec]]:
     return groups
 
 
-def _scan_signs(table: np.ndarray, tgs: list[TruncatedGaussian], scans: list[np.ndarray]) -> list[np.ndarray]:
-    """sign(F - G) at every level of each ascending scan, by a monotone interval cover.
+def _band_margin(rising: np.ndarray, tg: TruncatedGaussian, ends: dict) -> float:
+    """The smallest ratio of a bound on |G'| to |F'(a_m)| over the bands m >= 1 of one length (inf: none).
 
-    F and G both decrease in y, so on levels a < b, F(a) < G(b) bounds F - G
-    below 0 on all of [a, b], and F(b) > G(a) bounds it above 0.  The scans,
-    one per length ``tgs[k].l`` with its segments in row k of ``table``, are
-    covered in lockstep as one flat index space in which each scan is a
-    contiguous block.  The cover starts from each whole scan as one interval
-    of indices [i, j]; each round solves G at every interval end not yet
-    solved (one solve for all scans), signs an interval -1 when
-    F[i] < G[j] - margin or +1 when F[j] > G[i] + margin, and splits every
-    other interval that still has an interior level into up to
-    ``_cover_parts(l)`` parts.  A solved level is signed by its computed
-    difference, np.sign(F - G); only the levels strictly inside a proven
-    interval take the proved sign.
+    ``rising`` holds the length's rising segments, whose ends are the arch
+    peaks; ``ends`` maps each solved band end to its roots and their |g'|.
+    On |g'|'s Lipschitz tent between a crossing's ends, its sup is
+    (|g'(u)| + |g'(v)| + lipschitz |v - u|) / 2.
     """
-    sizes = [len(scan) for scan in scans]
-    first = np.cumsum([0, *sizes[:-1]])
-    parts = np.array([_cover_parts(tg.l) for tg in tgs])
-
-    def scan_of(index):
-        # the scan that each flat index lies in
-        return np.searchsorted(first, index, side="right") - 1
-
-    levels = np.concatenate(scans)
-    f = np.concatenate([gaussian_distribution_function(tg, scan) for tg, scan in zip(tgs, scans)])
-    g = np.empty(len(levels))
-    solved = np.zeros(len(levels), dtype=bool)
-    proofs = []  # (lo, hi, F < G) of the intervals proven in each round
-    lo, hi = first, first + np.array(sizes) - 1
-    while len(lo):
-        ends = np.union1d(lo, hi)
-        new = ends[~solved[ends]]
-        g[new] = _measures(len(new), *_solve_levels(table, scan_of(new), levels[new]))
-        solved[new] = True
-        neg = f[lo] < g[hi] - _COVER_MARGIN
-        proven = neg | (f[hi] > g[lo] + _COVER_MARGIN)
-        proofs.append((lo[proven], hi[proven], neg[proven]))
-        split = ~proven & (hi - lo > 1)
-        lo, width = lo[split, None], (hi - lo)[split, None]
-        # part t of k spans [lo + width t // k, lo + width (t + 1) // k]; k <= width keeps it open
-        k = np.minimum(parts[scan_of(lo)], width)
-        t = np.arange(_COVER_PARTS + 1)
-        edges = lo + width * t // k
-        part = t[:-1] < k
-        lo, hi = edges[:, :-1][part], edges[:, 1:][part]
-    # +-1 where a proven interval's interior starts, undone where it ends; no
-    # two proven intervals share a start or an end, so no mark is lost
-    lo, hi, below = map(np.concatenate, zip(*proofs))
-    sign = np.where(below, -1.0, 1.0)
-    marks = np.zeros(len(levels) + 1)
-    marks[lo + 1] += sign
-    marks[hi] -= sign
-    signs = np.cumsum(marks[:-1])
-    signs[solved] = np.sign(f[solved] - g[solved])
-    return np.split(signs, first[1:])
+    l = tg.l
+    peaks = rising[_TOP]  # y_1 > y_2 > ...
+    bands = np.nonzero(peaks > tg.y_last)[0]  # band m is entry m - 1
+    lows = np.maximum(np.append(peaks[1:], tg.y_last), tg.y_last)[bands]
+    bounds = _census_slope_sum(l, bands + 1.0)
+    for m in bands[:2].tolist():
+        u, su = ends[lows[m]]
+        v, sv = ends[peaks[m]]
+        # at y_m, arch m's one or two crossings sit at its peak, where g' = 0
+        v = np.append(v, np.full(len(u) - len(v), rising[_HI, m]))
+        sv = np.append(sv, np.zeros(len(u) - len(sv)))
+        bounds[m] = np.sum(2.0 / (su + sv + _slope_lipschitz(l) * np.abs(v - u)))
+    ratios = bounds / _gaussian_slope(l, lows, gaussian_distribution_function(tg, lows))
+    return float(np.min(ratios, initial=math.inf))
 
 
-def detect_sign_changes(specs, scan: np.ndarray | None = None) -> list[SignChangeReport]:
-    """Sign F - G over a level grid and refine its single sign change, for every length.
+def detect_sign_changes(specs) -> list[SignChangeReport]:
+    """Prove the single sign change of F - G (module docstring) and refine y0, for every length.
 
-    The sign at every scan level comes from the monotone interval cover of
-    ``_scan_signs``: the default grid of 2,000+ levels needs 4 rounds and
-    130-145 level solves per length at l <= 300 (7 rounds and 80 solves at
-    l = 1000), and every level gets the sign that solving it would give
-    (see ``_COVER_MARGIN``).  ``scan`` replaces each length's default grid;
-    it needs at least 1,000 distinct levels.  For l >= 6 the difference
-    must cross exactly once, from - to +; any other count raises.  For
-    l < 6 the report is returned without assertion, since the comparison
-    is only claimed from 6 on.  The first crossing found by the scan is
-    refined by bracketed Newton (``_refine_crossings``).  The lengths run
-    in lockstep groups (``_lockstep_groups``), a group's cover and its
-    refinement each one solve per round, and the first failing length
-    raises, as in a loop of single calls.
+    ``crossings`` counts the sign changes of D at 0+ and at the solved band
+    ends y_1, y_2, y_3 and y_last (clipped to y_last), every sign change under
+    the proof; y0 is refined from the pair that brackets it.  For l >= 6, any
+    other pattern than one crossing from - to +, D(y_1) <= 0 or a margin <= 1
+    raises, the first failing length first, as in a loop of single calls.
     """
-    if scan is not None:
-        scan = np.unique(np.asarray(scan, dtype=float))
-        if len(scan) < 1000:
-            raise PreconditionError(f"scan needs >= 1000 distinct levels, got {len(scan)}")
-    return [report for group in _lockstep_groups(list(specs)) for report in _sign_changes(group, scan)]
+    return [report for group in _lockstep_groups(list(specs)) for report in _sign_changes(group)]
 
 
-def _sign_changes(specs: list[KernelSpec], scan: np.ndarray | None) -> list[SignChangeReport]:
+def _sign_changes(specs: list[KernelSpec]) -> list[SignChangeReport]:
     """The reports of :func:`detect_sign_changes` for one lockstep group."""
     tgs = [TruncatedGaussian.from_length(spec.l) for spec in specs]
     table = _stack([spec.l for spec in specs])
-    tops = [row[1:][np.isfinite(row[1:])] for row in table[_TOP]]  # of arches 1 on, unpadded
-    scans = [_level_grid(tg, t) if scan is None else scan for tg, t in zip(tgs, tops)]
-    signs = _scan_signs(table, tgs, scans)
-    crossings, brackets = [], {}
-    for k, (levels, sign) in enumerate(zip(scans, signs)):
-        nz = np.nonzero(sign)[0]
-        compact = sign[nz]
-        flips = np.nonzero(compact[:-1] * compact[1:] < 0)[0]
-        crossings.append(len(flips))
+    # each length's rising segments, one per side arch, which end at its peak
+    risings = [table[:, k, table[_INC, k] == 1.0] for k in range(len(specs))]
+    # the ends of bands 1 and 2, ascending: y_last and y_3, y_2, y_1 clipped to it
+    levels = [np.unique(np.maximum(np.append(r[_TOP, :3], tg.y_last), tg.y_last)) for r, tg in zip(risings, tgs)]
+    ys = np.concatenate(levels)
+    which = np.repeat(np.arange(len(specs)), [len(v) for v in levels])
+    row, roots, seg = _solve_levels(table, which, ys)
+    g = _measures(len(ys), row, roots, seg)
+    bounds = row.searchsorted(np.arange(len(ys) + 1)).tolist()
+    slopes = np.abs(kernel_slope_values(seg[_L], roots))
+    ends = [(roots[a:b], slopes[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+    fields, brackets, start = [], {}, 0
+    for k, (tg, level) in enumerate(zip(tgs, levels)):
+        stop = start + len(level)
+        margin = _band_margin(risings[k], tg, dict(zip(level, ends[start:stop])))
+        # D at 0+, where F = x_c and G = 1/2, and at each band end
+        d = np.append(tg.x_c - 0.5, gaussian_distribution_function(tg, level) - g[start:stop])
+        start = stop
+        nz = np.nonzero(d)[0]
+        flips = np.nonzero(d[nz[:-1]] * d[nz[1:]] < 0.0)[0]
         if len(flips):
             i, j = nz[flips[0]], nz[flips[0] + 1]
-            brackets[k] = (float(levels[i]), float(levels[j]), sign[i] < 0.0)
+            brackets[k] = (float(level[i - 1]) if i else 0.0, float(level[j - 1]), d[i] < 0.0)
+        # without a side arch (l = 2) arch 0 is all of [0, 1/2]: no y_1
+        above = not risings[k].size or (level[-1] > tg.y_last and d[-1] > 0.0)
+        fields.append((len(flips), tg.x_c < 0.5, bool(above), margin))
     y0s = _refine_crossings(table, tgs, brackets)
 
-    reports = []
-    for k, (spec, tg, levels, sign) in enumerate(zip(specs, tgs, scans, signs)):
-        y1 = tops[k][0] if len(tops[k]) else 1.0
-        above = levels > y1
-        g_lt_f_above = bool(np.all(sign[above] > 0.0)) if np.any(above) else True
-        report = SignChangeReport(
-            l=spec.l,
-            y0=y0s.get(k, math.nan),
-            crossings=crossings[k],
-            F0_lt_G0=tg.x_c < 0.5,
-            G_lt_F_above_y1=g_lt_f_above,
-        )
-        if spec.l >= 6 and (report.crossings != 1 or not report.F0_lt_G0 or not g_lt_f_above):
-            raise VerificationError(f"sign-change pattern violated: {report}")
-        reports.append(report)
+    reports = [SignChangeReport(spec.l, y0s.get(k, math.nan), *fields[k]) for k, spec in enumerate(specs)]
+    for r in reports:
+        if r.l >= 6 and (r.crossings, r.F0_lt_G0, r.G_lt_F_above_y1, r.margin > 1.0) != (1, True, True, True):
+            raise VerificationError(f"single sign change not proven: {r}")
     return reports
 
 
-def detect_sign_change(spec: KernelSpec, scan: np.ndarray | None = None) -> SignChangeReport:
+def detect_sign_change(spec: KernelSpec) -> SignChangeReport:
     """:func:`detect_sign_changes` for one length."""
-    return detect_sign_changes([spec], scan)[0]
+    return detect_sign_changes([spec])[0]
 
 
 def comparison_functional(
@@ -655,8 +613,7 @@ def check_derivative_bounds_many(spec: KernelSpec, ys) -> list[SlopeBoundCheck]:
     slopes = np.abs(kernel_slope_values(l, roots))
     # each level's crossings, from bounds[i] to bounds[i + 1]; every level has one on arch 0
     bounds, inv_sums = _slope_sums(n, row, slopes)
-    # |g'| is at most (l pi / 2) ((pi/l)/sin(pi/l))^2 <= 2l on the first arch
-    # and l pi^2 / (4k) inside arch k >= 1 (np.maximum only spares arch 0 a 1/0)
+    # the caps behind ``_census_slope_sum``, arch 0's <= 2l (np.maximum only spares arch 0 a 1/0)
     first_cap = (l * PI / 2.0) * ((PI / l) / math.sin(PI / l)) ** 2
     caps = np.where(seg[_ARCH] == 0, first_cap, l * PI**2 / (4.0 * np.maximum(seg[_ARCH], 1)))
     slack = 1e-9
@@ -669,7 +626,7 @@ def check_derivative_bounds_many(spec: KernelSpec, ys) -> list[SlopeBoundCheck]:
             raise VerificationError(
                 f"root census mismatch at l={l}, y={y}: found {stop - start}, expected {want}"
             )
-        lower = 1.0 / (2.0 * l) + 4.0 * m * m / (l * PI**2)
+        lower = _census_slope_sum(l, m)
         check = SlopeBoundCheck(
             l=l,
             y=y,

@@ -105,3 +105,15 @@ def test_verification_error_fails_the_criterion(monkeypatch, criterion, dependen
     result = criterion()
     assert (result.ok, result.detail) == (False, f"{dependency} failed")
     assert result.seconds >= 0.0
+
+
+def test_negative_base_of_the_functional_fails_the_sign_change_criterion(monkeypatch):
+    # Phi(2) >= 0 is the base case the monotone functional carries to every p >= 2
+    functional = acceptance.comparison_functional
+
+    def shifted(spec, p, y0):
+        return functional(spec, p, y0) - (1.0 if spec.l == 9 else 0.0)
+
+    monkeypatch.setattr(acceptance, "comparison_functional", shifted)
+    result = acceptance.criterion_sign_change()
+    assert not result.ok and result.detail.startswith("comparison functional negative at l=9, p=2: -")

@@ -1,6 +1,5 @@
 import argparse
 import csv
-import dataclasses
 import json
 import math
 
@@ -80,7 +79,9 @@ class TestSignChangeCommand:
         out = tmp_path / "np.json"
         assert cli.main(["np-verify", "--l", "6,5", "--out", str(out)]) == 0
         records = json.loads(out.read_text())["records"]
-        assert records == [dataclasses.asdict(detect_sign_change(KernelSpec(l))) for l in (6, 5)]
+        columns = ("l", "y0", "crossings", "F0_lt_G0", "G_lt_F_above_y1")  # the report's margin is no column
+        reports = [detect_sign_change(KernelSpec(l)) for l in (6, 5)]
+        assert records == [{c: getattr(r, c) for c in columns} for r in reports]
 
     def test_length_without_crossing_writes_strict_json(self, tmp_path):
         # l = 2 has no crossing and a y0 of NaN, which RFC 8259 JSON cannot hold

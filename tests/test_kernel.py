@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -304,3 +305,22 @@ class TestFirstArchDomination:
     def test_rejects_tiny_grid(self):
         with pytest.raises(DomainError):
             check_first_arch_domination(KernelSpec(6), 1)
+
+    @pytest.mark.parametrize("l", [2, 6, 64, 1000])
+    def test_log_sinc_series_lemma_against_mpmath(self, l):
+        # log g(x) = -sum_j zeta(2j) (l^(2j) - 1) x^(2j) / j on arch 0, every
+        # term negative: so g <= exp(-pi^2 (l^2 - 1) x^2 / 6) < f there
+        with mpmath.workdps(40):
+            for t in (0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.97):
+                x = mpmath.mpf(t) / l
+                g = mpmath.sin(l * mpmath.pi * x) / (l * mpmath.sin(mpmath.pi * x))
+                series, j = mpmath.mpf(0), 1
+                while True:
+                    term = mpmath.zeta(2 * j) * ((l * x) ** (2 * j) - x ** (2 * j)) / j
+                    series -= term
+                    if term < mpmath.mpf(10) ** -45:
+                        break
+                    j += 1
+                assert abs(series - mpmath.log(g)) < mpmath.mpf(10) ** -35
+                envelope = mpmath.exp(-mpmath.pi**2 * (l * l - 1) * x**2 / 6)
+                assert g <= envelope < mpmath.exp(-mpmath.pi * (l * l - 1) * x**2 / 2)

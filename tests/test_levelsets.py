@@ -22,7 +22,6 @@ from lebesgue_lab.levelsets import (
     _BLOCK_ROWS,
     _C2,
     _C4,
-    _COVER_MARGIN,
     _FIELDS,
     _FLAT_TOP,
     _HALF,
@@ -41,7 +40,6 @@ from lebesgue_lab.levelsets import (
     _measures,
     _newton_block,
     _newton_start,
-    _scan_signs,
     _segments,
     _slope_sums,
     _solve_levels,
@@ -55,12 +53,18 @@ from lebesgue_lab.levelsets import (
     superlevel_measure,
     superlevel_measure_many,
     comparison_functional,
-    default_level_grid,
     slope_sum,
 )
 
 PI = math.pi
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+LOG_LEVELS = np.geomspace(1e-4, 1.0 - 1e-6, 2000)
+
+
+def default_level_grid(spec):
+    """2,000 log-spaced levels, every arch peak and the floor y_last: a dense scan of F - G."""
+    peaks = [p.peak_y for p in bump_profiles(spec)[1:]]
+    return np.unique(np.concatenate([LOG_LEVELS, peaks, [TruncatedGaussian.from_length(spec.l).y_last]]))
 
 
 def golden_oracle(l, a, b, tol=1e-13):
@@ -539,6 +543,21 @@ def scan_oracle_signs(spec, scan):
     return np.sign(gaussian_distribution_function(tg, scan) - superlevel_measure_many(spec, scan))
 
 
+def assert_proven_signs(spec, scan):
+    """The signs the band cover proves, - below the reported y0 and + above, are the solved scan's.
+
+    The scan's nonzero signs flip exactly once, from - to +, between two
+    levels that bracket y0 (y0 itself may be one of them).
+    """
+    y0 = detect_sign_change(spec).y0
+    signs = scan_oracle_signs(spec, scan)
+    nz = np.nonzero(signs)[0]
+    flips = np.nonzero(signs[nz[:-1]] * signs[nz[1:]] < 0.0)[0]
+    assert len(flips) == 1
+    i, j = nz[flips[0]], nz[flips[0] + 1]
+    assert signs[i] < 0.0 and scan[i] <= y0 <= scan[j]
+
+
 def spy_solved_levels(monkeypatch):
     """Record every level passed to ``_solve_levels``, the module's one solve."""
     solved = []
@@ -574,46 +593,27 @@ def length_and_custom_scan(draw):
 
 
 class TestSignChange:
+    # the sampled claim that the band cover replaced, kept as an oracle
     @pytest.mark.parametrize("l", [*range(6, 130), 200, 301, 1000])
     def test_cover_signs_equal_the_full_scan_on_the_default_grid(self, l):
         spec = KernelSpec(l)
-        scan = default_level_grid(spec)
-        signs = _scan_signs(_stack([l]), [TruncatedGaussian.from_length(l)], [scan])[0]
-        assert np.array_equal(signs, scan_oracle_signs(spec, scan))
+        assert_proven_signs(spec, default_level_grid(spec))
 
     @pytest.mark.parametrize("l", range(6, 17))
     def test_cover_signs_equal_the_full_scan_on_the_criterion_grid(self, l):
-        spec = KernelSpec(l)
-        scan = np.geomspace(1e-4, 1.0 - 1e-6, 1000)
-        signs = _scan_signs(_stack([l]), [TruncatedGaussian.from_length(l)], [scan])[0]
-        assert np.array_equal(signs, scan_oracle_signs(spec, scan))
+        assert_proven_signs(KernelSpec(l), np.geomspace(1e-4, 1.0 - 1e-6, 1000))
 
     @given(length_and_custom_scan())
     def test_cover_signs_equal_the_full_scan_on_random_scans(self, case):
         l, scan = case
-        spec = KernelSpec(l)
-        signs = _scan_signs(_stack([l]), [TruncatedGaussian.from_length(l)], [scan])[0]
-        assert np.array_equal(signs, scan_oracle_signs(spec, scan))
+        assert_proven_signs(KernelSpec(l), scan)
 
     @pytest.mark.parametrize("l", [6, 48, 1000])
     def test_default_grid_solves_few_levels(self, l, monkeypatch):
-        # the full scan solved all 2,003-2,500 levels of these grids
+        # signing a 2,000-level grid by a monotone interval cover solved 80-150 of its levels
         solved = spy_solved_levels(monkeypatch)
         detect_sign_change(KernelSpec(l))
-        assert 0 < len(solved) <= 150
-
-    @pytest.mark.parametrize("l", [6, 7, 48])
-    def test_level_at_y0_is_solved_and_signed_by_its_difference(self, l, monkeypatch):
-        spec = KernelSpec(l)
-        tg = TruncatedGaussian.from_length(l)
-        y0 = detect_sign_change(spec).y0
-        diff = gaussian_distribution_function(tg, y0) - superlevel_measure(spec, y0)
-        assert abs(diff) < _COVER_MARGIN  # no interval around y0 can be proven
-        scan = np.unique(np.append(default_level_grid(spec), y0))
-        solved = spy_solved_levels(monkeypatch)
-        signs = _scan_signs(_stack([l]), [tg], [scan])[0]
-        assert y0 in solved
-        assert signs[np.searchsorted(scan, y0)] == np.sign(diff)
+        assert 0 < len(solved) <= 12
 
     @pytest.mark.parametrize("l", [6, 8])
     def test_single_crossing(self, l):
@@ -646,7 +646,7 @@ class TestSignChange:
 
     @pytest.mark.parametrize("l", [6, 9, 24])
     def test_refined_level_pins_the_sign_change(self, l):
-        # the scan brackets y0 to about 1e-3; the Newton refinement far closer
+        # the ends of band 1 bracket y0 to within 0.06-0.1; the Newton refinement far closer
         spec = KernelSpec(l)
         tg = TruncatedGaussian.from_length(l)
         y0 = detect_sign_change(spec).y0
@@ -656,47 +656,68 @@ class TestSignChange:
 
         assert diff(y0 - 1e-10) < 0.0 < diff(y0 + 1e-10)
 
-    def test_nan_in_scan_rejected(self):
-        scan = default_level_grid(KernelSpec(8))
-        scan[100] = math.nan
-        with pytest.raises(DomainError):
-            detect_sign_change(KernelSpec(8), scan)
-
-    def test_short_scan_rejected(self):
-        with pytest.raises(PreconditionError):
-            detect_sign_change(KernelSpec(8), np.geomspace(1e-3, 0.9, 100))
-
     def test_small_length_reports_without_asserting(self):
         report = detect_sign_change(KernelSpec(4))
         assert report.l == 4  # no exception even if the pattern differs
-
-    def test_scan_of_few_distinct_levels_rejected(self):
-        # 1,000 levels, but only 10 distinct: too coarse to sign F - G
-        scan = np.tile(np.geomspace(1e-3, 0.9, 10), 100)
-        with pytest.raises(PreconditionError, match="1000 distinct levels, got 10$"):
-            detect_sign_change(KernelSpec(8), scan)
-
-    def test_scan_of_one_repeated_level_rejected(self):
-        with pytest.raises(PreconditionError, match="got 1$"):
-            detect_sign_change(KernelSpec(8), np.full(1000, 0.2))
+        # at l = 3 the single band's enclosure falls short of |F'|, unasserted
+        assert detect_sign_change(KernelSpec(3)).margin < 1.0
 
     @pytest.mark.parametrize("l", [6, 48])
     def test_cover_takes_few_rounds(self, l, monkeypatch):
-        # bisecting the default grid took 11-12 rounds, one solve each
+        # one solve of the band ends, then one per refinement round
         calls = count_solves(monkeypatch)
-        _scan_signs(_stack([l]), [TruncatedGaussian.from_length(l)], [default_level_grid(KernelSpec(l))])
-        assert 0 < calls[0] <= 4
+        detect_sign_change(KernelSpec(l))
+        assert 0 < calls[0] <= 9
 
     def test_lengths_in_lockstep_share_their_rounds(self, monkeypatch):
         ls = range(6, 49)
-        tgs = [TruncatedGaussian.from_length(l) for l in ls]
-        scans = [default_level_grid(KernelSpec(l)) for l in ls]
         calls = count_solves(monkeypatch)
-        together = _scan_signs(_stack(ls), tgs, scans)
+        alone = []
+        for l in ls:
+            calls[0] = 0
+            alone.append((detect_sign_change(KernelSpec(l)), calls[0]))
+        calls[0] = 0
+        together = detect_sign_changes([KernelSpec(l) for l in ls])
         # one solve per round for all 43 lengths: the rounds of the slowest length
-        assert 0 < calls[0] <= 4
-        for l, signs, scan in zip(ls, together, scans):
-            assert np.array_equal(signs, scan_oracle_signs(KernelSpec(l), scan)), l
+        assert calls[0] == max(n for _, n in alone)
+        assert together == [report for report, _ in alone]
+
+
+class TestProof:
+    def test_lipschitz_constant_bounds_the_second_derivative(self):
+        # h = sin(l pi x) / (l sin(pi x)); h''(0) = -(pi^2 / l) sum_j (l - 1 - 2j)^2, exactly the constant
+        for l in range(2, 3001):
+            assert 3 * sum((l - 1 - 2 * j) ** 2 for j in range(l)) == l * (l * l - 1)
+        rng = np.random.default_rng(27)
+        with mpmath.workdps(40):
+            for l, x in zip(rng.integers(2, 3001, 60).tolist(), rng.uniform(1e-6, 0.5, 60).tolist()):
+                second = mpmath.diff(lambda t: mpmath.sin(l * mpmath.pi * t) / (l * mpmath.sin(mpmath.pi * t)), x, 2)
+                bound = mpmath.pi**2 * (l * l - 1) / 3
+                assert abs(second) <= bound
+                assert levelsets._slope_lipschitz(l) == pytest.approx(float(bound), rel=1e-15)
+
+    def test_every_length_to_1000_is_proven_with_margin(self):
+        reports = detect_sign_changes([KernelSpec(l) for l in range(6, 1001)])
+        margins = [r.margin for r in reports]
+        assert min(margins) > 1.0
+        # the tightest band: the caps of band 3, the half arch of l = 7
+        assert reports[int(np.argmin(margins))].l == 7
+
+    @pytest.mark.parametrize(
+        "name, factor, proven",
+        [("_slope_lipschitz", 3.0, (6, 7)), ("_census_slope_sum", 1.0 / 3.0, (6,))],
+    )
+    def test_a_weakened_bound_raises_for_its_lengths(self, monkeypatch, name, factor, proven):
+        # a 3x Lipschitz constant loses bands 1 and 2 from l = 8 on; a census
+        # bound divided by 3 loses the bands m >= 3, which l = 6 does not have
+        bound = getattr(levelsets, name)
+        monkeypatch.setattr(levelsets, name, lambda *args: factor * bound(*args))
+        for l in range(6, 13):
+            if l in proven:
+                assert detect_sign_change(KernelSpec(l)).margin > 1.0
+            else:
+                with pytest.raises(VerificationError, match=rf"l={l},.* margin=0\."):
+                    detect_sign_change(KernelSpec(l))
 
 
 def count_solves(monkeypatch):
@@ -723,36 +744,24 @@ def outcome(call):
 
 class TestSignChangeBatch:
     @settings(max_examples=15)
-    @given(
-        st.lists(st.integers(2, 300), min_size=1, max_size=4),
-        st.sampled_from(("default", "criterion", "random")),
-        st.integers(0, 2**32 - 1),
-    )
-    def test_batch_equals_a_loop_of_single_calls(self, ls, scan_kind, seed):
-        # random, repeated and unsorted lengths; a random scan may miss the
-        # crossing, and then both raise the same error
-        scan = {
-            "default": None,
-            "criterion": np.geomspace(1e-4, 1.0 - 1e-6, 1000),
-            "random": np.random.default_rng(seed).uniform(1e-6, 1.0, 1000),
-        }[scan_kind]
+    @given(st.lists(st.integers(2, 300), min_size=1, max_size=4))
+    def test_batch_equals_a_loop_of_single_calls(self, ls):
+        # random, repeated and unsorted lengths
         specs = [KernelSpec(l) for l in ls]
-        batch = outcome(lambda: detect_sign_changes(specs, scan))
-        alone = outcome(lambda: [detect_sign_change(spec, scan) for spec in specs])
+        batch = outcome(lambda: detect_sign_changes(specs))
+        alone = outcome(lambda: [detect_sign_change(spec) for spec in specs])
         assert batch == alone
 
-    def test_first_failing_length_decides_the_error(self):
-        # a scan without levels below 0.3 shows no crossing for l >= 6
-        scan = np.linspace(0.3, 0.99, 1000)
+    def test_first_failing_length_decides_the_error(self, monkeypatch):
+        # with a third of the census caps every l >= 7 fails; l = 4 is not asserted
+        bound = levelsets._census_slope_sum
+        monkeypatch.setattr(levelsets, "_census_slope_sum", lambda l, m: bound(l, m) / 3.0)
         specs = [KernelSpec(l) for l in (4, 9, 7)]
         with pytest.raises(VerificationError, match=r"l=9,"):
-            detect_sign_changes(specs, scan)
+            detect_sign_changes(specs)
 
     def test_empty_batch(self):
         assert detect_sign_changes([]) == []
-        # a scan is checked whatever the lengths
-        with pytest.raises(PreconditionError):
-            detect_sign_changes([], np.geomspace(1e-3, 0.9, 10))
 
     def test_lockstep_groups_bound_the_rows_of_a_round(self):
         specs = [KernelSpec(l) for l in (*range(6, 49), 20_000, 301, 302, *range(1000, 1020))]
@@ -762,7 +771,7 @@ class TestSignChangeBatch:
         assert groups[1] == [KernelSpec(20_000)]  # over the bound: alone
         assert len(groups) > 3
         for group in groups:
-            rows = sum(levelsets._cover_parts(s.l) * (s.l - 1) for s in group)
+            rows = sum(4 * (s.l - 1) for s in group)
             assert rows <= levelsets._LOCKSTEP_ROWS or len(group) == 1
 
     def test_single_call_is_a_batch_of_one(self):
