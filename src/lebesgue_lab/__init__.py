@@ -9,6 +9,7 @@ from .epi import (
     check_epi,
     check_epis,
     check_rogozin,
+    decide_chain,
     handcrafted_corpus,
     holder_bound_chain,
     holder_exponents,

@@ -17,12 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .epi import (
+    CASE_HOLDER,
     EXACT_FLOOR,
     GENERAL_FLOOR,
     EpiInstance,
     check_epis,
     check_rogozin,
+    decide_chain,
     handcrafted_corpus,
+    holder_bound_chain,
     make_instance,
     random_instances,
 )
@@ -39,7 +42,6 @@ from .levelsets import (
 )
 from .pmf import convolve, entropy_summary, uniform
 from .quadrature import (
-    QuadratureConfig,
     ball_integral,
     certify_bound_grid,
     integrate_kernel_power_grid,
@@ -51,10 +53,7 @@ CERT_L_RANGE = range(6, 65)
 CERT_P_GRID = (2.0, 2.5, 3.0, 4.0, 6.0, 8.0, 16.0, 32.0)
 FUNCTIONAL_P_GRID = (2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0)
 EPI_SEEDS = range(10_000)
-
-# the randomized batches certify chains with margins above 1e-3 relative, so
-# a slightly relaxed tolerance buys a large constant factor in runtime
-BATCH_CFG = QuadratureConfig(abs_tol=1e-9, rel_tol=1e-8)
+EPI_L_RANGE = (6, 30)  # the entropy-power battery's index range, inclusive: epi-check's default
 
 
 @dataclass(frozen=True)
@@ -151,23 +150,28 @@ def criterion_asymptotics():
 
 @_criterion("sign change and monotone functional")
 def criterion_sign_change():
-    """One proven sign change per length, and a monotone comparison functional from Phi(2) >= 0."""
-    reports = {r.l: r for r in detect_sign_changes([KernelSpec(l) for l in range(6, 17)])}
+    """One proven sign change, Phi(2) >= 0, and a monotone comparison functional.
+
+    The crossing and Phi(2) >= 0 at every length l = 6..30 that the battery's
+    chains rest on; monotonicity over ``FUNCTIONAL_P_GRID`` at l = 6..12.
+    """
+    reports = detect_sign_changes([KernelSpec(l) for l in range(EPI_L_RANGE[0], EPI_L_RANGE[1] + 1)])
     bases = []
-    for l in range(6, 13):
-        spec = KernelSpec(l)
-        values = [comparison_functional(spec, p, reports[l].y0) for p in FUNCTIONAL_P_GRID]
+    for r in reports:
+        spec = KernelSpec(r.l)
+        ps = FUNCTIONAL_P_GRID if r.l <= 12 else FUNCTIONAL_P_GRID[:1]
+        values = [comparison_functional(spec, p, r.y0) for p in ps]
         # Phi(2) >= 0 is the base case that the monotonicity carries to every p >= 2
         if not values[0] >= 0.0:
-            return False, f"comparison functional negative at l={l}, p=2: {values[0]!r}"
+            return False, f"comparison functional negative at l={r.l}, p=2: {values[0]!r}"
         bases.append(values[0])
         for a, b in zip(values, values[1:]):
             if b < a - 1e-9 * max(1.0, abs(a)):
-                return False, f"comparison functional not monotone at l={l}: {a!r} -> {b!r}"
-    margin = min(r.margin for r in reports.values())
+                return False, f"comparison functional not monotone at l={r.l}: {a!r} -> {b!r}"
+    margin = min(r.margin for r in reports)
     return True, (
-        f"single crossing proven for l=6..16 (min band margin {margin:.4f}), "
-        f"functional nondecreasing from min Phi(2) {min(bases):.3e} for l=6..12"
+        f"single crossing proven and min Phi(2) {min(bases):.3e} >= 0 for l={EPI_L_RANGE[0]}..{EPI_L_RANGE[1]} "
+        f"(min band margin {margin:.4f}); functional nondecreasing over p for l=6..12"
     )
 
 
@@ -225,21 +229,36 @@ def criterion_slope_census():
 @functools.cache
 def _epi_instances() -> tuple[EpiInstance, ...]:
     # both entropy-power criteria check this batch; its weights are read-only
-    return tuple(random_instances(EPI_SEEDS, n_range=(2, 5), l_range=(6, 30)))
+    return tuple(random_instances(EPI_SEEDS, n_range=(2, 5), l_range=EPI_L_RANGE))
 
 
 @_criterion("entropy power suite")
 def criterion_epi_suite():
-    """Entropy power inequality over the random batch, corpus, and floors."""
-    reports = check_epis(_epi_instances(), cfg=BATCH_CFG)
+    """Entropy power inequality over the random batch, corpus, and floors.
+
+    The detail gives the smallest exact chain margin 1 - m0/m4 of the batch;
+    the numeric chain cross-checks the corpus's split-case tuples.
+    """
+    reports = check_epis(_epi_instances())
     n_exact = sum(report.rhs_exact_M is not None for report in reports)
-    check_epis(handcrafted_corpus(), cfg=BATCH_CFG)
+    corpus = handcrafted_corpus()
+    check_epis(corpus)
+    # every chain the batch decided, as its sorted indices: the decision is symmetric in them
+    chained = {tuple(sorted(i.l_indices)) for i in _epi_instances() if i.case == CASE_HOLDER}
+    margins = []
+    for ls in chained:
+        lhs, rhs = decide_chain(ls)
+        margins.append(((rhs - lhs) / rhs, ls))  # int / int: the exact margin, correctly rounded
+    margin, worst = min(margins)
+    cross = [holder_bound_chain(i.l_indices) for i in corpus if i.case == CASE_HOLDER]
     floors_ok = (
         0.5 * (6 - 1) / (6 + 1) == GENERAL_FLOOR and 0.5 * (36 - 1) / 36 == EXACT_FLOOR
     )
     return floors_ok, (
-        f"{len(EPI_SEEDS)} random + {len(handcrafted_corpus())} corpus instances hold; "
-        f"{n_exact} exact-index; floors at l_min=6 {'match' if floors_ok else 'DIFFER'}"
+        f"{len(EPI_SEEDS)} random + {len(corpus)} corpus instances hold; "
+        f"{n_exact} exact-index; min exact chain margin 1 - m0/m4 = {margin:.4e} "
+        f"at {worst} over {len(chained)} index tuples; {len(cross)} corpus chains ordered numerically; "
+        f"floors at l_min=6 {'match' if floors_ok else 'DIFFER'}"
     )
 
 

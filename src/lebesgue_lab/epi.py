@@ -11,27 +11,26 @@ being verified is:
     integer counts of the uniform convolution, with no quadrature;
   * when no single index dominates, a Hoelder split with exponents
     p_i = (sum_j l_j^2) / l_i^2 plus the certified norm bound collapses the
-    product to the closed form 2 l_min^2 / ((l_min^2 - 1) sum l_i^2);
+    product to the closed form 2 l_min^2 / ((l_min^2 - 1) sum l_i^2); every
+    link of that chain is a theorem, so :func:`check_epis` decides it by its
+    two ends alone, exactly in integers (:func:`decide_chain`), and
+    :func:`holder_bound_chain` evaluates every member numerically as its
+    cross-check;
   * otherwise the dominant uniform alone already carries half the sum.
 
 Together these yield N(sum X_i) >= 1/2 * (l_min - 1)/(l_min + 1) * sum N(X_i)
 for l_min >= 6 (floor 5/14), improving to 1/2 * (l_min^2 - 1)/l_min^2 (floor
 35/72) when every M(X_i) equals 1/l_i exactly.
 
-Batches run as a few array passes rather than one instance at a time, in
-blocks of ``_BLOCK`` instances so their work arrays stay bounded:
-
-  * :func:`random_instances` draws each seed's laws from its own generator
-    and generates the t-th law of every seed of a block at once (water-
-    filling, Pmf's checks, the index), so a seed stops at its first law that
-    fails; :func:`random_instance` is its batch of one;
-  * :func:`check_epis` integrates the kernel norms of all chains of a block
-    with one :func:`integrate_kernel_power_grid` call over every distinct
-    (index, exponent) pair, then checks the instances in order;
-    :func:`check_epi` and :func:`holder_bound_chain` are batches of one.
-
-Every value is bit-identical to generating and checking one instance at a
-time, and the first instance that fails raises the error it raises alone.
+:func:`random_instances` generates a batch as a few array passes rather
+than one instance at a time, in blocks of ``_BLOCK`` seeds so its work
+arrays stay bounded: each seed draws its laws from its own generator, and
+the t-th law of every seed of a block is generated at once (water-filling,
+Pmf's checks, the index), so a seed stops at its first law that fails;
+:func:`random_instance` is its batch of one.  Every value is bit-identical
+to generating one instance at a time, and the first seed that fails raises
+the error it raises alone.  :func:`check_epis` checks the instances one by
+one; no quadrature runs on its path.
 """
 
 from __future__ import annotations
@@ -56,8 +55,8 @@ from .pmf import (
 )
 from .quadrature import (
     DEFAULT_CONFIG,
-    MAX_EXPONENT,
     QuadratureConfig,
+    _check_exponent,
     integrate_kernel_power_grid,
     norm_bound,
     product_kernel_l1,
@@ -76,7 +75,7 @@ EXACT_FLOOR = 35.0 / 72.0
 
 _MAX_SATURATIONS = 50  # water-filling's cap: the rounds of its one-at-a-time form
 
-# instances are generated and checked in blocks of this many, so the padded
+# instances are generated in blocks of this many seeds, so the padded
 # work arrays of a large batch stay bounded
 _BLOCK = 256
 
@@ -152,9 +151,50 @@ def holder_exponents(ls) -> tuple[float, ...]:
     return ps
 
 
-def _uniform_max(ls, counts) -> float:
-    """Maximum of the uniform convolution: max N_m / prod(ls), correctly rounded."""
-    return int(counts.max()) / math.prod(ls)
+def _chain_exponents(ls: tuple) -> tuple[float, ...]:
+    """The chain's Hoelder exponents; an index below 6 or an exponent above ``MAX_EXPONENT`` raises."""
+    if min(ls) < 6:
+        raise PreconditionError(f"chain requires every index >= 6, got {ls}")
+    ps = holder_exponents(ls)
+    for p in ps:
+        _check_exponent(p)
+    return ps
+
+
+def _chain_ends(ls: tuple, counts) -> tuple[int, int, int, int]:
+    """The chain's first and last members as quotients of integers: m0 = a / b, m4 = c / d."""
+    top, lmin = int(counts.max()), min(ls)
+    return top * top, math.prod(ls) ** 2, 2 * lmin * lmin, (lmin * lmin - 1) * sum(l * l for l in ls)
+
+
+def decide_chain(ls) -> tuple[int, int]:
+    """Decide the bound chain of indices ``ls`` by its two ends, exactly in integers.
+
+    The chain m0 <= m1 <= m2 <= m3 <= m4 of :func:`holder_bound_chain` has
+    four links, each a theorem when every l_i >= 6 and every exponent
+    p_i = sum_j l_j^2 / l_i^2 >= 2 (the split case):
+
+      * m0 <= m1: Fourier inversion and the triangle inequality;
+      * m1 <= m2: Hoelder's inequality, since sum 1/p_i = 1;
+      * m2 <= m3: the paper's L^p bound, a theorem for every l >= 6 and
+        p >= 2 (``np-verify`` proves the single crossing of F - G behind it
+        for l = 6..1000 in CI);
+      * m3 <= m4: l^2 / (l^2 - 1) decreases in l, and the weights
+        l_i^2 / sum l^2 sum to 1.
+
+    The inequality uses only m0 <= m4, decided by the ends alone: with N the
+    counts of :func:`uniform_counts`, (max N)^2 (l_min^2 - 1) sum l^2 <=
+    2 l_min^2 (prod l)^2.  Returns (lhs, rhs); lhs > rhs raises
+    VerificationError naming ``ls`` and both sides.  Out of range input
+    raises as in :func:`holder_bound_chain`.
+    """
+    ls = tuple(int(l) for l in ls)
+    _chain_exponents(ls)
+    a, b, c, d = _chain_ends(ls, uniform_counts(ls))
+    lhs, rhs = a * d, c * b
+    if lhs > rhs:
+        raise VerificationError(f"bound chain ends out of order at {ls}: m0 <= m4 fails as {lhs} > {rhs}")
+    return lhs, rhs
 
 
 def holder_bound_chain(ls, cfg: QuadratureConfig = DEFAULT_CONFIG) -> HolderChain:
@@ -163,44 +203,27 @@ def holder_bound_chain(ls, cfg: QuadratureConfig = DEFAULT_CONFIG) -> HolderChai
     Members, in order: the squared maximum of the uniform convolution, the
     squared one-period integral of the kernel product, the Hoelder product of
     norms, the product of certified bounds, and the closed form.  Each must
-    be <= the next within 1e-9 relative.  The chain of a batch of one:
-    :func:`check_epis` evaluates the chains of a whole block with one
-    :func:`integrate_kernel_power_grid` call.
+    be <= the next within 1e-9 relative.  The ends are :func:`decide_chain`'s
+    quotients, correctly rounded; the kernel norms come from one
+    :func:`integrate_kernel_power_grid` call over the distinct (index,
+    exponent) pairs.  The numeric cross-check of :func:`decide_chain`.
     """
     ls = tuple(int(l) for l in ls)
-    if min(ls) < 6:
-        raise PreconditionError(f"chain requires every index >= 6, got {ls}")
-    ps = holder_exponents(ls)
-    return _chain(ls, ps, _kernel_norms([(ls, ps)], cfg))
-
-
-def _kernel_norms(chains, cfg: QuadratureConfig) -> dict:
-    """{(l, p): (norm, converged)} for the (ls, ps) of every chain.
-
-    Each distinct (l, p) is integrated once, all of them in one
-    :func:`integrate_kernel_power_grid` call.
-    """
-    pairs = list(dict.fromkeys((l, p) for ls, ps in chains for l, p in zip(ls, ps)))
-    norms = integrate_kernel_power_grid(pairs, cfg)
-    return {pair: (value, converged) for pair, (value, _, converged) in zip(pairs, norms)}
-
-
-def _chain(ls: tuple, ps: tuple, norms: dict) -> HolderChain:
-    """The bound chain of indices ``ls`` at exponents ``ps``, its norms read from ``norms``."""
+    ps = _chain_exponents(ls)
+    pairs = list(dict.fromkeys(zip(ls, ps)))
+    norms = dict(zip(pairs, integrate_kernel_power_grid(pairs, cfg)))
     counts = uniform_counts(ls)
-    m0 = _uniform_max(ls, counts) ** 2
+    a, b, c, d = _chain_ends(ls, counts)
     m1 = product_kernel_l1(ls, counts)[0] ** 2
     m2 = m3 = 1.0
     for l, p in zip(ls, ps):
-        value, converged = norms[l, p]
+        value, _, converged = norms[l, p]
         if not converged:
             raise VerificationError(f"norm quadrature did not converge at l={l}, p={p}")
         m2 *= value ** (2.0 / p)
         m3 *= norm_bound(l, p) ** (2.0 / p)
-    lmin = min(ls)
-    m4 = 2.0 * lmin * lmin / ((lmin * lmin - 1) * sum(l * l for l in ls))
 
-    members = (m0, m1, m2, m3, m4)
+    members = (a / b, m1, m2, m3, c / d)
     labels = (
         "max_prob_squared",
         "product_l1_squared",
@@ -221,7 +244,7 @@ def check_rogozin(instance: EpiInstance) -> RogozinCheck:
     The uniform side is the chain's first member, exact to the last bit.
     """
     m_actual = convolve_many(instance.pmfs).max_weight
-    m_uniform = _uniform_max(instance.l_indices, uniform_counts(instance.l_indices))
+    m_uniform = int(uniform_counts(instance.l_indices).max()) / math.prod(instance.l_indices)
     ok = m_actual <= m_uniform + ROGOZIN_SLACK
     check = RogozinCheck(
         max_prob=m_actual, max_prob_uniform=m_uniform, gap=m_uniform - m_actual, ok=ok
@@ -238,101 +261,58 @@ def _all_exact_index(instance: EpiInstance) -> bool:
     )
 
 
-def check_epi(
-    instance: EpiInstance,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-    with_chain: bool = True,
-) -> EpiReport:
-    """Check the entropy power inequality on one instance: :func:`check_epis` of one."""
-    return check_epis([instance], cfg, with_chain)[0]
-
-
-def check_epis(
-    instances,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-    with_chain: bool = True,
-) -> list[EpiReport]:
-    """Check the entropy power inequality on each instance, in order.
+def check_epi(instance: EpiInstance, with_chain: bool = True) -> EpiReport:
+    """Check the entropy power inequality on one instance.
 
     With l_min >= 6 a violation raises; below that the inequality is not
     claimed and the report is returned without assertion.  In the split case
-    the full bound chain is evaluated as well (disable via ``with_chain``
-    when only the inequality itself is wanted).
-
-    ``instances`` is read in blocks of ``_BLOCK``; the kernel norms of a
-    block's chains are integrated up front, in one
-    :func:`integrate_kernel_power_grid` call, and the instances are then
-    checked one by one.  The first instance that fails raises, with the
-    error a check of it alone raises: a chain with an exponent above
-    ``MAX_EXPONENT`` raises its DomainError once the instances before it
-    are checked, and an error raised by ``instances`` itself is raised
-    after the instances before it are checked.
+    the bound chain is decided as well, exactly (:func:`decide_chain`;
+    ``with_chain`` False skips it).  A chain exponent above the cap raises
+    before the convolution, which raises before the chain's decision.
     """
-    reports = []
-    items = iter(instances)
-    while True:
-        block, error = [], None
-        try:
-            for instance in items:
-                block.append(instance)
-                if len(block) == _BLOCK:
-                    break
-        except Exception as exc:  # raised once the instances before it are checked
-            error = exc
-        reports += _check_block(block, cfg, with_chain)
-        if error is not None:
-            raise error
-        if len(block) < _BLOCK:
-            return reports
+    chained = with_chain and instance.l_min >= 6 and instance.case == CASE_HOLDER
+    if chained:
+        _chain_exponents(instance.l_indices)
+    s = convolve_many(instance.pmfs)
+    lhs = entropy_summary(s).N_inf
+    sum_n = sum(entropy_summary(f).N_inf for f in instance.pmfs)
+    lmin = instance.l_min
+    rhs_general = 0.5 * (lmin - 1) / (lmin + 1) * sum_n
+    rhs_exact = 0.5 * (lmin * lmin - 1) / (lmin * lmin) * sum_n if _all_exact_index(instance) else None
+
+    holds = lhs >= rhs_general - EPI_SLACK
+    if rhs_exact is not None:
+        holds = holds and lhs >= rhs_exact - EPI_SLACK
+
+    asserted = lmin >= 6
+    if chained:
+        decide_chain(instance.l_indices)
+
+    report = EpiReport(
+        l_indices=instance.l_indices,
+        l_min=lmin,
+        case=instance.case,
+        lhs=lhs,
+        rhs_general=rhs_general,
+        rhs_exact_M=rhs_exact,
+        floor_general=GENERAL_FLOOR * sum_n,
+        floor_exact=EXACT_FLOOR * sum_n,
+        holds=holds,
+        asserted=asserted,
+    )
+    if asserted and not holds:
+        raise VerificationError(f"entropy power inequality failed: {report}")
+    return report
 
 
-def _check_block(instances: list, cfg: QuadratureConfig, with_chain: bool) -> list[EpiReport]:
-    """:func:`check_epis` on one block: the chains' kernel norms first, then each instance in order."""
-    # (indices, exponents) of each instance whose chain is checked, else None
-    chains = [
-        (inst.l_indices, holder_exponents(inst.l_indices))
-        if with_chain and inst.l_min >= 6 and inst.case == CASE_HOLDER
-        else None
-        for inst in instances
-    ]
-    # a chain with an exponent above the cap raises once the instances before it are checked
-    stop = next((i for i, c in enumerate(chains) if c and max(c[1]) > MAX_EXPONENT), None)
-    norms = _kernel_norms([c for c in chains[:stop] if c is not None], cfg)
-    reports = []
-    for instance, chain in zip(instances[:stop], chains):
-        s = convolve_many(instance.pmfs)
-        lhs = entropy_summary(s).N_inf
-        sum_n = sum(entropy_summary(f).N_inf for f in instance.pmfs)
-        lmin = instance.l_min
-        rhs_general = 0.5 * (lmin - 1) / (lmin + 1) * sum_n
-        rhs_exact = 0.5 * (lmin * lmin - 1) / (lmin * lmin) * sum_n if _all_exact_index(instance) else None
+def check_epis(instances, with_chain: bool = True) -> list[EpiReport]:
+    """:func:`check_epi` on each instance, in order.
 
-        holds = lhs >= rhs_general - EPI_SLACK
-        if rhs_exact is not None:
-            holds = holds and lhs >= rhs_exact - EPI_SLACK
-
-        asserted = lmin >= 6
-        if chain is not None:
-            _chain(*chain, norms)
-
-        report = EpiReport(
-            l_indices=instance.l_indices,
-            l_min=lmin,
-            case=instance.case,
-            lhs=lhs,
-            rhs_general=rhs_general,
-            rhs_exact_M=rhs_exact,
-            floor_general=GENERAL_FLOOR * sum_n,
-            floor_exact=EXACT_FLOOR * sum_n,
-            holds=holds,
-            asserted=asserted,
-        )
-        if asserted and not holds:
-            raise VerificationError(f"entropy power inequality failed: {report}")
-        reports.append(report)
-    if stop is not None:
-        _kernel_norms([chains[stop]], cfg)  # raises that exponent's DomainError
-    return reports
+    The first instance that fails raises its own error, and an error raised
+    by ``instances`` itself is raised once the instances before it are
+    checked.
+    """
+    return [check_epi(instance, with_chain) for instance in instances]
 
 
 def _fit_max_into(weights: np.ndarray, target: float) -> np.ndarray:

@@ -335,7 +335,7 @@ COMMAND_DESTS = {
     **dict.fromkeys(("lebesgue", "certify", "asymptotic", "sweep"), _GRID_DESTS),
     "ball": {"p", "out", "format", "abs_tol", "rel_tol"},
     "np-verify": {"l", "out", "format"},
-    "epi-check": _BATCH_DESTS | {"corpus", "instances", "no_chain", "abs_tol", "rel_tol"},
+    "epi-check": _BATCH_DESTS | {"corpus", "instances", "no_chain"},
     "rogozin": _BATCH_DESTS,
     "suite": {"out", "format"},
     "plot-data": {"l", "resolution", "out"},
@@ -346,7 +346,7 @@ DROPPED_FLAGS = [
     *((cmd, "--l 6 --p 2", "--seed") for cmd in ("lebesgue", "certify", "asymptotic", "sweep")),
     ("ball", "--p 2", "--seed"),
     *(("np-verify", "--l 6", flag) for flag in ("--seed", "--abs-tol", "--rel-tol")),
-    *(("rogozin", "--random 1", flag) for flag in ("--abs-tol", "--rel-tol")),
+    *((cmd, "--random 1", flag) for cmd in ("epi-check", "rogozin") for flag in ("--abs-tol", "--rel-tol")),
     *(("suite", "", flag) for flag in ("--seed", "--abs-tol", "--rel-tol")),
     *(("plot-data", "--l 8", flag) for flag in ("--format", "--seed", "--abs-tol", "--rel-tol")),
 ]
@@ -361,7 +361,7 @@ class TestFlagSets:
             for name, p in sub.choices.items()
         }
         assert got == COMMAND_DESTS
-        assert sum(map(len, got.values())) == 58
+        assert sum(map(len, got.values())) == 56
 
     @pytest.mark.parametrize(
         "command, required, flag", DROPPED_FLAGS, ids=[f"{c}{f}" for c, _, f in DROPPED_FLAGS]

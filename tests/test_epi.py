@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lebesgue_lab import epi, pmf
+from lebesgue_lab import epi, pmf, quadrature
 from lebesgue_lab.epi import (
     CASE_DOMINANT,
     CASE_HOLDER,
@@ -17,6 +17,7 @@ from lebesgue_lab.epi import (
     check_epi,
     check_epis,
     check_rogozin,
+    decide_chain,
     handcrafted_corpus,
     holder_bound_chain,
     holder_exponents,
@@ -30,7 +31,7 @@ from lebesgue_lab.epi import (
     save_instances,
 )
 from lebesgue_lab.errors import DomainError, GenerationError, PreconditionError, VerificationError
-from lebesgue_lab.pmf import Pmf, convolve_many, entropy_summary, l_index, uniform
+from lebesgue_lab.pmf import Pmf, convolve_many, entropy_summary, l_index, uniform, uniform_counts
 from lebesgue_lab.quadrature import (
     KernelSpec,
     QuadratureConfig,
@@ -114,6 +115,45 @@ class TestHolderChain:
     def test_exponent_sum_is_one(self):
         for ls in ((6, 6), (7, 9, 11), (6, 8, 10, 12)):
             assert sum(1.0 / p for p in holder_exponents(ls)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_an_unconverged_norm_raises(self):
+        with pytest.raises(VerificationError, match="did not converge at l=6"):
+            holder_bound_chain((6, 7, 8), QuadratureConfig(1e-15, 1e-15, 1))
+
+
+def _split(ls):
+    return 2 * max(ls) ** 2 <= sum(l * l for l in ls)
+
+
+class TestDecideChain:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(6, 40), min_size=2, max_size=5).filter(_split))
+    @example([6, 6])
+    @example([30, 30])
+    @example([40, 40, 40, 40, 40])
+    def test_exact_ends_are_the_numeric_chain_ends(self, ls):
+        lhs, rhs = decide_chain(ls)
+        assert lhs <= rhs
+        top, lmin, sum_sq = int(uniform_counts(ls).max()), min(ls), sum(l * l for l in ls)
+        assert lhs == top**2 * (lmin**2 - 1) * sum_sq and rhs == 2 * lmin**2 * math.prod(ls) ** 2
+        chain = holder_bound_chain(ls)
+        assert all(a <= b * (1.0 + 1e-9) for a, b in zip(chain.members, chain.members[1:]))
+        # the numeric chain's ends are the exact sides divided out, correctly rounded
+        assert chain.members[0] == float(Fraction(top**2, math.prod(ls) ** 2))
+        assert chain.members[4] == float(Fraction(2 * lmin**2, (lmin**2 - 1) * sum_sq))
+
+    def test_equal_uniforms_sit_one_over_l_squared_below(self):
+        for l in (6, 17, 30):
+            lhs, rhs = decide_chain((l, l))
+            assert 1 - Fraction(lhs, rhs) == Fraction(1, l * l)
+
+    def test_outside_its_range_it_raises(self):
+        with pytest.raises(PreconditionError, match="every index >= 6"):
+            decide_chain((5, 6, 6))
+        with pytest.raises(PreconditionError, match="dominates"):
+            decide_chain((6, 20))
+        with pytest.raises(DomainError, match="got 500001"):
+            decide_chain((6, 3000, 3000))
 
 
 class TestRogozin:
@@ -602,34 +642,30 @@ class TestCheckEpis:
             check_epi(inst, with_chain=False) for inst in instances
         ]
 
-    def test_blocks_do_not_change_the_reports(self, monkeypatch):
-        instances = list(random_instances(range(50)))
-        whole = check_epis(instances)
-        monkeypatch.setattr(epi, "_BLOCK", 8)
-        assert check_epis(instances) == whole
+    def test_runs_no_quadrature(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("check_epis ran quadrature")
 
-    def test_one_kernel_call_per_distinct_index(self, monkeypatch):
-        # one engine call per block, each distinct (l, p) of its chains once
-        calls = []
+        for module in (epi, quadrature):
+            monkeypatch.setattr(module, "integrate_kernel_power_grid", forbidden)
+            monkeypatch.setattr(module, "product_kernel_l1", forbidden)
+        instances = [*random_instances(range(40)), *handcrafted_corpus()]
+        assert sum(inst.case == CASE_HOLDER for inst in instances) >= 20
+        assert all(report.holds for report in check_epis(instances))
 
-        def counted(pairs, *args, **kwargs):
-            calls.append(list(pairs))
-            return integrate_kernel_power_grid(pairs, *args, **kwargs)
-
-        monkeypatch.setattr(epi, "integrate_kernel_power_grid", counted)
-        instances = list(random_instances(range(40)))
-        check_epis(instances)
-        chained = [
-            pair
-            for inst in instances
-            if inst.case == CASE_HOLDER
-            for pair in zip(inst.l_indices, holder_exponents(inst.l_indices))
-        ]
-        assert calls == [list(dict.fromkeys(chained))]
-        calls.clear()
-        monkeypatch.setattr(epi, "_BLOCK", 16)
-        check_epis(instances)
-        assert len(calls) == 3  # blocks of 16, 16 and 8
+    def test_doubled_counts_fail_the_first_split_case_instance(self, monkeypatch):
+        # seeds 2 and 3 draw a dominant index, seed 4 is the first split case
+        instances = list(random_instances(range(2, 12)))
+        assert [inst.case for inst in instances[:3]] == [CASE_DOMINANT, CASE_DOMINANT, CASE_HOLDER]
+        counts = epi.uniform_counts
+        monkeypatch.setattr(epi, "uniform_counts", lambda ls: 2 * counts(ls))
+        with pytest.raises(VerificationError, match="bound chain ends out of order") as alone:
+            check_epi(instances[2])
+        assert str(instances[2].l_indices) in str(alone.value)
+        with pytest.raises(VerificationError) as batch:
+            check_epis(instances)
+        assert str(batch.value) == str(alone.value)
+        assert len(check_epis(instances, with_chain=False)) == len(instances)
 
     def test_first_failing_instance_raises_its_own_error(self, monkeypatch):
         instances = [make_instance([uniform(4), uniform(5)]), *random_instances(range(5))]
@@ -640,21 +676,18 @@ class TestCheckEpis:
             check_epis(instances)
         assert str(batch.value) == str(alone.value)
 
-    def test_an_exponent_above_the_cap_comes_after_the_instances_before_it(self):
-        tight = QuadratureConfig(1e-15, 1e-15, 1)
-        failing = make_instance([uniform(6), uniform(7), uniform(8)])
+    def test_an_exponent_above_the_cap_comes_after_the_instances_before_it(self, monkeypatch):
         # its exponent at l = 6 is 500001, above MAX_EXPONENT
         capped = make_instance([uniform(6), uniform(3000), uniform(3000)])
-        with pytest.raises(VerificationError, match="did not converge at l=6") as alone:
-            check_epi(failing, tight)
-        with pytest.raises(VerificationError) as batch:
-            check_epis([failing, capped], tight)
-        assert str(batch.value) == str(alone.value)
         with pytest.raises(DomainError, match="got 500001") as alone:
             check_epi(capped)
         with pytest.raises(DomainError) as batch:
-            check_epis([make_instance([uniform(6), uniform(7)]), capped, failing])
+            check_epis([make_instance([uniform(6), uniform(7)]), capped, make_instance([uniform(6)] * 3)])
         assert str(batch.value) == str(alone.value)
+        # an instance before it that fails raises first
+        monkeypatch.setattr(epi, "EPI_SLACK", -1e300)
+        with pytest.raises(VerificationError):
+            check_epis([make_instance([uniform(6), uniform(7)]), capped])
 
     def test_an_error_from_the_instances_comes_after_the_ones_before_it(self, monkeypatch):
         def instances():
