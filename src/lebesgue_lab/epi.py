@@ -178,7 +178,7 @@ def decide_chain(ls) -> tuple[int, int]:
       * m1 <= m2: Hoelder's inequality, since sum 1/p_i = 1;
       * m2 <= m3: the paper's L^p bound, a theorem for every l >= 6 and
         p >= 2 (``np-verify`` proves the single crossing of F - G behind it
-        for l = 6..1000 in CI);
+        for l = 6..3000 in CI);
       * m3 <= m4: l^2 / (l^2 - 1) decreases in l, and the weights
         l_i^2 / sum l^2 sum to 1.
 

@@ -190,6 +190,20 @@ def kernel_values_and_slopes(l: int, x: np.ndarray):
     return values, slopes
 
 
+def _slope_numerators(l: int, x: np.ndarray):
+    """phi(x) = l cos(l pi x) sin(pi x) - sin(l pi x) cos(pi x), the numerator of h', and phi'(x).
+
+    h' = pi phi / (l sin^2(pi x)), so the peaks of g are the roots of phi,
+    and phi'(x) = -pi (l^2 - 1) sin(l pi x) sin(pi x) keeps one sign on
+    each arch (k/l, (k+1)/l): one root per arch.  The numerator's argument
+    is reduced as in :func:`kernel_values_and_slopes`.
+    """
+    u = PI * np.fmod(l * x, 2.0)
+    sin_u = np.sin(u)
+    s = np.sin(PI * x)
+    return l * np.cos(u) * s - sin_u * np.cos(PI * x), -PI * (l * l - 1) * sin_u * s
+
+
 def kernel_slope_values(l: int, x: np.ndarray) -> np.ndarray:
     """Vectorized derivative of the signed quotient sin(l pi x)/(l sin(pi x)).
 

@@ -9,13 +9,16 @@ crossing), every full arch contributes an interval around its peak (two
 crossings), and for odd lengths the final half-arch rising to g(1/2) = 1/l
 contributes at most one more crossing.  One cached table per length
 (``_segments``) holds the arches' bounds, their peaks and the monotone
-segments between them; ``bump_profiles`` is an uncached view of it.  Each
-crossing is found by bracketed Newton on its monotone segment, started from
-the arch inverted with its denominator frozen (or, on the flat top of arch
-0, from the osculating Gaussian with its x^4 correction), so a root takes
-3-4 rounds (3.8 on average, and a level's block of roots 4-6, on the
-benchmark's census levels); each round evaluates g and g' together from one
-set of sines (``kernel.kernel_values_and_slopes``).  Every per-level quantity comes
+segments between them; ``bump_profiles`` is an uncached view of it.  Every
+root of the module comes from one safeguarded Newton routine (``_newton``):
+the arch peaks, as the roots of phi, the numerator of h', from the arch
+midpoints (2-5 rounds each); each crossing of g = y, on its monotone
+segment, from the arch inverted with its denominator frozen (or, on the
+flat top of arch 0, from the osculating Gaussian with its x^4 correction),
+so a root takes 3-4 rounds (3.8 on average, and a level's block of roots
+4-6, on the benchmark's census levels), each round evaluating g and g'
+together from one set of sines (``kernel.kernel_values_and_slopes``); and
+y0, as the root of D below.  Every per-level quantity comes
 from one solve of a batch of levels (``_solve_levels``), each level reading
 its length's row of one padded stack of those tables (``_stack``), and a
 level's roots are bit-identical in any batch.  With F the truncated
@@ -43,7 +46,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -53,15 +56,13 @@ from .kernel import (
     KernelSpec,
     TruncatedGaussian,
     _check_levels,
+    _slope_numerators,
     gaussian_distribution_function,
     kernel_slope_values,
     kernel_values,
     kernel_values_and_slopes,
 )
 from .quadrature import DEFAULT_CONFIG, QuadratureConfig, bump_partition, integrate_kernel_power
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_PEAK_BRACKET_TOL = 1e-13  # a golden-section search stops at this bracket width
 
 # levels this close to an arch peak are excluded from slope checks (the
 # derivative of G is undefined exactly at the peaks)
@@ -104,41 +105,6 @@ class SlopeBoundCheck:
     ok: bool
 
 
-def _golden_peaks(l: int, a: np.ndarray, b: np.ndarray):
-    """Golden-section maxima of g on the unimodal brackets [a_i, b_i], all at once.
-
-    Every row takes the scalar search's steps and applies its own stopping
-    test b - a > _PEAK_BRACKET_TOL, so a row's result does not depend on the
-    other rows: each round evaluates g once per row that is still searching.
-    A round works on those rows' own arrays, compacted only on a round where
-    some row stops (the rows of one length mostly stop together).
-    """
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc = kernel_values(l, c)
-    fd = kernel_values(l, d)
-    x = np.empty(len(a))
-    rows = np.arange(len(a))
-    going = b - a > _PEAK_BRACKET_TOL
-    while True:
-        left = np.count_nonzero(going)
-        if left < len(rows):
-            x[rows] = 0.5 * (a + b)
-            rows, a, b, c, d, fc, fd = (v[going] for v in (rows, a, b, c, d, fc, fd))
-        if not left:
-            return x, kernel_values(l, x)
-        up = fc < fd  # the maximum lies right of c: drop [a, c)
-        a = np.where(up, c, a)
-        b = np.where(up, b, d)
-        w = b - a
-        gw = _GOLDEN * w
-        probe = np.where(up, a + gw, b - gw)
-        c, d = np.where(up, d, probe), np.where(up, probe, c)
-        f_probe = kernel_values(l, probe)
-        fc, fd = np.where(up, fd, f_probe), np.where(up, f_probe, fc)
-        going = w > _PEAK_BRACKET_TOL
-
-
 # The fields of a segment table, one float row each (flags 1.0 or 0.0): bracket,
 # highest value, rising, half arch, arch index, length, ``_newton_start``'s constants.
 _FIELDS = 10
@@ -151,13 +117,18 @@ def _segments(l: int) -> np.ndarray:
 
     Returns the table of l alone, the read-only stack of a group of one
     length, indexed (field, 0, segment): arch 0 falls from 1, every full
-    arch of ``bump_partition(l)`` rises to its peak (one vectorized
-    golden-section search finds them all) and falls again, and an odd
-    length's final half arch rises to g(1/2).  The constants are Python
-    scalars, so a row gets the float its length alone gives.
+    arch of ``bump_partition(l)`` rises to its peak and falls again, and an
+    odd length's final half arch rises to g(1/2).  The peaks are the roots
+    of phi, the numerator of h' (``kernel._slope_numerators``), all solved
+    by one ``_newton`` from the arch midpoints; phi rises on the odd arches
+    and falls on the even ones.  The constants are Python scalars, so a row
+    gets the float its length alone gives.
     """
     arches = bump_partition(l)
-    peak_x, peak_y = _golden_peaks(l, *arches[1 : l // 2].T)
+    lo, hi = arches[1 : l // 2].T
+    orient = np.where(np.arange(1, l // 2) % 2 == 1, 1.0, -1.0)
+    peak_x = _newton(partial(_peak_gap, l=l), 0.5 * (lo + hi), lo, hi, orient)
+    peak_y = kernel_values(l, peak_x)
     flat_top = 1.0 / (l * math.sin(PI / (2 * l)))
     c2 = PI**2 * (l * l - 1) / 6.0
     c4 = PI**4 * (l**4 - 1) / 180.0
@@ -243,19 +214,69 @@ def _newton_start(y, seg) -> np.ndarray:
     return np.minimum(np.maximum(x, lo), hi)
 
 
+def _newton(evaluate, x, lo, hi, *rows, step_tol=None) -> np.ndarray:
+    """Safeguarded Newton (``rtsafe``, Numerical Recipes, section 9.4) on brackets [lo, hi], row by row.
+
+    ``evaluate(x, *rows)`` returns each row's value d, signed so that the
+    root lies left of x where d > 0, and |d'|.  A round shrinks the bracket
+    by the sign of d and steps by -d / |d'|.  A step that leaves the
+    bracket, or is not finite, becomes a bisection step; so does a step
+    longer than the tolerance onto a bracket end, which would revisit an
+    evaluated point and, where d is flat to rounding, can cycle between the
+    two ends.  A row is done when d == 0 (it keeps x) or when its step is at
+    most ``step_tol``, by default 2 ulps of x.  ``rows`` are the per-row
+    arrays that ``evaluate`` reads; a round works on the unfinished rows'
+    own arrays, compacted only on a round where some row finishes, so no
+    row's result depends on another's, and no round runs without a row.
+    """
+    lo, hi = lo.copy(), hi.copy()
+    out = np.empty(len(x))
+    index = np.arange(len(x))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_MAX_ROUNDS):
+            if not len(index):
+                return out
+            d, slope = evaluate(x, *rows)
+            # x replaces the bracket end on its side of the root (lo where d == 0, which finishes the row)
+            np.copyto(lo, x, where=d <= 0.0)
+            np.copyto(hi, x, where=d > 0.0)
+            newton = x - d / slope
+            tol = 2.0 * np.spacing(x) if step_tol is None else step_tol
+            keep = (lo < newton) & (newton < hi)
+            np.copyto(keep, (lo <= newton) & (newton <= hi), where=np.abs(newton - x) <= tol)
+            xn = 0.5 * (lo + hi)
+            np.copyto(xn, newton, where=keep)
+            np.copyto(xn, x, where=d == 0.0)
+            x, going = xn, np.abs(xn - x) > tol
+            if np.count_nonzero(going) < len(index):
+                out[index] = x
+                index, x, lo, hi, *rows = (v[going] for v in (index, x, lo, hi, *rows))
+    out[index] = x
+    return out
+
+
+def _peak_gap(x, orient, l):
+    """phi at the points x of length l, oriented to rise, and |phi'|: the peaks' ``_newton`` evaluator."""
+    phi, slope = _slope_numerators(l, x)
+    return orient * phi, np.abs(slope)
+
+
+def _level_gap(x, y, l, step_sign):
+    """g(x) - y, oriented to rise by the segment's ``step_sign``, and |g'|: the crossings' ``_newton`` evaluator.
+
+    One pass over the sines gives both (``kernel_values_and_slopes``), and
+    multiplying by +-1.0 is exact.
+    """
+    g, slope = kernel_values_and_slopes(l, x)
+    return step_sign * (g - y), np.abs(slope)
+
+
 def _newton_segments(y, segments, flat) -> np.ndarray:
     """Roots of g(x) = y_i on monotone brackets [lo, hi] of segments[:, flat_i].
 
-    This is ``rtsafe`` (Numerical Recipes, section 9.4), row by row.  Each
-    row starts at the inverted-arch estimate of ``_newton_start``.  A round
-    evaluates g and its slope together (``kernel_values_and_slopes``, one
-    pass over the sines), sets d = g(x) - y, shrinks the bracket by the sign
-    of d, and steps by -d / g'(x), with the sign of g' taken from ``inc``.
-    A step that leaves the bracket, or is longer than 2 ulps of x and lands
-    on a bracket end, becomes a bisection step.  A row is done when d == 0
-    (it keeps x) or when its step is at most 2 ulps of x.  Only unfinished
-    rows are evaluated, in blocks of ``_BLOCK_ROWS`` gathered one at a time,
-    and no row's result depends on another's, whatever its length.
+    Each row runs ``_newton`` on g - y from the inverted-arch estimate of
+    ``_newton_start``, in blocks of ``_BLOCK_ROWS`` gathered one at a time;
+    no row's result depends on another's, whatever its length.
     """
     x = np.empty(len(y))
     for start in range(0, len(y), _BLOCK_ROWS):
@@ -265,40 +286,9 @@ def _newton_segments(y, segments, flat) -> np.ndarray:
 
 
 def _newton_block(y, seg) -> np.ndarray:
-    """The rounds of ``_newton_segments`` on one block; its rows are compacted only when some row finishes."""
-    x = _newton_start(y, seg)
-    # the block's own gathered brackets shrink in place
-    lo, hi, l = seg[_LO], seg[_HI], seg[_L]
-    # the sign of g' on each row's segment; multiplying d by +-1.0 is exact
+    """The roots of one block of ``_newton_segments``, the sign of g' taken from each segment's ``inc``."""
     step_sign = np.where(seg[_INC] == 1.0, 1.0, -1.0)
-    out = np.empty(len(x))
-    rows = np.arange(len(x))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(_MAX_ROUNDS):
-            g, slope = kernel_values_and_slopes(l, x)
-            sd = step_sign * (g - y)
-            # x replaces the bracket end on its side of the root (lo where d == 0, which finishes the row)
-            np.copyto(lo, x, where=sd <= 0.0)
-            np.copyto(hi, x, where=sd > 0.0)
-            newton = x - sd / np.abs(slope)
-            tol = 2.0 * np.spacing(x)
-            # A step that leaves the bracket, or is not finite, bisects instead.
-            # So does a step longer than tol onto a bracket end: it would revisit
-            # an evaluated point, and where g is flat to rounding it can cycle
-            # between the two ends.
-            keep = (lo < newton) & (newton < hi)
-            np.copyto(keep, (lo <= newton) & (newton <= hi), where=np.abs(newton - x) <= tol)
-            xn = 0.5 * (lo + hi)
-            np.copyto(xn, newton, where=keep)
-            np.copyto(xn, x, where=sd == 0.0)
-            x, going = xn, np.abs(xn - x) > tol
-            if np.count_nonzero(going) < len(rows):
-                out[rows] = x
-                rows, x, y, lo, hi, l, step_sign = (v[going] for v in (rows, x, y, lo, hi, l, step_sign))
-                if not len(rows):
-                    return out
-    out[rows] = x
-    return out
+    return _newton(_level_gap, _newton_start(y, seg), seg[_LO], seg[_HI], y, seg[_L], step_sign)
 
 
 def _solve_levels(table: np.ndarray, which: np.ndarray, ys: np.ndarray):
@@ -404,48 +394,20 @@ def _slope_lipschitz(l: int) -> float:
 _Y0_STEP_TOL = 1e-10
 
 
-def _refine_crossings(table: np.ndarray, tgs: list[TruncatedGaussian], brackets: dict) -> dict:
-    """Root of D(y) = F(y) - G(y) in each bracket {k: (lo, hi, neg_lo)}, by bracketed Newton.
+def _crossing_gap(y, which, orient, table, tgs):
+    """D(y) = F(y) - G(y) at length row ``which`` of ``table``, oriented to rise, and |D'|: the y0 ``_newton`` evaluator.
 
-    Bracket k is at length row k of ``table``, its root comes back under k,
-    and ``neg_lo`` is the sign of D at ``lo``.  D'(y) = F'(y) + slope_sum(y), with
-    F' from ``_gaussian_slope`` above y_last and 0 below it, since G'
-    is minus the slope sum.  The brackets are refined in lockstep: each round
-    solves the current level of every unfinished bracket once, for both G
-    and the slope sum, and then steps each on its own.  As in
-    ``_newton_segments``, a bracket shrinks by the sign of D, a step that
-    leaves it becomes a bisection step, and its refinement ends when D == 0
-    or a step is at most ``_Y0_STEP_TOL``.
+    One solve of every level gives both G and the slope sum, and
+    D' = F' + slope_sum, with F' from ``_gaussian_slope`` above y_last and
+    0 below it, since G' is minus the slope sum.
     """
-    lo, hi = {k: b[0] for k, b in brackets.items()}, {k: b[1] for k, b in brackets.items()}
-    y = {k: 0.5 * (lo[k] + hi[k]) for k in brackets}
-    live = list(brackets)
-    for _ in range(_MAX_ROUNDS):
-        if not live:
-            break
-        row, roots, seg = _solve_levels(table, np.array(live), np.array([y[k] for k in live]))
-        measures = _measures(len(live), row, roots, seg).tolist()
-        _, slope_sums = _slope_sums(len(live), row, np.abs(kernel_slope_values(seg[_L], roots)))
-        unfinished = []
-        for k, g, slope_sum_k in zip(live, measures, slope_sums):
-            tg, yk = tgs[k], y[k]
-            f = gaussian_distribution_function(tg, yk)
-            d = f - g
-            if d == 0.0:
-                continue
-            if (d < 0.0) == brackets[k][2]:
-                lo[k] = yk
-            else:
-                hi[k] = yk
-            slope = (0.0 if yk < tg.y_last else -_gaussian_slope(tg.l, yk, f)) + slope_sum_k
-            yn = yk - d / slope if slope != 0.0 else math.nan
-            if not lo[k] <= yn <= hi[k]:
-                yn = 0.5 * (lo[k] + hi[k])
-            y[k] = yn
-            if abs(yn - yk) > _Y0_STEP_TOL:
-                unfinished.append(k)
-        live = unfinished
-    return y
+    row, roots, seg = _solve_levels(table, which, y)
+    g = _measures(len(y), row, roots, seg)
+    _, sums = _slope_sums(len(y), row, np.abs(kernel_slope_values(seg[_L], roots)))
+    cases = list(zip([tgs[k] for k in which.tolist()], y.tolist(), sums))
+    f = [gaussian_distribution_function(tg, v) for tg, v, _ in cases]
+    slope = [(0.0 if v < tg.y_last else -_gaussian_slope(tg.l, v, fv)) + s for (tg, v, s), fv in zip(cases, f)]
+    return orient * (np.array(f) - g), np.abs(slope)
 
 
 # lengths run in lockstep while their band-end solves add at most this many
@@ -522,7 +484,7 @@ def _sign_changes(specs: list[KernelSpec]) -> list[SignChangeReport]:
     slopes = np.abs(kernel_slope_values(seg[_L], roots))
     ends = [(roots[a:b], slopes[a:b]) for a, b in zip(bounds, bounds[1:])]
 
-    fields, brackets, start = [], {}, 0
+    fields, brackets, start = [], [], 0
     for k, (tg, level) in enumerate(zip(tgs, levels)):
         stop = start + len(level)
         margin = _band_margin(risings[k], tg, dict(zip(level, ends[start:stop])))
@@ -533,13 +495,18 @@ def _sign_changes(specs: list[KernelSpec]) -> list[SignChangeReport]:
         flips = np.nonzero(d[nz[:-1]] * d[nz[1:]] < 0.0)[0]
         if len(flips):
             i, j = nz[flips[0]], nz[flips[0] + 1]
-            brackets[k] = (float(level[i - 1]) if i else 0.0, float(level[j - 1]), d[i] < 0.0)
+            brackets.append((k, float(level[i - 1]) if i else 0.0, float(level[j - 1]), 1.0 if d[i] < 0.0 else -1.0))
         # without a side arch (l = 2) arch 0 is all of [0, 1/2]: no y_1
         above = not risings[k].size or (level[-1] > tg.y_last and d[-1] > 0.0)
         fields.append((len(flips), tg.x_c < 0.5, bool(above), margin))
-    y0s = _refine_crossings(table, tgs, brackets)
+    # y0 by ``_newton`` on D, from the middle of each bracket (row, lo, hi, +1.0 where D(lo) < 0)
+    which, lo, hi, orient = np.array(brackets).reshape(-1, 4).T
+    which = which.astype(np.intp)
+    y0s = np.full(len(specs), math.nan)
+    gap = partial(_crossing_gap, table=table, tgs=tgs)
+    y0s[which] = _newton(gap, 0.5 * (lo + hi), lo, hi, which, orient, step_tol=_Y0_STEP_TOL)
 
-    reports = [SignChangeReport(spec.l, y0s.get(k, math.nan), *fields[k]) for k, spec in enumerate(specs)]
+    reports = [SignChangeReport(spec.l, float(y0s[k]), *fields[k]) for k, spec in enumerate(specs)]
     for r in reports:
         if r.l >= 6 and (r.crossings, r.F0_lt_G0, r.G_lt_F_above_y1, r.margin > 1.0) != (1, True, True, True):
             raise VerificationError(f"single sign change not proven: {r}")

@@ -173,8 +173,10 @@ def l_indices_from_max(ms) -> list[int]:
     """The unique integer l with m in (1/(l+1), 1/l], for each max probability m.
 
     Computed as floor(1/m) with an exactness guard so that m stored as a
-    rounded 1/l still maps to l.  The first m outside (0, 1] raises.  Each
-    index takes a few float operations, so they run on Python floats.
+    rounded 1/l still maps to l.  The guard is relative: 1/m is within a few
+    ulps of k, and an ulp of k passes 1e-12 from k = 2^13 on.  The first m
+    outside (0, 1] raises.  Each index takes a few float operations, so they
+    run on Python floats.
     """
     out = []
     for m in ms:
@@ -182,7 +184,7 @@ def l_indices_from_max(ms) -> list[int]:
             raise DomainError(f"max probability {m} outside (0, 1]")
         inv = 1.0 / m
         k = round(inv)
-        out.append(int(k) if k >= 1 and abs(inv - k) < 1e-12 and m * k <= 1.0 else int(math.floor(inv)))
+        out.append(int(k) if k >= 1 and abs(inv - k) <= 1e-12 * k and m * k <= 1.0 else int(math.floor(inv)))
     return out
 
 

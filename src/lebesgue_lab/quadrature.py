@@ -23,9 +23,7 @@ exponent's arch dropping:
   for the others;
 * ``_kernel_table(l, k)``: g at the 15/31 abscissae of the first k arches,
   keyed by the kept-prefix length k, so an exponent that drops arches never
-  evaluates them (tables of more than 4096 arches are not kept);
-* ``_sinc_head()``: |sin u / u| at the abscissae of the sinc head, the
-  first 16 periods, one table for every p.
+  evaluates them (tables of more than 4096 arches are not kept).
 
 A first pass only raises a table to p; the stop test and split loop are those
 of :func:`adaptive_integral`, and only a bisected piece evaluates its
@@ -39,7 +37,8 @@ than the tolerance allows), is sent their halves, and then applies the
 bisections one at a time in its own heap order.  So every value, error and
 flag is that of one evaluation per bisection, bit for bit, and no half is
 evaluated that the loop does not use unless the subdivision budget runs out
-first.  :func:`_run` evaluates the rounds of one integrand, one call each.
+first.  :func:`adaptive_integral` evaluates the rounds of one integrand, one
+call each.
 
 :func:`integrate_kernel_power_grid` is the one engine for g^p, over (l, p)
 pairs of any lengths: per length, one node table at the longest kept prefix
@@ -200,11 +199,7 @@ def adaptive_integral(fn, pieces, cfg: QuadratureConfig = DEFAULT_CONFIG):
     if not len(pieces):
         return 0.0, 0.0, True
     a, b = pieces[:, 0], pieces[:, 1]
-    return _run(fn, _refine(a, b, *_pair_eval(fn, a, b), cfg))
-
-
-def _run(fn, loop):
-    """Drive one :func:`_refine` loop to its result, each round with one call of ``fn``."""
+    loop = _refine(a, b, *_pair_eval(fn, a, b), cfg)
     try:
         taken = next(loop)
         while True:
@@ -234,7 +229,7 @@ def _refine(a, b, i31, err, cfg: QuadratureConfig):
 
     The loop applies the bisections in its own order, so every value, error
     and flag is that of one evaluation per bisection, bit for bit, whoever
-    evaluates the rounds (:func:`_run` for one integrand,
+    evaluates the rounds (:func:`adaptive_integral` for one integrand,
     :func:`_power_rounds` for many kernel powers at once).  A round holds a
     piece that the loop never bisects only when the budget runs out before
     the loop reaches it.
@@ -656,24 +651,14 @@ def _sinc_modulus(u: np.ndarray) -> np.ndarray:
 _HEAD_PERIODS = 16
 
 
-@lru_cache(maxsize=None)
-def _sinc_head():
-    """(the first _HEAD_PERIODS periods [j pi, (j+1) pi], |sin u / u| at their pair abscissae)."""
-    head = _intervals(np.arange(_HEAD_PERIODS + 1) * PI)
-    return _read_only(head, _sinc_modulus(_pair_abscissae(head[:, 0], head[:, 1])))
-
-
 @lru_cache(maxsize=4096)
 def _ball_half_cached(p: float, cfg: QuadratureConfig) -> float:
     from scipy.special import zeta as hurwitz_zeta  # deferred: only the sinc tail needs it
 
-    periods, table = _sinc_head()
-    a, b = periods[:, 0], periods[:, 1]
-
     def head_fn(u):
         return _sinc_modulus(u) ** p
 
-    head, head_err, ok1 = _run(head_fn, _refine(a, b, *_pair_sums(table**p, a, b), cfg))
+    head, head_err, ok1 = adaptive_integral(head_fn, _intervals(np.arange(_HEAD_PERIODS + 1) * PI), cfg)
 
     def tail_fn(t):
         t = np.asarray(t, dtype=float)

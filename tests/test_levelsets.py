@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -12,6 +13,7 @@ from lebesgue_lab.errors import DomainError, PreconditionError, VerificationErro
 from lebesgue_lab.kernel import (
     KernelSpec,
     TruncatedGaussian,
+    _slope_numerators,
     gaussian_distribution_function,
     kernel_slope_values,
     kernel_values,
@@ -30,16 +32,16 @@ from lebesgue_lab.levelsets import (
     _L,
     _LO,
     _MAX_ROUNDS,
-    _PEAK_BRACKET_TOL,
     _START_LEVEL_FLOOR,
     _START_STEPS,
     _TOP,
     PEAK_EXCLUSION,
     BumpProfile,
-    _golden_peaks,
     _measures,
+    _newton,
     _newton_block,
     _newton_start,
+    _peak_gap,
     _segments,
     _slope_sums,
     _solve_levels,
@@ -57,7 +59,6 @@ from lebesgue_lab.levelsets import (
 )
 
 PI = math.pi
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 LOG_LEVELS = np.geomspace(1e-4, 1.0 - 1e-6, 2000)
 
 
@@ -67,26 +68,46 @@ def default_level_grid(spec):
     return np.unique(np.concatenate([LOG_LEVELS, peaks, [TruncatedGaussian.from_length(spec.l).y_last]]))
 
 
-def golden_oracle(l, a, b, tol=1e-13):
-    """Scalar golden-section maximum of g on [a, b], one evaluation at a time."""
+def peak_oracle(l, m, lo, hi):
+    """The root of phi on arch m's bracket [lo, hi], solved alone by ``_newton``'s rule one scalar round at a time.
 
-    def g(x):
-        return float(kernel_values(l, np.array([x]))[0])
+    phi, the numerator of h', rises on the odd arches and falls on the even
+    ones; the start is the bracket's midpoint.  Returns (x, g(x)).
+    """
+    orient = 1.0 if m % 2 else -1.0
+    x = np.float64(0.5 * (lo + hi))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_MAX_ROUNDS):
+            phi, slope = _slope_numerators(l, np.array([x]))
+            d, slope = orient * phi[0], np.abs(slope[0])
+            if d <= 0.0:
+                lo = x
+            else:
+                hi = x
+            newton, tol = x - d / slope, 2.0 * np.spacing(x)
+            inside = lo <= newton <= hi if abs(newton - x) <= tol else lo < newton < hi
+            xn = x if d == 0.0 else newton if inside else 0.5 * (lo + hi)
+            x, done = xn, abs(xn - x) <= tol
+            if done:
+                break
+    return float(x), float(kernel_values(l, np.array([x]))[0])
 
-    c = b - GOLDEN * (b - a)
-    d = a + GOLDEN * (b - a)
-    fc, fd = g(c), g(d)
-    while b - a > tol:
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN * (b - a)
-            fd = g(d)
-        else:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN * (b - a)
-            fc = g(c)
-    x = 0.5 * (a + b)
-    return x, g(x)
+
+def exact_peak(l, m, x):
+    """The maximizer of g on arch m and g there, at 40 digits: three Newton steps on phi from the float peak x."""
+    with mpmath.workdps(40):
+        x, pi = mpmath.mpf(x), mpmath.pi
+        for _ in range(3):
+            u, t = l * pi * x, pi * x
+            phi = l * mpmath.cos(u) * mpmath.sin(t) - mpmath.sin(u) * mpmath.cos(t)
+            x -= phi / (-pi * (l * l - 1) * mpmath.sin(u) * mpmath.sin(t))
+        assert mpmath.mpf(m) / l < x < mpmath.mpf(m + 1) / l
+        return float(x), float(abs(mpmath.sin(l * pi * x) / (l * mpmath.sin(pi * x))))
+
+
+def ulps_apart(a, b):
+    """The count of doubles from a to b, for positive a and b."""
+    return abs(int(np.float64(a).view(np.int64)) - int(np.float64(b).view(np.int64)))
 
 
 def bisection_oracle(l, y, lo, hi, inc):
@@ -275,7 +296,8 @@ class TestBumpProfiles:
 
     @pytest.mark.parametrize("l", range(2, 201))
     def test_vector_search_equals_scalar_oracle(self, l):
-        # every arch for l <= 30 and at 48 and 101; first, middle and last above
+        # each peak of the batch is the peak solved alone; every arch for
+        # l <= 30 and at 48 and 101; first, middle and last above
         profs = bump_profiles(KernelSpec(l))
         assert profs[0] == BumpProfile(0, 0.0, 1.0 / l, 0.0, 1.0)
         full = [p for p in profs[1:] if p.peak_x != p.x_hi]
@@ -284,25 +306,50 @@ class TestBumpProfiles:
             full = [full[0], full[len(full) // 2], full[-1]]
         for p in full:
             assert (p.x_lo, p.x_hi) == (p.index / l, (p.index + 1) / l)
-            assert (p.peak_x, p.peak_y) == golden_oracle(l, p.x_lo, p.x_hi)
+            want = peak_oracle(l, p.index, p.x_lo, p.x_hi)
+            assert (p.peak_x.hex(), p.peak_y.hex()) == (want[0].hex(), want[1].hex())
 
     @pytest.mark.parametrize("l", [9, 40, 301])
     def test_brackets_of_mixed_widths_stop_in_their_own_rounds(self, l, monkeypatch):
-        # one bracket per arch, from its whole width down to below the stopping
-        # width, some around the peak and some beside it
+        # one bracket per arch, from its whole width down to a few hundred
+        # ulps, some around the peak and some from it
         profs = bump_profiles(KernelSpec(l))[1 : l // 2]
-        widths = [1.0 / l, 1e-3 / l, 1e-7, 3e-11, 2e-13, 0.5 * _PEAK_BRACKET_TOL]
+        widths = [1.0 / l, 1e-3 / l, 1e-7, 3e-11, 2e-13, 5e-14]
         a = np.array([p.peak_x - 0.3 * widths[p.index % 6] for p in profs])
         a[1::3] = [p.peak_x for p in profs[1::3]]
         b = a + [widths[p.index % 6] for p in profs]
+        orient = np.array([1.0 if p.index % 2 else -1.0 for p in profs])
         sizes = []
-        values = levelsets.kernel_values
-        monkeypatch.setattr(levelsets, "kernel_values", lambda l, x: sizes.append(np.size(x)) or values(l, x))
-        x, y = _golden_peaks(l, a, b)
-        assert len(set(sizes)) >= min(len(profs), 5)  # rows left the search in several rounds
-        for i in range(len(profs)):
-            want = golden_oracle(l, float(a[i]), float(b[i]))
-            assert (x[i].hex(), y[i].hex()) == (want[0].hex(), want[1].hex())
+        numerators = levelsets._slope_numerators
+        monkeypatch.setattr(levelsets, "_slope_numerators", lambda l, x: sizes.append(np.size(x)) or numerators(l, x))
+        x = _newton(partial(_peak_gap, l=l), 0.5 * (a + b), a, b, orient)
+        assert len(set(sizes)) >= min(len(profs), 4)  # rows left the solve in several rounds
+        for i, p in enumerate(profs):
+            want = peak_oracle(l, p.index, float(a[i]), float(b[i]))[0]
+            assert x[i].hex() == want.hex()
+
+    def test_peaks_are_the_exact_maximizers_to_an_ulp(self):
+        # every arch of l = 4..59 and one random arch at 120 lengths in 60..3000;
+        # the golden-section search this replaced left peak_x up to 3e7 ulps off
+        rng = np.random.default_rng(29)
+        cases = [(l, m) for l in range(4, 60) for m in range(1, l // 2)]
+        cases += [(l, int(rng.integers(1, l // 2))) for l in rng.integers(60, 3001, 120).tolist()]
+        worst_x = worst_y = 0
+        for l, m in cases:
+            p = bump_profiles(KernelSpec(l))[m]
+            x, y = exact_peak(l, m, p.peak_x)
+            worst_x = max(worst_x, ulps_apart(p.peak_x, x))
+            worst_y = max(worst_y, ulps_apart(p.peak_y, y))
+        assert worst_x <= 1 and worst_y <= 3
+
+    @pytest.mark.parametrize("l", [2, 3])
+    def test_no_side_arch_runs_no_round(self, l, monkeypatch):
+        calls = []
+        numerators = levelsets._slope_numerators
+        monkeypatch.setattr(levelsets, "_slope_numerators", lambda l, x: calls.append(l) or numerators(l, x))
+        levelsets._segments.cache_clear()
+        assert len(bump_profiles(KernelSpec(l))) == 1 + l % 2
+        assert calls == []
 
     @pytest.mark.parametrize("l", range(6, 31))
     def test_first_peak_below_log_concavity_threshold(self, l):
@@ -778,14 +825,20 @@ class TestSignChangeBatch:
         spec = KernelSpec(12)
         assert detect_sign_changes([spec]) == [detect_sign_change(spec)]
 
-    def test_one_golden_search_per_length(self, monkeypatch):
+    def test_one_peak_solve_per_length(self, monkeypatch):
         # 43 lengths in one lockstep group, more than the segment tables the cache holds
-        searched = []
-        search = levelsets._golden_peaks
-        monkeypatch.setattr(levelsets, "_golden_peaks", lambda l, a, b: searched.append(l) or search(l, a, b))
+        solved = []
+        newton = levelsets._newton
+
+        def spying(evaluate, *args, **kwargs):
+            if getattr(evaluate, "func", None) is _peak_gap:
+                solved.append(evaluate.keywords["l"])
+            return newton(evaluate, *args, **kwargs)
+
+        monkeypatch.setattr(levelsets, "_newton", spying)
         levelsets._segments.cache_clear()
         detect_sign_changes([KernelSpec(l) for l in range(6, 49)])
-        assert sorted(searched) == list(range(6, 49))
+        assert sorted(solved) == list(range(6, 49))
 
 
 class TestPhi:

@@ -190,6 +190,27 @@ class TestLIndex:
     def test_rounded_reciprocals_land_exactly(self, l):
         assert l_index_from_max(1.0 / l) == l
 
+    def test_rounded_reciprocals_of_long_supports_land_exactly(self):
+        # an absolute guard of 1e-12 missed 5,181 of these lengths, the first
+        # at 11,619, where an ulp of l passes 1e-12
+        ls = [*range(1, 100_001), *range(100_001, 2_000_001, 997), 2_000_000]
+        assert l_indices_from_max([1.0 / l for l in ls]) == ls
+        assert [l_index(uniform(l)) for l in (11_619, 16_384, 99_999)] == [11_619, 16_384, 99_999]
+
+    def test_relative_guard_keeps_the_indices_of_short_supports(self):
+        # the absolute guard, right wherever 1/m is within an ulp of k or far from it
+        def absolute_guard(m):
+            inv = 1.0 / m
+            k = round(inv)
+            return int(k) if k >= 1 and abs(inv - k) < 1e-12 and m * k <= 1.0 else int(math.floor(inv))
+
+        rng = np.random.default_rng(29)
+        ms = rng.uniform(0.0, 1.0, 200_000)
+        ms = ms[ms > 0.0].tolist()
+        factors = (1 - 1e-9, 1 - 1e-12, 1 - 1e-14, 1 - 4e-16, 1.0, 1 + 4e-16, 1 + 1e-14, 1 + 1e-12, 1 + 1e-9)
+        ms += [f / l for l in range(2, 400) for f in factors]
+        assert l_indices_from_max(ms) == [absolute_guard(m) for m in ms]
+
     @given(st.integers(min_value=1, max_value=500), st.floats(min_value=1e-9, max_value=1.0 - 1e-9))
     def test_interval_membership(self, l, frac):
         m = 1.0 / (l + 1) + frac * (1.0 / l - 1.0 / (l + 1))
