@@ -14,20 +14,20 @@ on the first uncached sinc-power integral, so kernel powers, certificates
 and the product-kernel closed form run on numpy alone.
 
 The exponent p never moves a first-pass node: it only decides how many arches
-are kept, and the dropped ones are a suffix.  So the p-independent parts are
-computed once and kept in bounded ``lru_cache`` tables, as is each
-exponent's arch dropping:
+are kept, and the dropped ones are a suffix.  So a call evaluates g once per
+length, at the 15/31 abscissae of the longest arch prefix its exponents keep
+(``_kernel_table``), and each exponent raises a slice of that table to p; the
+arches and the logs of their caps come from a bounded cache
+(``_arch_logcaps``).  The stop test and split loop are those of
+:func:`adaptive_integral`, and only a bisected piece evaluates its integrand
+again.
 
-* ``_arch_logcaps(l)``: the arches of length l and ``math.log`` of their caps;
-* ``_kept_arches(l, p, abs_tol)``: the arches g^p keeps and the error charged
-  for the others;
-* ``_kernel_table(l, k)``: g at the 15/31 abscissae of the first k arches,
-  keyed by the kept-prefix length k, so an exponent that drops arches never
-  evaluates them (tables of more than 4096 arches are not kept).
-
-A first pass only raises a table to p; the stop test and split loop are those
-of :func:`adaptive_integral`, and only a bisected piece evaluates its
-integrand again.  Every result is bit-identical to an uncached pass.
+Across calls only finished integrals are kept: ``_integrals(l, cfg)`` is an
+``lru_cache`` of 256 (length, tolerances) entries, each a dict {p: (value,
+error, converged)} of at most 64 exponents, about 2.8 MB when full.  A call
+integrates only the pairs not stored, so a command after another over the
+same (l, p) and tolerances in one process (``certify`` then ``sweep``)
+integrates nothing again; two CLI processes share nothing.
 
 The split loop (:func:`_refine`) is the globally adaptive one of QUADPACK:
 pop the piece with the largest error, bisect it, push its halves.  It is a
@@ -51,10 +51,7 @@ first failing pair, as a loop over its pairs would; each result is
 float.hex-identical to the pair's integral on its own.  The records of
 :func:`lp_norm_grid` and :func:`certify_bound_grid` are built on it, and
 the forms at one pair (:func:`integrate_kernel_power`, :func:`lp_norm`,
-:func:`certify_bound`) are grid calls of one pair.  With one full-width
-node table per length, ``_kernel_table`` keeps the tables of 16 lengths,
-enough for one grid command's lengths to serve the next command over the
-same lengths.
+:func:`certify_bound`) are grid calls of one pair.
 
 Every power is the plain ``values ** p``, at every p: libm ``pow`` is within
 an ulp, and a power that underflows is simply 0.
@@ -322,13 +319,6 @@ def _intervals(cuts: np.ndarray) -> np.ndarray:
     return np.column_stack((cuts[:-1], cuts[1:]))
 
 
-def _read_only(*arrays):
-    """The arrays, made read-only: a cache hands the same arrays to every caller."""
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
-
-
 @lru_cache(maxsize=64)
 def _arch_logcaps(l: int):
     """(bump_partition(l), math.log of cap_k for arches k >= 1), read-only.
@@ -338,7 +328,10 @@ def _arch_logcaps(l: int):
     """
     pieces = bump_partition(l)
     caps = 1.0 / (l * np.sin(PI * np.arange(1, len(pieces)) / l))
-    return _read_only(pieces, np.fromiter(map(math.log, caps.tolist()), float, len(caps)))
+    logcaps = np.fromiter(map(math.log, caps.tolist()), float, len(caps))
+    for array in (pieces, logcaps):  # the cache hands the same arrays to every caller
+        array.setflags(write=False)
+    return pieces, logcaps
 
 
 # math.exp is exactly 0.0 below this (the smallest subnormal is exp(-744.4))
@@ -354,9 +347,6 @@ _NEGLIGIBLE_CHARGE_LOG = 55.0 * math.log(2.0)
 _NORMAL_CHARGE_LOG = -600.0
 
 
-# one grid command after another over the same grid asks for the same
-# exponents, and each charged arch costs a math.exp
-@lru_cache(maxsize=256)
 def _kept_arches(l: int, p: float, abs_tol: float):
     """The arch dropping of :func:`integrate_kernel_power`: (kept pieces, charge).
 
@@ -391,18 +381,10 @@ def _kept_arches(l: int, p: float, abs_tol: float):
     return pieces[:k], float(np.cumsum(charges)[-1])
 
 
-# a kernel node table of more arches than this (l above about 8192) is
-# evaluated for its call alone, so the cache never holds more than 16 tables
-# of at most 1.5 MB each
-_TABLE_MAX_ARCHES = 4096
-
-
-# one table per length, at the widest prefix its exponents keep (see the module docstring)
-@lru_cache(maxsize=16)
 def _kernel_table(l: int, k: int) -> np.ndarray:
     """g at the 15/31 pair abscissae of the first k arches of bump_partition(l)."""
     kept = bump_partition(l)[:k]
-    return _read_only(kernel_values(l, _pair_abscissae(kept[:, 0], kept[:, 1])))[0]
+    return kernel_values(l, _pair_abscissae(kept[:, 0], kept[:, 1]))
 
 
 def _check_exponent(p: float) -> None:
@@ -415,6 +397,15 @@ def _check_exponent(p: float) -> None:
 # in all (a length over it runs alone), so the first passes, split loops and
 # round arrays alive at once stay bounded
 _CHUNK_ARCHES = 2048
+# a length of the finished integrals that holds more exponents than this
+# after a call is emptied
+_EXPONENTS_KEPT = 64
+
+
+@lru_cache(maxsize=256)
+def _integrals(l: int, cfg: QuadratureConfig) -> dict:
+    """{p: (value, error, converged)} of g^p at length l: the store :func:`integrate_kernel_power_grid` fills."""
+    return {}
 
 
 def integrate_kernel_power_grid(pairs, cfg: QuadratureConfig = DEFAULT_CONFIG) -> list:
@@ -426,7 +417,9 @@ def integrate_kernel_power_grid(pairs, cfg: QuadratureConfig = DEFAULT_CONFIG) -
     length and each p must lie in [1, MAX_EXPONENT]; the first pair that is
     not raises before any work.
 
-    The pairs share their work.  Each length has one node table of g, at
+    A pair already in the store of finished integrals (:func:`_integrals`)
+    is read from it; the others are integrated once each and stored.  The
+    pairs integrated share their work.  Each length has one node table of g, at
     the longest prefix of arches its exponents keep; each p raises a slice
     of it to p.  The exponents of a length that keep as many arches share
     one stacked product for their pair sums and one array stop test, so an
@@ -435,9 +428,12 @@ def integrate_kernel_power_grid(pairs, cfg: QuadratureConfig = DEFAULT_CONFIG) -
     (:func:`_power_rounds`).  Returns (value, error, converged) per pair, in
     order, each float.hex-identical to that pair integrated alone.
     """
-    pairs = [(KernelSpec(l).l, p) for l, p in pairs]
-    for _, p in pairs:
+    asked = [(KernelSpec(l).l, p) for l, p in pairs]
+    for _, p in asked:
         _check_exponent(p)
+    # held here, so a store the cache evicts during the call is still read
+    stores = {l: _integrals(l, cfg) for l, _ in asked}
+    pairs = [pair for pair in dict.fromkeys(asked) if pair[1] not in stores[pair[0]]]
     by_length = {}
     for i, (l, _) in enumerate(pairs):
         by_length.setdefault(l, []).append(i)
@@ -449,7 +445,7 @@ def integrate_kernel_power_grid(pairs, cfg: QuadratureConfig = DEFAULT_CONFIG) -
             results.update(_power_rounds(pairs, loops))
             loops, arches = {}, 0
         arches += weight
-        table = (_kernel_table if width <= _TABLE_MAX_ARCHES else _kernel_table.__wrapped__)(l, width)
+        table = _kernel_table(l, width)
         by_count = {}
         for i, (pieces, charge) in zip(group, kept):
             by_count.setdefault(len(pieces), []).append(i)
@@ -477,7 +473,14 @@ def integrate_kernel_power_grid(pairs, cfg: QuadratureConfig = DEFAULT_CONFIG) -
                 else:
                     loops[i] = _refine(a, b, i31[row], err[row], cfg)
     results.update(_power_rounds(pairs, loops))
-    return [(2.0 * v, 2.0 * (e + charges[i]), ok) for i, (v, e, ok) in sorted(results.items())]
+    for i, (v, e, ok) in results.items():
+        l, p = pairs[i]
+        stores[l][p] = (2.0 * v, 2.0 * (e + charges[i]), ok)
+    found = [stores[l][p] for l, p in asked]
+    for store in stores.values():
+        if len(store) > _EXPONENTS_KEPT:
+            store.clear()
+    return found
 
 
 def _power_rounds(pairs: list, loops: dict) -> dict:

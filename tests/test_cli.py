@@ -1,7 +1,9 @@
 import argparse
 import csv
+import functools
 import json
 import math
+import sys
 
 import pytest
 
@@ -21,6 +23,20 @@ def read_csv(path):
     header, *rows = csv.reader(line for line in lines if not line.startswith("#"))
     assert all(len(row) == len(header) for row in rows)
     return comments, header, [dict(zip(header, row)) for row in rows]
+
+
+def empty_package_caches():
+    """Empty every module-level ``lru_cache`` of the package, as a fresh process starts."""
+    for name, module in list(sys.modules.items()):
+        if name == "lebesgue_lab" or name.startswith("lebesgue_lab."):
+            for obj in vars(module).values():
+                if isinstance(obj, functools._lru_cache_wrapper):
+                    obj.cache_clear()
+
+
+def hexed_rows(rows):
+    """JSON report rows with every float as float.hex, so equal rows are equal bit for bit."""
+    return [{k: v.hex() if isinstance(v, float) else v for k, v in row.items()} for row in rows]
 
 
 class TestParsers:
@@ -236,6 +252,7 @@ class TestGridCommands:
 
         out = tmp_path / "asym.json"
         assert cli.main(["asymptotic", "--l", "50,100", "--p", "1,4", "--out", str(out)]) == 0
+        empty_package_caches()  # the library integrates afresh, not from the command's store
         for r in json.loads(out.read_text())["records"]:
             c = lp_norm(KernelSpec(r["l"]), r["p"])
             assert (r["value"], r["asymptotic"], r["ratio"]) == (c.value, c.asymptotic, c.ratio)
@@ -246,6 +263,7 @@ class TestGridCommands:
         out = tmp_path / "report.json"
         assert cli.main([command, *argv, "--out", str(out)]) == 0
         rows = json.loads(out.read_text())["records"]
+        empty_package_caches()
         expected = library_records()
         assert len(rows) == len(expected) > 0
         for row, sources in zip(rows, expected):
@@ -273,6 +291,7 @@ class TestGridCommands:
     def test_grid_is_one_command_per_length(self, tmp_path, command):
         # the lengths share their split rounds; every record is the one-length command's
         def records(lengths, p):
+            empty_package_caches()  # no call reads another's stored integrals
             out = tmp_path / f"{command}-{lengths}.json"
             assert cli.main([command, "--l", lengths, "--p", p, "--out", str(out)]) == 0
             return json.loads(out.read_text())["records"]
@@ -280,19 +299,45 @@ class TestGridCommands:
         p = "2,3,128"
         assert records("6,7,9000", p) == [r for l in ("6", "7", "9000") for r in records(l, p)]
 
-    def test_sweep_reuses_the_certify_tables(self, tmp_path):
-        for cache in (quadrature._kernel_table, quadrature._arch_logcaps):
-            cache.cache_clear()
+    def test_commands_after_certify_read_its_integrals(self, tmp_path, monkeypatch):
         grid = ["--l", "6..13", "--p", "2,2.5,8,128"]
-        assert cli.main(["certify", *grid, "--out", str(tmp_path / "c.json")]) == 0
-        tables = quadrature._kernel_table.cache_info()
-        assert tables.misses == 8  # one table per length
-        assert cli.main(["sweep", *grid, "--out", str(tmp_path / "s.json")]) == 0
-        assert quadrature._kernel_table.cache_info().misses == tables.misses
+        loose = [*grid, "--abs-tol", "1e-9"]
+
+        def records(command, argv):
+            out = tmp_path / f"{command}.json"
+            assert cli.main([command, *argv, "--out", str(out)]) == 0
+            return hexed_rows(json.loads(out.read_text())["records"])
+
+        def cold(command, argv):
+            empty_package_caches()
+            return records(command, argv)
+
+        fresh = {command: cold(command, grid) for command in ("sweep", "lebesgue", "asymptotic")}
+        fresh_loose = cold("sweep", loose)
+        empty_package_caches()
+        records("certify", grid)
+        calls, values = [], quadrature.kernel_values
+        monkeypatch.setattr(quadrature, "kernel_values", lambda l, x: calls.append(l) or values(l, x))
+        # the same grid: every integral is read from certify's store
+        for command, rows in fresh.items():
+            assert records(command, grid) == rows, command
+        assert calls == []
+        # one new exponent: only p = 3 is integrated, once per length
+        integrated, kept = [], quadrature._kept_arches
+        monkeypatch.setattr(quadrature, "_kept_arches", lambda l, p, tol: integrated.append((l, p)) or kept(l, p, tol))
+        records("sweep", ["--l", "6..13", "--p", "2,3,8"])
+        assert integrated == [(l, 3.0) for l in range(6, 14)]
+        # other tolerances: no stored default-tolerance integral is read
+        asked, store = [], quadrature._integrals
+        monkeypatch.setattr(quadrature, "_integrals", lambda l, cfg: asked.append(cfg.abs_tol) or store(l, cfg))
+        integrated.clear()
+        assert records("sweep", loose) == fresh_loose
+        assert set(asked) == {1e-9} and len(integrated) == 32
 
     def test_sweep_and_lebesgue_agree(self, tmp_path):
         values = []
         for command in ("sweep", "lebesgue"):
+            empty_package_caches()  # the second command integrates afresh
             out = tmp_path / f"{command}.json"
             assert cli.main([command, "--l", "2,6,64", "--p", "1,2,70", "--out", str(out)]) == 0
             values.append([(r["l"], r["p"], r["value"])

@@ -21,7 +21,6 @@ from lebesgue_lab.quadrature import (
     DEFAULT_CONFIG,
     MAX_EXPONENT,
     QuadratureConfig,
-    _TABLE_MAX_ARCHES,
     _intervals,
     _kept_arches,
     _pair_eval,
@@ -104,6 +103,22 @@ def clear_caches():
     for obj in vars(quadrature).values():
         if isinstance(obj, functools._lru_cache_wrapper):
             obj.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def no_stored_integrals():
+    """Every test starts with no finished kernel-power integral stored, so a spy sees the work."""
+    quadrature._integrals.cache_clear()
+
+
+def alone(call):
+    """``call()`` with no finished integral stored: what it returns is integrated afresh.
+
+    A test comparing two ways to one result runs each side alone, so that
+    neither side reads the other's stored integrals.
+    """
+    quadrature._integrals.cache_clear()
+    return call()
 
 
 def simpson_oracle(l: int, p: float, n: int = 1_000_000) -> float:
@@ -660,7 +675,7 @@ class TestArchDropping:
         for l in (7, 64, 301, 1000, 4099, 10_000):
             for p in (2.5, 8.0, 16.0, 32.0, 128.0, 650.0, 951.0, 1000.0, 1049.0):
                 for abs_tol in (DEFAULT_CONFIG.abs_tol, 1e-15, 1e-6):
-                    kept, charge = _kept_arches.__wrapped__(l, p, abs_tol)
+                    kept, charge = _kept_arches(l, p, abs_tol)
                     oracle_kept, oracle_charge = scalar_kept_arches(l, p, abs_tol)
                     assert kept.tolist() == [list(ab) for ab in oracle_kept], (l, p, abs_tol)
                     assert charge.hex() == oracle_charge.hex(), (l, p, abs_tol)
@@ -669,7 +684,7 @@ class TestArchDropping:
         exps = []
         counting = types.SimpleNamespace(log=math.log, exp=lambda v: exps.append(v) or math.exp(v))
         monkeypatch.setattr(quadrature, "math", counting)
-        kept, _ = _kept_arches.__wrapped__(1000, 32.0, DEFAULT_CONFIG.abs_tol)
+        kept, _ = _kept_arches(1000, 32.0, DEFAULT_CONFIG.abs_tol)
         assert (len(kept), len(exps), len(quadrature.bump_partition(1000))) == (1, 3, 500)
 
     @pytest.mark.parametrize("p", NORM_P_GRID)
@@ -719,11 +734,10 @@ class TestNodeTables:
         assert forward == backward == cold
 
     def test_tables_are_read_only(self):
+        # the cached arch table hands the same arrays to every caller
         clear_caches()
-        integrate_kernel_power(KernelSpec(9), 2.0)
         kept, _ = _kept_arches(9, 2.0, DEFAULT_CONFIG.abs_tol)
-        table = quadrature._kernel_table(9, len(kept))
-        for array in (kept, table):
+        for array in (kept, *quadrature._arch_logcaps(9)):
             with pytest.raises(ValueError):
                 array[0] = 0.0
 
@@ -903,12 +917,13 @@ class TestRefinementRounds:
             assert sum(serial for _, serial in serial_oracle) > 2 * sum(r for r, _ in serial_oracle)
 
     def test_chain_exponents_match_serial_loop(self, serial_oracle):
-        # about a third of the chain exponents refine past their first pass
+        # about a third of the chain exponents refine past their first pass;
+        # a pair repeated across instances is integrated again each time
         for seed in range(400):
             instance = random_instance(seed)
             if instance.case == CASE_HOLDER:
                 for l, p in zip(instance.l_indices, holder_exponents(instance.l_indices)):
-                    integrate_kernel_power(KernelSpec(l), p)
+                    alone(lambda: integrate_kernel_power(KernelSpec(l), p))
         assert len(serial_oracle) > 300
 
     def test_product_kernel_matches_serial_loop(self, serial_oracle):
@@ -997,7 +1012,7 @@ def per_p_kernel_power(l, p, cfg=DEFAULT_CONFIG):
     """
     kept, charge = _kept_arches(l, p, cfg.abs_tol)
     a, b = kept[:, 0], kept[:, 1]
-    table = quadrature._kernel_table.__wrapped__(l, len(kept))
+    table = quadrature._kernel_table(l, len(kept))
     halves = fresh_halves(uncached_power_integrand(l, p))
     value, err, converged, _ = serial_refine(halves, a, b, *_pair_sums(table**p, a, b), cfg)
     return 2.0 * value, 2.0 * (err + charge), converged
@@ -1040,7 +1055,8 @@ class TestKernelPowers:
 
     def test_one_exponent_is_the_scalar_call(self):
         for l, p in ((6, 2.0), (64, 2.5), (301, 128.0)):
-            assert integrate_kernel_power(KernelSpec(l), p) == integrate_kernel_power_grid([(l, p)])[0]
+            scalar = alone(lambda: integrate_kernel_power(KernelSpec(l), p))
+            assert scalar == alone(lambda: integrate_kernel_power_grid([(l, p)]))[0]
 
     def test_one_table_and_one_kernel_call_per_round(self, monkeypatch):
         tables, calls = [], []
@@ -1054,7 +1070,7 @@ class TestKernelPowers:
         assert tables == [(64, len(_kept_arches(64, 2.5, cfg.abs_tol)[0]))]
         calls.clear()
         for p in ps:
-            integrate_kernel_power(KernelSpec(64), p, cfg)
+            alone(lambda: integrate_kernel_power(KernelSpec(64), p, cfg))
         assert 0 < rounds < len(calls)
 
     def test_no_exponents(self):
@@ -1082,17 +1098,20 @@ class TestKernelPowerGrid:
         clear_caches()
         got = integrate_kernel_power_grid(GRID_PAIRS, cfg)
         assert [hexed(r) for r in got] == [hexed(per_p_kernel_power(l, p, cfg)) for l, p in GRID_PAIRS]
-        # and each is the one-length call's
-        assert got == [r for l, p in GRID_PAIRS for r in integrate_kernel_power_grid([(l, p)], cfg)]
+        # and each is the one-pair call's
+        assert got == [alone(lambda: integrate_kernel_power_grid([(l, p)], cfg))[0] for l, p in GRID_PAIRS]
 
     @pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, TIGHT_BUDGET_1], ids=["default", "tight-budget-1"])
-    def test_uncached_table_next_to_cached_ones(self, cfg):
-        # a length above 2 * _TABLE_MAX_ARCHES has a node table of its own call
-        big = 2 * _TABLE_MAX_ARCHES + 1
+    def test_uncached_table_next_to_cached_ones(self, monkeypatch, cfg):
+        # a length of 4097 arches is integrated next to stored pairs of short
+        # lengths; only the pairs not stored build a node table
+        big = 8193
+        integrate_kernel_power_grid([(6, 2.5), (64, 3.0)], cfg)
+        tables, table = [], quadrature._kernel_table
+        monkeypatch.setattr(quadrature, "_kernel_table", lambda l, k: tables.append(l) or table(l, k))
         pairs = [(6, 2.5), (big, 2.0), (64, 3.0), (big, 128.0), (6, 2.0)]
-        clear_caches()
         got = integrate_kernel_power_grid(pairs, cfg)
-        assert quadrature._kernel_table.cache_info().currsize == 2  # l = 6 and 64
+        assert tables == [big, 6]
         assert [hexed(r) for r in got] == [hexed(per_p_kernel_power(l, p, cfg)) for l, p in pairs]
 
     @pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, TIGHT_BUDGET_1], ids=["default", "tight-budget-1"])
@@ -1115,11 +1134,23 @@ class TestKernelPowerGrid:
             assert [10000.0] in seen
         assert [hexed(r) for r in got] == [hexed(per_p_kernel_power(l, p, cfg)) for l, p in pairs]
 
+    def test_store_bounds(self):
+        # a length left holding more than _EXPONENTS_KEPT exponents is emptied
+        ps = [2.0 + j / 8.0 for j in range(quadrature._EXPONENTS_KEPT + 1)]
+        first = integrate_kernel_power_grid([(6, p) for p in ps[:-1]])
+        assert len(quadrature._integrals(6, DEFAULT_CONFIG)) == len(ps) - 1
+        assert integrate_kernel_power_grid([(6, p) for p in ps])[:-1] == first
+        assert quadrature._integrals(6, DEFAULT_CONFIG) == {}
+        # a call over more lengths than the cache keeps reads every one it integrated
+        lengths = range(2, 3 + quadrature._integrals.cache_parameters()["maxsize"])
+        got = integrate_kernel_power_grid([(l, 2.0) for l in lengths])
+        assert got[:3] == [alone(lambda: integrate_kernel_power(KernelSpec(l), 2.0)) for l in lengths[:3]]
+
     def test_chunks_do_not_change_the_results(self, monkeypatch):
-        whole = integrate_kernel_power_grid(GRID_PAIRS)
+        whole = alone(lambda: integrate_kernel_power_grid(GRID_PAIRS))
         for arches in (1, 40, 10**6):
             monkeypatch.setattr(quadrature, "_CHUNK_ARCHES", arches)
-            assert integrate_kernel_power_grid(GRID_PAIRS) == whole
+            assert alone(lambda: integrate_kernel_power_grid(GRID_PAIRS)) == whole
 
     def test_chunks_bound_the_lengths_in_flight(self, monkeypatch):
         rounds = []
@@ -1147,7 +1178,7 @@ class TestKernelPowerGrid:
     )
     def test_random_pairs(self, pairs, tight):
         cfg = TIGHT_BUDGET_1 if tight else DEFAULT_CONFIG
-        got = integrate_kernel_power_grid(pairs, cfg)
+        got = alone(lambda: integrate_kernel_power_grid(pairs, cfg))
         assert [hexed(r) for r in got] == [hexed(per_p_kernel_power(l, p, cfg)) for l, p in pairs]
 
     def test_empty_batches(self):
@@ -1176,10 +1207,10 @@ class TestKernelPowerGrid:
         cfg = TIGHT_BUDGET_1 if tight else DEFAULT_CONFIG
 
         def loop(scalar):
-            return lambda: [scalar(KernelSpec(l), p, cfg) for l, p in pairs]
+            return lambda: [alone(lambda: scalar(KernelSpec(l), p, cfg)) for l, p in pairs]
 
-        assert outcome(lambda: lp_norm_grid(pairs, cfg)) == outcome(loop(lp_norm))
-        assert outcome(lambda: certify_bound_grid(pairs, cfg)) == outcome(loop(certify_bound))
+        assert outcome(lambda: alone(lambda: lp_norm_grid(pairs, cfg))) == outcome(loop(lp_norm))
+        assert outcome(lambda: alone(lambda: certify_bound_grid(pairs, cfg))) == outcome(loop(certify_bound))
 
     def test_failure_at_an_earlier_length_before_a_bad_length(self):
         # a failed certificate at l = 6 wins over l = 5 and l = 1 after it
@@ -1235,15 +1266,15 @@ class TestNormBatches:
     @pytest.mark.parametrize("l", [6, 7, 13, 64, 301, 1000])
     def test_batch_is_scalar_calls(self, l, cfg, batch, scalar):
         spec = KernelSpec(l)
-        singles = [outcome(lambda: [scalar(spec, p, cfg)]) for p in BATCH_P_GRID]
+        singles = [outcome(lambda: [alone(lambda: scalar(spec, p, cfg))]) for p in BATCH_P_GRID]
         passing = [(p, single[0]) for p, single in zip(BATCH_P_GRID, singles) if isinstance(single, list)]
-        assert outcome(lambda: batch([(l, p) for p, _ in passing], cfg)) == [r for _, r in passing]
+        assert outcome(lambda: alone(lambda: batch([(l, p) for p, _ in passing], cfg))) == [r for _, r in passing]
         # the whole grid raises what the first failing exponent raises alone:
         # p < 2 for certify_bound_grid, and at the tight budget a failed
         # certificate or a sinc reference that does not converge
         first_error = next((single for single in singles if isinstance(single, tuple)), None)
         grid = [(l, p) for p in BATCH_P_GRID]
-        assert outcome(lambda: batch(grid, cfg)) == (first_error or [r for _, r in passing])
+        assert outcome(lambda: alone(lambda: batch(grid, cfg))) == (first_error or [r for _, r in passing])
         if batch is lp_norm_grid:
             # at the tight budget the references of 1.01, 2.5 and 2.0001 (twice) fail
             assert len(passing) == len(BATCH_P_GRID) - (4 if cfg is TIGHT_BUDGET_1 else 0)
@@ -1262,10 +1293,10 @@ class TestNormBatches:
     def test_random_batches_are_scalar_calls(self, l, ps, tight):
         spec, cfg = KernelSpec(l), TIGHT_BUDGET_1 if tight else DEFAULT_CONFIG
         pairs = [(l, p) for p in ps]
-        assert outcome(lambda: lp_norm_grid(pairs, cfg)) == outcome(lambda: [lp_norm(spec, p, cfg) for p in ps])
-        assert outcome(lambda: certify_bound_grid(pairs, cfg)) == outcome(
-            lambda: [certify_bound(spec, p, cfg) for p in ps]
-        )
+        for batch, scalar in ((lp_norm_grid, lp_norm), (certify_bound_grid, certify_bound)):
+            assert outcome(lambda: alone(lambda: batch(pairs, cfg))) == outcome(
+                lambda: [alone(lambda: scalar(spec, p, cfg)) for p in ps]
+            )
 
     def test_no_exponents(self):
         assert lp_norm_grid([]) == []
