@@ -23,7 +23,6 @@ from .epi import (
     EpiInstance,
     check_epis,
     check_rogozin,
-    decide_chain,
     handcrafted_corpus,
     holder_bound_chain,
     make_instance,
@@ -244,12 +243,9 @@ def criterion_epi_suite():
     corpus = handcrafted_corpus()
     check_epis(corpus)
     # every chain the batch decided, as its sorted indices: the decision is symmetric in them
-    chained = {tuple(sorted(i.l_indices)) for i in _epi_instances() if i.case == CASE_HOLDER}
-    margins = []
-    for ls in chained:
-        lhs, rhs = decide_chain(ls)
-        margins.append(((rhs - lhs) / rhs, ls))  # int / int: the exact margin, correctly rounded
-    margin, worst = min(margins)
+    chains = {tuple(sorted(r.l_indices)): r.chain for r in reports if r.chain is not None}
+    # int / int: the exact margin, correctly rounded
+    margin, worst = min(((rhs - lhs) / rhs, ls) for ls, (lhs, rhs) in chains.items())
     cross = [holder_bound_chain(i.l_indices) for i in corpus if i.case == CASE_HOLDER]
     floors_ok = (
         0.5 * (6 - 1) / (6 + 1) == GENERAL_FLOOR and 0.5 * (36 - 1) / 36 == EXACT_FLOOR
@@ -257,7 +253,7 @@ def criterion_epi_suite():
     return floors_ok, (
         f"{len(EPI_SEEDS)} random + {len(corpus)} corpus instances hold; "
         f"{n_exact} exact-index; min exact chain margin 1 - m0/m4 = {margin:.4e} "
-        f"at {worst} over {len(chained)} index tuples; {len(cross)} corpus chains ordered numerically; "
+        f"at {worst} over {len(chains)} index tuples; {len(cross)} corpus chains ordered numerically; "
         f"floors at l_min=6 {'match' if floors_ok else 'DIFFER'}"
     )
 

@@ -121,6 +121,8 @@ class EpiReport:
     floor_exact: float
     holds: bool
     asserted: bool
+    # the exact chain ends (lhs, rhs) of decide_chain, or None where no chain was decided
+    chain: tuple[int, int] | None
 
 
 def make_instance(pmfs, seed: int | None = None) -> EpiInstance:
@@ -267,8 +269,9 @@ def check_epi(instance: EpiInstance, with_chain: bool = True) -> EpiReport:
     With l_min >= 6 a violation raises; below that the inequality is not
     claimed and the report is returned without assertion.  In the split case
     the bound chain is decided as well, exactly (:func:`decide_chain`;
-    ``with_chain`` False skips it).  A chain exponent above the cap raises
-    before the convolution, which raises before the chain's decision.
+    ``with_chain`` False skips it), and its ends are the report's ``chain``.
+    A chain exponent above the cap raises before the convolution, which
+    raises before the chain's decision.
     """
     chained = with_chain and instance.l_min >= 6 and instance.case == CASE_HOLDER
     if chained:
@@ -285,8 +288,7 @@ def check_epi(instance: EpiInstance, with_chain: bool = True) -> EpiReport:
         holds = holds and lhs >= rhs_exact - EPI_SLACK
 
     asserted = lmin >= 6
-    if chained:
-        decide_chain(instance.l_indices)
+    chain = decide_chain(instance.l_indices) if chained else None
 
     report = EpiReport(
         l_indices=instance.l_indices,
@@ -299,6 +301,7 @@ def check_epi(instance: EpiInstance, with_chain: bool = True) -> EpiReport:
         floor_exact=EXACT_FLOOR * sum_n,
         holds=holds,
         asserted=asserted,
+        chain=chain,
     )
     if asserted and not holds:
         raise VerificationError(f"entropy power inequality failed: {report}")

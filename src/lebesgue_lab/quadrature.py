@@ -9,9 +9,9 @@ converges almost immediately and the error estimate is conservative.
 The sinc-power integral over the real line is split at a moderate multiple of
 pi; the infinite remainder is folded into a single finite integral through the
 Hurwitz zeta function, so no large truncation ever has to be swept.  That
-zeta, ``scipy.special.zeta``, is the only use of scipy here: it is imported
-on the first uncached sinc-power integral, so kernel powers, certificates
-and the product-kernel closed form run on numpy alone.
+zeta (:func:`_hurwitz_zeta`) is Cephes' method on numpy: ten terms summed
+directly, then an Euler-Maclaurin expansion whose coefficients are worked
+out once per exponent.  So the whole package runs on numpy alone.
 
 The exponent p never moves a first-pass node: it only decides how many arches
 are kept, and the dropped ones are a suffix.  So a call evaluates g once per
@@ -653,19 +653,87 @@ def _sinc_modulus(u: np.ndarray) -> np.ndarray:
 # the sinc head spans this many periods; the zeta tail folds in all the rest
 _HEAD_PERIODS = 16
 
+# zeta(p, q) as Cephes' zeta computes it (Moshier, "Methods and Programs for
+# Mathematical Functions", 1989): _ZETA_DIRECT terms (q + k)^-p, then the
+# Euler-Maclaurin expansion from w = q + _ZETA_DIRECT - 1.  Entry j - 1 is
+# (2j)! / B_2j, Cephes' A[].
+_ZETA_DIVISORS = (
+    12.0, -720.0, 30240.0, -1209600.0, 47900160.0, -1.8924375803183791606e9,
+    7.47242496e10, -2.950130727918164224e12, 1.1646782814350067249e14,
+    -4.5979787224074726105e15, 1.8152105401943546773e17, -7.1661652561756670113e18,
+)
+_ZETA_DIRECT = 10
+# the shifts k of the direct terms, largest first, so the smallest term comes first
+_ZETA_SHIFTS = np.arange(_ZETA_DIRECT - 1, -1.0, -1.0)[:, None]
+# Near p = 1 the tail is nearly all of the sinc-power integral, and the last
+# bit of the sum there depends on how the first expansion terms are added.
+# These are added one at a time, as Cephes adds them, so ball_half agrees bit
+# for bit with the same integral on Cephes' zeta (scipy.special.zeta, the
+# tests' oracle) at all but a few exponents near 1, by an ulp; the rest go
+# in Horner form in 1/w^2.
+_ZETA_ONE_AT_A_TIME = 3
+
+
+def _zeta_coefficients(p: float) -> tuple:
+    """The expansion coefficients c_j = (p)_{2j-1} B_2j / (2j)! of zeta(p, q), q in [16, 17].
+
+    Term j is c_j w^(-p-2j+1) with w = q + 9 in [25, 26].  zeta(p, q) exceeds
+    both w^(1-p) / (p - 1) and q^-p, so the term is at most
+    |c_j| min((p - 1) 25^-2j, 25^(1-2j) (17/26)^p) of it; the coefficients
+    stop before the first term whose bound is under 2^-56.
+    """
+    coeffs = []
+    rising = p  # (p)_{2j-1}
+    decay = (17.0 / 26.0) ** p
+    for j, divisor in enumerate(_ZETA_DIVISORS, start=1):
+        c = rising / divisor
+        scale = 25.0 ** (-2 * j)
+        if abs(c) * scale * min(p - 1.0, 25.0 * decay) < 2.0**-56:
+            break
+        coeffs.append(c)
+        rising *= (p + 2 * j - 1) * (p + 2 * j)
+    return tuple(coeffs)
+
+
+def _hurwitz_zeta(p: float, q: np.ndarray, coeffs: tuple) -> np.ndarray:
+    """zeta(p, q) = sum_{k >= 0} (q + k)^-p for p > 1 and q in [16, 17].
+
+    ``coeffs`` is :func:`_zeta_coefficients` of p.  ``q`` is a 1-D array of
+    two or more points: numpy then adds the rows of direct terms in order,
+    from the smallest, so each value is the same whatever else ``q`` holds
+    (a single column it would sum pairwise).
+    """
+    terms = (_ZETA_SHIFTS + q) ** -p
+    s = np.add.reduce(terms, axis=0)
+    w, b = q + (_ZETA_DIRECT - 1), terms[0]
+    s += b * w / (p - 1.0)
+    s -= 0.5 * b
+    if coeffs:
+        y = 1.0 / (w * w)
+        scaled = b / w  # w^(-p-2j+1) for the next term j
+        for c in coeffs[:_ZETA_ONE_AT_A_TIME]:
+            s += scaled * c
+            scaled *= y
+        rest = coeffs[_ZETA_ONE_AT_A_TIME:]
+        if rest:
+            horner = rest[-1]
+            for c in rest[-2::-1]:
+                horner = horner * y + c
+            s += scaled * horner
+    return s
+
 
 @lru_cache(maxsize=4096)
 def _ball_half_cached(p: float, cfg: QuadratureConfig) -> float:
-    from scipy.special import zeta as hurwitz_zeta  # deferred: only the sinc tail needs it
-
     def head_fn(u):
         return _sinc_modulus(u) ** p
 
     head, head_err, ok1 = adaptive_integral(head_fn, _intervals(np.arange(_HEAD_PERIODS + 1) * PI), cfg)
+    coeffs = _zeta_coefficients(p)
 
     def tail_fn(t):
         t = np.asarray(t, dtype=float)
-        return np.sin(t) ** p * PI ** (-p) * hurwitz_zeta(p, _HEAD_PERIODS + t / PI)
+        return np.sin(t) ** p * PI ** (-p) * _hurwitz_zeta(p, _HEAD_PERIODS + t / PI, coeffs)
 
     quarters = _intervals(np.arange(5) * PI / 4.0)
     tail, tail_err, ok2 = adaptive_integral(tail_fn, quarters, cfg)

@@ -473,7 +473,7 @@ LOADED_SCIPY = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
 
 class TestDeferredScipy:
-    """scipy is imported by the sinc-power tail only; convolution runs on numpy."""
+    """No command imports scipy: convolution and the sinc-power tail run on numpy."""
 
     def test_package_import_loads_no_scipy(self):
         code = f"import sys, lebesgue_lab, lebesgue_lab.cli; print({LOADED_SCIPY})"
@@ -484,6 +484,10 @@ class TestDeferredScipy:
         ["np-verify", "--l", "6,7"],
         ["epi-check", "--random", "5"],
         ["rogozin", "--random", "5"],
+        ["sweep", "--l", "6,64", "--p", "1.01,2,2.5"],
+        ["asymptotic", "--l", "6", "--p", "1,2.5"],
+        ["lebesgue", "--l", "6,7", "--p", "1,3"],
+        ["ball", "--p", "1.01,2,4,130"],
     ], ids=lambda argv: argv[0])
     def test_command_runs_without_scipy(self, argv, tmp_path):
         argv = argv + ["--out", str(tmp_path / "report.json")]
@@ -497,7 +501,7 @@ class TestDeferredScipy:
         fresh, here = tmp_path / "fresh.json", tmp_path / "here.json"
         code = (f"import sys\nfrom lebesgue_lab import cli\ncli.main({argv + [str(fresh)]!r})\n"
                 f"print({LOADED_SCIPY})")
-        assert "scipy.special" in fresh_python(code)  # the asymptotic column took the zeta tail
+        assert fresh_python(code).strip() == "[]"  # the asymptotic column's zeta tail is numpy
         assert cli.main(argv + [str(here)]) == 0
         records = [json.loads(path.read_text())["records"] for path in (fresh, here)]
         assert records[0] == records[1]

@@ -351,6 +351,26 @@ class TestBallIntegral:
         for p in np.linspace(1.05, 130.0, 200).tolist():
             assert ball_half(p).hex() == uncached_ball_half(p).hex(), p
 
+    @pytest.mark.parametrize("p", [1.001, 1.01, 1.5, 2.0, 2.5, 7.3, 16.0, 64.0, 128.0, 130.0, 1e3, 1e5])
+    def test_tail_zeta_against_mpmath(self, p):
+        # the tail's Hurwitz zeta over its whole range of q, against 40 digits
+        q = np.linspace(HEAD_PERIODS, HEAD_PERIODS + 1, 65)
+        got = quadrature._hurwitz_zeta(p, q, quadrature._zeta_coefficients(p))
+        with mpmath.workdps(40):
+            exact = [float(mpmath.zeta(p, mpmath.mpf(x))) for x in q]
+        for x, value, want in zip(q, got, exact):
+            if want >= np.finfo(float).tiny:
+                assert abs(value - want) <= 4 * np.spacing(want), (x, value, want)
+            else:  # q^-p underflows
+                assert math.isfinite(value) and value >= 0.0, (x, value)
+
+    @pytest.mark.parametrize("p", [1.001, 1.01, 1.03])
+    def test_tail_zeta_keeps_the_oracle_bits_near_one(self, p):
+        # near p = 1 the tail is nearly all of the integral, and its last bit
+        # depends on the order in which the zeta adds its first expansion terms
+        clear_caches()
+        assert ball_half(p).hex() == uncached_ball_half(p).hex()
+
     def test_finite_and_falling_near_one(self):
         # nearly all of the integral lies past the 16-period head, in the zeta tail
         ps = (1.001, 1.01, 1.03)
