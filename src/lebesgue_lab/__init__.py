@@ -57,7 +57,9 @@ from .quadrature import (
     LpNormResult,
     QuadratureConfig,
     ball_half,
+    ball_half_grid,
     ball_integral,
+    ball_integral_grid,
     certify_bound,
     certify_bound_grid,
     integrate_kernel_power_grid,

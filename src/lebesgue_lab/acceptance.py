@@ -41,7 +41,7 @@ from .levelsets import (
 )
 from .pmf import convolve, entropy_summary, uniform
 from .quadrature import (
-    ball_integral,
+    ball_integral_grid,
     certify_bound_grid,
     integrate_kernel_power_grid,
     lp_norm_grid,
@@ -105,12 +105,11 @@ def criterion_parseval():
 @_criterion("sinc-power integral")
 def criterion_ball_integral():
     """Sinc-power anchors 1 and 2/3, and strict sqrt(2/p) domination."""
-    v2 = ball_integral(2.0)
-    v4 = ball_integral(4.0)
+    strict = (2.5, 3.0, 4.0, 8.0, 16.0)
+    v2, v4, *values = ball_integral_grid((2.0, 4.0, *strict))
     checks = [abs(v2 - 1.0) <= 1e-9, abs(v4 - 2.0 / 3.0) <= 1e-9]
     margins = []
-    for p in (2.5, 3.0, 4.0, 8.0, 16.0):
-        v = ball_integral(p)
+    for p, v in zip(strict, values):
         margins.append(sinc_power_bound(p) - v)
         checks.append(v < sinc_power_bound(p))
     return all(checks), (

@@ -48,7 +48,7 @@ from .levelsets import bump_profiles, detect_sign_changes
 from .quadrature import (
     DEFAULT_CONFIG,
     QuadratureConfig,
-    ball_integral,
+    ball_integral_grid,
     certify_bound_grid,
     lp_norm_grid,
     sinc_power_bound,
@@ -147,10 +147,9 @@ def _cmd_grid(record, columns, config: RunConfig, args) -> int:
 
 
 def _cmd_ball(config: RunConfig, args) -> int:
-    cfg = _quad_config(args)
+    ps = parse_float_list(args.p)
     rows = []
-    for p in parse_float_list(args.p):
-        v = ball_integral(p, cfg)
+    for p, v in zip(ps, ball_integral_grid(ps, _quad_config(args))):
         bound = sinc_power_bound(p)
         rows.append({"p": p, "value": v, "bound": bound, "margin": bound - v})
     write_report(config, ("p", "value", "bound", "margin"), rows)

@@ -4,7 +4,10 @@ Each integrand is integrated over its natural partition (the arches between
 kernel zeros) with a nested 15/31-point Gauss pair per subinterval; the local
 error estimate is |I31 - I15| and the interval with the worst estimate is
 bisected first.  Between zeros every integrand here is analytic, so the pair
-converges almost immediately and the error estimate is conservative.
+converges almost immediately and the error estimate is conservative.  The
+pair's nodes and weights are written out as the floats numpy's ``leggauss``
+returns (``_X15``, ``_W15``, ``_X31``, ``_W31``), so no call solves its
+eigenproblem or imports ``numpy.polynomial``.
 
 The sinc-power integral over the real line is split at a moderate multiple of
 pi; the infinite remainder is folded into a single finite integral through the
@@ -12,6 +15,19 @@ Hurwitz zeta function, so no large truncation ever has to be swept.  That
 zeta (:func:`_hurwitz_zeta`) is Cephes' method on numpy: ten terms summed
 directly, then an Euler-Maclaurin expansion whose coefficients are worked
 out once per exponent.  So the whole package runs on numpy alone.
+
+:func:`ball_half_grid` is the one engine for the sinc-power integral, over
+any exponents.  |sinc| is evaluated once at the head's first-pass abscissae,
+and sin t and 16 + t/pi once at the tail's; each exponent raises them to its
+p and takes its own zeta, and the first passes of all exponents are one
+stacked pair-sum product per integral.  Each exponent's head and tail then
+go through :func:`_refine`, whose rounds evaluate that exponent's own
+integrand, so each value is float.hex-identical to the exponent integrated
+alone.  Finished values are kept in ``_ball_halves(cfg)``, an ``lru_cache``
+of 16 configs, each a dict {p: value} of at most 4096 exponents.  The batch
+returns each exponent's value or error; :func:`ball_half`,
+:func:`ball_integral_grid` and the asymptotic column of :func:`lp_norm_grid`
+raise the first error in the order a loop of scalar calls would.
 
 The exponent p never moves a first-pass node: it only decides how many arches
 are kept, and the dropped ones are a suffix.  So a call evaluates g once per
@@ -133,11 +149,53 @@ class BoundCertificate:
     passed: bool
 
 
-@lru_cache(maxsize=None)
-def _pair_nodes():
-    x15, w15 = np.polynomial.legendre.leggauss(15)
-    x31, w31 = np.polynomial.legendre.leggauss(31)
-    return x15, w15, x31, w31
+# The nested 15/31-point Gauss-Legendre pair on [-1, 1]: the values
+# numpy.polynomial.legendre.leggauss(15) and (31) return under numpy 2.4,
+# written out, so that no call solves its eigenproblem or imports
+# numpy.polynomial.  Against 50 digits the nodes are within an ulp, the
+# 15-point weights within 40 ulps and the 31-point weights within 2,500 ulps
+# (5e-13 relative); correctly rounded weights would move every integral's
+# last bits.
+_X15 = np.array([
+    -0.9879925180204854, -0.9372733924007058, -0.8482065834104272,
+    -0.7244177313601701, -0.5709721726085388, -0.3941513470775634,
+    -0.20119409399743451, 0.0, 0.20119409399743451,
+    0.3941513470775634, 0.5709721726085388, 0.7244177313601701,
+    0.8482065834104272, 0.9372733924007058, 0.9879925180204854,
+])
+_W15 = np.array([
+    0.030753241996117203, 0.0703660474881084, 0.10715922046717141,
+    0.13957067792615444, 0.16626920581699398, 0.1861610000155622,
+    0.1984314853271116, 0.2025782419255613, 0.1984314853271116,
+    0.1861610000155622, 0.16626920581699398, 0.13957067792615444,
+    0.10715922046717141, 0.0703660474881084, 0.030753241996117203,
+])
+_X31 = np.array([
+    -0.997087481819477, -0.9846859096651525, -0.9625039250929497,
+    -0.9307569978966481, -0.8897600299482711, -0.8399203201462674,
+    -0.781733148416625, -0.7157767845868533, -0.6427067229242603,
+    -0.5632491614071492, -0.4781937820449025, -0.38838590160823294,
+    -0.29471806998170164, -0.19812119933557062, -0.09955531215234152,
+    0.0, 0.09955531215234152, 0.19812119933557062,
+    0.29471806998170164, 0.38838590160823294, 0.4781937820449025,
+    0.5632491614071492, 0.6427067229242603, 0.7157767845868533,
+    0.781733148416625, 0.8399203201462674, 0.8897600299482711,
+    0.9307569978966481, 0.9625039250929497, 0.9846859096651525,
+    0.997087481819477,
+])
+_W31 = np.array([
+    0.00747083157925088, 0.017318620790311608, 0.027009019184978878,
+    0.03643227391238576, 0.04549370752720094, 0.05410308242491654,
+    0.06217478656102821, 0.06962858323541009, 0.07639038659877635,
+    0.08239299176158914, 0.08757674060847759, 0.09189011389364123,
+    0.09529024291231925, 0.09774333538632848, 0.09922501122667202,
+    0.0997205447934261, 0.09922501122667202, 0.09774333538632848,
+    0.09529024291231925, 0.09189011389364123, 0.08757674060847759,
+    0.08239299176158914, 0.07639038659877635, 0.06962858323541009,
+    0.06217478656102821, 0.05410308242491654, 0.04549370752720094,
+    0.03643227391238576, 0.027009019184978878, 0.017318620790311608,
+    0.00747083157925088,
+])
 
 
 def _pair_abscissae(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -146,10 +204,9 @@ def _pair_abscissae(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ``a`` and ``b`` may have any shape; each half lists the intervals in
     their C order, with the node index last.
     """
-    x15, _, x31, _ = _pair_nodes()
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    return np.concatenate([(mid[..., None] + half[..., None] * x).ravel() for x in (x15, x31)])
+    return np.concatenate([(mid[..., None] + half[..., None] * x).ravel() for x in (_X15, _X31)])
 
 
 def _pair_sums(f: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -162,11 +219,10 @@ def _pair_sums(f: np.ndarray, a: np.ndarray, b: np.ndarray):
     two can differ in their last bits, so the two halves of a bisected piece
     are always one (2, m) product, however many pieces are bisected with it.
     """
-    _, w15, _, w31 = _pair_nodes()
     n = a.size
     half = 0.5 * (b - a)
-    i15 = half * (f[: 15 * n].reshape(*a.shape, 15) @ w15)
-    i31 = half * (f[15 * n :].reshape(*a.shape, 31) @ w31)
+    i15 = half * (f[: 15 * n].reshape(*a.shape, 15) @ _W15)
+    i31 = half * (f[15 * n :].reshape(*a.shape, 31) @ _W31)
     return i31, np.abs(i31 - i15)
 
 
@@ -196,7 +252,11 @@ def adaptive_integral(fn, pieces, cfg: QuadratureConfig = DEFAULT_CONFIG):
     if not len(pieces):
         return 0.0, 0.0, True
     a, b = pieces[:, 0], pieces[:, 1]
-    loop = _refine(a, b, *_pair_eval(fn, a, b), cfg)
+    return _rounds(_refine(a, b, *_pair_eval(fn, a, b), cfg), fn)
+
+
+def _rounds(loop, fn):
+    """The result of a :func:`_refine` loop whose rounds are evaluated with one call of ``fn`` each."""
     try:
         taken = next(loop)
         while True:
@@ -570,14 +630,16 @@ def lp_norm_grid(pairs, cfg: QuadratureConfig = DEFAULT_CONFIG) -> list:
     (p >= 2 and l >= 6).  The asymptotic field carries the first-order
     reference: (2/pi) * integral_0^inf |sin u / u|^p du / l for p > 1 and
     4 log(l) / (pi^2 l) for p = 1.  The values come from one
-    :func:`integrate_kernel_power_grid` call; a caller that wants them alone
-    calls that.
+    :func:`integrate_kernel_power_grid` call, and the sinc-power integrals
+    of the distinct exponents from one :func:`ball_half_grid` call; a record
+    whose sinc-power integral failed raises its error.
     """
     pairs, error = _valid_prefix(pairs, lambda l, p: _check_exponent(p))
+    halves = _halves_of([p for _, p in pairs], cfg)
     norms = []
     for (l, p), (value, err, converged) in zip(pairs, integrate_kernel_power_grid(pairs, cfg)):
         bound = norm_bound(l, p) if (p >= 2.0 and l >= 6) else None
-        asymptotic = asymptotic_reference(l, p, cfg)
+        asymptotic = _asymptotic(l, p, halves)
         norms.append(LpNormResult(
             l=l,
             p=float(p),
@@ -723,39 +785,122 @@ def _hurwitz_zeta(p: float, q: np.ndarray, coeffs: tuple) -> np.ndarray:
     return s
 
 
-@lru_cache(maxsize=4096)
-def _ball_half_cached(p: float, cfg: QuadratureConfig) -> float:
-    def head_fn(u):
-        return _sinc_modulus(u) ** p
-
-    head, head_err, ok1 = adaptive_integral(head_fn, _intervals(np.arange(_HEAD_PERIODS + 1) * PI), cfg)
-    coeffs = _zeta_coefficients(p)
-
-    def tail_fn(t):
-        t = np.asarray(t, dtype=float)
-        return np.sin(t) ** p * PI ** (-p) * _hurwitz_zeta(p, _HEAD_PERIODS + t / PI, coeffs)
-
-    quarters = _intervals(np.arange(5) * PI / 4.0)
-    tail, tail_err, ok2 = adaptive_integral(tail_fn, quarters, cfg)
-    if not (ok1 and ok2):
-        raise VerificationError(
-            f"sinc-power integral did not converge at p={p} "
-            f"(errors {head_err:.3e}, {tail_err:.3e})"
-        )
-    return head + tail
+# a config's store of finished sinc-power integrals that holds more
+# exponents than this after a call is emptied
+_SINC_EXPONENTS_KEPT = 4096
 
 
-def ball_half(p: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """integral_0^infty |sin u / u|^p du for p in (1, MAX_EXPONENT].
+@lru_cache(maxsize=16)
+def _ball_halves(cfg: QuadratureConfig) -> dict:
+    """{p: ball_half(p, cfg)}: the store :func:`ball_half_grid` fills."""
+    return {}
+
+
+def ball_half_grid(ps, cfg: QuadratureConfig = DEFAULT_CONFIG) -> list:
+    """integral_0^infty |sin u / u|^p du at every p of ``ps``: per exponent its value or its error.
 
     Computed as a sweep over the first m = 16 periods plus the exact
     remainder sum folded through the Hurwitz zeta function:
 
         integral_{m pi}^infty = integral_0^pi sin^p(t) pi^{-p} zeta(p, m + t/pi) dt.
+
+    An exponent outside (1, MAX_EXPONENT] gets a DomainError, and one whose
+    integral does not converge a VerificationError.  Nothing is raised, so
+    each caller raises the error of its first failing exponent in its own
+    order.  An exponent in the store of finished integrals
+    (:func:`_ball_halves`) is read from it; the others are integrated in one
+    batch (:func:`_sinc_power_halves`) and stored.
     """
-    if not 1.0 < p <= MAX_EXPONENT:
-        raise DomainError(f"sinc-power integral needs a finite p in (1, {MAX_EXPONENT:g}], got {p}")
-    return _ball_half_cached(float(p), cfg)
+    asked = [
+        float(p) if 1.0 < p <= MAX_EXPONENT
+        else DomainError(f"sinc-power integral needs a finite p in (1, {MAX_EXPONENT:g}], got {p}")
+        for p in ps
+    ]
+    store = _ball_halves(cfg)
+    new = [p for p in dict.fromkeys(asked) if isinstance(p, float) and p not in store]
+    found = dict(zip(new, _sinc_power_halves(new, cfg)))
+    # an error stands for itself; an exponent is read from this call's results or the store
+    results = [p if isinstance(p, Exception) else found[p] if p in found else store[p] for p in asked]
+    store.update((p, v) for p, v in found.items() if isinstance(v, float))
+    if len(store) > _SINC_EXPONENTS_KEPT:
+        store.clear()
+    return results
+
+
+def _sinc_power_halves(ps: list, cfg: QuadratureConfig) -> list:
+    """ball_half at each of the distinct exponents ``ps`` in (1, MAX_EXPONENT], or its VerificationError.
+
+    The head over 16 periods and the tail over four quarter periods are
+    :func:`adaptive_integral` of each exponent's own integrands, with
+    |sinc| at the head's first-pass abscissae, and sin t and 16 + t/pi at
+    the tail's, evaluated once for all exponents.
+    """
+    if not ps:
+        return []
+    periods = _intervals(np.arange(_HEAD_PERIODS + 1) * PI)
+    quarters = _intervals(np.arange(5) * PI / 4.0)
+    u = _pair_abscissae(periods[:, 0], periods[:, 1])
+    t = _pair_abscissae(quarters[:, 0], quarters[:, 1])
+    sinc, sin_t, q = _sinc_modulus(u), np.sin(t), _HEAD_PERIODS + t / PI
+    heads = _stacked_integrals(
+        periods, [sinc**p for p in ps], [lambda u, p=p: _sinc_modulus(u) ** p for p in ps], cfg
+    )
+    zeta_tails = [_zeta_tail(p) for p in ps]
+    tails = _stacked_integrals(
+        quarters,
+        [f(sin_t, q) for f in zeta_tails],
+        [lambda t, f=f: f(np.sin(t), _HEAD_PERIODS + t / PI) for f in zeta_tails],
+        cfg,
+    )
+    results = []
+    for p, (head, head_err, ok1), (tail, tail_err, ok2) in zip(ps, heads, tails):
+        if ok1 and ok2:
+            results.append(head + tail)
+        else:
+            results.append(VerificationError(
+                f"sinc-power integral did not converge at p={p} "
+                f"(errors {head_err:.3e}, {tail_err:.3e})"
+            ))
+    return results
+
+
+def _zeta_tail(p: float):
+    """The tail's integrand sin^p(t) pi^-p zeta(p, 16 + t/pi), as a function of (sin t, 16 + t/pi)."""
+    coeffs = _zeta_coefficients(p)
+    return lambda sin_t, q: sin_t**p * PI ** (-p) * _hurwitz_zeta(p, q, coeffs)
+
+
+def _stacked_integrals(pieces: np.ndarray, rows: list, fns: list, cfg: QuadratureConfig) -> list:
+    """``adaptive_integral(fns[j], pieces, cfg)`` for every j, with ``rows[j]`` its first-pass values.
+
+    ``rows[j]`` is ``fns[j]`` at the ``_pair_abscissae`` of ``pieces``.  The
+    first passes are one stacked pair-sum product, whose row j is that of
+    ``rows[j]`` alone (the (k, m) blocks of a stacked (n, k, m) @ w product
+    are those of k alone).  Each row then goes through :func:`_refine`,
+    which returns at once when its first pass converged, and any rounds
+    evaluate ``fns[j]``.
+    """
+    a, b = pieces[:, 0], pieces[:, 1]
+    n, split = len(rows), 15 * len(a)
+    f = np.stack(rows)
+    i31, err = _pair_sums(
+        np.concatenate((f[:, :split].ravel(), f[:, split:].ravel())),
+        np.repeat(a[None], n, axis=0),
+        np.repeat(b[None], n, axis=0),
+    )
+    return [_rounds(_refine(a, b, i31[j], err[j], cfg), fn) for j, fn in enumerate(fns)]
+
+
+def ball_half(p: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
+    """integral_0^infty |sin u / u|^p du for p in (1, MAX_EXPONENT]: :func:`ball_half_grid` at one exponent."""
+    return _value(ball_half_grid([p], cfg)[0])
+
+
+def _value(entry):
+    """A :func:`ball_half_grid` entry's value, or raise the error it holds."""
+    if isinstance(entry, Exception):
+        raise entry
+    return entry
 
 
 # the p = 2 case of the sinc bound is an equality; strictness is only
@@ -768,27 +913,52 @@ def sinc_power_bound(p: float) -> float:
     return math.sqrt(2.0 / p)
 
 
+def ball_integral_grid(ps, cfg: QuadratureConfig = DEFAULT_CONFIG) -> list:
+    """integral_R |sin(pi x)/(pi x)|^p dx at every p of ``ps``, checked against :func:`sinc_power_bound` for p >= 2.
+
+    One :func:`ball_half_grid` call; the first exponent that is out of
+    range, does not converge or fails its bound raises, as in a loop of
+    :func:`ball_integral`.
+    """
+    ps = list(ps)
+    values = []
+    for p, half in zip(ps, ball_half_grid(ps, cfg)):
+        value = (2.0 / PI) * _value(half)
+        if p >= 2.0:
+            bound = sinc_power_bound(p)
+            if p < 2.0 + _BALL_EQUALITY_WINDOW:
+                ok = value <= bound + 1e-9
+            else:
+                ok = value < bound
+            if not ok:
+                raise VerificationError(
+                    f"sinc-power bound failed at p={p}: value={value!r} !< {bound!r}"
+                )
+        values.append(value)
+    return values
+
+
 def ball_integral(p: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
-    """integral_R |sin(pi x)/(pi x)|^p dx, checked against :func:`sinc_power_bound` for p >= 2."""
-    value = (2.0 / PI) * ball_half(p, cfg)
-    if p >= 2.0:
-        bound = sinc_power_bound(p)
-        if p < 2.0 + _BALL_EQUALITY_WINDOW:
-            ok = value <= bound + 1e-9
-        else:
-            ok = value < bound
-        if not ok:
-            raise VerificationError(
-                f"sinc-power bound failed at p={p}: value={value!r} !< {bound!r}"
-            )
-    return value
+    """:func:`ball_integral_grid` at one exponent."""
+    return ball_integral_grid([p], cfg)[0]
+
+
+def _halves_of(ps, cfg: QuadratureConfig) -> dict:
+    """{p: ball_half_grid entry} for the distinct exponents p != 1 of ``ps``, as :func:`_asymptotic` reads them."""
+    ps = list(dict.fromkeys(p for p in ps if p != 1.0))
+    return dict(zip(ps, ball_half_grid(ps, cfg)))
+
+
+def _asymptotic(l: int, p: float, halves: dict) -> float:
+    """:func:`asymptotic_reference` with the sinc-power integral at p read from ``halves``."""
+    if p == 1.0:
+        return 4.0 * math.log(l) / (PI**2 * l)
+    return (2.0 / PI) * _value(halves[p]) / l
 
 
 def asymptotic_reference(l: int, p: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """First-order reference value for the kernel norm at length l."""
-    if p == 1.0:
-        return 4.0 * math.log(l) / (PI**2 * l)
-    return (2.0 / PI) * ball_half(p, cfg) / l
+    return _asymptotic(l, p, _halves_of([p], cfg))
 
 
 def _product_cuts(ls) -> np.ndarray:

@@ -83,7 +83,7 @@ def test_runtime_budgets(budget_name, criteria, limit_seconds):
 CRITERION_DEPENDENCIES = [
     (acceptance.criterion_bound_certification, "certify_bound_grid"),
     (acceptance.criterion_parseval, "integrate_kernel_power_grid"),
-    (acceptance.criterion_ball_integral, "ball_integral"),
+    (acceptance.criterion_ball_integral, "ball_integral_grid"),
     (acceptance.criterion_asymptotics, "lp_norm_grid"),
     (acceptance.criterion_sign_change, "detect_sign_changes"),
     (acceptance.criterion_first_arch_domination, "check_first_arch_domination"),

@@ -23,8 +23,11 @@ from lebesgue_lab.quadrature import (
     QuadratureConfig,
     _intervals,
     _kept_arches,
+    _W15,
+    _W31,
+    _X15,
+    _X31,
     _pair_eval,
-    _pair_nodes,
     _pair_sums,
     _product_cuts,
     _quotients,
@@ -395,6 +398,101 @@ class TestBallIntegral:
         assert budgets and set(budgets) == {1}
 
 
+def mpmath_gauss_legendre(n, starts):
+    """The n-point Gauss-Legendre nodes and weights at 50 digits, by Newton's method from ``starts``."""
+    with mpmath.workdps(50):
+        nodes, weights = [], []
+        def slope(x):  # P_n'(x)
+            return n * (x * mpmath.legendre(n, x) - mpmath.legendre(n - 1, x)) / (x * x - 1)
+
+        for x in map(mpmath.mpf, starts):
+            for _ in range(7):
+                x -= mpmath.legendre(n, x) / slope(x)
+            dp = slope(x)
+            nodes.append(x)
+            weights.append(2 / ((1 - x * x) * dp * dp))
+        return nodes, weights
+
+
+def ulps(got, exact):
+    """|got - exact| in units of the last place of exact rounded to a double (0 where both are 0)."""
+    with mpmath.workdps(50):
+        return [float(abs(mpmath.mpf(g) - e) / np.spacing(abs(float(e)))) if e else abs(g) for g, e in zip(got, exact)]
+
+
+class TestGaussPair:
+    # the pair is written out as numpy's leggauss returned it; its weights are
+    # not correctly rounded, and correcting them would move every integral's
+    # last bits, so the bounds are the errors found, rounded up
+    @pytest.mark.parametrize("n, nodes, weights, weight_ulps", [(15, _X15, _W15, 40), (31, _X31, _W31, 2500)])
+    def test_against_fifty_digits(self, n, nodes, weights, weight_ulps):
+        exact_nodes, exact_weights = mpmath_gauss_legendre(n, nodes.tolist())
+        assert max(ulps(nodes.tolist(), exact_nodes)) <= 1.0
+        assert max(ulps(weights.tolist(), exact_weights)) <= weight_ulps
+
+    @pytest.mark.parametrize("nodes, weights", [(_X15, _W15), (_X31, _W31)], ids=["15", "31"])
+    def test_symmetric_and_ascending(self, nodes, weights):
+        assert np.array_equal(nodes, -nodes[::-1]) and np.array_equal(weights, weights[::-1])
+        assert np.all(np.diff(nodes) > 0.0) and nodes[len(nodes) // 2] == 0.0
+
+
+# the sinc exponents of the batch tests: near 1, around 2, off the integers, both sides of 128, the cap
+SINC_P_GRID = (1.001, 1.01, 1.5, 2.0, 2.5, 7.3, 32.0, 128.0, 130.0, 1e3, 1e5)
+
+
+class TestSincBatch:
+    @pytest.mark.parametrize(
+        "cfg", [DEFAULT_CONFIG, QuadratureConfig(abs_tol=1e-9, rel_tol=1e-8)], ids=["default", "loose"]
+    )
+    def test_batch_equals_one_at_a_time(self, cfg):
+        rng = np.random.default_rng(32)
+        ps = list(SINC_P_GRID) + rng.choice(SINC_P_GRID, 6).tolist()
+        rng.shuffle(ps)
+        alone = {}
+        for p in SINC_P_GRID:
+            clear_caches()
+            alone[p] = ball_half(p, cfg).hex()
+        clear_caches()
+        assert [v.hex() for v in quadrature.ball_half_grid(ps, cfg)] == [alone[p] for p in ps]
+        # a second batch reads the store, whatever it is mixed with
+        assert [v.hex() for v in quadrature.ball_half_grid(ps[::-1] + [3.0], cfg)][:-1] == [alone[p] for p in ps[::-1]]
+
+    def test_norm_grid_evaluates_the_head_nodes_once(self, monkeypatch):
+        periods = _intervals(np.arange(HEAD_PERIODS + 1) * PI)
+        head_nodes = quadrature._pair_abscissae(periods[:, 0], periods[:, 1])
+        builds = []
+
+        def spy(u):
+            builds.append(np.array_equal(u, head_nodes))
+            return sinc_modulus(u)
+
+        sinc_modulus = quadrature._sinc_modulus
+        monkeypatch.setattr(quadrature, "_sinc_modulus", spy)
+        clear_caches()
+        ps = (2.0, 2.5, 3.0, 4.0, 8.0, 16.0, 32.0, 128.0)
+        records = lp_norm_grid([(l, p) for l in (6, 64, 1000) for p in ps])
+        assert len(records) == 24 and builds.count(True) == 1
+
+    # at one bisection per piece p = 1.01 does not converge, and p = 2 does
+    BUDGET = QuadratureConfig(max_subdivisions=1)
+
+    @pytest.mark.parametrize("ps, error", [((1.01, 1e9), VerificationError), ((1e9, 1.01), DomainError)])
+    def test_first_failing_exponent_raises(self, ps, error):
+        clear_caches()
+        entries = quadrature.ball_half_grid((2.0, *ps), self.BUDGET)
+        assert isinstance(entries[0], float)
+        assert [type(e) for e in entries[1:]] == [{1.01: VerificationError, 1e9: DomainError}[p] for p in ps]
+        with pytest.raises(error):
+            quadrature.ball_integral_grid((2.0, *ps), self.BUDGET)
+        # in the norm grid the range check comes first: the failing integral
+        # raises at its record only when it precedes the exponent out of range
+        with pytest.raises(error):
+            lp_norm_grid([(6, 2.0), *((6, p) for p in ps)], self.BUDGET)
+        # an integral that failed is not stored, so it fails again
+        with pytest.raises(VerificationError, match="did not converge at p=1.01"):
+            ball_half(1.01, self.BUDGET)
+
+
 class TestAcrossSixtyFour:
     # both sides of 64, where powers once switched to exp(p log g), and far past
     # it, where every arch but the first is dropped
@@ -649,13 +747,12 @@ def every_exp_kept_arches(l, p, abs_tol):
 
 def two_call_pair_eval(fn, a, b):
     """The 15/31 pair with one integrand call per rule."""
-    x15, w15, x31, w31 = _pair_nodes()
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    f15 = fn((mid[:, None] + half[:, None] * x15).ravel()).reshape(len(a), 15)
-    f31 = fn((mid[:, None] + half[:, None] * x31).ravel()).reshape(len(a), 31)
-    i15 = half * (f15 @ w15)
-    i31 = half * (f31 @ w31)
+    f15 = fn((mid[:, None] + half[:, None] * _X15).ravel()).reshape(len(a), 15)
+    f31 = fn((mid[:, None] + half[:, None] * _X31).ravel()).reshape(len(a), 31)
+    i15 = half * (f15 @ _W15)
+    i31 = half * (f31 @ _W31)
     return i31, np.abs(i31 - i15)
 
 
@@ -1001,7 +1098,7 @@ class TestStackedPairProducts:
     def test_stacked_exponents_equal_one_product_each(self, m):
         # the exponents that keep k arches share a (P, k, m) @ w product in the
         # first pass; that is P products of (k, m), byte for byte
-        w = {15: _pair_nodes()[1], 31: _pair_nodes()[3]}[m]
+        w = {15: _W15, 31: _W31}[m]
         rng = np.random.default_rng(m + 1)
         for count in (1, 2, 3, 7, 20):
             for k in range(1, 40):
@@ -1014,7 +1111,7 @@ class TestStackedPairProducts:
     def test_stacked_product_equals_one_product_per_pair(self, m):
         # _pair_sums evaluates the halves of k pieces as (k, 2, m) @ w; that is
         # k products of (2, m), byte for byte, where a flat (2k, m) @ w need not be
-        w = {15: _pair_nodes()[1], 31: _pair_nodes()[3]}[m]
+        w = {15: _W15, 31: _W31}[m]
         rng = np.random.default_rng(m)
         for k in range(1, 301):
             f = rng.uniform(0.0, 1.0, 2 * k * m + 7)[7:]  # an offset view, as in _pair_sums
