@@ -4,14 +4,12 @@ consequence for the max-entropy power of sums of integer-valued variables."""
 from .epi import (
     EpiInstance,
     EpiReport,
-    HolderChain,
     RogozinCheck,
     check_epi,
     check_epis,
     check_rogozin,
     decide_chain,
     handcrafted_corpus,
-    holder_bound_chain,
     holder_exponents,
     instance_from_json_obj,
     instance_to_json_obj,
@@ -66,7 +64,6 @@ from .quadrature import (
     lp_norm,
     lp_norm_grid,
     norm_bound,
-    product_kernel_l1,
 )
 
 __version__ = "0.1.0"

@@ -7,15 +7,13 @@ being verified is:
   * replacing each X_i by the uniform law on {1, ..., l_i} can only increase
     the maximum of the convolution (checked exactly on small supports);
   * the maximum of the uniform convolution is at most the one-period integral
-    of the product of kernel moduli (Fourier inversion); both come from the
-    integer counts of the uniform convolution, with no quadrature;
+    of the product of kernel moduli (Fourier inversion); the maximum is an
+    exact quotient of the integer counts of the uniform convolution;
   * when no single index dominates, a Hoelder split with exponents
     p_i = (sum_j l_j^2) / l_i^2 plus the certified norm bound collapses the
     product to the closed form 2 l_min^2 / ((l_min^2 - 1) sum l_i^2); every
     link of that chain is a theorem, so :func:`check_epis` decides it by its
-    two ends alone, exactly in integers (:func:`decide_chain`), and
-    :func:`holder_bound_chain` evaluates every member numerically as its
-    cross-check;
+    two ends alone, exactly in integers (:func:`decide_chain`);
   * otherwise the dominant uniform alone already carries half the sum.
 
 Together these yield N(sum X_i) >= 1/2 * (l_min - 1)/(l_min + 1) * sum N(X_i)
@@ -53,14 +51,6 @@ from .pmf import (
     uniform_counts,
     weight_problems,
 )
-from .quadrature import (
-    DEFAULT_CONFIG,
-    QuadratureConfig,
-    _check_exponent,
-    integrate_kernel_power_grid,
-    norm_bound,
-    product_kernel_l1,
-)
 
 CASE_HOLDER = "holder_split"
 CASE_DOMINANT = "single_dominant"
@@ -88,17 +78,6 @@ class EpiInstance:
     l_max: int
     case: str
     seed: int | None = None
-
-
-@dataclass(frozen=True)
-class HolderChain:
-    """Numeric values of the bound chain, weakest member last."""
-
-    ls: tuple[int, ...]
-    exponents: tuple[float, ...]
-    members: tuple[float, ...]
-    labels: tuple[str, ...]
-    ok: bool
 
 
 @dataclass(frozen=True)
@@ -153,27 +132,14 @@ def holder_exponents(ls) -> tuple[float, ...]:
     return ps
 
 
-def _chain_exponents(ls: tuple) -> tuple[float, ...]:
-    """The chain's Hoelder exponents; an index below 6 or an exponent above ``MAX_EXPONENT`` raises."""
-    if min(ls) < 6:
-        raise PreconditionError(f"chain requires every index >= 6, got {ls}")
-    ps = holder_exponents(ls)
-    for p in ps:
-        _check_exponent(p)
-    return ps
-
-
-def _chain_ends(ls: tuple, counts) -> tuple[int, int, int, int]:
-    """The chain's first and last members as quotients of integers: m0 = a / b, m4 = c / d."""
-    top, lmin = int(counts.max()), min(ls)
-    return top * top, math.prod(ls) ** 2, 2 * lmin * lmin, (lmin * lmin - 1) * sum(l * l for l in ls)
-
-
 def decide_chain(ls) -> tuple[int, int]:
     """Decide the bound chain of indices ``ls`` by its two ends, exactly in integers.
 
-    The chain m0 <= m1 <= m2 <= m3 <= m4 of :func:`holder_bound_chain` has
-    four links, each a theorem when every l_i >= 6 and every exponent
+    The chain's members are m0 the squared maximum of the uniform
+    convolution, m1 the squared one-period integral of the product of kernel
+    moduli, m2 the Hoelder product of the kernels' L^(p_i) norms, m3 the
+    product of their certified bounds, and m4 the closed form.  Its four
+    links are each a theorem when every l_i >= 6 and every exponent
     p_i = sum_j l_j^2 / l_i^2 >= 2 (the split case):
 
       * m0 <= m1: Fourier inversion and the triangle inequality;
@@ -187,57 +153,20 @@ def decide_chain(ls) -> tuple[int, int]:
     The inequality uses only m0 <= m4, decided by the ends alone: with N the
     counts of :func:`uniform_counts`, (max N)^2 (l_min^2 - 1) sum l^2 <=
     2 l_min^2 (prod l)^2.  Returns (lhs, rhs); lhs > rhs raises
-    VerificationError naming ``ls`` and both sides.  Out of range input
-    raises as in :func:`holder_bound_chain`.
+    VerificationError naming ``ls`` and both sides.  An index below 6 or a
+    dominant index raises PreconditionError; the exponents may be as large
+    as the indices make them.
     """
     ls = tuple(int(l) for l in ls)
-    _chain_exponents(ls)
-    a, b, c, d = _chain_ends(ls, uniform_counts(ls))
-    lhs, rhs = a * d, c * b
+    if min(ls) < 6:
+        raise PreconditionError(f"chain requires every index >= 6, got {ls}")
+    holder_exponents(ls)
+    top, lmin = int(uniform_counts(ls).max()), min(ls)
+    lhs = top * top * (lmin * lmin - 1) * sum(l * l for l in ls)
+    rhs = 2 * lmin * lmin * math.prod(ls) ** 2
     if lhs > rhs:
         raise VerificationError(f"bound chain ends out of order at {ls}: m0 <= m4 fails as {lhs} > {rhs}")
     return lhs, rhs
-
-
-def holder_bound_chain(ls, cfg: QuadratureConfig = DEFAULT_CONFIG) -> HolderChain:
-    """Evaluate every member of the product bound chain and check the ordering.
-
-    Members, in order: the squared maximum of the uniform convolution, the
-    squared one-period integral of the kernel product, the Hoelder product of
-    norms, the product of certified bounds, and the closed form.  Each must
-    be <= the next within 1e-9 relative.  The ends are :func:`decide_chain`'s
-    quotients, correctly rounded; the kernel norms come from one
-    :func:`integrate_kernel_power_grid` call over the distinct (index,
-    exponent) pairs.  The numeric cross-check of :func:`decide_chain`.
-    """
-    ls = tuple(int(l) for l in ls)
-    ps = _chain_exponents(ls)
-    pairs = list(dict.fromkeys(zip(ls, ps)))
-    norms = dict(zip(pairs, integrate_kernel_power_grid(pairs, cfg)))
-    counts = uniform_counts(ls)
-    a, b, c, d = _chain_ends(ls, counts)
-    m1 = product_kernel_l1(ls, counts)[0] ** 2
-    m2 = m3 = 1.0
-    for l, p in zip(ls, ps):
-        value, _, converged = norms[l, p]
-        if not converged:
-            raise VerificationError(f"norm quadrature did not converge at l={l}, p={p}")
-        m2 *= value ** (2.0 / p)
-        m3 *= norm_bound(l, p) ** (2.0 / p)
-
-    members = (a / b, m1, m2, m3, c / d)
-    labels = (
-        "max_prob_squared",
-        "product_l1_squared",
-        "holder_norm_product",
-        "certified_bound_product",
-        "closed_form",
-    )
-    ok = all(members[i] <= members[i + 1] * (1.0 + 1e-9) for i in range(4))
-    chain = HolderChain(ls=ls, exponents=ps, members=members, labels=labels, ok=ok)
-    if not ok:
-        raise VerificationError(f"bound chain out of order: {chain}")
-    return chain
 
 
 def check_rogozin(instance: EpiInstance) -> RogozinCheck:
@@ -270,12 +199,7 @@ def check_epi(instance: EpiInstance, with_chain: bool = True) -> EpiReport:
     claimed and the report is returned without assertion.  In the split case
     the bound chain is decided as well, exactly (:func:`decide_chain`;
     ``with_chain`` False skips it), and its ends are the report's ``chain``.
-    A chain exponent above the cap raises before the convolution, which
-    raises before the chain's decision.
     """
-    chained = with_chain and instance.l_min >= 6 and instance.case == CASE_HOLDER
-    if chained:
-        _chain_exponents(instance.l_indices)
     s = convolve_many(instance.pmfs)
     lhs = entropy_summary(s).N_inf
     sum_n = sum(entropy_summary(f).N_inf for f in instance.pmfs)
@@ -288,6 +212,7 @@ def check_epi(instance: EpiInstance, with_chain: bool = True) -> EpiReport:
         holds = holds and lhs >= rhs_exact - EPI_SLACK
 
     asserted = lmin >= 6
+    chained = with_chain and asserted and instance.case == CASE_HOLDER
     chain = decide_chain(instance.l_indices) if chained else None
 
     report = EpiReport(
@@ -421,10 +346,14 @@ def random_instances(seeds, n_range=(2, 5), l_range=(6, 30)):
     l_range)`` for each seed in turn.  A seed whose instance cannot be
     generated raises there, with the error ``random_instance`` raises, after
     the instances of the seeds before it.  The seeds are taken in blocks of
-    ``_BLOCK`` (see :func:`_instance_block`).  Indices start at 1.
+    ``_BLOCK`` (see :func:`_instance_block`).  Indices start at 1, and an
+    empty range of indices or of variable counts raises DomainError.
     """
     if l_range[0] < 1:
         raise DomainError(f"index range must start at 1 or above, got {tuple(l_range)}")
+    for name, (lo, hi) in (("variable count", n_range), ("index", l_range)):
+        if lo > hi:
+            raise DomainError(f"{name} range {(lo, hi)} is empty")
     seeds = iter(seeds)
     while block := list(itertools.islice(seeds, _BLOCK)):
         for outcome in _instance_block(block, n_range, l_range):

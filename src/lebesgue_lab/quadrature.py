@@ -71,10 +71,6 @@ the forms at one pair (:func:`integrate_kernel_power`, :func:`lp_norm`,
 
 Every power is the plain ``values ** p``, at every p: libm ``pow`` is within
 an ulp, and a power that underflows is simply 0.
-
-The one-period integral of a product of kernel moduli is not a quadrature:
-:func:`product_kernel_l1` integrates it in closed form from the integer
-counts of the uniform convolution, with a rounding bound, at any l.
 """
 
 from __future__ import annotations
@@ -88,7 +84,6 @@ import numpy as np
 
 from .errors import DomainError, PreconditionError, VerificationError
 from .kernel import PI, KernelSpec, kernel_values
-from .pmf import uniform_counts
 
 
 @dataclass(frozen=True)
@@ -959,62 +954,3 @@ def _asymptotic(l: int, p: float, halves: dict) -> float:
 def asymptotic_reference(l: int, p: float, cfg: QuadratureConfig = DEFAULT_CONFIG) -> float:
     """First-order reference value for the kernel norm at length l."""
     return _asymptotic(l, p, _halves_of([p], cfg))
-
-
-def _product_cuts(ls) -> np.ndarray:
-    """0, 1/2 and every zero k/l in (0, 1/2] of each factor, sorted, without repeats."""
-    return np.array(sorted({0.0, 0.5, *(k / l for l in ls for k in range(1, l // 2 + 1))}))
-
-
-# one block of the piece-by-frequency trig matrix holds at most this many entries
-_TRIG_BLOCK = 1 << 16
-
-
-def _quotients(counts: np.ndarray, prod: int) -> np.ndarray:
-    """Each count over ``prod``, correctly rounded as Python's int / int rounds it.
-
-    Below 2^53 both are exact doubles (no count exceeds prod), so one IEEE
-    division per count rounds the same quotient; beyond it the Python
-    integers are divided one by one.
-    """
-    if prod < 2**53:
-        return counts / float(prod)
-    return np.array([n / prod for n in counts.tolist()])
-
-
-def product_kernel_l1(ls, counts=None):
-    """Integral over one period of the product of kernel moduli, in closed form.
-
-    prod_i D_{l_i}(x) = sum_m N_m e^(i pi m x), N_m = N_-m the counts of
-    :func:`uniform_counts` (``counts`` reuses them).  No factor changes sign
-    between cuts of :func:`_product_cuts`, so the piece with midpoint c and
-    half-width h adds 2 |2 h N_0 + sum_{m>0} 4 N_m cos(pi m c) sin(pi m h) /
-    (pi m)| / prod(ls), F(b) - F(a) in a product form that does not cancel.
-    The trig matrix is built in blocks of pieces, so memory stays bounded.
-
-    Returns (value, rounding bound).  With u = 2^-53, q_m = N_m / prod(ls) and
-    K frequencies m > 0, a piece is within u h (6 q_0 + 4 (K + 15) sum q_m +
-    16 pi c sum m q_m) of exact, to first order in u with sin and cos within
-    an ulp.  The pieces' h sum to 1/4 and their h c to 1/16, so the bound is
-    2 u (1.5 q_0 + (K + 15) sum q_m + pi sum m q_m), plus the rounding of the
-    final sum.  The slivers between a zero k/l and its rounded cut move the
-    value by O(u^2).
-    """
-    ls = [KernelSpec(l).l for l in ls]
-    counts = uniform_counts(ls) if counts is None else counts
-    prod, top = math.prod(ls), len(counts) - 1
-    # entry k of counts is N_m at m = 2k - top
-    q0 = 0.0 if top % 2 else int(counts[top // 2]) / prod
-    ms = np.arange(2 - top % 2, top + 1, 2)
-    q = _quotients(counts[top // 2 + 1 :], prod)
-    freq = PI * ms
-    cuts = _product_cuts(ls)
-    mid, half = 0.5 * (cuts[1:] + cuts[:-1]), 0.5 * (cuts[1:] - cuts[:-1])
-    rows = max(1, _TRIG_BLOCK // len(ms))
-    waves = np.concatenate([
-        (np.cos(mid[i : i + rows, None] * freq) * np.sin(half[i : i + rows, None] * freq)) @ (4.0 * q / freq)
-        for i in range(0, len(mid), rows)
-    ])
-    value = 2.0 * math.fsum(np.abs(q0 * (2.0 * half) + waves).tolist())
-    rounding = 1.5 * q0 + (len(ms) + 15) * float(q.sum()) + PI * float(ms @ q)
-    return value, 2.0**-53 * (2.0 * rounding + value)

@@ -159,6 +159,23 @@ class TestEpiCommands:
         assert all(len(r) == len(header) for r in records)
         assert all(";" in r["l_indices"] or r["l_indices"].isdigit() for r in records)
 
+    def test_epi_check_corpus_alone(self, tmp_path):
+        out = tmp_path / "epi.json"
+        assert cli.main(["epi-check", "--random", "0", "--corpus", "--out", str(out)]) == 0
+        assert len(json.loads(out.read_text())["records"]) == 20
+
+    def test_epi_check_decides_beyond_the_old_exponent_cap(self, tmp_path):
+        # the exponent at l = 6 is 500001, above the quadrature's MAX_EXPONENT
+        from lebesgue_lab.epi import make_instance, save_instances
+        from lebesgue_lab.pmf import uniform
+
+        corpus = tmp_path / "wide.json"
+        save_instances(str(corpus), [make_instance([uniform(6), uniform(3000), uniform(3000)])])
+        out = tmp_path / "epi.json"
+        assert cli.main(["epi-check", "--random", "0", "--instances", str(corpus), "--out", str(out)]) == 0
+        (record,) = json.loads(out.read_text())["records"]
+        assert record["holds"] is True and record["case"] == "holder_split"
+
     def test_rogozin(self, tmp_path):
         out = tmp_path / "rog.json"
         assert cli.main(["rogozin", "--random", "20", "--out", str(out)]) == 0
@@ -496,6 +513,27 @@ class TestUsageErrors:
                          "--lmax", "300", "--out", str(out)])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: max adjustment did not settle")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["epi-check", "rogozin"])
+    def test_negative_count_is_usage_error(self, tmp_path, capsys, command):
+        # an empty batch would pass vacuously
+        out = tmp_path / "x.json"
+        assert cli.main([command, "--random", "-3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --random must be >= 0, got -3\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["epi-check", "rogozin"])
+    @pytest.mark.parametrize(
+        "bounds, named",
+        [(["--n-min", "3", "--n-max", "2"], "variable count range (3, 2)"),
+         (["--lmin", "40", "--lmax", "10"], "index range (40, 10)")],
+        ids=["variables", "indices"],
+    )
+    def test_empty_range_is_usage_error(self, tmp_path, capsys, command, bounds, named):
+        out = tmp_path / "x.json"
+        assert cli.main([command, *bounds, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {named} is empty\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lebesgue_lab import epi, pmf, quadrature
+from lebesgue_lab import epi, kernel, pmf, quadrature
 from lebesgue_lab.epi import (
     CASE_DOMINANT,
     CASE_HOLDER,
@@ -19,7 +20,6 @@ from lebesgue_lab.epi import (
     check_rogozin,
     decide_chain,
     handcrafted_corpus,
-    holder_bound_chain,
     holder_exponents,
     instance_from_json_obj,
     instance_to_json_obj,
@@ -32,12 +32,8 @@ from lebesgue_lab.epi import (
 )
 from lebesgue_lab.errors import DomainError, GenerationError, PreconditionError, VerificationError
 from lebesgue_lab.pmf import Pmf, convolve_many, entropy_summary, l_index, uniform, uniform_counts
-from lebesgue_lab.quadrature import (
-    KernelSpec,
-    QuadratureConfig,
-    integrate_kernel_power,
-    integrate_kernel_power_grid,
-)
+from lebesgue_lab.quadrature import integrate_kernel_power_grid, norm_bound
+from test_quadrature import quadrature_product_l1
 
 
 class TestHolderExponents:
@@ -54,34 +50,59 @@ class TestHolderExponents:
             holder_exponents((6, 20))  # 400/436 > 1/2
 
 
+def numeric_chain(ls):
+    """The bound chain's members m0..m4 of :func:`decide_chain` as floats, weakest last.
+
+    m0 and m4 are the exact ends, correctly rounded; m1 is the squared
+    product integral by adaptive quadrature, m2 the Hoelder product of the
+    quadrature norms and m3 the product of their certified bounds.
+    """
+    ls = tuple(ls)
+    ps = holder_exponents(ls)
+    top, lmin, sum_sq = int(uniform_counts(ls).max()), min(ls), sum(l * l for l in ls)
+    m1, _, converged = quadrature_product_l1(ls)
+    assert converged, ls
+    pairs = list(zip(ls, ps))
+    m2 = m3 = 1.0
+    for (l, p), (value, _, converged) in zip(pairs, integrate_kernel_power_grid(pairs)):
+        assert converged, (l, p)
+        m2 *= value ** (2.0 / p)
+        m3 *= norm_bound(l, p) ** (2.0 / p)
+    return top**2 / math.prod(ls) ** 2, m1**2, m2, m3, 2 * lmin**2 / ((lmin**2 - 1) * sum_sq)
+
+
+def ordered(chain):
+    """Each member is at most the next, within 1e-9 relative."""
+    return all(a <= b * (1.0 + 1e-9) for a, b in zip(chain, chain[1:]))
+
+
 class TestHolderChain:
     def test_equal_pair_collapses_to_closed_form(self):
-        chain = holder_bound_chain((6, 6))
-        assert chain.ok
-        assert chain.members[3] == pytest.approx(1.0 / 35.0, rel=1e-12)
-        assert chain.members[4] == pytest.approx(1.0 / 35.0, rel=1e-12)
+        chain = numeric_chain((6, 6))
+        assert ordered(chain)
+        assert chain[3] == pytest.approx(1.0 / 35.0, rel=1e-12)
+        assert chain[4] == pytest.approx(1.0 / 35.0, rel=1e-12)
         # the first three members all equal 1/36 for identical factors
-        for m in chain.members[:3]:
+        for m in chain[:3]:
             assert m == pytest.approx(1.0 / 36.0, rel=1e-9)
 
     def test_mixed_sizes_strictly_ordered(self):
-        chain = holder_bound_chain((6, 8, 10))
-        assert chain.ok
-        assert all(a < b for a, b in zip(chain.members, chain.members[1:]))
+        chain = numeric_chain((6, 8, 10))
+        assert all(a < b for a, b in zip(chain, chain[1:]))
 
     def test_four_equal_sevens_closed_form(self):
-        chain = holder_bound_chain((7, 7, 7, 7))
-        assert chain.members[4] == pytest.approx(1.0 / 96.0, rel=1e-15)
+        chain = numeric_chain((7, 7, 7, 7))
+        assert chain[4] == pytest.approx(1.0 / 96.0, rel=1e-15)
 
     def test_small_index_rejected(self):
         with pytest.raises(PreconditionError):
-            holder_bound_chain((5, 5))
+            decide_chain((5, 5))
 
     def test_uniform_maximum_matches_float_convolution(self):
         for ls in ((6, 6), (6, 8, 10), (7, 7, 7, 7), (30, 29, 28, 27, 26), (6, 7)):
             if max(ls) ** 2 > 0.5 * sum(l * l for l in ls):
                 continue
-            m0 = holder_bound_chain(ls).members[0]
+            m0 = numeric_chain(ls)[0]
             assert m0 == pytest.approx(convolve_many([uniform(l) for l in ls]).max_weight ** 2, rel=1e-14)
 
     def test_chain_convolves_no_laws(self, monkeypatch):
@@ -90,35 +111,13 @@ class TestHolderChain:
 
         monkeypatch.setattr(epi, "convolve_many", forbidden)
         monkeypatch.setattr(pmf, "convolve", forbidden)
-        assert holder_bound_chain((6, 8, 10)).ok
-        assert holder_bound_chain((40, 40, 40)).ok
-
-    def test_one_norm_per_distinct_index(self, monkeypatch):
-        # one engine call, each distinct (l, p) once
-        calls = []
-
-        def counted(pairs, *args, **kwargs):
-            calls.append(list(pairs))
-            return integrate_kernel_power_grid(pairs, *args, **kwargs)
-
-        monkeypatch.setattr(epi, "integrate_kernel_power_grid", counted)
-        ls = (8, 8, 10)
-        chain = holder_bound_chain(ls)
-        ps = holder_exponents(ls)
-        assert calls == [[(8, ps[0]), (10, ps[2])]]
-        # the Hoelder product multiplies one factor per variable, in order
-        m2 = 1.0
-        for l, p in zip(ls, ps):
-            m2 *= integrate_kernel_power(KernelSpec(l), p)[0] ** (2.0 / p)
-        assert chain.members[2] == m2
+        for ls in ((6, 8, 10), (40, 40, 40)):
+            lhs, rhs = decide_chain(ls)
+            assert lhs <= rhs
 
     def test_exponent_sum_is_one(self):
         for ls in ((6, 6), (7, 9, 11), (6, 8, 10, 12)):
             assert sum(1.0 / p for p in holder_exponents(ls)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_an_unconverged_norm_raises(self):
-        with pytest.raises(VerificationError, match="did not converge at l=6"):
-            holder_bound_chain((6, 7, 8), QuadratureConfig(1e-15, 1e-15, 1))
 
 
 def _split(ls):
@@ -136,11 +135,11 @@ class TestDecideChain:
         assert lhs <= rhs
         top, lmin, sum_sq = int(uniform_counts(ls).max()), min(ls), sum(l * l for l in ls)
         assert lhs == top**2 * (lmin**2 - 1) * sum_sq and rhs == 2 * lmin**2 * math.prod(ls) ** 2
-        chain = holder_bound_chain(ls)
-        assert all(a <= b * (1.0 + 1e-9) for a, b in zip(chain.members, chain.members[1:]))
+        chain = numeric_chain(ls)
+        assert ordered(chain)
         # the numeric chain's ends are the exact sides divided out, correctly rounded
-        assert chain.members[0] == float(Fraction(top**2, math.prod(ls) ** 2))
-        assert chain.members[4] == float(Fraction(2 * lmin**2, (lmin**2 - 1) * sum_sq))
+        assert chain[0] == float(Fraction(top**2, math.prod(ls) ** 2))
+        assert chain[4] == float(Fraction(2 * lmin**2, (lmin**2 - 1) * sum_sq))
 
     def test_equal_uniforms_sit_one_over_l_squared_below(self):
         for l in (6, 17, 30):
@@ -152,8 +151,12 @@ class TestDecideChain:
             decide_chain((5, 6, 6))
         with pytest.raises(PreconditionError, match="dominates"):
             decide_chain((6, 20))
-        with pytest.raises(DomainError, match="got 500001"):
-            decide_chain((6, 3000, 3000))
+
+    def test_any_exponent_is_decided(self):
+        # the exponent at l = 6 is 500001, far past the range of the kernel-power quadrature
+        assert holder_exponents((6, 3000, 3000))[0] == 500001.0
+        lhs, rhs = decide_chain((6, 3000, 3000))
+        assert lhs <= rhs
 
 
 class TestRogozin:
@@ -618,6 +621,19 @@ class TestBatchGeneration:
         assert [_laws(i) for i in random_instances(seeds)] == whole
         assert [_laws(random_instance(s)) for s in seeds] == whole
 
+    @pytest.mark.parametrize(
+        "ranges, named",
+        [({"n_range": (3, 2)}, "variable count range (3, 2)"), ({"l_range": (40, 10)}, "index range (40, 10)")],
+        ids=["variables", "indices"],
+    )
+    def test_an_empty_range_raises(self, ranges, named):
+        # not numpy's bare "low >= high", and before any seed is drawn
+        for seeds in (range(3), []):
+            with pytest.raises(DomainError, match=re.escape(f"{named} is empty")):
+                next(random_instances(seeds, **ranges))
+        with pytest.raises(DomainError, match=re.escape(named)):
+            random_instance(0, **ranges)
+
     def test_index_range_starts_at_one(self):
         with pytest.raises(DomainError):
             random_instance(0, l_range=(0, 3))
@@ -646,9 +662,12 @@ class TestCheckEpis:
         def forbidden(*args, **kwargs):
             raise AssertionError("check_epis ran quadrature")
 
-        for module in (epi, quadrature):
-            monkeypatch.setattr(module, "integrate_kernel_power_grid", forbidden)
-            monkeypatch.setattr(module, "product_kernel_l1", forbidden)
+        # epi holds nothing of the quadrature module
+        assert [name for name, obj in vars(epi).items()
+                if obj is quadrature or getattr(obj, "__module__", None) == quadrature.__name__] == []
+        monkeypatch.setattr(quadrature, "integrate_kernel_power_grid", forbidden)
+        monkeypatch.setattr(quadrature, "kernel_values", forbidden)
+        monkeypatch.setattr(kernel, "kernel_values", forbidden)
         instances = [*random_instances(range(40)), *handcrafted_corpus()]
         assert sum(inst.case == CASE_HOLDER for inst in instances) >= 20
         assert all(report.holds for report in check_epis(instances))
@@ -677,17 +696,23 @@ class TestCheckEpis:
         assert str(batch.value) == str(alone.value)
 
     def test_an_exponent_above_the_cap_comes_after_the_instances_before_it(self, monkeypatch):
-        # its exponent at l = 6 is 500001, above MAX_EXPONENT
-        capped = make_instance([uniform(6), uniform(3000), uniform(3000)])
-        with pytest.raises(DomainError, match="got 500001") as alone:
-            check_epi(capped)
-        with pytest.raises(DomainError) as batch:
-            check_epis([make_instance([uniform(6), uniform(7)]), capped, make_instance([uniform(6)] * 3)])
-        assert str(batch.value) == str(alone.value)
+        # its exponent at l = 6 is 500001, above the kernel-power quadrature's
+        # MAX_EXPONENT, which the exact decision does not need: it is decided
+        wide = make_instance([uniform(6), uniform(3000), uniform(3000)])
+        assert wide.case == CASE_HOLDER
+        batch = [make_instance([uniform(6), uniform(7)]), wide, make_instance([uniform(6)] * 3)]
+        reports = check_epis(batch)
+        assert reports == [check_epi(inst) for inst in batch]
+        assert reports[1].holds and reports[1].chain == decide_chain(wide.l_indices)
+        lhs, rhs = reports[1].chain
+        assert lhs <= rhs
         # an instance before it that fails raises first
         monkeypatch.setattr(epi, "EPI_SLACK", -1e300)
-        with pytest.raises(VerificationError):
-            check_epis([make_instance([uniform(6), uniform(7)]), capped])
+        with pytest.raises(VerificationError) as alone:
+            check_epi(batch[0])
+        with pytest.raises(VerificationError) as first:
+            check_epis(batch)
+        assert str(first.value) == str(alone.value)
 
     def test_an_error_from_the_instances_comes_after_the_ones_before_it(self, monkeypatch):
         def instances():

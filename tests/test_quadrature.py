@@ -29,8 +29,6 @@ from lebesgue_lab.quadrature import (
     _X31,
     _pair_eval,
     _pair_sums,
-    _product_cuts,
-    _quotients,
     adaptive_integral,
     asymptotic_reference,
     ball_half,
@@ -41,7 +39,6 @@ from lebesgue_lab.quadrature import (
     integrate_kernel_power_grid,
     lp_norm,
     lp_norm_grid,
-    product_kernel_l1,
     norm_bound,
 )
 
@@ -582,104 +579,29 @@ def kernel_product_integrand(ls):
 
 def quadrature_product_l1(ls, cfg=DEFAULT_CONFIG):
     """The one-period product integral by adaptive quadrature between the factors' zeros."""
-    value, err, converged = adaptive_integral(
-        kernel_product_integrand(ls), _intervals(_product_cuts(ls)), cfg
-    )
+    # 0, 1/2 and every zero k/l in (0, 1/2] of each factor: no factor changes sign between them
+    cuts = np.array(sorted({0.0, 0.5, *(k / l for l in ls for k in range(1, l // 2 + 1))}))
+    value, err, converged = adaptive_integral(kernel_product_integrand(ls), _intervals(cuts), cfg)
     return 2.0 * value, 2.0 * err, converged
-
-
-def chain_tuples(seed, count):
-    """Index tuples that the Hoelder chain accepts: l in 6..30, 2 to 5 factors, none dominant."""
-    rng = np.random.default_rng(seed)
-    tuples = []
-    while len(tuples) < count:
-        ls = rng.integers(6, 31, size=rng.integers(2, 6)).tolist()
-        if max(ls) ** 2 <= 0.5 * sum(l * l for l in ls):
-            tuples.append(ls)
-    return tuples
-
-
-def mpmath_product_l1(ls):
-    """The one-period product integral at 30 digits, split at every zero k/l."""
-    with mpmath.workdps(30):
-        def fn(x):
-            return mpmath.fprod(
-                abs(mpmath.sin(l * mpmath.pi * x)) / (l * mpmath.sin(mpmath.pi * x)) for l in ls
-            )
-
-        cuts = {mpmath.mpf(k) / l for l in ls for k in range(1, l // 2 + 1)}
-        return 2 * mpmath.quad(fn, sorted(cuts | {mpmath.mpf(0), mpmath.mpf(1) / 2}))
 
 
 class TestProductKernel:
     def test_single_factor_matches_l1_norm(self):
-        value, bound = product_kernel_l1([8])
+        value, _, ok = quadrature_product_l1([8])
+        assert ok
         assert value == pytest.approx(integrate_kernel_power(KernelSpec(8), 1.0)[0], abs=1e-11)
-        assert 0.0 < bound < 1e-13
 
     def test_product_below_min_factor(self):
-        value, _ = product_kernel_l1([6, 8])
-        single, _ = product_kernel_l1([6])
+        value = quadrature_product_l1([6, 8])[0]
+        single = quadrature_product_l1([6])[0]
         assert 0.0 < value < single
 
-    def test_matches_quadrature_on_chain_tuples(self):
-        worst = 0.0
-        for ls in chain_tuples(41, 1500):
-            value, bound = product_kernel_l1(ls)
-            oracle, _, ok = quadrature_product_l1(ls)
-            assert ok and bound < 1e-11 * value, ls
-            worst = max(worst, abs(value - oracle) / oracle)
-        assert worst < 1e-13
 
-    @pytest.mark.parametrize("ls", [(6,), (6, 7), (9, 11, 13), (6, 8, 10, 12, 14)])
-    def test_rounding_bound_holds_against_mpmath(self, ls):
-        value, bound = product_kernel_l1(ls)
-        exact = mpmath_product_l1(ls)
-        assert abs(mpmath.mpf(value) - exact) <= bound
-        assert abs(mpmath.mpf(value) - exact) <= 1e-15 * exact
+def test_holds_nothing_of_pmf():
+    from lebesgue_lab import pmf
 
-    def test_product_beyond_int64(self):
-        # prod(ls) exceeds 2^63 but prod(ls) / max(ls) does not: the counts
-        # are int64 and exact, while their int64 sum wraps
-        ls = list(range(97, 107))
-        counts = uniform_counts(ls)
-        assert counts.dtype == np.int64
-        assert sum(counts.tolist()) == math.prod(ls) > 2**63
-        value, bound = product_kernel_l1(ls, counts)
-        oracle, _, ok = quadrature_product_l1(ls)
-        assert ok and abs(value - oracle) <= 1e-13 * oracle
-        assert bound < 1e-10 * value
-
-    def test_given_counts_are_used_as_computed(self):
-        for ls in chain_tuples(43, 20):
-            assert product_kernel_l1(ls, uniform_counts(ls)) == product_kernel_l1(ls)
-
-    def test_row_blocks_do_not_change_the_value(self, monkeypatch):
-        tuples = chain_tuples(47, 50) + [list(range(97, 107))]
-        whole = [product_kernel_l1(ls) for ls in tuples]
-        monkeypatch.setattr(quadrature, "_TRIG_BLOCK", 64)
-        for ls, (value, bound) in zip(tuples, whole):
-            blocked = product_kernel_l1(ls)
-            assert blocked[0] == pytest.approx(value, rel=1e-15, abs=0.0)
-            assert blocked[1] == pytest.approx(bound, rel=1e-15, abs=0.0)
-
-    def test_no_quadrature(self, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("product_kernel_l1 ran quadrature")
-
-        for name in ("adaptive_integral", "_refine", "_pair_eval", "kernel_values"):
-            monkeypatch.setattr(quadrature, name, forbidden)
-        for ls in chain_tuples(53, 20):
-            product_kernel_l1(ls)
-
-    def test_cuts_match_unique_of_concatenated_zeros(self):
-        rng = np.random.default_rng(17)
-        for _ in range(300):
-            ls = rng.integers(6, 31, size=rng.integers(1, 6)).tolist()
-            zeros = [np.arange(1, l // 2 + 1) / l for l in ls]
-            oracle = np.unique(np.concatenate([[0.0, 0.5]] + zeros))
-            cuts = _product_cuts(ls)
-            assert cuts.dtype == oracle.dtype and cuts.tobytes() == oracle.tobytes(), ls
+    assert [name for name, obj in vars(quadrature).items()
+            if obj is pmf or getattr(obj, "__module__", None) == pmf.__name__] == []
 
 
 class TestEvenPowerOracles:
@@ -1339,21 +1261,6 @@ class TestKernelPowerGrid:
             lp_norm_grid([(6, 2.5), (1, 2.0)], TIGHT_BUDGET_1)
         with pytest.raises(DomainError, match="got 1$"):
             lp_norm_grid([(6, 2.0), (1, 2.0)])
-
-
-class TestQuotients:
-    @pytest.mark.parametrize(
-        "ls",
-        # prod just below 2^53, just above it, and (129,) * 11, whose counts are Python integers
-        [(6, 8, 10), (39,) * 10, (40,) * 10, (129,) * 11],
-        ids=["small", "below-2^53", "above-2^53", "python-int"],
-    )
-    def test_quotients_are_the_integer_quotients(self, ls):
-        counts = uniform_counts(ls)
-        prod = math.prod(ls)
-        assert (prod < 2**53) == (ls[0] < 40)
-        got = _quotients(counts, prod)
-        assert [v.hex() for v in got.tolist()] == [(n / prod).hex() for n in counts.tolist()]
 
 
 def hexed_record(record):
