@@ -166,6 +166,8 @@ def _random_instances(config: RunConfig, args):
     """The ``--random`` instances from seed ``--seed`` on, generated in blocks."""
     if args.random < 0:
         raise DomainError(f"--random must be >= 0, got {args.random}")
+    if config.seed < 0:
+        raise DomainError(f"--seed must be >= 0, got {config.seed}")
     seeds = range(config.seed, config.seed + args.random)
     return random_instances(seeds, n_range=(args.n_min, args.n_max), l_range=(args.lmin, args.lmax))
 

@@ -20,15 +20,17 @@ Together these yield N(sum X_i) >= 1/2 * (l_min - 1)/(l_min + 1) * sum N(X_i)
 for l_min >= 6 (floor 5/14), improving to 1/2 * (l_min^2 - 1)/l_min^2 (floor
 35/72) when every M(X_i) equals 1/l_i exactly.
 
-:func:`random_instances` generates a batch as a few array passes rather
-than one instance at a time, in blocks of ``_BLOCK`` seeds so its work
-arrays stay bounded: each seed draws its laws from its own generator, and
-the t-th law of every seed of a block is generated at once (water-filling,
-Pmf's checks, the index), so a seed stops at its first law that fails;
-:func:`random_instance` is its batch of one.  Every value is bit-identical
-to generating one instance at a time, and the first seed that fails raises
-the error it raises alone.  :func:`check_epis` checks the instances one by
-one; no quadrature runs on its path.
+:func:`random_instances` generates a batch in blocks of ``_BLOCK`` seeds,
+so its work arrays stay bounded; each seed draws its laws from its own
+generator.  In a block of two or more seeds the t-th law of every seed is
+generated at once, as a few array passes over padded rows (water-filling,
+Pmf's checks, the index); a block of one seed generates its laws one after
+another, each on its own weights, which costs less than a wave of one row.
+Either way a seed stops at its first law that fails, and
+:func:`random_instance` is a batch of one.  Every value is bit-identical to
+generating one instance at a time, and the first seed that fails raises the
+error it raises alone.  :func:`check_epis` checks the instances one by one;
+no quadrature runs on its path.
 """
 
 from __future__ import annotations
@@ -244,46 +246,101 @@ def check_epis(instances, with_chain: bool = True) -> list[EpiReport]:
 
 
 def _fit_max_into(weights: np.ndarray, target: float) -> np.ndarray:
-    """Pin the largest weight to ``target`` and cap the rest below it: :func:`_water_fill` of one."""
-    w = np.asarray(weights, dtype=float)
-    rows = np.zeros((1, len(w) + 1))
-    rows[0, : len(w)] = w
-    (problem,) = _water_fill(rows, [len(w)], [target])
+    """Pin the largest weight to ``target`` and cap the rest below it: :func:`_fill` on a copy.
+
+    Generation fills the laws of a one-seed block with :func:`_fill` itself,
+    one law after another, and the laws of a larger block in rows
+    (:func:`_water_fill`), to the same bits.
+    """
+    w = np.array(weights, dtype=float)
+    problem = _fill(w, target)
     if problem is not None:
         raise GenerationError(problem)
-    return rows[0, : len(w)]
+    return w
 
 
-def _water_fill(rows: np.ndarray, sizes: list, targets: list) -> list:
-    """Normalise each row's weights, pin the largest to its target and cap the rest below it.
+def _saturations(top: list, tail: list, target: float, n: int) -> tuple:
+    """(k, None) for n weights that saturate k, or (0, why they fail).
 
-    Row i holds its weights in its first ``sizes[i]`` entries and zeros
-    after them, and every row has at least one zero.  The rows are filled
-    in place; returns per row None or why it failed.
+    ``top[j]`` is the (j + 1)-th largest weight and ``tail[j - 1]`` the sum
+    of all but the j largest, for j up to ``min(_MAX_SATURATIONS, n - 1)``.
+    """
+    k = n
+    for j in range(1, min(_MAX_SATURATIONS, n - 1) + 1):
+        if top[j] * ((1.0 - target * j) / tail[j - 1]) <= target:
+            k = j
+            break
+    if k > _MAX_SATURATIONS:
+        return 0, f"max adjustment did not settle in {_MAX_SATURATIONS} rounds"
+    free_mass = 1.0 - target * k
+    if free_mass < 0.0 or (k == n and free_mass != 0.0):
+        return 0, "target maximum infeasible for this support size"
+    return k, None
+
+
+def _fill(w: np.ndarray, target: float) -> str | None:
+    """Normalise one law's weights, pin the largest to ``target`` and cap the rest below it.
+
+    ``w`` is filled in place; returns None or why it failed.
 
     Water-filling in closed form.  Saturating the largest weights one at a
     time and rescaling the rest never reorders them, so with the values
     sorted once the saturation count k is the least k >= 1 with
     ``w[k] * (1 - k target) / sum(w[k:]) <= target`` (w descending, its
-    tail sums accumulated from the smallest value up): the top k weights
-    become ``target`` and the others are rescaled once to the remaining
-    mass, by the same sum and product as one round of the one-at-a-time
-    form (so a single saturation gives its weights bit for bit, and more
-    agree to about 2e-15 relative).  Only k <= ``_MAX_SATURATIONS`` is
-    tried, the number of saturations the one-at-a-time form allowed, so
-    the same inputs fail; an infeasible target (k targets exceed the unit
-    mass, or every weight saturates below it) fails too.  The saturated
-    weights are the k largest, ties to the lower index.
+    tail sums accumulated from the smallest value up; :func:`_saturations`):
+    the top k weights become ``target`` and the others are rescaled once to
+    the remaining mass, by the same sum and product as one round of the
+    one-at-a-time form (so a single saturation gives its weights bit for
+    bit, and more agree to about 2e-15 relative).  Only k <=
+    ``_MAX_SATURATIONS`` is tried, the number of saturations the
+    one-at-a-time form allowed, so the same inputs fail; an infeasible
+    target (k targets exceed the unit mass, or every weight saturates below
+    it) fails too.  The saturated weights are the k largest, ties to the
+    lower index.  The sums that normalise the weights and rescale the free
+    ones are ``ndarray.sum`` of exactly those values.
+    """
+    n = len(w)
+    w /= np.add.reduce(w)
+    ascending = np.sort(w)
+    m = min(_MAX_SATURATIONS, n - 1)
+    # entry j of top is the (j + 1)-th largest value; entry j - 1 of tail
+    # is the sum of all but the j largest
+    top = ascending[: -m - 2 : -1].tolist()
+    k, problem = _saturations(top, np.add.accumulate(ascending)[-2 : -m - 2 : -1].tolist(), target, n)
+    if problem is not None:
+        return problem
+    # the cut, the k-th largest value, saturates with every value above it,
+    # and so do its ties unless one is not among the k largest
+    cut = top[k - 1]
+    if k < n and top[k] == cut:  # only as many ties as saturations are left, the first ones
+        above, tied = w > cut, w == cut
+        saturated = above | (tied & (np.cumsum(tied) <= k - np.count_nonzero(above)))
+    else:
+        saturated = w >= cut
+    if k < n:
+        w *= (1.0 - target * k) / np.add.reduce(w[~saturated])
+    w[saturated] = target
+    return None
+
+
+def _water_fill(rows: np.ndarray, sizes: list, targets: list) -> list:
+    """:func:`_fill` on the weights of each row at once.
+
+    Row i holds its weights in its first ``sizes[i]`` entries and zeros
+    after them, and every row has at least one zero.  The rows are filled
+    in place; returns per row None or why it failed, as :func:`_fill` of
+    the row's weights alone, bit for bit.
 
     The passes over the weights (sorting, the running sums, the comparison
     with the cut, the rescaling) run on all rows at once.  The zeros after a
     row's weights sort first and add exactly 0.0 to its running sums, so in
     every row the (j + 1)-th largest value and the tail sum through it sit
     at column j from the end.  The decision per row reads a few of those
-    values, so it runs on Python floats.  The sums that normalise a row and
-    rescale its free weights are ``ndarray.sum`` of that row's own values,
-    taken row by row: numpy sums pairwise, in an order fixed by the count of
-    values, so a padded row would not sum as its weights alone.
+    values (:func:`_saturations`), so it runs on Python floats.  The sums
+    that normalise a row and rescale its free weights are ``ndarray.sum``
+    of that row's own values, taken row by row: numpy sums pairwise, in an
+    order fixed by the count of values, so a padded row would not sum as
+    its weights alone.
     """
     width = rows.shape[1]
     for row, n in zip(rows, sizes):
@@ -293,34 +350,22 @@ def _water_fill(rows: np.ndarray, sizes: list, targets: list) -> list:
     # entry j of a row's tops is its (j + 1)-th largest value; entry j - 1
     # of its tails is the sum of all but its j largest
     tops = ascending[:, : -m - 2 : -1].tolist()
-    tails = np.cumsum(ascending, axis=1)[:, -2 : -m - 2 : -1].tolist()
+    tails = np.add.accumulate(ascending, axis=1)[:, -2 : -m - 2 : -1].tolist()
     # per row: the cut (a failed row saturates nothing), the count of
     # saturated weights, and the factor of the free ones
     cuts, counts, scales, problems, split = [], [], [], [], []
     for i, (top, tail, target, n) in enumerate(zip(tops, tails, targets, sizes)):
-        k = n
-        for j in range(1, min(m, n - 1) + 1):
-            if top[j] * ((1.0 - target * j) / tail[j - 1]) <= target:
-                k = j
-                break
-        free_mass = 1.0 - target * k
-        if k > _MAX_SATURATIONS:
-            problems.append(f"max adjustment did not settle in {_MAX_SATURATIONS} rounds")
-        elif free_mass < 0.0 or (k == n and free_mass != 0.0):
-            problems.append("target maximum infeasible for this support size")
-        else:
-            problems.append(None)
-            # the cut, the k-th largest value, saturates with every value
-            # above it, and so do its ties unless one is not among the k largest
+        k, problem = _saturations(top, tail, target, n)
+        problems.append(problem)
+        if problem is None:
             cuts.append(top[k - 1])
-            counts.append(k)
-            scales.append(free_mass)
+            scales.append(1.0 - target * k)
             if k < n and top[k] == top[k - 1]:
                 split.append(i)
-            continue
-        cuts.append(math.inf)
-        counts.append(0)
-        scales.append(1.0)
+        else:
+            cuts.append(math.inf)
+            scales.append(1.0)
+        counts.append(k)
     if not any(counts):  # every row failed
         return problems
     saturated = rows >= np.array(cuts)[:, None]
@@ -345,9 +390,13 @@ def random_instances(seeds, n_range=(2, 5), l_range=(6, 30)):
     A generator: iterating it gives ``random_instance(seed, n_range,
     l_range)`` for each seed in turn.  A seed whose instance cannot be
     generated raises there, with the error ``random_instance`` raises, after
-    the instances of the seeds before it.  The seeds are taken in blocks of
-    ``_BLOCK`` (see :func:`_instance_block`).  Indices start at 1, and an
-    empty range of indices or of variable counts raises DomainError.
+    the instances of the seeds before it; a negative seed raises
+    DomainError there.  The seeds are taken in blocks of ``_BLOCK``: a
+    block of one seed generates its laws one after another, each on its own
+    weights (:func:`_instance`), and a larger block in waves of padded rows
+    (:func:`_instance_block`), which cost less per law once a few seeds
+    share them.  Indices start at 1, and an empty range of indices or of
+    variable counts raises DomainError.
     """
     if l_range[0] < 1:
         raise DomainError(f"index range must start at 1 or above, got {tuple(l_range)}")
@@ -356,6 +405,9 @@ def random_instances(seeds, n_range=(2, 5), l_range=(6, 30)):
             raise DomainError(f"{name} range {(lo, hi)} is empty")
     seeds = iter(seeds)
     while block := list(itertools.islice(seeds, _BLOCK)):
+        if len(block) == 1:
+            yield _instance(block[0], n_range, l_range)
+            continue
         for outcome in _instance_block(block, n_range, l_range):
             if isinstance(outcome, Exception):
                 raise outcome
@@ -365,27 +417,51 @@ def random_instances(seeds, n_range=(2, 5), l_range=(6, 30)):
 def random_instance(seed: int, n_range=(2, 5), l_range=(6, 30)) -> EpiInstance:
     """Deterministic random instance: n variables with indices in l_range.
 
-    Seeded by ``seed`` alone, in the order :func:`_instance_block` draws.
+    Seeded by ``seed`` alone, in the order :func:`_seeded` and :func:`_draw`
+    draw; a batch of one, so its laws are generated one after another
+    (:func:`_instance`).
     """
     return next(random_instances([seed], n_range, l_range))
+
+
+def _seeded(seed: int, n_range, l_range) -> tuple:
+    """A seed's generator and its indices: it draws n, then the n indices.
+
+    A negative seed raises DomainError (numpy's own error would not name it).
+    """
+    if seed < 0:
+        raise DomainError(f"seed {seed} is negative; seeds must be >= 0")
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(n_range[0], n_range[1] + 1))
+    return rng, [int(rng.integers(l_range[0], l_range[1] + 1)) for _ in range(n)]
+
+
+def _instance(seed: int, n_range, l_range) -> EpiInstance:
+    """The instance of one seed, its laws generated one after another (:func:`_law`).
+
+    It raises at its first law that fails, as :func:`_instance_block` stops there.
+    """
+    rng, ls = _seeded(seed, n_range, l_range)
+    return _classified(tuple(_law(rng, l) for l in ls), tuple(ls), seed)
 
 
 def _instance_block(seeds: list, n_range, l_range) -> list:
     """The instance of each seed of a block, or the error it raises.
 
-    Each seed draws from its own generator: n, the n indices, then for each
-    law its support size in [l, 4l], and unless that is l (the uniform law,
-    the only one whose maximum can be 1/l) its maximum target in range and
-    its raw weights, then its offset.  The laws go in waves, the t-th law of
-    every seed at once (:func:`_wave`), so a seed stops at its first law
-    that fails, as one law at a time does.
+    Each seed draws from its own generator (:func:`_seeded`), then its laws
+    in order (:func:`_draw`).  The laws go in waves, the t-th law of every
+    seed at once (:func:`_wave`), so a seed stops at its first law that
+    fails, as one law at a time does.  The seeds after a negative seed are
+    not drawn; its outcome is the DomainError naming it.
     """
     rngs, lss = [], []
     for seed in seeds:
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(n_range[0], n_range[1] + 1))
+        try:
+            rng, ls = _seeded(seed, n_range, l_range)
+        except DomainError as exc:
+            return [*_instance_block(seeds[: len(rngs)], n_range, l_range), exc]
         rngs.append(rng)
-        lss.append([int(rng.integers(l_range[0], l_range[1] + 1)) for _ in range(n)])
+        lss.append(ls)
     laws = [[] for _ in seeds]
     outcomes = [None] * len(seeds)  # a seed's error, once one of its laws fails
     alive, t = list(range(len(seeds))), 0
@@ -405,12 +481,50 @@ def _instance_block(seeds: list, n_range, l_range) -> list:
     return outcomes
 
 
+def _draw(rng, l: int, w: np.ndarray) -> float | None:
+    """Draw the weights of a law at index l into ``w``, of its drawn size in [l, 4l].
+
+    Returns the maximum target its weights are filled to, drawn in range,
+    or None for the uniform law (size l, the only law whose maximum can be
+    1/l), which is drawn final.  The law's offset is drawn after it.
+    """
+    size = len(w)
+    if size == l:
+        w[:] = 1.0 / size
+        return None
+    lo = max(1.0 / (l + 1), 1.0 / size)
+    hi = 1.0 / l
+    target = hi - (hi - lo) * float(rng.random())
+    np.add(rng.random(out=w), 0.05, out=w)
+    return target
+
+
+def _law(rng, l: int) -> Pmf:
+    """One law at index l, drawn and filled on its own weights (:func:`_fill`).
+
+    Pmf's checks (:func:`~lebesgue_lab.pmf.weight_problems`) and the index
+    check are :func:`_wave`'s, on one row, and raise the errors it returns.
+    """
+    w = np.empty(int(rng.integers(l, 4 * l + 1)))
+    target = _draw(rng, l, w)
+    problem = None if target is None else _fill(w, target)
+    offset = int(rng.integers(-5, 6))
+    if problem is not None:
+        raise GenerationError(problem)
+    if (problem := weight_problems(w[None], [len(w)])[0]) is not None:
+        raise DomainError(problem)
+    if (index := l_indices_from_max([float(w.max())])[0]) != l:
+        raise GenerationError(f"generated law landed at index {index}, wanted {l}")
+    w.setflags(write=False)
+    return Pmf._checked(offset, w)
+
+
 def _wave(rngs: list, ls: list) -> list:
     """One law per generator, at index ls[i]: each a Pmf, or the error it fails with.
 
     Each law's weights are drawn by its generator straight into a
-    zero-padded row.  Then, over all the rows at once: water-filling
-    (:func:`_water_fill`), Pmf's checks
+    zero-padded row (:func:`_draw`).  Then, over all the rows at once:
+    water-filling (:func:`_water_fill`), Pmf's checks
     (:func:`~lebesgue_lab.pmf.weight_problems`) and the index of each law
     (:func:`~lebesgue_lab.pmf.l_indices_from_max`), checked against the
     index it was drawn at.
@@ -419,15 +533,8 @@ def _wave(rngs: list, ls: list) -> list:
     rows = np.zeros((len(ls), max(sizes) + 1))
     targets, offsets, fit = [], [], []
     for i, (rng, l, size) in enumerate(zip(rngs, ls, sizes)):
-        row = rows[i, :size]
-        if size == l:
-            targets.append(1.0 / size)
-            row[:] = targets[-1]
-        else:
-            lo = max(1.0 / (l + 1), 1.0 / size)
-            hi = 1.0 / l
-            targets.append(hi - (hi - lo) * float(rng.random()))
-            np.add(rng.random(out=row), 0.05, out=row)
+        targets.append(_draw(rng, l, rows[i, :size]))
+        if targets[-1] is not None:
             fit.append(i)
         offsets.append(int(rng.integers(-5, 6)))
     outcomes = [None] * len(ls)

@@ -524,6 +524,14 @@ class TestUsageErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["epi-check", "rogozin"])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, command):
+        # numpy's bare "expected non-negative integer" named no option
+        out = tmp_path / "x.json"
+        assert cli.main([command, "--random", "2", "--seed", "-2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --seed must be >= 0, got -2\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["epi-check", "rogozin"])
     @pytest.mark.parametrize(
         "bounds, named",
         [(["--n-min", "3", "--n-max", "2"], "variable count range (3, 2)"),

@@ -454,6 +454,22 @@ def _shaped_draws():
 
 WATERFILL_DRAWS = list(_random_draws(1500, seed=20240)) + list(_shaped_draws())
 
+WATERFILL_EDGES = [
+    (np.full(40, 1.0), 1.0 / 40),  # all saturate, feasibly
+    (np.full(30, 1.0), 0.9 / 30),  # all saturate below the mass
+    (np.full(60, 1.0), 1.0 / 60),  # all would saturate, past the cap
+    (np.r_[np.full(55, 1.0), np.full(100, 0.5)], 1.0 / 52),  # 52 tied saturate
+    (np.r_[np.full(50, 1.0), np.full(100, 0.5)], 1.0 / 120),  # 50: at the cap
+    (np.r_[np.full(51, 1.0), np.full(100, 0.5)], 1.0 / 120),  # 51: past it
+    (np.array([1.0, 3.0, 3.0, 3.0, 1.0, 1.0, 1.0]), 0.25),  # ties split at the cut
+]
+
+
+def _with_edges(test):
+    for case in reversed(WATERFILL_EDGES):
+        test = example(case)(test)
+    return test
+
 
 class TestWaterFilling:
     def test_matches_the_loop(self):
@@ -480,15 +496,29 @@ class TestWaterFilling:
 
     @settings(max_examples=300, deadline=None)
     @given(waterfill_inputs())
-    @example((np.full(40, 1.0), 1.0 / 40))  # all saturate, feasibly
-    @example((np.full(30, 1.0), 0.9 / 30))  # all saturate below the mass
-    @example((np.full(60, 1.0), 1.0 / 60))  # all would saturate, past the cap
-    @example((np.r_[np.full(55, 1.0), np.full(100, 0.5)], 1.0 / 52))  # 52 tied saturate
-    @example((np.r_[np.full(50, 1.0), np.full(100, 0.5)], 1.0 / 120))  # 50: at the cap
-    @example((np.r_[np.full(51, 1.0), np.full(100, 0.5)], 1.0 / 120))  # 51: past it
-    @example((np.array([1.0, 3.0, 3.0, 3.0, 1.0, 1.0, 1.0]), 0.25))  # ties split at the cut
+    @_with_edges
     def test_matches_the_argsort_form_bit_for_bit(self, case):
         self._check_against_argsort(*case)
+
+    @pytest.mark.parametrize("height", [1, 3, 40])
+    def test_rows_match_one_law_at_a_time(self, height):
+        # _water_fill on padded rows of mixed sizes: each row as _fit_max_into on its own weights
+        draws = WATERFILL_DRAWS + WATERFILL_EDGES
+        for start in range(0, len(draws), height):
+            batch = draws[start : start + height]
+            sizes = [len(raw) for raw, _ in batch]
+            rows = np.zeros((len(batch), max(sizes) + 1))
+            for row, (raw, _) in zip(rows, batch):
+                row[: len(raw)] = raw
+            problems = epi._water_fill(rows, sizes, [target for _, target in batch])
+            for row, problem, (raw, target) in zip(rows, problems, batch):
+                expected = _outcome(_fit_max_into, raw, target)
+                if isinstance(expected, str):
+                    assert problem == expected, (len(raw), target)
+                else:
+                    assert problem is None, (len(raw), target, problem)
+                    assert row[: len(raw)].tobytes() == expected.tobytes(), (len(raw), target)
+                    assert not row[len(raw) :].any()
 
     def test_argsort_form_on_the_shared_draws(self):
         outcomes = set()
@@ -614,12 +644,44 @@ class TestBatchGeneration:
             assert str(exc.value) == expected[stop]
             start = stop + 1
 
-    def test_blocks_split_nowhere_visible(self, monkeypatch):
+    @pytest.mark.parametrize("l_range", [(6, 30), (100, 300)], ids=["l6-30", "l100-300"])
+    def test_blocks_split_nowhere_visible(self, monkeypatch, l_range):
+        def batch():
+            # every seed's outcome, resuming after each seed that fails
+            outcomes = []
+            while len(outcomes) < len(seeds):
+                instances = random_instances(seeds[len(outcomes) :], l_range=l_range)
+                for _ in seeds[len(outcomes) :]:
+                    outcomes.append(_outcome_of(next, instances))
+                    if isinstance(outcomes[-1], str):
+                        break
+            return outcomes
+
         seeds = list(range(40))
-        whole = [_laws(i) for i in random_instances(seeds)]
+        whole = batch()
+        assert (l_range == (100, 300)) == any(isinstance(o, str) for o in whole)
         monkeypatch.setattr(epi, "_BLOCK", 7)
-        assert [_laws(i) for i in random_instances(seeds)] == whole
-        assert [_laws(random_instance(s)) for s in seeds] == whole
+        assert batch() == whole
+        # a block of one seed generates law by law, never in waves
+        monkeypatch.setattr(epi, "_BLOCK", 1)
+        monkeypatch.setattr(epi, "_wave", None)
+        assert batch() == whole
+        assert [_outcome_of(random_instance, s, l_range=l_range) for s in seeds] == whole
+
+    @pytest.mark.parametrize("block", [1, 3, 256])
+    def test_a_negative_seed_raises_there(self, monkeypatch, block):
+        # not numpy's bare "expected non-negative integer": the seed is named,
+        # after the instances before it
+        monkeypatch.setattr(epi, "_BLOCK", block)
+        instances = random_instances([3, 4, -3, 5])
+        assert [_laws(next(instances)) for _ in range(2)] == [_laws(random_instance(s)) for s in (3, 4)]
+        with pytest.raises(DomainError, match=re.escape("seed -3 is negative")):
+            next(instances)
+        with pytest.raises(DomainError, match=re.escape("seed -1 is negative")):
+            random_instance(-1)
+        # a seed that fails before it raises its own error first
+        with pytest.raises(GenerationError):
+            list(random_instances([0, -1], l_range=(100, 300)))
 
     @pytest.mark.parametrize(
         "ranges, named",
