@@ -49,7 +49,7 @@ from .levelsets import (
     superlevel_measure_many,
 )
 from .pmf import EntropySummary, Pmf, convolve, convolve_many, entropy_summary, l_index
-from .pmf import uniform, uniform_counts
+from .pmf import uniform, uniform_max
 from .quadrature import (
     BoundCertificate,
     LpNormResult,

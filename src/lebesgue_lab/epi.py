@@ -7,8 +7,9 @@ being verified is:
   * replacing each X_i by the uniform law on {1, ..., l_i} can only increase
     the maximum of the convolution (checked exactly on small supports);
   * the maximum of the uniform convolution is at most the one-period integral
-    of the product of kernel moduli (Fourier inversion); the maximum is an
-    exact quotient of the integer counts of the uniform convolution;
+    of the product of kernel moduli (Fourier inversion); that maximum is the
+    largest count of the uniform convolution, in closed form
+    (:func:`~lebesgue_lab.pmf.uniform_max`), over the product of the l_i;
   * when no single index dominates, a Hoelder split with exponents
     p_i = (sum_j l_j^2) / l_i^2 plus the certified norm bound collapses the
     product to the closed form 2 l_min^2 / ((l_min^2 - 1) sum l_i^2); every
@@ -50,7 +51,7 @@ from .pmf import (
     l_index,
     l_indices_from_max,
     uniform,
-    uniform_counts,
+    uniform_max,
     weight_problems,
 )
 
@@ -153,17 +154,18 @@ def decide_chain(ls) -> tuple[int, int]:
         l_i^2 / sum l^2 sum to 1.
 
     The inequality uses only m0 <= m4, decided by the ends alone: with N the
-    counts of :func:`uniform_counts`, (max N)^2 (l_min^2 - 1) sum l^2 <=
-    2 l_min^2 (prod l)^2.  Returns (lhs, rhs); lhs > rhs raises
-    VerificationError naming ``ls`` and both sides.  An index below 6 or a
-    dominant index raises PreconditionError; the exponents may be as large
-    as the indices make them.
+    largest count of the uniform convolution (:func:`uniform_max`, a closed
+    form at any index), N^2 (l_min^2 - 1) sum l^2 <= 2 l_min^2 (prod l)^2.
+    Returns (lhs, rhs); lhs > rhs raises VerificationError naming ``ls`` and
+    both sides.  An index below 6 or a dominant index raises
+    PreconditionError; the exponents may be as large as the indices make
+    them.
     """
     ls = tuple(int(l) for l in ls)
     if min(ls) < 6:
         raise PreconditionError(f"chain requires every index >= 6, got {ls}")
     holder_exponents(ls)
-    top, lmin = int(uniform_counts(ls).max()), min(ls)
+    top, lmin = uniform_max(ls), min(ls)
     lhs = top * top * (lmin * lmin - 1) * sum(l * l for l in ls)
     rhs = 2 * lmin * lmin * math.prod(ls) ** 2
     if lhs > rhs:
@@ -172,12 +174,14 @@ def decide_chain(ls) -> tuple[int, int]:
 
 
 def check_rogozin(instance: EpiInstance) -> RogozinCheck:
-    """Check that uniformizing the summands raises the convolution max.
+    """Check that uniformizing the summands raises the convolution max (Rogozin's inequality).
 
-    The uniform side is the chain's first member, exact to the last bit.
+    The uniform side is the chain's first member: the largest count of the
+    uniform convolution (:func:`uniform_max`) over the product of the
+    indices, correctly rounded.  Only the instance's own laws are convolved.
     """
     m_actual = convolve_many(instance.pmfs).max_weight
-    m_uniform = int(uniform_counts(instance.l_indices).max()) / math.prod(instance.l_indices)
+    m_uniform = uniform_max(instance.l_indices) / math.prod(instance.l_indices)
     ok = m_actual <= m_uniform + ROGOZIN_SLACK
     check = RogozinCheck(
         max_prob=m_actual, max_prob_uniform=m_uniform, gap=m_uniform - m_actual, ok=ok

@@ -16,6 +16,7 @@ of a zero-padded array, and :func:`l_indices_from_max` their indices; a
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -121,42 +122,30 @@ def uniform(l: int) -> Pmf:
     return Pmf(offset=1, weights=np.full(l, 1.0 / l))
 
 
-# a factor of a uniform convolution whose support times the running one
-# exceeds this is added by window sums of one running sum, O(n + l), rather
-# than by np.convolve, O(n l), which is faster below it
-_WINDOW_SUM_ABOVE = 2**13
+def uniform_max(ls) -> int:
+    """The largest count of the convolution of the uniform laws on {1, ..., l_i}.
 
-
-def uniform_counts(ls) -> np.ndarray:
-    """Integer counts of the convolution of the uniform laws on {1, ..., l_i}.
-
-    Entry k counts the tuples with j_i in {1, ..., l_i} and sum j_i = n + k.
-    The other j_i fix the last, so no count, nor a partial sum of one,
-    exceeds prod(ls) / max(ls): below 2^63 that is exact int64 arithmetic,
-    above it the same convolutions run on Python integers.  The counts sum
-    to prod(ls), which may wrap in int64 although every count is exact.
-    Each factor is a convolution with l ones: ``np.convolve`` for short
-    supports, window sums of a running sum beyond ``_WINDOW_SUM_ABOVE``.
+    Entry k of that convolution counts the tuples with j_i in {1, ..., l_i}
+    and sum j_i = n + k.  Each factor's counts are symmetric and
+    log-concave, so their convolution is too (Hoggar, 1974) and peaks at
+    the centre k = sum(l_i - 1) // 2.  Inclusion-exclusion over the subsets
+    S of the factors gives that count as sum_S (-1)^|S| C(k - sum_S l_i +
+    n - 1, n - 1), over the S with sum_S l_i <= k.  The signed subset sums
+    are folded in one factor at a time and those above k dropped, so the
+    work is O(n min(2^n, k)), in Python integers.
     """
     ls = [_support_size(l) for l in ls]
     if not ls:
         raise DomainError("need at least one support size")
-    dtype = np.int64 if math.prod(ls) // max(ls) < 2**63 else object
-    ones = np.ones(max(ls), dtype)
-    counts = ones[:1]
+    n, k = len(ls), sum(l - 1 for l in ls) // 2
+    signed = {0: 1}  # subset sum -> the signed count of subsets with that sum
     for l in ls:
-        n = len(counts)
-        if n * l <= _WINDOW_SUM_ABOVE:
-            counts = np.convolve(counts, ones[:l])
-            continue
-        # entry i is the sum of counts[i - l + 1 .. i]: a difference of two
-        # running sums, exact in int64 even where the running sums wrap
-        run = np.empty(n + l, dtype)
-        run[0] = 0
-        np.cumsum(counts, out=run[1 : n + 1])
-        run[n + 1 :] = run[n]
-        counts = run[1:] - np.concatenate((np.zeros(l - 1, dtype), run[:n]))
-    return counts
+        folded = dict(signed)
+        for s, c in signed.items():
+            if s + l <= k:
+                folded[s + l] = folded.get(s + l, 0) - c
+        signed = folded
+    return sum(c * math.comb(k - s + n - 1, n - 1) for s, c in signed.items())
 
 
 def entropy_summary(f: Pmf) -> EntropySummary:
@@ -201,22 +190,23 @@ def _clean_transform_weights(w: np.ndarray) -> np.ndarray:
     return w / w.sum()
 
 
+# the 5-smooth numbers up to SUPPORT_CAP (itself 2^24), ascending, 836 of
+# them: each odd part 3^b 5^c times every power of two that keeps it in range
+_FAST_LENS = tuple(sorted(
+    m << a
+    for m in (3**b * 5**c for b in range(SUPPORT_CAP.bit_length()) for c in range(SUPPORT_CAP.bit_length()))
+    if m <= SUPPORT_CAP
+    for a in range((SUPPORT_CAP // m).bit_length())
+))
+
+
 def _next_fast_len(n: int) -> int:
-    """The least 2^a 3^b 5^c >= n, a length that real FFTs transform fast.
+    """The least 2^a 3^b 5^c >= n, a length that real FFTs transform fast, for n <= SUPPORT_CAP.
 
     Equal to ``scipy.fft.next_fast_len(n, real=True)``, the length that
     ``scipy.signal.fftconvolve`` pads to.
     """
-    best = 1 << (n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            # the least power of two that lifts p35 to n or beyond
-            best = min(best, p35 << ((n - 1) // p35).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
+    return _FAST_LENS[bisect.bisect_left(_FAST_LENS, n)]
 
 
 def convolve(a: Pmf, b: Pmf) -> Pmf:
@@ -276,5 +266,9 @@ def convolve_many(pmfs) -> Pmf:
         start += 1
     while w[end - 1] == 0.0:
         end -= 1
-    offset = sum(f.offset for f in pmfs) + start
-    return Pmf(offset=offset, weights=w[start:end])
+    w = w[start:end]
+    (problem,) = weight_problems(w[None], [len(w)])
+    if problem is not None:
+        raise DomainError(problem)
+    w.setflags(write=False)
+    return Pmf._checked(sum(f.offset for f in pmfs) + start, w)

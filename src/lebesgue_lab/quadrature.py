@@ -34,9 +34,8 @@ are kept, and the dropped ones are a suffix.  So a call evaluates g once per
 length, at the 15/31 abscissae of the longest arch prefix its exponents keep
 (``_kernel_table``), and each exponent raises a slice of that table to p; the
 arches and the logs of their caps come from a bounded cache
-(``_arch_logcaps``).  The stop test and split loop are those of
-:func:`adaptive_integral`, and only a bisected piece evaluates its integrand
-again.
+(``_arch_logcaps``).  The stop test and split loop are :func:`_refine`'s,
+and only a bisected piece evaluates its integrand again.
 
 Across calls only finished integrals are kept: ``_integrals(l, cfg)`` is an
 ``lru_cache`` of 256 (length, tolerances) entries, each a dict {p: (value,
@@ -53,8 +52,8 @@ than the tolerance allows), is sent their halves, and then applies the
 bisections one at a time in its own heap order.  So every value, error and
 flag is that of one evaluation per bisection, bit for bit, and no half is
 evaluated that the loop does not use unless the subdivision budget runs out
-first.  :func:`adaptive_integral` evaluates the rounds of one integrand, one
-call each.
+first.  :func:`_rounds` evaluates the rounds of one integrand, one call
+each.
 
 :func:`integrate_kernel_power_grid` is the one engine for g^p, over (l, p)
 pairs of any lengths: per length, one node table at the longest kept prefix
@@ -226,30 +225,6 @@ def _pair_eval(fn, a: np.ndarray, b: np.ndarray):
     return _pair_sums(fn(_pair_abscissae(a, b)), a, b)
 
 
-def adaptive_integral(fn, pieces, cfg: QuadratureConfig = DEFAULT_CONFIG):
-    """Integrate a vectorized callable over (a, b) pieces.
-
-    ``pieces`` is anything ``np.asarray(pieces, float).reshape(-1, 2)``
-    accepts: an (n, 2) array or a list of pairs.  Pieces with b <= a are
-    skipped.  Returns (value, error_estimate, converged).
-
-    All pieces go through one pair evaluation.  If the stop test already
-    holds, that is the answer; otherwise the piece with the largest error
-    estimate is bisected until it holds or the budget of
-    ``cfg.max_subdivisions`` bisections per initial piece is spent.  The
-    bisections are evaluated in rounds, one call of ``fn`` each, and applied
-    in that order (see :func:`_refine`).  The value and the error are
-    ``math.fsum`` totals, which are correctly rounded, so they do not depend
-    on the refinement history.
-    """
-    pieces = np.asarray(pieces, dtype=float).reshape(-1, 2)
-    pieces = pieces[pieces[:, 1] > pieces[:, 0]]
-    if not len(pieces):
-        return 0.0, 0.0, True
-    a, b = pieces[:, 0], pieces[:, 1]
-    return _rounds(_refine(a, b, *_pair_eval(fn, a, b), cfg), fn)
-
-
 def _rounds(loop, fn):
     """The result of a :func:`_refine` loop whose rounds are evaluated with one call of ``fn`` each."""
     try:
@@ -268,7 +243,7 @@ def _cuts(taken) -> np.ndarray:
 
 
 def _refine(a, b, i31, err, cfg: QuadratureConfig):
-    """The stop test and split loop of :func:`adaptive_integral`, as a generator of rounds.
+    """The stop test and split loop of the adaptive integral, as a generator of rounds.
 
     Takes the first pass's (I31, error) per piece (a, b).  The loop pops the
     piece with the largest error, bisects it and pushes its halves, one piece
@@ -281,7 +256,7 @@ def _refine(a, b, i31, err, cfg: QuadratureConfig):
 
     The loop applies the bisections in its own order, so every value, error
     and flag is that of one evaluation per bisection, bit for bit, whoever
-    evaluates the rounds (:func:`adaptive_integral` for one integrand,
+    evaluates the rounds (:func:`_rounds` for one integrand,
     :func:`_power_rounds` for many kernel powers at once).  A round holds a
     piece that the loop never bisects only when the budget runs out before
     the loop reaches it.
@@ -826,7 +801,7 @@ def _sinc_power_halves(ps: list, cfg: QuadratureConfig) -> list:
     """ball_half at each of the distinct exponents ``ps`` in (1, MAX_EXPONENT], or its VerificationError.
 
     The head over 16 periods and the tail over four quarter periods are
-    :func:`adaptive_integral` of each exponent's own integrands, with
+    adaptive integrals of each exponent's own integrands, with
     |sinc| at the head's first-pass abscissae, and sin t and 16 + t/pi at
     the tail's, evaluated once for all exponents.
     """
@@ -866,7 +841,7 @@ def _zeta_tail(p: float):
 
 
 def _stacked_integrals(pieces: np.ndarray, rows: list, fns: list, cfg: QuadratureConfig) -> list:
-    """``adaptive_integral(fns[j], pieces, cfg)`` for every j, with ``rows[j]`` its first-pass values.
+    """The adaptive integral of ``fns[j]`` over ``pieces`` for every j, with ``rows[j]`` its first-pass values.
 
     ``rows[j]`` is ``fns[j]`` at the ``_pair_abscissae`` of ``pieces``.  The
     first passes are one stacked pair-sum product, whose row j is that of

@@ -31,8 +31,9 @@ from lebesgue_lab.epi import (
     save_instances,
 )
 from lebesgue_lab.errors import DomainError, GenerationError, PreconditionError, VerificationError
-from lebesgue_lab.pmf import Pmf, convolve_many, entropy_summary, l_index, uniform, uniform_counts
+from lebesgue_lab.pmf import Pmf, convolve_many, entropy_summary, l_index, uniform
 from lebesgue_lab.quadrature import integrate_kernel_power_grid, norm_bound
+from test_pmf import uniform_counts
 from test_quadrature import quadrature_product_l1
 
 
@@ -158,6 +159,26 @@ class TestDecideChain:
         lhs, rhs = decide_chain((6, 3000, 3000))
         assert lhs <= rhs
 
+    def test_any_index_is_decided(self):
+        # its count array would have 2 x 10^6 entries; the closed form reads the centre alone
+        lhs, rhs = decide_chain((6, 10**6, 10**6))
+        assert lhs <= rhs
+        assert lhs == (6 * 10**6 - 9) ** 2 * 35 * (36 + 2 * 10**12)
+
+    @pytest.mark.parametrize("n, count, tightest, margin", [
+        (2, 25, (30, 30), Fraction(1, 900)),
+        (3, 1198, (6, 30, 30), Fraction(5041, 48000)),
+    ])
+    def test_every_small_split_case_tuple_holds(self, n, count, tightest, margin):
+        margins = {}
+        for ls in itertools.combinations_with_replacement(range(6, 31), n):
+            if _split(ls):
+                lhs, rhs = decide_chain(ls)
+                margins[ls] = 1 - Fraction(lhs, rhs)
+        assert len(margins) == count
+        assert min(margins.values()) == margin > 0
+        assert min(margins, key=margins.get) == tightest
+
 
 class TestRogozin:
     def test_uniform_instance_has_zero_gap(self):
@@ -183,8 +204,17 @@ class TestRogozin:
     )
     def test_uniform_side_is_the_exact_quotient(self, ls):
         check = check_rogozin(make_instance([uniform(l) for l in ls]))
-        exact = Fraction(int(pmf.uniform_counts(ls).max()), math.prod(ls))
+        exact = Fraction(int(uniform_counts(ls).max()), math.prod(ls))
         assert check.max_prob_uniform == float(exact)
+
+    def test_halved_uniform_maximum_fails(self, monkeypatch):
+        top = epi.uniform_max
+        monkeypatch.setattr(epi, "uniform_max", lambda ls: top(ls) / 2)
+        # a sum of uniforms sits at equality, on the direct path and on the transform
+        for ls in ((6, 7, 9), (300, 299, 250)):
+            inst = make_instance([uniform(l) for l in ls])
+            with pytest.raises(VerificationError, match="uniformization comparison failed"):
+                check_rogozin(inst)
 
 
 class TestCheckEpi:
@@ -738,8 +768,8 @@ class TestCheckEpis:
         # seeds 2 and 3 draw a dominant index, seed 4 is the first split case
         instances = list(random_instances(range(2, 12)))
         assert [inst.case for inst in instances[:3]] == [CASE_DOMINANT, CASE_DOMINANT, CASE_HOLDER]
-        counts = epi.uniform_counts
-        monkeypatch.setattr(epi, "uniform_counts", lambda ls: 2 * counts(ls))
+        top = epi.uniform_max
+        monkeypatch.setattr(epi, "uniform_max", lambda ls: 2 * top(ls))
         with pytest.raises(VerificationError, match="bound chain ends out of order") as alone:
             check_epi(instances[2])
         assert str(instances[2].l_indices) in str(alone.value)

@@ -10,7 +10,7 @@ from pathlib import Path
 import lebesgue_lab
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lebesgue_lab.errors import ConvolutionOverflowError, DomainError
@@ -19,6 +19,7 @@ from lebesgue_lab.pmf import (
     SUPPORT_CAP,
     Pmf,
     _clean_transform_weights,
+    _FAST_LENS,
     _next_fast_len,
     convolve,
     convolve_many,
@@ -27,7 +28,7 @@ from lebesgue_lab.pmf import (
     l_index_from_max,
     l_indices_from_max,
     uniform,
-    uniform_counts,
+    uniform_max,
     weight_problems,
 )
 
@@ -107,6 +108,46 @@ class TestUniform:
             uniform(0)
 
 
+# a factor of a uniform convolution whose support times the running one
+# exceeds this is added by window sums of one running sum, O(n + l), rather
+# than by np.convolve, O(n l), which is faster below it
+WINDOW_SUM_ABOVE = 2**13
+
+
+def uniform_counts(ls) -> np.ndarray:
+    """Integer counts of the convolution of the uniform laws on {1, ..., l_i}: the oracle of :func:`uniform_max`.
+
+    Entry k counts the tuples with j_i in {1, ..., l_i} and sum j_i = n + k.
+    The other j_i fix the last, so no count, nor a partial sum of one,
+    exceeds prod(ls) / max(ls): below 2^63 that is exact int64 arithmetic,
+    above it the same convolutions run on Python integers.  The counts sum
+    to prod(ls), which may wrap in int64 although every count is exact.
+    Each factor is a convolution with l ones: ``np.convolve`` for short
+    supports, window sums of a running sum beyond ``WINDOW_SUM_ABOVE``.
+    Sizes are checked as :func:`uniform_max` checks them.
+    """
+    ls = list(ls)
+    if not ls or any(isinstance(l, bool) or int(l) != l or l < 1 for l in ls):
+        raise DomainError(f"support sizes must be positive integers, got {ls!r}")
+    ls = [int(l) for l in ls]
+    dtype = np.int64 if math.prod(ls) // max(ls) < 2**63 else object
+    ones = np.ones(max(ls), dtype)
+    counts = ones[:1]
+    for l in ls:
+        n = len(counts)
+        if n * l <= WINDOW_SUM_ABOVE:
+            counts = np.convolve(counts, ones[:l])
+            continue
+        # entry i is the sum of counts[i - l + 1 .. i]: a difference of two
+        # running sums, exact in int64 even where the running sums wrap
+        run = np.empty(n + l, dtype)
+        run[0] = 0
+        np.cumsum(counts, out=run[1 : n + 1])
+        run[n + 1 :] = run[n]
+        counts = run[1:] - np.concatenate((np.zeros(l - 1, dtype), run[:n]))
+    return counts
+
+
 def python_counts(ls):
     """Counts of the uniform convolution by Python-integer window sums."""
     counts = [1]
@@ -157,6 +198,32 @@ class TestUniformCounts:
     def test_rejects_bad_sizes(self, bad):
         with pytest.raises(DomainError):
             uniform_counts(bad)
+
+
+class TestUniformMax:
+    @settings(max_examples=300)
+    @given(st.lists(st.integers(1, 300), min_size=1, max_size=8))
+    def test_is_the_largest_count(self, ls):
+        assert uniform_max(ls) == int(uniform_counts(ls).max())
+
+    @pytest.mark.parametrize(
+        "ls",
+        # the oracle's int64 counts with prod > 2^63 > prod / max, its Python integers
+        # with prod / max > 2^63, and long tuples
+        [tuple(range(97, 107)), (129,) * 11, (6,) * 30, (7, 9, 11) * 8, tuple(range(6, 40))],
+    )
+    def test_boundary_tuples(self, ls):
+        assert uniform_max(ls) == max(python_counts(ls))
+
+    def test_any_index(self):
+        # the two large factors' counts are a triangle peaking at L = 10^6, and
+        # the third sums six of them around the peak: L-3, L-2, L-1, L, L-1, L-2
+        assert uniform_max((6, 10**6, 10**6)) == 6 * 10**6 - 9
+
+    @pytest.mark.parametrize("bad", [(6, 0), (6, 2.5), (True,), (-3,), ()])
+    def test_rejects_bad_sizes(self, bad):
+        with pytest.raises(DomainError):
+            uniform_max(bad)
 
 
 class TestEntropySummary:
@@ -356,6 +423,20 @@ class TestConvolve:
             convolve_many([])
 
 
+def loop_fast_len(n: int) -> int:
+    """The least 2^a 3^b 5^c >= n, by a loop over the powers of 3 and 5: the oracle of ``_next_fast_len``."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least power of two that lifts p35 to n or beyond
+            best = min(best, p35 << ((n - 1) // p35).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def dense(f, lo, hi):
     """The weights of ``f`` on the integers lo..hi-1, zero off its support."""
     out = np.zeros(hi - lo)
@@ -430,6 +511,13 @@ class TestConvolveMany:
         assert (count - 1) * 2**16 + 1 <= SUPPORT_CAP < count * 2**16 + 1
         with pytest.raises(ConvolutionOverflowError):
             convolve_many([a] * count)
+
+    def test_next_fast_len_is_the_least_smooth_length(self):
+        assert _FAST_LENS[-1] == SUPPORT_CAP and len(_FAST_LENS) == 836
+        assert all(_next_fast_len(n) == loop_fast_len(n) for n in range(1, 5_000))
+        rng = np.random.default_rng(71)
+        assert all(_next_fast_len(int(n)) == loop_fast_len(int(n))
+                   for n in rng.integers(1, SUPPORT_CAP + 1, size=20_000))
 
     def test_next_fast_len_matches_scipy(self):
         from scipy.fft import next_fast_len  # test-only oracle
