@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .epi import (
+    DEFAULT_L_RANGE,
     EXACT_FLOOR,
     GENERAL_FLOOR,
     EpiInstance,
@@ -50,7 +51,6 @@ CERT_L_RANGE = range(6, 65)
 CERT_P_GRID = (2.0, 2.5, 3.0, 4.0, 6.0, 8.0, 16.0, 32.0)
 FUNCTIONAL_P_GRID = (2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0)
 EPI_SEEDS = range(10_000)
-EPI_L_RANGE = (6, 30)  # the entropy-power battery's index range, inclusive: epi-check's default
 
 
 @dataclass(frozen=True)
@@ -151,7 +151,8 @@ def criterion_sign_change():
     The crossing and Phi(2) >= 0 at every length l = 6..30 that the battery's
     chains rest on; monotonicity over ``FUNCTIONAL_P_GRID`` at l = 6..12.
     """
-    reports = detect_sign_changes([KernelSpec(l) for l in range(EPI_L_RANGE[0], EPI_L_RANGE[1] + 1)])
+    lo, hi = DEFAULT_L_RANGE
+    reports = detect_sign_changes([KernelSpec(l) for l in range(lo, hi + 1)])
     bases = []
     for r in reports:
         spec = KernelSpec(r.l)
@@ -166,7 +167,7 @@ def criterion_sign_change():
                 return False, f"comparison functional not monotone at l={r.l}: {a!r} -> {b!r}"
     margin = min(r.margin for r in reports)
     return True, (
-        f"single crossing proven and min Phi(2) {min(bases):.3e} >= 0 for l={EPI_L_RANGE[0]}..{EPI_L_RANGE[1]} "
+        f"single crossing proven and min Phi(2) {min(bases):.3e} >= 0 for l={lo}..{hi} "
         f"(min band margin {margin:.4f}); functional nondecreasing over p for l=6..12"
     )
 
@@ -225,7 +226,7 @@ def criterion_slope_census():
 @functools.cache
 def _epi_instances() -> tuple[EpiInstance, ...]:
     # both entropy-power criteria check this batch; its weights are read-only
-    return tuple(random_instances(EPI_SEEDS, n_range=(2, 5), l_range=EPI_L_RANGE))
+    return tuple(random_instances(EPI_SEEDS))
 
 
 @_criterion("entropy power suite")

@@ -30,6 +30,8 @@ import numpy as np
 
 from . import acceptance
 from .epi import (
+    DEFAULT_L_RANGE,
+    DEFAULT_N_RANGE,
     check_epis,
     check_rogozin,
     handcrafted_corpus,
@@ -181,8 +183,7 @@ def _extra_instances(args):
 
 
 def _cmd_epi_check(config: RunConfig, args) -> int:
-    instances = itertools.chain(_random_instances(config, args), _extra_instances(args))
-    reports = check_epis(instances, with_chain=not args.no_chain)
+    reports = check_epis(itertools.chain(_random_instances(config, args), _extra_instances(args)))
     write_report(
         config,
         ("l_indices", "l_min", "case", "lhs", "rhs_general", "rhs_exact_M",
@@ -250,15 +251,14 @@ _TOLERANCES = (
 _BATCH = (
     ("--random", dict(type=int, default=100)),
     ("--seed", dict(type=int, default=0, help="seed of the first instance")),
-    ("--lmin", dict(type=int, default=6)),
-    ("--lmax", dict(type=int, default=30)),
-    ("--n-min", dict(type=int, default=2)),
-    ("--n-max", dict(type=int, default=5)),
+    ("--lmin", dict(type=int, default=DEFAULT_L_RANGE[0])),
+    ("--lmax", dict(type=int, default=DEFAULT_L_RANGE[1])),
+    ("--n-min", dict(type=int, default=DEFAULT_N_RANGE[0])),
+    ("--n-max", dict(type=int, default=DEFAULT_N_RANGE[1])),
 )
 _CORPUS = (
     ("--corpus", dict(action="store_true", help="include the handcrafted corpus")),
     ("--instances", dict(default=None, help="corpus file: JSON array of pmf-object arrays")),
-    ("--no-chain", dict(action="store_true", help="skip the exact bound-chain decision")),
 )
 _PLOT = (
     ("--l", dict(type=int, required=True)),

@@ -44,6 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, GenerationError, PreconditionError, VerificationError
+from .kernel import BOUND_MIN_EXPONENT, BOUND_MIN_LENGTH
 from .pmf import (
     Pmf,
     convolve_many,
@@ -71,6 +72,10 @@ _MAX_SATURATIONS = 50  # water-filling's cap: the rounds of its one-at-a-time fo
 # instances are generated in blocks of this many seeds, so the padded
 # work arrays of a large batch stay bounded
 _BLOCK = 256
+
+# the battery's default variable counts and indices, inclusive (generation, suite, CLI)
+DEFAULT_N_RANGE = (2, 5)
+DEFAULT_L_RANGE = (6, 30)
 
 
 @dataclass(frozen=True)
@@ -116,22 +121,26 @@ def _classified(pmfs: tuple, ls: tuple, seed: int | None) -> EpiInstance:
     """The instance of laws ``pmfs`` at indices ``ls``, with its case."""
     if len(pmfs) < 2:
         raise PreconditionError("an instance needs at least two variables")
-    sum_sq = sum(l * l for l in ls)
-    case = CASE_HOLDER if max(ls) ** 2 / sum_sq <= 0.5 else CASE_DOMINANT
-    return EpiInstance(
-        pmfs=pmfs, l_indices=ls, l_min=min(ls), l_max=max(ls), case=case, seed=seed
-    )
+    case = CASE_HOLDER if _is_split(ls) else CASE_DOMINANT
+    return EpiInstance(pmfs=pmfs, l_indices=ls, l_min=min(ls), l_max=max(ls), case=case, seed=seed)
+
+
+def _is_split(ls: tuple) -> bool:
+    """Whether every exponent p_i = sum_j l_j^2 / l_i^2 reaches the bound's floor, exactly.
+
+    Float forms of the test agree with it only below 2^26: (131836323,
+    93222358, 93222358), smallest exponent 2 - 5.8e-17, rounds to 2.0.
+    """
+    return BOUND_MIN_EXPONENT * max(ls) ** 2 <= sum(l * l for l in ls)
 
 
 def holder_exponents(ls) -> tuple[float, ...]:
-    """Dual exponents p_i = (sum_j l_j^2) / l_i^2; all >= 2 in the split case."""
+    """Dual exponents p_i = (sum_j l_j^2) / l_i^2; a dominant index (:func:`_is_split`) raises."""
     ls = tuple(int(l) for l in ls)
     s = sum(l * l for l in ls)
     ps = tuple(s / (l * l) for l in ls)
-    if min(ps) < 2.0:
-        raise PreconditionError(
-            f"a single index dominates (min exponent {min(ps)} < 2) for {ls}"
-        )
+    if not _is_split(ls):
+        raise PreconditionError(f"a single index dominates (min exponent {min(ps)} < {BOUND_MIN_EXPONENT}) for {ls}")
     return ps
 
 
@@ -143,7 +152,7 @@ def decide_chain(ls) -> tuple[int, int]:
     moduli, m2 the Hoelder product of the kernels' L^(p_i) norms, m3 the
     product of their certified bounds, and m4 the closed form.  Its four
     links are each a theorem when every l_i >= 6 and every exponent
-    p_i = sum_j l_j^2 / l_i^2 >= 2 (the split case):
+    p_i = sum_j l_j^2 / l_i^2 >= 2 (the split case), the bound's range:
 
       * m0 <= m1: Fourier inversion and the triangle inequality;
       * m1 <= m2: Hoelder's inequality, since sum 1/p_i = 1;
@@ -162,8 +171,8 @@ def decide_chain(ls) -> tuple[int, int]:
     them.
     """
     ls = tuple(int(l) for l in ls)
-    if min(ls) < 6:
-        raise PreconditionError(f"chain requires every index >= 6, got {ls}")
+    if min(ls) < BOUND_MIN_LENGTH:
+        raise PreconditionError(f"chain requires every index >= {BOUND_MIN_LENGTH}, got {ls}")
     holder_exponents(ls)
     top, lmin = uniform_max(ls), min(ls)
     lhs = top * top * (lmin * lmin - 1) * sum(l * l for l in ls)
@@ -198,13 +207,13 @@ def _all_exact_index(instance: EpiInstance) -> bool:
     )
 
 
-def check_epi(instance: EpiInstance, with_chain: bool = True) -> EpiReport:
+def check_epi(instance: EpiInstance) -> EpiReport:
     """Check the entropy power inequality on one instance.
 
-    With l_min >= 6 a violation raises; below that the inequality is not
-    claimed and the report is returned without assertion.  In the split case
-    the bound chain is decided as well, exactly (:func:`decide_chain`;
-    ``with_chain`` False skips it), and its ends are the report's ``chain``.
+    With l_min >= 6, the bound's length floor, a violation raises; below it
+    the inequality is not claimed and the report is returned without
+    assertion.  An asserted split-case instance has its bound chain decided
+    exactly (:func:`decide_chain`), and its ends are the report's ``chain``.
     """
     s = convolve_many(instance.pmfs)
     lhs = entropy_summary(s).N_inf
@@ -217,9 +226,8 @@ def check_epi(instance: EpiInstance, with_chain: bool = True) -> EpiReport:
     if rhs_exact is not None:
         holds = holds and lhs >= rhs_exact - EPI_SLACK
 
-    asserted = lmin >= 6
-    chained = with_chain and asserted and instance.case == CASE_HOLDER
-    chain = decide_chain(instance.l_indices) if chained else None
+    asserted = lmin >= BOUND_MIN_LENGTH
+    chain = decide_chain(instance.l_indices) if asserted and instance.case == CASE_HOLDER else None
 
     report = EpiReport(
         l_indices=instance.l_indices,
@@ -239,14 +247,14 @@ def check_epi(instance: EpiInstance, with_chain: bool = True) -> EpiReport:
     return report
 
 
-def check_epis(instances, with_chain: bool = True) -> list[EpiReport]:
+def check_epis(instances) -> list[EpiReport]:
     """:func:`check_epi` on each instance, in order.
 
     The first instance that fails raises its own error, and an error raised
     by ``instances`` itself is raised once the instances before it are
     checked.
     """
-    return [check_epi(instance, with_chain) for instance in instances]
+    return [check_epi(instance) for instance in instances]
 
 
 def _fit_max_into(weights: np.ndarray, target: float) -> np.ndarray:
@@ -388,7 +396,7 @@ def _water_fill(rows: np.ndarray, sizes: list, targets: list) -> list:
     return problems
 
 
-def random_instances(seeds, n_range=(2, 5), l_range=(6, 30)):
+def random_instances(seeds, n_range=DEFAULT_N_RANGE, l_range=DEFAULT_L_RANGE):
     """Deterministic random instances, one per seed, in the order of ``seeds``.
 
     A generator: iterating it gives ``random_instance(seed, n_range,
@@ -418,7 +426,7 @@ def random_instances(seeds, n_range=(2, 5), l_range=(6, 30)):
             yield outcome
 
 
-def random_instance(seed: int, n_range=(2, 5), l_range=(6, 30)) -> EpiInstance:
+def random_instance(seed: int, n_range=DEFAULT_N_RANGE, l_range=DEFAULT_L_RANGE) -> EpiInstance:
     """Deterministic random instance: n variables with indices in l_range.
 
     Seeded by ``seed`` alone, in the order :func:`_seeded` and :func:`_draw`

@@ -43,12 +43,26 @@ PI = math.pi
 _SERIES_CUTOFF = 1e-8
 
 
+# The range where the paper's L^p bound, integral g^p < sqrt(2 / (p (l^2 - 1))),
+# is a theorem.  Every check resting on it reads it here: certificates and norm
+# records (quadrature.py), the chain and the entropy-power assertion (epi.py).
+BOUND_MIN_LENGTH = 6
+BOUND_MIN_EXPONENT = 2  # an int, so epi's split test stays in integers
+
+
+def bound_range_problem(l: int, p: float) -> str | None:
+    """The first floor of the range that (l, p) is below, as ``l >= 6, got 5``, or None (NaN p too)."""
+    if l < BOUND_MIN_LENGTH:
+        return f"l >= {BOUND_MIN_LENGTH}, got {l}"
+    return f"p >= {BOUND_MIN_EXPONENT}, got {p}" if p < BOUND_MIN_EXPONENT else None
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """Length parameter of the normalized Dirichlet kernel.
 
-    ``l`` must be an integer >= 2.  Operations that certify the sharp norm
-    bound additionally require ``l >= 6``; they enforce that themselves.
+    ``l`` must be an integer >= 2.  Operations that rest on the sharp norm
+    bound additionally require its range (:func:`bound_range_problem`).
     """
 
     l: int

@@ -34,11 +34,11 @@ each, from their crossings u_i and v_i at the two ends:
 s >= sum_i 2 / (|g'(u_i)| + |g'(v_i)| + (v_i - u_i) L), where
 L = pi^2 (l^2 - 1) / 3 is a Lipschitz constant of |g'|.  Above y_1 the
 superlevel set lies in arch 0, where g < f (kernel.py's lemma), so D > 0.
-The smallest ratio of bound to |F'| is the report's margin.  l < 6 is not
-asserted, and the comparisons are floats, not yet outward-rounded.  The
-module also evaluates the comparison functional
-(integral f^p - integral g^p) / (p y0^p), whose monotonicity in p transfers
-the p = 2 comparison upward, and validates the slope census.
+The smallest ratio of bound to |F'| is the report's margin.  l < 6
+(``CENSUS_MIN_LENGTH``) is not asserted, and the comparisons are floats,
+not yet outward-rounded.  The module also evaluates the comparison
+functional (integral f^p - integral g^p) / (p y0^p), whose monotonicity in
+p transfers the p = 2 comparison upward, and validates the slope census.
 """
 
 from __future__ import annotations
@@ -67,6 +67,10 @@ from .quadrature import DEFAULT_CONFIG, QuadratureConfig, bump_partition, integr
 # levels this close to an arch peak are excluded from slope checks (the
 # derivative of G is undefined exactly at the peaks)
 PEAK_EXCLUSION = 1e-9
+
+# the slope census's caps (``_census_slope_sum``) hold from this length on; the
+# sign-change proof is asserted there, and the slope checks refuse shorter lengths
+CENSUS_MIN_LENGTH = 6
 
 
 @dataclass(frozen=True)
@@ -461,9 +465,10 @@ def detect_sign_changes(specs) -> list[SignChangeReport]:
 
     ``crossings`` counts the sign changes of D at 0+ and at the solved band
     ends y_1, y_2, y_3 and y_last (clipped to y_last), every sign change under
-    the proof; y0 is refined from the pair that brackets it.  For l >= 6, any
-    other pattern than one crossing from - to +, D(y_1) <= 0 or a margin <= 1
-    raises, the first failing length first, as in a loop of single calls.
+    the proof; y0 is refined from the pair that brackets it.  From
+    ``CENSUS_MIN_LENGTH`` on, any other pattern than one crossing from - to
+    +, D(y_1) <= 0 or a margin <= 1 raises, the first failing length first,
+    as in a loop of single calls.
     """
     return [report for group in _lockstep_groups(list(specs)) for report in _sign_changes(group)]
 
@@ -508,7 +513,8 @@ def _sign_changes(specs: list[KernelSpec]) -> list[SignChangeReport]:
 
     reports = [SignChangeReport(spec.l, float(y0s[k]), *fields[k]) for k, spec in enumerate(specs)]
     for r in reports:
-        if r.l >= 6 and (r.crossings, r.F0_lt_G0, r.G_lt_F_above_y1, r.margin > 1.0) != (1, True, True, True):
+        proven = (r.crossings, r.F0_lt_G0, r.G_lt_F_above_y1, r.margin > 1.0) == (1, True, True, True)
+        if r.l >= CENSUS_MIN_LENGTH and not proven:
             raise VerificationError(f"single sign change not proven: {r}")
     return reports
 
@@ -562,8 +568,8 @@ def check_derivative_bounds_many(spec: KernelSpec, ys) -> list[SlopeBoundCheck]:
     ys = np.asarray(ys, dtype=float)
     if not len(ys):
         return []
-    if l < 6:
-        raise PreconditionError(f"slope checks require l >= 6, got {l}")
+    if l < CENSUS_MIN_LENGTH:
+        raise PreconditionError(f"slope checks require l >= {CENSUS_MIN_LENGTH}, got {l}")
     # the rising segments' tops: the peaks of arches 1, 2, ..., falling with the arch
     tops = _segments(l)[_TOP, 0, 1::2]
     peaks = [*tops.tolist(), -math.inf]

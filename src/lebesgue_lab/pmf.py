@@ -182,11 +182,11 @@ def l_index(f: Pmf) -> int:
 
 
 def _clean_transform_weights(w: np.ndarray) -> np.ndarray:
-    neg = w < 0.0
-    if np.any(w < -1e-15):
-        raise DomainError(f"transform produced weight {w.min()!r} below -1e-15")
-    if np.any(neg):
-        w = np.where(neg, 0.0, w)
+    lowest = w.min()
+    if not lowest >= 0.0:  # round-off below zero, or a NaN; the common case scans once
+        if np.any(w < -1e-15):
+            raise DomainError(f"transform produced weight {lowest!r} below -1e-15")
+        w = np.where(w < 0.0, 0.0, w)
     return w / w.sum()
 
 

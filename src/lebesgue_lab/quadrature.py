@@ -23,11 +23,11 @@ p and takes its own zeta, and the first passes of all exponents are one
 stacked pair-sum product per integral.  Each exponent's head and tail then
 go through :func:`_refine`, whose rounds evaluate that exponent's own
 integrand, so each value is float.hex-identical to the exponent integrated
-alone.  Finished values are kept in ``_ball_halves(cfg)``, an ``lru_cache``
-of 16 configs, each a dict {p: value} of at most 4096 exponents.  The batch
-returns each exponent's value or error; :func:`ball_half`,
-:func:`ball_integral_grid` and the asymptotic column of :func:`lp_norm_grid`
-raise the first error in the order a loop of scalar calls would.
+alone.  A call integrates each of its distinct exponents once; nothing is
+kept across calls.  The batch returns each exponent's value or error;
+:func:`ball_half`, :func:`ball_integral_grid` and the asymptotic column of
+:func:`lp_norm_grid` raise the first error in the order a loop of scalar
+calls would.
 
 The exponent p never moves a first-pass node: it only decides how many arches
 are kept, and the dropped ones are a suffix.  So a call evaluates g once per
@@ -82,7 +82,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, PreconditionError, VerificationError
-from .kernel import PI, KernelSpec, kernel_values
+from .kernel import PI, KernelSpec, bound_range_problem, kernel_values
 
 
 @dataclass(frozen=True)
@@ -596,10 +596,10 @@ def _valid_prefix(pairs, check) -> tuple:
 def lp_norm_grid(pairs, cfg: QuadratureConfig = DEFAULT_CONFIG) -> list:
     """Integral of |D_l|^p over one period at every (l, p) of ``pairs``, one record each.
 
-    The bound field is populated when the certified inequality applies
-    (p >= 2 and l >= 6).  The asymptotic field carries the first-order
-    reference: (2/pi) * integral_0^inf |sin u / u|^p du / l for p > 1 and
-    4 log(l) / (pi^2 l) for p = 1.  The values come from one
+    The bound field is populated in the range of the certified inequality
+    (``kernel.bound_range_problem``).  The asymptotic field carries the
+    first-order reference: (2/pi) * integral_0^inf |sin u / u|^p du / l for
+    p > 1 and 4 log(l) / (pi^2 l) for p = 1.  The values come from one
     :func:`integrate_kernel_power_grid` call, and the sinc-power integrals
     of the distinct exponents from one :func:`ball_half_grid` call; a record
     whose sinc-power integral failed raises its error.
@@ -608,7 +608,7 @@ def lp_norm_grid(pairs, cfg: QuadratureConfig = DEFAULT_CONFIG) -> list:
     halves = _halves_of([p for _, p in pairs], cfg)
     norms = []
     for (l, p), (value, err, converged) in zip(pairs, integrate_kernel_power_grid(pairs, cfg)):
-        bound = norm_bound(l, p) if (p >= 2.0 and l >= 6) else None
+        bound = None if bound_range_problem(l, p) else norm_bound(l, p)
         asymptotic = _asymptotic(l, p, halves)
         norms.append(LpNormResult(
             l=l,
@@ -632,10 +632,8 @@ def lp_norm(spec: KernelSpec, p: float, cfg: QuadratureConfig = DEFAULT_CONFIG) 
 
 
 def _check_certifiable(l: int, p: float) -> None:
-    if l < 6:
-        raise PreconditionError(f"certification requires l >= 6, got {l}")
-    if p < 2.0:
-        raise PreconditionError(f"certification requires p >= 2, got {p}")
+    if problem := bound_range_problem(l, p):
+        raise PreconditionError(f"certification requires {problem}")
     # a NaN or too large exponent passes the test above
     _check_exponent(p)
 
@@ -755,17 +753,6 @@ def _hurwitz_zeta(p: float, q: np.ndarray, coeffs: tuple) -> np.ndarray:
     return s
 
 
-# a config's store of finished sinc-power integrals that holds more
-# exponents than this after a call is emptied
-_SINC_EXPONENTS_KEPT = 4096
-
-
-@lru_cache(maxsize=16)
-def _ball_halves(cfg: QuadratureConfig) -> dict:
-    """{p: ball_half(p, cfg)}: the store :func:`ball_half_grid` fills."""
-    return {}
-
-
 def ball_half_grid(ps, cfg: QuadratureConfig = DEFAULT_CONFIG) -> list:
     """integral_0^infty |sin u / u|^p du at every p of ``ps``: per exponent its value or its error.
 
@@ -777,36 +764,20 @@ def ball_half_grid(ps, cfg: QuadratureConfig = DEFAULT_CONFIG) -> list:
     An exponent outside (1, MAX_EXPONENT] gets a DomainError, and one whose
     integral does not converge a VerificationError.  Nothing is raised, so
     each caller raises the error of its first failing exponent in its own
-    order.  An exponent in the store of finished integrals
-    (:func:`_ball_halves`) is read from it; the others are integrated in one
-    batch (:func:`_sinc_power_halves`) and stored.
+    order.  The distinct exponents are integrated once each, together: the
+    head over 16 periods and the tail over four quarter periods are
+    adaptive integrals of each exponent's own integrands, with |sinc| at
+    the head's first-pass abscissae, and sin t and 16 + t/pi at the tail's,
+    evaluated once for all exponents.
     """
     asked = [
         float(p) if 1.0 < p <= MAX_EXPONENT
         else DomainError(f"sinc-power integral needs a finite p in (1, {MAX_EXPONENT:g}], got {p}")
         for p in ps
     ]
-    store = _ball_halves(cfg)
-    new = [p for p in dict.fromkeys(asked) if isinstance(p, float) and p not in store]
-    found = dict(zip(new, _sinc_power_halves(new, cfg)))
-    # an error stands for itself; an exponent is read from this call's results or the store
-    results = [p if isinstance(p, Exception) else found[p] if p in found else store[p] for p in asked]
-    store.update((p, v) for p, v in found.items() if isinstance(v, float))
-    if len(store) > _SINC_EXPONENTS_KEPT:
-        store.clear()
-    return results
-
-
-def _sinc_power_halves(ps: list, cfg: QuadratureConfig) -> list:
-    """ball_half at each of the distinct exponents ``ps`` in (1, MAX_EXPONENT], or its VerificationError.
-
-    The head over 16 periods and the tail over four quarter periods are
-    adaptive integrals of each exponent's own integrands, with
-    |sinc| at the head's first-pass abscissae, and sin t and 16 + t/pi at
-    the tail's, evaluated once for all exponents.
-    """
+    ps = [p for p in dict.fromkeys(asked) if isinstance(p, float)]
     if not ps:
-        return []
+        return asked
     periods = _intervals(np.arange(_HEAD_PERIODS + 1) * PI)
     quarters = _intervals(np.arange(5) * PI / 4.0)
     u = _pair_abscissae(periods[:, 0], periods[:, 1])
@@ -822,16 +793,14 @@ def _sinc_power_halves(ps: list, cfg: QuadratureConfig) -> list:
         [lambda t, f=f: f(np.sin(t), _HEAD_PERIODS + t / PI) for f in zeta_tails],
         cfg,
     )
-    results = []
-    for p, (head, head_err, ok1), (tail, tail_err, ok2) in zip(ps, heads, tails):
-        if ok1 and ok2:
-            results.append(head + tail)
-        else:
-            results.append(VerificationError(
-                f"sinc-power integral did not converge at p={p} "
-                f"(errors {head_err:.3e}, {tail_err:.3e})"
-            ))
-    return results
+    found = {
+        p: head + tail if ok1 and ok2 else VerificationError(
+            f"sinc-power integral did not converge at p={p} (errors {head_err:.3e}, {tail_err:.3e})"
+        )
+        for p, (head, head_err, ok1), (tail, tail_err, ok2) in zip(ps, heads, tails)
+    }
+    # an error stands for itself
+    return [p if isinstance(p, Exception) else found[p] for p in asked]
 
 
 def _zeta_tail(p: float):

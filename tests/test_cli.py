@@ -134,7 +134,7 @@ class TestEpiCommands:
     def test_epi_check_with_corpus(self, tmp_path):
         out = tmp_path / "epi.json"
         code = cli.main(
-            ["epi-check", "--random", "5", "--corpus", "--no-chain", "--out", str(out)]
+            ["epi-check", "--random", "5", "--corpus", "--out", str(out)]
         )
         assert code == 0
         payload = json.loads(out.read_text())
@@ -146,15 +146,13 @@ class TestEpiCommands:
         corpus = tmp_path / "corpus.json"
         save_instances(str(corpus), [random_instance(s) for s in range(3)])
         out = tmp_path / "epi.json"
-        code = cli.main(["epi-check", "--random", "2", "--instances", str(corpus),
-                         "--no-chain", "--out", str(out)])
+        code = cli.main(["epi-check", "--random", "2", "--instances", str(corpus), "--out", str(out)])
         assert code == 0
         assert len(json.loads(out.read_text())["records"]) == 5
 
     def test_epi_check_csv_stays_rectangular(self, tmp_path):
         out = tmp_path / "epi.csv"
-        assert cli.main(["epi-check", "--random", "4", "--no-chain",
-                         "--out", str(out)]) == 0
+        assert cli.main(["epi-check", "--random", "4", "--out", str(out)]) == 0
         _, header, records = read_csv(out)
         assert all(len(r) == len(header) for r in records)
         assert all(";" in r["l_indices"] or r["l_indices"].isdigit() for r in records)
@@ -397,7 +395,7 @@ COMMAND_DESTS = {
     **dict.fromkeys(("lebesgue", "certify", "asymptotic", "sweep"), _GRID_DESTS),
     "ball": {"p", "out", "format", "abs_tol", "rel_tol"},
     "np-verify": {"l", "out", "format"},
-    "epi-check": _BATCH_DESTS | {"corpus", "instances", "no_chain"},
+    "epi-check": _BATCH_DESTS | {"corpus", "instances"},
     "rogozin": _BATCH_DESTS,
     "suite": {"out", "format"},
     "plot-data": {"l", "resolution", "out"},
@@ -409,6 +407,7 @@ DROPPED_FLAGS = [
     ("ball", "--p 2", "--seed"),
     *(("np-verify", "--l 6", flag) for flag in ("--seed", "--abs-tol", "--rel-tol")),
     *((cmd, "--random 1", flag) for cmd in ("epi-check", "rogozin") for flag in ("--abs-tol", "--rel-tol")),
+    ("epi-check", "--random 1", "--no-chain"),
     *(("suite", "", flag) for flag in ("--seed", "--abs-tol", "--rel-tol")),
     *(("plot-data", "--l 8", flag) for flag in ("--format", "--seed", "--abs-tol", "--rel-tol")),
 ]
@@ -423,7 +422,7 @@ class TestFlagSets:
             for name, p in sub.choices.items()
         }
         assert got == COMMAND_DESTS
-        assert sum(map(len, got.values())) == 56
+        assert sum(map(len, got.values())) == 55
 
     @pytest.mark.parametrize(
         "command, required, flag", DROPPED_FLAGS, ids=[f"{c}{f}" for c, _, f in DROPPED_FLAGS]

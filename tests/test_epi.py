@@ -746,9 +746,6 @@ class TestCheckEpis:
     def test_batch_reports_match_one_at_a_time(self):
         instances = [*random_instances(range(300)), *handcrafted_corpus()]
         assert check_epis(instances) == [check_epi(inst) for inst in instances]
-        assert check_epis(instances, with_chain=False) == [
-            check_epi(inst, with_chain=False) for inst in instances
-        ]
 
     def test_runs_no_quadrature(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -776,7 +773,6 @@ class TestCheckEpis:
         with pytest.raises(VerificationError) as batch:
             check_epis(instances)
         assert str(batch.value) == str(alone.value)
-        assert len(check_epis(instances, with_chain=False)) == len(instances)
 
     def test_first_failing_instance_raises_its_own_error(self, monkeypatch):
         instances = [make_instance([uniform(4), uniform(5)]), *random_instances(range(5))]

@@ -353,7 +353,7 @@ class TestBallIntegral:
         assert ball_half(p) == pytest.approx(mpmath_ball_half(p), rel=1e-10, abs=0.0)
 
     def test_head_nodes_evaluated_once_per_exponent(self, monkeypatch):
-        # the head is one adaptive_integral per exponent and config; a repeat reads the result cache
+        # the head nodes are evaluated once per call: no call reads another's integrals
         periods = _intervals(np.arange(HEAD_PERIODS + 1) * PI)
         head_nodes = quadrature._pair_abscissae(periods[:, 0], periods[:, 1])
         builds = []
@@ -368,7 +368,7 @@ class TestBallIntegral:
         for p in (1.01, 2.0, 2.5, 7.3, 130.0, 2.0):
             ball_half(p)
         ball_half(3.0, QuadratureConfig(abs_tol=1e-14))
-        assert builds.count(True) == 6
+        assert builds.count(True) == 7
 
     def test_cached_heads_match_uncached_heads_over_p(self):
         clear_caches()
@@ -475,7 +475,7 @@ class TestSincBatch:
             alone[p] = ball_half(p, cfg).hex()
         clear_caches()
         assert [v.hex() for v in quadrature.ball_half_grid(ps, cfg)] == [alone[p] for p in ps]
-        # a second batch reads the store, whatever it is mixed with
+        # a second batch integrates them again, to the same bits, whatever it is mixed with
         assert [v.hex() for v in quadrature.ball_half_grid(ps[::-1] + [3.0], cfg)][:-1] == [alone[p] for p in ps[::-1]]
 
     def test_norm_grid_evaluates_the_head_nodes_once(self, monkeypatch):
