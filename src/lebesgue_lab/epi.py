@@ -31,7 +31,8 @@ Either way a seed stops at its first law that fails, and
 :func:`random_instance` is a batch of one.  Every value is bit-identical to
 generating one instance at a time, and the first seed that fails raises the
 error it raises alone.  :func:`check_epis` checks the instances one by one;
-no quadrature runs on its path.
+no quadrature runs on its path, and it reads each maximum, a law's or a
+sum's, as it was measured when that law's weights were validated.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .kernel import BOUND_MIN_EXPONENT, BOUND_MIN_LENGTH
 from .pmf import (
     Pmf,
     convolve_many,
-    entropy_summary,
     l_index,
     l_indices_from_max,
     uniform,
@@ -173,7 +173,8 @@ def decide_chain(ls) -> tuple[int, int]:
     ls = tuple(int(l) for l in ls)
     if min(ls) < BOUND_MIN_LENGTH:
         raise PreconditionError(f"chain requires every index >= {BOUND_MIN_LENGTH}, got {ls}")
-    holder_exponents(ls)
+    if not _is_split(ls):
+        holder_exponents(ls)  # raises, naming the smallest exponent
     top, lmin = uniform_max(ls), min(ls)
     lhs = top * top * (lmin * lmin - 1) * sum(l * l for l in ls)
     rhs = 2 * lmin * lmin * math.prod(ls) ** 2
@@ -215,9 +216,8 @@ def check_epi(instance: EpiInstance) -> EpiReport:
     assertion.  An asserted split-case instance has its bound chain decided
     exactly (:func:`decide_chain`), and its ends are the report's ``chain``.
     """
-    s = convolve_many(instance.pmfs)
-    lhs = entropy_summary(s).N_inf
-    sum_n = sum(entropy_summary(f).N_inf for f in instance.pmfs)
+    lhs = convolve_many(instance.pmfs).max_weight ** -2
+    sum_n = sum(f.max_weight ** -2 for f in instance.pmfs)
     lmin = instance.l_min
     rhs_general = 0.5 * (lmin - 1) / (lmin + 1) * sum_n
     rhs_exact = 0.5 * (lmin * lmin - 1) / (lmin * lmin) * sum_n if _all_exact_index(instance) else None
@@ -271,17 +271,15 @@ def _fit_max_into(weights: np.ndarray, target: float) -> np.ndarray:
     return w
 
 
-def _saturations(top: list, tail: list, target: float, n: int) -> tuple:
+def _saturations(k: int, target: float, n: int) -> tuple:
     """(k, None) for n weights that saturate k, or (0, why they fail).
 
-    ``top[j]`` is the (j + 1)-th largest weight and ``tail[j - 1]`` the sum
-    of all but the j largest, for j up to ``min(_MAX_SATURATIONS, n - 1)``.
+    ``k`` is where the saturation test first holds: the least j in
+    1..min(_MAX_SATURATIONS, n - 1) with ``top[j] * ((1 - target j) /
+    tail[j - 1]) <= target``, or n if there is none, where ``top[j]`` is
+    the (j + 1)-th largest weight and ``tail[j - 1]`` the sum of all but the
+    j largest.
     """
-    k = n
-    for j in range(1, min(_MAX_SATURATIONS, n - 1) + 1):
-        if top[j] * ((1.0 - target * j) / tail[j - 1]) <= target:
-            k = j
-            break
     if k > _MAX_SATURATIONS:
         return 0, f"max adjustment did not settle in {_MAX_SATURATIONS} rounds"
     free_mass = 1.0 - target * k
@@ -299,7 +297,8 @@ def _fill(w: np.ndarray, target: float) -> str | None:
     time and rescaling the rest never reorders them, so with the values
     sorted once the saturation count k is the least k >= 1 with
     ``w[k] * (1 - k target) / sum(w[k:]) <= target`` (w descending, its
-    tail sums accumulated from the smallest value up; :func:`_saturations`):
+    tail sums accumulated from the smallest value up; a loop on Python
+    floats, then :func:`_saturations`):
     the top k weights become ``target`` and the others are rescaled once to
     the remaining mass, by the same sum and product as one round of the
     one-at-a-time form (so a single saturation gives its weights bit for
@@ -317,8 +316,9 @@ def _fill(w: np.ndarray, target: float) -> str | None:
     m = min(_MAX_SATURATIONS, n - 1)
     # entry j of top is the (j + 1)-th largest value; entry j - 1 of tail
     # is the sum of all but the j largest
-    top = ascending[: -m - 2 : -1].tolist()
-    k, problem = _saturations(top, np.add.accumulate(ascending)[-2 : -m - 2 : -1].tolist(), target, n)
+    top, tail = ascending[: -m - 2 : -1].tolist(), np.add.accumulate(ascending)[-2 : -m - 2 : -1].tolist()
+    k = next((j for j in range(1, m + 1) if top[j] * ((1.0 - target * j) / tail[j - 1]) <= target), n)
+    k, problem = _saturations(k, target, n)
     if problem is not None:
         return problem
     # the cut, the k-th largest value, saturates with every value above it,
@@ -347,32 +347,36 @@ def _water_fill(rows: np.ndarray, sizes: list, targets: list) -> list:
     with the cut, the rescaling) run on all rows at once.  The zeros after a
     row's weights sort first and add exactly 0.0 to its running sums, so in
     every row the (j + 1)-th largest value and the tail sum through it sit
-    at column j from the end.  The decision per row reads a few of those
-    values (:func:`_saturations`), so it runs on Python floats.  The sums
-    that normalise a row and rescale its free weights are ``ndarray.sum``
-    of that row's own values, taken row by row: numpy sums pairwise, in an
-    order fixed by the count of values, so a padded row would not sum as
-    its weights alone.
+    at column j from the end.  :func:`_fill`'s saturation test runs on
+    every row and j at once, each entry by the same float operations.  The
+    sums that normalise a row and rescale its free weights are
+    ``ndarray.sum`` of that row's own values, taken row by row: numpy sums
+    pairwise, in an order fixed by the count of values, so a padded row
+    would not sum as its weights alone.
     """
     width = rows.shape[1]
-    for row, n in zip(rows, sizes):
-        row /= np.add.reduce(row[:n])  # ndarray.sum of the row's own weights; its zeros stay 0
+    # ndarray.sum of each row's own weights, then one division; the zeros stay 0
+    rows /= np.array([np.add.reduce(row[:n]) for row, n in zip(rows, sizes)])[:, None]
     ascending = np.sort(rows, axis=1)
     m = min(_MAX_SATURATIONS, width - 1)
-    # entry j of a row's tops is its (j + 1)-th largest value; entry j - 1
-    # of its tails is the sum of all but its j largest
-    tops = ascending[:, : -m - 2 : -1].tolist()
-    tails = np.add.accumulate(ascending, axis=1)[:, -2 : -m - 2 : -1].tolist()
-    # per row: the cut (a failed row saturates nothing), the count of
-    # saturated weights, and the factor of the free ones
+    # column j - 1: each row's (j + 1)-th largest value and the sum of all
+    # but its j largest, for j = 1..m; a row of n weights tests j < n only
+    # (its tails beyond are 0, so 1.0 stands in for them)
+    j = np.arange(1, m + 1)
+    inside, t = j < np.array(sizes)[:, None], np.array(targets)[:, None]
+    tails = np.where(inside, np.add.accumulate(ascending, axis=1)[:, -2 : -m - 2 : -1], 1.0)
+    settles = inside & (ascending[:, -2 : -m - 2 : -1] * ((1.0 - t * j) / tails) <= t)
+    firsts = np.where(settles.any(axis=1), settles.argmax(axis=1) + 1, sizes).tolist()
+    # per row: the cut, the k-th largest value (a failed row saturates
+    # nothing), the count k of saturated weights, and the factor of the free ones
     cuts, counts, scales, problems, split = [], [], [], [], []
-    for i, (top, tail, target, n) in enumerate(zip(tops, tails, targets, sizes)):
-        k, problem = _saturations(top, tail, target, n)
+    for i, (k, target, n) in enumerate(zip(firsts, targets, sizes)):
+        k, problem = _saturations(k, target, n)
         problems.append(problem)
         if problem is None:
-            cuts.append(top[k - 1])
+            cuts.append(ascending[i, width - k])
             scales.append(1.0 - target * k)
-            if k < n and top[k] == top[k - 1]:
+            if k < n and ascending[i, width - k - 1] == cuts[-1]:
                 split.append(i)
         else:
             cuts.append(math.inf)
@@ -523,12 +527,13 @@ def _law(rng, l: int) -> Pmf:
     offset = int(rng.integers(-5, 6))
     if problem is not None:
         raise GenerationError(problem)
-    if (problem := weight_problems(w[None], [len(w)])[0]) is not None:
+    (problem,), (m,) = weight_problems(w[None], [len(w)])
+    if problem is not None:
         raise DomainError(problem)
-    if (index := l_indices_from_max([float(w.max())])[0]) != l:
+    if (index := l_indices_from_max([m])[0]) != l:
         raise GenerationError(f"generated law landed at index {index}, wanted {l}")
     w.setflags(write=False)
-    return Pmf._checked(offset, w)
+    return Pmf._checked(offset, w, m)
 
 
 def _wave(rngs: list, ls: list) -> list:
@@ -559,23 +564,21 @@ def _wave(rngs: list, ls: list) -> list:
     for i, problem in zip(fit, fit_problems if fit else ()):
         if problem is not None:
             outcomes[i] = GenerationError(problem)
+    maxima = [None] * len(ls)
+    if checked := [i for i, outcome in enumerate(outcomes) if outcome is None]:
+        checked_rows = rows if len(checked) == len(ls) else rows[checked]
+        for i, problem, m in zip(checked, *weight_problems(checked_rows, [sizes[i] for i in checked])):
+            if problem is None:
+                maxima[i] = m
+            else:
+                outcomes[i] = DomainError(problem)
     checked = [i for i, outcome in enumerate(outcomes) if outcome is None]
-    if len(checked) == len(ls):
-        verdicts = weight_problems(rows, sizes)
-    else:
-        verdicts = weight_problems(rows[checked], [sizes[i] for i in checked]) if checked else ()
-    for i, problem in zip(checked, verdicts):
-        if problem is not None:
-            outcomes[i] = DomainError(problem)
-    checked = [i for i, outcome in enumerate(outcomes) if outcome is None]
-    if checked:
-        maxima = rows.max(axis=1).tolist()
-        for i, index in zip(checked, l_indices_from_max([maxima[i] for i in checked])):
-            if index != ls[i]:
-                outcomes[i] = GenerationError(f"generated law landed at index {index}, wanted {ls[i]}")
+    for i, index in zip(checked, l_indices_from_max([maxima[i] for i in checked])):
+        if index != ls[i]:
+            outcomes[i] = GenerationError(f"generated law landed at index {index}, wanted {ls[i]}")
     rows.setflags(write=False)  # law i is a read-only slice of row i
     return [
-        Pmf._checked(offsets[i], rows[i, : sizes[i]]) if outcome is None else outcome
+        Pmf._checked(offsets[i], rows[i, : sizes[i]], maxima[i]) if outcome is None else outcome
         for i, outcome in enumerate(outcomes)
     ]
 

@@ -565,11 +565,11 @@ def check_derivative_bounds_many(spec: KernelSpec, ys) -> list[SlopeBoundCheck]:
     in a loop of single checks.
     """
     l = spec.l
+    if l < CENSUS_MIN_LENGTH:  # before an empty batch returns, so no length outside the range passes
+        raise PreconditionError(f"slope checks require l >= {CENSUS_MIN_LENGTH}, got {l}")
     ys = np.asarray(ys, dtype=float)
     if not len(ys):
         return []
-    if l < CENSUS_MIN_LENGTH:
-        raise PreconditionError(f"slope checks require l >= {CENSUS_MIN_LENGTH}, got {l}")
     # the rising segments' tops: the peaks of arches 1, 2, ..., falling with the arch
     tops = _segments(l)[_TOP, 0, 1::2]
     peaks = [*tops.tolist(), -math.inf]

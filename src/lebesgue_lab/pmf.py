@@ -2,7 +2,8 @@
 
 A :class:`Pmf` is an offset plus a finite weight vector with trimmed support.
 The quantities of interest are the maximum probability M, the max-order
-entropy H = -log M, and the entropy power N = M^(-2).  Convolution of
+entropy H = -log M, and the entropy power N = M^(-2); M is measured once,
+when the weights are validated (``Pmf.max_weight``).  Convolution of
 independent summands is exact: direct summation for small supports,
 one product of real FFTs beyond a size threshold, with both paths
 agreeing to float accuracy.
@@ -10,15 +11,16 @@ agreeing to float accuracy.
 Both paths run on numpy alone: the transform is ``numpy.fft``.
 
 :func:`weight_problems` runs Pmf's checks on many laws at once, each a row
-of a zero-padded array, and :func:`l_indices_from_max` their indices; a
-:class:`Pmf` checks its own weights with the same function.
+of a zero-padded array, and measures their maxima in the same pass;
+:func:`l_indices_from_max` gives their indices, and a :class:`Pmf` checks
+its own weights with the same function.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,40 +30,41 @@ MASS_TOL = 1e-12
 # products of support sizes up to this use plain summation; beyond it the FFT
 DIRECT_LIMIT = 2**16
 SUPPORT_CAP = 2**24
+# a sum transforms its factors in chunks whose spectra take at most this
+# many bytes (a chunk of one factor where one spectrum alone is larger)
+SPECTRA_BUDGET = 2**24
 
 
 @dataclass(frozen=True, eq=False)
 class Pmf:
-    """Integer-valued law: support starts at ``offset``, weights sum to 1."""
+    """Integer-valued law: support starts at ``offset``, weights sum to 1.
+
+    ``max_weight``, measured when the weights are validated, is ``float(weights.max())``.
+    """
 
     offset: int
     weights: np.ndarray
+    max_weight: float = field(init=False)
 
     def __post_init__(self):
         w = np.array(self.weights, dtype=float)
         if w.ndim != 1 or len(w) == 0:
             raise DomainError("weights must be a nonempty 1-D sequence")
-        (problem,) = weight_problems(w[None, :], [len(w)])
+        (problem,), (m,) = weight_problems(w[None, :], [len(w)])
         if problem is not None:
             raise DomainError(problem)
         w.setflags(write=False)
-        object.__setattr__(self, "offset", int(self.offset))
-        object.__setattr__(self, "weights", w)
+        self.__dict__.update(offset=int(self.offset), weights=w, max_weight=m)  # frozen: set past __setattr__
 
     @classmethod
-    def _checked(cls, offset: int, weights: np.ndarray) -> "Pmf":
-        """A law whose read-only 1-D weights already passed :func:`weight_problems`."""
+    def _checked(cls, offset: int, weights: np.ndarray, max_weight: float) -> "Pmf":
+        """A law whose read-only 1-D weights passed :func:`weight_problems`, with the maximum it measured."""
         f = object.__new__(cls)
-        object.__setattr__(f, "offset", int(offset))
-        object.__setattr__(f, "weights", weights)
+        f.__dict__.update(offset=int(offset), weights=weights, max_weight=max_weight)
         return f
 
     def __len__(self) -> int:
         return len(self.weights)
-
-    @property
-    def max_weight(self) -> float:
-        return float(self.weights.max())
 
     def to_json_dict(self) -> dict:
         return {"offset": self.offset, "weights": [float(v) for v in self.weights]}
@@ -71,8 +74,8 @@ class Pmf:
         return cls(offset=d["offset"], weights=np.asarray(d["weights"], dtype=float))
 
 
-def weight_problems(rows: np.ndarray, sizes) -> list:
-    """Why each row's weights are not a law, or None: :class:`Pmf`'s checks, a batch at once.
+def weight_problems(rows: np.ndarray, sizes) -> tuple[list, list]:
+    """Why each row's weights are not a law, or None, and each row's maximum: :class:`Pmf`'s checks, a batch at once.
 
     Row i holds its weights in its first ``sizes[i]`` (>= 1) entries and
     zeros after them.  The checks, in Pmf's order: finite, nonnegative,
@@ -80,9 +83,11 @@ def weight_problems(rows: np.ndarray, sizes) -> list:
     ``ndarray.sum`` gives.  Finiteness and sign are tested on all rows at
     once and looked at row by row only when one fails; the sum is taken
     row by row, since numpy sums pairwise in an order fixed by the count of
-    values, so a padded row would not sum as its weights alone.
+    values, so a padded row would not sum as its weights alone.  The
+    maxima are one pass over all rows, as Python floats.
     """
-    if rows.min() >= 0.0 and rows.max() < math.inf:  # a NaN fails both
+    maxima = rows.max(axis=1).tolist()
+    if rows.min() >= 0.0 and max(maxima) < math.inf:  # a NaN fails the first
         finite = negative = None
     else:
         finite = np.isfinite(rows).all(axis=1).tolist()
@@ -98,7 +103,7 @@ def weight_problems(rows: np.ndarray, sizes) -> list:
         else:
             total = np.add.reduce(row[:n])
             problems.append(f"weights sum to {total!r}, not 1" if abs(total - 1.0) > MASS_TOL else None)
-    return problems
+    return problems, maxima
 
 
 @dataclass(frozen=True)
@@ -228,10 +233,11 @@ def convolve_many(pmfs) -> Pmf:
     multiplied in (its weight is taken as exactly 1).  The other factors are
     summed directly with ``np.convolve``, in order, while the product of the
     running support and the next factor's is at most DIRECT_LIMIT; all the
-    rest go through one transform: the product of their real FFTs at one
-    5-smooth length, one inverse, round-off below zero clipped and the
-    weights renormalised once.  The result is validated once, and a total
-    support above SUPPORT_CAP is refused before any work.
+    rest go through one transform: their real FFTs at one 5-smooth length,
+    batched as zero-padded rows within SPECTRA_BUDGET and multiplied in
+    order, one inverse, round-off below zero clipped and the weights
+    renormalised once.  The result is validated once, and a total support
+    above SUPPORT_CAP is refused before any work.
 
     Sums that stay direct, and pairs, are bit-identical to folding
     :func:`convolve` over the laws as earlier versions did.  A sum with
@@ -243,12 +249,12 @@ def convolve_many(pmfs) -> Pmf:
     pmfs = list(pmfs)
     if not pmfs:
         raise DomainError("need at least one pmf")
-    out_len = sum(len(f) - 1 for f in pmfs) + 1
+    factors = [f.weights for f in pmfs if len(f.weights) > 1]
+    out_len = sum(map(len, factors)) - len(factors) + 1
     if out_len > SUPPORT_CAP:
         raise ConvolutionOverflowError(
             f"convolution support {out_len} exceeds cap {SUPPORT_CAP}"
         )
-    factors = [f.weights for f in pmfs if len(f) > 1]
     w = factors[0] if factors else np.ones(1)
     i = 1
     while i < len(factors) and len(w) * len(factors[i]) <= DIRECT_LIMIT:
@@ -256,9 +262,16 @@ def convolve_many(pmfs) -> Pmf:
         i += 1
     if i < len(factors):
         n = _next_fast_len(out_len)
-        spectrum = np.fft.rfft(w, n)
-        for f in factors[i:]:
-            spectrum *= np.fft.rfft(f, n)
+        rest = [w, *factors[i:]]
+        step = max(1, SPECTRA_BUDGET // (16 * (n // 2 + 1)))  # factors a chunk transforms at once
+        spectrum = None
+        for first in range(0, len(rest), step):
+            chunk = rest[first : first + step]
+            rows = np.zeros((len(chunk), n))
+            for row, f in zip(rows, chunk):
+                row[: len(f)] = f
+            for factor in np.fft.rfft(rows):  # multiplied in the factors' order
+                spectrum = factor if spectrum is None else np.multiply(spectrum, factor, out=spectrum)
         w = _clean_transform_weights(np.fft.irfft(spectrum, n)[:out_len])
     start = 0
     end = len(w)
@@ -267,8 +280,8 @@ def convolve_many(pmfs) -> Pmf:
     while w[end - 1] == 0.0:
         end -= 1
     w = w[start:end]
-    (problem,) = weight_problems(w[None], [len(w)])
+    (problem,), (m,) = weight_problems(w[None], [len(w)])
     if problem is not None:
         raise DomainError(problem)
     w.setflags(write=False)
-    return Pmf._checked(sum(f.offset for f in pmfs) + start, w)
+    return Pmf._checked(sum(f.offset for f in pmfs) + start, w, m)

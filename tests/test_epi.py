@@ -33,7 +33,7 @@ from lebesgue_lab.epi import (
 from lebesgue_lab.errors import DomainError, GenerationError, PreconditionError, VerificationError
 from lebesgue_lab.pmf import Pmf, convolve_many, entropy_summary, l_index, uniform
 from lebesgue_lab.quadrature import integrate_kernel_power_grid, norm_bound
-from test_pmf import uniform_counts
+from test_pmf import stored_max_is_exact, uniform_counts
 from test_quadrature import quadrature_product_l1
 
 
@@ -740,6 +740,64 @@ class TestBatchGeneration:
             except PreconditionError:
                 outcomes.append(1)
         assert set(outcomes) == {1, 2}
+
+
+class MaximumSpy(np.ndarray):
+    """Weights that log every maximum taken over them: ``ndarray.max``, ``np.max`` and ``np.maximum.reduce``."""
+
+    scans = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.maximum and method != "__call__":
+            MaximumSpy.scans.append(method)
+        plain = tuple(x.view(np.ndarray) if isinstance(x, MaximumSpy) else x for x in inputs)
+        return getattr(ufunc, method)(*plain, **kwargs)
+
+
+def generated(block, l_range, seeds):
+    """Every instance of ``seeds`` that generates, in blocks of ``block`` seeds (1: law by law, else in waves)."""
+    out = []
+    for start in range(0, len(seeds), block):
+        part = seeds[start : start + block]
+        if block == 1:
+            try:
+                outcomes = [epi._instance(part[0], epi.DEFAULT_N_RANGE, l_range)]
+            except GenerationError:
+                outcomes = []
+        else:
+            outcomes = epi._instance_block(part, epi.DEFAULT_N_RANGE, l_range)
+        out += [o for o in outcomes if isinstance(o, epi.EpiInstance)]
+    return out
+
+
+class TestStoredMaximum:
+    """Every law and sum the battery builds carries its weights' maximum, measured once."""
+
+    @pytest.mark.parametrize("l_range", [(6, 30), (100, 300)], ids=["l6-30", "l100-300"])
+    @pytest.mark.parametrize("block", [1, 40])
+    def test_generated_laws_and_their_sums(self, block, l_range):
+        instances = generated(block, l_range, list(range(80)))
+        assert len(instances) >= 20
+        for inst in instances:
+            for f in (*inst.pmfs, convolve_many(inst.pmfs)):
+                stored_max_is_exact(f)
+
+    def test_corpus_laws_and_their_sums(self):
+        for inst in handcrafted_corpus():
+            for f in (*inst.pmfs, convolve_many(inst.pmfs)):
+                stored_max_is_exact(f)
+
+    def test_the_checks_scan_no_law_for_its_maximum(self):
+        wide = generated(40, (100, 300), list(range(20)))[:3]  # sums through the transform
+        instances = [*random_instances(range(40)), *handcrafted_corpus(), *wide]
+        spied = [make_instance([Pmf._checked(f.offset, f.weights.view(MaximumSpy), f.max_weight) for f in inst.pmfs])
+                 for inst in instances]
+        MaximumSpy.scans.clear()
+        reports, checks = check_epis(spied), [check_rogozin(inst) for inst in spied]
+        assert MaximumSpy.scans == []
+        assert reports == check_epis(instances) and checks == [check_rogozin(inst) for inst in instances]
+        spied[0].pmfs[0].weights.max()  # the spy sees a scan
+        assert MaximumSpy.scans == ["reduce"]
 
 
 class TestCheckEpis:

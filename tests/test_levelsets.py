@@ -35,6 +35,7 @@ from lebesgue_lab.levelsets import (
     _START_LEVEL_FLOOR,
     _START_STEPS,
     _TOP,
+    CENSUS_MIN_LENGTH,
     PEAK_EXCLUSION,
     BumpProfile,
     _measures,
@@ -1027,6 +1028,10 @@ class TestSlopeBoundBatch:
 
     def test_empty_batch(self):
         assert check_derivative_bounds_many(KernelSpec(8), []) == []
+
+    def test_empty_batch_below_the_census_range_raises(self):
+        with pytest.raises(PreconditionError, match=rf"^slope checks require l >= {CENSUS_MIN_LENGTH}, got 5$"):
+            check_derivative_bounds_many(KernelSpec(5), [])
 
     def mid_band(self, spec):
         bottom, top = band_edges(spec)[0]

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lebesgue_lab import pmf
 from lebesgue_lab.errors import ConvolutionOverflowError, DomainError
 from lebesgue_lab.pmf import (
     DIRECT_LIMIT,
@@ -76,15 +77,15 @@ class TestPmfValidation:
         rows = np.zeros((len(laws), 4))
         for row, w in zip(rows, laws):
             row[: len(w)] = w
-        got = weight_problems(rows, [len(w) for w in laws])
-        for w, problem in zip(laws, got):
+        got, maxima = weight_problems(rows, [len(w) for w in laws])
+        for w, problem, m in zip(laws, got, maxima):
             try:
-                Pmf(0, np.array(w))
+                assert Pmf(0, np.array(w)).max_weight == m, w
                 assert problem is None, w
             except DomainError as exc:
                 assert str(exc) == problem, w
         assert got[0] is None and got[-1] is None and got[-2] is None
-        assert weight_problems(rows[:1], [2]) == [None]
+        assert weight_problems(rows[:1], [2]) == ([None], [0.5])
 
 
 class TestUniform:
@@ -614,6 +615,88 @@ class TestDeferredScipy:
         exact = uniform_counts(ls) / math.prod(ls)
         bound = TestConvolveMany.UNIFORM_BOUND * np.finfo(float).eps * exact.max()
         assert np.abs(np.asarray(got["weights"]) - exact).max() <= bound
+
+
+def stored_max_is_exact(f):
+    """``f.max_weight`` is the float ``weights.max()`` gives, bit for bit."""
+    assert type(f.max_weight) is float
+    assert f.max_weight.hex() == float(f.weights.max()).hex(), (f.max_weight, f.weights.max())
+
+
+def one_transform_per_factor(laws):
+    """Oracle: the weights of a transformed sum with one ``rfft`` call per factor, as earlier versions did."""
+    factors = [f.weights for f in laws]
+    out_len = sum(map(len, factors)) - len(factors) + 1
+    n = _next_fast_len(out_len)
+    spectrum = np.fft.rfft(factors[0], n)
+    for w in factors[1:]:
+        spectrum *= np.fft.rfft(w, n)
+    return _clean_transform_weights(np.fft.irfft(spectrum, n)[:out_len])
+
+
+class TestStoredMaximum:
+    """A law's maximum is measured once, when its weights are validated."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(positive_weight_lists, st.integers(min_value=-20, max_value=20), st.integers(min_value=1, max_value=40))
+    def test_laws_and_direct_sums(self, raw, offset, l):
+        w = np.array(raw)
+        f = Pmf(offset, w / w.sum())
+        for law in (f, Pmf.from_json_dict(f.to_json_dict()), uniform(l)):
+            stored_max_is_exact(law)
+        # direct sums, a point mass that only shifts, and point masses alone
+        for laws in ([f, uniform(l)], [f, f, f], [uniform(1), f], [f, uniform(1), uniform(l)], [uniform(1)] * 2):
+            stored_max_is_exact(convolve_many(laws))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=2, max_value=4))
+    def test_transformed_sums(self, seed, count):
+        rng = np.random.default_rng(seed)
+        laws = [random_pmf(rng, int(n)) for n in rng.integers(257, 700, size=count)]
+        assert len(laws[0]) * len(laws[1]) > DIRECT_LIMIT
+        stored_max_is_exact(convolve_many(laws))
+        stored_max_is_exact(convolve_many([laws[0], uniform(1), *laws[1:]]))
+
+    def test_weight_problems_measures_each_row(self):
+        rng = np.random.default_rng(83)
+        laws = [random_pmf(rng, int(n)) for n in rng.integers(1, 50, size=30)]
+        rows = np.zeros((len(laws), 51))
+        for row, f in zip(rows, laws):
+            row[: len(f)] = f.weights
+        problems, maxima = weight_problems(rows, [len(f) for f in laws])
+        assert problems == [None] * len(laws)
+        assert [m.hex() for m in maxima] == [f.max_weight.hex() for f in laws]
+
+    def test_max_weight_is_stored_not_computed(self):
+        assert "max_weight" in vars(uniform(5))
+        assert not isinstance(vars(Pmf).get("max_weight"), property)
+
+
+class TestBatchedTransform:
+    """The transformed factors of a sum go through one batched ``rfft`` per chunk."""
+
+    def test_equals_one_transform_per_factor(self):
+        rng = np.random.default_rng(89)
+        for _ in range(40):
+            laws = [random_pmf(rng, int(n)) for n in rng.integers(260, 900, size=rng.integers(2, 6))]
+            assert len(laws[0]) * len(laws[1]) > DIRECT_LIMIT
+            expected = one_transform_per_factor(laws)
+            start = int(np.flatnonzero(expected)[0])
+            got = convolve_many(laws)
+            assert got.weights.tobytes() == np.trim_zeros(expected).tobytes()
+            assert got.offset == sum(f.offset for f in laws) + start
+
+    @pytest.mark.parametrize("budget", [1, 70_000])
+    def test_chunks_give_the_weights_of_one_batch(self, monkeypatch, budget):
+        # one byte transforms one factor at a time; 70 kB holds two spectra of
+        # these sums (5-smooth lengths near 3,000 to 4,000), so five take three chunks
+        rng = np.random.default_rng(97)
+        sums = [[random_pmf(rng, int(n)) for n in rng.integers(600, 800, size=5)] for _ in range(6)]
+        whole = [convolve_many(laws) for laws in sums]
+        monkeypatch.setattr(pmf, "SPECTRA_BUDGET", budget)
+        for laws, expected in zip(sums, whole):
+            got = convolve_many(laws)
+            assert (got.offset, got.weights.tobytes()) == (expected.offset, expected.weights.tobytes())
 
 
 class TestSerialization:
