@@ -441,15 +441,15 @@ def random_instance(seed: int, n_range=DEFAULT_N_RANGE, l_range=DEFAULT_L_RANGE)
 
 
 def _seeded(seed: int, n_range, l_range) -> tuple:
-    """A seed's generator and its indices: it draws n, then the n indices.
+    """A seed's generator and its indices: it draws n, then the n indices in one call.
 
     A negative seed raises DomainError (numpy's own error would not name it).
     """
     if seed < 0:
         raise DomainError(f"seed {seed} is negative; seeds must be >= 0")
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(n_range[0], n_range[1] + 1))
-    return rng, [int(rng.integers(l_range[0], l_range[1] + 1)) for _ in range(n)]
+    n = rng.integers(n_range[0], n_range[1] + 1)
+    return rng, rng.integers(l_range[0], l_range[1] + 1, size=n).tolist()
 
 
 def _instance(seed: int, n_range, l_range) -> EpiInstance:

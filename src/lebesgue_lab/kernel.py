@@ -137,7 +137,10 @@ def kernel_values(l: int, x: np.ndarray) -> np.ndarray:
     """Vectorized g(x) without domain checks (callers guarantee x in [0, 1/2]).
 
     The numerator argument is reduced modulo the period before the multiply
-    by pi, so l*x never feeds a huge argument into sin; near the origin the
+    by pi, so l*x never feeds a huge argument into sin, but after l*x is
+    rounded: g jitters by about g' times an ulp of x, at the float Gauss nodes
+    up to 1.9e-11 relative at l = 1000 and 2.5e-9 at l = 100001 against
+    mpmath, as refine rounds and level sets carry it.  Near the origin the
     quotient is formed from truncated sinc series instead of 0/0.  Without
     such points the closed form is returned as computed, with no masking.
     ``l`` is one length or an array of lengths shaped like ``x``, one per

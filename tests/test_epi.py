@@ -653,6 +653,18 @@ class TestBatchGeneration:
             assert instance.seed == seed
             assert _laws(instance) == _laws(scalar_random_instance(seed)), seed
 
+    @pytest.mark.parametrize("l_range", [epi.DEFAULT_L_RANGE, (100, 300)], ids=["l6-30", "l100-300"])
+    def test_indices_are_drawn_as_one_draw_each(self, l_range):
+        # one call of size n draws the n indices that n scalar calls would, and
+        # leaves the generator where they would
+        lo, hi = epi.DEFAULT_N_RANGE
+        for seed in range(10_000):
+            rng, ls = epi._seeded(seed, epi.DEFAULT_N_RANGE, l_range)
+            oracle = np.random.default_rng(seed)
+            n = int(oracle.integers(lo, hi + 1))
+            assert ls == [int(oracle.integers(l_range[0], l_range[1] + 1)) for _ in range(n)], seed
+            assert all(type(l) is int for l in ls) and rng.random() == oracle.random(), seed
+
     def test_wide_failures_match_the_scalar_oracle(self):
         # at l in 100..300 most seeds fail: the same seeds, with the same messages
         seeds = range(400)
