@@ -18,7 +18,9 @@ flat top of arch 0, from the osculating Gaussian with its x^4 correction),
 so a root takes 3-4 rounds (3.8 on average, and a level's block of roots
 4-6, on the benchmark's census levels), each round evaluating g and g'
 together from one set of sines (``kernel.kernel_values_and_slopes``); and
-y0, as the root of D below.  Every per-level quantity comes
+y0, as the root of D below.  A block of at most ``_ROW_ROUNDS_MAX`` rows
+keeps its rounds' bookkeeping on Python floats, a larger one on arrays,
+with the same IEEE operations and so the same bits.  Every per-level quantity comes
 from one solve of a batch of levels (``_solve_levels``), each level reading
 its length's row of one padded stack of those tables (``_stack``), and a
 level's roots are bit-identical in any batch.  With F the truncated
@@ -173,9 +175,15 @@ def _stack(ls) -> np.ndarray:
     return table
 
 
-# hard cap on Newton rounds per root: even pure bisection narrows the widest
-# bracket (1/6) to a few ulps within it
+# hard cap on Newton rounds per root, which returns x unconverged: the worst
+# rows measured, levels within 1e-15 of 1 at l = 2 with roots near 1e-8, whose
+# ulps are 1e-24, bisect for 49 rounds (tests pin the margin)
 _MAX_ROUNDS = 60
+# a Newton block of at most this many rows keeps its bookkeeping on Python
+# floats, where numpy's per-call cost outweighs the arithmetic: one level's
+# crossings solved x1.27 faster at 18 rows, x1.09 at 34, x1.00 at 41, x0.90 at
+# 50 and x0.40 at 297 (2 shared vCPUs, Python 3.11, numpy 2.4)
+_ROW_ROUNDS_MAX = 40
 # rows solved together; bounds the temporaries of a large batch of levels
 _BLOCK_ROWS = 4096
 _STRADDLE_CELLS = 8 * _BLOCK_ROWS  # tops gathered per pass of the straddle test; bounds its memory
@@ -232,7 +240,11 @@ def _newton(evaluate, x, lo, hi, *rows, step_tol=None) -> np.ndarray:
     arrays that ``evaluate`` reads; a round works on the unfinished rows'
     own arrays, compacted only on a round where some row finishes, so no
     row's result depends on another's, and no round runs without a row.
+    A block of at most ``_ROW_ROUNDS_MAX`` rows runs ``_newton_rows``, with
+    the same IEEE operations on Python floats, so the same bits.
     """
+    if len(x) <= _ROW_ROUNDS_MAX:
+        return _newton_rows(evaluate, x, lo, hi, rows, step_tol)
     lo, hi = lo.copy(), hi.copy()
     out = np.empty(len(x))
     index = np.arange(len(x))
@@ -255,6 +267,43 @@ def _newton(evaluate, x, lo, hi, *rows, step_tol=None) -> np.ndarray:
             if np.count_nonzero(going) < len(index):
                 out[index] = x
                 index, x, lo, hi, *rows = (v[going] for v in (index, x, lo, hi, *rows))
+    out[index] = x
+    return out
+
+
+def _newton_rows(evaluate, x, lo, hi, rows, step_tol) -> np.ndarray:
+    """``_newton``'s rounds with one ``evaluate`` call each and the rest on Python floats.
+
+    Each line is the array round's for one row.  A zero slope's step is
+    inf: numpy's d/0 is +-inf or NaN, and each bisects (or keeps x where
+    d == 0).  np.spacing(x) is math.ulp(x), negated for x < 0 (x stays
+    finite, inside its bracket), and NaN compares false in both.
+    """
+    out, index = np.empty(len(x)), np.arange(len(x))
+    x, lo, hi = x.tolist(), lo.tolist(), hi.tolist()
+    ulp, inf = math.ulp, math.inf
+    for _ in range(_MAX_ROUNDS):
+        if not x:
+            return out
+        d, slope = evaluate(np.array(x), *rows)
+        going = []
+        for k, xk, dk, sk in zip(range(len(x)), x, d.tolist(), slope.tolist()):
+            a, b = lo[k], hi[k]
+            if dk <= 0.0:
+                lo[k] = a = xk
+            elif dk > 0.0:
+                hi[k] = b = xk
+            newton = xk - dk / sk if sk else inf
+            tol = (-2.0 * ulp(xk) if xk < 0.0 else 2.0 * ulp(xk)) if step_tol is None else step_tol
+            if not (a <= newton <= b if abs(newton - xk) <= tol else a < newton < b):
+                newton = 0.5 * (a + b)
+            x[k] = xn = xk if dk == 0.0 else newton
+            going.append(abs(xn - xk) > tol)
+        if not all(going):
+            out[index] = x
+            mask = np.array(going)
+            index, *rows = (v[mask] for v in (index, *rows))
+            x, lo, hi = ([v for v, g in zip(u, going) if g] for u in (x, lo, hi))
     out[index] = x
     return out
 

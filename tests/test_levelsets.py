@@ -585,6 +585,125 @@ class TestNewtonRounds:
         assert len(set(sizes)) >= 5 and sizes == sorted(sizes, reverse=True)
 
 
+def in_each_layout(solve):
+    """solve() with every Newton block on arrays, then every block on Python floats."""
+    results = []
+    for rows_max in (0, 10**9):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(levelsets, "_ROW_ROUNDS_MAX", rows_max)
+            results.append(solve())
+    return results
+
+
+def hexes(values):
+    return [v.hex() for v in np.asarray(values, dtype=float).tolist()]
+
+
+@st.composite
+def length_and_band_level(draw):
+    """A length in 2..400 and a level between two of its peaks (1 and 0 included), or 1 - 10^U(-15, -3)."""
+    l = draw(st.integers(2, 400))
+    if draw(st.booleans()):
+        return l, 1.0 - 10.0 ** draw(st.floats(-15, -3))
+    edges = [1.0, *_segments(l)[_TOP, 0, 1::2].tolist(), 0.0]  # the peaks, falling with the arch
+    k = draw(st.integers(0, len(edges) - 2))
+    return l, draw(st.floats(edges[k + 1], edges[k], exclude_min=True, exclude_max=True))
+
+
+def linear_gap(x, root, scale, flat):
+    """(x - root) * scale and |scale|, or a zero slope where ``flat``: a ``_newton`` evaluator with known steps."""
+    return (x - root) * scale, np.where(flat, 0.0, np.abs(scale))
+
+
+class TestNewtonLayouts:
+    @given(st.lists(length_and_band_level(), min_size=1, max_size=8))
+    def test_crossings_across_the_bands_and_on_the_flat_top(self, cases):
+        y, seg = block_rows(cases)
+        arrays, rows = in_each_layout(lambda: hexes(_newton_block(y, seg)))
+        assert arrays == rows
+
+    @given(st.integers(4, 400))
+    def test_arch_peaks(self, l):
+        arrays, rows = in_each_layout(lambda: _segments.__wrapped__(l).tobytes())
+        assert arrays == rows
+
+    @settings(max_examples=20)
+    @given(st.lists(st.integers(2, 400), min_size=1, max_size=6))
+    def test_y0_steps(self, ls):
+        # y0's rows step on D by _crossing_gap, stopped at step_tol
+        specs = [KernelSpec(l) for l in ls]
+        reports = in_each_layout(lambda: [hexed_fields(dataclasses.astuple(r)) for r in detect_sign_changes(specs)])
+        assert reports[0] == reports[1]
+
+    def test_targeted_rows(self):
+        # (x, lo, hi, root, scale, flat): d == 0 at the start; a step of 1 ulp
+        # onto hi, kept by the closed bracket where bisection would round to x;
+        # a long step onto lo, which bisects; a zero slope, which bisects onto
+        # the root, where d == 0 and d / |d'| is 0/0; a NaN value, which moves
+        # no bracket end and bisects; and x < 0, whose negative tolerance (2
+        # np.spacing(x)) no step meets, so the row runs every round
+        hi = math.nextafter(0.375, 1.0)
+        table = np.array([
+            (0.3, 0.2, 0.4, 0.3, 1.0, False),
+            (0.375, 0.125, hi, hi, 1.0, False),
+            (0.25, 0.0, 0.5, 0.0, 1.0, False),
+            (0.3, 0.1, 0.5, 0.2, 1.0, True),
+            (0.25, 0.1, 0.5, 0.2, math.nan, False),
+            (-0.3, -0.5, -0.1, -0.2, 1.0, False),
+        ]).T
+        x, lo, hi_, root, scale, flat = table
+        flat = flat == 1.0
+
+        def solve(part):
+            rounds = []
+            roots = _newton(lambda x, *rows: rounds.append(len(x)) or linear_gap(x, *rows),
+                            x[part], lo[part], hi_[part], root[part], scale[part], flat[part])
+            return hexes(roots), len(rounds)
+
+        def solves():
+            return solve(slice(None)), [solve([k]) for k in range(len(x))]
+
+        arrays, rows = in_each_layout(solves)
+        assert arrays == rows
+        (together, _), alone = arrays
+        assert together == [h for hs, _ in alone for h in hs]
+        assert together[:2] == [(0.3).hex(), hi.hex()]
+        assert together[3:5] == [(0.2).hex(), (0.5 * (0.1 + 0.5)).hex()]
+        rounds = [n for _, n in alone]
+        assert rounds[:2] == [1, 1] and rounds[-1] == _MAX_ROUNDS
+
+    @given(st.integers(6, 40), open_unit)
+    def test_a_level_alone_equals_it_in_a_larger_batch(self, l, u):
+        # alone its block takes the rows of Python floats, in the batch the arrays
+        tops = _segments(l)[_TOP, 0, 1::2]
+        floor = TruncatedGaussian.from_length(l).y_last
+        y = floor + (tops[0] - floor) * u
+        batch = np.append(np.linspace(floor, tops[-1], 42)[1:-1], y)  # 40 levels of l - 1 roots each
+        alone_row, alone, _ = solve_length(l, np.array([y]))
+        batch_row, roots, _ = solve_length(l, batch)
+        assert len(alone_row) <= levelsets._ROW_ROUNDS_MAX < len(batch_row)
+        assert hexes(roots[batch_row == len(batch) - 1]) == hexes(alone)
+
+    @pytest.mark.parametrize("rows_max", [0, 10**9], ids=["arrays", "rows"])
+    @pytest.mark.parametrize("l", [2, 6, 64, 448, 1001])
+    def test_levels_next_to_one_finish_below_the_round_cap(self, l, rows_max, monkeypatch):
+        # _MAX_ROUNDS returns an unconverged x silently.  The named levels take
+        # 1-5 rounds; over 1 - k 2^-53 and 1 - 10^-e the worst row of l = 2
+        # bisects toward a root near 1e-8, whose ulps are 1e-24, for 49 rounds
+        monkeypatch.setattr(levelsets, "_ROW_ROUNDS_MAX", rows_max)
+        calls = []
+        fused = levelsets.kernel_values_and_slopes
+        monkeypatch.setattr(levelsets, "kernel_values_and_slopes", lambda l, x: calls.append(len(x)) or fused(l, x))
+        for y in (math.nextafter(1.0, 0.0), 1.0 - 1e-15, 1.0 - 1e-13):
+            calls.clear()
+            row, _, _ = solve_length(l, np.array([y]))
+            assert len(row) == 1 and len(calls) <= 45, y
+        calls.clear()
+        ys = np.concatenate([1.0 - np.arange(1, 401) * 2.0**-53, 1.0 - 10.0 ** -np.linspace(3, 15.9, 200)])
+        row, _, _ = solve_length(l, ys)
+        assert len(row) == len(ys) and len(calls) <= 50 < _MAX_ROUNDS
+
+
 def scan_oracle_signs(spec, scan):
     """sign(F - G) with G solved at every level of the scan."""
     tg = TruncatedGaussian.from_length(spec.l)
