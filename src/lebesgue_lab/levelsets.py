@@ -64,7 +64,7 @@ from .kernel import (
     kernel_values,
     kernel_values_and_slopes,
 )
-from .quadrature import DEFAULT_CONFIG, QuadratureConfig, bump_partition, integrate_kernel_power
+from .quadrature import DEFAULT_CONFIG, QuadratureConfig, integrate_kernel_power
 
 # levels this close to an arch peak are excluded from slope checks (the
 # derivative of G is undefined exactly at the peaks)
@@ -109,6 +109,14 @@ class SlopeBoundCheck:
     sum_lower_bound: float
     worst_bound_margin: float
     ok: bool
+
+
+def bump_partition(l: int) -> np.ndarray:
+    """The arches [k/l, (k+1)/l] of the kernel clipped to [0, 1/2], as an (n, 2) array; k/l correctly rounded."""
+    cuts = np.arange(l // 2 + 1) / l
+    if cuts[-1] < 0.5:
+        cuts = np.append(cuts, 0.5)
+    return np.column_stack((cuts[:-1], cuts[1:]))
 
 
 # The fields of a segment table, one float row each (flags 1.0 or 0.0): bracket,
@@ -257,7 +265,7 @@ def _newton(evaluate, x, lo, hi, *rows, step_tol=None) -> np.ndarray:
             np.copyto(lo, x, where=d <= 0.0)
             np.copyto(hi, x, where=d > 0.0)
             newton = x - d / slope
-            tol = 2.0 * np.spacing(x) if step_tol is None else step_tol
+            tol = 2.0 * np.abs(np.spacing(x)) if step_tol is None else step_tol
             keep = (lo < newton) & (newton < hi)
             np.copyto(keep, (lo <= newton) & (newton <= hi), where=np.abs(newton - x) <= tol)
             xn = 0.5 * (lo + hi)
@@ -276,8 +284,8 @@ def _newton_rows(evaluate, x, lo, hi, rows, step_tol) -> np.ndarray:
 
     Each line is the array round's for one row.  A zero slope's step is
     inf: numpy's d/0 is +-inf or NaN, and each bisects (or keeps x where
-    d == 0).  np.spacing(x) is math.ulp(x), negated for x < 0 (x stays
-    finite, inside its bracket), and NaN compares false in both.
+    d == 0).  |np.spacing(x)| is math.ulp(x) (x stays finite, inside its
+    bracket), and NaN compares false in both.
     """
     out, index = np.empty(len(x)), np.arange(len(x))
     x, lo, hi = x.tolist(), lo.tolist(), hi.tolist()
@@ -294,7 +302,7 @@ def _newton_rows(evaluate, x, lo, hi, rows, step_tol) -> np.ndarray:
             elif dk > 0.0:
                 hi[k] = b = xk
             newton = xk - dk / sk if sk else inf
-            tol = (-2.0 * ulp(xk) if xk < 0.0 else 2.0 * ulp(xk)) if step_tol is None else step_tol
+            tol = 2.0 * ulp(xk) if step_tol is None else step_tol
             if not (a <= newton <= b if abs(newton - xk) <= tol else a < newton < b):
                 newton = 0.5 * (a + b)
             x[k] = xn = xk if dk == 0.0 else newton

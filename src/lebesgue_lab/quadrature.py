@@ -29,14 +29,15 @@ kept across calls.  The batch returns each exponent's value or error;
 :func:`lp_norm_grid` raise the first error in the order a loop of scalar
 calls would.
 
-The exponent p never moves a first-pass node: it only decides how many arches
-are kept, and the dropped ones are a suffix, found by bisection.  So a call
-builds one table of g per length, at the 15/31 nodes of the longest arch
-prefix its exponents keep, and each exponent raises a slice of it to p.  The
-table (``_kernel_table``) is g at the ideal nodes in closed form, from a
-bounded per-length cache (``_arch_record``), to 6e-16 relative against
-mpmath; g at the float nodes is off by up to 1.9e-11 at l = 1000.  Only a
-bisected piece evaluates g again (:func:`kernel_values`).
+Kernel powers are integrated in u = l x, where arch k is [k, k + 1] (an odd
+length's last [l//2, l/2]), so a bisected piece of arch k keeps an exact
+s = u - k, and every node value is :func:`kernel.arch_values` at (l, k, s);
+the stop test runs on abs_tol scaled by l, and value and error are divided
+by l once at the end.  p never moves a first-pass node: it only decides how
+many arches are kept, a suffix found by bisection over a length's cached log
+caps (``_arch_record``).  So a call builds one table of g per length
+(``_kernel_table``) at the nodes of the longest arch prefix its exponents
+keep, and each exponent raises a slice of it to p.
 
 Across calls only finished integrals are kept: ``_integrals(l, cfg)`` is an
 ``lru_cache`` of 256 (length, tolerances) entries, each a dict {p: (value,
@@ -60,11 +61,11 @@ each.
 pairs of any lengths: per length, one node table at the longest kept prefix
 serves every p and an array stop test finishes the exponents that converge
 on their first pass; the split loops of all lengths then run in lockstep,
-each round evaluating g once, with the length of each point, at the union
-of the halves they ask for.  A batch runs in chunks of lengths whose pairs
-keep at most ``_CHUNK_ARCHES`` arches in all, and raises the error of its
-first failing pair, as a loop over its pairs would; each result is
-float.hex-identical to the pair's integral on its own.  The records of
+each round evaluating g once at the union of the halves they ask for.  A
+batch runs in chunks of lengths whose pairs keep at most ``_CHUNK_ARCHES``
+arches in all, and raises the error of its first failing pair, as a loop
+over its pairs would; each result is float.hex-identical to the pair's
+integral on its own.  The records of
 :func:`lp_norm_grid` and :func:`certify_bound_grid` are built on it, and
 the forms at one pair (:func:`integrate_kernel_power`, :func:`lp_norm`,
 :func:`certify_bound`) are grid calls of one pair.
@@ -78,13 +79,13 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError, PreconditionError, VerificationError
-from .kernel import PI, KernelSpec, bound_range_problem, kernel_values
+from .kernel import PI, KernelSpec, arch_values, bound_range_problem
 
 
 @dataclass(frozen=True)
@@ -334,53 +335,30 @@ def _pop_order(heap):
                 heapq.heappush(frontier, (heap[child], child))
 
 
-def bump_partition(l: int) -> np.ndarray:
-    """The arches of the kernel, [k/l, (k+1)/l] clipped to [0, 1/2], as an (n, 2) array.
-
-    Row k is arch k; the cuts k/l are correctly rounded quotients, the same
-    floats as the scalar expression ``k / l``.
-    """
-    cuts = np.arange(l // 2 + 1) / l
-    if cuts[-1] < 0.5:
-        cuts = np.append(cuts, 0.5)
-    return _intervals(cuts)
-
-
 def _intervals(cuts: np.ndarray) -> np.ndarray:
     """The (n - 1, 2) array of consecutive pairs of n sorted cuts."""
     return np.column_stack((cuts[:-1], cuts[1:]))
 
 
-# pi t_j, with t_j = l x - k at the 15, then the 31 nodes x of arch k: row 0
-# (1 + xi_j)/2 on a full arch, row 1 (1 + xi_j)/4 on an odd length's final half
-# arch; and sin(pi t_j), in row 0 from 1 - |xi_j|, to an ulp also near t_j = 1.
-_X46 = _X15.tolist() + _X31.tolist()
-_PI_T = np.array([[PI * (0.5 + 0.5 * x) for x in _X46], [PI * (0.25 + 0.25 * x) for x in _X46]])
-_SIN_PI_T = np.array([[math.sin(0.5 * PI * (1.0 - abs(x))) for x in _X46], list(map(math.sin, _PI_T[1].tolist()))])
-
-
 @lru_cache(maxsize=64)
 def _arch_record(l: int):
-    """(bump_partition(l), sin(pi k/l), cos(pi k/l), nodes, log cap_k for k >= 1) of the arches k.
+    """(arches, log cap_k for k >= 1) of length l in u = l x: arch k is [k, k + 1], an odd length's last [l//2, l/2].
 
-    ``nodes`` stacks sin(pi t_j)/l, cos(pi t_j/l) and sin(pi t_j/l).  g <=
-    cap_k = 1/(l sin(pi k/l)) <= 1/2 on arch k >= 1, falling as k grows; its
-    ``math.log`` values come as a memoryview of floats.  All are read-only.
+    g <= cap_k = 1/(l sin(pi k/l)) <= 1/2 on arch k >= 1, falling as k grows;
+    its ``math.log`` values come as a memoryview of floats.  Both read-only.
     """
-    pieces = bump_partition(l)
-    angles, t = PI * np.arange(len(pieces)) / l, _PI_T / l
-    sines = np.sin(angles)
-    logcaps = np.fromiter(map(math.log, (1.0 / (l * sines[1:])).tolist()), float, len(sines) - 1)
-    record = (pieces, sines, np.cos(angles), np.stack((_SIN_PI_T / l, np.cos(t), np.sin(t))), logcaps)
-    for array in record:  # the cache hands the same arrays to every caller
+    arches = _intervals(np.minimum(np.arange(l // 2 + l % 2 + 1.0), 0.5 * l))
+    caps = 1.0 / (l * np.sin(PI * np.arange(1, len(arches)) / l))
+    logcaps = np.fromiter(map(math.log, caps.tolist()), float, len(caps))
+    for array in (arches, logcaps):  # the cache hands the same arrays to every caller
         array.setflags(write=False)
-    return *record[:4], memoryview(logcaps)
+    return arches, memoryview(logcaps)
 
 
 # math.exp is exactly 0.0 below this (the smallest subnormal is exp(-744.4))
 _EXP_ZERO_BELOW = -746.0
 # A charge whose log is this far below the first charge's is at most 2^-55
-# of it (arch widths are equal up to rounding, a final half arch narrower),
+# of it (arch widths are exactly 1, a final half arch's 1/2),
 # under half an ulp of any sum that holds the first charge, rounding of exp
 # and of the product included; 54 ln 2 would leave no room for that rounding
 # when the first charge sits just below a power of two.  The bound is
@@ -391,7 +369,7 @@ _NORMAL_CHARGE_LOG = -600.0
 
 
 def _kept_arches(l: int, p: float, abs_tol: float):
-    """The arch dropping of :func:`integrate_kernel_power`: (kept pieces, charge).
+    """The arch dropping of :func:`integrate_kernel_power`: (kept pieces, charge), in u = l x.
 
     An arch k >= 1 is dropped when p*log(cap_k) < log(abs_tol) - log(l);
     arch 0 is always kept.  The caps fall with k, so the dropped arches are a
@@ -399,7 +377,7 @@ def _kept_arches(l: int, p: float, abs_tol: float):
     where it underflows to 0.0, nor where it cannot move the sum), summed in
     arch order: the result is that of a scalar loop over every arch.
     """
-    pieces, _, _, _, logcaps = _arch_record(l)
+    pieces, logcaps = _arch_record(l)
     threshold = math.log(abs_tol) - math.log(l)
     k = 1 + bisect.bisect_left(logcaps, True, key=lambda c: p * c < threshold)
     if k == len(pieces):
@@ -417,21 +395,18 @@ def _kept_arches(l: int, p: float, abs_tol: float):
     return pieces[:k], charge
 
 
-def _kernel_table(l: int, k: int) -> np.ndarray:
-    """g at the 15/31 pair nodes of the first k arches of bump_partition(l), the 15-node values first.
+# the pair abscissae of [0, 1]: the 15, then the 31 nodes of a full arch in s = l x - k
+_ARCH_NODES = _pair_abscissae(np.zeros(1), np.ones(1))
 
-    At node j of arch i, l x = i + t_j, so |sin(pi l x)| = sin(pi t_j) and
-    l sin(pi x) = l (sin(pi i/l) cos(pi t_j/l) + cos(pi i/l) sin(pi t_j/l)):
-    g at these ideal nodes is an outer product of the record's factors.
+
+def _kernel_table(l: int, k: int) -> np.ndarray:
+    """g at the 15/31 pair nodes of the first k arches of length l: row i holds arch i's 15 values, then its 31.
+
+    An odd length's final half arch takes the pair abscissae of [0, 1/2], half of ``_ARCH_NODES``.
     """
-    pieces, sines, cosines, (num, cos_t, sin_t), _ = _arch_record(l)
-    s, c = sines[:k, None], cosines[:k, None]
-    table = np.empty(46 * k)
-    for lo, hi in ((0, 15), (15, 46)):
-        g = table[lo * k : hi * k].reshape(k, hi - lo)
-        np.divide(num[0, lo:hi], np.add(s * cos_t[0, lo:hi], c * sin_t[0, lo:hi], out=g), out=g)
-        if l % 2 and k == len(pieces):  # the final half arch
-            g[-1] = num[1, lo:hi] / (s[-1] * cos_t[1, lo:hi] + c[-1] * sin_t[1, lo:hi])
+    table = arch_values(l, np.arange(k)[:, None], _ARCH_NODES)
+    if 2 * k > l:  # the final half arch
+        table[-1] = arch_values(l, k - 1, 0.5 * _ARCH_NODES)
     return table
 
 
@@ -486,43 +461,44 @@ def integrate_kernel_power_grid(pairs, cfg: QuadratureConfig = DEFAULT_CONFIG) -
         by_length.setdefault(l, []).append(i)
     results, charges, loops, arches = {}, [0.0] * len(pairs), {}, 0
     for l, group in by_length.items():
+        ucfg = replace(cfg, abs_tol=l * cfg.abs_tol)
         kept = [_kept_arches(l, pairs[i][1], cfg.abs_tol) for i in group]
         width, weight = max(len(pieces) for pieces, _ in kept), sum(len(pieces) for pieces, _ in kept)
         if arches and arches + weight > _CHUNK_ARCHES:
             results.update(_power_rounds(pairs, loops))
             loops, arches = {}, 0
         arches += weight
-        table = _kernel_table(l, width)
+        table = _kernel_table(l, width)  # each half copied contiguous, where numpy's power is fastest
+        t15, t31 = np.ascontiguousarray(table[:, :15]), np.ascontiguousarray(table[:, 15:])
         by_count = {}
         for i, (pieces, charge) in zip(group, kept):
             by_count.setdefault(len(pieces), []).append(i)
             charges[i] = charge
         # the exponents that keep k arches share one first pass: row j of each
-        # half holds the nodes of the first k arches (the table lists the
-        # 15-node values of its arches, then the 31-node ones) raised to the
-        # p of exponent ks[j], and the stacked pair sums and row totals of
-        # each are those of that exponent alone
+        # half holds the 15 (then the 31) node values of the first k arches
+        # raised to the p of exponent ks[j], and the stacked pair sums and
+        # row totals of each are those of that exponent alone
         for k, ks in by_count.items():
             n = len(ks)
             f = np.empty(46 * k * n)
-            f15, f31 = f[: 15 * k * n].reshape(n, -1), f[15 * k * n :].reshape(n, -1)
+            f15, f31 = f[: 15 * k * n].reshape(n, k, 15), f[15 * k * n :].reshape(n, k, 31)
             for j, i in enumerate(ks):
-                np.power(table[: 15 * k], pairs[i][1], out=f15[j])
-                np.power(table[15 * width : 15 * width + 31 * k], pairs[i][1], out=f31[j])
+                np.power(t15[:k], pairs[i][1], out=f15[j])
+                np.power(t31[:k], pairs[i][1], out=f31[j])
             pieces = _arch_record(l)[0][:k]
             a, b = pieces[:, 0], pieces[:, 1]
             i31, err = _pair_sums(f, np.repeat(a[None], n, axis=0), np.repeat(b[None], n, axis=0))
             # the stop test of _refine on every row at once
-            done = err.sum(axis=1) <= np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(i31.sum(axis=1)))
+            done = err.sum(axis=1) <= np.maximum(ucfg.abs_tol, ucfg.rel_tol * np.abs(i31.sum(axis=1)))
             for row, (i, first_pass) in enumerate(zip(ks, done.tolist())):
                 if first_pass:
-                    results[i] = _totals(i31[row].tolist(), err[row].tolist(), cfg)
+                    results[i] = _totals(i31[row].tolist(), err[row].tolist(), ucfg)
                 else:
-                    loops[i] = _refine(a, b, i31[row], err[row], cfg)
+                    loops[i] = _refine(a, b, i31[row], err[row], ucfg)
     results.update(_power_rounds(pairs, loops))
     for i, (v, e, ok) in results.items():
         l, p = pairs[i]
-        stores[l][p] = (2.0 * v, 2.0 * (e + charges[i]), ok)
+        stores[l][p] = (2.0 * v / l, 2.0 * (e + charges[i]) / l, ok)
     found = [stores[l][p] for l, p in asked]
     for store in stores.values():
         if len(store) > _EXPONENTS_KEPT:
@@ -534,9 +510,10 @@ def _power_rounds(pairs: list, loops: dict) -> dict:
     """Run the :func:`_refine` loops ``{i: loop}`` of g^p at ``pairs[i]`` in lockstep: {i: result}.
 
     Each round gathers the pieces every unfinished loop asks for and
-    evaluates g once, with one :func:`kernel_values` call given the length
-    of each point, at the pair abscissae of the halves of their union
-    (pieces that several loops of one length bisect are evaluated once).
+    evaluates g once, with :func:`arch_values` given the length and arch of
+    each piece, at the pair abscissae of the halves of their union in
+    s = u - k (pieces that several loops of one length bisect are evaluated
+    once).
     Each loop's pieces are raised to its own p by a scalar power, as in a
     round of that loop alone, and the pair sums of all loops are one
     stacked product, in which each piece's two halves are one (2, m)
@@ -560,10 +537,13 @@ def _power_rounds(pairs: list, loops: dict) -> dict:
         ])
         keys = np.array(list(index))
         cuts, n = _cuts(keys[:, 1:]), len(keys)
-        # the length of each abscissa: its piece's, for the 2 * 15 nodes then the 2 * 31
-        lengths = np.concatenate((np.repeat(keys[:, 0], 30), np.repeat(keys[:, 0], 62)))
-        g = kernel_values(lengths, _pair_abscissae(cuts[:, :2], cuts[:, 1:]))
-        f15, f31 = g[: 30 * n].reshape(n, 2, 15)[rows], g[30 * n :].reshape(n, 2, 31)[rows]
+        # a piece of arch k lies in [k, k + 1], so its cuts less k are exact
+        arch = np.floor(cuts[:, :1])
+        cuts -= arch
+        s = _pair_abscissae(cuts[:, :2], cuts[:, 1:])
+        # row j: the 15 nodes of piece j's two halves, then the 31, against its length and arch
+        g = arch_values(keys[:, :1], arch, np.hstack((s[: 30 * n].reshape(n, 30), s[30 * n :].reshape(n, 62))))
+        f15, f31 = g[:, :30].reshape(n, 2, 15)[rows], g[:, 30:].reshape(n, 2, 31)[rows]
         bounds = np.cumsum([0] + [len(taken) for taken in current.values()]).tolist()
         for i, start, stop in zip(current, bounds, bounds[1:]):
             # each loop's values raised by its own scalar exponent: numpy
@@ -581,8 +561,8 @@ def _power_rounds(pairs: list, loops: dict) -> dict:
 def integrate_kernel_power(spec: KernelSpec, p: float, cfg: QuadratureConfig = DEFAULT_CONFIG):
     """2 * integral of g^p over [0, 1/2]: :func:`integrate_kernel_power_grid` at one pair.
 
-    The first pass raises the cached node table of the kept arches to p;
-    only a bisected piece evaluates g again.  p must lie in [1, MAX_EXPONENT].
+    The first pass raises the node table of the kept arches to p; only a
+    bisected piece evaluates g again.  p must lie in [1, MAX_EXPONENT].
     """
     return integrate_kernel_power_grid([(spec.l, p)], cfg)[0]
 

@@ -331,8 +331,8 @@ class TestGridCommands:
         fresh_loose = cold("sweep", loose)
         empty_package_caches()
         records("certify", grid)
-        calls, values = [], quadrature.kernel_values
-        monkeypatch.setattr(quadrature, "kernel_values", lambda l, x: calls.append(l) or values(l, x))
+        calls, values = [], quadrature.arch_values
+        monkeypatch.setattr(quadrature, "arch_values", lambda l, k, s: calls.append(l) or values(l, k, s))
         # the same grid: every integral is read from certify's store
         for command, rows in fresh.items():
             assert records(command, grid) == rows, command

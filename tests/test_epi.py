@@ -825,7 +825,8 @@ class TestCheckEpis:
         assert [name for name, obj in vars(epi).items()
                 if obj is quadrature or getattr(obj, "__module__", None) == quadrature.__name__] == []
         monkeypatch.setattr(quadrature, "integrate_kernel_power_grid", forbidden)
-        monkeypatch.setattr(quadrature, "kernel_values", forbidden)
+        monkeypatch.setattr(quadrature, "arch_values", forbidden)
+        monkeypatch.setattr(kernel, "arch_values", forbidden)
         monkeypatch.setattr(kernel, "kernel_values", forbidden)
         instances = [*random_instances(range(40)), *handcrafted_corpus()]
         assert sum(inst.case == CASE_HOLDER for inst in instances) >= 20

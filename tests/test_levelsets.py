@@ -640,8 +640,8 @@ class TestNewtonLayouts:
         # onto hi, kept by the closed bracket where bisection would round to x;
         # a long step onto lo, which bisects; a zero slope, which bisects onto
         # the root, where d == 0 and d / |d'| is 0/0; a NaN value, which moves
-        # no bracket end and bisects; and x < 0, whose negative tolerance (2
-        # np.spacing(x)) no step meets, so the row runs every round
+        # no bracket end and bisects; and x < 0, whose tolerance is 2 ulps of
+        # x as for x > 0, so its linear row stops on the second round
         hi = math.nextafter(0.375, 1.0)
         table = np.array([
             (0.3, 0.2, 0.4, 0.3, 1.0, False),
@@ -670,7 +670,7 @@ class TestNewtonLayouts:
         assert together[:2] == [(0.3).hex(), hi.hex()]
         assert together[3:5] == [(0.2).hex(), (0.5 * (0.1 + 0.5)).hex()]
         rounds = [n for _, n in alone]
-        assert rounds[:2] == [1, 1] and rounds[-1] == _MAX_ROUNDS
+        assert rounds[:2] == [1, 1] and rounds[-1] == 2
 
     @given(st.integers(6, 40), open_unit)
     def test_a_level_alone_equals_it_in_a_larger_batch(self, l, u):

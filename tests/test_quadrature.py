@@ -3,6 +3,7 @@ import heapq
 import math
 import types
 import warnings
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -11,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import zeta as hurwitz_zeta
 
-from lebesgue_lab import quadrature
+from lebesgue_lab import kernel, quadrature
 from lebesgue_lab.epi import CASE_HOLDER, holder_exponents, random_instance
 from lebesgue_lab.errors import DomainError, PreconditionError, VerificationError
-from lebesgue_lab.kernel import PI, KernelSpec, kernel_values
+from lebesgue_lab.kernel import PI, KernelSpec, arch_values, kernel_values
 from lebesgue_lab.levelsets import comparison_functional
 from lebesgue_lab.quadrature import (
     DEFAULT_CONFIG,
@@ -26,6 +27,7 @@ from lebesgue_lab.quadrature import (
     _W31,
     _X15,
     _X31,
+    _pair_abscissae,
     _pair_eval,
     _pair_sums,
     asymptotic_reference,
@@ -39,6 +41,7 @@ from lebesgue_lab.quadrature import (
     lp_norm_grid,
     norm_bound,
 )
+from test_kernel import ARCH_VALUES_REL_BOUND, mpmath_arch_value
 from test_pmf import uniform_counts
 
 # the benchmark's norm-grid exponents, plus 64, 64.5 and 65 around the old exp-log switch
@@ -662,14 +665,15 @@ class TestQuadratureConfig:
 
 
 def scalar_arches(l):
-    """The arches of length l, one math.sin and math.log per arch.
+    """The arches of length l in u = l x, one math.sin and math.log per arch.
 
-    Their cuts (an array), widths and widest width, and the log caps of the
+    Their cuts 0, 1, ..., l//2 and l/2 (an array), widths (1, and 1/2 for an
+    odd length's final half arch) and widest width, and the log caps of the
     arches k >= 1, as a list and as an array; the caps must fall with k.
     """
-    cuts = [k / l for k in range(0, l // 2 + 1)]
-    if cuts[-1] < 0.5:
-        cuts.append(0.5)
+    cuts = [float(k) for k in range(0, l // 2 + 1)]
+    if cuts[-1] < l / 2:
+        cuts.append(l / 2)
     logcaps = [math.log(1.0 / (l * math.sin(PI * k / l))) for k in range(1, len(cuts) - 1)]
     assert all(a >= b for a, b in zip(logcaps, logcaps[1:])), l
     widths = [b - a for a, b in zip(cuts[:-1], cuts[1:])]
@@ -682,8 +686,8 @@ def scalar_kept_arches(l, p, abs_tol, arches=None):
     """Arch dropping over the arches of ``scalar_arches(l)`` (or ``arches``): (kept pieces, charge).
 
     Arch k >= 1 is dropped when p*log(cap_k) < log(abs_tol) - log(l); the
-    caps fall, so the dropped arches are a suffix.  Each is charged
-    width * math.exp(p*log(cap_k)), summed in arch order from 0.0, until the
+    caps fall, so the dropped arches are a suffix.  Each is charged its u-width
+    times math.exp(p*log(cap_k)), summed in arch order from 0.0, until the
     widest arch's charge at the current cap is at most 2^-54 of the sum,
     under half an ulp of it: no charge from there on can move the sum (a
     zero sum stops at a zero charge), so the loop stops.
@@ -704,7 +708,7 @@ def scalar_kept_arches(l, p, abs_tol, arches=None):
 
 def every_exp_kept_arches(l, p, abs_tol):
     """_kept_arches with one math.exp for every dropped arch, underflowed or not."""
-    pieces, _, _, _, logcaps = quadrature._arch_record(l)
+    pieces, logcaps = quadrature._arch_record(l)
     logcaps = np.array(logcaps)
     threshold = math.log(abs_tol) - math.log(l)
     if not len(logcaps) or not p * logcaps[-1] < threshold:
@@ -794,24 +798,23 @@ class TestArchDropping:
         counting = types.SimpleNamespace(log=math.log, exp=lambda v: exps.append(v) or math.exp(v))
         monkeypatch.setattr(quadrature, "math", counting)
         kept, _ = _kept_arches(1000, 32.0, DEFAULT_CONFIG.abs_tol)
-        assert (len(kept), len(exps), len(quadrature.bump_partition(1000))) == (1, 3, 500)
+        assert (len(kept), len(exps), len(quadrature._arch_record(1000)[0])) == (1, 3, 500)
 
     @pytest.mark.parametrize("p", NORM_P_GRID)
     def test_value_and_error_match_scalar_loop(self, p):
-        # the cached node tables against g evaluated from x for every integral
+        # the node tables and rounds against scalar oracles for every integral
         for l in sorted({*range(6, 201), *range(6, 1001, 37)}):
             assert integrate_kernel_power(KernelSpec(l), p) == uncached_kernel_power(l, p), (l, p)
 
 
 @functools.lru_cache(maxsize=256)
 def scalar_node_table(l):
-    """g at the ideal 15/31 nodes of every arch of length l, node by node with math: (n, 15) and (n, 31) arrays.
+    """g at the 15/31 nodes of every arch of length l, node by node with math: (n, 15) and (n, 31) arrays.
 
-    At node j of arch i, l x = i + t_j, with t_j = (1 + xi_j)/2 on a full
-    arch and (1 + xi_j)/4 on an odd length's final half arch.  The numerator
-    |sin(pi l x)| is sin(pi t_j), taken as sin(pi (1 - |xi_j|)/2) on a full
-    arch, and the denominator l sin(pi x) is l times the sine of the sum
-    pi i/l + pi t_j/l, expanded.
+    At node j of arch i, u = l x = i + s_j, with s_j = 0.5 + 0.5 xi_j on a
+    full arch and half of it on an odd length's final half arch.  The
+    numerator |sin(pi u)| is sin(pi min(s_j, 1 - s_j)), and the denominator
+    l sin(pi x) is l times the sine of the sum pi i/l + pi s_j/l, expanded.
     """
     n = l // 2 + l % 2
     tables = []
@@ -819,29 +822,49 @@ def scalar_node_table(l):
         rows = []
         for i in range(n):
             half = l % 2 and i == n - 1
-            s, c = math.sin(PI * i / l), math.cos(PI * i / l)
+            arch = PI * i / l
             row = []
             for x in nodes:
-                t = 0.25 + 0.25 * x if half else 0.5 + 0.5 * x
-                num = math.sin(0.5 * PI * (0.5 + 0.5 * x if half else 1.0 - abs(x))) / l
-                row.append(num / (s * math.cos(PI * t / l) + c * math.sin(PI * t / l)))
+                s = (0.5 + 0.5 * x) * (0.5 if half else 1.0)
+                node = PI * s / l
+                num = math.sin(PI * min(s, 1.0 - s)) / l
+                row.append(num / (math.sin(arch) * math.cos(node) + math.cos(arch) * math.sin(node)))
             rows.append(row)
         tables.append(np.array(rows))
     return tables
 
 
+def arch_halves(l, p):
+    """The halves of a piece (lo, hi) of arch k = floor(lo) in u, g^p from their own arch_values call.
+
+    The cuts less k are exact, and the halves' abscissae are taken in s = u - k.
+    """
+
+    def halves(lo, hi):
+        k = math.floor(lo)
+        m = 0.5 * (lo + hi)
+        return _pair_eval(lambda s: arch_values(l, k, s) ** p, np.array([lo - k, m - k]), np.array([m - k, hi - k]))
+
+    return halves
+
+
+def u_config(l, cfg):
+    """``cfg`` for an integral in u = l x: abs_tol scaled by l, so the stop test keeps its x-space meaning."""
+    return replace(cfg, abs_tol=l * cfg.abs_tol)
+
+
 def uncached_kernel_power(l, p, cfg=DEFAULT_CONFIG):
-    """integrate_kernel_power from the scalar arch loop, the scalar node table and an uncached integrand.
+    """integrate_kernel_power from the scalar arch loop, the scalar node table and fresh halves.
 
     The first pass raises the kept rows of :func:`scalar_node_table` to p;
-    the split loop's rounds evaluate g afresh from x.
+    the split loop bisects one piece at a time, each piece's halves from
+    :func:`arch_halves`.  Value and error are divided by l at the end.
     """
     kept, charge = scalar_kept_arches(l, p, cfg.abs_tol)
     a, b = kept[:, 0], kept[:, 1]
     first = np.concatenate([table[: len(kept)].ravel() for table in scalar_node_table(l)]) ** p
-    loop = quadrature._refine(a, b, *_pair_sums(first, a, b), cfg)
-    value, err, ok = quadrature._rounds(loop, uncached_power_integrand(l, p))
-    return 2.0 * value, 2.0 * (err + charge), ok
+    value, err, ok, _ = serial_refine(arch_halves(l, p), a, b, *_pair_sums(first, a, b), u_config(l, cfg))
+    return 2.0 * value / l, 2.0 * (err + charge) / l, ok
 
 
 class TestNodeTables:
@@ -880,39 +903,42 @@ class TestNodeTables:
         # the cached arch record hands the same arrays and memoryview to every caller
         clear_caches()
         kept, _ = _kept_arches(9, 2.0, DEFAULT_CONFIG.abs_tol)
-        pieces, sines, cosines, nodes, logcaps = quadrature._arch_record(9)
-        for array in (kept, pieces, sines, cosines, nodes, nodes[1]):
+        pieces, logcaps = quadrature._arch_record(9)
+        for array in (kept, pieces):
             with pytest.raises(ValueError):
                 array[0] = 0.0
+        assert pieces.tolist() == [[0.0, 1.0], [1.0, 2.0], [2.0, 3.0], [3.0, 4.0], [4.0, 4.5]]
         assert logcaps.readonly and len(logcaps) == len(pieces) - 1 == 4
         with pytest.raises(TypeError):
             logcaps[0] = 0.0
 
     @pytest.mark.parametrize("l", [6, 7, 64, 1000, 1001, 100001])
     def test_node_table_is_g_at_the_ideal_nodes(self, l):
-        # against mpmath at l x = i + t_j, t_j = (1 + xi_j)/2, or (1 + xi_j)/4
-        # on an odd length's final half arch; beyond 64 arches on the first 20,
-        # the last 20 and 30 spread between
-        n = len(quadrature.bump_partition(l))
+        # against mpmath at u = i + s_j for the float node s_j of the table to
+        # ARCH_VALUES_REL_BOUND, and at the ideal node (1 + xi_j)/2, or
+        # (1 + xi_j)/4 on an odd length's final half arch, to 1e-13: s_j is
+        # within an ulp of it; beyond 64 arches on the first 20, the last 20
+        # and 30 spread between
+        n = len(quadrature._arch_record(l)[0])
         table = quadrature._kernel_table(l, n)
         rows = range(n) if n <= 64 else sorted({*range(20), *range(n - 20, n), *range(0, n, n // 30)})
-        worst = 0.0
+        worst = worst_ideal = 0.0
         with mpmath.workdps(30):
-            for values, nodes in ((table[: 15 * n].reshape(n, 15), _X15), (table[15 * n :].reshape(n, 31), _X31)):
-                for i in rows:
-                    for j, xi in enumerate(nodes.tolist()):
-                        t = (1 + mpmath.mpf(xi)) / (4 if l % 2 and i == n - 1 else 2)
-                        x = (i + t) / l
-                        g = abs(mpmath.sin(mpmath.pi * (i + t))) / (l * mpmath.sin(mpmath.pi * x))
-                        worst = max(worst, abs(values[i, j] - g) / g)
-        assert worst < 1e-13, worst
+            for i in rows:
+                half = l % 2 and i == n - 1
+                s = _pair_abscissae(np.zeros(1), np.full(1, 0.5 if half else 1.0))
+                for j, xi in enumerate(_X15.tolist() + _X31.tolist()):
+                    ideal = (1 + mpmath.mpf(xi)) / (4 if half else 2)
+                    worst = max(worst, abs(table[i, j] / mpmath_arch_value(l, i, s[j]) - 1))
+                    worst_ideal = max(worst_ideal, abs(table[i, j] / mpmath_arch_value(l, i, ideal) - 1))
+        assert worst < ARCH_VALUES_REL_BOUND and worst_ideal < 1e-13, (worst, worst_ideal)
 
     def test_node_table_is_the_scalar_closed_form(self):
         # the first pass of the oracle integrals, bit for bit
         for l in (*range(2, 70), 301, 1000, 1001):
-            n = len(quadrature.bump_partition(l))
+            n = len(quadrature._arch_record(l)[0])
             for k in {1, n // 2 + 1, n}:
-                oracle = np.concatenate([t[:k].ravel() for t in scalar_node_table(l)])
+                oracle = np.concatenate([t[:k] for t in scalar_node_table(l)], axis=1)
                 assert quadrature._kernel_table(l, k).tobytes() == oracle.tobytes(), (l, k)
 
 
@@ -1012,16 +1038,6 @@ def serial_refine(halves, a, b, i31, err, cfg):
     value = math.fsum(values)
     error = math.fsum(errors)
     return value, error, error <= max(cfg.abs_tol, cfg.rel_tol * abs(value)), splits
-
-
-def fresh_halves(fn):
-    """The halves of a piece from a call of ``fn`` of their own."""
-
-    def halves(lo, hi):
-        m = 0.5 * (lo + hi)
-        return _pair_eval(fn, np.array([lo, m]), np.array([m, hi]))
-
-    return halves
 
 
 def hexed(result):
@@ -1139,9 +1155,17 @@ class TestRefinementRounds:
         # at max_subdivisions = 1 a round may take pieces the budget never
         # reaches: over these pairs the first passes and the rounds take g at
         # 4,608,970 points, and with one evaluation per bisection 4,608,510
-        # would do (+0.01 %; the 460 extra points are 0.16 % of the rounds')
-        rounds, first, values, table = [], [], quadrature.kernel_values, quadrature._kernel_table
-        monkeypatch.setattr(quadrature, "kernel_values", lambda l, x: rounds.append(np.size(x)) or values(l, x))
+        # would do (+0.01 %; the 460 extra points are 0.16 % of the rounds').
+        # A round's arch_values call has a length per point, the first pass's
+        # one length.
+        rounds, first, values, table = [], [], quadrature.arch_values, quadrature._kernel_table
+
+        def spy(l, k, s):
+            if np.ndim(l):
+                rounds.append(np.size(s))
+            return values(l, k, s)
+
+        monkeypatch.setattr(quadrature, "arch_values", spy)
         monkeypatch.setattr(quadrature, "_kernel_table", lambda l, k: first.append(46 * k) or table(l, k))
         cfg = QuadratureConfig(max_subdivisions=1)
         for p in NORM_P_GRID:
@@ -1197,15 +1221,15 @@ def per_p_kernel_power(l, p, cfg=DEFAULT_CONFIG):
     """Oracle: ``integrate_kernel_power`` as it was before the exponents shared their work.
 
     The arches that exponent keeps, a node table of those arches alone
-    raised to p, and the split loop with a fresh integrand call per
-    bisection.
+    raised to p, and the split loop with a fresh ``arch_values`` call per
+    bisection, in u = l x.
     """
     kept, charge = _kept_arches(l, p, cfg.abs_tol)
     a, b = kept[:, 0], kept[:, 1]
     table = quadrature._kernel_table(l, len(kept))
-    halves = fresh_halves(uncached_power_integrand(l, p))
-    value, err, converged, _ = serial_refine(halves, a, b, *_pair_sums(table**p, a, b), cfg)
-    return 2.0 * value, 2.0 * (err + charge), converged
+    first = np.concatenate((table[:, :15].ravel(), table[:, 15:].ravel())) ** p
+    value, err, converged, _ = serial_refine(arch_halves(l, p), a, b, *_pair_sums(first, a, b), u_config(l, cfg))
+    return 2.0 * value / l, 2.0 * (err + charge) / l, converged
 
 
 # NORM_P_GRID with exponents 1 and 1.5 and a repeat; from p = 32 on some
@@ -1250,9 +1274,10 @@ class TestKernelPowers:
 
     def test_one_table_and_one_kernel_call_per_round(self, monkeypatch):
         tables, calls = [], []
-        table, values = quadrature._kernel_table, quadrature.kernel_values
+        table, values = quadrature._kernel_table, quadrature.arch_values
         monkeypatch.setattr(quadrature, "_kernel_table", lambda l, k: tables.append((l, k)) or table(l, k))
-        monkeypatch.setattr(quadrature, "kernel_values", lambda l, x: calls.append(l) or values(l, x))
+        # a round's call has a length per point, the first pass's one length
+        monkeypatch.setattr(quadrature, "arch_values", lambda l, k, s: np.ndim(l) and calls.append(l) or values(l, k, s))
         ps = [2.5, 3.1, 7.3, 40.0]
         cfg = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15)
         integrate_kernel_power_grid([(64, p) for p in ps], cfg)
@@ -1305,24 +1330,61 @@ class TestKernelPowerGrid:
         assert [hexed(r) for r in got] == [hexed(per_p_kernel_power(l, p, cfg)) for l, p in pairs]
 
     @pytest.mark.parametrize("cfg", [DEFAULT_CONFIG, TIGHT_BUDGET_1], ids=["default", "tight-budget-1"])
-    def test_series_branch_with_a_length_array(self, monkeypatch, cfg):
+    def test_arch_zero_near_the_origin_with_a_length_array(self, monkeypatch, cfg):
         seen = []
 
-        def spy(l, x):
+        def spy(l, k, s):
             if np.ndim(l):
-                seen.append(np.unique(l[np.asarray(x) < 1e-8]).tolist())
-            return values(l, x)
+                ls, ks, s = np.broadcast_arrays(l, k, s)
+                seen.append(np.unique(ls[(ks == 0) & (s < 1e-8 * ls)]).tolist())
+            return values(l, k, s)
 
-        values = quadrature.kernel_values
-        monkeypatch.setattr(quadrature, "kernel_values", spy)
+        values = quadrature.arch_values
+        monkeypatch.setattr(quadrature, "arch_values", spy)
         pairs = [(10**4, 1e5), (6, 1e5), (6, 2.5), (6, 1000.0)]
         got = integrate_kernel_power_grid(pairs, cfg)
         monkeypatch.undo()
         if cfg is DEFAULT_CONFIG:
-            # arch 0 of l = 10^4 at p = 1e5 is bisected below the series cutoff
-            # in rounds that evaluate l = 6 as well
+            # arch 0 of l = 10^4 at p = 1e5 is bisected to nodes below
+            # x = 1e-8 (s = l x below 1e-8 l) in rounds that evaluate l = 6 as well
             assert [10000.0] in seen
         assert [hexed(r) for r in got] == [hexed(per_p_kernel_power(l, p, cfg)) for l, p in pairs]
+
+    def test_certify_grid_evaluates_g_through_arch_values_alone(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("kernel_values was called")
+
+        rounds, values = [], quadrature.arch_values
+        assert not hasattr(quadrature, "kernel_values")
+        monkeypatch.setattr(kernel, "kernel_values", forbidden)
+        # a round's call has a length per point, 92 points per bisected piece
+        monkeypatch.setattr(quadrature, "arch_values", lambda l, k, s: np.ndim(l) and rounds.append(np.size(s)) or values(l, k, s))
+        certs = certify_bound_grid([(l, p) for l in (6, 7, 64, 1000) for p in (2.5, 3.0, 8.0)])
+        assert all(cert.passed for cert in certs)
+        assert rounds and all(n % 92 == 0 for n in rounds), rounds
+
+    @pytest.mark.parametrize("l", [1000, 100_001])
+    def test_refined_node_values_match_mpmath(self, monkeypatch, l):
+        # the rounds of g^2.5 at tight tolerances bisect arches next to their
+        # zeros: the 100 nodes nearest an arch end, and 100 others, are within
+        # the evaluator's bound of g at l x = k + s
+        seen, values = [], quadrature.arch_values
+
+        def spy(ls, k, s):
+            g = values(ls, k, s)
+            if np.ndim(ls):
+                seen.append(np.column_stack([a.ravel() for a in np.broadcast_arrays(k, s, g)]))
+            return g
+
+        monkeypatch.setattr(quadrature, "arch_values", spy)
+        integrate_kernel_power_grid([(l, 2.5)], QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15))
+        points = np.concatenate(seen)
+        ends = np.minimum(points[:, 1], 1.0 - points[:, 1])
+        order = np.argsort(ends, kind="stable")
+        sample = np.concatenate((order[:100], np.random.default_rng(l).choice(order[100:], 100, replace=False)))
+        assert ends[order[0]] < 1e-3 and (points[:, 0] >= 1).any()
+        for k, s, g in points[sample].tolist():
+            assert abs(g / mpmath_arch_value(l, int(k), s) - 1) < ARCH_VALUES_REL_BOUND, (k, s)
 
     def test_store_bounds(self):
         # a length left holding more than _EXPONENTS_KEPT exponents is emptied
