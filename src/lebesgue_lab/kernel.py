@@ -103,56 +103,66 @@ def _sinc_poly(u2: np.ndarray) -> np.ndarray:
     return 1.0 - u2 / 6.0 + u2 * u2 / 120.0
 
 
-def _closed_values(l: int, x: np.ndarray) -> np.ndarray:
-    return np.abs(np.sin(PI * np.fmod(l * x, 2.0))) / (l * np.sin(PI * x))
+def _sines(l, x: np.ndarray):
+    """sin u, sin(pi x) and phi = l cos u sin(pi x) - sin u cos(pi x), with u = pi fmod(l x, 2).
 
-
-def _series_values(l: int, xs: np.ndarray) -> np.ndarray:
-    return _sinc_poly((l * PI * xs) ** 2) / _sinc_poly((PI * xs) ** 2)
-
-
-def _per_length(l, constant):
-    """``constant(l)`` for one length, or for an array of lengths spread to its entries.
-
-    Only the series slopes use it.  ``constant`` sees each distinct length
-    once, as a Python int (lengths may come as floats), so an entry gets
-    exactly the float its length alone gives, and l**4 cannot overflow
-    int64 as it would above l = 55,108.
+    Every closed form in x reads these: g = |sin u| / (l sin(pi x)), its
+    slope pi phi / (l sin^2(pi x)), and phi with its slope.  The argument
+    is reduced modulo the period before the multiply by pi, so l x never
+    feeds a huge argument into sin, but after l x is rounded.
     """
-    if not isinstance(l, np.ndarray):
-        return constant(int(l))
-    lengths = np.unique(l)
-    return np.array([constant(int(k)) for k in lengths.tolist()])[np.searchsorted(lengths, l)]
+    u = PI * np.fmod(l * x, 2.0)
+    sin_u = np.sin(u)
+    pi_x = PI * x
+    s = np.sin(pi_x)
+    return sin_u, s, l * np.cos(u) * s - sin_u * np.cos(pi_x)
 
 
-def _series_slopes(l, xs: np.ndarray, h: np.ndarray) -> np.ndarray:
-    # h(x) * d/dx log h(x), given h = _series_values(l, xs)
-    c1 = _per_length(l, lambda k: -(PI**2) * (k * k - 1))
-    c3 = _per_length(l, lambda k: (PI**4) * (k**4 - 1))
-    dlog = c1 * xs / 3.0 - c3 * xs**3 / 45.0
-    return h * dlog
+def _closed_values_and_slopes(l, x: np.ndarray):
+    sin_u, s, phi = _sines(l, x)
+    l_sin = l * s
+    return np.abs(sin_u) / l_sin, PI * phi / (l_sin * s)
 
 
-def kernel_values(l: int, x: np.ndarray) -> np.ndarray:
-    """Vectorized g(x) without domain checks (callers guarantee x in [0, 1/2]).
+def kernel_values_and_slopes(l, x: np.ndarray):
+    """g(x) and the signed slope of h(x) = sin(l pi x)/(l sin(pi x)), from one evaluation of the sines.
 
-    The numerator argument is reduced modulo the period before the multiply
-    by pi, so l*x never feeds a huge argument into sin, but after l*x is
-    rounded: g jitters by about g' times an ulp of x, at the float Gauss nodes
-    up to 1.9e-11 relative at l = 1000 and 2.5e-9 at l = 100001 against
-    mpmath, as level sets and grid checks carry it (not :func:`arch_values`).
-    Near the origin the quotient is formed from truncated sinc series instead
-    of 0/0.  Without such points the closed form is returned as computed.
+    Returns (values, slopes), without domain checks (callers guarantee x in
+    [0, 1/2]).  Away from the origin they are the closed forms
+    |sin(l pi x)| / (l sin(pi x)) and the quotient rule expression
+
+        pi * (l cos(l pi x) sin(pi x) - sin(l pi x) cos(pi x)) / (l sin^2(pi x)).
+
+    Rounding l x jitters g by about g' times an ulp of x, at the float Gauss
+    nodes up to 1.9e-11 relative at l = 1000 and 2.5e-9 at l = 100001
+    against mpmath (:func:`arch_values` rounds no such argument).  Below the
+    series cutoff both come from truncated sinc series instead of 0/0, the
+    slope as h(x) * d/dx log h(x); an array with no such point skips the
+    masking.  ``l`` is one length or an array of lengths shaped like ``x``;
+    each point gets what its length alone gives.  The series constants
+    l^2 - 1 and l^4 - 1 = (l^2 - 1)(l^2 + 1) are taken in floats: exact, or
+    rounded once, for every l < 2^26.
     """
     x = np.asarray(x, dtype=float)
     small = x < _SERIES_CUTOFF
     if not np.count_nonzero(small):
-        return _closed_values(l, x)
-    out = np.empty_like(x)
-    out[small] = _series_values(l, x[small])
+        return _closed_values_and_slopes(l, x)
+    values = np.empty_like(x)
+    slopes = np.empty_like(x)
+    ls = np.broadcast_to(l, x.shape)
     big = ~small
-    out[big] = _closed_values(l, x[big])
-    return out
+    values[big], slopes[big] = _closed_values_and_slopes(ls[big], x[big])
+    xs, lengths = x[small], ls[small]
+    l2m1 = lengths.astype(float) ** 2 - 1.0
+    h = _sinc_poly((lengths * PI * xs) ** 2) / _sinc_poly((PI * xs) ** 2)
+    values[small] = h
+    slopes[small] = h * (-(PI**2) * l2m1 * xs / 3.0 - (PI**4) * (l2m1 * (l2m1 + 2.0)) * xs**3 / 45.0)
+    return values, slopes
+
+
+def kernel_values(l, x: np.ndarray) -> np.ndarray:
+    """Vectorized g(x) for x in [0, 1/2] and l < 2^26: the value half of :func:`kernel_values_and_slopes`."""
+    return kernel_values_and_slopes(l, x)[0]
 
 
 def arch_values(l, k, s):
@@ -175,63 +185,19 @@ def eval_kernel(spec: KernelSpec, x: float) -> float:
     return float(kernel_values(spec.l, np.array([x]))[0])
 
 
-def _closed_values_and_slopes(l: int, x: np.ndarray):
-    u = PI * np.fmod(l * x, 2.0)
-    sin_u = np.sin(u)
-    pi_x = PI * x
-    s = np.sin(pi_x)
-    l_sin = l * s
-    values = np.abs(sin_u) / l_sin
-    slopes = PI * (l * np.cos(u) * s - sin_u * np.cos(pi_x)) / (l_sin * s)
-    return values, slopes
-
-
-def kernel_values_and_slopes(l: int, x: np.ndarray):
-    """g(x) and the signed slope of sin(l pi x)/(l sin(pi x)), in one pass.
-
-    Returns (values, slopes), bit-identical to :func:`kernel_values` and
-    :func:`kernel_slope_values`, but u = pi fmod(l x, 2), sin u and
-    sin(pi x) are computed once for both.  Away from the origin the slope is
-    the quotient rule expression
-
-        pi * (l cos(l pi x) sin(pi x) - sin(l pi x) cos(pi x)) / (l sin^2(pi x));
-
-    below the series cutoff both halves come from the truncated series of
-    :func:`kernel_values`, the slope as h(x) * d/dx log h(x).  An array with
-    no such point skips the masking.  ``l`` is one length or an array of
-    lengths shaped like ``x``; each point gets what its length alone gives.
-    """
-    x = np.asarray(x, dtype=float)
-    small = x < _SERIES_CUTOFF
-    if not np.count_nonzero(small):
-        return _closed_values_and_slopes(l, x)
-    values = np.empty_like(x)
-    slopes = np.empty_like(x)
-    ls = np.broadcast_to(l, x.shape)
-    xs = x[small]
-    h = _series_values(ls[small], xs)
-    values[small] = h
-    slopes[small] = _series_slopes(ls[small], xs, h)
-    big = ~small
-    values[big], slopes[big] = _closed_values_and_slopes(ls[big], x[big])
-    return values, slopes
-
-
 def _slope_numerators(l: int, x: np.ndarray):
     """phi(x) = l cos(l pi x) sin(pi x) - sin(l pi x) cos(pi x), the numerator of h', and phi'(x).
 
     h' = pi phi / (l sin^2(pi x)), so the peaks of g are the roots of phi,
     and phi'(x) = -pi (l^2 - 1) sin(l pi x) sin(pi x) keeps one sign on
-    each arch (k/l, (k+1)/l): one root per arch.  The numerator's argument
-    is reduced as in :func:`kernel_values_and_slopes`.
+    each arch (k/l, (k+1)/l): one root per arch.  Both come from
+    :func:`_sines`; l^2 - 1 is exact for l < 2^26.
     """
-    u = PI * np.fmod(l * x, 2.0)
-    sin_u = np.sin(u)
-    s = np.sin(PI * x)
-    return l * np.cos(u) * s - sin_u * np.cos(PI * x), -PI * (l * l - 1) * sin_u * s
+    sin_u, s, phi = _sines(l, x)
+    return phi, -PI * (l * l - 1) * sin_u * s
 
 
-def kernel_slope_values(l: int, x: np.ndarray) -> np.ndarray:
+def kernel_slope_values(l, x: np.ndarray) -> np.ndarray:
     """Vectorized derivative of the signed quotient sin(l pi x)/(l sin(pi x)).
 
     The slope half of :func:`kernel_values_and_slopes`.

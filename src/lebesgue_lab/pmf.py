@@ -74,13 +74,13 @@ class Pmf:
         return cls(offset=d["offset"], weights=np.asarray(d["weights"], dtype=float))
 
 
-def weight_problems(rows: np.ndarray, sizes) -> tuple[list, list]:
+def weight_problems(rows: np.ndarray, sizes, mass_tol: float = MASS_TOL) -> tuple[list, list]:
     """Why each row's weights are not a law, or None, and each row's maximum: :class:`Pmf`'s checks, a batch at once.
 
     Row i holds its weights in its first ``sizes[i]`` (>= 1) entries and
     zeros after them.  The checks, in Pmf's order: finite, nonnegative,
-    trimmed (positive end weights), and a sum within MASS_TOL of 1, the sum
-    ``ndarray.sum`` gives.  Finiteness and sign are tested on all rows at
+    trimmed (positive end weights), and a sum within ``mass_tol`` of 1, the
+    sum ``ndarray.sum`` gives.  Finiteness and sign are tested on all rows at
     once and looked at row by row only when one fails; the sum is taken
     row by row, since numpy sums pairwise in an order fixed by the count of
     values, so a padded row would not sum as its weights alone.  The
@@ -102,7 +102,7 @@ def weight_problems(rows: np.ndarray, sizes) -> tuple[list, list]:
             problems.append("support must be trimmed: end weights must be positive")
         else:
             total = np.add.reduce(row[:n])
-            problems.append(f"weights sum to {total!r}, not 1" if abs(total - 1.0) > MASS_TOL else None)
+            problems.append(f"weights sum to {float(total)!r}, not 1" if abs(total - 1.0) > mass_tol else None)
     return problems, maxima
 
 
@@ -236,8 +236,10 @@ def convolve_many(pmfs) -> Pmf:
     rest go through one transform: their real FFTs at one 5-smooth length,
     batched as zero-padded rows within SPECTRA_BUDGET and multiplied in
     order, one inverse, round-off below zero clipped and the weights
-    renormalised once.  The result is validated once, and a total support
-    above SUPPORT_CAP is refused before any work.
+    renormalised once.  The result is validated once, its mass against one
+    MASS_TOL per factor multiplied in and one for the rounding of the sum
+    (each factor's mass may be off by MASS_TOL, and the masses multiply),
+    and a total support above SUPPORT_CAP is refused before any work.
 
     Sums that stay direct, and pairs, are bit-identical to folding
     :func:`convolve` over the laws as earlier versions did.  A sum with
@@ -280,7 +282,7 @@ def convolve_many(pmfs) -> Pmf:
     while w[end - 1] == 0.0:
         end -= 1
     w = w[start:end]
-    (problem,), (m,) = weight_problems(w[None], [len(w)])
+    (problem,), (m,) = weight_problems(w[None], [len(w)], mass_tol=(len(factors) + 1) * MASS_TOL)
     if problem is not None:
         raise DomainError(problem)
     w.setflags(write=False)

@@ -389,10 +389,10 @@ def _kept_arches(l: int, p: float, abs_tol: float):
     first = p * logcaps[k - 1]
     cut = first - _NEGLIGIBLE_CHARGE_LOG if first > _NORMAL_CHARGE_LOG else _EXP_ZERO_BELOW
     n = 1 + bisect.bisect_left(logcaps, True, lo=k - 1, key=lambda c: p * c < cut)
-    charge = 0.0
-    for logcap, width in zip(logcaps[k - 1 : n - 1].tolist(), (pieces[k:n, 1] - pieces[k:n, 0]).tolist()):
-        charge += math.exp(p * logcap) * width
-    return pieces[:k], charge
+    # libm's exp (np.exp need not round as it does), then one running sum in arch order
+    charges = np.fromiter(map(math.exp, (p * np.asarray(logcaps[k - 1 : n - 1])).tolist()), float, n - k)
+    charges *= pieces[k:n, 1] - pieces[k:n, 0]
+    return pieces[:k], float(np.cumsum(charges)[-1]) if n > k else 0.0
 
 
 # the pair abscissae of [0, 1]: the 15, then the 31 nodes of a full arch in s = l x - k

@@ -150,6 +150,17 @@ class TestEpiCommands:
         assert code == 0
         assert len(json.loads(out.read_text())["records"]) == 5
 
+    def test_epi_check_reads_laws_at_the_mass_tolerance(self, tmp_path):
+        from lebesgue_lab.epi import make_instance, save_instances
+        from test_pmf import heavy_law
+
+        corpus = tmp_path / "corpus.json"
+        save_instances(str(corpus), [make_instance([heavy_law()] * 3)])
+        out = tmp_path / "epi.json"
+        assert cli.main(["epi-check", "--random", "0", "--instances", str(corpus), "--out", str(out)]) == 0
+        (record,) = json.loads(out.read_text())["records"]
+        assert record["holds"] is True
+
     def test_epi_check_csv_stays_rectangular(self, tmp_path):
         out = tmp_path / "epi.csv"
         assert cli.main(["epi-check", "--random", "4", "--out", str(out)]) == 0

@@ -33,7 +33,7 @@ from lebesgue_lab.epi import (
 from lebesgue_lab.errors import DomainError, GenerationError, PreconditionError, VerificationError
 from lebesgue_lab.pmf import Pmf, convolve_many, entropy_summary, l_index, uniform
 from lebesgue_lab.quadrature import integrate_kernel_power_grid, norm_bound
-from test_pmf import stored_max_is_exact, uniform_counts
+from test_pmf import heavy_law, stored_max_is_exact, uniform_counts
 from test_quadrature import quadrature_product_l1
 
 
@@ -218,6 +218,12 @@ class TestRogozin:
 
 
 class TestCheckEpi:
+    def test_laws_at_the_mass_tolerance(self):
+        # three laws each within MASS_TOL of mass 1, whose sum is not
+        instance = make_instance([heavy_law()] * 3)
+        assert check_epi(instance).holds
+        assert check_rogozin(instance).ok
+
     def test_two_uniform_six(self):
         report = check_epi(make_instance([uniform(6), uniform(6)]))
         assert report.case == CASE_HOLDER

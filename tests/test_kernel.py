@@ -139,16 +139,20 @@ class TestKernelSpec:
 
 class TestEvalG:
     def test_values_and_slopes_with_a_length_per_point_are_each_length_alone(self):
-        # lengths past l = 55,108, where l**4 overflows int64; x from 0 through
-        # the series cutoff to 1/2
+        # lengths past l = 9,741, where l**4 passes 2^53, past l = 55,108, where
+        # it overflows int64, and up to 2^26 - 1, the top of the exact range;
+        # x from 0 through the series cutoff to 1/2
         rng = np.random.default_rng(4)
         cutoff = 1e-8
         tiny = [0.0, 5e-324, 2.0e-310, 1e-12, 5e-9, np.nextafter(cutoff, 0.0), cutoff, np.nextafter(cutoff, 1.0)]
-        x = np.concatenate((tiny, rng.uniform(0.0, 2 * cutoff, 60), rng.uniform(0.0, 0.5, 300), [0.5]))
-        ls = rng.choice([2, 3, 6, 7, 64, 1000, 10**4, 55_108, 55_109, 99_999, 10**5], size=x.size)
+        x = np.concatenate((tiny, rng.uniform(0.0, 2 * cutoff, 120), rng.uniform(0.0, 0.5, 300), [0.5]))
+        lengths = [2, 3, 6, 7, 64, 1000, 9741, 9742, 10**4, 55_108, 55_109, 99_999, 10**5, 2**26 - 1]
+        ls = rng.choice(lengths, size=x.size)
         values, slopes = kernel_values_and_slopes(ls, x)
-        for l in np.unique(ls).tolist():
+        assert np.unique(ls).tolist() == lengths
+        for l in lengths:
             at = ls == l
+            assert (x[at] < cutoff).any() and (x[at] >= cutoff).any(), l
             alone_values, alone_slopes = kernel_values_and_slopes(l, x[at])
             assert values[at].tobytes() == alone_values.tobytes(), l
             assert slopes[at].tobytes() == alone_slopes.tobytes(), l
@@ -156,6 +160,20 @@ class TestEvalG:
             assert alone_values.tobytes() == masked_kernel_values(l, x[at]).tobytes(), l
             assert alone_slopes.tobytes() == masked_kernel_slope_values(l, x[at]).tobytes(), l
         assert kernel_slope_values(ls, x).tobytes() == slopes.tobytes()
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(2, 2**26 - 1), st.floats(0.0, 2e-8) | st.floats(0.0, 0.5)),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    def test_random_lengths_per_point_are_the_masked_oracle(self, points):
+        ls, x = (np.array(column) for column in zip(*points))
+        values, slopes = kernel_values_and_slopes(ls, x)
+        for i, (l, xi) in enumerate(points):
+            assert values[i].tobytes() == masked_kernel_values(l, [xi]).tobytes(), (l, xi)
+            assert slopes[i].tobytes() == masked_kernel_slope_values(l, [xi]).tobytes(), (l, xi)
 
     def test_value_at_origin_is_one(self):
         assert eval_kernel(KernelSpec(8), 0.0) == 1.0

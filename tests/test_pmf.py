@@ -17,6 +17,7 @@ from lebesgue_lab import pmf
 from lebesgue_lab.errors import ConvolutionOverflowError, DomainError
 from lebesgue_lab.pmf import (
     DIRECT_LIMIT,
+    MASS_TOL,
     SUPPORT_CAP,
     Pmf,
     _clean_transform_weights,
@@ -39,6 +40,13 @@ def random_pmf(rng, size):
     return Pmf(offset=int(rng.integers(-10, 10)), weights=w / w.sum())
 
 
+def heavy_law(excess=9e-13):
+    """A law on 10 points whose weights sum to 1 + ``excess``, up to rounding."""
+    w = np.full(10, 0.1)
+    w[0] += excess
+    return Pmf(0, w)
+
+
 positive_weight_lists = st.lists(
     st.floats(min_value=0.01, max_value=1.0), min_size=1, max_size=12
 )
@@ -52,6 +60,15 @@ class TestPmfValidation:
     def test_rejects_bad_mass(self):
         with pytest.raises(DomainError):
             Pmf(0, np.array([0.5, 0.4]))
+
+    def test_bad_mass_is_reported_as_a_plain_float(self):
+        with pytest.raises(DomainError, match=r"^weights sum to 1\.1, not 1$"):
+            Pmf(0, [0.5, 0.6])
+
+    def test_one_law_past_the_mass_tolerance_is_refused(self):
+        assert np.add.reduce(heavy_law().weights) - 1.0 < MASS_TOL
+        with pytest.raises(DomainError, match="^weights sum to 1.000000000002"):
+            heavy_law(2e-12)
 
     def test_rejects_untrimmed_support(self):
         with pytest.raises(DomainError):
@@ -464,6 +481,15 @@ class TestConvolveMany:
         assert law.offset == len(ls) and len(law) == len(exact)
         err = np.abs(law.weights - exact).max()
         assert err <= self.UNIFORM_BOUND * np.finfo(float).eps * exact.max()
+
+    def test_a_sum_of_laws_at_the_mass_tolerance_is_a_law(self):
+        # each mass is within MASS_TOL of 1, the sum's is 1 + 2.7e-12; a point
+        # mass only shifts the sum
+        law = heavy_law()
+        total = convolve_many([law, uniform(1), law, law])
+        assert np.add.reduce(total.weights) - 1.0 > 2 * MASS_TOL
+        assert total.offset == 1 and len(total) == 28
+        assert total.weights.tobytes() == np.convolve(np.convolve(law.weights, law.weights), law.weights).tobytes()
 
     def test_matches_the_pairwise_fold(self):
         rng = np.random.default_rng(53)
