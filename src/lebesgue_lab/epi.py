@@ -51,6 +51,7 @@ from .pmf import (
     convolve_many,
     l_index,
     l_indices_from_max,
+    segment_sums,
     uniform,
     uniform_max,
     weight_problems,
@@ -350,13 +351,13 @@ def _water_fill(rows: np.ndarray, sizes: list, targets: list) -> list:
     at column j from the end.  :func:`_fill`'s saturation test runs on
     every row and j at once, each entry by the same float operations.  The
     sums that normalise a row and rescale its free weights are
-    ``ndarray.sum`` of that row's own values, taken row by row: numpy sums
-    pairwise, in an order fixed by the count of values, so a padded row
-    would not sum as its weights alone.
+    ``ndarray.sum`` of that row's own values (:func:`segment_sums`, one
+    call for all rows).
     """
     width = rows.shape[1]
+    is_weight = np.arange(width) < np.array(sizes)[:, None]
     # ndarray.sum of each row's own weights, then one division; the zeros stay 0
-    rows /= np.array([np.add.reduce(row[:n]) for row, n in zip(rows, sizes)])[:, None]
+    rows /= segment_sums(rows[is_weight], sizes)[:, None]
     ascending = np.sort(rows, axis=1)
     m = min(_MAX_SATURATIONS, width - 1)
     # column j - 1: each row's (j + 1)-th largest value and the sum of all
@@ -388,14 +389,11 @@ def _water_fill(rows: np.ndarray, sizes: list, targets: list) -> list:
     for i in split:  # only as many ties as saturations are left, the first ones
         above, tied = rows[i] > cuts[i], rows[i] == cuts[i]
         saturated[i] = above | (tied & (np.cumsum(tied) <= counts[i] - np.count_nonzero(above)))
-    # every row's free weights, in index order, one row after the other
-    free = rows[(np.arange(width) < np.array(sizes)[:, None]) ^ saturated]
-    start = 0
-    for i, (n, k) in enumerate(zip(sizes, counts)):
-        if k < n:
-            scales[i] /= np.add.reduce(free[start : start + n - k])
-            start += n - k
-    rows *= np.array(scales)[:, None]
+    # every row's free weights, in index order, one row after the other; a
+    # row whose every weight saturates has none and keeps its scale
+    free = [n - k for n, k in zip(sizes, counts)]
+    free_sums = segment_sums(rows[is_weight ^ saturated], free)
+    rows *= np.divide(scales, free_sums, out=np.array(scales), where=np.array(free) > 0)[:, None]
     np.copyto(rows, np.array(targets)[:, None], where=saturated)
     return problems
 

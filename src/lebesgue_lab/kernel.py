@@ -49,6 +49,10 @@ _SERIES_CUTOFF = 1e-8
 BOUND_MIN_LENGTH = 6
 BOUND_MIN_EXPONENT = 2  # an int, so epi's split test stays in integers
 
+# the longest kernel: the closed forms below take l^2 - 1 and l x in floats,
+# exact or rounded once only for l < 2^26
+MAX_LENGTH = 2**26 - 1
+
 
 def bound_range_problem(l: int, p: float) -> str | None:
     """The first floor of the range that (l, p) is below, as ``l >= 6, got 5``, or None (NaN p too)."""
@@ -61,8 +65,9 @@ def bound_range_problem(l: int, p: float) -> str | None:
 class KernelSpec:
     """Length parameter of the normalized Dirichlet kernel.
 
-    ``l`` must be an integer >= 2.  Operations that rest on the sharp norm
-    bound additionally require its range (:func:`bound_range_problem`).
+    ``l`` must be an integer in [2, MAX_LENGTH].  Operations that rest on
+    the sharp norm bound additionally require its range
+    (:func:`bound_range_problem`).
     """
 
     l: int
@@ -73,6 +78,8 @@ class KernelSpec:
         object.__setattr__(self, "l", int(self.l))
         if self.l < 2:
             raise DomainError(f"kernel length must be >= 2, got {self.l}")
+        if self.l > MAX_LENGTH:
+            raise DomainError(f"kernel length must be <= {MAX_LENGTH} (2^26 - 1), got {self.l}")
 
 
 @dataclass(frozen=True)
@@ -141,7 +148,7 @@ def kernel_values_and_slopes(l, x: np.ndarray):
     masking.  ``l`` is one length or an array of lengths shaped like ``x``;
     each point gets what its length alone gives.  The series constants
     l^2 - 1 and l^4 - 1 = (l^2 - 1)(l^2 + 1) are taken in floats: exact, or
-    rounded once, for every l < 2^26.
+    rounded once, for every l <= MAX_LENGTH.
     """
     x = np.asarray(x, dtype=float)
     small = x < _SERIES_CUTOFF
@@ -161,7 +168,7 @@ def kernel_values_and_slopes(l, x: np.ndarray):
 
 
 def kernel_values(l, x: np.ndarray) -> np.ndarray:
-    """Vectorized g(x) for x in [0, 1/2] and l < 2^26: the value half of :func:`kernel_values_and_slopes`."""
+    """Vectorized g(x) for x in [0, 1/2] and l <= MAX_LENGTH: the value half of :func:`kernel_values_and_slopes`."""
     return kernel_values_and_slopes(l, x)[0]
 
 
@@ -191,7 +198,7 @@ def _slope_numerators(l: int, x: np.ndarray):
     h' = pi phi / (l sin^2(pi x)), so the peaks of g are the roots of phi,
     and phi'(x) = -pi (l^2 - 1) sin(l pi x) sin(pi x) keeps one sign on
     each arch (k/l, (k+1)/l): one root per arch.  Both come from
-    :func:`_sines`; l^2 - 1 is exact for l < 2^26.
+    :func:`_sines`; l^2 - 1 is exact for l <= MAX_LENGTH.
     """
     sin_u, s, phi = _sines(l, x)
     return phi, -PI * (l * l - 1) * sin_u * s

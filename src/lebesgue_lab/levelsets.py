@@ -390,7 +390,10 @@ def _slope_sums(n: int, row: np.ndarray, slopes: np.ndarray):
     """Level i's crossings, bounds[i] to bounds[i + 1], and its slope sum |G'(y)|.
 
     The sum of 1/|g'| is each level's own sum, which goes pairwise from 8
-    roots on: ``np.add.reduceat`` adds in sequence and would move bits.
+    roots on.  ``np.add.reduceat`` over the levels would move bits: it adds
+    the pairwise sum of a level's other roots to its first root, where the
+    sum adds them all to 0.0; only with a 0.0 put ahead of each level
+    (``pmf.segment_sums``) do the two agree.
     """
     bounds = row.searchsorted(np.arange(n + 1)).tolist()
     inverse = 1.0 / slopes

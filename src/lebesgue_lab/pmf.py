@@ -74,6 +74,28 @@ class Pmf:
         return cls(offset=d["offset"], weights=np.asarray(d["weights"], dtype=float))
 
 
+def segment_sums(values: np.ndarray, lengths) -> np.ndarray:
+    """``np.add.reduce`` of each run of ``values``, bit for bit: run i holds the next ``lengths[i]`` (>= 0) values.
+
+    One ``np.add.reduceat`` over the runs, each led by an added 0.0.  numpy
+    sums pairwise, in an order fixed by the count of values, so a run must
+    be summed as itself, not inside a padded row.  ``np.add.reduce`` adds
+    a run's pairwise sum to 0.0, while ``reduceat`` adds the pairwise sum
+    of the rest of a segment to its first value: with the leading zero the
+    two agree, and an empty run sums to 0.0.  A lone run, as a one-law
+    check has, goes to ``np.add.reduce`` itself.
+    """
+    if len(lengths) == 1:
+        return np.add.reduce(values, keepdims=True)
+    lengths = np.asarray(lengths)
+    starts = np.cumsum(lengths + 1) - (lengths + 1)
+    padded = np.zeros(len(values) + len(lengths))
+    ahead = np.ones(len(padded), dtype=bool)
+    ahead[starts] = False
+    padded[ahead] = values
+    return np.add.reduceat(padded, starts)
+
+
 def weight_problems(rows: np.ndarray, sizes, mass_tol: float = MASS_TOL) -> tuple[list, list]:
     """Why each row's weights are not a law, or None, and each row's maximum: :class:`Pmf`'s checks, a batch at once.
 
@@ -81,17 +103,20 @@ def weight_problems(rows: np.ndarray, sizes, mass_tol: float = MASS_TOL) -> tupl
     zeros after them.  The checks, in Pmf's order: finite, nonnegative,
     trimmed (positive end weights), and a sum within ``mass_tol`` of 1, the
     sum ``ndarray.sum`` gives.  Finiteness and sign are tested on all rows at
-    once and looked at row by row only when one fails; the sum is taken
-    row by row, since numpy sums pairwise in an order fixed by the count of
-    values, so a padded row would not sum as its weights alone.  The
-    maxima are one pass over all rows, as Python floats.
+    once and looked at row by row only when one fails; each row's sum is
+    that of its weights alone (:func:`segment_sums`).  The maxima are one
+    pass over all rows, as Python floats.
     """
     maxima = rows.max(axis=1).tolist()
+    weights = rows[0, : sizes[0]] if len(rows) == 1 else rows[np.arange(rows.shape[1]) < np.asarray(sizes)[:, None]]
     if rows.min() >= 0.0 and max(maxima) < math.inf:  # a NaN fails the first
         finite = negative = None
+        totals = segment_sums(weights, sizes).tolist()
     else:
         finite = np.isfinite(rows).all(axis=1).tolist()
         negative = (rows.min(axis=1) < 0.0).tolist()
+        with np.errstate(invalid="ignore"):  # inf - inf: that row fails before its sum is read
+            totals = segment_sums(weights, sizes).tolist()
     problems = []
     for i, (row, n) in enumerate(zip(rows, sizes)):
         if finite is not None and not finite[i]:
@@ -101,8 +126,8 @@ def weight_problems(rows: np.ndarray, sizes, mass_tol: float = MASS_TOL) -> tupl
         elif row[0] == 0.0 or row[n - 1] == 0.0:
             problems.append("support must be trimmed: end weights must be positive")
         else:
-            total = np.add.reduce(row[:n])
-            problems.append(f"weights sum to {float(total)!r}, not 1" if abs(total - 1.0) > mass_tol else None)
+            total = totals[i]
+            problems.append(f"weights sum to {total!r}, not 1" if abs(total - 1.0) > mass_tol else None)
     return problems, maxima
 
 

@@ -91,6 +91,15 @@ class TestSignChangeCommand:
         assert capsys.readouterr().err == "error: kernel length must be >= 2, got 1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [["np-verify"], ["certify", "--p", "2"], ["plot-data"]],
+                             ids=lambda c: c[0])
+    def test_length_past_the_evaluator_range_is_usage_error(self, tmp_path, capsys, command):
+        # refused before any work: the first-pass table alone would hold 2^25 x 46 floats
+        out = tmp_path / ("x.csv" if command[0] == "plot-data" else "x.json")
+        assert cli.main([*command, "--l", str(2**26), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: kernel length must be <= {2**26 - 1} (2^26 - 1), got {2**26}\n"
+        assert not out.exists()
+
     def test_length_below_six_is_reported_without_assertion(self, tmp_path):
         out = tmp_path / "np.json"
         assert cli.main(["np-verify", "--l", "6,5", "--out", str(out)]) == 0
@@ -211,6 +220,24 @@ class TestBallCommand:
         (record,) = json.loads(out.read_text())["records"]
         assert record["bound"] == sinc_power_bound(p) == math.sqrt(2.0 / p)
         assert record["margin"] == record["bound"] - record["value"] > 0.0
+
+    def test_bound_is_null_below_the_range(self, tmp_path):
+        # the bound is a theorem from p = 2 on: below it the report keeps the
+        # value and writes no bound or margin, as the norm commands do
+        out = tmp_path / "ball.json"
+        assert cli.main(["ball", "--p", "2,1.5", "--out", str(out)]) == 0
+        at_two, below = json.loads(out.read_text())["records"]
+        assert at_two["bound"] == sinc_power_bound(2.0) and at_two["margin"] == at_two["bound"] - at_two["value"]
+        assert below["p"] == 1.5 and below["value"] > 1.0
+        assert below["bound"] is None and below["margin"] is None
+
+    def test_csv_bound_is_none_below_the_range(self, tmp_path):
+        out = tmp_path / "ball.csv"
+        assert cli.main(["ball", "--p", "1.01,1.5,2", "--out", str(out)]) == 0
+        _, header, rows = read_csv(out)
+        assert header == ["p", "value", "bound", "margin"]
+        assert [(r["bound"], r["margin"]) for r in rows[:2]] == [("None", "None")] * 2
+        assert float(rows[2]["bound"]) == sinc_power_bound(2.0) and float(rows[0]["value"]) > 1.0
 
     def test_exponent_near_one(self, tmp_path):
         out = tmp_path / "ball.json"
@@ -811,8 +838,8 @@ def stub_report(config, args):
 
 class TestUnwritableReport:
     def test_missing_output_directory_is_usage_error_before_any_work(self, tmp_path, capsys, monkeypatch):
-        help_text, _, groups = cli._COMMANDS["certify"]
-        monkeypatch.setitem(cli._COMMANDS, "certify", (help_text, must_not_run, groups))
+        help_text, module, _, groups = cli._COMMANDS["certify"]
+        monkeypatch.setitem(cli._COMMANDS, "certify", (help_text, module, must_not_run, groups))
         out = tmp_path / "missing" / "x.json"
         assert cli.main(["certify", "--l", "6", "--p", "2", "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: output directory of {str(out)!r} does not exist\n"
@@ -820,8 +847,8 @@ class TestUnwritableReport:
 
     def test_failed_write_is_usage_error(self, tmp_path, capsys, monkeypatch):
         # the directory exists, but the report path is a directory, which os.replace cannot overwrite
-        help_text, _, groups = cli._COMMANDS["certify"]
-        monkeypatch.setitem(cli._COMMANDS, "certify", (help_text, stub_report, groups))
+        help_text, module, _, groups = cli._COMMANDS["certify"]
+        monkeypatch.setitem(cli._COMMANDS, "certify", (help_text, module, stub_report, groups))
         out = tmp_path / "taken"
         out.mkdir()
         assert cli.main(["certify", "--l", "6", "--p", "2", "--out", str(out)]) == 2

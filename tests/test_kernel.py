@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lebesgue_lab import kernel
 from lebesgue_lab.errors import DomainError
 from lebesgue_lab.kernel import (
     KernelSpec,
@@ -135,6 +136,15 @@ class TestKernelSpec:
     def test_rejects_bad_lengths(self, bad):
         with pytest.raises(DomainError):
             KernelSpec(bad)
+
+    def test_lengths_end_at_the_evaluator_range(self):
+        # the closed forms hold l^2 - 1 and l x in floats, exact or rounded once, below 2^26
+        assert kernel.MAX_LENGTH == 2**26 - 1
+        assert KernelSpec(2**26 - 1).l == kernel.MAX_LENGTH
+        assert KernelSpec(float(2**26 - 1)).l == kernel.MAX_LENGTH
+        for bad in (2**26, 2**26 + 1, 10**12):
+            with pytest.raises(DomainError, match=r"kernel length must be <= 67108863 \(2\^26 - 1\)"):
+                KernelSpec(bad)
 
 
 class TestEvalG:

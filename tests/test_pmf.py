@@ -29,6 +29,7 @@ from lebesgue_lab.pmf import (
     l_index,
     l_index_from_max,
     l_indices_from_max,
+    segment_sums,
     uniform,
     uniform_max,
     weight_problems,
@@ -103,6 +104,39 @@ class TestPmfValidation:
                 assert str(exc) == problem, w
         assert got[0] is None and got[-1] is None and got[-2] is None
         assert weight_problems(rows[:1], [2]) == ([None], [0.5])
+
+
+class TestSegmentSums:
+    """One ``reduceat`` gives each run the bits of ``np.add.reduce`` of the run alone."""
+
+    def test_every_run_length_to_1500(self):
+        # numpy sums a run sequentially below 8 values, in blocks of 8 to 128
+        # and recursively above: every length, in one call and run by run
+        rng = np.random.default_rng(5)
+        lengths = list(range(1, 1501))
+        values = rng.random(sum(lengths)) * np.repeat(10.0 ** rng.integers(-3, 4, size=len(lengths)), lengths)
+        runs = np.split(values, np.cumsum(lengths)[:-1])
+        want = [np.add.reduce(run).hex() for run in runs]
+        assert [float(v).hex() for v in segment_sums(values, lengths)] == want
+        assert [float(segment_sums(run, [len(run)])[0]).hex() for run in runs] == want
+        # what the leading zero is for: reduceat on the runs alone moves bits
+        starts = np.cumsum(lengths) - lengths
+        assert [float(v).hex() for v in np.add.reduceat(values, starts)] != want
+
+    def test_blocks_of_padded_rows(self):
+        # the rows of a generation wave: 40 laws, each padded with zeros to one width
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            sizes = rng.integers(6, 121, size=40).tolist()
+            rows = np.zeros((40, max(sizes) + 1))
+            for row, n in zip(rows, sizes):
+                row[:n] = rng.random(n)
+            got = segment_sums(rows[np.arange(rows.shape[1]) < np.array(sizes)[:, None]], sizes)
+            assert got.tolist() == [np.add.reduce(row[:n]) for row, n in zip(rows, sizes)]
+
+    def test_empty_runs_sum_to_zero(self):
+        got = segment_sums(np.array([0.25, 0.5, 1.0]), [0, 2, 0, 1, 0])
+        assert got.tolist() == [0.0, 0.75, 0.0, 1.0, 0.0]
 
 
 class TestUniform:
